@@ -113,6 +113,30 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildSystem measures cell construction — workload.Build plus
+// loading the image into a fresh machine — on a small SPEC kernel, the
+// largest-footprint SPEC kernel and a 4-core Parsec kernel. Every figure
+// cell pays it once per scheme; the cost must follow the bytes a program
+// initialises to something other than zero, not its working-set size
+// (allocs and B/op are the stable signal; "frames" is the number of
+// physical frames the load backed).
+func BenchmarkBuildSystem(b *testing.B) {
+	for _, name := range []string{"hmmer", "mcf", "canneal"} {
+		spec, ok := workload.ByName(name)
+		if !ok {
+			b.Fatalf("workload %s missing", name)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			frames := 0
+			for i := 0; i < b.N; i++ {
+				frames = figures.BuildSystem(spec, defense.MuonTrap(), 0.15).Phys.FrameCount()
+			}
+			b.ReportMetric(float64(frames), "frames")
+		})
+	}
+}
+
 // BenchmarkParallelCores measures the barrier-parallel in-run core
 // scheduler against the sequential one on a 4-core Parsec workload
 // (sim-insts/s per worker count). cmd/benchrecord runs the same

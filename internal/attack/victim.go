@@ -74,7 +74,7 @@ func buildScenarioVictim(sc Scenario) (*isa.Program, *victimLayout) {
 		b.Alloc("pad", uint64(sc.SecretDist)*64, 64)
 	}
 	l.secret = b.Alloc("secret", 64, 64)
-	l.probe = b.Segment("probe", 0x3000_0000, make([]byte, probeSegBytes), true)
+	l.probe = b.ZeroSegment("probe", 0x3000_0000, probeSegBytes, true)
 	inclusion := sc.Channel == ChannelInclusion
 	if inclusion {
 		// Per-process (non-shared) megabuffers for set-conflict attacks:

@@ -399,15 +399,7 @@ func TestIndirectJumpViaTable(t *testing.T) {
 	b.Halt()
 	prog := b.MustBuild()
 
-	// Pre-store label addresses into the table segment bytes.
-	var evenAddr, oddAddr uint64
-	for _, seg := range prog.Data {
-		_ = seg
-	}
-	// Find label addresses by scanning text for the instructions after
-	// the labels — instead, rebuild with explicit knowledge:
-	_ = evenAddr
-	_ = oddAddr
+	// The table segment stays zero, so every iteration takes the fallback.
 	s, _ := buildAndRun(t, prog, cpu.DefenseNone, memsys.Mode{})
 	if got := s.Cores[0].Reg(isa.X(5)); got != 2000 {
 		t.Fatalf("x5 = %d, want 2000 (20 fallback iterations)", got)

@@ -15,11 +15,22 @@
 //     hot path consults them millions of times per static instruction.
 //   - Program / Builder: an assembled text segment plus data segments and
 //     labels; Builder is the tiny assembler workloads and attacks use.
+//   - DataSegment: a named region of the image, either initialised (its
+//     bytes are part of the image) or zero-fill (declared by length only,
+//     like ELF .bss). Builder.Alloc and ZeroSegment declare zero-fill
+//     segments; AllocInit and Segment carry bytes. Len is the one length
+//     accessor for both kinds.
 //   - ExecResult / Exec: the pure functional semantics of one instruction
 //     given its operand values.
 //
 // Invariants:
 //
+//   - A zero-fill segment and a segment initialised with the same number
+//     of zero bytes are the same program: the loader backs neither with
+//     data it does not have to store (see the zero-fill contract in
+//     internal/mem), so an image costs what it initialises to something
+//     other than zero, and nothing may tell the two apart — not cycles,
+//     not counters, not snapshot bytes.
 //   - All instructions are InstBytes (4) long; text begins at TextBase and
 //     instruction addresses are always aligned.
 //   - Register x0 (Zero) reads zero and ignores writes; no path may write

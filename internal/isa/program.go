@@ -12,17 +12,30 @@ const (
 	StackTop uint64 = 0x7fff_f000
 )
 
-// DataSegment is a named, initialised region of the program's address space.
+// DataSegment is a named region of the program's address space. It is one
+// of two kinds: initialised (Bytes holds its content) or zero-fill (Bytes
+// is nil and ZeroLen declares its length). A zero-fill segment costs the
+// image and the loader nothing per byte; it is indistinguishable to the
+// simulated machine from a segment initialised with ZeroLen zeroes.
 type DataSegment struct {
-	Name  string
-	Base  uint64
-	Bytes []byte
+	Name    string
+	Base    uint64
+	Bytes   []byte
+	ZeroLen uint64
 	// Shared marks the segment as mapped into every process that loads the
 	// program (attack scenarios use this for attacker/victim shared arrays).
 	Shared bool
 }
 
-// Program is a complete executable image: text plus initialised data.
+// Len is the segment's length in bytes, whichever kind it is.
+func (d DataSegment) Len() uint64 {
+	if d.Bytes != nil {
+		return uint64(len(d.Bytes))
+	}
+	return d.ZeroLen
+}
+
+// Program is a complete executable image: text plus data segments.
 type Program struct {
 	Name  string
 	Text  []Inst
@@ -277,33 +290,39 @@ func (b *Builder) Barrier() *Builder { return b.I(Inst{Op: OpBarrier}) }
 func (b *Builder) FlushSF() *Builder { return b.I(Inst{Op: OpFlushSF}) }
 func (b *Builder) Halt() *Builder    { return b.I(Inst{Op: OpHalt}) }
 
-// Segment adds a named data segment at an explicit base address.
+// Segment adds a named initialised data segment at an explicit base address.
 func (b *Builder) Segment(name string, base uint64, bytes []byte, shared bool) uint64 {
 	b.data = append(b.data, DataSegment{Name: name, Base: base, Bytes: bytes, Shared: shared})
 	return base
 }
 
-// Alloc reserves size bytes of zeroed data aligned to align and returns its
-// base address.
-func (b *Builder) Alloc(name string, size, align uint64) uint64 {
+// ZeroSegment adds a named zero-fill data segment of size bytes at an
+// explicit base address.
+func (b *Builder) ZeroSegment(name string, base, size uint64, shared bool) uint64 {
+	b.data = append(b.data, DataSegment{Name: name, Base: base, ZeroLen: size, Shared: shared})
+	return base
+}
+
+// reserve advances the allocation cursor past size bytes aligned to align
+// (0 means 8) and returns their base address.
+func (b *Builder) reserve(size, align uint64) uint64 {
 	if align == 0 {
 		align = 8
 	}
 	base := (b.nextVar + align - 1) &^ (align - 1)
 	b.nextVar = base + size
-	b.data = append(b.data, DataSegment{Name: name, Base: base, Bytes: make([]byte, size)})
 	return base
+}
+
+// Alloc reserves a zero-fill segment of size bytes aligned to align and
+// returns its base address. Only the length is recorded.
+func (b *Builder) Alloc(name string, size, align uint64) uint64 {
+	return b.ZeroSegment(name, b.reserve(size, align), size, false)
 }
 
 // AllocInit reserves an initialised data segment and returns its base.
 func (b *Builder) AllocInit(name string, bytes []byte, align uint64) uint64 {
-	if align == 0 {
-		align = 8
-	}
-	base := (b.nextVar + align - 1) &^ (align - 1)
-	b.nextVar = base + uint64(len(bytes))
-	b.data = append(b.data, DataSegment{Name: name, Base: base, Bytes: bytes})
-	return base
+	return b.Segment(name, b.reserve(uint64(len(bytes)), align), bytes, false)
 }
 
 // LiLabel materialises a label's address into rd (two instructions; label

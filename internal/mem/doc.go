@@ -14,12 +14,25 @@
 //     line/page geometry constants (LineBytes, PageBytes) shared by the
 //     whole hierarchy.
 //   - Physical: sparse 4KiB-frame memory. Reads of unbacked memory return
-//     zeroes; writes allocate frames on demand. Save elides all-zero
-//     frames — semantically invisible — and serialises the rest in frame
-//     order, so equal contents always produce equal snapshot bytes.
+//     zeroes; writes allocate frames on demand. Bulk WriteData/ReadData
+//     move a frame at a time. Save elides all-zero frames — semantically
+//     invisible — and serialises the rest in frame order, so equal
+//     contents always produce equal snapshot bytes.
 //   - DRAM / DRAMConfig: a bank-aware open-row latency model (per-bank row
 //     tracking plus a shared data-bus serialisation constraint), DDR3-1600
 //     class by default (Table 1).
+//
+// The zero-fill contract: an unbacked frame and a backed frame holding
+// 4096 zero bytes are the same memory. Anyone may rely on unbacked ==
+// zero — the program loader (internal/sim) maps zero-fill segments without
+// writing them, and WriteData skips an all-zero chunk whose frame is
+// unbacked (over a backed frame the zeroes are stored like any data). In
+// return, whether a frame exists must never become observable to the
+// simulated machine or to anything derived from it: not to timing (DRAM
+// and the caches see addresses only), not to Save (zero frames are
+// elided, so snapshot bytes, hashes and cache keys do not depend on it).
+// FrameCount exposes it to tests and benchmarks only, as a host-cost
+// figure.
 //
 // Invariants:
 //

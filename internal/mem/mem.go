@@ -91,21 +91,47 @@ func (p *Physical) Write64(a Addr, v uint64) {
 	}
 }
 
-// WriteData copies b into physical memory starting at a.
+// WriteData copies b into physical memory starting at a, a frame at a
+// time. A chunk that is all zero and lands on an unbacked frame allocates
+// nothing (the frame already reads as zero); over a backed frame it is
+// stored like any other data.
 func (p *Physical) WriteData(a Addr, b []byte) {
-	for i, v := range b {
-		p.Write8(a+Addr(i), v)
+	for len(b) > 0 {
+		off := uint64(a) % PageBytes
+		chunk := b[:min(uint64(len(b)), PageBytes-off)]
+		if f := p.frame(a, !allZero(chunk)); f != nil {
+			copy(f[off:], chunk)
+		}
+		a += Addr(len(chunk))
+		b = b[len(chunk):]
 	}
 }
 
-// ReadData copies n bytes starting at a into a fresh slice.
+// ReadData copies n bytes starting at a into a fresh slice, a frame at a
+// time.
 func (p *Physical) ReadData(a Addr, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
-		out[i] = p.Read8(a + Addr(i))
+	for rest := out; len(rest) > 0; {
+		off := uint64(a) % PageBytes
+		chunk := rest[:min(uint64(len(rest)), PageBytes-off)]
+		if f := p.frame(a, false); f != nil {
+			copy(chunk, f[off:])
+		}
+		a += Addr(len(chunk))
+		rest = rest[len(chunk):]
 	}
 	return out
 }
 
-// FrameCount reports how many frames have been touched (for tests).
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// FrameCount reports how many frames are backed: a host-cost figure for
+// tests and benchmarks, never an input to simulated behaviour.
 func (p *Physical) FrameCount() int { return len(p.frames) }

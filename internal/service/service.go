@@ -698,30 +698,27 @@ func (s *Server) finish(j *job, res *muontrap.SweepResult, err error) {
 	}
 	j.rec.FinishedAt = time.Now().UTC().Format(time.RFC3339)
 	state := j.rec.State
-	detail := j.rec.Error
 	elapsed := sinceSeconds(j.born)
 	tenantName := j.rec.Tenant
+	// Durable before visible: the result store and the journal are written
+	// while j.mu still hides the terminal state, so a client that sees
+	// "done" (stream or poll) and at once resubmits, or restarts the daemon
+	// over the same directory, finds the result and the done record there.
+	if state == muontrap.JobDone && s.storeResult(j.rec.CacheKey, res) {
+		// Durably stored: serve future fetches from disk and let the
+		// in-memory copy go. (On a store failure — or an ephemeral,
+		// cache-less daemon — the memory copy stays authoritative.)
+		j.result = nil
+	}
+	if state != muontrap.JobInterrupted {
+		s.journal(j.rec)
+	}
 	for sub := range j.subs {
 		sub.poke()
 	}
-	key := j.rec.CacheKey
-	s.spanLocked(string(state), j, elapsed, detail)
+	s.spanLocked(string(state), j, elapsed, j.rec.Error)
 	j.mu.Unlock()
 	s.met.observeJobSeconds(tenantName, elapsed)
-
-	if state == muontrap.JobDone {
-		if s.storeResult(key, res) {
-			// Durably stored: serve future fetches from disk and let the
-			// in-memory copy go. (On a store failure — or an ephemeral,
-			// cache-less daemon — the memory copy stays authoritative.)
-			j.mu.Lock()
-			j.result = nil
-			j.mu.Unlock()
-		}
-	}
-	if state != muontrap.JobInterrupted {
-		s.persist(j)
-	}
 	s.releaseSlot(j)
 }
 
@@ -1072,16 +1069,22 @@ func validCacheKey(key string) bool {
 // the journal degrades restart-resume, so failures are reported on
 // stderr rather than swallowed.
 func (s *Server) persist(j *job) {
+	j.mu.Lock()
+	rec := j.rec
+	j.mu.Unlock()
+	s.journal(rec)
+}
+
+// journal writes one job record to the journal (see persist).
+func (s *Server) journal(rec muontrap.Job) {
 	if s.cfg.Dir == "" {
 		return
 	}
-	j.mu.Lock()
 	e := jobEntry{
-		Version: journalVersion, Job: j.rec,
+		Version: journalVersion, Job: rec,
 		CheckpointEvery: s.cfg.CheckpointEvery, Warmup: s.cfg.Warmup,
 		Scale: s.cfg.Scale, MaxCycles: s.cfg.MaxCycles,
 	}
-	j.mu.Unlock()
 	b, err := json.MarshalIndent(e, "", "\t")
 	if err != nil {
 		return

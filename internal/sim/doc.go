@@ -25,6 +25,13 @@
 //     tick in index order within a cycle and the event queue fires in
 //     (when, seq) order, so repeated runs are bit-identical — the property
 //     the golden tests pin and the figure caches rely on.
+//   - Loading is layout, not copying: NewProcess gives every data segment
+//     frame numbers and page-table entries for the pages it spans, writes
+//     only initialised segments, and leaves zero-fill ones unbacked (see
+//     the zero-fill contract in internal/mem). Frame numbers depend on
+//     segment lengths alone, so how an image's zeroes are declared changes
+//     no address, cycle or snapshot byte. A shared segment is initialised
+//     by the load that allocates its frames and by no later one.
 //   - Warm-up is architectural: Warmup executes instructions functionally
 //     (registers, memory, TLBs, L1/L2, predictor warm; zero cycles, zero
 //     events, no speculation), so its end state is identical under every

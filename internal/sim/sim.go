@@ -181,35 +181,28 @@ func (s *System) NewProcess(prog *isa.Program) *Process {
 	}
 	pt.MapRange(isa.TextBase>>mem.PageShift, textBase, textPages)
 
-	// Data segments.
+	// Data segments. A segment may start mid-page, so the page count runs
+	// from the page holding its first byte to the one holding its last.
 	for _, seg := range prog.Data {
-		pages := (uint64(len(seg.Bytes)) + mem.PageBytes - 1) / mem.PageBytes
-		if pages == 0 {
-			pages = 1
-		}
 		vpn := seg.Base >> mem.PageShift
-		// Segments may start mid-page; map the straddled tail page too.
-		end := seg.Base + uint64(len(seg.Bytes))
-		lastVPN := (end - 1) >> mem.PageShift
-		pages = lastVPN - vpn + 1
+		off := seg.Base % mem.PageBytes
+		pages := (off + seg.Len() + mem.PageBytes - 1) / mem.PageBytes
 		var pfn uint64
+		mapped := false
 		if seg.Shared {
-			if f, ok := s.sharedFrames[seg.Base]; ok {
-				pfn = f
-			} else {
-				pfn = s.allocFrames(pages)
+			pfn, mapped = s.sharedFrames[seg.Base]
+		}
+		if !mapped {
+			// Whoever allocates the frames initialises them; a later process
+			// mapping a shared segment sees its live contents. Fresh frames
+			// read as zero, so a zero-fill segment (nil Bytes) writes nothing.
+			pfn = s.allocFrames(pages)
+			if seg.Shared {
 				s.sharedFrames[seg.Base] = pfn
 			}
-		} else {
-			pfn = s.allocFrames(pages)
+			s.Phys.WriteData(mem.Addr(pfn<<mem.PageShift+off), seg.Bytes)
 		}
 		pt.MapRange(vpn, pfn, pages)
-		// Initialise contents (shared segments are initialised by the
-		// first process to map them).
-		if !seg.Shared || s.sharedFrames[seg.Base] == pfn {
-			off := seg.Base % mem.PageBytes
-			s.Phys.WriteData(mem.Addr(pfn<<mem.PageShift)+mem.Addr(off), seg.Bytes)
-		}
 	}
 
 	// Stack: 64KiB below StackTop per thread slot 0; extra threads get
