@@ -19,7 +19,6 @@ package repro
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/defense"
@@ -133,32 +132,6 @@ func BenchmarkBuildSystem(b *testing.B) {
 				frames = figures.BuildSystem(spec, defense.MuonTrap(), 0.15).Phys.FrameCount()
 			}
 			b.ReportMetric(float64(frames), "frames")
-		})
-	}
-}
-
-// BenchmarkParallelCores measures the barrier-parallel in-run core
-// scheduler against the sequential one on a 4-core Parsec workload
-// (sim-insts/s per worker count). cmd/benchrecord runs the same
-// comparison — with a bit-exactness cross-check — and records it in
-// BENCH_parallel_cores.json; on hosts with fewer CPUs than workers the
-// barrier degrades to cooperative yielding and ~1× is the ceiling.
-func BenchmarkParallelCores(b *testing.B) {
-	spec, _ := workload.ByName("canneal")
-	mo := benchOptions()
-	for _, workers := range []int{1, 2, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := figures.Options{Scale: mo.Scale, MaxCycles: mo.MaxCycles, CoreParallelism: workers}
-			var insts uint64
-			for i := 0; i < b.N; i++ {
-				res, err := figures.RunOne(context.Background(), spec, defense.MuonTrap(), opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts += res.Committed
-			}
-			b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
 		})
 	}
 }

@@ -5,6 +5,10 @@ import "repro/internal/checkpoint"
 // Save serialises every predictor table, the speculative history state and
 // the statistics.
 func (p *Predictor) Save(w *checkpoint.Writer) {
+	// Five u32 geometry words and rasTop, the global history and five
+	// counters, then the tables.
+	w.Grow(6*4 + 6*8 + 8*len(p.localHist) + len(p.localCtr) + len(p.globalCtr) +
+		len(p.chooserCtr) + 16*len(p.btbTags) + 8*len(p.ras))
 	w.U32(uint32(p.cfg.LocalEntries))
 	w.U32(uint32(p.cfg.GlobalEntries))
 	w.U32(uint32(p.cfg.ChooserEntries))

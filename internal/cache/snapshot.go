@@ -5,6 +5,7 @@ import "repro/internal/checkpoint"
 // Save serialises the array's complete line state (every way of every set,
 // valid or not, including replacement state) and the LRU tick.
 func (a *Array) Save(w *checkpoint.Writer) {
+	w.Grow(a.SaveSize())
 	w.U32(uint32(len(a.sets)))
 	w.U32(uint32(a.assoc))
 	w.U64(a.tick)
@@ -20,6 +21,10 @@ func (a *Array) Save(w *checkpoint.Writer) {
 		}
 	}
 }
+
+// SaveSize is the number of bytes Save writes: a 16-byte header and 27
+// bytes per line.
+func (a *Array) SaveSize() int { return 16 + len(a.sets)*a.assoc*27 }
 
 // Restore loads state saved by Save into an array of identical geometry.
 func (a *Array) Restore(r *checkpoint.Reader) error {

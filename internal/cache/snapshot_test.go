@@ -22,7 +22,11 @@ func TestArraySaveRestoreRoundTrip(t *testing.T) {
 	a.InvalidateLine(0x1040)
 
 	snap := checkpoint.New()
-	a.Save(snap.Section("a"))
+	w := snap.Section("a")
+	a.Save(w)
+	if w.Len() != a.SaveSize() {
+		t.Fatalf("Save wrote %d bytes, SaveSize says %d", w.Len(), a.SaveSize())
+	}
 	b := NewArray(cfg)
 	r, _ := snap.Open("a")
 	if err := b.Restore(r); err != nil {

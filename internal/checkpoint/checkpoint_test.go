@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -8,6 +9,7 @@ import (
 func buildSample() *Snapshot {
 	s := New()
 	w := s.Section("alpha")
+	w.Grow(64) // reserve, then fill: changes capacity, never the bytes
 	w.U64(42)
 	w.U32(7)
 	w.U8(3)
@@ -94,6 +96,29 @@ func TestHashReflectsContent(t *testing.T) {
 	c.Section("x").U64(1)
 	if a.Hash() != c.Hash() {
 		t.Fatal("equal content, different hash")
+	}
+}
+
+// TestStorePutRepairsTruncatedFile: a crash between WriteAtomic's rename
+// and the data reaching disk leaves a short <hash>.snap; the next Put of
+// the same content must replace it, or the content stays unloadable for
+// as long as the store lives.
+func TestStorePutRepairsTruncatedFile(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := buildSample()
+	enc := s.Encode()
+	if err := os.WriteFile(st.snapPath(s.Hash()), enc[:len(enc)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hash, err := st.Put(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Load(hash); err != nil {
+		t.Fatalf("Load after re-Put over a truncated file: %v", err)
 	}
 }
 

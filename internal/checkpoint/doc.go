@@ -12,7 +12,15 @@
 //     to keep the encoding canonical).
 //   - Writer / Reader: fixed-width primitive codecs. Readers carry a sticky
 //     error; a Restore implementation reads unconditionally and returns
-//     r.Err() once at the end.
+//     r.Err() once at the end. Writers append, so a Save implementation
+//     whose payload is large reserves, then fills: it calls Writer.Grow
+//     with the size its geometry implies before writing the first field
+//     (cache arrays, predictor tables, physical frames, the hierarchy's
+//     "hier" section). A buffer left to regrow as fields are appended
+//     costs several times the snapshot's size in garbage per checkpoint;
+//     TestCheckpointAllocatesAboutItsSize in internal/sim holds a whole
+//     machine's checkpoint to 1.5x its encoding. Grow changes capacity
+//     only — never a byte of the encoding.
 //   - Store: a content-addressed directory of encoded snapshots
 //     (<hash>.snap), with human-opaque ref files mapping an input key — the
 //     (workload, scale, cores, warm-up) tuple that produced a snapshot — to

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 )
 
 // FormatVersion is the snapshot container format version. Bump it whenever
@@ -149,6 +150,10 @@ type Writer struct {
 
 // Len reports the bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }
+
+// Grow reserves room for n more bytes, so the writes that follow fill one
+// allocation instead of regrowing the section buffer as they append.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // U64 writes a uint64.
 func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }

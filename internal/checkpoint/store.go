@@ -62,13 +62,16 @@ func WriteAtomic(path string, data []byte) error {
 }
 
 // Put writes the snapshot under its content hash and returns the hash.
-// A snapshot that is already present is not rewritten.
+// A snapshot that is already present is not rewritten — unless the file's
+// size is not the encoding's: WriteAtomic renames without fsync, so a
+// crash can leave a short file under the final name, and keeping it would
+// fail every later Load of content that has since been put again.
 func (st *Store) Put(s *Snapshot) (string, error) {
 	enc := s.Encode()
 	sum := sha256.Sum256(enc)
 	hash := hex.EncodeToString(sum[:])
 	path := st.snapPath(hash)
-	if _, err := os.Stat(path); err == nil {
+	if fi, err := os.Stat(path); err == nil && fi.Size() == int64(len(enc)) {
 		return hash, nil
 	}
 	if err := WriteAtomic(path, enc); err != nil {

@@ -51,13 +51,6 @@ type Core struct {
 	drainsInFlight int
 	drainDone      func() // prebuilt StoreDrain completion (allocated once)
 
-	// Deferred shared-state operations (see deferred.go). While deferring
-	// is set — the parallel scheduler's tick phase — every wrapper appends
-	// to oplog instead of touching the scheduler/hierarchy/physical
-	// memory; ReplayShared applies the log at the cycle barrier.
-	deferring bool
-	oplog     []sharedOp
-
 	seq              uint64
 	fetchPC          uint64
 	fetchStall       bool     // barrier/syscall/halt fetched: stop until it commits
@@ -287,12 +280,12 @@ func (c *Core) commit() {
 				c.exposeLoad(d, false)
 			}
 			if !d.forwarded {
-				c.commitLoadOp(d.pc, mem.VAddr(d.effAddr), d.paddr)
+				c.port.CommitLoad(d.pc, mem.VAddr(d.effAddr), d.paddr)
 			}
 			// Promote the page's translation from the filter TLB to the
 			// main TLB: the commit makes it non-speculative regardless of
 			// whether this particular instruction performed the walk.
-			c.commitTranslation(mem.VAddr(d.effAddr), false)
+			c.port.CommitTranslation(mem.VAddr(d.effAddr), false)
 			c.removeFromLQ(d)
 		case isa.ClassStore:
 			if c.storeBuf.len() >= c.cfg.StoreBufferSize {
@@ -310,7 +303,7 @@ func (c *Core) commit() {
 			d.src2 = nil
 			d.v2Ready = true
 			c.storeBuf.push(d)
-			c.commitTranslation(mem.VAddr(d.effAddr), false)
+			c.port.CommitTranslation(mem.VAddr(d.effAddr), false)
 			c.removeFromSQ(d)
 		case isa.ClassAmo:
 			c.removeFromSQ(d)
@@ -326,7 +319,7 @@ func (c *Core) commit() {
 			c.Barriers++
 			c.fetchStall = false
 		case isa.ClassFlush:
-			c.flushDomainOp()
+			c.port.FlushDomain()
 		case isa.ClassHalt:
 			c.halted = true
 			c.haltedBad = d.synthetic
@@ -338,8 +331,8 @@ func (c *Core) commit() {
 		if c.safeBetActive() {
 			c.sbInsertCode(mem.LineAddr(d.pc))
 		}
-		c.commitIfetch(c.instPaddr(d.pc))
-		c.commitTranslation(mem.VAddr(d.pc), true)
+		c.port.CommitIfetch(c.instPaddr(d.pc))
+		c.port.CommitTranslation(mem.VAddr(d.pc), true)
 		c.rob.popFront()
 		c.Committed++
 
@@ -414,8 +407,8 @@ func (c *Core) drainStores() {
 		// cache/coherence timing completes asynchronously). Otherwise a
 		// load could observe a stale value in the window where the store
 		// is neither forwardable nor yet in memory.
-		c.physWrite64(d.paddr, d.v2)
-		c.storeDrain(d.pc, mem.VAddr(d.effAddr), d.paddr, c.drainDone)
+		c.phys.Write64(d.paddr, d.v2)
+		c.port.StoreDrain(d.pc, mem.VAddr(d.effAddr), d.paddr, c.drainDone)
 		c.freeInst(d)
 	}
 }
@@ -536,7 +529,7 @@ func (c *Core) fetchLineReady(pc uint64) bool {
 	c.fetchLinePend = true
 	c.fetchPendLine = line
 	c.fetchPendPC = pc
-	c.translateC(mem.VAddr(line), true, true, fetchHandle, c.fetchEpoch)
+	c.port.TranslateC(mem.VAddr(line), true, true, fetchHandle, c.fetchEpoch)
 	return false
 }
 

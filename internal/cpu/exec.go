@@ -41,7 +41,7 @@ func (c *Core) HandleEvent(op int32, a1, a2 uint64) {
 		r := isa.Exec(d.si.Inst, d.pc, d.v1, d.v2)
 		d.effAddr = r.EffAddr
 		d.phase = memAgenDone
-		c.translateC(mem.VAddr(d.effAddr), false, true, d.idx, d.seq)
+		c.port.TranslateC(mem.VAddr(d.effAddr), false, true, d.idx, d.seq)
 	case opFwdDone:
 		d.result = d.fwdVal
 		d.forwarded = true
@@ -193,7 +193,7 @@ func (c *Core) execALU(d *dynInst, lat event.Cycle) {
 	if d.isBranch() {
 		lat += branchResolveExtra
 	}
-	c.afterEvent(lat, opExecDone, uint64(uint32(d.idx)), d.seq)
+	c.sched.AfterEvent(lat, c, opExecDone, uint64(uint32(d.idx)), d.seq)
 }
 
 // resolveBranch trains the predictor and squashes on a misprediction.
@@ -290,7 +290,7 @@ func filterSquashed(s []*dynInst) []*dynInst {
 // translate. Both steps complete through typed events (opAgenDone, then
 // the port's TranslateDone), so the steady-state path allocates nothing.
 func (c *Core) execMemAgen(d *dynInst) {
-	c.afterEvent(c.cfg.IntALULat, opAgenDone, uint64(uint32(d.idx)), d.seq)
+	c.sched.AfterEvent(c.cfg.IntALULat, c, opAgenDone, uint64(uint32(d.idx)), d.seq)
 }
 
 // tryLoadAccess attempts the memory half of a load: disambiguate against
@@ -311,7 +311,7 @@ func (c *Core) tryLoadAccess(d *dynInst) {
 		}
 		d.phase = memAccessIssued
 		d.fwdVal = c.storeData(fwd)
-		c.afterEvent(1, opFwdDone, uint64(uint32(d.idx)), d.seq)
+		c.sched.AfterEvent(1, c, opFwdDone, uint64(uint32(d.idx)), d.seq)
 		return
 	}
 	if c.safeBetActive() && !c.loadSafe(d) && !c.sbDataHit(d.paddr) {
@@ -326,14 +326,14 @@ func (c *Core) tryLoadAccess(d *dynInst) {
 	if c.invisiSpecActive() && !c.loadSafe(d) {
 		// InvisiSpec: unsafe loads read invisibly and must expose later.
 		d.needsExpose = true
-		c.loadNoFillC(d.paddr, d.idx, d.seq)
+		c.port.LoadNoFillC(d.paddr, d.idx, d.seq)
 		return
 	}
 	c.issueLoadToPort(d, true)
 }
 
 func (c *Core) issueLoadToPort(d *dynInst, spec bool) {
-	c.loadC(d.pc, mem.VAddr(d.effAddr), d.paddr, spec, d.idx, d.seq)
+	c.port.LoadC(d.pc, mem.VAddr(d.effAddr), d.paddr, spec, d.idx, d.seq)
 }
 
 // reissueLoad reruns a NACKed load non-speculatively once it is the oldest
@@ -443,7 +443,7 @@ func (c *Core) executeAmoAtHead(d *dynInst) {
 	r := isa.Exec(d.si.Inst, d.pc, d.v1, d.v2)
 	d.effAddr = r.EffAddr
 	d.pins++
-	c.translateFn(mem.VAddr(d.effAddr), false, false, func(pa mem.Addr, walked, fault bool) {
+	c.port.Translate(mem.VAddr(d.effAddr), false, false, func(pa mem.Addr, walked, fault bool) {
 		if d.squashed {
 			c.unpin(d)
 			return
@@ -462,7 +462,7 @@ func (c *Core) executeAmoAtHead(d *dynInst) {
 			c.phys.Write64(pa, uint64(d.si.Inst.Imm))
 		}
 		d.result = old
-		c.storeDrain(d.pc, mem.VAddr(d.effAddr), pa, func() {
+		c.port.StoreDrain(d.pc, mem.VAddr(d.effAddr), pa, func() {
 			if !d.squashed {
 				d.done = true
 				d.phase = memDone
@@ -502,7 +502,7 @@ func (c *Core) exposeLoad(d *dynInst, blocking bool) {
 	d.exposing = true
 	c.Exposures++
 	d.pins++
-	c.loadExpose(d.pc, mem.VAddr(d.effAddr), d.paddr, func(memsys.AccessResult) {
+	c.port.LoadExpose(d.pc, mem.VAddr(d.effAddr), d.paddr, func(memsys.AccessResult) {
 		d.exposing = false
 		d.exposeDone = true
 		c.unpin(d)

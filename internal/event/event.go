@@ -71,14 +71,6 @@ type Scheduler struct {
 	// inDrain marks that runDue is executing: same-cycle events go to the
 	// live bucket (the drain loop picks them up) instead of overdue.
 	inDrain bool
-
-	// frozen rejects scheduling attempts while the parallel core phase is
-	// running: between cycle barriers cores may only record shared
-	// operations into their deferral logs, never touch the queue directly.
-	// A schedule() while frozen means a shared-state call path escaped the
-	// deferral audit — panic loudly and deterministically rather than let
-	// a seq number be consumed at a nondeterministic point.
-	frozen bool
 }
 
 // NewScheduler returns a scheduler starting at cycle 0.
@@ -109,19 +101,7 @@ func (s *Scheduler) AfterEvent(d Cycle, h Handler, op int32, a1, a2 uint64) {
 	s.AtEvent(s.now+d, h, op, a1, a2)
 }
 
-// Freeze rejects all scheduling until Thaw: the parallel core scheduler
-// freezes the queue while core goroutines tick between cycle barriers, so
-// any shared-state operation that escaped per-core deferral fails fast
-// (and deterministically) instead of corrupting the (when, seq) order.
-func (s *Scheduler) Freeze() { s.frozen = true }
-
-// Thaw re-enables scheduling after a Freeze.
-func (s *Scheduler) Thaw() { s.frozen = false }
-
 func (s *Scheduler) schedule(c Cycle, it item) {
-	if s.frozen {
-		panic("event: schedule() during the parallel core phase (shared operation missed by the deferral layer)")
-	}
 	if c < s.now {
 		c = s.now
 	}

@@ -176,27 +176,3 @@ func TestEventOrderingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestFrozenSchedulerPanics pins the parallel-phase guard: while frozen,
-// any scheduling attempt — a shared operation that escaped the per-core
-// deferral logs — must panic rather than consume a seq number at a
-// nondeterministic point, and Thaw must restore normal service.
-func TestFrozenSchedulerPanics(t *testing.T) {
-	s := NewScheduler()
-	s.Freeze()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("schedule on a frozen scheduler did not panic")
-			}
-		}()
-		s.After(1, func() {})
-	}()
-	s.Thaw()
-	fired := false
-	s.After(1, func() { fired = true })
-	s.Tick()
-	if !fired {
-		t.Fatal("event did not fire after Thaw")
-	}
-}

@@ -16,9 +16,10 @@
 //     and inside the simulator's cycle loop). Worker count never changes
 //     results — pinned by tests comparing parallel and sequential
 //     renderings byte-for-byte.
-//   - Options: experiment size (Scale, MaxCycles, Parallelism) plus the
-//     two scale levers layered under the figures: WarmupInsts (snapshot
-//     fast-forward) and CacheDir (disk-backed result cache).
+//   - Options: experiment size (Scale, MaxCycles), Parallelism — the
+//     executor's worker count and the only host-parallelism setting —
+//     plus the two scale levers layered under the figures: WarmupInsts
+//     (snapshot fast-forward) and CacheDir (disk-backed result cache).
 //   - runKey: the full identity of one deterministic run — workload,
 //     scheme, scale, cycle bound, filter-cache geometry, warm-up depth and
 //     warm-snapshot content hash. Everything that can change a run's

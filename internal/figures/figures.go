@@ -3,7 +3,6 @@ package figures
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -35,15 +34,6 @@ type Options struct {
 	MaxCycles int
 	// Parallelism caps concurrent runs (0 = GOMAXPROCS).
 	Parallelism int
-	// CoreParallelism sets how many goroutines tick cores *inside* one
-	// run (the barrier-parallel scheduler): 0 (the default) auto-selects
-	// min(GOMAXPROCS, simulated cores) — on for multi-core rows on
-	// multi-core hosts, off on single-CPU machines; 1 forces the
-	// sequential scheduler; n>1 requests n workers (the simulator clamps
-	// to the machine's core count). The setting changes wall time only —
-	// parallel and sequential runs are bit-identical by construction — so
-	// it is deliberately NOT part of any result or checkpoint cache key.
-	CoreParallelism int
 	// WarmupInsts, when positive, architecturally fast-forwards this many
 	// instructions per workload once, checkpoints the warmed machine, and
 	// forks every per-scheme run of that workload's figure row from the
@@ -96,18 +86,6 @@ func (o Options) ckptEvery() int {
 // shapes, small enough to finish the full matrix in minutes.
 func DefaultOptions() Options {
 	return Options{Scale: 0.15, MaxCycles: 40_000_000}
-}
-
-// coreWorkers resolves CoreParallelism to a concrete in-run worker
-// count: 0 auto-selects the host's GOMAXPROCS (the simulator clamps to
-// the machine's core count, so single-core SPEC rows stay sequential);
-// explicit values pass through, with <=1 selecting the sequential
-// scheduler.
-func (o Options) coreWorkers() int {
-	if o.CoreParallelism != 0 {
-		return o.CoreParallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // runKey identifies one deterministic simulation: every figure input that

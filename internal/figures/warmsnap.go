@@ -230,15 +230,7 @@ func forkOrRun(ctx context.Context, spec workload.Spec, opt Options, sys *sim.Sy
 		// golden/determinism runs execute the exact pre-telemetry path.
 		sys.OnCheckpointSample = p.RecordQueueDepth
 	}
-	// In-run core parallelism is wall-clock-only (bit-identical results),
-	// so it is applied here — the single chokepoint every figure, sweep
-	// and executor run passes through — and never keyed.
-	sys.SetParallelCores(opt.coreWorkers())
 	res, err := sys.RunUntilHaltCkpt(ctx, opt.MaxCycles, event.Cycle(key.every), sink)
-	if err == nil && sys.ParallelCores() > 1 {
-		cycles, spins := sys.ParallelStats()
-		telemetry.ActiveSimProfiler().RecordParallelRun(sys.ParallelCores(), cycles, spins)
-	}
 	if err == nil && st != nil && prevHash != "" {
 		// The run completed: its cached result supersedes the checkpoint
 		// chain, so retire the chain's last image and its ref instead of

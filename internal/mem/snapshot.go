@@ -19,6 +19,7 @@ func (p *Physical) Save(w *checkpoint.Writer) {
 		}
 	}
 	sort.Slice(fns, func(i, j int) bool { return fns[i] < fns[j] })
+	w.Grow(8 + len(fns)*(16+PageBytes))
 	w.U64(uint64(len(fns)))
 	for _, fn := range fns {
 		w.U64(fn)

@@ -59,13 +59,6 @@ type Hierarchy struct {
 	FilterBroadcasts uint64
 	PrefetchFills    uint64
 	L2Writebacks     uint64
-
-	// frozen rejects every port entry point while the parallel core phase
-	// runs between cycle barriers: cores defer their memory-system
-	// operations and replay them in core order at the barrier, so a direct
-	// call while frozen is a missed deferral — a cross-core data race in
-	// waiting — and fails fast instead.
-	frozen bool
 }
 
 // New builds the hierarchy and its per-core ports.
@@ -102,24 +95,6 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 
 // Scheduler returns the event scheduler driving the hierarchy.
 func (h *Hierarchy) Scheduler() *event.Scheduler { return h.sched }
-
-// Freeze rejects all port entry points until Thaw. The parallel core
-// scheduler freezes the hierarchy while core goroutines tick between
-// cycle barriers: shared memory-system state (L2, directory, DRAM
-// timing, filter-sharer tracking) may only change during the barrier
-// replay, and any access path that escaped the cores' deferral layer
-// panics deterministically instead of racing.
-func (h *Hierarchy) Freeze() { h.frozen = true }
-
-// Thaw re-enables port access after a Freeze.
-func (h *Hierarchy) Thaw() { h.frozen = false }
-
-// assertLive is the frozen-phase guard checked at every port entry point.
-func (h *Hierarchy) assertLive() {
-	if h.frozen {
-		panic("memsys: port access during the parallel core phase (shared operation missed by the deferral layer)")
-	}
-}
 
 // --- L2 / directory helpers ---
 

@@ -435,7 +435,6 @@ func (p *Port) TranslateC(vaddr mem.VAddr, instr, spec bool, idx int32, seq uint
 }
 
 func (p *Port) translate(vaddr mem.VAddr, instr, spec bool, cm tcomp) {
-	p.h.assertLive()
 	vpn := mem.PageNum(vaddr)
 	main := p.dtlb
 	if instr {
@@ -514,7 +513,6 @@ func (p *Port) walkStep(slot int32) {
 // (retranslation). The move makes this a once-per-page action: later
 // commits touching the same page find nothing to promote.
 func (p *Port) CommitTranslation(vaddr mem.VAddr, instr bool) {
-	p.h.assertLive()
 	if p.fdtlb == nil {
 		return
 	}
@@ -551,7 +549,6 @@ func (p *Port) LoadC(pc uint64, vaddr mem.VAddr, paddr mem.Addr, spec bool, idx 
 }
 
 func (p *Port) load(pc uint64, vaddr mem.VAddr, paddr mem.Addr, spec bool, cm comp) {
-	p.h.assertLive()
 	p.ctr[PCLoads]++
 	if !spec {
 		p.ctr[PCNACKRetries]++
@@ -730,7 +727,6 @@ func (p *Port) dirDropL1(line uint64) {
 // the post-commit write. Only meaningful under FilterProtect with a data
 // L0; otherwise a no-op.
 func (p *Port) StorePrefetch(pc uint64, vaddr mem.VAddr, paddr mem.Addr, done func()) {
-	p.h.assertLive()
 	m := p.h.cfg.Mode
 	if p.l0d == nil || !m.FilterProtect {
 		if done != nil {
@@ -754,7 +750,6 @@ var noopAccessResult = func(AccessResult) {}
 // line was not already held E/M by this core's own L1 — the event Figure 7
 // counts.
 func (p *Port) StoreDrain(pc uint64, vaddr mem.VAddr, paddr mem.Addr, done func()) {
-	p.h.assertLive()
 	p.ctr[PCStores]++
 	p.ctr[PCStoreDrains]++
 	m := p.h.cfg.Mode
@@ -846,7 +841,6 @@ func (p *Port) scheduleDrainFin(lat event.Cycle, line uint64, broadcast bool, do
 // prefetcher (§4.6), and passively reload lines evicted before commit.
 // All of it is asynchronous: commit is never stalled.
 func (p *Port) CommitLoad(pc uint64, vaddr mem.VAddr, paddr mem.Addr) {
-	p.h.assertLive()
 	m := p.h.cfg.Mode
 	if !m.FilterProtect {
 		return
@@ -932,7 +926,6 @@ func (p *Port) IfetchC(vaddr mem.VAddr, paddr mem.Addr, epoch uint64) {
 }
 
 func (p *Port) ifetch(vaddr mem.VAddr, paddr mem.Addr, cm icomp) {
-	p.h.assertLive()
 	p.ctr[PCIfetches]++
 	m := p.h.cfg.Mode
 	lat := p.h.cfg.Lat
@@ -1039,7 +1032,6 @@ func (p *Port) l1InstallInst(line uint64) {
 // the first instruction from it commits, writing it through to the L1I
 // (§4.7: no coherence transactions needed for read-only lines).
 func (p *Port) CommitIfetch(paddr mem.Addr) {
-	p.h.assertLive()
 	if p.l0i == nil || !p.h.cfg.Mode.FilterProtect {
 		return
 	}
@@ -1062,7 +1054,6 @@ func (p *Port) CommitIfetch(paddr mem.Addr) {
 // entry (§4.3, §4.9). The flash invalidate itself is a single cycle; the
 // protection-domain switch cost is charged by the caller.
 func (p *Port) FlushDomain() {
-	p.h.assertLive()
 	p.ctr[PCDomainFlushes]++
 	if p.l0d != nil {
 		p.l0d.FlashInvalidate(func(pa mem.Addr) { p.h.noteFilterDrop(uint64(pa), p.id) })
@@ -1079,7 +1070,6 @@ func (p *Port) FlushDomain() {
 // FlushOnMisspec clears filter state on a pipeline squash when the
 // per-process clear-on-misspeculate mode is enabled (§4.9).
 func (p *Port) FlushOnMisspec() {
-	p.h.assertLive()
 	if !p.h.cfg.Mode.ClearOnMisspec {
 		return
 	}
@@ -1112,7 +1102,6 @@ func (p *Port) LoadNoFillC(paddr mem.Addr, idx int32, seq uint64) {
 }
 
 func (p *Port) loadNoFill(paddr mem.Addr, cm comp) {
-	p.h.assertLive()
 	p.ctr[PCLoads]++
 	lat := p.h.cfg.Lat
 	line := uint64(mem.LineAddr(paddr))
@@ -1140,7 +1129,6 @@ func (p *Port) loadNoFill(paddr mem.Addr, cm comp) {
 // LoadExpose performs the InvisiSpec exposure/validation access: a normal
 // non-speculative load that installs the line in the caches.
 func (p *Port) LoadExpose(pc uint64, vaddr mem.VAddr, paddr mem.Addr, done func(AccessResult)) {
-	p.h.assertLive()
 	p.dataRead(pc, vaddr, paddr, false, true, compOf(done))
 }
 

@@ -114,28 +114,3 @@ func TestHierarchyQuiescedNamesEachCondition(t *testing.T) {
 		})
 	}
 }
-
-// TestFrozenHierarchyPanics pins the parallel-phase guard on the port
-// surface: while the hierarchy is frozen, any access — here a load and a
-// store drain — must panic, and Thaw must restore normal service.
-func TestFrozenHierarchyPanics(t *testing.T) {
-	r := newRig(1, Mode{})
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s on a frozen hierarchy did not panic", name)
-			}
-		}()
-		fn()
-	}
-	r.h.Freeze()
-	mustPanic("Load", func() {
-		r.h.Port(0).Load(0x400100, 0x1000, 0x1000, true, func(AccessResult) {})
-	})
-	mustPanic("StoreDrain", func() {
-		r.h.Port(0).StoreDrain(0x400200, 0x1000, 0x1000, func() {})
-	})
-	mustPanic("FlushDomain", func() { r.h.Port(0).FlushDomain() })
-	r.h.Thaw()
-	r.load(t, 0, 0x1000, 0x1000, false)
-}

@@ -95,6 +95,13 @@ func (p *Port) quiesced() error {
 // port into its own "port<i>" section.
 func (h *Hierarchy) Save(snap *checkpoint.Snapshot) {
 	w := snap.Section("hier")
+	// Reserve the whole section before the L2 image goes in: a buffer sized
+	// for the L2 alone is reallocated, image and all, when the directory is
+	// appended. The L2 and the three tables are exact; the last term is an
+	// upper bound on the rest (MSHR statistics, DRAM banks, prefetcher
+	// table, counters).
+	w.Grow(h.l2.SaveSize() + 33*len(h.dir) + 16*(len(h.filterSharers)+len(h.filterOwner)) +
+		32*(h.cfg.DRAM.Banks+h.cfg.Prefetch.TableEntries) + 256)
 	h.l2.Save(w)
 	h.l2MSHRs.Save(w)
 	w.U64(uint64(h.l2PortFree))

@@ -25,6 +25,11 @@
 //     tick in index order within a cycle and the event queue fires in
 //     (when, seq) order, so repeated runs are bit-identical — the property
 //     the golden tests pin and the figure caches rely on.
+//   - One machine, one goroutine: Step runs every core's tick and the
+//     event phase on its caller's goroutine, and nothing in a System is
+//     safe for concurrent use. Host parallelism lives one layer up, where
+//     independent machines run side by side (the figures executor's
+//     worker pool); ARCHITECTURE.md records why.
 //   - Loading is layout, not copying: NewProcess gives every data segment
 //     frame numbers and page-table entries for the pages it spans, writes
 //     only initialised segments, and leaves zero-fill ones unbacked (see

@@ -84,16 +84,6 @@ type System struct {
 
 	nextTimer []event.Cycle
 
-	// Parallel in-run scheduler state (see parallel.go). parWorkers is the
-	// clamped worker count set by SetParallelCores (<=1 means sequential);
-	// parActive is per-Step scratch; the stats are accumulated on the
-	// stepping goroutine only and are telemetry — never part of RunResult
-	// or snapshots, since spin counts are scheduling-dependent.
-	parWorkers    int
-	parActive     []bool
-	parCycles     uint64
-	parStallSpins uint64
-
 	// Mid-run resume state: set by RestoreSnapshot when the snapshot was
 	// taken by CheckpointAt. resumeBase is the cycle the measured region
 	// originally started, so RunUntilHalt on the restored machine reports
@@ -261,14 +251,10 @@ func (s *System) RunOn(core int, p *Process, thread int) {
 }
 
 // domainSwitch performs the protection-domain work on a core: flush filter
-// state (a no-op in unprotected modes) and optionally the BTB. The filter
-// flush goes through the core's deferral wrapper so that a timer-driven
-// switch issued while the parallel scheduler has the core in record mode
-// replays at the head of the core's op log (its exact sequential slot);
-// outside the parallel phase the wrapper is a direct call.
+// state (a no-op in unprotected modes) and optionally the BTB.
 func (s *System) domainSwitch(core int) {
 	if s.cfg.Mem.Mode.FilterProtect {
-		s.Cores[core].FlushDomain()
+		s.Hier.Port(core).FlushDomain()
 	}
 	// SafeBet: a domain switch invalidates the committed footprint, so one
 	// domain's accesses never pre-authorise another's speculation. Core-
@@ -286,20 +272,11 @@ func (s *System) handleSyscall(c *cpu.Core) event.Cycle {
 	return 0
 }
 
-// Step advances the machine by n cycles. With SetParallelCores(>1) and a
-// batch long enough to amortise the fork, cores tick on worker goroutines
-// between cycle barriers (see parallel.go) — bit-identical to the
-// sequential path by construction, so short batches (the Step(1) loops in
-// drains) simply fall back to the sequential scheduler.
+// Step advances the machine by n cycles on the calling goroutine: each
+// cycle ticks the cores in index order (timer first), then runs the event
+// phase. That order is the simulated machine's arbitration between cores,
+// so it is part of every golden.
 func (s *System) Step(n int) {
-	if s.parWorkers > 1 && n >= parMinBatch {
-		s.stepParallel(n)
-		return
-	}
-	s.stepSequential(n)
-}
-
-func (s *System) stepSequential(n int) {
 	for i := 0; i < n; i++ {
 		for ci, c := range s.Cores {
 			if s.running[ci] == nil {
@@ -312,9 +289,7 @@ func (s *System) stepSequential(n int) {
 	}
 }
 
-// timerTick fires the periodic OS timer on a core when due. Always runs
-// on the stepping goroutine (the parallel scheduler calls it in its
-// serial phase), so TimerTicks and nextTimer stay single-writer.
+// timerTick fires the periodic OS timer on a core when due.
 func (s *System) timerTick(ci int, c *cpu.Core) {
 	if s.cfg.TimerInterval > 0 && s.Sched.Now() >= s.nextTimer[ci] {
 		s.nextTimer[ci] = s.Sched.Now() + s.cfg.TimerInterval

@@ -1,8 +1,12 @@
 package sim_test
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
+	"repro/internal/defense"
+	"repro/internal/figures"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -17,26 +21,83 @@ func warmMachine(t *testing.T, n int) *sim.System {
 	return simtest.WarmSystem(t, "hmmer", 0.02, n)
 }
 
-// TestCheckpointRoundTripIsLossless checkpoints a warmed machine, restores
-// into a freshly assembled twin, and re-checkpoints: the two snapshots
-// must be byte-identical (equal content hashes), proving Save/Restore
-// loses nothing for any component.
+// drainedCanneal builds the 4-core canneal machine under MuonTrap, runs it
+// cycles cycles of detailed simulation and drains it, leaving caches,
+// filter caches and the coherence directory populated.
+func drainedCanneal(t *testing.T, cycles int) *sim.System {
+	t.Helper()
+	s := figures.BuildSystem(simtest.MustSpec(t, "canneal"), defense.MuonTrap(), 0.15)
+	s.Step(cycles)
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestCheckpointRoundTripIsLossless checkpoints a machine, restores into a
+// freshly assembled twin, and re-checkpoints: the two snapshots must be
+// byte-identical (equal content hashes), proving Save/Restore loses
+// nothing for any component. The 1-core machine has only been warmed; the
+// 4-core one has run, so its directory and filter-sharer tables are
+// non-empty.
 func TestCheckpointRoundTripIsLossless(t *testing.T) {
-	a := warmMachine(t, 2000)
-	snapA, err := a.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T, progress int) *sim.System
+		run   int
+	}{
+		{"warmed 1-core hmmer", warmMachine, 2000},
+		{"drained 4-core canneal", drainedCanneal, 5000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snapA, err := tc.build(t, tc.run).Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := tc.build(t, 0) // fresh twin
+			if err := b.RestoreSnapshot(snapA); err != nil {
+				t.Fatal(err)
+			}
+			snapB, err := b.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snapA.Hash() != snapB.Hash() {
+				t.Fatalf("round trip lost state: %s vs %s", snapA.Hash(), snapB.Hash())
+			}
+		})
 	}
-	b := warmMachine(t, 0) // fresh twin, no warm-up
-	if err := b.RestoreSnapshot(snapA); err != nil {
-		t.Fatal(err)
+}
+
+// TestCheckpointAllocatesAboutItsSize pins what one checkpoint costs the
+// garbage collector: Save implementations reserve a section's bytes
+// before filling them (see internal/checkpoint), so building the
+// snapshot allocates little more than the snapshot (1.1x; buffers left
+// to regrow allocate 5.2x, which shows up as peak RSS in
+// checkpoint-heavy sweeps). By 100 000 cycles the directory is large
+// enough that a "hier" section reserved for the L2 image alone would be
+// reallocated.
+func TestCheckpointAllocatesAboutItsSize(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("the race detector's allocator overhead is counted in TotalAlloc")
 	}
-	snapB, err := b.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snapA.Hash() != snapB.Hash() {
-		t.Fatalf("round trip lost state: %s vs %s", snapA.Hash(), snapB.Hash())
+	for _, cycles := range []int{5_000, 100_000} {
+		s := drainedCanneal(t, cycles)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		snap, err := s.Checkpoint()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		size := uint64(len(snap.Encode()))
+		t.Logf("after %d cycles: Checkpoint() allocated %d bytes for a %d-byte image (%.2fx)",
+			cycles, alloc, size, float64(alloc)/float64(size))
+		if 2*alloc > 3*size {
+			t.Errorf("after %d cycles: Checkpoint() allocated %d bytes, more than 1.5x its %d-byte encoding",
+				cycles, alloc, size)
+		}
 	}
 }
 

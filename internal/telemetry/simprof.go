@@ -34,12 +34,6 @@ type SimProfiler struct {
 	totalInsts  *Counter
 	totalCycles *Counter
 
-	// Barrier-parallel in-run scheduler samples (one per completed run
-	// that used it).
-	parWorkers       *Histogram
-	parSpinsPerCycle *Histogram
-	parCycles        *Counter
-
 	mu      sync.Mutex
 	schemes map[string]*schemeSeries
 }
@@ -89,14 +83,6 @@ func EnableSimProfiling(reg *Registry) *SimProfiler {
 			"Total simulated instructions across completed runs."),
 		totalCycles: reg.Counter("muontrap_sim_cycles_total",
 			"Total simulated cycles across completed runs."),
-		parWorkers: reg.Histogram("muontrap_sim_parallel_workers",
-			"In-run core-tick worker goroutines, per run using the parallel scheduler.",
-			ExpBuckets(1, 2, 6)),
-		parSpinsPerCycle: reg.Histogram("muontrap_sim_parallel_stall_spins_per_cycle",
-			"Barrier spin-wait iterations per barrier-scheduled cycle, per run.",
-			ExpBuckets(1, 4, 10)),
-		parCycles: reg.Counter("muontrap_sim_parallel_cycles_total",
-			"Simulated cycles executed under the barrier-parallel core scheduler."),
 	}
 	for _, l := range []CacheLayer{CacheMemory, CacheDisk} {
 		p.cacheHit[l] = reg.Counter("muontrap_sim_cache_hits_total",
@@ -148,22 +134,6 @@ func (p *SimProfiler) RecordRun(scheme string, cycles, insts uint64, host time.D
 	s.cyclesPerHostSec.Observe(float64(cycles) / sec)
 	p.totalInsts.Add(insts)
 	p.totalCycles.Add(cycles)
-}
-
-// RecordParallelRun records one completed run that used the in-run
-// barrier-parallel core scheduler: how many worker goroutines ticked
-// cores, how many cycles ran under the barrier scheduler, and the total
-// barrier spin-wait iterations across workers. Spin counts are host-
-// scheduling-dependent (never part of simulation results); per-cycle
-// spins are the barrier-overhead signal — a growing value means workers
-// are stalling at barriers rather than simulating.
-func (p *SimProfiler) RecordParallelRun(workers int, cycles, stallSpins uint64) {
-	if p == nil || cycles == 0 {
-		return
-	}
-	p.parWorkers.Observe(float64(workers))
-	p.parSpinsPerCycle.Observe(float64(stallSpins) / float64(cycles))
-	p.parCycles.Add(cycles)
 }
 
 // RecordQueueDepth records the scheduler's pending-event count at a

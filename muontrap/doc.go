@@ -78,7 +78,9 @@
 //     and both caching layers and the snapshot fast-forward depend on it.
 //   - Worker count never changes results: an N-worker sweep is
 //     bit-identical to the sequential one (pinned by tests run under the
-//     race detector).
+//     race detector). WithWorkers is the only host-parallelism setting:
+//     a simulation, whatever its simulated core count, runs on one
+//     goroutine, so workers beyond the host's CPUs only oversubscribe it.
 //   - Cancellation is prompt (observed every 64 simulated cycles) and
 //     surfaces as ctx.Err(); a cancelled run never poisons any cache.
 //

@@ -19,7 +19,6 @@ import (
 // immutable after construction and safe for concurrent use.
 type Runner struct {
 	workers   int
-	parCores  int
 	cacheDir  string
 	warmup    int
 	scale     float64
@@ -34,19 +33,12 @@ type Runner struct {
 type RunnerOption func(*Runner)
 
 // WithWorkers caps the number of concurrent simulations (0, the default,
-// means GOMAXPROCS).
+// means GOMAXPROCS). It is the only host-parallelism setting: one
+// simulation runs on one goroutine whatever its simulated core count, and
+// the cells of a sweep or figure — which share no state — run side by
+// side. More workers than host CPUs oversubscribes the host: each cell
+// takes longer and the sweep finishes no sooner.
 func WithWorkers(n int) RunnerOption { return func(r *Runner) { r.workers = n } }
-
-// WithParallelCores sets how many goroutines tick cores inside each
-// single simulation (the barrier-parallel in-run scheduler). 0, the
-// default, auto-selects min(GOMAXPROCS, simulated cores) — multi-core
-// Parsec rows parallelise on multi-core hosts, single-core SPEC rows and
-// single-CPU hosts stay sequential; 1 forces the sequential scheduler;
-// n>1 requests n workers, clamped to the simulated core count. Results
-// are bit-identical whichever scheduler runs — the setting trades host
-// CPUs for per-run wall time and composes with WithWorkers (total
-// goroutines ticking cores ≈ workers × parallel cores).
-func WithParallelCores(n int) RunnerOption { return func(r *Runner) { r.parCores = n } }
 
 // WithCacheDir backs the runner's sweep/figure memoization with a disk
 // cache (results plus warm snapshots) keyed by the full run configuration
@@ -131,7 +123,6 @@ func (r *Runner) options(scale float64, maxCycles int) figures.Options {
 		Scale:           scale,
 		MaxCycles:       maxCycles,
 		Parallelism:     r.workers,
-		CoreParallelism: r.parCores,
 		WarmupInsts:     r.warmup,
 		CacheDir:        r.cacheDir,
 		CheckpointEvery: r.ckptEvery,
