@@ -42,9 +42,19 @@ type Core struct {
 
 	// ROB, in program order; index 0 is the oldest.
 	rob instRing
-	iq  []*dynInst
 	lq  []*dynInst
 	sq  []*dynInst
+
+	// Issue queue. Its entries are the ROB instructions with inIQ set;
+	// only the occupancy is kept (iqCount), plus the entries that could
+	// issue: ready holds, oldest first, exactly those whose operands are
+	// all latched. The others are parked on their producers' waiter chains
+	// (waitNodes is the slab, waitFree its free chain) until a completion
+	// wakes them — issue never visits an entry that is still waiting.
+	iqCount   int
+	ready     []*dynInst
+	waitNodes []waitNode
+	waitFree  int32
 
 	// Post-commit store buffer.
 	storeBuf       instRing
@@ -117,7 +127,10 @@ func NewCore(id int, cfg Config, sched *event.Scheduler, port *memsys.Port, phys
 	c.drainDone = func() { c.drainsInFlight-- }
 	c.rob.init(cfg.ROBSize)
 	c.storeBuf.init(cfg.StoreBufferSize)
-	c.iq = make([]*dynInst, 0, cfg.IQSize)
+	c.ready = make([]*dynInst, 0, cfg.IQSize)
+	// Slot 0 is the nil link. An entry waits on at most two producers; the
+	// slab grows past that only while squashes leave stale nodes behind.
+	c.waitNodes = make([]waitNode, 1, 1+2*cfg.IQSize)
 	c.lq = make([]*dynInst, 0, cfg.LQSize)
 	c.sq = make([]*dynInst, 0, cfg.SQSize)
 	c.growPool()
@@ -209,7 +222,8 @@ func (c *Core) flushPipeline() {
 		c.freeInst(d)
 	}
 	c.rob.clear()
-	c.iq = c.iq[:0]
+	c.ready = c.ready[:0]
+	c.iqCount = 0
 	c.lq = c.lq[:0]
 	c.sq = c.sq[:0]
 	for i := range c.rename {
@@ -277,7 +291,7 @@ func (c *Core) commit() {
 				// The load became safe only now: fire the exposure so the
 				// line still reaches the caches (asynchronously; the
 				// Spectre variant never blocks commit on it).
-				c.exposeLoad(d, false)
+				c.exposeLoad(d)
 			}
 			if !d.forwarded {
 				c.port.CommitLoad(d.pc, mem.VAddr(d.effAddr), d.paddr)
@@ -367,7 +381,7 @@ func (c *Core) commitReady(d *dynInst) bool {
 			return false
 		}
 		if c.cfg.Defense == DefenseInvisiSpecFuture && d.needsExpose && !d.exposeDone {
-			c.exposeLoad(d, true)
+			c.exposeLoad(d) // the Future variant's validation holds commit
 			return false
 		}
 		return true
@@ -416,7 +430,7 @@ func (c *Core) drainStores() {
 // --- Fetch & dispatch ---
 
 func (c *Core) roomToDispatch() bool {
-	return c.rob.len() < c.cfg.ROBSize && len(c.iq) < c.cfg.IQSize
+	return c.rob.len() < c.cfg.ROBSize && c.iqCount < c.cfg.IQSize
 }
 
 // instPaddr derives an instruction's physical address from the cached
@@ -596,26 +610,23 @@ func (c *Core) dispatch(si *isa.StaticInst, pc uint64) *dynInst {
 	switch si.Class {
 	case isa.ClassLoad:
 		c.lq = append(c.lq, d)
-		c.iq = append(c.iq, d)
-		d.inIQ = true
+		c.enterIQ(d)
 	case isa.ClassStore:
 		c.sq = append(c.sq, d)
-		c.iq = append(c.iq, d)
-		d.inIQ = true
+		c.enterIQ(d)
 	case isa.ClassAmo:
 		// AMOs execute at the ROB head; no IQ entry. They sit in the SQ
 		// so younger loads order behind them (acquire semantics).
 		c.sq = append(c.sq, d)
 	case isa.ClassNop, isa.ClassSyscall, isa.ClassBarrier, isa.ClassFlush, isa.ClassHalt:
-		d.done = true
+		c.complete(d)
 	case isa.ClassJump:
 		// Direct jumps complete at dispatch (target known).
 		r := isa.Exec(si.Inst, pc, 0, 0)
 		d.result = r.Value
-		d.done = true
+		c.complete(d)
 	default:
-		c.iq = append(c.iq, d)
-		d.inIQ = true
+		c.enterIQ(d)
 	}
 	return d
 }
@@ -661,7 +672,7 @@ func (c *Core) TranslateDone(idx int32, seq uint64, pa mem.Addr, walked, fault b
 	if fault {
 		d.faulted = true
 		d.result = 0
-		d.done = true
+		c.complete(d)
 		d.phase = memDone
 		return
 	}
@@ -670,7 +681,7 @@ func (c *Core) TranslateDone(idx int32, seq uint64, pa mem.Addr, walked, fault b
 	if d.isStore() {
 		// Stores are done once the address is known; data is read
 		// at commit. MuonTrap lets them prefetch their line.
-		d.done = true
+		c.complete(d)
 		if !d.prefetched {
 			d.prefetched = true
 			// SafeBet also vetoes the speculative store-prefetch channel

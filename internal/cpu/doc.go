@@ -13,7 +13,8 @@
 // Key types:
 //
 //   - Core: one hardware thread — architectural registers, rename map,
-//     ROB/IQ/LSQ, post-commit store buffer, fetch engine and statistics.
+//     ROB, issue queue (ready list + waiter chains), load/store queues,
+//     post-commit store buffer, fetch engine and statistics.
 //     Tick advances it one cycle; the owner (internal/sim) advances the
 //     shared event scheduler.
 //   - dynInst: one in-flight dynamic instruction, pool-allocated.
@@ -31,6 +32,22 @@
 //     different seq (or seq 0 while free); a mismatch means the producer
 //     committed (its value is architectural) or the event is stale and
 //     must be dropped.
+//   - Wake, don't poll: the issue queue is not a list that is scanned. An
+//     entry dispatched with an operand still in flight is parked on that
+//     operand's producer (a waiter chain of (idx, seq) nodes from a
+//     per-core slab) and is not looked at again until the producer
+//     completes; Core.complete — the only writer of dynInst.done — latches
+//     the result into the waiters and moves those that now hold every
+//     operand into the ready list. At every cycle boundary: an entry is in
+//     the ready list ⇔ all its operands are latched ⇔ a poll of its
+//     producers would find them available; the ready list is strictly
+//     ascending in seq (age order, the order issue selects in); iqCount is
+//     the number of ROB entries with inIQ set; a faulted completion wakes
+//     nobody. Waiter nodes obey seq-validation like every other
+//     reference, so a squash repairs no chains: stale nodes drop out at
+//     wake, and a chain goes back to the slab when its producer wakes or
+//     is freed. CheckIssueQueue (export_test.go) recomputes the polled
+//     definition from the ROB and holds the bookkeeping to it.
 //   - Commit is in order; stores update functional memory the moment they
 //     leave the store buffer, preserving per-core visibility order.
 //   - Quiesced() (empty pipeline, drained stores, no in-flight fetch) is

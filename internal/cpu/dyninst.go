@@ -57,10 +57,12 @@ type dynInst struct {
 
 	// Pipeline state.
 	readyCycle uint64 // earliest issue cycle (frontend delay)
-	inIQ       bool
-	issued     bool
-	done       bool
+	inIQ       bool   // holds an issue-queue slot: dispatched into it, not yet issued
+	done       bool   // set only by Core.complete, which also wakes the waiters
 	squashed   bool
+	// waiters heads the chain of issue-queue entries parked on this
+	// instruction's result (a waitNode slab index; 0 = none). See wake.
+	waiters int32
 	// pins counts outstanding closure references (InvisiSpec exposures)
 	// that captured the pointer directly; a pinned instruction's slot is
 	// not recycled until the pins drain. retired marks a freed-but-pinned
@@ -149,6 +151,9 @@ func (c *Core) freeInst(d *dynInst) {
 		c.snapFree = append(c.snapFree, d.checkpoint)
 		d.checkpoint = nil
 	}
+	// Consumers still parked here (the producer never completed, or
+	// faulted) are squashed with it; their nodes go back to the slab.
+	c.releaseWaiters(d)
 	if d.pins > 0 {
 		d.retired = true
 		return
@@ -190,32 +195,116 @@ func (c *Core) allocSnap() *renameSnap {
 	return s
 }
 
-// operandsReady reports whether both source values are available, pulling
-// them from completed producers. A faulted producer never supplies data:
-// post-Meltdown cores suppress fault data forwarding, so dependents stall
-// until the squash (or until the fault reaches commit and halts). A
-// recycled producer has committed, so its value is read from the
-// architectural file.
-func (c *Core) operandsReady(d *dynInst) bool {
-	if d.use1 && !d.v1Ready {
-		if p := d.src1; p == nil {
-			d.v1Ready = true
-		} else if p.seq != d.src1Seq {
-			d.v1, d.v1Ready = c.regs[d.si.Src1], true
-		} else if p.done && !p.faulted {
+// --- Wake-up: producers hand their result to the consumers parked on them ---
+
+// waitNode is one link of a producer's waiter chain: a (pool idx, seq)
+// reference to a parked consumer, validated at wake like every other
+// cross-instruction reference. Nodes live in a per-core slab (slot 0 is
+// the nil link) and free nodes are threaded through next.
+type waitNode struct {
+	idx, next int32
+	seq       uint64
+}
+
+// addWaiter parks consumer d on producer p.
+func (c *Core) addWaiter(p, d *dynInst) {
+	n := c.waitFree
+	if n != 0 {
+		c.waitFree = c.waitNodes[n].next
+	} else {
+		n = int32(len(c.waitNodes))
+		c.waitNodes = append(c.waitNodes, waitNode{})
+	}
+	c.waitNodes[n] = waitNode{idx: d.idx, next: p.waiters, seq: d.seq}
+	p.waiters = n
+}
+
+// releaseWaiters returns p's whole waiter chain to the slab.
+func (c *Core) releaseWaiters(p *dynInst) {
+	for n := p.waiters; n != 0; {
+		next := c.waitNodes[n].next
+		c.waitNodes[n].next = c.waitFree
+		c.waitFree = n
+		n = next
+	}
+	p.waiters = 0
+}
+
+// operandsLatched reports whether every source value d uses is in hand.
+func operandsLatched(d *dynInst) bool {
+	return (!d.use1 || d.v1Ready) && (!d.use2 || d.v2Ready)
+}
+
+// enterIQ gives a freshly renamed instruction its issue-queue slot. With
+// every operand latched it joins the ready list (as the youngest entry it
+// sorts last); otherwise it is parked on each producer it waits for — once
+// when both operands name the same one — and is not looked at again until
+// a producer completes.
+func (c *Core) enterIQ(d *dynInst) {
+	d.inIQ = true
+	c.iqCount++
+	wait1 := d.use1 && !d.v1Ready
+	wait2 := d.use2 && !d.v2Ready
+	if wait1 {
+		c.addWaiter(d.src1, d)
+	}
+	if wait2 && !(wait1 && d.src2 == d.src1) {
+		c.addWaiter(d.src2, d)
+	}
+	if !wait1 && !wait2 {
+		c.ready = append(c.ready, d)
+	}
+}
+
+// complete marks d executed and wakes the consumers parked on it. It is
+// the only writer of done, so a completion cannot forget its wake. A
+// faulted producer never supplies data: post-Meltdown cores suppress fault
+// data forwarding, so its dependents stay parked until the squash frees
+// them (or until the fault reaches commit and halts the core).
+func (c *Core) complete(d *dynInst) {
+	d.done = true
+	if !d.faulted && d.waiters != 0 {
+		c.wake(d)
+	}
+}
+
+// wake latches p's result into every live consumer on its chain and moves
+// those that now hold all their operands into the ready list. A producer's
+// slot is recycled only after it completed (commit) or together with all
+// its consumers (squash), so this is the one moment a waiting operand can
+// become available, and the value latched here is the one a later read of
+// p.result or of the architectural file would return. Consumers squashed
+// and recycled since parking fail the seq check and drop out.
+func (c *Core) wake(p *dynInst) {
+	for n := p.waiters; n != 0; n = c.waitNodes[n].next {
+		w := c.waitNodes[n]
+		d := c.insts[w.idx]
+		if d.seq != w.seq {
+			continue
+		}
+		if d.use1 && !d.v1Ready && d.src1 == p && d.src1Seq == p.seq {
 			d.v1, d.v1Ready = p.result, true
 		}
-	}
-	if d.use2 && !d.v2Ready {
-		if p := d.src2; p == nil {
-			d.v2Ready = true
-		} else if p.seq != d.src2Seq {
-			d.v2, d.v2Ready = c.regs[d.si.Src2], true
-		} else if p.done && !p.faulted {
+		if d.use2 && !d.v2Ready && d.src2 == p && d.src2Seq == p.seq {
 			d.v2, d.v2Ready = p.result, true
 		}
+		if operandsLatched(d) {
+			c.insertReady(d)
+		}
 	}
-	return (!d.use1 || d.v1Ready) && (!d.use2 || d.v2Ready)
+	c.releaseWaiters(p)
+}
+
+// insertReady places a woken consumer in the ready list, which issue walks
+// oldest first: sorted by seq. Wake-ups mostly concern recent instructions,
+// so the insertion point is searched from the young end.
+func (c *Core) insertReady(d *dynInst) {
+	i := len(c.ready)
+	c.ready = append(c.ready, d)
+	for ; i > 0 && c.ready[i-1].seq > d.seq; i-- {
+		c.ready[i] = c.ready[i-1]
+	}
+	c.ready[i] = d
 }
 
 // operandTaint computes the effective taint root of d's operands: the
@@ -267,9 +356,18 @@ func (r *instRing) init(capacity int) {
 
 func (r *instRing) len() int { return r.n }
 
-func (r *instRing) at(i int) *dynInst {
-	return r.buf[(r.head+i)%len(r.buf)]
+// slot maps a position (0 ≤ i ≤ len(buf)) to its buffer index. The ROB is
+// not a power of two in size, so the wrap is a compare-and-subtract rather
+// than a division on every access.
+func (r *instRing) slot(i int) int {
+	j := r.head + i
+	if j >= len(r.buf) {
+		j -= len(r.buf)
+	}
+	return j
 }
+
+func (r *instRing) at(i int) *dynInst { return r.buf[r.slot(i)] }
 
 func (r *instRing) push(d *dynInst) {
 	if r.n == len(r.buf) {
@@ -283,14 +381,14 @@ func (r *instRing) push(d *dynInst) {
 		r.buf = bigger
 		r.head = 0
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = d
+	r.buf[r.slot(r.n)] = d
 	r.n++
 }
 
 func (r *instRing) popFront() *dynInst {
 	d := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = r.slot(1)
 	r.n--
 	return d
 }
@@ -298,7 +396,7 @@ func (r *instRing) popFront() *dynInst {
 // truncate drops every element at position n and beyond (squash recovery).
 func (r *instRing) truncate(n int) {
 	for i := n; i < r.n; i++ {
-		r.buf[(r.head+i)%len(r.buf)] = nil
+		r.buf[r.slot(i)] = nil
 	}
 	r.n = n
 }

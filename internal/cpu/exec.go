@@ -33,7 +33,7 @@ func (c *Core) HandleEvent(op int32, a1, a2 uint64) {
 	case opExecDone:
 		r := isa.Exec(d.si.Inst, d.pc, d.v1, d.v2)
 		d.result = r.Value
-		d.done = true
+		c.complete(d)
 		if d.isBranch() {
 			c.resolveBranch(d, r)
 		}
@@ -45,7 +45,7 @@ func (c *Core) HandleEvent(op int32, a1, a2 uint64) {
 	case opFwdDone:
 		d.result = d.fwdVal
 		d.forwarded = true
-		d.done = true
+		c.complete(d)
 		d.phase = memDone
 	}
 }
@@ -97,7 +97,19 @@ func (c *Core) firstUndoneSeq() uint64 {
 	return ^uint64(0)
 }
 
+// issue selects from the ready list — the issue-queue entries whose
+// operands have all arrived, oldest first — up to IssueWidth instructions
+// that find a free functional unit. Entries still waiting on a producer are
+// not here (wake moves them in), so the pass costs what can issue, not what
+// is queued. Dispatch order is seq order and readyCycle never decreases
+// along it, so the pass stops at the first entry still in the front end;
+// it also stops once the width is spent, since nothing past that point has
+// a side effect (no STT stall is counted for an entry that was not
+// considered).
 func (c *Core) issue() {
+	if len(c.ready) == 0 {
+		return
+	}
 	now := uint64(c.sched.Now())
 	issued := 0
 	intFree := c.cfg.IntALUs
@@ -110,19 +122,18 @@ func (c *Core) issue() {
 	}
 	memFree := 2 // load/store pipes per cycle
 
-	// Single pass with in-place compaction: issued and squashed entries
-	// are dropped, everything else keeps its age order. The compaction
-	// write index always trails the read index, so the in-place append is
-	// safe.
-	out := c.iq[:0]
-	for _, d := range c.iq {
-		if d.squashed || d.issued {
-			continue
+	// In-place compaction: issued entries are dropped, everything else
+	// keeps its age order. Each visited entry is provisionally kept (kept
+	// trails i, so the write never overtakes the read) and the slot is
+	// taken back when the entry issues.
+	kept, i := 0, 0
+	for ; i < len(c.ready) && issued < c.cfg.IssueWidth; i++ {
+		d := c.ready[i]
+		if d.readyCycle > now {
+			break
 		}
-		if issued >= c.cfg.IssueWidth || d.readyCycle > now || !c.operandsReady(d) {
-			out = append(out, d)
-			continue
-		}
+		c.ready[kept] = d
+		kept++
 		cls := d.si.Class
 
 		// STT: tainted transmitters may not issue until their taint root
@@ -130,7 +141,6 @@ func (c *Core) issue() {
 		if c.sttActive() && (cls == isa.ClassLoad || cls == isa.ClassStore || cls == isa.ClassJumpInd) {
 			if root, _ := c.operandTaint(d); root != nil {
 				c.STTStalls++
-				out = append(out, d)
 				continue
 			}
 		}
@@ -174,13 +184,16 @@ func (c *Core) issue() {
 			}
 		}
 		if ok {
-			d.issued = true
+			kept--
+			d.inIQ = false
+			c.iqCount--
 			issued++
-			continue
 		}
-		out = append(out, d)
 	}
-	c.iq = out
+	if kept != i {
+		kept += copy(c.ready[kept:], c.ready[i:])
+		c.ready = c.ready[:kept]
+	}
 }
 
 // execALU schedules a register-to-register instruction (including branch
@@ -234,10 +247,14 @@ func (c *Core) squashAfter(d *dynInst, newPC uint64, actualTaken bool) {
 		return // already squashed by an older branch
 	}
 	for i := pos + 1; i < c.rob.len(); i++ {
-		c.rob.at(i).squashed = true
+		y := c.rob.at(i)
+		y.squashed = true
 		c.Squashed++
+		if y.inIQ {
+			c.iqCount-- // parked or ready, its queue slot is free again
+		}
 	}
-	c.iq = filterSquashed(c.iq)
+	c.ready = filterSquashed(c.ready)
 	c.lq = filterSquashed(c.lq)
 	c.sq = filterSquashed(c.sq)
 	if d.checkpoint != nil {
@@ -347,9 +364,8 @@ func (c *Core) reissueLoad(d *dynInst, spec bool) {
 }
 
 func (c *Core) finishLoad(d *dynInst) {
-
 	d.result = c.phys.Read64(d.paddr)
-	d.done = true
+	c.complete(d)
 	d.phase = memDone
 }
 
@@ -432,8 +448,17 @@ func (c *Core) removeFromSQ(d *dynInst) {
 // pin the slot: the squashed flag stays readable until the last completion
 // lands, and a flushed AMO's pending callbacks become no-ops.
 func (c *Core) executeAmoAtHead(d *dynInst) {
-	if d.phase != memIdle || !c.operandsReady(d) {
+	if d.phase != memIdle {
 		return
+	}
+	// No issue-queue entry, so nothing latched the operands dispatch found
+	// in flight; at the ROB head their producers have all committed, which
+	// makes the values architectural.
+	if d.use1 && !d.v1Ready {
+		d.v1, d.v1Ready = c.regs[d.si.Src1], true
+	}
+	if d.use2 && !d.v2Ready {
+		d.v2, d.v2Ready = c.regs[d.si.Src2], true
 	}
 	// AMOs are full fences: all older stores must be visible first.
 	if c.storeBuf.len() > 0 || c.drainsInFlight > 0 {
@@ -450,7 +475,7 @@ func (c *Core) executeAmoAtHead(d *dynInst) {
 		}
 		if fault {
 			d.faulted = true
-			d.done = true
+			c.complete(d)
 			c.unpin(d)
 			return
 		}
@@ -464,7 +489,7 @@ func (c *Core) executeAmoAtHead(d *dynInst) {
 		d.result = old
 		c.port.StoreDrain(d.pc, mem.VAddr(d.effAddr), pa, func() {
 			if !d.squashed {
-				d.done = true
+				c.complete(d)
 				d.phase = memDone
 			}
 			c.unpin(d)
@@ -484,7 +509,7 @@ func (c *Core) defenseMaintenance() {
 				continue
 			}
 			if d.done && c.loadSafe(d) {
-				c.exposeLoad(d, false)
+				c.exposeLoad(d)
 			}
 		}
 	}
@@ -492,10 +517,10 @@ func (c *Core) defenseMaintenance() {
 }
 
 // exposeLoad replays an invisible load as a normal access, installing the
-// line. blocking marks InvisiSpec-Future validations that hold commit.
-// The closure pins the dynInst: a Spectre-variant exposure can outlive the
-// load's commit, and the pin keeps the pool slot alive until it lands.
-func (c *Core) exposeLoad(d *dynInst, blocking bool) {
+// line. The closure pins the dynInst: a Spectre-variant exposure can
+// outlive the load's commit, and the pin keeps the pool slot alive until it
+// lands.
+func (c *Core) exposeLoad(d *dynInst) {
 	if d.exposing || d.exposeDone {
 		return
 	}
@@ -507,5 +532,4 @@ func (c *Core) exposeLoad(d *dynInst, blocking bool) {
 		d.exposeDone = true
 		c.unpin(d)
 	})
-	_ = blocking
 }

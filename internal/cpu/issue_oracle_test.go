@@ -1,0 +1,137 @@
+package cpu_test
+
+import (
+	"testing"
+
+	"repro/internal/defense"
+	"repro/internal/figures"
+	"repro/internal/sim"
+	"repro/internal/simtest"
+)
+
+// waiterPeaks records the most stale waiter references, and the most
+// consumers parked on a faulted producer, that any one checked cycle held.
+type waiterPeaks struct{ stale, onFaulted int }
+
+// checkIssueQueues runs the issue-queue oracle on every core.
+func checkIssueQueues(t *testing.T, s *sim.System, when string, peaks *waiterPeaks) {
+	t.Helper()
+	stale, onFaulted := 0, 0
+	for ci, c := range s.Cores {
+		if err := c.CheckIssueQueue(); err != nil {
+			t.Fatalf("%s, cycle %d, core %d: %v", when, s.Sched.Now(), ci, err)
+		}
+		st, of := c.WaiterStats()
+		stale, onFaulted = stale+st, onFaulted+of
+	}
+	peaks.stale = max(peaks.stale, stale)
+	peaks.onFaulted = max(peaks.onFaulted, onFaulted)
+}
+
+func allHalted(s *sim.System) bool {
+	for _, c := range s.Cores {
+		if !c.Halted() {
+			return false
+		}
+	}
+	return true
+}
+
+// runWithOracle steps the machine to completion one cycle at a time with
+// the oracle after every cycle. A third of the way in (drainAt cycles) it
+// drains the machine the way a checkpoint does — still checking every
+// cycle — and requires the drained cores to be quiet with every waiter
+// node back on the free chain, then resumes.
+func runWithOracle(t *testing.T, s *sim.System, drainAt, maxCycles int) (peaks waiterPeaks) {
+	t.Helper()
+	cycle := 0
+	for ; cycle < drainAt && !allHalted(s); cycle++ {
+		s.Step(1)
+		checkIssueQueues(t, s, "running", &peaks)
+	}
+	for _, c := range s.Cores {
+		c.StopFetch()
+	}
+	for ; s.Quiesced() != nil; cycle++ {
+		if cycle >= maxCycles {
+			t.Fatalf("machine did not drain: %v", s.Quiesced())
+		}
+		s.Step(1)
+		checkIssueQueues(t, s, "draining", &peaks)
+	}
+	for ci, c := range s.Cores {
+		if !c.Quiet() || c.Quiesced() != nil {
+			t.Fatalf("core %d: Quiet() = %v, Quiesced() = %v on a drained machine", ci, c.Quiet(), c.Quiesced())
+		}
+	}
+	checkIssueQueues(t, s, "drained", &peaks) // empty ROB: the oracle demands every node free
+	s.ResumeFetch()
+	for ; !allHalted(s); cycle++ {
+		if cycle >= maxCycles {
+			t.Fatalf("run did not complete within %d cycles", maxCycles)
+		}
+		s.Step(1)
+		checkIssueQueues(t, s, "resumed", &peaks)
+	}
+	for ci, c := range s.Cores {
+		if c.HaltedBad() {
+			t.Fatalf("core %d halted abnormally", ci)
+		}
+	}
+	return peaks
+}
+
+// TestIssueQueueMatchesPolledDefinition holds the event-driven issue
+// stage, cycle by cycle, to the definition it replaced (see
+// CheckIssueQueue) on the kernels that stress each way an entry enters,
+// leaves or is thrown out of the queue: a squash-heavy data-dependent
+// branch kernel, the lock-contending four-core AMO kernel (head-of-ROB
+// execution, NACKs, syscalls, timer flushes), and one SPEC and one Parsec
+// kernel — under the baseline, MuonTrap and one scheme of each pipeline
+// defense family, whose stalls keep entries queued longest.
+func TestIssueQueueMatchesPolledDefinition(t *testing.T) {
+	schemes := []defense.Scheme{
+		defense.Insecure(), defense.MuonTrap(), defense.STTFuture(),
+		defense.InvisiSpecSpectre(), defense.SafeBet(),
+	}
+	if simtest.RaceEnabled || testing.Short() {
+		schemes = schemes[1:3] // the detector adds nothing to a one-goroutine run
+	}
+	kernels := []struct {
+		name    string
+		build   func(defense.Scheme) *sim.System
+		drainAt int
+	}{
+		{"branchy", func(sch defense.Scheme) *sim.System {
+			cfg := sim.DefaultConfig(1)
+			cfg.CPU.Defense = sch.CPU
+			cfg.Mem.Mode = sch.Mode
+			s := sim.New(cfg)
+			s.RunOn(0, s.NewProcess(branchyKernel(1500)), 0)
+			return s
+		}, 4000},
+		{"contending", simtest.ContendingSystem, 10_000},
+		{"mcf", func(sch defense.Scheme) *sim.System {
+			return figures.BuildSystem(simtest.MustSpec(t, "mcf"), sch, 0.02)
+		}, 2000},
+		{"canneal", func(sch defense.Scheme) *sim.System {
+			return figures.BuildSystem(simtest.MustSpec(t, "canneal"), sch, 0.02)
+		}, 5000},
+	}
+	for _, k := range kernels {
+		for _, sch := range schemes {
+			k, sch := k, sch
+			t.Run(k.name+"/"+sch.Name, func(t *testing.T) {
+				s := k.build(sch)
+				peaks := runWithOracle(t, s, k.drainAt, 2_000_000)
+				t.Logf("%d cycles, %d squashed on core 0; at most %d stale waiter references "+
+					"and %d consumers parked on a faulted producer at once",
+					s.Sched.Now(), s.Cores[0].Squashed, peaks.stale, peaks.onFaulted)
+				if k.name == "branchy" && (s.Cores[0].Squashed < 1000 || peaks.stale == 0 || peaks.onFaulted == 0) {
+					t.Fatalf("test premise broken: the squash-heavy kernel must leave parked consumers " +
+						"behind its squashes and park wrong-path consumers on a faulted load")
+				}
+			})
+		}
+	}
+}

@@ -36,7 +36,7 @@ func TestQuiescedNamesEachCondition(t *testing.T) {
 		{
 			name: "issue queue",
 			mutate: func(c *Core) {
-				c.iq = append(c.iq, c.allocInst())
+				c.enterIQ(c.allocInst())
 			},
 			wantSub: "1 instructions in the issue queue",
 		},

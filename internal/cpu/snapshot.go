@@ -18,7 +18,7 @@ import (
 // building an error. The two must cover the same conditions; the quiesce
 // table test pins the equivalence.
 func (c *Core) Quiet() bool {
-	return c.rob.len() == 0 && len(c.iq) == 0 && len(c.lq) == 0 && len(c.sq) == 0 &&
+	return c.rob.len() == 0 && c.iqCount == 0 && len(c.lq) == 0 && len(c.sq) == 0 &&
 		c.storeBuf.len() == 0 && c.drainsInFlight == 0 && !c.fetchLinePend
 }
 
@@ -26,8 +26,8 @@ func (c *Core) Quiesced() error {
 	switch {
 	case c.rob.len() > 0:
 		return fmt.Errorf("cpu: %d instructions in the ROB", c.rob.len())
-	case len(c.iq) > 0:
-		return fmt.Errorf("cpu: %d instructions in the issue queue", len(c.iq))
+	case c.iqCount > 0:
+		return fmt.Errorf("cpu: %d instructions in the issue queue", c.iqCount)
 	case len(c.lq) > 0:
 		return fmt.Errorf("cpu: %d loads in the load queue", len(c.lq))
 	case len(c.sq) > 0:

@@ -7,87 +7,9 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/defense"
-	"repro/internal/isa"
 	"repro/internal/sim"
 	"repro/internal/simtest"
 )
-
-// contendingProg builds a 4-thread kernel that drives every operation a
-// core performs on shared state from all four cores at once: a spin lock
-// (AMO), a write-shared counter array, read-shared scans with
-// data-dependent branches (mispredicts and squashes), syscalls
-// (timer-independent domain switches) and an explicit filter flush. No
-// registered workload combines them.
-func contendingProg() *isa.Program {
-	b := isa.NewBuilder("contend")
-	lock := b.Alloc("lock", 8, 64)
-	shared := b.Alloc("shared", 1024, 64)
-	priv := b.Alloc("priv", 4*64, 64)
-
-	b.Shli(isa.X(20), isa.X(10), 6) // tid*64: private slot
-	b.Li(isa.X(21), priv)
-	b.Add(isa.X(21), isa.X(21), isa.X(20))
-	b.Li(isa.X(22), lock)
-	b.Li(isa.X(23), shared)
-	b.Li(isa.X(5), 0)  // loop counter
-	b.Li(isa.X(6), 60) // iterations
-
-	b.Label("loop")
-	// Take the lock (CAS 0 -> 1), bump a shared cell, release.
-	b.Label("acquire")
-	b.AmoCas(isa.X(7), isa.X(22), isa.Zero, 1)
-	b.Bne(isa.X(7), isa.Zero, "acquire")
-	b.Andi(isa.X(8), isa.X(5), 63)
-	b.Shli(isa.X(8), isa.X(8), 3)
-	b.Add(isa.X(8), isa.X(23), isa.X(8))
-	b.Load(isa.X(9), isa.X(8), 0)
-	b.Addi(isa.X(9), isa.X(9), 1)
-	b.Store(isa.X(9), isa.X(8), 0)
-	b.Store(isa.Zero, isa.X(22), 0) // unlock
-
-	// Data-dependent branch off the shared value: mispredicts + squashes.
-	b.Andi(isa.X(11), isa.X(9), 1)
-	b.Beq(isa.X(11), isa.Zero, "even")
-	b.Addi(isa.X(12), isa.X(12), 3)
-	b.Jmp("join")
-	b.Label("even")
-	b.Addi(isa.X(12), isa.X(12), 5)
-	b.Label("join")
-	b.Store(isa.X(12), isa.X(21), 0)
-
-	// Periodic syscall and filter flush to hit the domain-switch paths.
-	b.Andi(isa.X(13), isa.X(5), 15)
-	b.Bne(isa.X(13), isa.Zero, "nosys")
-	b.Syscall()
-	b.FlushSF()
-	b.Label("nosys")
-
-	b.Addi(isa.X(5), isa.X(5), 1)
-	b.Blt(isa.X(5), isa.X(6), "loop")
-	b.Halt()
-	return b.MustBuild()
-}
-
-// contendingSystem builds a 4-core machine under the scheme (timer-driven
-// domain switches, BTB isolation) running four threads of the contending
-// kernel.
-func contendingSystem(sch defense.Scheme) *sim.System {
-	cfg := sim.DefaultConfig(4)
-	cfg.Mem.Mode = sch.Mode
-	cfg.CPU.Defense = sch.CPU
-	cfg.TimerInterval = 3000
-	cfg.BTBIsolation = true
-	s := sim.New(cfg)
-	prog := contendingProg()
-	p := s.NewProcess(prog)
-	for th := 1; th < 4; th++ {
-		s.AddThread(p, th, prog.Entry)
-	}
-	for core := 0; core < 4; core++ {
-		s.RunOn(core, p, core)
-	}
-	return s
-}
 
 // contendingGolden holds the contending kernel's totals and per-core
 // committed / nacks / syscalls counters, recorded at commit d7b3568. They
@@ -108,7 +30,7 @@ var contendingGolden = []struct {
 
 func TestContendingKernelGolden(t *testing.T) {
 	for _, g := range contendingGolden {
-		res, err := contendingSystem(g.scheme).RunUntilHalt(5_000_000)
+		res, err := simtest.ContendingSystem(g.scheme).RunUntilHalt(5_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", g.scheme.Name, err)
 		}
@@ -134,7 +56,7 @@ func TestContendingKernelGolden(t *testing.T) {
 // uninterrupted run's exact result and remaining checkpoints.
 func TestContendingKernelCheckpointsByteIdentical(t *testing.T) {
 	run := func(from *checkpoint.Snapshot) ([]*checkpoint.Snapshot, sim.RunResult) {
-		s := contendingSystem(defense.MuonTrap())
+		s := simtest.ContendingSystem(defense.MuonTrap())
 		if from != nil {
 			if err := s.RestoreSnapshot(from); err != nil {
 				t.Fatalf("restore: %v", err)
