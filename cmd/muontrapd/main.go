@@ -25,8 +25,9 @@
 // the coordinator and every worker.
 //
 // With -tenants (a JSON array of {name, key, max_queued, max_running}),
-// the daemon requires an API key on every endpoint except /v1/healthz
-// and enforces per-tenant quotas; over-quota or over-capacity
+// the daemon — or coordinator — requires an API key on every endpoint
+// except /v1/healthz, /metrics and the worker-spoken /fleet/v1/*, and
+// enforces per-tenant quotas; over-quota or over-capacity
 // submissions are shed with 429/503 + Retry-After instead of queueing
 // unboundedly. Interactive-priority jobs preempt running bulk sweeps
 // (losslessly, via checkpoints) when every runner slot is busy.
@@ -142,17 +143,20 @@ func main() {
 		if *join != "" {
 			fatal(errors.New("-coordinator and -join are mutually exclusive: a process shards sweeps or runs them, not both"))
 		}
-		runCoordinator(*addr, fleet.Config{
-			Dir:              dir,
-			Scale:            *scale,
-			MaxCycles:        *maxCycles,
-			Warmup:           *warmup,
-			CheckpointEvery:  *ckptEvery,
+		runCoordinator(*addr, *tenantsFile, fleet.Config{
+			Config: service.Config{
+				Dir:             dir,
+				Tenants:         tenants,
+				Scale:           *scale,
+				MaxCycles:       *maxCycles,
+				Warmup:          *warmup,
+				CheckpointEvery: *ckptEvery,
+				Metrics:         reg,
+				Tracer:          tracer,
+			},
 			HeartbeatTimeout: *hbTimeout,
 			StealAfter:       *stealAfter,
 			PerWorker:        *perWorker,
-			Metrics:          reg,
-			Tracer:           tracer,
 		})
 		return
 	}
@@ -214,23 +218,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// SIGHUP hot-reloads the tenants table: keys rotate and quotas change
-	// without dropping running jobs or open streams. A reload that fails to
-	// parse or validate keeps the old table — a typo in tenants.json must
-	// never fail open (or closed) a live daemon.
-	if *tenantsFile != "" {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		go func() {
-			for range hup {
-				if err := srv.ReloadTenantsFile(*tenantsFile); err != nil {
-					fmt.Fprintf(os.Stderr, "muontrapd: SIGHUP tenant reload failed, keeping previous table: %v\n", err)
-				} else {
-					fmt.Printf("muontrapd: SIGHUP reloaded tenants from %s\n", *tenantsFile)
-				}
-			}
-		}()
-	}
+	reloadTenantsOnHUP(srv, *tenantsFile)
 
 	// Register with the coordinator once we are (about to be) listening.
 	// Registration is retried until it lands: the coordinator may come up
@@ -306,15 +294,39 @@ func main() {
 	<-shutdownDone
 }
 
+// reloadTenantsOnHUP hot-reloads the tenants table of a daemon's — or a
+// coordinator's — job plane on SIGHUP: keys rotate and quotas change
+// without dropping running jobs or open streams. A reload that fails to
+// parse or validate keeps the old table — a typo in tenants.json must
+// never fail open (or closed) a live daemon. No file, no handler.
+func reloadTenantsOnHUP(srv *service.Server, path string) {
+	if path == "" {
+		return
+	}
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	go func() {
+		for range hup {
+			if err := srv.ReloadTenantsFile(path); err != nil {
+				fmt.Fprintf(os.Stderr, "muontrapd: SIGHUP tenant reload failed, keeping previous table: %v\n", err)
+			} else {
+				fmt.Printf("muontrapd: SIGHUP reloaded tenants from %s\n", path)
+			}
+		}
+	}()
+}
+
 // runCoordinator serves the fleet coordinator until interrupted. Its
-// shutdown needs no job drain: the shard-map journal is written at every
-// merge, so killing the process at any instant leaves a resumable map —
+// shutdown needs no job drain: every merged cell is in the result store
+// before it is visible, so killing the process at any instant leaves
+// jobs the next coordinator resumes without re-running a finished cell —
 // coordinator crash-resume is a first-class path, not an afterthought.
-func runCoordinator(addr string, cfg fleet.Config) {
+func runCoordinator(addr, tenantsFile string, cfg fleet.Config) {
 	co, err := fleet.New(cfg)
 	if err != nil {
 		fatal(err)
 	}
+	reloadTenantsOnHUP(co.Plane(), tenantsFile)
 	httpSrv := &http.Server{Addr: addr, Handler: co}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

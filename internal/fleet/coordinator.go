@@ -3,46 +3,40 @@ package fleet
 import (
 	"context"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/figures"
+	"repro/internal/service"
 	"repro/internal/telemetry"
 	"repro/muontrap"
 	"repro/muontrap/client"
 )
 
-// Config sizes a fleet coordinator. Scale, MaxCycles, Warmup and
-// CheckpointEvery are the run-identity flags and MUST match every
-// worker's configuration: workers key results and checkpoints by them,
-// so a mismatched fleet would compute under one identity and journal
-// under another.
+// Config sizes a fleet coordinator: the job plane it serves, plus the
+// fleet's own scheduling.
 type Config struct {
-	// Dir is the coordinator's state root: the job journal under
-	// Dir/fleet/jobs, completed sweep results under Dir/fleet/sweeps, and
-	// the shared checkpoint content store under Dir/fleet/store. Empty
-	// disables persistence (and with it coordinator-restart resume and
+	// Config is the coordinator's job plane — the same internal/service
+	// Server a lone daemon is, and configured the same way. Dir is the
+	// state root (the plane's journal and result store under Dir/service,
+	// the shared checkpoint content store under Dir/fleet/store; empty
+	// disables persistence and with it coordinator-restart resume and
 	// checkpoint migration — workers have nowhere shared to mirror to).
-	Dir string
-	// Scale, MaxCycles, Warmup, CheckpointEvery mirror the corresponding
-	// worker daemon flags (0 = library default). They enter every cell's
-	// cache key exactly as internal/service computes it.
-	Scale           float64
-	MaxCycles       int
-	Warmup          int
-	CheckpointEvery int
+	// Scale, MaxCycles, Warmup and CheckpointEvery are the run-identity
+	// flags and MUST match every worker's: they enter every sweep's and
+	// every cell's content key, so a mismatched fleet would compute under
+	// one identity and store under another. Tenants, Metrics and Tracer
+	// mean what they mean on a daemon. Backend is set by New (the
+	// coordinator itself); MaxJobs, Workers and SnapStore do not apply.
+	service.Config
 	// HeartbeatTimeout marks a worker dead when no heartbeat arrives
 	// within it (0 = 5s). Dead workers' in-flight cells re-dispatch with
 	// checkpoint-resume enabled.
@@ -55,9 +49,6 @@ type Config struct {
 	// PerWorker caps concurrently dispatched cells per worker (0 = 1,
 	// matching a default worker's one-sweep-at-a-time runner pool).
 	PerWorker int
-	// PollInterval is the cadence at which attempt goroutines poll their
-	// worker's job status (0 = 250ms).
-	PollInterval time.Duration
 	// Tick bounds how long scheduling work (dead-worker sweeps, steals)
 	// can sit waiting when no completion wakes the scheduler (0 = 100ms).
 	Tick time.Duration
@@ -69,18 +60,12 @@ type Config struct {
 	// a worker whose process died but whose heartbeat entry has not yet
 	// timed out, and for one whose agent outlived its daemon.
 	WorkerFailLimit int
-	// Metrics, when non-nil, registers the fleet's metric series on it
-	// and mounts the registry at GET /metrics.
-	Metrics *telemetry.Registry
-	// Tracer, when non-nil, receives a structured span per cell
-	// lifecycle edge (submit, queue, dispatch, steal, requeue, merge,
-	// duplicate, worker_dead, done, failed).
-	Tracer *telemetry.Tracer
 }
 
-// Stats is the coordinator's observability surface: the /v1/healthz
-// payload, and the source the /metrics worker/scheduler families read
-// at scrape time — both views come from this one snapshot.
+// Stats is the coordinator's observability surface: the fleet half of
+// the /v1/healthz payload (the plane's service.Stats is the other), and
+// the source the /metrics worker/scheduler families read at scrape time
+// — both views come from this one snapshot.
 type Stats struct {
 	Workers int `json:"workers"` // registered and alive
 	// SuspectWorkers counts alive workers whose last heartbeat is older
@@ -89,8 +74,7 @@ type Stats struct {
 	SuspectWorkers int    `json:"suspect_workers"`
 	DeadWorkersNow int    `json:"dead_workers_now"` // currently registered and dead
 	DeadWorkers    uint64 `json:"dead_workers"`     // marked dead over the coordinator's life
-	Jobs           int    `json:"jobs"`             // jobs known, all states
-	CellsPending   int    `json:"cells_pending"`    // cells not yet merged
+	CellsPending   int    `json:"cells_pending"`    // cells of running sweeps not yet merged
 	Dispatched     uint64 `json:"dispatched"`       // attempts started
 	Migrations     uint64 `json:"migrations"`       // cells re-queued after a worker failure
 	Steals         uint64 `json:"steals"`           // speculative straggler dispatches
@@ -133,36 +117,33 @@ type cell struct {
 	attempts map[*attempt]struct{} // open attempts
 }
 
-// fleetJob is one submitted sweep and its shard map.
+// fleetJob is one attempt at a sweep — one Run in progress — and its
+// shard map. It lives in the coordinator's table from Run's entry to its
+// return; everything durable about the job is the plane's.
 type fleetJob struct {
-	rec      muontrap.Job
+	id       string
+	prio     muontrap.Priority
 	cells    []*cell
-	results  []*muontrap.RunResult // per declaration index
-	incompat string                // journal replayed under mismatched flags; never scheduled
-
-	// SSE state: frames holds every published progress frame (bounded by
-	// Total, which is small); subs are poke channels of live streams.
-	frames []streamFrame
-	subs   map[chan struct{}]struct{}
+	results  []muontrap.RunResult // per declaration index
+	filled   int                  // declaration indexes filled so far
+	progress func(muontrap.Progress)
+	over     bool          // Run is returning; late completions are duplicates
+	err      error         // why, when not because every index was filled
+	done     chan struct{} // closed once over (and err) are set
 }
 
-type streamFrame struct {
-	id   uint64
-	name string
-	data []byte
-}
-
-// Coordinator shards sweeps across registered workers. It implements
-// http.Handler: the public /v1/jobs surface (wire-compatible with a
-// single muontrapd, so muontrap/client drives both identically) plus the
-// /fleet/v1/* control plane (register, heartbeat, workers, and the
-// shared checkpoint content store).
+// Coordinator shards sweeps across registered workers. It is the
+// service.Backend of its own job plane — a service.Server whose admitted
+// attempts run on the fleet instead of an in-process Runner — and an
+// http.Handler: the /fleet/v1/* control plane (register, heartbeat,
+// workers, the shared checkpoint content store) and its own /v1/healthz,
+// with every other request falling through to the plane.
 type Coordinator struct {
 	cfg   Config
+	plane *service.Server
 	mux   *http.ServeMux
 	store *checkpoint.Store // shared checkpoint store (nil when Dir == "")
 	met   *fleetMetrics     // nil = metrics off
-	trace *telemetry.Tracer // nil = tracing off
 
 	ctx  context.Context
 	stop context.CancelFunc
@@ -171,24 +152,22 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	workers map[string]*worker
-	jobs    map[string]*fleetJob
-	order   []string
+	jobs    []*fleetJob // sweeps with a Run in progress, in Run-entry order
 	stats   Stats
 }
 
-// New builds a Coordinator and, when cfg.Dir is set, opens the shared
-// checkpoint store and replays the job journal: done cells stay done,
-// pending cells of unfinished jobs re-enter the dispatch pool with
-// checkpoint-resume enabled.
+// New builds a Coordinator over its own job plane and, when cfg.Dir is
+// set, opens the shared checkpoint store and re-queues the jobs a
+// previous process left unfinished: the plane's journal surfaces them as
+// interrupted, exactly as a daemon's does, and each resumed Run collects
+// the cells already in the result store and dispatches only the rest,
+// with checkpoint-resume.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 5 * time.Second
 	}
 	if cfg.PerWorker <= 0 {
 		cfg.PerWorker = 1
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 250 * time.Millisecond
 	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = 100 * time.Millisecond
@@ -201,14 +180,13 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	co := &Coordinator{
-		cfg:     cfg,
-		trace:   cfg.Tracer,
 		ctx:     ctx,
 		stop:    stop,
 		wake:    make(chan struct{}, 1),
 		workers: make(map[string]*worker),
-		jobs:    make(map[string]*fleetJob),
 	}
+	cfg.Backend = co
+	co.cfg = cfg
 	if cfg.Metrics != nil {
 		co.met = newFleetMetrics(cfg.Metrics, co)
 	}
@@ -220,36 +198,40 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		co.store = st
 	}
-	co.routes()
-	if err := co.loadJournal(); err != nil {
+	plane, err := service.New(cfg.Config)
+	if err != nil {
 		stop()
 		return nil, err
 	}
+	co.plane = plane
+	co.routes()
 	co.wg.Add(1)
 	go co.loop()
+	for _, id := range plane.InterruptedJobs() {
+		if _, err := plane.ResumeJob(id); err != nil {
+			fmt.Fprintf(os.Stderr, "fleet: not resuming %s: %v\n", id, err)
+		}
+	}
 	return co, nil
 }
+
+// Plane returns the coordinator's job plane, for what a host process
+// does to a daemon's Server directly (SIGHUP tenant reload).
+func (co *Coordinator) Plane() *service.Server { return co.plane }
 
 // StorePath returns the URL path prefix the shared checkpoint store is
 // served under; workers point their checkpoint.HTTPStore at
 // coordinatorBase + StorePath.
 const StorePath = "/fleet/v1/store"
 
-// Close stops the scheduler and every attempt poller and waits for them.
-// Like a worker daemon's kill, it journals nothing extra: the shard map
-// on disk already records exactly which cells finished, which is all a
-// restarted coordinator needs.
+// Close stops the scheduler, every Run and every attempt, and waits for
+// them. Like a daemon's Close it journals nothing: the unwound jobs keep
+// their journaled running state and their merged cells stay in the
+// result store, which is all a restarted coordinator needs. Workers are
+// not told to stop either — to them this is a kill.
 func (co *Coordinator) Close() {
 	co.stop()
-	co.mu.Lock()
-	for _, j := range co.jobs {
-		for _, c := range j.cells {
-			for a := range c.attempts {
-				a.cancel()
-			}
-		}
-	}
-	co.mu.Unlock()
+	co.plane.Close()
 	co.wg.Wait()
 }
 
@@ -269,10 +251,9 @@ func (co *Coordinator) Stats() Stats {
 			st.SuspectWorkers++
 		}
 	}
-	st.Jobs = len(co.jobs)
 	for _, j := range co.jobs {
 		for _, c := range j.cells {
-			if !c.done && !j.rec.State.Terminal() {
+			if !c.done {
 				st.CellsPending++
 			}
 		}
@@ -344,7 +325,7 @@ func (co *Coordinator) markWorkerDeadLocked(w *worker) {
 }
 
 // closeAttemptLocked settles an attempt: removed from its cell, its
-// worker's slot freed, its poller cancelled. Idempotent. Callers hold
+// worker's slot freed, its stream cancelled. Idempotent. Callers hold
 // co.mu.
 func (co *Coordinator) closeAttemptLocked(a *attempt) {
 	if a.closed {
@@ -360,29 +341,23 @@ func (co *Coordinator) closeAttemptLocked(a *attempt) {
 // the dispatch pool, flagged to resume from its latest mirrored
 // checkpoint. Callers hold co.mu.
 func (co *Coordinator) requeueCellLocked(c *cell) {
-	if c.done || len(c.attempts) > 0 || c.job.rec.State.Terminal() {
+	if c.done || len(c.attempts) > 0 || c.job.over {
 		return
 	}
 	c.resume = true
 	co.stats.Migrations++
 	co.span(telemetry.Span{
-		Event: "requeue", Job: c.job.rec.ID, Cell: cellLabel(c),
+		Event: "requeue", Job: c.job.id, Cell: cellLabel(c),
 		Detail: "re-queued resumable after worker failure",
 	})
-}
-
-// schedulable reports whether a job's cells may be dispatched.
-func (j *fleetJob) schedulable() bool {
-	return !j.rec.State.Terminal() && j.incompat == ""
 }
 
 // dispatchLocked hands every pending cell to the least-loaded alive
 // worker with capacity, interactive jobs first. Callers hold co.mu.
 func (co *Coordinator) dispatchLocked(now time.Time) {
 	for _, class := range []muontrap.Priority{muontrap.PriorityInteractive, muontrap.PriorityBulk} {
-		for _, id := range co.order {
-			j := co.jobs[id]
-			if !j.schedulable() || j.rec.Priority != class {
+		for _, j := range co.jobs {
+			if j.prio != class {
 				continue
 			}
 			for _, c := range j.cells {
@@ -407,11 +382,7 @@ func (co *Coordinator) stealLocked(now time.Time) {
 	if co.cfg.StealAfter <= 0 {
 		return
 	}
-	for _, id := range co.order {
-		j := co.jobs[id]
-		if !j.schedulable() {
-			continue
-		}
+	for _, j := range co.jobs {
 		for _, c := range j.cells {
 			if c.done || len(c.attempts) != 1 {
 				continue
@@ -429,7 +400,7 @@ func (co *Coordinator) stealLocked(now time.Time) {
 			}
 			co.stats.Steals++
 			co.span(telemetry.Span{
-				Event: "steal", Job: j.rec.ID, Cell: cellLabel(c), Worker: w.id,
+				Event: "steal", Job: j.id, Cell: cellLabel(c), Worker: w.id,
 				Seconds: now.Sub(cur.started).Seconds(),
 				Detail:  "straggling on " + cur.w.id,
 			})
@@ -470,19 +441,18 @@ func (co *Coordinator) startAttemptLocked(c *cell, w *worker, now time.Time) {
 		detail = "resume"
 	}
 	co.span(telemetry.Span{
-		Event: "dispatch", Job: c.job.rec.ID, Cell: cellLabel(c),
+		Event: "dispatch", Job: c.job.id, Cell: cellLabel(c),
 		Worker: w.id, Detail: detail,
 	})
-	if c.job.rec.State == muontrap.JobQueued {
-		c.job.rec.State = muontrap.JobRunning
-	}
 	co.wg.Add(1)
 	go co.runAttempt(a)
 }
 
 // runAttempt drives one dispatch to its outcome: submit the single-cell
-// sweep to the worker (with resume when the cell migrated), poll the
-// remote job to a terminal state, fetch the result, and settle.
+// sweep to the worker (with resume when the cell migrated), follow the
+// remote job's event stream to its terminal event, fetch the result,
+// and settle. The stream is what makes a finished cell known here the
+// moment the worker publishes it.
 func (co *Coordinator) runAttempt(a *attempt) {
 	defer co.wg.Done()
 	defer a.cancel()
@@ -490,7 +460,7 @@ func (co *Coordinator) runAttempt(a *attempt) {
 	if a.resume {
 		opts = append(opts, client.WithResume())
 	}
-	if a.c.job.rec.Priority == muontrap.PriorityInteractive {
+	if a.c.job.prio == muontrap.PriorityInteractive {
 		opts = append(opts, client.WithPriority(muontrap.PriorityInteractive))
 	}
 	job, err := a.w.client.Submit(a.ctx, a.c.sweep, opts...)
@@ -501,18 +471,9 @@ func (co *Coordinator) runAttempt(a *attempt) {
 	co.mu.Lock()
 	a.remoteID = job.ID
 	co.mu.Unlock()
-	for !job.State.Terminal() {
-		select {
-		case <-a.ctx.Done():
-			co.attemptFailed(a, a.ctx.Err())
-			return
-		case <-time.After(co.cfg.PollInterval):
-		}
-		job, err = a.w.client.Job(a.ctx, job.ID)
-		if err != nil {
-			co.attemptFailed(a, err)
-			return
-		}
+	if job, err = a.w.client.Stream(a.ctx, job.ID, nil); err != nil {
+		co.attemptFailed(a, err)
+		return
 	}
 	switch job.State {
 	case muontrap.JobDone:
@@ -543,7 +504,7 @@ func (co *Coordinator) attemptFailed(a *attempt, err error) {
 	}
 	co.closeAttemptLocked(a)
 	if errors.Is(err, context.Canceled) && co.ctx.Err() != nil {
-		return // coordinator shutting down; leave the shard map as-is
+		return // coordinator shutting down; the Run is unwinding too
 	}
 	co.met.observeAttempt(a.started, false)
 	a.w.fails++
@@ -560,24 +521,24 @@ func (co *Coordinator) attemptFailed(a *attempt, err error) {
 // both can never corrupt the table.
 func (co *Coordinator) attemptDone(a *attempt, res *muontrap.SweepResult) {
 	co.mu.Lock()
+	defer co.mu.Unlock()
+	defer co.kick()
 	c := a.c
 	if !a.closed {
 		co.closeAttemptLocked(a)
 		a.w.fails = 0
 		co.met.observeAttempt(a.started, true)
 	}
-	if c.done || c.job.rec.State.Terminal() {
+	if c.done || c.job.over {
 		// First writer already won this cell's merge (the check runs even
 		// for attempts the winner closed moments ago — a straggler's
 		// completion can race the winner's sibling-cancel): the duplicate
 		// is counted and discarded, never merged twice.
 		co.stats.Duplicates++
 		co.span(telemetry.Span{
-			Event: "duplicate", Job: c.job.rec.ID, Cell: cellLabel(c), Worker: a.w.id,
+			Event: "duplicate", Job: c.job.id, Cell: cellLabel(c), Worker: a.w.id,
 			Detail: "completion discarded; first writer already merged",
 		})
-		co.mu.Unlock()
-		co.kick()
 		return
 	}
 	if res == nil || len(res.Runs) != 1 {
@@ -586,84 +547,47 @@ func (co *Coordinator) attemptDone(a *attempt, res *muontrap.SweepResult) {
 		if res != nil {
 			n = len(res.Runs)
 		}
-		co.mu.Unlock()
-		co.failJob(c.job, fmt.Sprintf("fleet: worker %s returned %d runs for a single-cell sweep", a.w.id, n))
+		co.endLocked(c.job, fmt.Errorf("fleet: worker %s returned %d runs for a single-cell sweep", a.w.id, n))
 		return
 	}
 	co.span(telemetry.Span{
-		Event: "merge", Job: c.job.rec.ID, Cell: cellLabel(c), Worker: a.w.id,
+		Event: "merge", Job: c.job.id, Cell: cellLabel(c), Worker: a.w.id,
 		Seconds: time.Since(a.started).Seconds(),
 	})
-	co.mergeCellLocked(c, res.Runs[0])
+	// Durable before visible: the cell's one-run result is in the plane's
+	// result store, under the cell's own content key, before its progress
+	// frame is published — so whatever a client saw merged, a resumed or
+	// restarted Run finds stored and never dispatches again. (A failed
+	// store is reported by the plane and costs only that re-run.)
+	co.plane.StoreSweep(c.sweep, res)
+	co.fillLocked(c, res.Runs[0])
 	// A slower sibling attempt (straggler being stolen from) is now moot:
-	// stop polling it and best-effort cancel the remote job.
+	// stop following it and best-effort cancel the remote job.
 	for sib := range c.attempts {
 		co.closeAttemptLocked(sib)
 		co.cancelRemote(sib)
 	}
-	j := c.job
-	co.mu.Unlock()
-	co.persist(j)
-	co.kick()
 }
 
-// mergeCellLocked records a cell's first completion: its run fills every
-// declaration index the cell covers, a progress frame is published per
-// index, and a job whose last cell just landed is finalized. Callers
-// hold co.mu.
-func (co *Coordinator) mergeCellLocked(c *cell, run muontrap.RunResult) {
+// fillLocked records a cell's result — merged from a worker just now, or
+// collected from the result store at Run's entry: the run fills every
+// declaration index the cell covers, one progress frame is published per
+// index, and the Run is released once the last index is filled. Frames
+// count in completion order — cells land in whatever order machines
+// finish them. Callers hold co.mu, and publishing under it is the point:
+// frames leave in merge order, and none can leave after endLocked has
+// let Run return (progress is the plane's, which never blocks and never
+// calls back — see service.Backend).
+func (co *Coordinator) fillLocked(c *cell, run muontrap.RunResult) {
 	c.done = true
 	j := c.job
 	for _, idx := range c.indexes {
-		r := run
-		j.results[idx] = &r
+		j.results[idx] = run
+		j.filled++
+		j.progress(muontrap.Progress{Done: j.filled, Total: len(j.results), Run: run})
 	}
-	j.rec.Done = 0
-	for _, r := range j.results {
-		if r != nil {
-			j.rec.Done++
-		}
-	}
-	for range c.indexes {
-		// Frame ids are sequential in completion order — cells land in
-		// whatever order machines finish them — and the retained window is
-		// the whole job (bounded by Total, which is small), so any
-		// Last-Event-ID cursor replays exactly the missed tail.
-		id := uint64(len(j.frames)) + 1
-		data, err := json.Marshal(muontrap.Progress{Done: int(id), Total: j.rec.Total, Run: run})
-		if err == nil {
-			j.frames = append(j.frames, streamFrame{id: id, name: "progress", data: data})
-		}
-	}
-	if j.rec.Done == j.rec.Total {
-		j.rec.State = muontrap.JobDone
-		j.rec.FinishedAt = time.Now().UTC().Format(time.RFC3339)
-		co.storeResult(j.rec.CacheKey, j.assembleLocked())
-		co.span(telemetry.Span{Event: "done", Job: j.rec.ID})
-	}
-	j.pokeLocked()
-}
-
-// assembleLocked builds the declaration-ordered SweepResult from the
-// merged cells. Callers hold co.mu and have verified every index is
-// filled.
-func (j *fleetJob) assembleLocked() *muontrap.SweepResult {
-	out := &muontrap.SweepResult{Runs: make([]muontrap.RunResult, len(j.results))}
-	for i, r := range j.results {
-		if r != nil {
-			out.Runs[i] = *r
-		}
-	}
-	return out
-}
-
-// pokeLocked wakes every stream subscriber. Callers hold co.mu.
-func (j *fleetJob) pokeLocked() {
-	for ch := range j.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+	if j.filled == len(j.results) {
+		co.endLocked(j, nil)
 	}
 }
 
@@ -672,37 +596,35 @@ func (j *fleetJob) pokeLocked() {
 // would fail it identically.
 func (co *Coordinator) attemptJobFailed(a *attempt, msg string) {
 	co.mu.Lock()
+	defer co.mu.Unlock()
 	if a.closed {
-		co.mu.Unlock()
 		return
 	}
 	co.closeAttemptLocked(a)
 	a.w.fails = 0
-	j := a.c.job
-	co.mu.Unlock()
-	co.failJob(j, msg)
+	co.endLocked(a.c.job, errors.New(msg))
 }
 
-// failJob transitions a job to failed and settles its open attempts.
-func (co *Coordinator) failJob(j *fleetJob, msg string) {
-	co.mu.Lock()
-	if j.rec.State.Terminal() {
-		co.mu.Unlock()
+// endLocked ends a job's Run — every cell landed (nil err), a worker
+// reported the sweep itself failing, or the plane cancelled it — and
+// takes the job out of the table: its open attempts are settled and,
+// unless the coordinator itself is going down, their remote jobs
+// cancelled. The first end wins. Callers hold co.mu.
+func (co *Coordinator) endLocked(j *fleetJob, err error) {
+	if j.over {
 		return
 	}
-	j.rec.State = muontrap.JobFailed
-	j.rec.Error = msg
-	j.rec.FinishedAt = time.Now().UTC().Format(time.RFC3339)
+	j.over, j.err = true, err
+	close(j.done)
+	co.jobs = slices.DeleteFunc(co.jobs, func(o *fleetJob) bool { return o == j })
 	for _, c := range j.cells {
 		for a := range c.attempts {
 			co.closeAttemptLocked(a)
-			co.cancelRemote(a)
+			if co.ctx.Err() == nil {
+				co.cancelRemote(a)
+			}
 		}
 	}
-	j.pokeLocked()
-	co.span(telemetry.Span{Event: "failed", Job: j.rec.ID, Detail: msg})
-	co.mu.Unlock()
-	co.persist(j)
 }
 
 // cancelRemote best-effort cancels an attempt's worker-side job so a
@@ -723,199 +645,99 @@ func (co *Coordinator) cancelRemote(a *attempt) {
 	}()
 }
 
-// ---- submission and the public job API ------------------------------
+// ---- the plane's backend --------------------------------------------
 
-// submit validates a sweep, shards it into cells, and registers the job.
-// resume pre-flags every cell to dispatch with checkpoint-resume.
-func (co *Coordinator) submit(sw muontrap.Sweep, prio muontrap.Priority, resume bool) (muontrap.Job, bool, error) {
-	if err := validateSweep(sw); err != nil {
-		return muontrap.Job{}, false, err
-	}
-	prio, err := muontrap.ParsePriority(string(prio))
-	if err != nil {
-		return muontrap.Job{}, false, err
-	}
-	key := co.sweepKey(sw)
-	total := len(sw.Workloads)*len(sw.Schemes)*len(co.effectiveScales(sw)) +
-		len(sw.Attacks)*len(sw.Schemes)
-	rec := muontrap.Job{
-		ID:          newJobID(),
-		State:       muontrap.JobQueued,
-		Sweep:       sw,
-		CacheKey:    key,
-		Priority:    prio,
-		Total:       total,
-		SubmittedAt: time.Now().UTC().Format(time.RFC3339),
-	}
-	j := co.newJob(rec)
-
-	if res, ok := co.loadResult(key); ok && len(res.Runs) == total {
-		// Born done from the coordinator's content-keyed result store.
-		j.rec.State = muontrap.JobDone
-		j.rec.Done = total
-		j.rec.FinishedAt = j.rec.SubmittedAt
-		for i := range res.Runs {
-			r := res.Runs[i]
-			j.results[i] = &r
-		}
-		for _, c := range j.cells {
-			c.done = true
-		}
-		co.mu.Lock()
-		co.registerLocked(j)
-		co.mu.Unlock()
-		co.persist(j)
-		return j.rec, true, nil
-	}
-	if resume {
-		for _, c := range j.cells {
-			c.resume = true
+// Run implements service.Backend: one admitted attempt at job's sweep,
+// run on the fleet. The sweep is sharded into cells; every cell whose
+// result is already in the plane's result store — merged by an earlier
+// attempt at this job (cancelled, failed, or cut short by a coordinator
+// restart) or by any other sweep that contained it — is collected
+// without a dispatch, and the rest enter the dispatch pool, with
+// checkpoint-resume when resume is set. Run returns when the last cell
+// lands, when a worker reports the sweep itself failing, or when ctx is
+// cancelled (DELETE, shutdown), which settles every open attempt.
+func (co *Coordinator) Run(ctx context.Context, job muontrap.Job, resume bool, progress func(muontrap.Progress)) (*muontrap.SweepResult, error) {
+	j := co.shard(job, resume, progress)
+	stored := make([]*muontrap.SweepResult, len(j.cells))
+	for i, c := range j.cells {
+		if res, ok := co.plane.StoredSweep(c.sweep); ok && len(res.Runs) == 1 {
+			stored[i] = res
 		}
 	}
+	// Collecting and entering the table are one step under co.mu, so a
+	// job that Stats counts as pending has replayed all it had stored.
 	co.mu.Lock()
-	co.registerLocked(j)
-	rec = j.rec
+	co.jobs = append(co.jobs, j)
+	for i, c := range j.cells {
+		if stored[i] != nil {
+			co.fillLocked(c, stored[i].Runs[0])
+		}
+	}
 	co.mu.Unlock()
-	co.span(telemetry.Span{Event: "submit", Job: rec.ID, Detail: string(prio)})
-	co.span(telemetry.Span{Event: "queue", Job: rec.ID})
-	co.persist(j)
 	co.kick()
-	return rec, false, nil
+
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+		co.mu.Lock()
+		co.endLocked(j, ctx.Err())
+		co.mu.Unlock()
+	}
+	if j.err != nil {
+		return nil, j.err
+	}
+	return &muontrap.SweepResult{Runs: j.results}, nil
 }
 
-// newJob shards a validated sweep into cells, deduplicating repeated
+// shard splits a validated sweep into cells, deduplicating repeated
 // declarations by cache key (they share one dispatch and one merge).
-func (co *Coordinator) newJob(rec muontrap.Job) *fleetJob {
+func (co *Coordinator) shard(job muontrap.Job, resume bool, progress func(muontrap.Progress)) *fleetJob {
 	j := &fleetJob{
-		rec:     rec,
-		results: make([]*muontrap.RunResult, rec.Total),
-		subs:    make(map[chan struct{}]struct{}),
+		id:       job.ID,
+		prio:     job.Priority,
+		results:  make([]muontrap.RunResult, job.Total),
+		progress: progress,
+		done:     make(chan struct{}),
 	}
 	byKey := make(map[string]*cell)
-	scales := co.effectiveScales(rec.Sweep)
-	declared := len(rec.Sweep.Scales) > 0
 	idx := 0
-	for _, w := range rec.Sweep.Workloads {
-		for _, s := range rec.Sweep.Schemes {
-			for _, scale := range scales {
-				sub := muontrap.Sweep{
-					Workloads: []muontrap.Workload{w},
-					Schemes:   []muontrap.Scheme{s},
-					MaxCycles: rec.Sweep.MaxCycles,
-				}
-				if declared {
-					sub.Scales = []float64{scale}
-				}
-				key := co.sweepKey(sub)
-				c := byKey[key]
-				if c == nil {
-					c = &cell{job: j, key: key, sweep: sub, attempts: make(map[*attempt]struct{})}
-					byKey[key] = c
-					j.cells = append(j.cells, c)
-				}
-				c.indexes = append(c.indexes, idx)
-				idx++
+	add := func(sub muontrap.Sweep) {
+		sub.MaxCycles = job.Sweep.MaxCycles
+		key := co.plane.SweepKey(sub)
+		c := byKey[key]
+		if c == nil {
+			c = &cell{job: j, key: key, sweep: sub, resume: resume, attempts: make(map[*attempt]struct{})}
+			byKey[key] = c
+			j.cells = append(j.cells, c)
+		}
+		c.indexes = append(c.indexes, idx)
+		idx++
+	}
+	// A sweep that declares no scales runs once at the workers' default:
+	// its cells declare none either, so they key exactly as a worker will.
+	scales := [][]float64{nil}
+	if len(job.Sweep.Scales) > 0 {
+		scales = scales[:0]
+		for _, sc := range job.Sweep.Scales {
+			scales = append(scales, []float64{sc})
+		}
+	}
+	for _, w := range job.Sweep.Workloads {
+		for _, s := range job.Sweep.Schemes {
+			for _, sc := range scales {
+				add(muontrap.Sweep{Workloads: []muontrap.Workload{w}, Schemes: []muontrap.Scheme{s}, Scales: sc})
 			}
 		}
 	}
 	// Attack cells follow the workload block, mirroring Runner.Sweep's
 	// declaration order: attacks outer, schemes inner, no scale dimension
 	// (attack outcomes are scale-independent).
-	for _, a := range rec.Sweep.Attacks {
-		for _, s := range rec.Sweep.Schemes {
-			sub := muontrap.Sweep{
-				Attacks:   []muontrap.AttackName{a},
-				Schemes:   []muontrap.Scheme{s},
-				MaxCycles: rec.Sweep.MaxCycles,
-			}
-			key := co.sweepKey(sub)
-			c := byKey[key]
-			if c == nil {
-				c = &cell{job: j, key: key, sweep: sub, attempts: make(map[*attempt]struct{})}
-				byKey[key] = c
-				j.cells = append(j.cells, c)
-			}
-			c.indexes = append(c.indexes, idx)
-			idx++
+	for _, a := range job.Sweep.Attacks {
+		for _, s := range job.Sweep.Schemes {
+			add(muontrap.Sweep{Attacks: []muontrap.AttackName{a}, Schemes: []muontrap.Scheme{s}})
 		}
 	}
 	return j
-}
-
-// registerLocked adds a job to the table in submission order. Callers
-// hold co.mu.
-func (co *Coordinator) registerLocked(j *fleetJob) {
-	co.jobs[j.rec.ID] = j
-	co.order = append(co.order, j.rec.ID)
-}
-
-// cancelJob aborts a queued or running fleet job: open attempts are
-// settled and their remote jobs cancelled.
-func (co *Coordinator) cancelJob(id string) (muontrap.Job, error) {
-	co.mu.Lock()
-	j, ok := co.jobs[id]
-	if !ok {
-		co.mu.Unlock()
-		return muontrap.Job{}, fmt.Errorf("%w %q", muontrap.ErrUnknownJob, id)
-	}
-	switch j.rec.State {
-	case muontrap.JobQueued, muontrap.JobRunning:
-		j.rec.State = muontrap.JobCancelled
-		j.rec.FinishedAt = time.Now().UTC().Format(time.RFC3339)
-		for _, c := range j.cells {
-			for a := range c.attempts {
-				co.closeAttemptLocked(a)
-				co.cancelRemote(a)
-			}
-		}
-		j.pokeLocked()
-	case muontrap.JobCancelled: // idempotent
-	default:
-		state := j.rec.State
-		co.mu.Unlock()
-		return muontrap.Job{}, &conflictError{fmt.Sprintf("job %s is %s and cannot be cancelled", id, state)}
-	}
-	rec := j.rec
-	co.mu.Unlock()
-	co.persist(j)
-	return rec, nil
-}
-
-// resumeJob re-enters a cancelled/failed/interrupted job's unfinished
-// cells into the dispatch pool with checkpoint-resume.
-func (co *Coordinator) resumeJob(id string) (muontrap.Job, error) {
-	co.mu.Lock()
-	j, ok := co.jobs[id]
-	if !ok {
-		co.mu.Unlock()
-		return muontrap.Job{}, fmt.Errorf("%w %q", muontrap.ErrUnknownJob, id)
-	}
-	switch j.rec.State {
-	case muontrap.JobCancelled, muontrap.JobFailed, muontrap.JobInterrupted:
-	default:
-		state := j.rec.State
-		co.mu.Unlock()
-		return muontrap.Job{}, &conflictError{fmt.Sprintf(
-			"job %s is %s; only interrupted, cancelled or failed jobs can be resumed", id, state)}
-	}
-	if j.incompat != "" {
-		msg := j.incompat
-		co.mu.Unlock()
-		return muontrap.Job{}, &conflictError{msg}
-	}
-	j.rec.State = muontrap.JobQueued
-	j.rec.Error = ""
-	j.rec.FinishedAt = ""
-	for _, c := range j.cells {
-		if !c.done {
-			c.resume = true
-		}
-	}
-	rec := j.rec
-	co.mu.Unlock()
-	co.persist(j)
-	co.kick()
-	return rec, nil
 }
 
 // ---- worker registry ------------------------------------------------
@@ -973,105 +795,6 @@ func (co *Coordinator) Workers() []WorkerStatus {
 	return out
 }
 
-// ---- keys, validation, ids ------------------------------------------
-
-// validateSweep mirrors the single-daemon submission validation.
-func validateSweep(sw muontrap.Sweep) error {
-	if len(sw.Workloads) == 0 && len(sw.Attacks) == 0 {
-		return fmt.Errorf("sweep declares no workloads or attacks")
-	}
-	if len(sw.Schemes) == 0 {
-		return fmt.Errorf("sweep declares no schemes")
-	}
-	for _, w := range sw.Workloads {
-		if _, err := muontrap.ParseWorkload(string(w)); err != nil {
-			return err
-		}
-	}
-	for _, a := range sw.Attacks {
-		if _, err := muontrap.ParseAttackName(string(a)); err != nil {
-			return err
-		}
-	}
-	for _, sch := range sw.Schemes {
-		if sch == "" {
-			continue
-		}
-		if _, err := muontrap.ParseScheme(string(sch)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// effectiveScales resolves a sweep's scales exactly as a worker daemon
-// at the same Scale flag will.
-func (co *Coordinator) effectiveScales(sw muontrap.Sweep) []float64 {
-	if len(sw.Scales) > 0 {
-		return sw.Scales
-	}
-	scale := co.cfg.Scale
-	if scale <= 0 {
-		scale = figures.DefaultOptions().Scale
-	}
-	return []float64{scale}
-}
-
-// sweepKey is the content key of a sweep's result under this fleet's
-// identity flags — the same canonical string internal/service hashes, so
-// a fleet of identically-configured daemons and the coordinator agree on
-// what "the same experiment" means.
-func (co *Coordinator) sweepKey(sw muontrap.Sweep) string {
-	maxCycles := sw.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = co.cfg.MaxCycles
-	}
-	if maxCycles <= 0 {
-		maxCycles = figures.DefaultOptions().MaxCycles
-	}
-	scales := make([]string, 0, len(sw.Scales))
-	for _, sc := range co.effectiveScales(sw) {
-		scales = append(scales, strconv.FormatFloat(sc, 'g', -1, 64))
-	}
-	wl := make([]string, len(sw.Workloads))
-	for i, w := range sw.Workloads {
-		wl[i] = string(w)
-	}
-	sch := make([]string, len(sw.Schemes))
-	for i, x := range sw.Schemes {
-		if x == "" {
-			x = muontrap.SchemeInsecure
-		}
-		sch[i] = string(x)
-	}
-	atk := make([]string, len(sw.Attacks))
-	for i, a := range sw.Attacks {
-		atk[i] = string(a)
-	}
-	canon := fmt.Sprintf("sweep|v%d|bin=%s|wl=%s|atk=%s|sch=%s|scales=%s|max=%d|warm=%d|every=%d",
-		journalVersion, figures.BinFingerprint(),
-		strings.Join(wl, ","), strings.Join(atk, ","), strings.Join(sch, ","),
-		strings.Join(scales, ","), maxCycles, co.cfg.Warmup, co.cfg.CheckpointEvery)
-	sum := sha256.Sum256([]byte(canon))
-	return hex.EncodeToString(sum[:])
-}
-
-// conflictError marks a request naming a real resource in the wrong
-// state (HTTP 409).
-type conflictError struct{ msg string }
-
-func (e *conflictError) Error() string { return e.msg }
-
-// newJobID returns a fresh random job identifier (same shape as a
-// worker daemon's).
-func newJobID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("job-t%x", time.Now().UnixNano())
-	}
-	return "job-" + hex.EncodeToString(b[:])
-}
-
 // newWorkerID returns a fresh random worker identifier.
 func newWorkerID() string {
 	var b [6]byte
@@ -1079,46 +802,4 @@ func newWorkerID() string {
 		return fmt.Sprintf("w-t%x", time.Now().UnixNano())
 	}
 	return "w-" + hex.EncodeToString(b[:])
-}
-
-// ---- result store ---------------------------------------------------
-
-func (co *Coordinator) resultStorePath(key string) string {
-	return filepath.Join(co.cfg.Dir, "fleet", "sweeps", key+".json")
-}
-
-// storeResult persists a completed sweep under its cache key.
-func (co *Coordinator) storeResult(key string, res *muontrap.SweepResult) {
-	if co.cfg.Dir == "" || res == nil {
-		return
-	}
-	b, err := json.MarshalIndent(res, "", "\t")
-	if err != nil {
-		return
-	}
-	path := co.resultStorePath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "fleet: result store unavailable: %v\n", err)
-		return
-	}
-	if err := checkpoint.WriteAtomic(path, b); err != nil {
-		fmt.Fprintf(os.Stderr, "fleet: storing result %s failed: %v\n", key, err)
-	}
-}
-
-// loadResult fetches a stored sweep result by cache key; any failure is
-// a miss.
-func (co *Coordinator) loadResult(key string) (*muontrap.SweepResult, bool) {
-	if co.cfg.Dir == "" || !validCacheKey(key) {
-		return nil, false
-	}
-	b, err := os.ReadFile(co.resultStorePath(key))
-	if err != nil {
-		return nil, false
-	}
-	var res muontrap.SweepResult
-	if err := json.Unmarshal(b, &res); err != nil {
-		return nil, false
-	}
-	return &res, true
 }

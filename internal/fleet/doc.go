@@ -2,17 +2,23 @@
 // workers and merges the results byte-identically to a single-machine
 // run.
 //
-// The Coordinator serves the same /v1/jobs surface a single daemon does,
-// so muontrap/client drives a fleet and a lone daemon with identical
-// code. Internally it splits a submitted sweep's resolved cell list into
-// single-cell jobs, dispatches them to registered workers (registration
-// and heartbeat over HTTP, see Agent), steals cells from stragglers, and
-// — when a worker dies mid-cell — re-dispatches the interrupted cell to
-// another machine with checkpoint-resume enabled. The migrated run picks
-// up from the dead worker's latest mid-run checkpoint, which is
-// network-reachable because every worker mirrors its checkpoints into
-// the coordinator's HTTP content store (checkpoint.Mirror over
-// checkpoint.HTTPStore, same keying as the local store).
+// A Coordinator does not implement the job API: it is the
+// service.Backend of an internal/service Server it builds over itself —
+// the same job plane a lone daemon is, so validation, the error
+// envelope, admission and tenants, the journal, the result store, SSE
+// and every /v1 handler exist once, and muontrap/client drives a fleet
+// and a daemon with identical code. This package holds what only a fleet
+// has. Run splits an admitted sweep's resolved cell list into single-cell
+// jobs, dispatches them to registered workers (registration and
+// heartbeat over HTTP, see Agent) least-loaded and interactive-first,
+// follows each on the worker's event stream, steals cells from
+// stragglers, and — when a worker dies mid-cell — re-dispatches the
+// interrupted cell to another machine with checkpoint-resume enabled.
+// The migrated run picks up from the dead worker's latest mid-run
+// checkpoint, which is network-reachable because every worker mirrors
+// its checkpoints into the coordinator's HTTP content store
+// (checkpoint.Mirror over checkpoint.HTTPStore, same keying as the local
+// store).
 //
 // Merging is idempotent and declaration-ordered: each cell's result
 // lands under its cache key exactly once (a duplicate completion — the
@@ -21,8 +27,12 @@
 // cells in declaration order regardless of which machine finished which
 // cell when. The fleet's answer is byte-identical to Runner.Sweep's.
 //
-// The coordinator journals its shard map (cells, their done/pending
-// state, and per-cell results) under its directory, so a restarted
-// coordinator resumes a half-finished sweep without re-running completed
-// cells.
+// There is no shard-map journal. A cell is a single-cell sweep with its
+// own content key, so a merged cell's result goes into the plane's
+// result store under that key before its progress frame is published,
+// and every Run — fresh, resumed, or re-queued by New after a coordinator
+// restart — first collects the cells already stored and dispatches only
+// the rest. A restarted coordinator therefore finishes a half-done sweep
+// without re-running a completed cell, from the same journal entry a
+// daemon writes.
 package fleet

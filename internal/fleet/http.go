@@ -1,432 +1,77 @@
 package fleet
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"time"
 
 	"repro/internal/checkpoint"
-	"repro/muontrap"
+	"repro/internal/service"
 )
 
-// The coordinator's HTTP surface is the single-daemon /v1/jobs API —
-// wire-compatible, so muontrap/client drives a fleet and a lone daemon
-// with the same code — plus the /fleet/v1/* control plane:
+// The coordinator's HTTP surface is its job plane's — the /v1 API of
+// internal/service, served by the same handlers a lone daemon runs, so
+// muontrap/client drives a fleet and a daemon with the same code — plus
+// the routes mounted here:
 //
-//	POST   /v1/jobs              submit a sweep            → 202 Job (200 born done)
-//	GET    /v1/jobs              list jobs                 → 200 {"jobs": [Job]}
-//	GET    /v1/jobs/{id}         job status                → 200 Job
-//	GET    /v1/jobs/{id}/stream  progress over SSE         (resumable via Last-Event-ID)
-//	GET    /v1/jobs/{id}/result  completed SweepResult     → 200 | 409 while not done
-//	DELETE /v1/jobs/{id}         cancel                    → 202 Job
-//	POST   /v1/jobs/{id}/resume  re-queue with resume      → 202 Job
-//	GET    /v1/results/{key}     SweepResult by cache key  → 200 | 404
-//	GET    /v1/catalog           workloads/schemes/figures → 200
-//	GET    /v1/healthz           liveness + fleet Stats    → 200
+//	GET    /v1/healthz           liveness + fleet Stats + plane Stats → 200
 //	POST   /fleet/v1/register    worker joins              → 200 {"worker_id": ...}
 //	POST   /fleet/v1/heartbeat   worker liveness           → 204 | 404 (re-register)
 //	GET    /fleet/v1/workers     registry snapshot         → 200 {"workers": [WorkerStatus]}
 //	       /fleet/v1/store/...   shared checkpoint store   (checkpoint.StoreHandler)
+//
+// These stay open when the plane runs with tenants: workers and probes
+// carry no API key.
 
-// streamWriteTimeout bounds one SSE write; a consumer that cannot accept
-// a frame within it is disconnected (resumably, via Last-Event-ID)
-// rather than pinning coordinator memory.
-const streamWriteTimeout = 10 * time.Second
-
-// maxBodyBytes bounds any control-plane request body.
+// maxBodyBytes bounds the control-plane responses an Agent reads.
 const maxBodyBytes = 1 << 20
-
-// apiError is the JSON error envelope, wire-identical to the daemon's.
-type apiError struct {
-	Code  string `json:"code"`
-	Error string `json:"error"`
-}
-
-// errorCode maps an error to its wire code and HTTP status, mirroring
-// internal/service so client-side errors.Is keeps working.
-func errorCode(err error) (string, int) {
-	switch {
-	case errors.Is(err, muontrap.ErrUnknownWorkload):
-		return "unknown_workload", http.StatusBadRequest
-	case errors.Is(err, muontrap.ErrUnknownScheme):
-		return "unknown_scheme", http.StatusBadRequest
-	case errors.Is(err, muontrap.ErrUnknownJob):
-		return "unknown_job", http.StatusNotFound
-	}
-	var conflict *conflictError
-	if errors.As(err, &conflict) {
-		return "conflict", http.StatusConflict
-	}
-	return "bad_request", http.StatusBadRequest
-}
 
 // ServeHTTP makes the Coordinator mountable directly into any
 // http.Server.
 func (co *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { co.mux.ServeHTTP(w, r) }
 
-func (co *Coordinator) routes() {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", co.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", co.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", co.handleStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", co.handleStream)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", co.handleResult)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", co.handleCancel)
-	mux.HandleFunc("POST /v1/jobs/{id}/resume", co.handleResume)
-	mux.HandleFunc("GET /v1/results/{key}", co.handleResultByKey)
-	mux.HandleFunc("GET /v1/catalog", co.handleCatalog)
-	mux.HandleFunc("GET /v1/healthz", co.handleHealthz)
-	mux.HandleFunc("POST /fleet/v1/register", co.handleRegister)
-	mux.HandleFunc("POST /fleet/v1/heartbeat", co.handleHeartbeat)
-	mux.HandleFunc("GET /fleet/v1/workers", co.handleWorkers)
-	if co.store != nil {
-		mux.Handle(StorePath+"/", http.StripPrefix(StorePath, checkpoint.StoreHandler(co.store)))
-	}
-	if co.cfg.Metrics != nil {
-		mux.Handle("GET /metrics", co.cfg.Metrics)
-	}
-	co.mux = mux
-}
+// planeStats names the plane's half of the health payload: two embedded
+// fields cannot both be called Stats.
+type planeStats = service.Stats
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	code, status := errorCode(err)
-	writeJSON(w, status, apiError{Code: code, Error: err.Error()})
-}
-
-// submitRequest mirrors the daemon's POST /v1/jobs body.
-type submitRequest struct {
-	Sweep    muontrap.Sweep `json:"sweep"`
-	Priority string         `json:"priority,omitempty"`
-	Resume   bool           `json:"resume,omitempty"`
-}
-
-func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("decoding submit request: %w", err))
-		return
-	}
-	rec, cached, err := co.submit(req.Sweep, muontrap.Priority(req.Priority), req.Resume)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	status := http.StatusAccepted
-	if cached {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, rec)
-}
-
-func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	co.mu.Lock()
-	jobs := make([]muontrap.Job, 0, len(co.order))
-	for _, id := range co.order {
-		jobs = append(jobs, co.jobs[id].rec)
-	}
-	co.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string][]muontrap.Job{"jobs": jobs})
-}
-
-// lookup snapshots one job's record.
-func (co *Coordinator) lookup(id string) (muontrap.Job, error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	j, ok := co.jobs[id]
-	if !ok {
-		return muontrap.Job{}, fmt.Errorf("%w %q", muontrap.ErrUnknownJob, id)
-	}
-	return j.rec, nil
-}
-
-func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	rec, err := co.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rec)
-}
-
-// jobResult returns a done job's assembled result: from the merged
-// in-memory cells, falling back to the content-keyed store (a journal
-// replayed without per-cell results, e.g. a born-done cache hit).
-func (co *Coordinator) jobResult(id string) (*muontrap.SweepResult, muontrap.Job, error) {
-	co.mu.Lock()
-	j, ok := co.jobs[id]
-	if !ok {
-		co.mu.Unlock()
-		return nil, muontrap.Job{}, fmt.Errorf("%w %q", muontrap.ErrUnknownJob, id)
-	}
-	rec := j.rec
-	if rec.State != muontrap.JobDone {
-		co.mu.Unlock()
-		return nil, rec, &conflictError{fmt.Sprintf("job %s is %s; the result exists only once it is done", rec.ID, rec.State)}
-	}
-	complete := true
-	for _, r := range j.results {
-		if r == nil {
-			complete = false
-			break
-		}
-	}
-	if complete {
-		res := j.assembleLocked()
-		co.mu.Unlock()
-		return res, rec, nil
-	}
-	co.mu.Unlock()
-	if res, ok := co.loadResult(rec.CacheKey); ok && len(res.Runs) == rec.Total {
-		return res, rec, nil
-	}
-	return nil, rec, &conflictError{fmt.Sprintf("job result for cache key %s is no longer stored", rec.CacheKey)}
-}
-
-func (co *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	res, _, err := co.jobResult(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (co *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	rec, err := co.cancelJob(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, rec)
-}
-
-func (co *Coordinator) handleResume(w http.ResponseWriter, r *http.Request) {
-	rec, err := co.resumeJob(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, rec)
-}
-
-func (co *Coordinator) handleResultByKey(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if res, ok := co.loadResult(key); ok {
-		writeJSON(w, http.StatusOK, res)
-		return
-	}
-	// Not on disk — maybe merged in-memory on a persistence-less fleet.
-	co.mu.Lock()
-	for _, id := range co.order {
-		j := co.jobs[id]
-		if j.rec.CacheKey != key || j.rec.State != muontrap.JobDone {
-			continue
-		}
-		res := j.assembleLocked()
-		co.mu.Unlock()
-		writeJSON(w, http.StatusOK, res)
-		return
-	}
-	co.mu.Unlock()
-	writeJSON(w, http.StatusNotFound, apiError{Code: "unknown_result", Error: fmt.Sprintf("no stored result for cache key %q", key)})
-}
-
-func (co *Coordinator) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, muontrap.Catalog{
-		Workloads: muontrap.Workloads(),
-		Schemes:   muontrap.Schemes(),
-		SchemeDoc: muontrap.SchemeDescriptions(),
-		Figures:   muontrap.FigureIDs(),
-	})
-}
-
-// healthResponse mirrors the daemon's healthz shape with the fleet's
-// own counters.
+// healthResponse is a daemon's healthz shape — one flat object — with the
+// fleet's counters beside the plane's.
 type healthResponse struct {
 	Status string `json:"status"`
 	Stats
+	planeStats
 }
 
-func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, healthResponse{Status: "ok", Stats: co.Stats()})
-}
-
-// ---- fleet control plane --------------------------------------------
-
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-}
-
-func (co *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	b, err := readBody(w, r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	req, err := DecodeRegisterRequest(b)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, co.register(req))
-}
-
-func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	b, err := readBody(w, r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	req, err := DecodeHeartbeatRequest(b)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !co.heartbeat(req) {
-		writeJSON(w, http.StatusNotFound, apiError{
-			Code:  "unknown_worker",
-			Error: fmt.Sprintf("worker %q is not registered (or was marked dead); re-register", req.WorkerID),
-		})
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (co *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]WorkerStatus{"workers": co.Workers()})
-}
-
-// ---- SSE ------------------------------------------------------------
-
-// attach subscribes to a job's frame stream.
-func (co *Coordinator) attach(id string) (*fleetJob, chan struct{}, error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	j, ok := co.jobs[id]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w %q", muontrap.ErrUnknownJob, id)
-	}
-	ch := make(chan struct{}, 1)
-	j.subs[ch] = struct{}{}
-	return j, ch, nil
-}
-
-func (co *Coordinator) detach(j *fleetJob, ch chan struct{}) {
-	co.mu.Lock()
-	delete(j.subs, ch)
-	co.mu.Unlock()
-}
-
-// eventsSince snapshots the frames after cursor and the job record.
-func (co *Coordinator) eventsSince(j *fleetJob, cursor uint64) ([]streamFrame, muontrap.Job) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	var out []streamFrame
-	for _, f := range j.frames {
-		if f.id > cursor {
-			out = append(out, f)
-		}
-	}
-	return out, j.rec
-}
-
-// handleStream speaks the daemon's SSE protocol (job snapshot on
-// connect, id'd progress frames, terminal event named by the end state,
-// Last-Event-ID resume). The coordinator retains every frame for a
-// job's whole life — the window is bounded by the matrix size — and
-// synthesizes the replay from the stored result for done jobs whose
-// frames were never held (journal replay, born-done cache hits).
-func (co *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
-	j, sub, err := co.attach(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer co.detach(j, sub)
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, fmt.Errorf("streaming unsupported by this connection"))
-		return
-	}
-	var cursor uint64
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			cursor = n
-		}
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	rc := http.NewResponseController(w)
-	write := func(id uint64, name string, data []byte) bool {
-		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		var err error
-		if id > 0 {
-			_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, name, data)
-		} else {
-			_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data)
-		}
-		return err == nil
-	}
-	writeSSE := func(event string, v any) bool {
-		data, err := json.Marshal(v)
+func (co *Coordinator) routes() {
+	mux := http.NewServeMux()
+	mux.Handle("GET /v1/healthz", service.Endpoint(func([]byte) (any, error) {
+		return healthResponse{"ok", co.Stats(), co.plane.Stats()}, nil
+	}))
+	mux.Handle("POST /fleet/v1/register", service.Endpoint(func(body []byte) (any, error) {
+		req, err := DecodeRegisterRequest(body)
 		if err != nil {
-			return false
+			return nil, err
 		}
-		return write(0, event, data)
-	}
-
-	snap, _ := co.lookup(j.rec.ID)
-	if !writeSSE("job", snap) {
-		return
-	}
-	for {
-		evs, snap := co.eventsSince(j, cursor)
-		if snap.State == muontrap.JobDone && len(evs) == 0 && cursor < uint64(snap.Total) {
-			if res, _, err := co.jobResult(snap.ID); err == nil {
-				for i, run := range res.Runs {
-					id := uint64(i + 1)
-					if id <= cursor {
-						continue
-					}
-					data, err := json.Marshal(muontrap.Progress{Done: i + 1, Total: len(res.Runs), Run: run})
-					if err == nil {
-						evs = append(evs, streamFrame{id: id, name: "progress", data: data})
-					}
-				}
+		return co.register(req), nil
+	}))
+	mux.Handle("POST /fleet/v1/heartbeat", service.Endpoint(func(body []byte) (any, error) {
+		req, err := DecodeHeartbeatRequest(body)
+		if err != nil {
+			return nil, err
+		}
+		if !co.heartbeat(req) {
+			return nil, &service.NotFoundError{
+				Code: "unknown_worker",
+				Msg:  fmt.Sprintf("worker %q is not registered (or was marked dead); re-register", req.WorkerID),
 			}
 		}
-		for _, ev := range evs {
-			if !write(ev.id, ev.name, ev.data) {
-				return
-			}
-			cursor = ev.id
-		}
-		if snap.State.Terminal() {
-			writeSSE(string(snap.State), snap)
-			flusher.Flush()
-			return
-		}
-		flusher.Flush()
-		select {
-		case <-sub:
-		case <-r.Context().Done():
-			return
-		}
+		return nil, nil
+	}))
+	mux.Handle("GET /fleet/v1/workers", service.Endpoint(func([]byte) (any, error) {
+		return map[string][]WorkerStatus{"workers": co.Workers()}, nil
+	}))
+	if co.store != nil {
+		mux.Handle(StorePath+"/", http.StripPrefix(StorePath, checkpoint.StoreHandler(co.store)))
 	}
+	mux.Handle("/", co.plane)
+	co.mux = mux
 }

@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"context"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"repro/internal/service"
 	"repro/muontrap"
+	"repro/muontrap/client"
 )
 
 // inertCoordinator builds a coordinator whose scheduler never acts on
@@ -14,8 +17,7 @@ import (
 func inertCoordinator(t *testing.T) *Coordinator {
 	t.Helper()
 	co, err := New(Config{
-		Dir:              t.TempDir(),
-		CheckpointEvery:  2000,
+		Config:           service.Config{Dir: t.TempDir(), CheckpointEvery: 2000},
 		HeartbeatTimeout: time.Hour,
 		Tick:             time.Hour,
 	})
@@ -24,6 +26,50 @@ func inertCoordinator(t *testing.T) *Coordinator {
 	}
 	t.Cleanup(co.Close)
 	return co
+}
+
+// admit submits sw to the coordinator's job plane and returns the
+// plane-side client and job, plus the one cell of the Run the plane
+// started for it — the shard map lives with the Run, not with the job.
+func admit(t *testing.T, co *Coordinator, sw muontrap.Sweep) (*client.Client, muontrap.Job, *cell) {
+	t.Helper()
+	hs := httptest.NewServer(co)
+	t.Cleanup(hs.Close)
+	cl := client.New(hs.URL)
+	job, err := cl.Submit(context.Background(), sw)
+	if err != nil || job.State.Terminal() {
+		t.Fatalf("submit: %+v err=%v", job, err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		co.mu.Lock()
+		for _, j := range co.jobs {
+			if j.id == job.ID {
+				co.mu.Unlock()
+				return cl, job, j.cells[0]
+			}
+		}
+		co.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("the plane never started a Run for %s", job.ID)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// mergedCycles waits for the job to end done and returns the cycle
+// count of its single run, as the plane serves it.
+func mergedCycles(t *testing.T, cl *client.Client, id string) uint64 {
+	t.Helper()
+	final, err := cl.Stream(context.Background(), id, nil)
+	if err != nil || final.State != muontrap.JobDone {
+		t.Fatalf("job ended %+v err=%v, want done", final, err)
+	}
+	res, err := cl.Result(context.Background(), id)
+	if err != nil || len(res.Runs) != 1 {
+		t.Fatalf("result %+v err=%v, want one run", res, err)
+	}
+	return res.Runs[0].Cycles
 }
 
 // openAttempt wires a hand-made attempt into a cell exactly as
@@ -58,14 +104,7 @@ func TestMergeDuplicateCompletionIdempotent(t *testing.T) {
 		Schemes:   []muontrap.Scheme{"muontrap"},
 		Scales:    []float64{0.02},
 	}
-	rec, cached, err := co.submit(sw, "", false)
-	if err != nil || cached {
-		t.Fatalf("submit: cached=%v err=%v", cached, err)
-	}
-	co.mu.Lock()
-	j := co.jobs[rec.ID]
-	c := j.cells[0]
-	co.mu.Unlock()
+	cl, job, c := admit(t, co, sw)
 
 	w1 := &worker{id: "w1"}
 	w2 := &worker{id: "w2"}
@@ -75,14 +114,11 @@ func TestMergeDuplicateCompletionIdempotent(t *testing.T) {
 	co.attemptDone(a1, run(1111))
 	co.attemptDone(a2, run(2222)) // the duplicate: same cell, later finish
 
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if j.rec.State != muontrap.JobDone {
-		t.Fatalf("job state %s, want done", j.rec.State)
-	}
-	if got := j.results[0].Cycles; got != 1111 {
+	if got := mergedCycles(t, cl, job.ID); got != 1111 {
 		t.Fatalf("merged run has %d cycles: the duplicate overwrote the first writer (want 1111)", got)
 	}
+	co.mu.Lock()
+	defer co.mu.Unlock()
 	if co.stats.Duplicates != 1 {
 		t.Fatalf("Duplicates = %d, want 1", co.stats.Duplicates)
 	}
@@ -107,14 +143,7 @@ func TestMergeDuplicateAfterSiblingCancel(t *testing.T) {
 		Schemes:   []muontrap.Scheme{"stt-spectre"},
 		Scales:    []float64{0.02},
 	}
-	rec, _, err := co.submit(sw, "", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co.mu.Lock()
-	j := co.jobs[rec.ID]
-	c := j.cells[0]
-	co.mu.Unlock()
+	cl, job, c := admit(t, co, sw)
 
 	w1 := &worker{id: "w1"}
 	w2 := &worker{id: "w2"}
@@ -131,11 +160,11 @@ func TestMergeDuplicateAfterSiblingCancel(t *testing.T) {
 
 	co.attemptDone(a2, run(2222)) // sibling's completion raced the cancel
 
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if got := j.results[0].Cycles; got != 1111 {
+	if got := mergedCycles(t, cl, job.ID); got != 1111 {
 		t.Fatalf("late duplicate overwrote the merge: %d cycles, want 1111", got)
 	}
+	co.mu.Lock()
+	defer co.mu.Unlock()
 	if co.stats.Duplicates != 1 {
 		t.Fatalf("Duplicates = %d, want 1", co.stats.Duplicates)
 	}

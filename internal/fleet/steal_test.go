@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -30,6 +31,15 @@ func wedgedWorker(t *testing.T) *httptest.Server {
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		writeJob(w, http.StatusOK, muontrap.Job{ID: r.PathValue("id"), State: muontrap.JobRunning, Total: 1})
+	})
+	// The stream of a job that never finishes: the snapshot a daemon sends
+	// on connect, then silence for as long as the coordinator listens.
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		fmt.Fprintf(w, "event: job\ndata: %s\n\n",
+			mustJSON(t, muontrap.Job{ID: r.PathValue("id"), State: muontrap.JobRunning, Total: 1}))
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		writeJob(w, http.StatusAccepted, muontrap.Job{ID: r.PathValue("id"), State: muontrap.JobCancelled, Total: 1})

@@ -34,11 +34,8 @@ func newFleetMetrics(reg *telemetry.Registry, co *Coordinator) *fleetMetrics {
 	reg.CounterFunc("muontrap_fleet_workers_dead_total",
 		"Workers marked dead over the coordinator's life.",
 		stat(func(s Stats) float64 { return float64(s.DeadWorkers) }))
-	reg.GaugeFunc("muontrap_fleet_jobs_known",
-		"Fleet jobs known in any state.",
-		stat(func(s Stats) float64 { return float64(s.Jobs) }))
 	reg.GaugeFunc("muontrap_fleet_cells_pending",
-		"Sweep cells not yet merged.",
+		"Cells of running sweeps not yet merged.",
 		stat(func(s Stats) float64 { return float64(s.CellsPending) }))
 	reg.CounterFunc("muontrap_fleet_dispatches_total",
 		"Cell attempts started on workers.",
@@ -122,8 +119,9 @@ func (co *Coordinator) storeBytes() float64 {
 	return float64(total)
 }
 
-// span emits one fleet lifecycle record; a nil tracer drops it.
-func (co *Coordinator) span(s telemetry.Span) { co.trace.Emit(s) }
+// span emits one fleet lifecycle record on the plane's tracer; a nil
+// tracer drops it.
+func (co *Coordinator) span(s telemetry.Span) { co.cfg.Tracer.Emit(s) }
 
 // cellLabel compresses a cell to its workload/scheme identity for trace
 // records (the full cache key is long and opaque).

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/figures"
 	"repro/internal/fleet"
+	"repro/internal/service"
 	"repro/internal/telemetry"
 	"repro/muontrap"
 )
@@ -70,7 +71,7 @@ func TestFleetChaosMetricsScrape(t *testing.T) {
 	}
 	defer tracer.Close()
 
-	f := newTestFleet(t, 2, fleet.Config{Metrics: reg, Tracer: tracer})
+	f := newTestFleet(t, 2, fleet.Config{Config: service.Config{Metrics: reg, Tracer: tracer}})
 	sw := muontrap.Sweep{
 		Workloads: []muontrap.Workload{"swaptions"},
 		Schemes:   []muontrap.Scheme{"insecure", "muontrap", "stt-spectre"},

@@ -5,14 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/url"
-
-	"repro/muontrap"
 )
 
 // The fleet wire messages: worker registration and heartbeat (worker →
-// coordinator), the worker status listing (coordinator → observer), and
-// the cell-assignment record the coordinator journals per shard. Every
-// inbound message is decoded strictly — unknown fields and malformed
+// coordinator) and the worker status listing (coordinator → observer).
+// Every inbound message is decoded strictly — unknown fields and malformed
 // values are errors, never silently-zeroed surprises — through the
 // Decode* helpers, which the fuzz suite holds to a canonical round-trip
 // property: whatever decodes must re-encode and re-decode to itself.
@@ -48,25 +45,6 @@ type WorkerStatus struct {
 	BaseURL  string `json:"base_url"`
 	Alive    bool   `json:"alive"`
 	Inflight int    `json:"inflight"`
-}
-
-// CellRecord is one shard-map entry of the coordinator's job journal:
-// one resolved cell of a sweep, the declaration indexes it fills
-// (duplicate declarations share a cell), and — once the cell has
-// finished somewhere — its merged result. The journal is what lets a
-// restarted coordinator resume a sweep without re-running done cells.
-type CellRecord struct {
-	// Key is the cell's content cache key (64 hex digits), the merge
-	// identity under which exactly one completion wins.
-	Key string `json:"key"`
-	// Sweep is the single-cell sub-sweep dispatched for this record.
-	Sweep muontrap.Sweep `json:"sweep"`
-	// Indexes are the declaration-order positions this cell fills in the
-	// merged SweepResult.
-	Indexes []int `json:"indexes"`
-	// Done marks a merged cell; Result is its run, present iff Done.
-	Done   bool                `json:"done"`
-	Result *muontrap.RunResult `json:"result,omitempty"`
 }
 
 // decodeStrict unmarshals one wire message rejecting unknown fields and
@@ -115,44 +93,4 @@ func DecodeHeartbeatRequest(b []byte) (HeartbeatRequest, error) {
 		return HeartbeatRequest{}, fmt.Errorf("fleet: heartbeat request: empty worker_id")
 	}
 	return req, nil
-}
-
-// DecodeCellRecord strictly decodes and validates one journaled
-// cell-assignment record.
-func DecodeCellRecord(b []byte) (CellRecord, error) {
-	var rec CellRecord
-	if err := decodeStrict(b, &rec); err != nil {
-		return CellRecord{}, fmt.Errorf("fleet: cell record: %w", err)
-	}
-	if !validCacheKey(rec.Key) {
-		return CellRecord{}, fmt.Errorf("fleet: cell record: key %q is not a 64-hex cache key", rec.Key)
-	}
-	if len(rec.Indexes) == 0 {
-		return CellRecord{}, fmt.Errorf("fleet: cell record: no declaration indexes")
-	}
-	for _, i := range rec.Indexes {
-		if i < 0 {
-			return CellRecord{}, fmt.Errorf("fleet: cell record: negative declaration index %d", i)
-		}
-	}
-	if rec.Done != (rec.Result != nil) {
-		return CellRecord{}, fmt.Errorf("fleet: cell record: done=%v with result present=%v", rec.Done, rec.Result != nil)
-	}
-	return rec, nil
-}
-
-// validCacheKey reports whether key has the canonical cache-key shape:
-// exactly 64 lowercase hex digits (the same validation internal/service
-// applies before building any path from a key).
-func validCacheKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }

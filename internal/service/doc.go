@@ -1,14 +1,24 @@
-// Package service is the HTTP/JSON experiment daemon behind
-// cmd/muontrapd: it turns the muontrap.Runner library into a network
-// service that non-Go clients can drive with plain HTTP.
+// Package service is the job plane behind cmd/muontrapd: the one
+// implementation of the HTTP/JSON experiment service that non-Go clients
+// drive with plain HTTP, whether the process is a lone daemon, a fleet
+// worker or a fleet coordinator.
 //
 // A Server accepts declarative muontrap.Sweep submissions, validates
 // their identifiers up front (400 + sentinel-coded errors, never a
-// queued-then-failed job), and executes them on a bounded pool of
-// Runners — MaxJobs concurrent sweeps, Workers simulations each. Every
-// completed matrix cell streams to subscribers as a Server-Sent Event;
-// DELETE threads context cancellation all the way into the simulator's
-// cycle loop.
+// queued-then-failed job), and owns everything a job is from then on:
+// the job table and state machine, admission, the journal, the
+// content-keyed result store, the event ring each stream reads, and the
+// ten /v1 handlers. How an admitted attempt's cells get computed is the
+// one thing it delegates, to a one-method Backend: by default a bounded
+// pool of Runners in this process — MaxJobs concurrent sweeps, Workers
+// simulations each — and, on a coordinator, internal/fleet, which shards
+// the sweep across worker daemons. A plane over a Backend puts no
+// sweep-slot bound in front of it (the backend's own capacity is the
+// bound, and its own rule decides priority), which is the only
+// behavioural difference between the two. Every completed matrix cell
+// streams to subscribers as a Server-Sent Event; DELETE cancels the
+// attempt's context, which a Backend must honour promptly — the default
+// threads it all the way into the simulator's cycle loop.
 //
 // The server is hardened for shared, multi-tenant use:
 //

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -52,8 +53,14 @@ func errorCode(err error) (string, int) {
 		return "unknown_scheme", http.StatusBadRequest
 	case errors.Is(err, muontrap.ErrUnknownFigure):
 		return "unknown_figure", http.StatusBadRequest
+	case errors.Is(err, muontrap.ErrUnknownAttack):
+		return "unknown_attack", http.StatusBadRequest
 	case errors.Is(err, muontrap.ErrUnknownJob):
 		return "unknown_job", http.StatusNotFound
+	}
+	var missing *NotFoundError
+	if errors.As(err, &missing) {
+		return missing.Code, http.StatusNotFound
 	}
 	var conflict *conflictError
 	if errors.As(err, &conflict) {
@@ -71,6 +78,40 @@ func errorCode(err error) (string, int) {
 		return "overloaded", shed.status
 	}
 	return "bad_request", http.StatusBadRequest
+}
+
+// NotFoundError is a request naming something that does not exist (HTTP
+// 404) under a wire code of its own — "unknown_result" here,
+// "unknown_worker" on the fleet control plane.
+type NotFoundError struct{ Code, Msg string }
+
+func (e *NotFoundError) Error() string { return e.Msg }
+
+// maxBodyBytes bounds every request body the plane decodes.
+const maxBodyBytes = 1 << 20
+
+// Endpoint adapts fn to a handler that speaks the plane's wire
+// conventions, for the routes a host process mounts beside /v1 (the
+// fleet control plane and the coordinator's healthz): fn gets the
+// request body, read under the same bound as POST /v1/jobs; an error is
+// answered with the JSON error envelope (see errorCode), a nil value
+// with 204, anything else as 200 + JSON.
+func Endpoint(fn func(body []byte) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		switch v, err := fn(body); {
+		case err != nil:
+			writeError(w, err)
+		case v == nil:
+			w.WriteHeader(http.StatusNoContent)
+		default:
+			writeJSON(w, http.StatusOK, v)
+		}
+	}
 }
 
 // ServeHTTP makes the Server mountable directly into any http.Server.
@@ -209,7 +250,7 @@ type submitRequest struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("decoding submit request: %w", err))
@@ -322,7 +363,7 @@ func (s *Server) handleResultByKey(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusNotFound, apiError{Code: "unknown_result", Error: fmt.Sprintf("no stored result for cache key %q", key)})
+	writeError(w, &NotFoundError{"unknown_result", fmt.Sprintf("no stored result for cache key %q", key)})
 }
 
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {

@@ -35,6 +35,13 @@ type Config struct {
 	// persistence: jobs die with the process and restart-resume is
 	// unavailable.
 	Dir string
+	// Backend executes admitted attempts. Nil runs them in this process
+	// on a muontrap.Runner — the single-machine daemon. A non-nil Backend
+	// (the fleet coordinator) brings its own capacity and its own
+	// priority rule, so the plane puts no sweep-slot bound in front of
+	// it: every admitted sweep's Run starts at once, MaxJobs, Workers and
+	// SnapStore are unused, and slot preemption never fires.
+	Backend Backend
 	// Workers caps concurrent simulations per sweep (0 = GOMAXPROCS).
 	Workers int
 	// MaxJobs caps concurrently executing sweeps; further submissions
@@ -96,6 +103,39 @@ type Config struct {
 	// edge (submit, queue, dispatch, preempt, requeue, resume, done,
 	// failed, cancelled, interrupted). Nil disables tracing.
 	Tracer *telemetry.Tracer
+}
+
+// Backend is how the plane executes one admitted attempt: run job.Sweep
+// under ctx — continuing from mid-run checkpoints when resume is set —
+// call progress once per finished cell, and return the
+// declaration-ordered result. progress never blocks and never calls
+// back into the Backend, so it may be called from any goroutine and
+// under the Backend's own locks — but not after Run has returned. A
+// Backend must unwind promptly when ctx is cancelled (cancel, preemption
+// and shutdown all arrive that way) and return ctx's error. Everything
+// else — admission, the job table and
+// state machine, journal, result store, streams — is the plane's and is
+// the same whichever Backend runs the cells.
+type Backend interface {
+	Run(ctx context.Context, job muontrap.Job, resume bool, progress func(muontrap.Progress)) (*muontrap.SweepResult, error)
+}
+
+// local is the default Backend: the sweep runs in this process on a
+// muontrap.Runner sized and keyed by the daemon's flags.
+type local struct{ cfg Config }
+
+func (l local) Run(ctx context.Context, job muontrap.Job, resume bool, progress func(muontrap.Progress)) (*muontrap.SweepResult, error) {
+	return muontrap.NewRunner(
+		muontrap.WithWorkers(l.cfg.Workers),
+		muontrap.WithCacheDir(l.cfg.Dir),
+		muontrap.WithWarmup(l.cfg.Warmup),
+		muontrap.WithCheckpointEvery(l.cfg.CheckpointEvery),
+		muontrap.WithScale(l.cfg.Scale),
+		muontrap.WithMaxCycles(l.cfg.MaxCycles),
+		muontrap.WithResume(resume),
+		muontrap.WithSnapshotStore(l.cfg.SnapStore),
+		muontrap.WithProgress(progress),
+	).Sweep(ctx, job.Sweep)
 }
 
 // defaultStreamHistory is the per-job SSE ring capacity when
@@ -193,8 +233,13 @@ type Server struct {
 // jobs the previous process left queued or running are surfaced as
 // "interrupted" (resumable), completed jobs keep serving their results.
 func New(cfg Config) (*Server, error) {
-	if cfg.MaxJobs <= 0 {
-		cfg.MaxJobs = 1
+	if cfg.Backend != nil {
+		cfg.MaxJobs = 0 // unbounded: the backend's capacity is the bound
+	} else {
+		if cfg.MaxJobs <= 0 {
+			cfg.MaxJobs = 1
+		}
+		cfg.Backend = local{cfg}
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
@@ -291,8 +336,8 @@ type Stats struct {
 	Jobs       int `json:"jobs"`        // jobs known (all states)
 	QueueDepth int `json:"queue_depth"` // jobs waiting for a runner slot
 	Running    int `json:"running"`     // jobs holding a runner slot
-	MaxJobs    int `json:"max_jobs"`
-	MaxQueue   int `json:"max_queue"` // 0 = unbounded
+	MaxJobs    int `json:"max_jobs"`    // 0 = unbounded (a Backend with its own capacity)
+	MaxQueue   int `json:"max_queue"`   // 0 = unbounded
 	// Shed counters, monotonic over the daemon's life.
 	ShedOverQuota    uint64 `json:"shed_over_quota"`    // 429: per-tenant quota
 	ShedOverCapacity uint64 `json:"shed_over_capacity"` // 503: whole-daemon queue bound
@@ -382,7 +427,7 @@ func (s *Server) submit(sw muontrap.Sweep, prio muontrap.Priority, tn *tenant, r
 	if err != nil {
 		return muontrap.Job{}, false, err
 	}
-	key := s.cacheKey(sw)
+	key := s.SweepKey(sw)
 	total := len(sw.Workloads)*len(sw.Schemes)*len(s.effectiveScales(sw)) +
 		len(sw.Attacks)*len(sw.Schemes)
 	rec := muontrap.Job{
@@ -490,6 +535,11 @@ func (s *Server) popLocked() *job {
 	return nil
 }
 
+// slotFreeLocked reports whether another sweep may start now.
+func (s *Server) slotFreeLocked() bool {
+	return s.cfg.MaxJobs == 0 || len(s.running) < s.cfg.MaxJobs
+}
+
 // dispatchLocked fills free runner slots from the priority queues, then
 // — when interactive work is still waiting with every slot busy —
 // preempts bulk jobs to free slots for it. Callers hold s.mu.
@@ -497,7 +547,7 @@ func (s *Server) dispatchLocked() {
 	if s.ctx.Err() != nil {
 		return // shutting down: strand queued jobs for the journal
 	}
-	for len(s.running) < s.cfg.MaxJobs {
+	for s.slotFreeLocked() {
 		j := s.popLocked()
 		if j == nil {
 			break
@@ -519,7 +569,7 @@ func (s *Server) dispatchLocked() {
 // checkpoint); its context is cancelled, and finish re-queues it with
 // resume enabled instead of recording a terminal state.
 func (s *Server) preemptLocked() {
-	if len(s.running) < s.cfg.MaxJobs {
+	if s.slotFreeLocked() {
 		return // a slot is free; anything still queued is tenant-capped
 	}
 	need := 0
@@ -567,7 +617,7 @@ func (s *Server) startLocked(j *job) {
 		cancel()
 	}
 	resume := j.resume
-	sw := j.rec.Sweep
+	rec := j.rec
 	s.spanLocked("dispatch", j, 0, "")
 	j.mu.Unlock()
 
@@ -581,18 +631,7 @@ func (s *Server) startLocked(j *job) {
 			return
 		}
 		s.persist(j)
-		r := muontrap.NewRunner(
-			muontrap.WithWorkers(s.cfg.Workers),
-			muontrap.WithCacheDir(s.cfg.Dir),
-			muontrap.WithWarmup(s.cfg.Warmup),
-			muontrap.WithCheckpointEvery(s.cfg.CheckpointEvery),
-			muontrap.WithScale(s.cfg.Scale),
-			muontrap.WithMaxCycles(s.cfg.MaxCycles),
-			muontrap.WithResume(resume),
-			muontrap.WithSnapshotStore(s.cfg.SnapStore),
-			muontrap.WithProgress(j.publishProgress),
-		)
-		res, err := r.Sweep(ctx, sw)
+		res, err := s.cfg.Backend.Run(ctx, rec, resume, j.publishProgress)
 		s.finish(j, res, err)
 	}()
 }
@@ -978,15 +1017,18 @@ func (s *Server) effectiveScales(sw muontrap.Sweep) []float64 {
 	return []float64{scale}
 }
 
-// cacheKey derives the content key of a sweep's result: the resolved
+// SweepKey derives the content key of a sweep's result: the resolved
 // matrix in declaration order (order is part of the result — SweepResult
 // is declaration-ordered), every option that can change an outcome
 // (scales, cycle bound, warm-up depth, checkpoint cadence), and the
 // simulator build fingerprint. Worker count is deliberately absent: the
 // repo's determinism tests pin that parallelism never changes results.
 // Priority and tenant are absent for the same reason — they decide when
-// a result is computed, never what it is.
-func (s *Server) cacheKey(sw muontrap.Sweep) string {
+// a result is computed, never what it is. It is the one key function of
+// the job plane: a fleet coordinator keys each cell — a single-cell
+// sweep — with it, so the coordinator, its workers and a lone daemon
+// under the same flags agree on what "the same experiment" means.
+func (s *Server) SweepKey(sw muontrap.Sweep) string {
 	maxCycles := sw.MaxCycles
 	if maxCycles <= 0 {
 		maxCycles = s.cfg.MaxCycles
@@ -1045,7 +1087,7 @@ func (s *Server) resultStorePath(key string) string {
 	return filepath.Join(s.cfg.Dir, "service", "sweeps", key+".json")
 }
 
-// validCacheKey reports whether key has the exact shape cacheKey
+// validCacheKey reports whether key has the exact shape SweepKey
 // produces: 64 lowercase hex digits. Everything else is rejected before
 // any filesystem path is built from it — /v1/results/{key} takes the
 // key from the URL, and Go's ServeMux decodes %2F inside a path
@@ -1138,6 +1180,21 @@ func (s *Server) loadResult(key string) (*muontrap.SweepResult, bool) {
 		return nil, false
 	}
 	return &res, true
+}
+
+// StoredSweep returns the stored result of sw under this plane's
+// identity flags, if there is one, and StoreSweep stores res as that
+// result, reporting whether it durably landed. They are the result
+// store as a Backend sees it: the fleet coordinator files every merged
+// cell — a single-cell sweep — here before publishing its progress
+// frame, and any later attempt at a sweep containing that cell starts by
+// collecting it instead of dispatching it.
+func (s *Server) StoredSweep(sw muontrap.Sweep) (*muontrap.SweepResult, bool) {
+	return s.loadResult(s.SweepKey(sw))
+}
+
+func (s *Server) StoreSweep(sw muontrap.Sweep, res *muontrap.SweepResult) bool {
+	return s.storeResult(s.SweepKey(sw), res)
 }
 
 // compatible verifies that this daemon's identity-affecting

@@ -139,6 +139,13 @@ func TestSubmitMapsSentinelsAcrossTheWire(t *testing.T) {
 	if !errors.Is(err, muontrap.ErrUnknownScheme) {
 		t.Fatalf("err = %v, want ErrUnknownScheme", err)
 	}
+	_, err = c.Submit(ctx, muontrap.Sweep{
+		Attacks: []muontrap.AttackName{"spectr"},
+		Schemes: []muontrap.Scheme{"insecure"},
+	})
+	if !errors.Is(err, muontrap.ErrUnknownAttack) {
+		t.Fatalf("err = %v, want ErrUnknownAttack", err)
+	}
 	if _, err := c.Job(ctx, "job-doesnotexist"); !errors.Is(err, muontrap.ErrUnknownJob) {
 		t.Fatalf("err = %v, want ErrUnknownJob", err)
 	}

@@ -109,6 +109,8 @@ func (e *APIError) Unwrap() error {
 		return muontrap.ErrUnknownScheme
 	case "unknown_figure":
 		return muontrap.ErrUnknownFigure
+	case "unknown_attack":
+		return muontrap.ErrUnknownAttack
 	case "unknown_job":
 		return muontrap.ErrUnknownJob
 	}
