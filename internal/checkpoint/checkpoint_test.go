@@ -1,8 +1,12 @@
 package checkpoint
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -67,6 +71,75 @@ func TestReaderStickyError(t *testing.T) {
 	}
 }
 
+// TestSparseTable pins the sparse-table convention (a count, then
+// ascending index-prefixed entries): the writer fills in the count after
+// its one pass, and the reader bounds the count by the table, requires
+// every index in range and strictly above the one before it, and makes a
+// violation stick like any other decoding error.
+func TestSparseTable(t *testing.T) {
+	// table writes the indices as a sparse table of one-byte entries.
+	table := func(idxs ...int) *Snapshot {
+		s := New()
+		w := s.Section("t")
+		tw := w.Table()
+		for _, i := range idxs {
+			tw.Entry(i)
+			w.U8(uint8(i))
+		}
+		tw.End()
+		copy(w.Raw(3), "abc")
+		return s
+	}
+	// read returns the indices Next yields and the reader's final error.
+	read := func(s *Snapshot, capacity int) ([]int, error) {
+		r, _ := s.Open("t")
+		var got []int
+		tr := r.Table(capacity)
+		for i, ok := tr.Next(); ok; i, ok = tr.Next() {
+			if r.U8() != uint8(i) {
+				t.Fatalf("entry %d carries the wrong byte", i)
+			}
+			got = append(got, i)
+		}
+		if _, ok := tr.Next(); ok {
+			t.Fatal("Next yielded an entry after reporting the end")
+		}
+		if r.Err() == nil && string(r.Raw(3)) != "abc" {
+			t.Fatal("reader not positioned after the table")
+		}
+		return got, r.Err()
+	}
+
+	if got, err := read(table(0, 3, 9), 10); err != nil || !slices.Equal(got, []int{0, 3, 9}) {
+		t.Fatalf("well-formed table: %v, %v", got, err)
+	}
+	if got, err := read(table(), 10); err != nil || len(got) != 0 {
+		t.Fatalf("empty table: %v, %v", got, err)
+	}
+	for name, tc := range map[string]struct {
+		s        *Snapshot
+		capacity int
+		want     []int // yielded before the failure
+	}{
+		"count above capacity": {table(0, 1, 2), 2, nil},
+		"index at capacity":    {table(0, 9), 9, []int{0}},
+		"repeated index":       {table(0, 3, 3), 10, []int{0, 3}},
+		"descending index":     {table(5, 2), 10, []int{5}},
+	} {
+		got, err := read(tc.s, tc.capacity)
+		if err == nil || !slices.Equal(got, tc.want) {
+			t.Errorf("%s: yielded %v, err %v; want %v and an error", name, got, err, tc.want)
+		}
+	}
+
+	r, _ := table().Open("t")
+	r.Table(0)
+	r.Raw(3)
+	if r.Raw(1) != nil || r.Err() == nil {
+		t.Fatal("Raw past the end succeeded")
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	enc := buildSample().Encode()
 	if _, err := Decode(enc[:len(enc)-1]); err == nil {
@@ -119,6 +192,50 @@ func TestStorePutRepairsTruncatedFile(t *testing.T) {
 	}
 	if _, err := st.Load(hash); err != nil {
 		t.Fatalf("Load after re-Put over a truncated file: %v", err)
+	}
+}
+
+// TestStorePutRepairsGarbledFile: the same crash (or bit rot) can leave a
+// file of exactly the right size with the wrong bytes. Put must read what
+// is there, not trust its size — otherwise every Load fails its hash
+// check and no later Put of the same content ever repairs it.
+func TestStorePutRepairsGarbledFile(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := buildSample()
+	enc := s.Encode()
+	enc[len(enc)/2] ^= 0x01
+	if err := os.WriteFile(st.snapPath(s.Hash()), enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hash, err := st.Put(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Load(hash); err != nil {
+		t.Fatalf("Load after re-Put over a same-sized garbled file: %v", err)
+	}
+}
+
+// TestWriteToIsTheEncoding: Hash and the store stream the image through
+// WriteTo, so it must produce exactly Encode's bytes — also for a snapshot
+// with no sections, whose header is written on its own.
+func TestWriteToIsTheEncoding(t *testing.T) {
+	for _, s := range []*Snapshot{New(), buildSample()} {
+		var buf bytes.Buffer
+		n, err := s.WriteTo(&buf)
+		if err != nil || int(n) != s.Size() || !bytes.Equal(buf.Bytes(), s.Encode()) {
+			t.Fatalf("WriteTo wrote %d bytes (err %v), Size %d, Encode %d", n, err, s.Size(), len(s.Encode()))
+		}
+		sum := sha256.Sum256(s.Encode())
+		if s.Hash() != hex.EncodeToString(sum[:]) {
+			t.Fatal("Hash() is not SHA-256(Encode())")
+		}
+		if _, err := Decode(buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -9,18 +9,40 @@
 //     side) and read back with Open. Encode/Decode give the canonical byte
 //     form; Hash is the SHA-256 of that form, so two snapshots with equal
 //     state have equal hashes (every saver serialises maps in sorted order
-//     to keep the encoding canonical).
+//     and tables in index order to keep the encoding canonical).
 //   - Writer / Reader: fixed-width primitive codecs. Readers carry a sticky
 //     error; a Restore implementation reads unconditionally and returns
-//     r.Err() once at the end. Writers append, so a Save implementation
-//     whose payload is large reserves, then fills: it calls Writer.Grow
-//     with the size its geometry implies before writing the first field
-//     (cache arrays, predictor tables, physical frames, the hierarchy's
-//     "hier" section). A buffer left to regrow as fields are appended
-//     costs several times the snapshot's size in garbage per checkpoint;
+//     r.Err() once at the end. Writers append, so every section reserves
+//     exactly, then fills: each component has a SaveSize that says how
+//     many bytes its Save will write, and the owner of a section (the
+//     hierarchy for "hier", a port for "port<i>", a core for "core<i>",
+//     the system for "machine", physical memory for "phys") calls
+//     Writer.Grow once with the sum before the first field goes in. A
+//     buffer left to regrow as fields are appended costs several times
+//     the snapshot's size in garbage per checkpoint;
 //     TestCheckpointAllocatesAboutItsSize in internal/sim holds a whole
-//     machine's checkpoint to 1.5x its encoding. Grow changes capacity
-//     only — never a byte of the encoding.
+//     machine's checkpoint to 1.5x its encoding (it measures 1.07x). Grow
+//     changes capacity only — never a byte of the encoding.
+//   - Sparse tables: a structure that is mostly empty (cache arrays, TLBs,
+//     the prefetcher table, the predictor's BTB and local-history table)
+//     writes its geometry, its tick and statistics, a count, and then
+//     only the valid — or, where there is no valid bit, non-zero —
+//     entries, each prefixed by its ascending index. Save writes it
+//     through a TableWriter (Writer.Table), which fills the count in
+//     after the one pass over the structure. Restore clears the
+//     structure and reads it through a TableReader (Reader.Table), which
+//     fails the reader on a count above the capacity and on an index out
+//     of range or not strictly above its predecessor, so a loop is
+//     bounded by the structure it fills and no index from a file reaches
+//     an array unchecked; an entry saved in an invalid state is rejected
+//     too. An
+//     entry that is not written is one nothing reads, so "canonical"
+//     means: equal valid contents, equal bytes. Small, densely used
+//     tables (2-bit counters, the RAS, DRAM banks) stay dense, written
+//     through Writer.Raw in one loop.
+//   - Snapshot.WriteTo streams the canonical form from the section
+//     buffers; Encode, Hash and Store.Put all go through it, so hashing
+//     and storing a snapshot never builds a second copy of the image.
 //   - Store: a content-addressed directory of encoded snapshots
 //     (<hash>.snap), with human-opaque ref files mapping an input key — the
 //     (workload, scale, cores, warm-up) tuple that produced a snapshot — to

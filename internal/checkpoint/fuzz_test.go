@@ -122,7 +122,7 @@ func FuzzReaderPrimitives(f *testing.F) {
 		// non-nil it must never reset.
 		sawErr := false
 		for i := 0; i < 16; i++ {
-			switch (int(order) + i) % 6 {
+			switch (int(order) + i) % 9 {
 			case 0:
 				r.U64()
 			case 1:
@@ -135,6 +135,18 @@ func FuzzReaderPrimitives(f *testing.F) {
 				r.Bytes()
 			case 5:
 				_ = r.String()
+			case 6, 7:
+				tr, prev := r.Table(int(order)), -1
+				for idx, ok := tr.Next(); ok; idx, ok = tr.Next() {
+					if idx >= int(order) || idx <= prev {
+						t.Fatalf("table of %d yielded index %d after %d", order, idx, prev)
+					}
+					prev = idx
+				}
+			case 8:
+				if b := r.Raw(int(order)); b != nil && len(b) != int(order) {
+					t.Fatalf("Raw(%d) returned %d bytes", order, len(b))
+				}
 			}
 			if r.Err() != nil {
 				sawErr = true

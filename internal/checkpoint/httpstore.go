@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -107,16 +108,15 @@ func StoreHandler(st *Store) http.Handler {
 			http.Error(w, "malformed snapshot: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		got, err := st.Put(snap)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+		// Check the claimed name before touching the store: a lie costs no
+		// write, and bytes the store already holds under their true name
+		// stay there.
+		if got := snap.Hash(); got != hash {
+			http.Error(w, fmt.Sprintf("content hashes to %s, not %s", got, hash), http.StatusBadRequest)
 			return
 		}
-		if got != hash {
-			// The store now holds the content under its true hash; the
-			// client's claimed name was a lie and must not be linkable.
-			st.Remove(got)
-			http.Error(w, fmt.Sprintf("content hashes to %s, not %s", got, hash), http.StatusBadRequest)
+		if _, err := st.put(snap, hash); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -169,7 +169,7 @@ func StoreHandler(st *Store) http.Handler {
 }
 
 // maxSnapshotBytes bounds one uploaded snapshot (a full-machine image of
-// the simulated system is a few MiB; 1 GiB is far beyond any legitimate
+// the simulated system is a few hundred KiB; 1 GiB is far beyond any legitimate
 // encoding and merely stops a hostile peer exhausting memory).
 const maxSnapshotBytes = 1 << 30
 
@@ -229,7 +229,7 @@ func (h *HTTPStore) Put(s *Snapshot) (string, error) {
 	enc := s.Encode()
 	sum := sha256.Sum256(enc)
 	hash := hex.EncodeToString(sum[:])
-	if _, err := h.do(http.MethodPut, h.base+"/snap/"+hash, strings.NewReader(string(enc))); err != nil {
+	if _, err := h.do(http.MethodPut, h.base+"/snap/"+hash, bytes.NewReader(enc)); err != nil {
 		return "", err
 	}
 	return hash, nil

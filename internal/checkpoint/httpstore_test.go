@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -99,6 +101,20 @@ func TestHTTPStoreErrors(t *testing.T) {
 	}
 }
 
+// dirNames lists a directory's entries, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
 // TestStoreHandlerRejectsLies pins the server-side verification: a PUT
 // whose body does not hash to the claimed name must be rejected and must
 // not leave linkable content behind.
@@ -127,6 +143,33 @@ func TestStoreHandlerRejectsLies(t *testing.T) {
 	}
 	if _, err := remote.Load(snap.Hash()); err == nil {
 		t.Fatal("true hash of rejected upload became loadable")
+	}
+
+	// A lie about bytes the store legitimately holds must cost nothing: the
+	// honest object stays loadable and no file is written or removed.
+	held := sampleSnap(t, "held")
+	heldHash, err := backing.Put(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dirNames(t, backing.Dir())
+	req, err = http.NewRequest(http.MethodPut, srv.URL+"/snap/"+lie, strings.NewReader(string(held.Encode())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("lying PUT of held content: status %d, want 400", resp.StatusCode)
+	}
+	if _, err := remote.Load(heldHash); err != nil {
+		t.Fatalf("a mis-named PUT removed a legitimately stored snapshot: %v", err)
+	}
+	if after := dirNames(t, backing.Dir()); !slices.Equal(before, after) {
+		t.Fatalf("a rejected PUT changed the store directory: %v -> %v", before, after)
 	}
 
 	// Garbage bodies and malformed hashes are 400s too.

@@ -1,10 +1,12 @@
 package checkpoint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"slices"
 )
 
@@ -70,25 +72,56 @@ func (s *Snapshot) Names() []string {
 	return out
 }
 
-// Encode renders the snapshot in its canonical byte form:
-// magic, version, section count, then each section as
-// (name length, name, payload length, payload).
-func (s *Snapshot) Encode() []byte {
+// Size is the length of the canonical encoding.
+func (s *Snapshot) Size() int {
 	n := len(magic) + 4 + 4
 	for _, sec := range s.sections {
 		n += 4 + len(sec.name) + 8 + len(sec.w.buf)
 	}
-	out := make([]byte, 0, n)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, FormatVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(s.sections)))
-	for _, sec := range s.sections {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(sec.name)))
-		out = append(out, sec.name...)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(sec.w.buf)))
-		out = append(out, sec.w.buf...)
+	return n
+}
+
+// WriteTo writes the canonical byte form — magic, version, section count,
+// then each section as (name length, name, payload length, payload) — to
+// w, payloads straight from the section buffers. It is the one definition
+// of the container layout: Encode, Hash and the stores all go through it,
+// so none of them pays for a second copy of the image.
+func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
+	var total int64
+	write := func(b []byte) error {
+		n, err := w.Write(b)
+		total += int64(n)
+		return err
 	}
-	return out
+	hdr := make([]byte, 0, 64)
+	hdr = append(hdr, magic[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, FormatVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(s.sections)))
+	for _, sec := range s.sections {
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(sec.name)))
+		hdr = append(hdr, sec.name...)
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(sec.w.buf)))
+		if err := write(hdr); err != nil {
+			return total, err
+		}
+		hdr = hdr[:0]
+		if err := write(sec.w.buf); err != nil {
+			return total, err
+		}
+	}
+	if len(hdr) > 0 { // no sections: the container header alone
+		if err := write(hdr); err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+// Encode renders the snapshot in its canonical byte form (see WriteTo).
+func (s *Snapshot) Encode() []byte {
+	out := bytes.NewBuffer(make([]byte, 0, s.Size()))
+	_, _ = s.WriteTo(out) // a bytes.Buffer never fails a write
+	return out.Bytes()
 }
 
 // Decode parses a snapshot from its canonical byte form.
@@ -139,8 +172,9 @@ func Decode(b []byte) (*Snapshot, error) {
 // Hash returns the SHA-256 of the canonical encoding, hex-encoded. Equal
 // machine state yields equal hashes (savers serialise deterministically).
 func (s *Snapshot) Hash() string {
-	sum := sha256.Sum256(s.Encode())
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	_, _ = s.WriteTo(h) // a hash never fails a write
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Writer serialises fixed-width little-endian primitives into a section.
@@ -164,8 +198,45 @@ func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 // U32 writes a uint32.
 func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 
+// TableWriter writes a sparse table: a count, then only the entries the
+// structure holds, each prefixed by its ascending index. The count is
+// written as a placeholder and filled in by End, so the owner makes one
+// pass over its structure and never counts it first.
+type TableWriter struct {
+	w  *Writer
+	at int // offset of the count
+	n  uint32
+}
+
+// Table starts a sparse table.
+func (w *Writer) Table() TableWriter {
+	t := TableWriter{w: w, at: len(w.buf)}
+	w.U32(0)
+	return t
+}
+
+// Entry writes the index of the next entry; the caller writes the entry's
+// fields after it. Indices must ascend.
+func (t *TableWriter) Entry(i int) {
+	t.n++
+	t.w.U32(uint32(i))
+}
+
+// End fills in the count.
+func (t *TableWriter) End() { binary.LittleEndian.PutUint32(t.w.buf[t.at:], t.n) }
+
 // U8 writes a byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
+
+// Raw appends n bytes and returns them for the caller to fill, so a dense
+// table of small elements is written in one tight loop instead of one
+// append per element. The slice is valid until the next write.
+func (w *Writer) Raw(n int) []byte {
+	w.buf = slices.Grow(w.buf, n)
+	off := len(w.buf)
+	w.buf = w.buf[:off+n]
+	return w.buf[off:]
+}
 
 // Bool writes a bool as one byte.
 func (w *Writer) Bool(v bool) {
@@ -242,6 +313,51 @@ func (r *Reader) U8() uint8 {
 
 // Bool reads a bool.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
+
+// Raw reads n bytes without copying them — the read side of Writer.Raw.
+// The slice is nil once the reader has failed; check Err, not the slice.
+func (r *Reader) Raw(n int) []byte { return r.take(n) }
+
+// TableReader reads a sparse table written through TableWriter into a
+// structure of a known capacity.
+type TableReader struct {
+	r        *Reader
+	left     uint32
+	prev     int64
+	capacity int
+}
+
+// Table starts reading a sparse table: it reads the count and fails the
+// reader when it exceeds capacity, so the loop over Next is bounded by the
+// structure being filled, never by a number from the file.
+func (r *Reader) Table(capacity int) TableReader {
+	n := r.U32()
+	if r.err == nil && uint64(n) > uint64(capacity) {
+		r.Failf("%d entries in a table of %d", n, capacity)
+	}
+	return TableReader{r: r, left: n, prev: -1, capacity: capacity}
+}
+
+// Next reads the index of the next entry and reports false when the table
+// is exhausted or the reader has failed. An index must be below the
+// capacity and strictly above the one before it; anything else fails the
+// reader, so no index from a file reaches the caller's table unchecked.
+// The caller reads the entry's fields after a true.
+func (t *TableReader) Next() (int, bool) {
+	if t.left == 0 || t.r.err != nil {
+		return 0, false
+	}
+	t.left--
+	i := int64(t.r.U32())
+	if t.r.err == nil && (i >= int64(t.capacity) || i <= t.prev) {
+		t.r.Failf("entry index %d after %d in a table of %d", i, t.prev, t.capacity)
+	}
+	if t.r.err != nil {
+		return 0, false
+	}
+	t.prev = i
+	return int(i), true
+}
 
 // Bytes reads a length-prefixed byte slice (a copy).
 func (r *Reader) Bytes() []byte {

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -44,12 +45,22 @@ func (st *Store) refPath(key string) string {
 // figure runs never observe a torn file. Shared by the snapshot store and
 // the figures disk cache.
 func WriteAtomic(path string, data []byte) error {
+	return writeAtomic(path, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+}
+
+// writeAtomic is WriteAtomic for content that writes itself: a snapshot
+// streams its section buffers into the temp file, never through one
+// contiguous copy of the image.
+func writeAtomic(path string, write func(*os.File) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		os.Remove(name)
 		return err
@@ -62,19 +73,26 @@ func WriteAtomic(path string, data []byte) error {
 }
 
 // Put writes the snapshot under its content hash and returns the hash.
-// A snapshot that is already present is not rewritten — unless the file's
-// size is not the encoding's: WriteAtomic renames without fsync, so a
-// crash can leave a short file under the final name, and keeping it would
-// fail every later Load of content that has since been put again.
+// A snapshot that is already present is not rewritten — once the file has
+// been read and found equal to the encoding. WriteAtomic renames without
+// fsync, so a crash can leave a short or garbled file under the final
+// name; trusting its name (or its size) would fail every later Load of
+// content that has since been put again, for as long as the store lives.
 func (st *Store) Put(s *Snapshot) (string, error) {
-	enc := s.Encode()
-	sum := sha256.Sum256(enc)
-	hash := hex.EncodeToString(sum[:])
+	return st.put(s, s.Hash())
+}
+
+// put is Put for a caller that has already computed s.Hash().
+func (st *Store) put(s *Snapshot, hash string) (string, error) {
 	path := st.snapPath(hash)
-	if fi, err := os.Stat(path); err == nil && fi.Size() == int64(len(enc)) {
+	if b, err := os.ReadFile(path); err == nil && len(b) == s.Size() && bytes.Equal(b, s.Encode()) {
 		return hash, nil
 	}
-	if err := WriteAtomic(path, enc); err != nil {
+	err := writeAtomic(path, func(f *os.File) error {
+		_, err := s.WriteTo(f)
+		return err
+	})
+	if err != nil {
 		return "", err
 	}
 	return hash, nil

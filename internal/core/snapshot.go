@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/checkpoint"
+import (
+	"repro/internal/cache"
+	"repro/internal/checkpoint"
+)
 
 // Save serialises the filter cache's line array, MSHR statistics and
 // hit/flush statistics. Checkpoints are taken on quiesced machines, so the
@@ -15,6 +18,9 @@ func (f *FilterCache) Save(w *checkpoint.Writer) {
 	w.U64(f.LinesFlushed)
 	w.U64(f.EvictedUncommitted3)
 }
+
+// SaveSize is the number of bytes Save writes.
+func (f *FilterCache) SaveSize() int { return f.arr.SaveSize() + cache.MSHRSaveSize + 6*8 }
 
 // Restore loads state saved by Save into a filter cache of identical
 // geometry.

@@ -45,6 +45,10 @@ func (c *Core) Quiesced() error {
 // Save serialises the core's architectural and quiesced-microarchitectural
 // state: registers, fetch state, statistics and the branch predictor.
 func (c *Core) Save(w *checkpoint.Writer) {
+	// Registers, 8 fetch/sequence words, 4 flags, the divider slots, 12
+	// statistics, the two SafeBet footprints, the predictor.
+	w.Grow(8*len(c.regs) + 8*8 + 4 + 4 + 8*len(c.divFree) + 12*8 +
+		4 + 8*len(c.sbData) + 4 + 8*len(c.sbCode) + c.pred.SaveSize())
 	for _, v := range c.regs {
 		w.U64(v)
 	}

@@ -1,0 +1,146 @@
+package figures
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/defense"
+	"repro/internal/simtest"
+)
+
+// relinkAsFormat2 rewrites the stored snapshot a ref resolves to so that
+// its machine section claims machineFormat 2 (the layout before sparse
+// tables), stores the forgery and points the ref at it — a store an older
+// build left behind, as far as this binary can tell.
+func relinkAsFormat2(t *testing.T, st *checkpoint.Store, key string) {
+	t.Helper()
+	hash, ok := st.Resolve(key)
+	if !ok {
+		t.Fatalf("no ref for %q", key)
+	}
+	snap, err := st.Load(hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := snap.Encode()
+	// magic(8) version(4) count(4), then the first section: name length,
+	// "machine", payload length, payload — whose first word is the format.
+	if string(enc[20:27]) != "machine" {
+		t.Fatalf("first section is %q, want machine", enc[20:27])
+	}
+	binary.LittleEndian.PutUint32(enc[35:], 2)
+	old, err := checkpoint.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldHash, err := st.Put(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Link(key, oldHash); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaleFormatWarmSnapshotIsRebuilt: a warm snapshot in an older
+// machine format is not an error and never reaches a machine — the warm-up
+// is re-simulated, the ref re-linked, and the forked run is the run a
+// clean cache produces.
+func TestStaleFormatWarmSnapshotIsRebuilt(t *testing.T) {
+	defer ResetRunCache()
+	ResetRunCache()
+	spec := simtest.MustSpec(t, "hmmer")
+	opt := tinyOptions()
+	opt.WarmupInsts = 1000
+
+	clean := opt
+	clean.CacheDir = t.TempDir()
+	want, err := RunOne(context.Background(), spec, defense.MuonTrap(), clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ResetRunCache()
+	opt.CacheDir = t.TempDir()
+	_, goodHash, err := warmSnapshot(spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.NewStore(filepath.Join(opt.CacheDir, "snapshots"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	relinkAsFormat2(t, st, warmInputKey(spec, opt))
+
+	ResetRunCache() // a later process
+	got, err := RunOne(context.Background(), spec, defense.MuonTrap(), opt)
+	if err != nil {
+		t.Fatalf("run over a stale-format warm snapshot failed: %v", err)
+	}
+	simtest.ResultsEqual(t, "stale warm snapshot", want, got)
+	if h, ok := st.Resolve(warmInputKey(spec, opt)); !ok || h != goodHash {
+		t.Fatalf("warm ref resolves to %q after the rebuild, want %q", h, goodHash)
+	}
+}
+
+// TestStaleFormatMidRunCheckpointStartsCold: a mid-run checkpoint in an
+// older machine format is reported and the run starts from cold — the
+// same result as an uninterrupted run, never a failed cell.
+func TestStaleFormatMidRunCheckpointStartsCold(t *testing.T) {
+	defer ResetRunCache()
+	ResetRunCache()
+	spec := simtest.MustSpec(t, "hmmer")
+	sch := defense.MuonTrap()
+	opt := tinyOptions()
+	opt.Scale = 0.1
+	opt.CheckpointEvery = 2000
+
+	full := opt
+	full.CacheDir = t.TempDir()
+	want, err := RunOne(context.Background(), spec, sch, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ResetRunCache()
+	opt.CacheDir = t.TempDir()
+	crash := opt
+	crash.ckptSpy = func(n int) error {
+		if n == 2 {
+			return errSimulatedCrash
+		}
+		return nil
+	}
+	if _, err := RunOne(context.Background(), spec, sch, crash); !errors.Is(err, errSimulatedCrash) {
+		t.Fatalf("crash run: got %v, want simulated crash", err)
+	}
+	st, err := checkpoint.NewStore(filepath.Join(opt.CacheDir, "snapshots"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	relinkAsFormat2(t, st, midrunKey(runKey{workload: spec.Name, scheme: sch.Name, scale: opt.Scale,
+		maxCycles: opt.MaxCycles, every: opt.CheckpointEvery}))
+
+	var warnings []string
+	oldWarnf := warnf
+	warnf = func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }
+	defer func() { warnf = oldWarnf }()
+
+	ResetRunCache()
+	opt.Resume = true
+	got, err := RunOne(context.Background(), spec, sch, opt)
+	if err != nil {
+		t.Fatalf("resume over a stale-format checkpoint failed: %v", err)
+	}
+	simtest.ResultsEqual(t, "stale mid-run checkpoint", want, got)
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "restarting from cold") ||
+		!strings.Contains(warnings[0], "incompatible snapshot; rebuild it") {
+		t.Fatalf("want one cold-restart warning naming the format, got %q", warnings)
+	}
+}

@@ -63,7 +63,9 @@ func warmSnapshot(spec workload.Spec, opt Options) (*checkpoint.Snapshot, string
 		}
 		if st != nil {
 			if hash, ok := st.Resolve(ikey); ok {
-				if snap, err := st.Load(hash); err == nil {
+				// An unreadable image, or one in an older build's machine
+				// format, is rebuilt and the ref re-linked below.
+				if snap, err := st.Load(hash); err == nil && sim.CheckFormat(snap) == nil {
 					e.snap, e.hash = snap, hash
 					return
 				}
@@ -166,15 +168,19 @@ func forkOrRun(ctx context.Context, spec workload.Spec, opt Options, sys *sim.Sy
 		if hash, ok := st.Resolve(mkey); ok {
 			snap, err := st.Load(hash)
 			if err == nil {
+				err = sim.CheckFormat(snap)
+			}
+			if err == nil {
 				if err := sys.RestoreSnapshot(snap); err != nil {
 					return sim.RunResult{}, fmt.Errorf("%s: mid-run resume: %w", spec.Name, err)
 				}
 				resumed = true
 				prevHash = hash
 			} else {
-				// An unreadable checkpoint falls back to a cold start (the
-				// store is an accelerator, never an oracle) — but the lost
-				// work is reported, not hidden.
+				// An unreadable checkpoint, or one in an older build's
+				// machine format, falls back to a cold start (the store is
+				// an accelerator, never an oracle) — but the lost work is
+				// reported, not hidden.
 				warnf("%s: mid-run checkpoint unreadable, restarting from cold: %v", spec.Name, err)
 			}
 		}

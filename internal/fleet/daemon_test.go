@@ -205,7 +205,18 @@ func TestRealDaemonFleetKillDashNine(t *testing.T) {
 	if mig, _ := health["migrations"].(float64); mig < 1 {
 		t.Fatalf("no migration recorded after kill -9: %v", health)
 	}
-	if dead, _ := health["dead_workers"].(float64); dead < 1 {
-		t.Fatalf("victim never marked dead: %v", health)
+	// The survivor can finish the sweep before the victim's heartbeat
+	// times out (500ms): the scheduler's tick marks it dead regardless of
+	// whether a job is running, so wait for that rather than race it.
+	deadDeadline := time.Now().Add(10 * time.Second)
+	for {
+		if dead, _ := health["dead_workers"].(float64); dead >= 1 {
+			break
+		}
+		if time.Now().After(deadDeadline) {
+			t.Fatalf("victim never marked dead: %v", health)
+		}
+		time.Sleep(50 * time.Millisecond)
+		health = fleetHealth(t, coBase)
 	}
 }

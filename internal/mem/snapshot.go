@@ -61,6 +61,9 @@ func (d *DRAM) Save(w *checkpoint.Writer) {
 	w.U64(d.RowHits)
 }
 
+// SaveSize is the number of bytes Save writes.
+func (d *DRAM) SaveSize() int { return 4 + d.cfg.Banks*(8+1+8) + 3*8 }
+
 // Restore loads DRAM state saved by Save into a model with the same bank
 // count.
 func (d *DRAM) Restore(r *checkpoint.Reader) error {

@@ -2,7 +2,7 @@ package memsys
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
@@ -90,30 +90,59 @@ func (p *Port) quiesced() error {
 	return nil
 }
 
+// Occupancy counts the table entries the hierarchy holds: valid cache
+// lines and translations at every level, directory and filter-tracking
+// entries, trained prefetcher slots. A checkpoint's size is proportional
+// to it, not to the geometry. It is counted on demand; nothing on the
+// simulation path maintains it.
+func (h *Hierarchy) Occupancy() int {
+	n := h.l2.CountValid() + len(h.dir) + len(h.filterSharers) + len(h.filterOwner)
+	if h.pf != nil {
+		n += h.pf.CountValid()
+	}
+	for _, p := range h.ports {
+		n += p.l1d.CountValid() + p.l1i.CountValid() + p.dtlb.CountValid() + p.itlb.CountValid()
+		if p.l0d != nil {
+			n += p.l0d.CountValid()
+		}
+		if p.l0i != nil {
+			n += p.l0i.CountValid()
+		}
+		if p.fdtlb != nil {
+			n += p.fdtlb.CountValid()
+		}
+	}
+	return n
+}
+
+// dirSaveBytes is one saved directory entry: line, owner, owner state,
+// sharers, instruction sharers.
+const dirSaveBytes = 8 + 8 + 1 + 8 + 8
+
 // Save serialises the shared level (L2, directory, DRAM, prefetcher,
 // filter-sharer tracking, statistics) into the "hier" section and each
-// port into its own "port<i>" section.
+// port into its own "port<i>" section. Every section is reserved at its
+// exact size before the first field goes in.
 func (h *Hierarchy) Save(snap *checkpoint.Snapshot) {
 	w := snap.Section("hier")
-	// Reserve the whole section before the L2 image goes in: a buffer sized
-	// for the L2 alone is reallocated, image and all, when the directory is
-	// appended. The L2 and the three tables are exact; the last term is an
-	// upper bound on the rest (MSHR statistics, DRAM banks, prefetcher
-	// table, counters).
-	w.Grow(h.l2.SaveSize() + 33*len(h.dir) + 16*(len(h.filterSharers)+len(h.filterOwner)) +
-		32*(h.cfg.DRAM.Banks+h.cfg.Prefetch.TableEntries) + 256)
+	size := h.l2.SaveSize() + cache.MSHRSaveSize + 8 + h.dram.SaveSize() +
+		8 + dirSaveBytes*len(h.dir) + 8 + 16*len(h.filterSharers) + 8 + 16*len(h.filterOwner) +
+		1 + 8*8
+	if h.pf != nil {
+		size += h.pf.SaveSize()
+	}
+	w.Grow(size)
 	h.l2.Save(w)
 	h.l2MSHRs.Save(w)
 	w.U64(uint64(h.l2PortFree))
 	h.dram.Save(w)
 
-	lines := make([]uint64, 0, len(h.dir))
-	for line := range h.dir {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	w.U64(uint64(len(lines)))
-	for _, line := range lines {
+	// The three maps are written in ascending key order so equal state is
+	// equal bytes; one key buffer serves all three.
+	keys := make([]uint64, 0, max(len(h.dir), len(h.filterSharers), len(h.filterOwner)))
+	keys = sortedKeys(keys, h.dir)
+	w.U64(uint64(len(keys)))
+	for _, line := range keys {
 		e := h.dir[line]
 		w.U64(line)
 		w.I64(int64(e.owner))
@@ -121,25 +150,18 @@ func (h *Hierarchy) Save(snap *checkpoint.Snapshot) {
 		w.U64(e.sharers)
 		w.U64(e.isharers)
 	}
-
-	saveU64Map := func(m map[uint64]uint64) {
-		ks := make([]uint64, 0, len(m))
-		for k := range m {
-			ks = append(ks, k)
-		}
-		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-		w.U64(uint64(len(ks)))
-		for _, k := range ks {
-			w.U64(k)
-			w.U64(m[k])
-		}
+	keys = sortedKeys(keys, h.filterSharers)
+	w.U64(uint64(len(keys)))
+	for _, k := range keys {
+		w.U64(k)
+		w.U64(h.filterSharers[k])
 	}
-	saveU64Map(h.filterSharers)
-	owners := make(map[uint64]uint64, len(h.filterOwner))
-	for k, v := range h.filterOwner {
-		owners[k] = uint64(v)
+	keys = sortedKeys(keys, h.filterOwner)
+	w.U64(uint64(len(keys)))
+	for _, k := range keys {
+		w.U64(k)
+		w.U64(uint64(h.filterOwner[k]))
 	}
-	saveU64Map(owners)
 
 	w.Bool(h.pf != nil)
 	if h.pf != nil {
@@ -158,6 +180,16 @@ func (h *Hierarchy) Save(snap *checkpoint.Snapshot) {
 	for i, p := range h.ports {
 		p.save(snap.Section(fmt.Sprintf("port%d", i)))
 	}
+}
+
+// sortedKeys returns m's keys in ascending order, in buf's storage.
+func sortedKeys[V any](buf []uint64, m map[uint64]V) []uint64 {
+	buf = buf[:0]
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // Restore loads hierarchy state saved by Save. Filter structures present
@@ -191,6 +223,9 @@ func (h *Hierarchy) Restore(snap *checkpoint.Snapshot) error {
 			sharers:    r.U64(),
 			isharers:   r.U64(),
 		}
+		if r.Err() == nil && (e.owner < -1 || e.owner >= len(h.ports)) {
+			return r.Failf("directory entry %#x owned by core %d of %d", line, e.owner, len(h.ports))
+		}
 		h.dir[line] = e
 	}
 
@@ -203,8 +238,11 @@ func (h *Hierarchy) Restore(snap *checkpoint.Snapshot) error {
 	h.filterOwner = make(map[uint64]int)
 	n = r.U64()
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		k := r.U64()
-		h.filterOwner[k] = int(r.U64())
+		k, owner := r.U64(), r.U64()
+		if r.Err() == nil && owner >= uint64(len(h.ports)) {
+			return r.Failf("filter line %#x owned by core %d of %d", k, owner, len(h.ports))
+		}
+		h.filterOwner[k] = int(owner)
 	}
 
 	hadPf := r.Bool()
@@ -244,6 +282,18 @@ func (h *Hierarchy) Restore(snap *checkpoint.Snapshot) error {
 // save serialises one port: caches, TLBs, filter structures (presence-
 // flagged), counters.
 func (p *Port) save(w *checkpoint.Writer) {
+	size := p.l1d.SaveSize() + p.l1i.SaveSize() + 2*cache.MSHRSaveSize +
+		p.dtlb.SaveSize() + p.itlb.SaveSize() + 3 + 8 + 8 + 8*int(numPortCounters)
+	if p.l0d != nil {
+		size += p.l0d.SaveSize()
+	}
+	if p.l0i != nil {
+		size += p.l0i.SaveSize()
+	}
+	if p.fdtlb != nil {
+		size += p.fdtlb.SaveSize()
+	}
+	w.Grow(size)
 	p.l1d.Save(w)
 	p.l1dMSHRs.Save(w)
 	p.l1i.Save(w)
