@@ -153,7 +153,7 @@ func BenchmarkAttackSpectre(b *testing.B) {
 }
 
 // BenchmarkAblationSEUpgrade quantifies the asynchronous SE→E upgrade's
-// value (DESIGN.md decision 5): with coherence protections but upgrades
+// value (paper §4.5): with coherence protections but upgrades
 // disabled, every store to a loaded line pays an exclusive upgrade.
 func BenchmarkAblationSEUpgrade(b *testing.B) {
 	spec, _ := workload.ByName("lbm")

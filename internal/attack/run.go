@@ -96,6 +96,7 @@ func RunSecret(sc Scenario, sch defense.Scheme, secret int) Result {
 		cores, victimCore = 1, 0
 	}
 	r := newRig(cores, sch)
+	defer r.sys.Release()
 	prog, l := buildScenarioVictim(sc)
 	victim := r.sys.NewProcess(prog)
 	attacker := r.sys.NewProcess(prog) // same binary: text is shared

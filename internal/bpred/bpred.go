@@ -1,5 +1,7 @@
 package bpred
 
+import "repro/internal/recycle"
+
 // Config sizes the predictor.
 type Config struct {
 	LocalEntries   int // local history table + local counter table entries
@@ -65,17 +67,38 @@ type Predictor struct {
 	RASOverflow uint64
 }
 
+// The predictor's tables are borrowed from these and handed back by
+// Release.
+var (
+	wordPool    recycle.Pool[uint64]
+	counterPool recycle.Pool[counter]
+)
+
 // New builds a predictor.
 func New(cfg Config) *Predictor {
 	return &Predictor{
 		cfg:        cfg,
-		localHist:  make([]uint64, cfg.LocalEntries),
-		localCtr:   make([]counter, cfg.LocalEntries),
-		globalCtr:  make([]counter, cfg.GlobalEntries),
-		chooserCtr: make([]counter, cfg.ChooserEntries),
-		btbTags:    make([]uint64, cfg.BTBEntries),
-		btbTargets: make([]uint64, cfg.BTBEntries),
-		ras:        make([]uint64, cfg.RASEntries),
+		localHist:  wordPool.Get(cfg.LocalEntries),
+		localCtr:   counterPool.Get(cfg.LocalEntries),
+		globalCtr:  counterPool.Get(cfg.GlobalEntries),
+		chooserCtr: counterPool.Get(cfg.ChooserEntries),
+		btbTags:    wordPool.Get(cfg.BTBEntries),
+		btbTargets: wordPool.Get(cfg.BTBEntries),
+		ras:        wordPool.Get(cfg.RASEntries),
+	}
+}
+
+// Release ends the predictor's life: its tables go back to be borrowed by
+// the next predictor of the same geometry. Any later prediction or update
+// panics (the tables are gone); a second Release does nothing.
+func (p *Predictor) Release() {
+	for _, t := range []*[]uint64{&p.localHist, &p.btbTags, &p.btbTargets, &p.ras} {
+		wordPool.Put(*t)
+		*t = nil
+	}
+	for _, t := range []*[]counter{&p.localCtr, &p.globalCtr, &p.chooserCtr} {
+		counterPool.Put(*t)
+		*t = nil
 	}
 }
 

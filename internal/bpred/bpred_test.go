@@ -216,3 +216,81 @@ func TestChooserPrefersBetterComponent(t *testing.T) {
 		t.Fatalf("correlated branch accuracy %d/%d, want >= 80%%", correct, trials)
 	}
 }
+
+// TestRecycledPredictorIsPowerOn trains every table of a predictor,
+// releases it, and checks that the next predictor built on the same
+// tables is empty: counters at zero, no local history, no BTB entry, an
+// empty RAS, and the same predictions as a predictor on fresh memory.
+func TestRecycledPredictorIsPowerOn(t *testing.T) {
+	cfg := DefaultConfig()
+	train := func(p *Predictor) {
+		for i := 0; i < 4*cfg.GlobalEntries; i++ {
+			pc := uint64(0x400000 + 4*i)
+			pr := p.PredictBranch(pc)
+			p.Update(pc, pr, true, pc+64, true)
+			p.PredictCall(pc, pc+4)
+		}
+		if hist, btb := p.Occupancy(); hist == 0 || btb == 0 {
+			t.Fatalf("training left %d histories, %d BTB entries", hist, btb)
+		}
+	}
+	p := New(cfg)
+	for try := 0; ; try++ {
+		if try == 100 {
+			t.Fatal("released tables were never borrowed again")
+		}
+		train(p)
+		first := &p.globalCtr[0]
+		p.Release()
+		if p = New(cfg); &p.globalCtr[0] == first {
+			break
+		}
+	}
+	if hist, btb := p.Occupancy(); hist != 0 || btb != 0 {
+		t.Errorf("recycled predictor holds %d local histories, %d BTB entries", hist, btb)
+	}
+	for name, tbl := range map[string][]counter{"local": p.localCtr, "global": p.globalCtr, "chooser": p.chooserCtr} {
+		for i, c := range tbl {
+			if c != 0 {
+				t.Fatalf("recycled %s counter %d is %d", name, i, c)
+			}
+		}
+	}
+	for i, v := range p.ras {
+		if v != 0 {
+			t.Fatalf("recycled RAS slot %d is %#x", i, v)
+		}
+	}
+	fresh := &Predictor{
+		cfg:       cfg,
+		localHist: make([]uint64, cfg.LocalEntries), localCtr: make([]counter, cfg.LocalEntries),
+		globalCtr: make([]counter, cfg.GlobalEntries), chooserCtr: make([]counter, cfg.ChooserEntries),
+		btbTags: make([]uint64, cfg.BTBEntries), btbTargets: make([]uint64, cfg.BTBEntries),
+		ras: make([]uint64, cfg.RASEntries),
+	}
+	for i := 0; i < 2000; i++ {
+		pc := uint64(0x500000 + 4*(i%37))
+		taken := i%3 != 0
+		a, b := p.PredictBranch(pc), fresh.PredictBranch(pc)
+		if a != b {
+			t.Fatalf("branch %d: recycled predicts %+v, fresh %+v", i, a, b)
+		}
+		p.Update(pc, a, taken, pc+128, true)
+		fresh.Update(pc, b, taken, pc+128, true)
+	}
+}
+
+// TestPredictorUseAfterReleasePanics: a released predictor has no tables,
+// so the first prediction fails at its call site; releasing again is
+// harmless.
+func TestPredictorUseAfterReleasePanics(t *testing.T) {
+	p := New(DefaultConfig())
+	p.Release()
+	p.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("PredictBranch after Release did not panic")
+		}
+	}()
+	p.PredictBranch(0x400000)
+}

@@ -11,7 +11,9 @@
 //
 // Key types:
 //
-//   - Predictor: the combined direction predictor, BTB and RAS.
+//   - Predictor: the combined direction predictor, BTB and RAS. Its
+//     tables are borrowed from internal/recycle, zeroed, and handed back
+//     by Release, after which any prediction or update panics.
 //   - Prediction: the fetch-stage output, carrying the global-history and
 //     RAS-top snapshots that Update/Squash use to reconstruct or restore
 //     fetch-time state.

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/mem"
+	"repro/internal/recycle"
 )
 
 // State is a MESI coherence state. Filter caches additionally use SE, a
@@ -74,14 +75,18 @@ type Config struct {
 	Sets int
 }
 
-// Array is a set-associative tag array with true-LRU replacement.
+// Array is a set-associative tag array with true-LRU replacement. The
+// ways are one flat slice indexed set*assoc + way (the index Save writes),
+// borrowed from linePool and handed back by Release.
 type Array struct {
 	name    string
-	sets    [][]Line
+	lines   []Line
 	assoc   int
 	setMask uint64
 	tick    uint64
 }
+
+var linePool recycle.Pool[Line]
 
 // NewArray builds a tag array from cfg. A fully associative cache is
 // expressed as Assoc == number of lines (Sets == 1).
@@ -100,40 +105,53 @@ func NewArray(cfg Config) *Array {
 	if bits.OnesCount(uint(sets)) != 1 {
 		panic(fmt.Sprintf("cache %q: set count %d not a power of two", cfg.Name, sets))
 	}
-	a := &Array{
+	return &Array{
 		name:    cfg.Name,
-		sets:    make([][]Line, sets),
+		lines:   linePool.Get(sets * cfg.Assoc),
 		assoc:   cfg.Assoc,
 		setMask: uint64(sets - 1),
 	}
-	for i := range a.sets {
-		a.sets[i] = make([]Line, cfg.Assoc)
-	}
-	return a
+}
+
+// Release ends the array's life: its lines go back to be borrowed by the
+// next array of the same capacity. Any later access panics (the ways are
+// gone); a second Release does nothing.
+func (a *Array) Release() {
+	linePool.Put(a.lines)
+	a.lines = nil
 }
 
 // Name returns the configured cache name.
 func (a *Array) Name() string { return a.name }
 
 // Sets returns the number of sets.
-func (a *Array) Sets() int { return len(a.sets) }
+func (a *Array) Sets() int { return int(a.setMask) + 1 }
 
 // Assoc returns the associativity.
 func (a *Array) Assoc() int { return a.assoc }
 
 // Lines returns the total line capacity.
-func (a *Array) Lines() int { return len(a.sets) * a.assoc }
+func (a *Array) Lines() int { return a.Sets() * a.assoc }
 
 // SetIndex computes the set index for an address (physical indexing).
 func (a *Array) SetIndex(addr uint64) uint64 {
 	return (addr >> mem.LineShift) & a.setMask
 }
 
+// set returns the ways of the set addr maps to. The index is spelled out
+// and the slice taken in two steps because Lookup, LookupVirtual and
+// Victim must stay within the compiler's inlining budget with set inlined
+// into them (go build -gcflags=-m=2 ./internal/cache).
+func (a *Array) set(addr uint64) []Line {
+	base := int(addr>>mem.LineShift&a.setMask) * a.assoc
+	return a.lines[base:][:a.assoc]
+}
+
 // Lookup returns the line holding addr, or nil on miss. A hit refreshes
 // LRU state.
 func (a *Array) Lookup(addr uint64) *Line {
 	addr = mem.LineAddr(addr)
-	set := a.sets[a.SetIndex(addr)]
+	set := a.set(addr)
 	for i := range set {
 		if set[i].State.Valid() && set[i].Tag == addr {
 			a.tick++
@@ -148,7 +166,7 @@ func (a *Array) Lookup(addr uint64) *Line {
 // not perturb replacement as a side channel of their own).
 func (a *Array) Peek(addr uint64) *Line {
 	addr = mem.LineAddr(addr)
-	set := a.sets[a.SetIndex(addr)]
+	set := a.set(addr)
 	for i := range set {
 		if set[i].State.Valid() && set[i].Tag == addr {
 			return &set[i]
@@ -161,7 +179,7 @@ func (a *Array) Peek(addr uint64) *Line {
 // indexed and tagged from the CPU side, paper §4.4).
 func (a *Array) LookupVirtual(vaddr uint64) *Line {
 	vaddr = mem.LineAddr(vaddr)
-	set := a.sets[a.SetIndex(vaddr)]
+	set := a.set(vaddr)
 	for i := range set {
 		if set[i].State.Valid() && set[i].VTag == vaddr {
 			a.tick++
@@ -175,7 +193,7 @@ func (a *Array) LookupVirtual(vaddr uint64) *Line {
 // Victim returns the line to evict for a fill of addr: an invalid way if
 // one exists, otherwise the least recently used line in the set.
 func (a *Array) Victim(addr uint64) *Line {
-	set := a.sets[a.SetIndex(mem.LineAddr(addr))]
+	set := a.set(addr)
 	var victim *Line
 	for i := range set {
 		if !set[i].State.Valid() {
@@ -222,7 +240,7 @@ func (a *Array) fill(addr uint64, st State, victim func(uint64) *Line) (*Line, L
 // victimCommittedFirst picks an invalid way, else the LRU committed line,
 // else the overall LRU line.
 func (a *Array) victimCommittedFirst(addr uint64) *Line {
-	set := a.sets[a.SetIndex(mem.LineAddr(addr))]
+	set := a.set(addr)
 	var lruAll, lruCommitted *Line
 	for i := range set {
 		if !set[i].State.Valid() {
@@ -255,12 +273,10 @@ func (a *Array) InvalidateLine(addr uint64) State {
 // invalidate of paper §4.3 when used on a filter cache).
 func (a *Array) InvalidateAll() int {
 	n := 0
-	for s := range a.sets {
-		for w := range a.sets[s] {
-			if a.sets[s][w].State.Valid() {
-				n++
-				a.sets[s][w] = Line{}
-			}
+	for i := range a.lines {
+		if a.lines[i].State.Valid() {
+			n++
+			a.lines[i] = Line{}
 		}
 	}
 	return n
@@ -268,11 +284,9 @@ func (a *Array) InvalidateAll() int {
 
 // ForEach visits every valid line.
 func (a *Array) ForEach(fn func(*Line)) {
-	for s := range a.sets {
-		for w := range a.sets[s] {
-			if a.sets[s][w].State.Valid() {
-				fn(&a.sets[s][w])
-			}
+	for i := range a.lines {
+		if a.lines[i].State.Valid() {
+			fn(&a.lines[i])
 		}
 	}
 }

@@ -281,3 +281,75 @@ func TestMSHRRegisterPooling(t *testing.T) {
 		t.Fatalf("recycled register state wrong: %+v", m2)
 	}
 }
+
+// mustPanic runs fn and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestRecycledArrayIsPowerOn dirties every way of an array, releases it,
+// and checks that the next array built on the same lines is
+// indistinguishable from one built on fresh memory: no valid line, LRU
+// tick 0, and the same victim choice for the same fills.
+func TestRecycledArrayIsPowerOn(t *testing.T) {
+	cfg := Config{Name: "t", SizeBytes: 8192, Assoc: 4}
+	dirty := func(a *Array) {
+		for i := 0; i < 4*a.Lines(); i++ {
+			l, _, _ := a.FillPreferCommitted(uint64(i)*mem.LineBytes, Modified)
+			l.VTag, l.FillLevel = ^uint64(0), 3
+		}
+		if a.CountValid() != a.Lines() {
+			t.Fatalf("dirtied %d of %d lines", a.CountValid(), a.Lines())
+		}
+	}
+	a := NewArray(cfg)
+	for try := 0; ; try++ {
+		if try == 100 {
+			t.Fatal("released lines were never borrowed again")
+		}
+		dirty(a)
+		first := &a.lines[0]
+		a.Release()
+		if a = NewArray(cfg); &a.lines[0] == first {
+			break
+		}
+	}
+	if n := a.CountValid(); n != 0 {
+		t.Errorf("recycled array holds %d valid lines", n)
+	}
+	if a.tick != 0 {
+		t.Errorf("recycled array starts at LRU tick %d", a.tick)
+	}
+	for i, l := range a.lines {
+		if l != (Line{}) {
+			t.Fatalf("recycled way %d is %+v", i, l)
+		}
+	}
+	fresh := &Array{name: cfg.Name, lines: make([]Line, a.Lines()), assoc: a.assoc, setMask: a.setMask}
+	for i := 0; i < 3*a.Lines(); i++ {
+		addr := uint64(i*7) * mem.LineBytes
+		_, evA, hadA := a.Fill(addr, Shared)
+		_, evF, hadF := fresh.Fill(addr, Shared)
+		if evA != evF || hadA != hadF {
+			t.Fatalf("fill %d: recycled evicted %+v (%v), fresh %+v (%v)", i, evA, hadA, evF, hadF)
+		}
+	}
+}
+
+// TestArrayUseAfterReleasePanics: a released array has no ways, so the
+// first access fails at its call site; releasing again is harmless.
+func TestArrayUseAfterReleasePanics(t *testing.T) {
+	a := newTest(2048, 4)
+	a.Fill(0x1000, Shared)
+	a.Release()
+	a.Release()
+	mustPanic(t, "Lookup after Release", func() { a.Lookup(0x1000) })
+	mustPanic(t, "Peek after Release", func() { a.Peek(0x1000) })
+	mustPanic(t, "Fill after Release", func() { a.Fill(0x2000, Shared) })
+}

@@ -17,6 +17,9 @@
 //   - Array: a set-associative tag array with true-LRU replacement.
 //     Lookup refreshes recency; Peek (used by snoops) must not, because
 //     recency perturbation by a snoop would itself be a side channel.
+//     The ways are one flat slice (set*assoc + way) borrowed from
+//     internal/recycle — zeroed, so a recycled array is a power-on array
+//     — and handed back by Release, after which any access panics.
 //   - MSHRFile: outstanding-miss tracking with coalescing. Waiters are
 //     parked as typed int32 slots delivered through a Waker — never
 //     closures — so the coalescing path does not allocate; registers are

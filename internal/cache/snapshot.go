@@ -18,24 +18,22 @@ const (
 // are the same machine state, and encode identically. The owner of the
 // section reserves SaveSize bytes beforehand.
 func (a *Array) Save(w *checkpoint.Writer) {
-	w.U32(uint32(len(a.sets)))
+	w.U32(uint32(a.Sets()))
 	w.U32(uint32(a.assoc))
 	w.U64(a.tick)
 	t := w.Table()
-	for s := range a.sets {
-		for i := range a.sets[s] {
-			l := &a.sets[s][i]
-			if !l.State.Valid() {
-				continue
-			}
-			t.Entry(s*a.assoc + i)
-			w.U64(l.Tag)
-			w.U64(l.VTag)
-			w.U8(uint8(l.State))
-			w.Bool(l.Committed)
-			w.U8(l.FillLevel)
-			w.U64(l.lru)
+	for i := range a.lines {
+		l := &a.lines[i]
+		if !l.State.Valid() {
+			continue
 		}
+		t.Entry(i)
+		w.U64(l.Tag)
+		w.U64(l.VTag)
+		w.U8(uint8(l.State))
+		w.Bool(l.Committed)
+		w.U8(l.FillLevel)
+		w.U64(l.lru)
 	}
 	t.End()
 }
@@ -53,14 +51,12 @@ func (a *Array) Restore(r *checkpoint.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if sets != len(a.sets) || assoc != a.assoc {
+	if sets != a.Sets() || assoc != a.assoc {
 		return r.Failf("cache %q geometry %dx%d, snapshot %dx%d",
-			a.name, len(a.sets), a.assoc, sets, assoc)
+			a.name, a.Sets(), a.assoc, sets, assoc)
 	}
 	a.tick = r.U64()
-	for s := range a.sets {
-		clear(a.sets[s])
-	}
+	clear(a.lines)
 	t := r.Table(a.Lines())
 	for idx, ok := t.Next(); ok; idx, ok = t.Next() {
 		l := Line{
@@ -77,7 +73,7 @@ func (a *Array) Restore(r *checkpoint.Reader) error {
 		if !l.State.Valid() || l.State > SharedExclusivePending {
 			return r.Failf("cache %q way %d saved in state %d", a.name, idx, l.State)
 		}
-		a.sets[idx/a.assoc][idx%a.assoc] = l
+		a.lines[idx] = l
 	}
 	return r.Err()
 }

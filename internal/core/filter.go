@@ -46,6 +46,9 @@ func NewFilterCache(cfg FilterConfig) *FilterCache {
 	}
 }
 
+// Release hands the filter cache's line array back (see cache.Array.Release).
+func (f *FilterCache) Release() { f.arr.Release() }
+
 // Lines reports the line capacity.
 func (f *FilterCache) Lines() int { return f.arr.Lines() }
 

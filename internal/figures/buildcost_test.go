@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -43,5 +44,44 @@ func TestBuildSystemCostFollowsInitialisedData(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
 		t.Errorf("BuildSystem(mcf) allocated %d bytes, budget %d", got, budget)
+	}
+}
+
+// TestCellCostFollowsWhatItTouches is the host-independent allocation gate
+// for a whole cell — build, run, release — as the figure sweeps run it:
+// once a first row has handed its tables back, a cell allocates what it
+// touches (its program, its page table, the events and directory entries
+// of its run), not the machine's geometry. The parent of the recycler
+// allocated 2.4 MB per cell here, half of it the L2's line array; a new
+// geometry-sized per-cell allocation fails this test in the PR that adds
+// it.
+func TestCellCostFollowsWhatItTouches(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("the race detector's allocator overhead is counted in TotalAlloc")
+	}
+	if testing.Short() {
+		t.Skip("figure-scale simulation")
+	}
+	const budget = 1 << 20 // per cell
+	opt := DefaultOptions()
+	schemes := append([]defense.Scheme{defense.Insecure(), defense.SafeBet()}, defense.Comparison()...)
+	row := func(name string) {
+		spec := simtest.MustSpec(t, name)
+		for _, sch := range schemes {
+			if _, err := RunOne(context.Background(), spec, sch, opt); err != nil {
+				t.Fatalf("%s/%s: %v", name, sch.Name, err)
+			}
+		}
+	}
+	row("gcc") // primes the recycler
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	row("hmmer")
+	row("gcc")
+	runtime.ReadMemStats(&after)
+	perCell := (after.TotalAlloc - before.TotalAlloc) / uint64(2*len(schemes))
+	t.Logf("%d cells, %d bytes allocated per cell", 2*len(schemes), perCell)
+	if perCell > budget {
+		t.Errorf("a build-run-release cell allocated %d bytes, budget %d", perCell, budget)
 	}
 }

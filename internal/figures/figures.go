@@ -317,11 +317,9 @@ func Fig4(ctx context.Context, opt Options) (*stats.Table, error) {
 		workload.Parsec(), opt)
 }
 
-// sweepRun runs a Parsec workload under full MuonTrap with a custom data
-// filter cache geometry. The warm snapshot (if any) is shared with the
-// standard-geometry runs: filter caches hold no warm state, so L0 geometry
-// does not enter the snapshot.
-func sweepRun(ctx context.Context, spec workload.Spec, sizeBytes uint64, assoc int, opt Options) (sim.RunResult, error) {
+// buildSweep assembles the Fig 5/6 machine: a Parsec workload on four
+// cores under full MuonTrap with a custom data filter cache geometry.
+func buildSweep(spec workload.Spec, sizeBytes uint64, assoc int, opt Options) *sim.System {
 	prog := workload.Build(spec, opt.Scale)
 	cfg := sim.DefaultConfig(4)
 	cfg.Mem.Mode = defense.MuonTrap().Mode
@@ -335,7 +333,14 @@ func sweepRun(ctx context.Context, spec workload.Spec, sizeBytes uint64, assoc i
 		sys.AddThread(p, th, prog.Entry)
 		sys.RunOn(th, p, th)
 	}
-	return forkOrRun(ctx, spec, opt, sys,
+	return sys
+}
+
+// sweepRun runs a buildSweep machine. The warm snapshot (if any) is shared
+// with the standard-geometry runs: filter caches hold no warm state, so L0
+// geometry does not enter the snapshot.
+func sweepRun(ctx context.Context, spec workload.Spec, sizeBytes uint64, assoc int, opt Options) (sim.RunResult, error) {
+	return forkOrRun(ctx, spec, opt, buildSweep(spec, sizeBytes, assoc, opt),
 		runKey{workload: spec.Name, scheme: "muontrap-sweep", scale: opt.Scale,
 			maxCycles: opt.MaxCycles, l0dSize: sizeBytes, l0dAssoc: assoc})
 }

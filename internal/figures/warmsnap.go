@@ -74,6 +74,7 @@ func warmSnapshot(spec workload.Spec, opt Options) (*checkpoint.Snapshot, string
 		sys := buildRun(spec, defense.Insecure(), opt)
 		sys.Warmup(opt.WarmupInsts)
 		snap, err := sys.Checkpoint()
+		sys.Release() // the image is a copy
 		if err != nil {
 			e.err = fmt.Errorf("%s: warm snapshot: %w", spec.Name, err)
 			return
@@ -134,7 +135,12 @@ func resetSnapCache() {
 // The warm snapshot build itself is not cancellable (it is architectural
 // fast-forward, orders of magnitude cheaper than detailed simulation), so
 // a cancelled warm-up never leaves a poisoned snapshot cache entry.
+//
+// forkOrRun is the end of sys's life: on every return path the machine is
+// released, its tables going to the next cell's (the RunResult shares
+// nothing with them).
 func forkOrRun(ctx context.Context, spec workload.Spec, opt Options, sys *sim.System, key runKey) (sim.RunResult, error) {
+	defer sys.Release()
 	snapHash, err := snapHashFor(spec, opt)
 	if err != nil {
 		return sim.RunResult{}, err

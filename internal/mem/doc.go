@@ -17,7 +17,10 @@
 //     zeroes; writes allocate frames on demand. Bulk WriteData/ReadData
 //     move a frame at a time. Save elides all-zero frames — semantically
 //     invisible — and serialises the rest in frame order, so equal
-//     contents always produce equal snapshot bytes.
+//     contents always produce equal snapshot bytes. Frames are borrowed
+//     from internal/recycle (zeroed on the way out, which is what the
+//     zero-fill contract below needs of a new frame) and handed back by
+//     Release, and by Restore for the frames it replaces.
 //   - DRAM / DRAMConfig: a bank-aware open-row latency model (per-bank row
 //     tracking plus a shared data-bus serialisation constraint), DDR3-1600
 //     class by default (Table 1).

@@ -1,6 +1,10 @@
 package mem
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"repro/internal/recycle"
+)
 
 // Addr is a physical byte address.
 type Addr uint64
@@ -27,28 +31,55 @@ func FrameNum(a Addr) uint64 { return uint64(a) >> PageShift }
 
 // Physical is the machine's physical memory: a sparse set of 4KiB frames.
 // Reads of unbacked memory return zeroes; writes allocate frames on demand.
+// Frames are borrowed from framePool and handed back by Release.
 type Physical struct {
 	frames map[uint64]*[PageBytes]byte
 }
+
+var framePool recycle.Pool[byte]
 
 // NewPhysical returns an empty physical memory.
 func NewPhysical() *Physical {
 	return &Physical{frames: make(map[uint64]*[PageBytes]byte)}
 }
 
-func (p *Physical) frame(a Addr, alloc bool) *[PageBytes]byte {
+// Release ends the memory's life: every frame goes back to be borrowed by
+// the next memory. Any later write panics and reads see nothing (there is
+// no table left to hold a frame); a second Release does nothing.
+func (p *Physical) Release() {
+	p.dropFrames()
+	p.frames = nil
+}
+
+// dropFrames hands every frame back, leaving the memory empty.
+func (p *Physical) dropFrames() {
+	for _, f := range p.frames {
+		framePool.Put(f[:])
+	}
+	clear(p.frames)
+}
+
+// frame returns the frame backing a, or nil when there is none. It is the
+// whole read path's lookup, and small enough to inline into it.
+func (p *Physical) frame(a Addr) *[PageBytes]byte { return p.frames[FrameNum(a)] }
+
+// backed returns the frame backing a, borrowing a zeroed one when there is
+// none.
+func (p *Physical) backed(a Addr) *[PageBytes]byte {
 	fn := FrameNum(a)
 	f := p.frames[fn]
-	if f == nil && alloc {
-		f = new([PageBytes]byte)
+	if f == nil {
+		f = borrowFrame()
 		p.frames[fn] = f
 	}
 	return f
 }
 
+func borrowFrame() *[PageBytes]byte { return (*[PageBytes]byte)(framePool.Get(PageBytes)) }
+
 // Read8 reads one byte of physical memory.
 func (p *Physical) Read8(a Addr) byte {
-	f := p.frame(a, false)
+	f := p.frame(a)
 	if f == nil {
 		return 0
 	}
@@ -57,14 +88,14 @@ func (p *Physical) Read8(a Addr) byte {
 
 // Write8 writes one byte of physical memory.
 func (p *Physical) Write8(a Addr, v byte) {
-	p.frame(a, true)[uint64(a)%PageBytes] = v
+	p.backed(a)[uint64(a)%PageBytes] = v
 }
 
 // Read64 reads a little-endian 64-bit word. The access may straddle a
 // frame boundary.
 func (p *Physical) Read64(a Addr) uint64 {
 	if uint64(a)%PageBytes <= PageBytes-8 {
-		f := p.frame(a, false)
+		f := p.frame(a)
 		if f == nil {
 			return 0
 		}
@@ -81,7 +112,7 @@ func (p *Physical) Read64(a Addr) uint64 {
 // Write64 writes a little-endian 64-bit word.
 func (p *Physical) Write64(a Addr, v uint64) {
 	if uint64(a)%PageBytes <= PageBytes-8 {
-		f := p.frame(a, true)
+		f := p.backed(a)
 		off := uint64(a) % PageBytes
 		binary.LittleEndian.PutUint64(f[off:off+8], v)
 		return
@@ -99,7 +130,11 @@ func (p *Physical) WriteData(a Addr, b []byte) {
 	for len(b) > 0 {
 		off := uint64(a) % PageBytes
 		chunk := b[:min(uint64(len(b)), PageBytes-off)]
-		if f := p.frame(a, !allZero(chunk)); f != nil {
+		f := p.frame(a)
+		if f == nil && !allZero(chunk) {
+			f = p.backed(a)
+		}
+		if f != nil {
 			copy(f[off:], chunk)
 		}
 		a += Addr(len(chunk))
@@ -114,7 +149,7 @@ func (p *Physical) ReadData(a Addr, n int) []byte {
 	for rest := out; len(rest) > 0; {
 		off := uint64(a) % PageBytes
 		chunk := rest[:min(uint64(len(rest)), PageBytes-off)]
-		if f := p.frame(a, false); f != nil {
+		if f := p.frame(a); f != nil {
 			copy(chunk, f[off:])
 		}
 		a += Addr(len(chunk))

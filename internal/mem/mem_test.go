@@ -157,3 +157,64 @@ func TestDRAMRowHitRate(t *testing.T) {
 		t.Fatalf("RowHitRate = %v, want 0.5", d.RowHitRate())
 	}
 }
+
+// TestRecycledFramesReadZero fills a memory's frames with 0xff, releases
+// it, and checks that a frame borrowed again by the next memory starts
+// out all zero.
+func TestRecycledFramesReadZero(t *testing.T) {
+	const frames = 32
+	for try := 0; ; try++ {
+		if try == 100 {
+			t.Fatal("no released frame was ever borrowed again")
+		}
+		old := NewPhysical()
+		held := make(map[*[PageBytes]byte]bool)
+		for fn := uint64(0); fn < frames; fn++ {
+			old.Write8(Addr(fn*PageBytes), 1)
+			f := old.frames[fn]
+			for i := range f {
+				f[i] = 0xff
+			}
+			held[f] = true
+		}
+		old.Release()
+
+		p := NewPhysical()
+		recycled := 0
+		for fn := uint64(0); fn < frames; fn++ {
+			p.Write8(Addr(fn*PageBytes+5), 0xaa)
+			f := p.frames[fn]
+			if held[f] {
+				recycled++
+			}
+			if f[5] != 0xaa {
+				t.Fatalf("frame %d: written byte reads %#x", fn, f[5])
+			}
+			f[5] = 0
+			if *f != ([PageBytes]byte{}) {
+				t.Fatalf("frame %d (recycled: %v) did not start out zero", fn, held[f])
+			}
+		}
+		if recycled > 0 {
+			return
+		}
+	}
+}
+
+// TestPhysicalUseAfterRelease: a released memory holds nothing, cannot be
+// written, and may be released again.
+func TestPhysicalUseAfterRelease(t *testing.T) {
+	p := NewPhysical()
+	p.Write64(0x1000, 7)
+	p.Release()
+	p.Release()
+	if p.FrameCount() != 0 {
+		t.Errorf("released memory still backs %d frames", p.FrameCount())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("write after Release did not panic")
+		}
+	}()
+	p.Write64(0x1000, 7)
+}

@@ -28,8 +28,9 @@ func (p *Physical) Save(w *checkpoint.Writer) {
 }
 
 // Restore replaces the physical memory's contents with the saved image.
+// The frames held before go back to the recycler the new ones come from.
 func (p *Physical) Restore(r *checkpoint.Reader) error {
-	p.frames = make(map[uint64]*[PageBytes]byte)
+	p.dropFrames()
 	n := r.U64()
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
 		fn := r.U64()
@@ -40,7 +41,7 @@ func (p *Physical) Restore(r *checkpoint.Reader) error {
 		if len(b) != PageBytes {
 			return r.Failf("frame %#x has %d bytes, want %d", fn, len(b), PageBytes)
 		}
-		f := new([PageBytes]byte)
+		f := borrowFrame()
 		copy(f[:], b)
 		p.frames[fn] = f
 	}

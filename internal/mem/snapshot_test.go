@@ -31,6 +31,9 @@ func TestPhysicalSaveRestoreRoundTrip(t *testing.T) {
 	if b.Read64(0x9000) != 0 {
 		t.Fatal("restore did not replace prior contents")
 	}
+	if got := b.FrameCount(); got != 3 {
+		t.Fatalf("restored memory backs %d frames, want the image's 3 (prior frames are handed back)", got)
+	}
 	// Elided zero frame still reads zero.
 	if b.Read8(0x3_0000) != 0 {
 		t.Fatal("zero frame corrupted")

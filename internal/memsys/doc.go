@@ -16,6 +16,8 @@
 //     completions arrive through scheduled events, either as parked
 //     callbacks or as typed Client notifications identified by
 //     (pool index, seq) pairs the core validates against recycling.
+//     An L1D miss's retry, NACK or fill is a typed event over a reused
+//     slot (dmiss), like a page-table walk's steps: no closure per miss.
 //   - Mode: the per-mechanism protection switches (filter protection,
 //     coherence protection, commit-time prefetch, filter TLB, …).
 //   - Client: the typed completion receiver the core implements.

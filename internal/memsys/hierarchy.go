@@ -87,6 +87,23 @@ func New(sched *event.Scheduler, phys *mem.Physical, cfg Config) *Hierarchy {
 	return h
 }
 
+// Release ends the hierarchy's life: every cache array goes back to be
+// borrowed by the next machine's. Any later access to a cache panics; a
+// second Release does nothing.
+func (h *Hierarchy) Release() {
+	h.l2.Release()
+	for _, p := range h.ports {
+		p.l1d.Release()
+		p.l1i.Release()
+		if p.l0d != nil {
+			p.l0d.Release()
+		}
+		if p.l0i != nil {
+			p.l0i.Release()
+		}
+	}
+}
+
 // Port returns core i's memory port.
 func (h *Hierarchy) Port(i int) *Port { return h.ports[i] }
 

@@ -112,6 +112,26 @@ type Port struct {
 	// a typed comp route instead of a per-walk closure chain.
 	walks    []ptwalk
 	walkFree []int32
+
+	// Parked L1D misses: what a miss's scheduled retry, NACK or fill needs
+	// when it fires lives in a reused slot delivered by a typed event — no
+	// per-miss closure.
+	misses   []dmiss
+	missFree []int32
+}
+
+// dmiss is one L1D miss parked until its event fires: the whole access
+// when it must be retried (front MSHR file full), or what the completion
+// needs when the NACK or the fill arrives.
+type dmiss struct {
+	pc    uint64
+	vaddr mem.VAddr
+	paddr mem.Addr
+	spec  bool
+	train bool
+	level FillLevel
+	mshrs *cache.MSHRFile
+	cm    comp
 }
 
 // ptwalk is one in-flight hardware page-table walk: the translation being
@@ -251,6 +271,9 @@ const (
 	popDrainFin                   // a1 = line, a2 = (vslot+1)<<1 | broadcast
 	popCommitWT                   // a1 = line paddr, a2 = cache state
 	popWalkStep                   // a1 = walk slot
+	popMissRetry                  // a1 = miss slot
+	popMissNACK                   // a1 = miss slot
+	popMissFill                   // a1 = miss slot
 )
 
 func encodeResult(res AccessResult) uint64 {
@@ -293,6 +316,15 @@ func (p *Port) HandleEvent(op int32, a1, a2 uint64) {
 		p.commitWTFin(uint64(a1), cache.State(a2))
 	case popWalkStep:
 		p.walkStep(int32(a1))
+	case popMissRetry:
+		ms := p.missTake(int32(a1))
+		p.dataRead(ms.pc, ms.vaddr, ms.paddr, ms.spec, ms.train, ms.cm)
+	case popMissNACK:
+		ms := p.missTake(int32(a1))
+		ms.mshrs.Complete(uint64(mem.LineAddr(ms.paddr)))
+		p.completeNow(ms.cm, AccessResult{NACK: true})
+	case popMissFill:
+		p.missFill(p.missTake(int32(a1)))
 	}
 }
 
@@ -605,7 +637,8 @@ func (p *Port) dataRead(pc uint64, vaddr mem.VAddr, paddr mem.Addr, spec, train 
 		return
 	}
 	if mshrs.Full() {
-		p.after(lat.MSHRRetry, func() { p.dataRead(pc, vaddr, paddr, spec, train, cm) })
+		p.parkMiss(lat.MSHRRetry, popMissRetry,
+			dmiss{pc: pc, vaddr: vaddr, paddr: paddr, spec: spec, train: train, cm: cm})
 		return
 	}
 	mshrs.Allocate(line, cache.NoWaiter)
@@ -614,48 +647,70 @@ func (p *Port) dataRead(pc uint64, vaddr mem.VAddr, paddr mem.Addr, spec, train 
 	out := p.h.l2LoadAccess(p.id, line, spec, fillL2, pc, train)
 	total := l0Penalty + lat.L1DHit + out.extraLat
 
+	op := popMissFill
 	if out.nack {
-		p.after(total, func() {
-			mshrs.Complete(line)
-			p.completeNow(cm, AccessResult{NACK: true})
-		})
-		return
+		op = popMissNACK
 	}
+	p.parkMiss(total, op, dmiss{vaddr: vaddr, paddr: paddr, spec: spec, level: out.level, mshrs: mshrs, cm: cm})
+}
 
-	p.after(total, func() {
-		if m.FilterProtect && spec {
-			// Fill the filter cache only; exclusivity decided now, at
-			// completion, against the current directory state. Speculative
-			// fills never downgrade anyone (a foreign owner appearing
-			// mid-flight simply forces Shared).
-			e := p.h.dir[line]
-			excl := e == nil || (e.owner < 0 && e.sharers&^(1<<uint(p.id)) == 0)
-			st := cache.Shared
-			if excl {
-				if m.CoherenceProtect {
-					st = cache.SharedExclusivePending
-				} else {
-					// Vulnerable fcache-only design: take E directly.
-					st = cache.Exclusive
-					p.h.filterOwner[line] = p.id
-				}
-			}
-			p.fillL0(vaddr, paddr, st, false, uint8(out.level))
-		} else {
-			// Unprotected fill, or a non-speculative (NACK-retried)
-			// access under MuonTrap: install in L1/L2 directly.
-			st := cache.Shared
-			if p.h.exclusiveAtFill(line, p.id) {
+// parkMiss parks ms in a reused slot and schedules op to pick it up after
+// lat cycles.
+func (p *Port) parkMiss(lat event.Cycle, op int32, ms dmiss) {
+	slot := int32(len(p.misses))
+	if n := len(p.missFree); n > 0 {
+		slot = p.missFree[n-1]
+		p.missFree = p.missFree[:n-1]
+		p.misses[slot] = ms
+	} else {
+		p.misses = append(p.misses, ms)
+	}
+	p.h.sched.AfterEvent(lat, p, op, uint64(slot), 0)
+}
+
+func (p *Port) missTake(slot int32) dmiss {
+	ms := p.misses[slot]
+	p.misses[slot] = dmiss{}
+	p.missFree = append(p.missFree, slot)
+	return ms
+}
+
+// missFill completes an L1D miss whose data has arrived.
+func (p *Port) missFill(ms dmiss) {
+	m := p.h.cfg.Mode
+	line := uint64(mem.LineAddr(ms.paddr))
+	if m.FilterProtect && ms.spec {
+		// Fill the filter cache only; exclusivity decided now, at
+		// completion, against the current directory state. Speculative
+		// fills never downgrade anyone (a foreign owner appearing
+		// mid-flight simply forces Shared).
+		e := p.h.dir[line]
+		excl := e == nil || (e.owner < 0 && e.sharers&^(1<<uint(p.id)) == 0)
+		st := cache.Shared
+		if excl {
+			if m.CoherenceProtect {
+				st = cache.SharedExclusivePending
+			} else {
+				// Vulnerable fcache-only design: take E directly.
 				st = cache.Exclusive
-			}
-			p.l1InstallData(line, st)
-			if p.l0d != nil {
-				p.fillL0(vaddr, paddr, cache.Shared, true, uint8(out.level))
+				p.h.filterOwner[line] = p.id
 			}
 		}
-		mshrs.Complete(line)
-		p.completeNow(cm, AccessResult{Level: out.level})
-	})
+		p.fillL0(ms.vaddr, ms.paddr, st, false, uint8(ms.level))
+	} else {
+		// Unprotected fill, or a non-speculative (NACK-retried)
+		// access under MuonTrap: install in L1/L2 directly.
+		st := cache.Shared
+		if p.h.exclusiveAtFill(line, p.id) {
+			st = cache.Exclusive
+		}
+		p.l1InstallData(line, st)
+		if p.l0d != nil {
+			p.fillL0(ms.vaddr, ms.paddr, cache.Shared, true, uint8(ms.level))
+		}
+	}
+	ms.mshrs.Complete(line)
+	p.completeNow(ms.cm, AccessResult{Level: ms.level})
 }
 
 // fillL0 installs a line in the data filter cache and maintains the

@@ -90,6 +90,13 @@ func TestHierarchyQuiescedNamesEachCondition(t *testing.T) {
 			},
 			wantSub: "1 in-flight page-table walks",
 		},
+		{
+			name: "parked l1d miss",
+			mutate: func(h *Hierarchy) {
+				h.ports[0].parkMiss(1, popMissRetry, dmiss{})
+			},
+			wantSub: "1 parked L1D misses",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -37,7 +37,7 @@ func (p *Port) quiet() bool {
 	}
 	return len(p.cbs) == len(p.cbFree) && len(p.vcbs) == len(p.vcbFree) &&
 		len(p.mwait) == len(p.mwaitFree) && len(p.iwait) == len(p.iwaitFree) &&
-		len(p.walks) == len(p.walkFree)
+		len(p.walks) == len(p.walkFree) && len(p.misses) == len(p.missFree)
 }
 
 // Quiesced reports whether the hierarchy holds no in-flight transactions:
@@ -86,6 +86,9 @@ func (p *Port) quiesced() error {
 	}
 	if live := len(p.walks) - len(p.walkFree); live > 0 {
 		return fmt.Errorf("%d in-flight page-table walks", live)
+	}
+	if live := len(p.misses) - len(p.missFree); live > 0 {
+		return fmt.Errorf("%d parked L1D misses", live)
 	}
 	return nil
 }

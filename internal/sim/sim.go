@@ -142,6 +142,20 @@ func New(cfg Config) *System {
 	return s
 }
 
+// Release ends the machine's life: the geometry-sized tables it was built
+// on (cache-line arrays, physical frames, predictor tables) go back to be
+// borrowed by the next machine built in this process. Call it once the
+// machine's results have been collected. Any later use of the machine
+// panics at its first table access; a second Release does nothing, and a
+// machine that is never released is simply collected.
+func (s *System) Release() {
+	s.Phys.Release()
+	s.Hier.Release()
+	for _, c := range s.Cores {
+		c.Predictor().Release()
+	}
+}
+
 func (s *System) allocFrames(n uint64) uint64 {
 	base := s.nextFrame
 	s.nextFrame += n

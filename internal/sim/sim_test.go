@@ -231,3 +231,36 @@ func TestMultiThreadSharedAddressSpace(t *testing.T) {
 			s.Phys.Read64(base), s.Phys.Read64(base+8))
 	}
 }
+
+// TestReleaseEndsTheMachine: a released machine's results stay valid (they
+// share nothing with its tables), running it further panics at the first
+// table access instead of simulating on tables another machine may now
+// hold, and releasing it again is a no-op.
+func TestReleaseEndsTheMachine(t *testing.T) {
+	build := func() *sim.System {
+		s := sim.New(sim.DefaultConfig(1))
+		p := s.NewProcess(haltProgram())
+		s.RunOn(0, p, 0)
+		return s
+	}
+	s := build()
+	res, err := s.RunUntilHalt(100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Release()
+	s.Release()
+	if res.Committed == 0 || res.Counters["core0.committed"] != res.Committed {
+		t.Fatalf("result damaged by Release: %+v", res)
+	}
+
+	running := build()
+	running.Step(10)
+	running.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("stepping a released machine did not panic")
+		}
+	}()
+	running.Step(1000)
+}

@@ -1,6 +1,7 @@
 // Package workload generates the synthetic benchmark kernels that stand
 // in for SPEC CPU2006 and Parsec in the evaluation (the paper ran the
-// real suites under gem5; see DESIGN.md for the substitution argument).
+// real suites under gem5; the substitution is unvalidated, see ROADMAP.md
+// item 7).
 // Each benchmark is described by a Spec whose parameters are chosen to
 // reproduce the sensitivity the paper reports for that workload: working
 // set and access pattern (streaming, strided-conflict, random, pointer
