@@ -45,6 +45,24 @@ type Core struct {
 	lq  []*dynInst
 	sq  []*dynInst
 
+	// The two safety frontiers, as ROB positions: everything before
+	// undonePos has executed, nothing before branchPos is an unresolved
+	// branch. loadSafe compares a load's age with the instruction each has
+	// reached; see firstUndoneSeq for how they are kept.
+	undonePos int
+	branchPos int
+	// exposeScan is raised when the branch frontier moves or an invisible
+	// load completes: the only two ways a load becomes exposable, so
+	// defenseMaintenance looks at the load queue only then.
+	exposeScan bool
+
+	// retry holds, oldest first, the loads memMaintenance must run through
+	// disambiguation again this cycle: those whose blocker just went away
+	// (unpark), and those SafeBet stalls, which it counts cycle by cycle.
+	// Every other load in memWaitingOlderStores is parked on its blocker's
+	// chain and costs nothing until the blocker moves.
+	retry []*dynInst
+
 	// Issue queue. Its entries are the ROB instructions with inIQ set;
 	// only the occupancy is kept (iqCount), plus the entries that could
 	// issue: ready holds, oldest first, exactly those whose operands are
@@ -79,6 +97,20 @@ type Core struct {
 	halted           bool
 	haltedBad        bool // halted by running off text or faulting on the committed path
 	commitStallUntil event.Cycle
+
+	// Sleep. moved records whether the current Tick changed anything; one
+	// that did not would change nothing next cycle either, so the core
+	// sleeps: wakeAt is the first cycle at which time alone makes a stage
+	// behave differently (never, if none will), Tick returns at once before
+	// it, and every delivery to the core — a completion, an event, a poke
+	// from the system — clears it (wake). Zero while awake.
+	moved  bool
+	wakeAt event.Cycle
+	// ticksRun counts the Ticks that were not slept through and
+	// retriesParked the memMaintenance retries that found their load still
+	// blocked; neither is simulated state (tests and PERF.md read them).
+	ticksRun      uint64
+	retriesParked uint64
 
 	// Cached text-segment mapping from the most recent ifetch translation,
 	// used to derive instruction physical addresses at commit.
@@ -124,14 +156,21 @@ func NewCore(id int, cfg Config, sched *event.Scheduler, port *memsys.Port, phys
 		pred:    bpred.New(bpred.DefaultConfig()),
 		divFree: make([]event.Cycle, cfg.MulDivs),
 	}
-	c.drainDone = func() { c.drainsInFlight-- }
+	c.drainDone = func() {
+		c.wake()
+		c.drainsInFlight--
+	}
 	c.rob.init(cfg.ROBSize)
 	c.storeBuf.init(cfg.StoreBufferSize)
 	c.ready = make([]*dynInst, 0, cfg.IQSize)
 	// Slot 0 is the nil link. An entry waits on at most two producers; the
 	// slab grows past that only while squashes leave stale nodes behind.
 	c.waitNodes = make([]waitNode, 1, 1+2*cfg.IQSize)
-	c.lq = make([]*dynInst, 0, cfg.LQSize)
+	// The load queue and its retry list share one array, each with its own
+	// capacity: the retry list holds load-queue entries only.
+	loads := make([]*dynInst, 2*cfg.LQSize)
+	c.lq = loads[:0:cfg.LQSize]
+	c.retry = loads[cfg.LQSize:cfg.LQSize]
 	c.sq = make([]*dynInst, 0, cfg.SQSize)
 	c.growPool()
 	if port != nil {
@@ -153,6 +192,7 @@ func (c *Core) Predictor() *bpred.Predictor { return c.pred }
 // SetProgram loads a program: architectural registers are cleared, the
 // stack pointer initialised and fetch redirected to the entry point.
 func (c *Core) SetProgram(p *isa.Program) {
+	c.wake()
 	p.Predecode() // no-op for Builder-produced programs
 	c.prog = p
 	for i := range c.regs {
@@ -175,7 +215,10 @@ func (c *Core) HaltedBad() bool { return c.haltedBad }
 func (c *Core) Reg(r isa.Reg) uint64 { return c.regs[r] }
 
 // SetReg writes an architectural register (scenario setup hook).
-func (c *Core) SetReg(r isa.Reg, v uint64) { c.regs[r] = v }
+func (c *Core) SetReg(r isa.Reg, v uint64) {
+	c.wake()
+	c.regs[r] = v
+}
 
 // PC returns the current fetch PC.
 func (c *Core) PC() uint64 { return c.fetchPC }
@@ -187,24 +230,34 @@ func (c *Core) Drained() bool { return c.storeBuf.len() == 0 && c.drainsInFlight
 // dispatched until ResumeFetch. Everything already in flight keeps
 // executing and retiring, which is how a drain-to-quiesce empties the
 // pipeline without losing architectural work.
-func (c *Core) StopFetch() { c.fetchDrain = true }
+func (c *Core) StopFetch() {
+	c.wake()
+	c.fetchDrain = true
+}
 
 // ResumeFetch reopens the front end after a StopFetch drain. The fetch PC
 // and line-buffer state are untouched, so execution continues exactly
 // where the drain interrupted it (modulo the refill latency a context
 // switch would also pay).
-func (c *Core) ResumeFetch() { c.fetchDrain = false }
+func (c *Core) ResumeFetch() {
+	c.wake()
+	c.fetchDrain = false
+}
 
 // CommittedInsts reports the number of committed instructions.
 func (c *Core) CommittedInsts() uint64 { return c.Committed }
 
 // SetPC redirects fetch (context-switch restore). The pipeline must be
 // empty (SetProgram flushes it).
-func (c *Core) SetPC(pc uint64) { c.fetchPC = pc }
+func (c *Core) SetPC(pc uint64) {
+	c.wake()
+	c.fetchPC = pc
+}
 
 // Stall blocks both fetch and commit for d cycles (OS overhead such as a
 // context switch or timer tick).
 func (c *Core) Stall(d event.Cycle) {
+	c.wake()
 	until := c.sched.Now() + d
 	if until > c.commitStallUntil {
 		c.commitStallUntil = until
@@ -222,10 +275,12 @@ func (c *Core) flushPipeline() {
 		c.freeInst(d)
 	}
 	c.rob.clear()
+	c.undonePos, c.branchPos, c.exposeScan = 0, 0, false
 	c.ready = c.ready[:0]
 	c.iqCount = 0
 	c.lq = c.lq[:0]
 	c.sq = c.sq[:0]
+	c.retry = c.retry[:0]
 	for i := range c.rename {
 		c.rename[i] = nil
 		c.renameSeq[i] = 0
@@ -238,20 +293,81 @@ func (c *Core) flushPipeline() {
 	c.fetchResumeAt = 0
 }
 
-// Tick advances the core by one cycle. The caller advances the shared
-// event scheduler.
+// Tick advances the core by one cycle, unless the core is asleep: then
+// the cycle would change nothing and is not run. The caller advances the
+// shared event scheduler.
 func (c *Core) Tick() {
+	if c.sched.Now() < c.wakeAt {
+		return
+	}
+	c.tick()
+}
+
+// tick runs the pipeline stages for one cycle and, when none of them
+// changed anything, puts the core to sleep. Nothing a stage reads can then
+// change before a delivery — which wakes the core — except the clock, so
+// every following cycle would be as empty as this one until the first
+// time-gated condition opens (nextTimedWake).
+func (c *Core) tick() {
+	c.ticksRun++
+	c.moved = false
 	if c.halted {
 		// The pipeline is stopped but the store buffer keeps draining.
 		c.drainStores()
-		return
+	} else {
+		c.commit()
+		c.drainStores()
+		c.memMaintenance()
+		c.defenseMaintenance()
+		c.issue()
+		c.fetchAndDispatch()
 	}
-	c.commit()
-	c.drainStores()
-	c.memMaintenance()
-	c.defenseMaintenance()
-	c.issue()
-	c.fetchAndDispatch()
+	c.wakeAt = 0
+	if !c.moved {
+		c.wakeAt = c.nextTimedWake()
+	}
+}
+
+// wake ends the core's sleep. Everything that hands the core something —
+// HandleEvent, the memory port's typed completions, the store-drain, AMO
+// and exposure closures, and the system's pokes (Stall, StopFetch,
+// ResumeFetch, SetProgram, SetPC, SetReg, FlushSpecFootprint, WarmHalt,
+// Restore) — calls it first, whether or not what it delivers turns out to
+// matter: an unnecessary wake costs one empty tick, a missing one hangs
+// the core.
+func (c *Core) wake() { c.wakeAt = 0 }
+
+// AsleepUntil reports the cycle before which the core's Tick does nothing
+// (barring a delivery, which wakes it): zero for a core that is awake,
+// the maximum Cycle for one that only a delivery can wake.
+func (c *Core) AsleepUntil() event.Cycle { return c.wakeAt }
+
+// nextTimedWake is the first cycle after now at which a stage's time gate
+// opens: commit's stall, fetch's redirect penalty, the front-end delay of
+// the oldest ready-list entry still in it. Waking early is harmless (the
+// tick is empty and the core sleeps again), so the gates are not weighed
+// against what is actually waiting behind them. A busy divider is not among
+// them: it comes free in the very cycle its divide's completion event
+// fires, and that delivery wakes the core.
+func (c *Core) nextTimedWake() event.Cycle {
+	at := ^event.Cycle(0)
+	if c.halted {
+		return at // only a finished drain lets a halted core do more
+	}
+	now := c.sched.Now()
+	if c.commitStallUntil > now {
+		at = c.commitStallUntil
+	}
+	if c.fetchResumeAt > now && c.fetchResumeAt < at {
+		at = c.fetchResumeAt
+	}
+	for _, d := range c.ready {
+		if r := event.Cycle(d.readyCycle); r > now {
+			at = min(at, r) // readyCycle never decreases along the list
+			break
+		}
+	}
+	return at
 }
 
 // --- Commit ---
@@ -268,6 +384,7 @@ func (c *Core) commit() {
 		if d.faulted {
 			// A memory fault reached the committed path: the program is
 			// broken (wrong-path faults are squashed before this point).
+			c.moved = true
 			c.halted = true
 			c.haltedBad = true
 			return
@@ -320,7 +437,9 @@ func (c *Core) commit() {
 			c.port.CommitTranslation(mem.VAddr(d.effAddr), false)
 			c.removeFromSQ(d)
 		case isa.ClassAmo:
+			// Committing is what releases the loads ordered behind an AMO.
 			c.removeFromSQ(d)
+			c.unpark(d)
 		case isa.ClassSyscall:
 			c.Syscalls++
 			cost := c.cfg.SyscallCost
@@ -335,9 +454,10 @@ func (c *Core) commit() {
 		case isa.ClassFlush:
 			c.port.FlushDomain()
 		case isa.ClassHalt:
+			c.moved = true
 			c.halted = true
 			c.haltedBad = d.synthetic
-			c.rob.popFront()
+			c.retire()
 			c.Committed++
 			c.freeInst(d)
 			return
@@ -347,7 +467,8 @@ func (c *Core) commit() {
 		}
 		c.port.CommitIfetch(c.instPaddr(d.pc))
 		c.port.CommitTranslation(mem.VAddr(d.pc), true)
-		c.rob.popFront()
+		c.moved = true
+		c.retire()
 		c.Committed++
 
 		// Stores stay alive in the store buffer and are freed after the
@@ -415,6 +536,7 @@ func (c *Core) storeData(d *dynInst) uint64 {
 func (c *Core) drainStores() {
 	for c.storeBuf.len() > 0 && c.drainsInFlight < c.cfg.MaxDrainsInFlight {
 		d := c.storeBuf.popFront()
+		c.moved = true
 		c.drainsInFlight++
 		// Functional memory is updated the moment the store leaves the
 		// buffer, preserving per-core program order of visibility (the
@@ -533,10 +655,12 @@ func (c *Core) fetchLineReady(pc uint64) bool {
 	if c.fetchLinePend {
 		return false
 	}
+	c.moved = true
 	if c.safeBetActive() && !c.sbCodeHit(line) && c.firstUnresolvedBranchSeq() != ^uint64(0) {
 		// SafeBet: a speculative fetch outside the committed code footprint
 		// (e.g. through a mistrained BTB) may not touch the memory system
-		// while any control flow is unresolved; retry next cycle.
+		// while any control flow is unresolved; retry next cycle. The stall
+		// is counted per cycle, so the core stays awake through it.
 		c.SafeBetStalls++
 		return false
 	}
@@ -565,6 +689,7 @@ func (c *Core) fetchStallOnFault(pc uint64) {
 // dispatch takes a pooled dynInst, renames its operands and inserts it
 // into the ROB/IQ/LSQ.
 func (c *Core) dispatch(si *isa.StaticInst, pc uint64) *dynInst {
+	c.moved = true
 	d := c.allocInst()
 	d.pc = pc
 	d.si = si
@@ -640,6 +765,7 @@ var noopAccess = func(memsys.AccessResult) {}
 // line translation (idx == fetchHandle, seq == fetch epoch) or a load/store
 // address translation.
 func (c *Core) TranslateDone(idx int32, seq uint64, pa mem.Addr, walked, fault bool) {
+	c.wake()
 	if idx == fetchHandle {
 		if seq != c.fetchEpoch {
 			return
@@ -692,11 +818,14 @@ func (c *Core) TranslateDone(idx int32, seq uint64, pa mem.Addr, walked, fault b
 		}
 		return
 	}
-	c.tryLoadAccess(d)
+	if c.tryLoadAccess(d) {
+		c.retry = insertBySeq(c.retry, d)
+	}
 }
 
 // LoadDone receives a LoadC/LoadNoFillC completion.
 func (c *Core) LoadDone(idx int32, seq uint64, res memsys.AccessResult) {
+	c.wake()
 	d := c.inst(uint64(uint32(idx)), seq)
 	if d == nil {
 		return
@@ -711,6 +840,7 @@ func (c *Core) LoadDone(idx int32, seq uint64, res memsys.AccessResult) {
 
 // IfetchDone receives the fetch line's IfetchC completion.
 func (c *Core) IfetchDone(epoch uint64, _ memsys.AccessResult) {
+	c.wake()
 	if epoch != c.fetchEpoch {
 		return
 	}

@@ -13,10 +13,11 @@
 // Key types:
 //
 //   - Core: one hardware thread — architectural registers, rename map,
-//     ROB, issue queue (ready list + waiter chains), load/store queues,
-//     post-commit store buffer, fetch engine and statistics.
-//     Tick advances it one cycle; the owner (internal/sim) advances the
-//     shared event scheduler.
+//     ROB, issue queue (ready list + waiter chains), load/store queues
+//     (retry list + parked chains), post-commit store buffer, fetch engine
+//     and statistics. Tick advances it one cycle unless it is asleep; the
+//     owner (internal/sim) advances the shared event scheduler, over the
+//     cycles every core sleeps through in one step.
 //   - dynInst: one in-flight dynamic instruction, pool-allocated.
 //   - Defense: the pipeline-level defense models compared against MuonTrap
 //     (InvisiSpec and STT, each in Spectre and Future variants). MuonTrap
@@ -48,6 +49,32 @@
 //     wake, and a chain goes back to the slab when its producer wakes or
 //     is freed. CheckIssueQueue (export_test.go) recomputes the polled
 //     definition from the ROB and holds the bookkeeping to it.
+//   - Parked loads: a load queue entry in memWaitingOlderStores is either
+//     on the retry list — memMaintenance runs it through disambiguation
+//     next cycle, oldest first — or parked on exactly one instruction's
+//     parked chain: the youngest older store whose address is unknown, or
+//     the youngest older AMO. A store releases its loads in complete
+//     (fault or no fault), an AMO when it commits, and whatever blocks a
+//     load is older than it, so no squash has to. The retry list is
+//     strictly ascending in seq. A store has its data before it has an
+//     address (it waits for both operands in the issue queue), so a store
+//     that matches a load can always forward to it. A SafeBet stall is
+//     counted per cycle: the stalled load stays on the retry list.
+//     CheckParkedLoads recomputes the per-cycle scan this replaced.
+//   - Frontiers: every ROB entry before undonePos has executed and none
+//     before branchPos is an unresolved branch. Only retire shifts them;
+//     firstUndoneSeq and firstUnresolvedBranchSeq step them forward on
+//     demand, so a query costs what has completed since the last one and
+//     loadSafe never walks the ROB.
+//   - Sleep: a Tick that changed nothing (moved stayed false: nothing
+//     retired, issued, dispatched, fetched, drained, retried, exposed or
+//     counted) puts the core to sleep until wakeAt — the first cycle the
+//     clock alone opens a gate (commit stall, redirect penalty, front-end
+//     delay of the oldest ready entry), or never. Every entry point that
+//     hands the core something calls wake first. While now < wakeAt,
+//     running the tick anyway changes no state at all; SleeperCheck does
+//     exactly that. Cycles that bump STTStalls or SafeBetStalls moved.
+//     Sleep is not saved: a restored core is awake.
 //   - Commit is in order; stores update functional memory the moment they
 //     leave the store buffer, preserving per-core visibility order.
 //   - Quiesced() (empty pipeline, drained stores, no in-flight fetch) is

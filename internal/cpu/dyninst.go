@@ -61,8 +61,12 @@ type dynInst struct {
 	done       bool   // set only by Core.complete, which also wakes the waiters
 	squashed   bool
 	// waiters heads the chain of issue-queue entries parked on this
-	// instruction's result (a waitNode slab index; 0 = none). See wake.
+	// instruction's result (a waitNode slab index; 0 = none). See wakeWaiters.
+	// parked heads the chain of loads that cannot access memory until this
+	// instruction lets them: an older store whose address they must be
+	// compared with, or an older AMO. See unpark.
 	waiters int32
+	parked  int32
 	// pins counts outstanding closure references (InvisiSpec exposures)
 	// that captured the pointer directly; a pinned instruction's slot is
 	// not recycled until the pins drain. retired marks a freed-but-pinned
@@ -151,9 +155,10 @@ func (c *Core) freeInst(d *dynInst) {
 		c.snapFree = append(c.snapFree, d.checkpoint)
 		d.checkpoint = nil
 	}
-	// Consumers still parked here (the producer never completed, or
-	// faulted) are squashed with it; their nodes go back to the slab.
-	c.releaseWaiters(d)
+	// Consumers and loads still parked here (the producer never completed,
+	// or faulted) are squashed with it; their nodes go back to the slab.
+	c.releaseChain(&d.waiters)
+	c.releaseChain(&d.parked)
 	if d.pins > 0 {
 		d.retired = true
 		return
@@ -197,17 +202,18 @@ func (c *Core) allocSnap() *renameSnap {
 
 // --- Wake-up: producers hand their result to the consumers parked on them ---
 
-// waitNode is one link of a producer's waiter chain: a (pool idx, seq)
-// reference to a parked consumer, validated at wake like every other
-// cross-instruction reference. Nodes live in a per-core slab (slot 0 is
-// the nil link) and free nodes are threaded through next.
+// waitNode is one link of a chain of instructions parked on another (its
+// waiters or its parked loads): a (pool idx, seq) reference to the parked
+// instruction, validated at wake-up like every other cross-instruction
+// reference. Nodes live in a per-core slab (slot 0 is the nil link) and
+// free nodes are threaded through next.
 type waitNode struct {
 	idx, next int32
 	seq       uint64
 }
 
-// addWaiter parks consumer d on producer p.
-func (c *Core) addWaiter(p, d *dynInst) {
+// link pushes a reference to d on the chain headed by *head.
+func (c *Core) link(head *int32, d *dynInst) {
 	n := c.waitFree
 	if n != 0 {
 		c.waitFree = c.waitNodes[n].next
@@ -215,19 +221,19 @@ func (c *Core) addWaiter(p, d *dynInst) {
 		n = int32(len(c.waitNodes))
 		c.waitNodes = append(c.waitNodes, waitNode{})
 	}
-	c.waitNodes[n] = waitNode{idx: d.idx, next: p.waiters, seq: d.seq}
-	p.waiters = n
+	c.waitNodes[n] = waitNode{idx: d.idx, next: *head, seq: d.seq}
+	*head = n
 }
 
-// releaseWaiters returns p's whole waiter chain to the slab.
-func (c *Core) releaseWaiters(p *dynInst) {
-	for n := p.waiters; n != 0; {
+// releaseChain returns the whole chain headed by *head to the slab.
+func (c *Core) releaseChain(head *int32) {
+	for n := *head; n != 0; {
 		next := c.waitNodes[n].next
 		c.waitNodes[n].next = c.waitFree
 		c.waitFree = n
 		n = next
 	}
-	p.waiters = 0
+	*head = 0
 }
 
 // operandsLatched reports whether every source value d uses is in hand.
@@ -246,36 +252,46 @@ func (c *Core) enterIQ(d *dynInst) {
 	wait1 := d.use1 && !d.v1Ready
 	wait2 := d.use2 && !d.v2Ready
 	if wait1 {
-		c.addWaiter(d.src1, d)
+		c.link(&d.src1.waiters, d)
 	}
 	if wait2 && !(wait1 && d.src2 == d.src1) {
-		c.addWaiter(d.src2, d)
+		c.link(&d.src2.waiters, d)
 	}
 	if !wait1 && !wait2 {
 		c.ready = append(c.ready, d)
 	}
 }
 
-// complete marks d executed and wakes the consumers parked on it. It is
-// the only writer of done, so a completion cannot forget its wake. A
-// faulted producer never supplies data: post-Meltdown cores suppress fault
-// data forwarding, so its dependents stay parked until the squash frees
-// them (or until the fault reaches commit and halts the core).
+// complete marks d executed, wakes the consumers parked on it and sends
+// the loads parked on it back to be retried. It is the only writer of
+// done, so a completion cannot forget either. A faulted producer never
+// supplies data: post-Meltdown cores suppress fault data forwarding, so its
+// dependents stay parked until the squash frees them (or until the fault
+// reaches commit and halts the core). Parked loads are released fault or no
+// fault — a store that faulted no longer hides an address — except by an
+// AMO, which holds its loads until it commits (see commit), not until it
+// completes.
 func (c *Core) complete(d *dynInst) {
 	d.done = true
 	if !d.faulted && d.waiters != 0 {
-		c.wake(d)
+		c.wakeWaiters(d)
+	}
+	if d.parked != 0 && !d.isAmo() {
+		c.unpark(d)
+	}
+	if d.needsExpose {
+		c.exposeScan = true
 	}
 }
 
-// wake latches p's result into every live consumer on its chain and moves
-// those that now hold all their operands into the ready list. A producer's
+// wakeWaiters latches p's result into every live consumer on its chain and
+// moves those that now hold all their operands into the ready list. A producer's
 // slot is recycled only after it completed (commit) or together with all
 // its consumers (squash), so this is the one moment a waiting operand can
 // become available, and the value latched here is the one a later read of
 // p.result or of the architectural file would return. Consumers squashed
 // and recycled since parking fail the seq check and drop out.
-func (c *Core) wake(p *dynInst) {
+func (c *Core) wakeWaiters(p *dynInst) {
 	for n := p.waiters; n != 0; n = c.waitNodes[n].next {
 		w := c.waitNodes[n]
 		d := c.insts[w.idx]
@@ -289,22 +305,85 @@ func (c *Core) wake(p *dynInst) {
 			d.v2, d.v2Ready = p.result, true
 		}
 		if operandsLatched(d) {
-			c.insertReady(d)
+			c.ready = insertBySeq(c.ready, d)
 		}
 	}
-	c.releaseWaiters(p)
+	c.releaseChain(&p.waiters)
 }
 
-// insertReady places a woken consumer in the ready list, which issue walks
-// oldest first: sorted by seq. Wake-ups mostly concern recent instructions,
-// so the insertion point is searched from the young end.
-func (c *Core) insertReady(d *dynInst) {
-	i := len(c.ready)
-	c.ready = append(c.ready, d)
-	for ; i > 0 && c.ready[i-1].seq > d.seq; i-- {
-		c.ready[i] = c.ready[i-1]
+// unpark sends every live load parked on p to the retry list: what held it
+// back — p's unknown address, or p the AMO itself — is gone, so the next
+// memMaintenance runs its disambiguation again. Loads squashed since they
+// parked fail the seq check and drop out.
+func (c *Core) unpark(p *dynInst) {
+	for n := p.parked; n != 0; n = c.waitNodes[n].next {
+		w := c.waitNodes[n]
+		if d := c.insts[w.idx]; d.seq == w.seq {
+			c.retry = insertBySeq(c.retry, d)
+		}
 	}
-	c.ready[i] = d
+	c.releaseChain(&p.parked)
+}
+
+// insertBySeq places d in a list kept in age order (ascending seq), the
+// order the issue stage and memMaintenance visit their lists in. Wake-ups
+// mostly concern recent instructions, so the insertion point is searched
+// from the young end.
+func insertBySeq(list []*dynInst, d *dynInst) []*dynInst {
+	i := len(list)
+	list = append(list, d)
+	for ; i > 0 && list[i-1].seq > d.seq; i-- {
+		list[i] = list[i-1]
+	}
+	list[i] = d
+	return list
+}
+
+// --- Safety frontiers ---
+
+// The two frontiers are kept as ROB positions with one invariant each:
+// every entry before undonePos has executed, and no entry before branchPos
+// is an unresolved branch. done is never cleared and the ROB stays in age
+// order, so the invariants survive everything but the positions shifting,
+// which only retire does: it moves both one towards the head. (A squash
+// cuts the ROB behind a branch that was unresolved until that very event,
+// so neither frontier is beyond the cut.) A query then steps its frontier
+// forward over what has completed since the last one — each entry is
+// stepped over once in its life, so no query walks the ROB — and a scheme
+// that never asks (the baseline, MuonTrap) pays for none of it.
+
+// firstUndoneSeq returns the sequence number of the oldest instruction
+// that has not finished executing, or MaxUint64 when all are done.
+func (c *Core) firstUndoneSeq() uint64 {
+	n := c.rob.len()
+	for c.undonePos < n && c.rob.at(c.undonePos).done {
+		c.undonePos++
+	}
+	if c.undonePos < n {
+		return c.rob.at(c.undonePos).seq
+	}
+	return ^uint64(0)
+}
+
+// firstUnresolvedBranchSeq returns the sequence number of the oldest
+// in-flight unresolved branch, or MaxUint64 when none. A frontier that
+// moves may have made an invisible load safe to expose.
+func (c *Core) firstUnresolvedBranchSeq() uint64 {
+	for n := c.rob.len(); c.branchPos < n; c.branchPos++ {
+		if d := c.rob.at(c.branchPos); d.isBranch() && !d.done {
+			return d.seq
+		}
+		c.exposeScan = true
+	}
+	return ^uint64(0)
+}
+
+// retire pops the ROB head. The positions behind it all move one towards
+// the (new) head, the frontiers with them.
+func (c *Core) retire() {
+	c.rob.popFront()
+	c.undonePos = max(c.undonePos-1, 0)
+	c.branchPos = max(c.branchPos-1, 0)
 }
 
 // operandTaint computes the effective taint root of d's operands: the

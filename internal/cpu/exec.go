@@ -25,6 +25,7 @@ const (
 
 // HandleEvent dispatches the core's typed pipeline events.
 func (c *Core) HandleEvent(op int32, a1, a2 uint64) {
+	c.wake()
 	d := c.inst(a1, a2)
 	if d == nil {
 		return
@@ -62,7 +63,8 @@ func (c *Core) invisiSpecActive() bool {
 // (STT) or its access made visible (InvisiSpec), per the defense variant:
 // the Spectre variants require all older branches resolved; the Future
 // variants require the load to be unsquashable (every older instruction
-// executed).
+// executed). Both compare the load's age with a frontier the core keeps
+// (see firstUndoneSeq), not with a walk of the ROB.
 func (c *Core) loadSafe(d *dynInst) bool {
 	switch c.cfg.Defense {
 	case DefenseSTTSpectre, DefenseInvisiSpecSpectre, DefenseSafeBet:
@@ -71,30 +73,6 @@ func (c *Core) loadSafe(d *dynInst) bool {
 		return c.firstUndoneSeq() >= d.seq
 	}
 	return true
-}
-
-// firstUnresolvedBranchSeq returns the sequence number of the oldest
-// in-flight unresolved branch, or MaxUint64 when none.
-func (c *Core) firstUnresolvedBranchSeq() uint64 {
-	for i := 0; i < c.rob.len(); i++ {
-		d := c.rob.at(i)
-		if d.isBranch() && !d.done {
-			return d.seq
-		}
-	}
-	return ^uint64(0)
-}
-
-// firstUndoneSeq returns the sequence number of the oldest instruction
-// that has not finished executing, or MaxUint64 when all are done.
-func (c *Core) firstUndoneSeq() uint64 {
-	for i := 0; i < c.rob.len(); i++ {
-		d := c.rob.at(i)
-		if !d.done {
-			return d.seq
-		}
-	}
-	return ^uint64(0)
 }
 
 // issue selects from the ready list — the issue-queue entries whose
@@ -140,7 +118,8 @@ func (c *Core) issue() {
 		// is safe.
 		if c.sttActive() && (cls == isa.ClassLoad || cls == isa.ClassStore || cls == isa.ClassJumpInd) {
 			if root, _ := c.operandTaint(d); root != nil {
-				c.STTStalls++
+				c.STTStalls++ // counted per cycle: the core stays awake
+				c.moved = true
 				continue
 			}
 		}
@@ -184,6 +163,7 @@ func (c *Core) issue() {
 			}
 		}
 		if ok {
+			c.moved = true
 			kept--
 			d.inIQ = false
 			c.iqCount--
@@ -257,6 +237,7 @@ func (c *Core) squashAfter(d *dynInst, newPC uint64, actualTaken bool) {
 	c.ready = filterSquashed(c.ready)
 	c.lq = filterSquashed(c.lq)
 	c.sq = filterSquashed(c.sq)
+	c.retry = filterSquashed(c.retry)
 	if d.checkpoint != nil {
 		c.rename = d.checkpoint.ptr
 		c.renameSeq = d.checkpoint.seq
@@ -311,25 +292,26 @@ func (c *Core) execMemAgen(d *dynInst) {
 }
 
 // tryLoadAccess attempts the memory half of a load: disambiguate against
-// older stores, forward when possible, otherwise access the hierarchy.
-func (c *Core) tryLoadAccess(d *dynInst) {
+// older stores, forward when possible, otherwise access the hierarchy. A
+// load that must wait for an older instruction is parked on it and is not
+// looked at again until that instruction lets it go (unpark). The result
+// is true only for a SafeBet stall, which is counted cycle by cycle: the
+// caller keeps the load on the retry list for the next cycle.
+func (c *Core) tryLoadAccess(d *dynInst) (stalled bool) {
 	if d.squashed || d.phase >= memAccessIssued {
-		return
+		return false
 	}
-	fwd, ready, blocked := c.searchOlderStores(d)
-	if blocked {
+	fwd, blocker := c.searchOlderStores(d)
+	if blocker != nil {
 		d.phase = memWaitingOlderStores
-		return // memMaintenance retries
+		c.link(&blocker.parked, d)
+		return false
 	}
 	if fwd != nil {
-		if !ready {
-			d.phase = memWaitingOlderStores
-			return
-		}
 		d.phase = memAccessIssued
 		d.fwdVal = c.storeData(fwd)
 		c.sched.AfterEvent(1, c, opFwdDone, uint64(uint32(d.idx)), d.seq)
-		return
+		return false
 	}
 	if c.safeBetActive() && !c.loadSafe(d) && !c.sbDataHit(d.paddr) {
 		// SafeBet: the line was never accessed non-speculatively by this
@@ -337,16 +319,17 @@ func (c *Core) tryLoadAccess(d *dynInst) {
 		// Wait (memMaintenance retries) until older branches resolve.
 		c.SafeBetStalls++
 		d.phase = memWaitingOlderStores
-		return
+		return true
 	}
 	d.phase = memAccessIssued
 	if c.invisiSpecActive() && !c.loadSafe(d) {
 		// InvisiSpec: unsafe loads read invisibly and must expose later.
 		d.needsExpose = true
 		c.port.LoadNoFillC(d.paddr, d.idx, d.seq)
-		return
+		return false
 	}
 	c.issueLoadToPort(d, true)
+	return false
 }
 
 func (c *Core) issueLoadToPort(d *dynInst, spec bool) {
@@ -359,6 +342,7 @@ func (c *Core) reissueLoad(d *dynInst, spec bool) {
 	if d.phase != memNACKed {
 		return
 	}
+	c.moved = true
 	d.phase = memAccessIssued
 	c.issueLoadToPort(d, spec)
 }
@@ -369,11 +353,16 @@ func (c *Core) finishLoad(d *dynInst) {
 	d.phase = memDone
 }
 
-// searchOlderStores looks for the youngest older store to the same
-// address. It returns (match, dataReady, blocked): blocked is set when an
-// older store's address is still unknown, forcing the load to wait
-// (conservative disambiguation).
-func (c *Core) searchOlderStores(d *dynInst) (match *dynInst, ready, blocked bool) {
+// searchOlderStores disambiguates a load against the older stores. It
+// returns the youngest older store to the same address, to forward from,
+// or the instruction the load has to wait for first (blocker): the
+// youngest older AMO, or store whose address is still unknown
+// (conservative disambiguation). With a blocker there is nothing to
+// forward yet; a store releases the load when it completes, an AMO when it
+// commits. A store that has an address also has its data — it entered the
+// issue queue waiting for both operands — so a match can always be
+// forwarded (CheckParkedLoads holds the core to that).
+func (c *Core) searchOlderStores(d *dynInst) (match, blocker *dynInst) {
 	for i := len(c.sq) - 1; i >= 0; i-- {
 		s := c.sq[i]
 		if s.seq >= d.seq || s.squashed {
@@ -382,11 +371,11 @@ func (c *Core) searchOlderStores(d *dynInst) (match *dynInst, ready, blocked boo
 		if s.isAmo() {
 			// AMOs order all younger loads behind them until they commit
 			// (acquire semantics for lock workloads).
-			return nil, false, true
+			return nil, s
 		}
 		if s.phase < memTranslated {
 			if !s.faulted {
-				return nil, false, true
+				return nil, s
 			}
 			continue
 		}
@@ -395,31 +384,38 @@ func (c *Core) searchOlderStores(d *dynInst) (match *dynInst, ready, blocked boo
 		}
 	}
 	if match != nil {
-		// A recycled data producer has committed, so the data is ready.
-		r := match.src2 == nil || match.src2.seq != match.src2Seq || match.src2.done
-		return match, r, false
+		return match, nil
 	}
 	// Committed-but-undrained stores in the store buffer, newest first.
 	for i := c.storeBuf.len() - 1; i >= 0; i-- {
 		s := c.storeBuf.at(i)
 		if s.effAddr == d.effAddr {
-			return s, true, false
+			return s, nil
 		}
 	}
-	return nil, false, false
+	return nil, nil
 }
 
-// memMaintenance retries loads blocked on disambiguation or forwarding
-// data each cycle.
+// memMaintenance runs the loads on the retry list through disambiguation
+// again, oldest first: each was released by the instruction it waited for
+// since the last cycle, or stalls under SafeBet and is counted every
+// cycle. A load blocked again parks on its new blocker; only a SafeBet
+// stall stays listed.
 func (c *Core) memMaintenance() {
-	for _, d := range c.lq {
-		if d.squashed {
-			continue
-		}
-		if d.phase == memWaitingOlderStores {
-			c.tryLoadAccess(d)
+	if len(c.retry) == 0 {
+		return
+	}
+	c.moved = true
+	kept := 0
+	for _, d := range c.retry {
+		if c.tryLoadAccess(d) {
+			c.retry[kept] = d
+			kept++
+		} else if d.phase == memWaitingOlderStores {
+			c.retriesParked++
 		}
 	}
+	c.retry = c.retry[:kept]
 }
 
 func (c *Core) removeFromLQ(d *dynInst) {
@@ -456,19 +452,23 @@ func (c *Core) executeAmoAtHead(d *dynInst) {
 	// makes the values architectural.
 	if d.use1 && !d.v1Ready {
 		d.v1, d.v1Ready = c.regs[d.si.Src1], true
+		c.moved = true
 	}
 	if d.use2 && !d.v2Ready {
 		d.v2, d.v2Ready = c.regs[d.si.Src2], true
+		c.moved = true
 	}
 	// AMOs are full fences: all older stores must be visible first.
 	if c.storeBuf.len() > 0 || c.drainsInFlight > 0 {
 		return
 	}
+	c.moved = true
 	d.phase = memAgenDone
 	r := isa.Exec(d.si.Inst, d.pc, d.v1, d.v2)
 	d.effAddr = r.EffAddr
 	d.pins++
 	c.port.Translate(mem.VAddr(d.effAddr), false, false, func(pa mem.Addr, walked, fault bool) {
+		c.wake()
 		if d.squashed {
 			c.unpin(d)
 			return
@@ -488,6 +488,7 @@ func (c *Core) executeAmoAtHead(d *dynInst) {
 		}
 		d.result = old
 		c.port.StoreDrain(d.pc, mem.VAddr(d.effAddr), pa, func() {
+			c.wake()
 			if !d.squashed {
 				c.complete(d)
 				d.phase = memDone
@@ -499,21 +500,30 @@ func (c *Core) executeAmoAtHead(d *dynInst) {
 
 // --- Defense maintenance (InvisiSpec exposures) ---
 
+// defenseMaintenance fires the exposures of the InvisiSpec Spectre
+// variant: every invisible load that has its data and is now safe. A load
+// gets there only by completing or by the branch frontier passing it, and
+// both raise exposeScan, so a cycle after which neither happened has
+// nothing to find. The Future variant exposes at the ROB head from
+// commitReady.
 func (c *Core) defenseMaintenance() {
-	if !c.invisiSpecActive() {
+	if c.cfg.Defense != DefenseInvisiSpecSpectre {
 		return
 	}
-	if c.cfg.Defense == DefenseInvisiSpecSpectre {
-		for _, d := range c.lq {
-			if d.squashed || !d.needsExpose || d.exposing || d.exposeDone {
-				continue
-			}
-			if d.done && c.loadSafe(d) {
-				c.exposeLoad(d)
-			}
+	c.firstUnresolvedBranchSeq() // lets the frontier catch up with the cycle's completions
+	if !c.exposeScan {
+		return
+	}
+	c.exposeScan = false
+	c.moved = true
+	for _, d := range c.lq {
+		if d.squashed || !d.needsExpose || d.exposing || d.exposeDone {
+			continue
+		}
+		if d.done && c.loadSafe(d) {
+			c.exposeLoad(d)
 		}
 	}
-	// The Future variant exposes at the ROB head from commitReady.
 }
 
 // exposeLoad replays an invisible load as a normal access, installing the
@@ -524,10 +534,12 @@ func (c *Core) exposeLoad(d *dynInst) {
 	if d.exposing || d.exposeDone {
 		return
 	}
+	c.moved = true
 	d.exposing = true
 	c.Exposures++
 	d.pins++
 	c.port.LoadExpose(d.pc, mem.VAddr(d.effAddr), d.paddr, func(memsys.AccessResult) {
+		c.wake()
 		d.exposing = false
 		d.exposeDone = true
 		c.unpin(d)

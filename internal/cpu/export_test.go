@@ -1,7 +1,11 @@
 package cpu
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
+	"slices"
+	"unsafe"
 
 	"repro/internal/isa"
 )
@@ -22,9 +26,9 @@ import (
 //   - iqCount equals the number of ROB entries with inIQ set;
 //   - every entry that still waits is reachable from the waiter chain of
 //     each producer it waits on;
-//   - waiter chains hang only off live instructions, and nodes in chains
-//     plus nodes on the free chain account for the whole slab — with an
-//     empty ROB, every node is free.
+//   - waiter and parked-load chains hang only off live instructions, and
+//     nodes in chains plus nodes on the free chain account for the whole
+//     slab — with an empty ROB, every node is free.
 func (c *Core) CheckIssueQueue() error {
 	inReady := make(map[*dynInst]bool, len(c.ready))
 	var prev uint64
@@ -104,15 +108,17 @@ func (c *Core) CheckIssueQueue() error {
 	total := len(c.waitNodes) - 1
 	chained := 0
 	for _, p := range c.insts {
-		if p.waiters == 0 {
-			continue
-		}
-		if p.seq == 0 {
-			return fmt.Errorf("free pool slot %d still heads a waiter chain", p.idx)
-		}
-		for n := p.waiters; n != 0; n = c.waitNodes[n].next {
-			if chained++; chained > total {
-				return fmt.Errorf("waiter chain of seq %d does not terminate", p.seq)
+		for _, head := range [2]int32{p.waiters, p.parked} {
+			if head == 0 {
+				continue
+			}
+			if p.seq == 0 {
+				return fmt.Errorf("free pool slot %d still heads a chain", p.idx)
+			}
+			for n := head; n != 0; n = c.waitNodes[n].next {
+				if chained++; chained > total {
+					return fmt.Errorf("a chain of seq %d does not terminate", p.seq)
+				}
 			}
 		}
 	}
@@ -132,7 +138,7 @@ func (c *Core) CheckIssueQueue() error {
 }
 
 // WaiterStats counts, over all waiter chains, the nodes whose consumer was
-// squashed and recycled after it parked (stale: wake drops them by seq
+// squashed and recycled after it parked (stale: wakeWaiters drops them by seq
 // check) and the nodes parked on a producer that completed with a fault
 // (never woken: only the squash releases them). Tests use it to show that
 // their kernels do reach both cases.
@@ -148,3 +154,296 @@ func (c *Core) WaiterStats() (stale, onFaulted int) {
 	}
 	return stale, onFaulted
 }
+
+// CheckParkedLoads is the oracle for the loads that wait on older stores
+// and for the safety frontiers: it recomputes what the per-cycle scans this
+// package used to run would conclude, and holds the event-driven
+// bookkeeping to it.
+//
+//   - a load queue entry in memWaitingOlderStores is either on the retry
+//     list (memMaintenance looks at it next cycle) or parked on exactly one
+//     instruction — otherwise nothing would ever retry it;
+//   - a parked load is still blocked by the polled definition (the
+//     disambiguation scan as it ran every cycle: an older AMO or an older
+//     store without an address), and the instruction it is parked on is
+//     one that will release it: live, and not yet completed — or an AMO,
+//     not yet committed;
+//   - the polled definition's third way to wait — a matching store whose
+//     data producer has not executed — never arises for any load, because
+//     a store has its data before it has an address; were that to change,
+//     searchOlderStores would have to park on the producer again;
+//   - no other load is on the retry list or parked; the retry list is
+//     strictly ascending in seq;
+//   - undonePos and branchPos are not past where a walk of the ROB finds
+//     the oldest unexecuted instruction and the oldest unresolved branch,
+//     so a query that steps them forward stops exactly there;
+//   - when exposeScan is down and the branch frontier has nothing to catch
+//     up with, the load queue holds nothing to expose.
+func (c *Core) CheckParkedLoads() error {
+	// polled is searchOlderStores as memMaintenance called it every cycle.
+	polled := func(d *dynInst) (match *dynInst, ready, blocked bool) {
+		for i := len(c.sq) - 1; i >= 0; i-- {
+			s := c.sq[i]
+			if s.seq >= d.seq || s.squashed {
+				continue
+			}
+			if s.isAmo() {
+				return nil, false, true
+			}
+			if s.phase < memTranslated {
+				if !s.faulted {
+					return nil, false, true
+				}
+				continue
+			}
+			if match == nil && s.effAddr == d.effAddr {
+				match = s
+			}
+		}
+		if match != nil {
+			r := match.src2 == nil || match.src2.seq != match.src2Seq || match.src2.done
+			return match, r, false
+		}
+		for i := c.storeBuf.len() - 1; i >= 0; i-- {
+			if s := c.storeBuf.at(i); s.effAddr == d.effAddr {
+				return s, true, false
+			}
+		}
+		return nil, false, false
+	}
+
+	onRetry := make(map[*dynInst]bool, len(c.retry))
+	var prev uint64
+	for i, d := range c.retry {
+		if d.seq <= prev {
+			return fmt.Errorf("retry list not strictly ascending: retry[%d].seq = %d after %d", i, d.seq, prev)
+		}
+		prev = d.seq
+		onRetry[d] = true
+	}
+	parkedOn := make(map[*dynInst]*dynInst)
+	for _, p := range c.insts {
+		for n, steps := p.parked, 0; n != 0 && steps < len(c.waitNodes); n, steps = c.waitNodes[n].next, steps+1 {
+			w := c.waitNodes[n]
+			d := c.insts[w.idx]
+			if d.seq != w.seq {
+				continue // squashed since it parked
+			}
+			if other := parkedOn[d]; other != nil {
+				return fmt.Errorf("load seq %d is parked twice, on seq %d and seq %d", d.seq, other.seq, p.seq)
+			}
+			parkedOn[d] = p
+		}
+	}
+	inSQ := func(p *dynInst) bool { return slices.Contains(c.sq, p) }
+	for _, d := range c.lq {
+		p := parkedOn[d]
+		delete(parkedOn, d)
+		retried := onRetry[d]
+		delete(onRetry, d)
+		if match, ready, _ := polled(d); match != nil && !ready && d.phase >= memTranslated {
+			return fmt.Errorf("load seq %d matches store seq %d, whose data is not ready: a store got an address before its data",
+				d.seq, match.seq)
+		}
+		if d.phase != memWaitingOlderStores {
+			if p != nil || retried {
+				return fmt.Errorf("load seq %d is in phase %d, yet parked=%v on the retry list=%v", d.seq, d.phase, p != nil, retried)
+			}
+			continue
+		}
+		switch {
+		case retried && p != nil:
+			return fmt.Errorf("load seq %d is both on the retry list and parked on seq %d", d.seq, p.seq)
+		case retried:
+			continue
+		case p == nil:
+			return fmt.Errorf("load seq %d waits on older stores but is neither parked nor on the retry list", d.seq)
+		}
+		if _, _, blocked := polled(d); !blocked {
+			return fmt.Errorf("load seq %d is parked on seq %d, but a poll would find nothing blocking it", d.seq, p.seq)
+		}
+		if p.seq == 0 || p.squashed || (p.isAmo() && !inSQ(p)) || (!p.isAmo() && p.done) {
+			return fmt.Errorf("load seq %d is parked on seq %d, which will not release it (squashed=%v done=%v amo=%v)",
+				d.seq, p.seq, p.squashed, p.done, p.isAmo())
+		}
+	}
+	for d := range onRetry {
+		return fmt.Errorf("retry list holds seq %d, which is not in the load queue", d.seq)
+	}
+	for d, p := range parkedOn {
+		return fmt.Errorf("seq %d is parked on seq %d but is not in the load queue", d.seq, p.seq)
+	}
+
+	undone, branch := c.rob.len(), c.rob.len()
+	for i := c.rob.len() - 1; i >= 0; i-- {
+		if d := c.rob.at(i); !d.done {
+			undone = i
+			if d.isBranch() {
+				branch = i
+			}
+		}
+	}
+	if c.undonePos < 0 || c.undonePos > undone || c.branchPos < 0 || c.branchPos > branch {
+		return fmt.Errorf("frontiers at (undone %d, branch %d) of %d are past what a walk of the ROB finds, (%d, %d)",
+			c.undonePos, c.branchPos, c.rob.len(), undone, branch)
+	}
+	// defenseMaintenance first lets the branch frontier catch up, which
+	// raises exposeScan if it moves; with the frontier already there and
+	// the flag down it will not look, so there must be nothing to find.
+	if c.cfg.Defense == DefenseInvisiSpecSpectre && !c.exposeScan && c.branchPos == branch {
+		for _, d := range c.lq {
+			safe := branch == c.rob.len() || c.rob.at(branch).seq > d.seq
+			if d.needsExpose && !d.exposing && !d.exposeDone && d.done && safe {
+				return fmt.Errorf("load seq %d can be exposed but exposeScan is down", d.seq)
+			}
+		}
+	}
+	return nil
+}
+
+// coreImage is everything about a core that a tick could change: the Core
+// struct itself, by value, and the contents of what it points to.
+type coreImage struct {
+	core                      Core
+	insts                     []dynInst
+	nodes                     []waitNode
+	rob, storeBuf             []*dynInst
+	lq, sq, ready, retry      []*dynInst
+	free                      []int32
+	pending, footprint, snaps int
+}
+
+// maskedCore is the Core struct by value without what is not simulated
+// state: funcs (which never compare equal) and the two host-side counters.
+func maskedCore(c *Core) Core {
+	m := *c
+	m.drainDone, m.OnSyscall = nil, nil
+	m.ticksRun, m.retriesParked = 0, 0
+	return m
+}
+
+// take fills the image from c, reusing the image's buffers.
+func (img *coreImage) take(c *Core) {
+	img.core = maskedCore(c)
+	img.insts = img.insts[:0]
+	for _, d := range c.insts {
+		img.insts = append(img.insts, *d)
+	}
+	img.nodes = append(img.nodes[:0], c.waitNodes...)
+	img.rob = append(img.rob[:0], c.rob.buf...)
+	img.storeBuf = append(img.storeBuf[:0], c.storeBuf.buf...)
+	img.lq = append(img.lq[:0], c.lq...)
+	img.sq = append(img.sq[:0], c.sq...)
+	img.ready = append(img.ready[:0], c.ready...)
+	img.retry = append(img.retry[:0], c.retry...)
+	img.free = append(img.free[:0], c.freeList...)
+	img.pending = c.sched.Pending()
+	img.footprint = len(c.sbData) + len(c.sbCode)
+	img.snaps = len(c.snapFree)
+}
+
+// diff names the first thing about c that is not as the image recorded it,
+// or returns "" when nothing changed.
+func (img *coreImage) diff(c *Core) string {
+	// The Core struct holds slices, maps and funcs, so only reflection can
+	// compare it field by field. That is the slow path: two copies of an
+	// unchanged struct are the same bytes (slice headers included — a tick
+	// that appended or re-sliced shows here, one that wrote through shows
+	// below), and then there is nothing to ask reflection.
+	now := maskedCore(c)
+	if raw := func(m *Core) []byte { return unsafe.Slice((*byte)(unsafe.Pointer(m)), unsafe.Sizeof(*m)) }; !bytes.Equal(raw(&img.core), raw(&now)) {
+		bv, av := reflect.ValueOf(img.core), reflect.ValueOf(now)
+		for i := 0; i < bv.NumField(); i++ {
+			if !reflect.DeepEqual(bv.Field(i).Interface(), av.Field(i).Interface()) {
+				return "Core." + bv.Type().Field(i).Name
+			}
+		}
+	}
+	if len(c.insts) != len(img.insts) {
+		return "the size of the instruction pool"
+	}
+	for i, d := range c.insts {
+		if img.insts[i] != *d {
+			return fmt.Sprintf("the instruction in pool slot %d (seq %d)", i, img.insts[i].seq)
+		}
+	}
+	switch {
+	case !slices.Equal(img.nodes, c.waitNodes):
+		return "a waiter or parked-load chain"
+	case !slices.Equal(img.rob, c.rob.buf), !slices.Equal(img.storeBuf, c.storeBuf.buf):
+		return "the ROB or the store buffer"
+	case !slices.Equal(img.lq, c.lq), !slices.Equal(img.sq, c.sq):
+		return "the load or store queue"
+	case !slices.Equal(img.ready, c.ready), !slices.Equal(img.retry, c.retry):
+		return "the ready or retry list"
+	case !slices.Equal(img.free, c.freeList), img.snaps != len(c.snapFree):
+		return "a free list"
+	case img.footprint != len(c.sbData)+len(c.sbCode):
+		return "the SafeBet footprint"
+	case img.pending != c.sched.Pending():
+		return fmt.Sprintf("the number of pending events (%d, now %d)", img.pending, c.sched.Pending())
+	}
+	return ""
+}
+
+// Asleep reports whether the core would skip its next Tick.
+func (c *Core) Asleep() bool { return c.sched.Now() < c.wakeAt }
+
+// SleeperCheck is the oracle for the sleep rule: a core that is asleep is
+// ticked anyway, and the tick must change nothing — no field of the core
+// (counters and the wake-up time included), no instruction, no queue, no
+// chain, and not the number of pending events. The value only holds the
+// image's buffers, so that checking every cycle does not allocate them
+// every cycle.
+type SleeperCheck struct{ before coreImage }
+
+// Check runs the oracle on c and reports whether c was asleep.
+func (k *SleeperCheck) Check(c *Core) (asleep bool, err error) {
+	if !c.Asleep() {
+		return false, nil
+	}
+	k.before.take(c)
+	c.tick()
+	if what := k.before.diff(c); what != "" {
+		return true, fmt.Errorf("ticking the sleeping core changed %s", what)
+	}
+	return true, nil
+}
+
+// TicksRun is the number of Ticks the core executed rather than slept
+// through; RetriesParked the memMaintenance retries that found their load
+// blocked again.
+func (c *Core) TicksRun() uint64      { return c.ticksRun }
+func (c *Core) RetriesParked() uint64 { return c.retriesParked }
+
+// WaitingLoads counts the load queue entries in memWaitingOlderStores: what
+// the polled memMaintenance would have retried this cycle.
+func (c *Core) WaitingLoads() (n int) {
+	for _, d := range c.lq {
+		if d.phase == memWaitingOlderStores {
+			n++
+		}
+	}
+	return n
+}
+
+// ParkedKinds counts the live parked loads by what they wait for: an older
+// store whose address is unknown, or an older AMO.
+func (c *Core) ParkedKinds() (onStore, onAmo int) {
+	for _, p := range c.insts {
+		for n, steps := p.parked, 0; n != 0 && steps < len(c.waitNodes); n, steps = c.waitNodes[n].next, steps+1 {
+			if w := c.waitNodes[n]; c.insts[w.idx].seq != w.seq {
+				continue
+			}
+			if p.isAmo() {
+				onAmo++
+			} else {
+				onStore++
+			}
+		}
+	}
+	return
+}
+
+// RetryListLen is the number of loads memMaintenance will retry next cycle.
+func (c *Core) RetryListLen() int { return len(c.retry) }

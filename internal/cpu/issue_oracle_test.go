@@ -3,18 +3,33 @@ package cpu_test
 import (
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/defense"
+	"repro/internal/event"
 	"repro/internal/figures"
 	"repro/internal/sim"
 	"repro/internal/simtest"
 )
 
 // waiterPeaks records the most stale waiter references, and the most
-// consumers parked on a faulted producer, that any one checked cycle held.
-type waiterPeaks struct{ stale, onFaulted int }
+// consumers parked on a faulted producer, that any one checked cycle held;
+// and, summed over the run, the loads found waiting on older stores (what
+// the polled memMaintenance would have retried), the loads found parked, by
+// what they waited for, and the core-cycles found asleep, with and without
+// a wake-up time.
+type waiterPeaks struct {
+	stale, onFaulted            int
+	waiting                     uint64
+	onStore, onAmo              uint64
+	asleepTimed, asleepUntilHit uint64
+	sleepers                    cpu.SleeperCheck
+}
 
-// checkIssueQueues runs the issue-queue oracle on every core.
-func checkIssueQueues(t *testing.T, s *sim.System, when string, peaks *waiterPeaks) {
+// checkOracles runs the three per-cycle oracles on every core: the
+// issue queue against its polled definition, the parked loads and the
+// frontiers against theirs, and a real tick of every sleeping core against
+// the claim that it changes nothing.
+func checkOracles(t *testing.T, s *sim.System, when string, peaks *waiterPeaks) {
 	t.Helper()
 	stale, onFaulted := 0, 0
 	for ci, c := range s.Cores {
@@ -23,6 +38,28 @@ func checkIssueQueues(t *testing.T, s *sim.System, when string, peaks *waiterPea
 		}
 		st, of := c.WaiterStats()
 		stale, onFaulted = stale+st, onFaulted+of
+		if simtest.RaceEnabled {
+			// The other two oracles copy and compare the whole instruction
+			// pool every cycle, which the detector instruments access by
+			// access (a hundred times slower) to learn nothing about a
+			// one-goroutine run; the race job keeps the cheap one.
+			continue
+		}
+		if err := c.CheckParkedLoads(); err != nil {
+			t.Fatalf("%s, cycle %d, core %d: %v", when, s.Sched.Now(), ci, err)
+		}
+		asleep, err := peaks.sleepers.Check(c)
+		if err != nil {
+			t.Fatalf("%s, cycle %d, core %d: %v", when, s.Sched.Now(), ci, err)
+		}
+		if asleep && c.AsleepUntil() != ^event.Cycle(0) {
+			peaks.asleepTimed++
+		} else if asleep {
+			peaks.asleepUntilHit++
+		}
+		peaks.waiting += uint64(c.WaitingLoads())
+		st, am := c.ParkedKinds()
+		peaks.onStore, peaks.onAmo = peaks.onStore+uint64(st), peaks.onAmo+uint64(am)
 	}
 	peaks.stale = max(peaks.stale, stale)
 	peaks.onFaulted = max(peaks.onFaulted, onFaulted)
@@ -47,7 +84,7 @@ func runWithOracle(t *testing.T, s *sim.System, drainAt, maxCycles int) (peaks w
 	cycle := 0
 	for ; cycle < drainAt && !allHalted(s); cycle++ {
 		s.Step(1)
-		checkIssueQueues(t, s, "running", &peaks)
+		checkOracles(t, s, "running", &peaks)
 	}
 	for _, c := range s.Cores {
 		c.StopFetch()
@@ -57,21 +94,21 @@ func runWithOracle(t *testing.T, s *sim.System, drainAt, maxCycles int) (peaks w
 			t.Fatalf("machine did not drain: %v", s.Quiesced())
 		}
 		s.Step(1)
-		checkIssueQueues(t, s, "draining", &peaks)
+		checkOracles(t, s, "draining", &peaks)
 	}
 	for ci, c := range s.Cores {
 		if !c.Quiet() || c.Quiesced() != nil {
 			t.Fatalf("core %d: Quiet() = %v, Quiesced() = %v on a drained machine", ci, c.Quiet(), c.Quiesced())
 		}
 	}
-	checkIssueQueues(t, s, "drained", &peaks) // empty ROB: the oracle demands every node free
+	checkOracles(t, s, "drained", &peaks) // empty ROB: the oracle demands every node free
 	s.ResumeFetch()
 	for ; !allHalted(s); cycle++ {
 		if cycle >= maxCycles {
 			t.Fatalf("run did not complete within %d cycles", maxCycles)
 		}
 		s.Step(1)
-		checkIssueQueues(t, s, "resumed", &peaks)
+		checkOracles(t, s, "resumed", &peaks)
 	}
 	for ci, c := range s.Cores {
 		if c.HaltedBad() {

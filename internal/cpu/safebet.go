@@ -47,6 +47,7 @@ func (c *Core) sbInsertCode(lineVA uint64) {
 // FlushSpecFootprint clears the SafeBet footprints. The system calls it on
 // every protection-domain switch; a no-op for other defense models.
 func (c *Core) FlushSpecFootprint() {
+	c.wake()
 	if c.sbData != nil {
 		clear(c.sbData)
 	}

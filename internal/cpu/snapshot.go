@@ -109,6 +109,7 @@ func (c *Core) Restore(r *checkpoint.Reader) error {
 	if err := c.Quiesced(); err != nil {
 		return err
 	}
+	c.wake() // a restored core starts awake; sleep is derived, not saved
 	for i := range c.regs {
 		c.regs[i] = r.U64()
 	}
@@ -180,6 +181,7 @@ func (c *Core) Restore(r *checkpoint.Reader) error {
 // (a halt — or an abnormal condition — reached architecturally before the
 // measured region began).
 func (c *Core) WarmHalt(bad bool) {
+	c.wake()
 	c.halted = true
 	c.haltedBad = bad
 }

@@ -8,7 +8,9 @@
 //   - Cycle: a point in simulated time.
 //   - Scheduler: the clock plus the pending-event queue. At/After schedule
 //     closures; AtEvent/AfterEvent schedule typed (Handler, op, a1, a2)
-//     tuples that never allocate in steady state.
+//     tuples that never allocate in steady state. Tick runs one cycle;
+//     TickOrSkipTo is Tick for a caller with nothing to do before a given
+//     cycle, and skips the cycles in which no event fires either.
 //   - Handler: the typed-event receiver. The (op, a1, a2) tuple is opaque
 //     to the scheduler; receivers use op to select the action and the args
 //     to identify the target (typically a pool index plus a generation or
@@ -25,6 +27,12 @@
 //     it.
 //   - Scheduling at or before the current cycle never loses the event: it
 //     fires on the next Tick/RunDue before the clock advances further.
+//   - The clock never passes an event. Tick moves it one cycle;
+//     AdvanceTo and TickOrSkipTo move it further only up to the next
+//     pending event, which nextEventTime finds in O(1): the heap's top,
+//     the overdue list's head, and the first set bit — rotated to start at
+//     the current cycle's slot — of the word that records which ring
+//     buckets are occupied.
 //   - Allocation-free steady state: events are stored by value (no
 //     interface boxing), near-future events live in a ring of per-cycle
 //     buckets that reuse their backing arrays, and far-future (DRAM-class)

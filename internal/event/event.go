@@ -1,5 +1,7 @@
 package event
 
+import "math/bits"
+
 // Cycle is a point in simulated time, measured in core clock cycles.
 type Cycle uint64
 
@@ -59,8 +61,11 @@ type Scheduler struct {
 	heap heap4
 
 	// Near-future events, bucketed per cycle. buckets[c&ringMask] holds
-	// cycle c's events in seq order. ringCount tracks the total.
+	// cycle c's events in seq order. ringCount tracks the total, and bit i
+	// of occupied is set while buckets[i] holds events, so the earliest
+	// bucket is one rotate and count away (see nextEventTime).
 	buckets   [ringSize]bucket
+	occupied  uint64
 	ringCount int
 
 	// Events scheduled at or before the current cycle after the cycle's
@@ -114,9 +119,11 @@ func (s *Scheduler) schedule(c Cycle, it item) {
 		// at cycle 0): park the event for the next drain.
 		s.overdue = append(s.overdue, it)
 	case c-s.now < ringSize:
-		b := &s.buckets[int(c)&(ringSize-1)]
+		i := int(c) & (ringSize - 1)
+		b := &s.buckets[i]
 		if len(b.items) == 0 {
 			b.when = c
+			s.occupied |= 1 << i
 		}
 		b.items = append(b.items, it)
 		s.ringCount++
@@ -208,6 +215,7 @@ func (s *Scheduler) finishDrain(b *bucket, oi, bi int) {
 	if bi > 0 || b.when == s.now {
 		clear(b.items)
 		b.items = b.items[:0]
+		s.occupied &^= 1 << (int(s.now) & (ringSize - 1))
 	}
 	s.inDrain = false
 }
@@ -222,15 +230,35 @@ func (s *Scheduler) nextEventTime() (Cycle, bool) {
 	if len(s.heap) > 0 && (!have || s.heap[0].when < next) {
 		next, have = s.heap[0].when, true
 	}
-	if s.ringCount > 0 {
-		for i := range s.buckets {
-			b := &s.buckets[i]
-			if len(b.items) > 0 && (!have || b.when < next) {
-				next, have = b.when, true
-			}
+	if s.occupied != 0 {
+		// Every occupied bucket holds a cycle in [now, now+ringSize), so
+		// the earliest is the first set bit at or after now's own slot.
+		at := int(s.now) & (ringSize - 1)
+		i := (at + bits.TrailingZeros64(bits.RotateLeft64(s.occupied, -at))) & (ringSize - 1)
+		if w := s.buckets[i].when; !have || w < next {
+			next, have = w, true
 		}
 	}
 	return next, have
+}
+
+// TickOrSkipTo is Tick for a caller that has nothing of its own to do
+// before cycle limit. When an event is due next cycle it is exactly Tick.
+// When none is, nothing can happen until the next event, so the clock
+// moves straight to limit — or to the cycle before the next event, if that
+// comes first, so that the Tick which follows fires it on time. The clock
+// never moves backwards and never passes an event.
+func (s *Scheduler) TickOrSkipTo(limit Cycle) {
+	if limit > s.now+1 {
+		if next, ok := s.nextEventTime(); ok && next <= limit {
+			limit = max(next, 1) - 1
+		}
+	}
+	if limit <= s.now+1 {
+		s.Tick()
+		return
+	}
+	s.now = limit
 }
 
 // AdvanceTo moves the clock forward to cycle c, firing events in order.

@@ -176,3 +176,138 @@ func TestEventOrderingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// nextEventTimeByScan is the definition nextEventTime replaced: look at
+// every ring bucket.
+func nextEventTimeByScan(s *Scheduler) (Cycle, bool) {
+	var next Cycle
+	have := false
+	take := func(w Cycle) {
+		if !have || w < next {
+			next, have = w, true
+		}
+	}
+	if len(s.overdue) > 0 {
+		take(s.overdue[0].when)
+	}
+	if len(s.heap) > 0 {
+		take(s.heap[0].when)
+	}
+	for i := range s.buckets {
+		if b := &s.buckets[i]; len(b.items) > 0 {
+			take(b.when)
+		}
+	}
+	return next, have
+}
+
+// Property: over random schedule / Tick / AdvanceTo / TickOrSkipTo
+// sequences — including events that schedule more events while a drain is
+// running — the occupancy word always names exactly the non-empty buckets,
+// nextEventTime agrees with the brute-force scan, every event fires at its
+// own cycle, and a skip never passes one.
+func TestNextEventTimeMatchesBucketScan(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewScheduler()
+		late := 0
+		var at func(Cycle, int)
+		at = func(when Cycle, chain int) {
+			// An event scheduled for the current cycle outside a drain is
+			// overdue by design and fires with the next drain; every other
+			// event must fire at exactly its own cycle.
+			overdue := when <= s.Now() && !s.inDrain
+			s.At(when, func() {
+				if s.Now() != when && !overdue {
+					late++
+				}
+				if chain > 0 {
+					at(s.Now()+Cycle(rng.Intn(80)), chain-1)
+				}
+			})
+		}
+		check := func() bool {
+			var occ uint64
+			for i := range s.buckets {
+				if len(s.buckets[i].items) > 0 {
+					occ |= 1 << i
+				}
+			}
+			gn, gok := s.nextEventTime()
+			wn, wok := nextEventTimeByScan(s)
+			return occ == s.occupied && gok == wok && gn == wn && late == 0
+		}
+		for step := 0; step < 400; step++ {
+			switch rng.Intn(6) {
+			case 0, 1:
+				for k := rng.Intn(4); k >= 0; k-- {
+					at(s.Now()+Cycle(rng.Intn(200)), rng.Intn(3))
+				}
+			case 2:
+				s.Tick()
+			case 3:
+				s.AdvanceTo(s.Now() + Cycle(rng.Intn(150)))
+			case 4:
+				before := s.Now()
+				limit := before + Cycle(rng.Intn(150))
+				next, ok := s.nextEventTime()
+				s.TickOrSkipTo(limit)
+				switch {
+				case ok && next <= before+1 || limit <= before+1:
+					if s.Now() != before+1 {
+						return false
+					}
+				case ok && next <= limit:
+					if s.Now() != next-1 {
+						return false
+					}
+				default:
+					if s.Now() != limit {
+						return false
+					}
+				}
+			case 5:
+				s.RunDue()
+			}
+			if !check() {
+				return false
+			}
+		}
+		s.AdvanceTo(s.Now() + 1000)
+		return check() && s.Pending() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestTickOrSkipToStopsBeforeTheNextEvent(t *testing.T) {
+	s := NewScheduler()
+	var fired []Cycle
+	s.At(10, func() { fired = append(fired, s.Now()) })
+	s.At(200, func() { fired = append(fired, s.Now()) }) // beyond the ring: heap
+	s.TickOrSkipTo(50)
+	if s.Now() != 9 || len(fired) != 0 {
+		t.Fatalf("after skipping towards 50: now %d, fired %v; want now 9 and nothing fired", s.Now(), fired)
+	}
+	s.TickOrSkipTo(50) // the event is due next cycle: a plain Tick
+	if s.Now() != 10 || len(fired) != 1 || fired[0] != 10 {
+		t.Fatalf("now %d, fired %v; want the event to fire at 10", s.Now(), fired)
+	}
+	s.TickOrSkipTo(50)
+	if s.Now() != 50 {
+		t.Fatalf("now %d, want the limit 50", s.Now())
+	}
+	s.TickOrSkipTo(40) // a limit in the past is a plain Tick, never a step back
+	if s.Now() != 51 {
+		t.Fatalf("now %d, want 51", s.Now())
+	}
+	s.TickOrSkipTo(1 << 40)
+	if s.Now() != 199 {
+		t.Fatalf("now %d, want 199 (the cycle before the heap event)", s.Now())
+	}
+	s.Tick()
+	if len(fired) != 2 || fired[1] != 200 {
+		t.Fatalf("fired %v, want the heap event at 200", fired)
+	}
+}

@@ -69,7 +69,8 @@ func (s *System) drainWithin(ctx context.Context, bound int) error {
 		c.StopFetch()
 	}
 	done := ctx.Done()
-	for i := 0; i < bound; i++ {
+	limit := s.Sched.Now() + event.Cycle(bound)
+	for i := 0; s.Sched.Now() < limit; i++ {
 		if s.quiet() {
 			return nil
 		}
@@ -80,7 +81,7 @@ func (s *System) drainWithin(ctx context.Context, bound int) error {
 			default:
 			}
 		}
-		s.Step(1)
+		s.cycle(limit)
 	}
 	if err := s.Quiesced(); err != nil {
 		return fmt.Errorf("sim: machine refused to drain within %d cycles: %w", bound, err)

@@ -25,6 +25,16 @@
 //     tick in index order within a cycle and the event queue fires in
 //     (when, seq) order, so repeated runs are bit-identical — the property
 //     the golden tests pin and the figure caches rely on.
+//   - Dead cycles are not iterated. A cycle in which every core sleeps
+//     (cpu.Core.AsleepUntil), no OS timer is due and no event fires changes
+//     nothing, so Step moves the clock over a run of them in one
+//     event.Scheduler.TickOrSkipTo — never past a wake-up time, a timer, an
+//     event or the end of the Step. Step(n) still advances exactly n
+//     cycles, and the drain loops, which poll a condition between cycles,
+//     still stop on the cycle the condition first holds.
+//   - A finished run's stores have landed: RunUntilHalt fails, naming the
+//     core, if a store buffer has not drained 100 000 cycles after the
+//     last core halted, rather than report a result with stores in flight.
 //   - One machine, one goroutine: Step runs every core's tick and the
 //     event phase on its caller's goroutine, and nothing in a System is
 //     safe for concurrent use. Host parallelism lives one layer up, where

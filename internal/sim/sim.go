@@ -289,18 +289,40 @@ func (s *System) handleSyscall(c *cpu.Core) event.Cycle {
 // Step advances the machine by n cycles on the calling goroutine: each
 // cycle ticks the cores in index order (timer first), then runs the event
 // phase. That order is the simulated machine's arbitration between cores,
-// so it is part of every golden.
+// so it is part of every golden. Cycles in which nothing can happen are
+// not iterated (see cycle); the clock still ends exactly n cycles on.
 func (s *System) Step(n int) {
-	for i := 0; i < n; i++ {
-		for ci, c := range s.Cores {
-			if s.running[ci] == nil {
-				continue // no process scheduled on this core
-			}
-			s.timerTick(ci, c)
-			c.Tick()
-		}
-		s.Sched.Tick()
+	if n <= 0 {
+		return
 	}
+	for end := s.Sched.Now() + event.Cycle(n); s.Sched.Now() < end; {
+		s.cycle(end)
+	}
+}
+
+// cycle runs one machine cycle — ticks, then the event phase — and then
+// moves the clock over the dead cycles that follow it, never past end. A
+// cycle is dead when every running core sleeps through it, no OS timer is
+// due in it and no event fires in its event phase: nothing in the machine
+// changes, so a caller that checks a condition between calls sees every
+// state it would see stepping one cycle at a time. A sleeping core wakes
+// at its wake-up time or on a delivery, and a delivery is an event or a
+// poke between calls, so the dead stretch ends at the earliest wake-up
+// time, timer or event.
+func (s *System) cycle(end event.Cycle) {
+	idleUntil := end
+	for ci, c := range s.Cores {
+		if s.running[ci] == nil {
+			continue // no process scheduled on this core
+		}
+		s.timerTick(ci, c)
+		c.Tick()
+		idleUntil = min(idleUntil, c.AsleepUntil())
+		if s.cfg.TimerInterval > 0 {
+			idleUntil = min(idleUntil, s.nextTimer[ci])
+		}
+	}
+	s.Sched.TickOrSkipTo(idleUntil)
 }
 
 // timerTick fires the periodic OS timer on a core when due.
@@ -313,6 +335,33 @@ func (s *System) timerTick(ci int, c *cpu.Core) {
 			c.Stall(s.cfg.TimerCost)
 		}
 	}
+}
+
+// storeDrainBound caps the cycles a finished run waits for its committed
+// stores to reach memory. A store drain is a handful of coherence
+// transactions; one that outlasts this is stuck.
+const storeDrainBound = 100_000
+
+// drainStoreBuffers steps the halted machine until every core's store
+// buffer is empty and no drain is in flight. A run whose stores never land
+// has not finished; the error names the first core still holding some.
+func (s *System) drainStoreBuffers() error {
+	undrained := func() int {
+		for ci, c := range s.Cores {
+			if !c.Drained() {
+				return ci
+			}
+		}
+		return -1
+	}
+	for limit := s.Sched.Now() + storeDrainBound; undrained() >= 0; {
+		if s.Sched.Now() >= limit {
+			return fmt.Errorf("sim: core %d still holds undrained stores %d cycles after the last core halted",
+				undrained(), storeDrainBound)
+		}
+		s.cycle(limit)
+	}
+	return nil
 }
 
 // nextCheckpointAfter returns the earliest start+k*every strictly after
@@ -446,17 +495,8 @@ func (s *System) RunUntilHaltCkpt(ctx context.Context, maxCycles int, every even
 		return res, fmt.Errorf("run did not complete within %d cycles", maxCycles)
 	}
 	// Drain store buffers.
-	for i := 0; i < 100000; i++ {
-		alldrained := true
-		for _, c := range s.Cores {
-			if !c.Drained() {
-				alldrained = false
-			}
-		}
-		if alldrained {
-			break
-		}
-		s.Step(1)
+	if err := s.drainStoreBuffers(); err != nil {
+		return res, err
 	}
 	res.Cycles = s.Sched.Now() - start
 	res.Counters = make(map[string]uint64)
