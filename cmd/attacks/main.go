@@ -2,14 +2,15 @@
 // protection schemes and prints the security matrix: scenario (rows) vs
 // scheme (columns), each cell a leak(value,signal) or block(signal)
 // verdict. The matrix is rendered by the same code path as the figures
-// executor's, so its bytes match the pinned golden artifact.
+// executor's, so its bytes match the pinned golden artifact. -attack and
+// -scheme filter the matrix to one row or one column (both: one cell).
 //
 // Usage:
 //
-//	attacks                          # full security matrix
-//	attacks -cache-dir .cache        # matrix with disk-cached cells
-//	attacks -legacy                  # old per-attack listing
-//	attacks -attack spectre -scheme muontrap -secret 7
+//	attacks                                  # full security matrix
+//	attacks -cache-dir .cache                # matrix with disk-cached cells
+//	attacks -attack spectre                  # one row
+//	attacks -attack spectre -scheme muontrap # one cell
 package main
 
 import (
@@ -23,60 +24,36 @@ import (
 
 func main() {
 	var (
-		name     = flag.String("attack", "", "one attack (implies -legacy; default: all)")
-		scheme   = flag.String("scheme", "", "one scheme (legacy mode; default: insecure and muontrap)")
-		secret   = flag.Int("secret", 5, "secret value the victim holds (legacy mode)")
-		legacy   = flag.Bool("legacy", false, "per-attack listing instead of the matrix")
+		name     = flag.String("attack", "", "only this attack's row (default: every scenario)")
+		scheme   = flag.String("scheme", "", "only this scheme's column, any scheme (default: the compared schemes)")
 		cacheDir = flag.String("cache-dir", "", "disk cache directory for matrix cells")
 	)
 	flag.Parse()
 
-	if *legacy || *name != "" || *scheme != "" {
-		runLegacy(*name, *scheme, *secret)
-		return
+	sw := muontrap.Sweep{Attacks: muontrap.AttackNames(), Schemes: muontrap.SecuritySchemes()}
+	if *name != "" {
+		a, err := muontrap.ParseAttackName(*name)
+		if err != nil {
+			fatal(err)
+		}
+		sw.Attacks = []muontrap.AttackName{a}
 	}
-
-	r := muontrap.NewRunner(muontrap.WithCacheDir(*cacheDir))
-	m, err := r.SecurityMatrix(context.Background())
+	if *scheme != "" {
+		s, err := muontrap.ParseScheme(*scheme)
+		if err != nil {
+			fatal(err)
+		}
+		sw.Schemes = []muontrap.Scheme{s}
+	}
+	res, err := muontrap.NewRunner(muontrap.WithCacheDir(*cacheDir)).Sweep(context.Background(), sw)
+	if err != nil {
+		fatal(err)
+	}
+	m, err := muontrap.SecurityMatrixFromSweep(sw, res)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Print(m.Render())
-}
-
-// runLegacy preserves the original per-attack output format.
-func runLegacy(name, scheme string, secret int) {
-	attacks := muontrap.AttackNames()
-	if name != "" {
-		a, err := muontrap.ParseAttackName(name)
-		if err != nil {
-			fatal(err)
-		}
-		attacks = []muontrap.AttackName{a}
-	}
-	schemes := []muontrap.Scheme{muontrap.SchemeInsecure, "muontrap"}
-	if scheme != "" {
-		s, err := muontrap.ParseScheme(scheme)
-		if err != nil {
-			fatal(err)
-		}
-		schemes = []muontrap.Scheme{s}
-	}
-
-	for _, sch := range schemes {
-		fmt.Printf("== scheme %s ==\n", sch)
-		for _, a := range attacks {
-			res, err := muontrap.Attack(a, sch, secret)
-			if err != nil {
-				fatal(err)
-			}
-			verdict := "defeated"
-			if res.Succeeded {
-				verdict = "LEAKED"
-			}
-			fmt.Printf("%-18s %-9s %v\n", a, verdict, res.Latencies)
-		}
-	}
 }
 
 func fatal(err error) {

@@ -15,7 +15,8 @@ import (
 // TestBinaryMatrixMatchesFigures is the e2e smoke: the attacks binary's
 // default output must be byte-for-byte the matrix the figures executor
 // renders in-process — one renderer, one artifact, no drift between the
-// CLI and the pinned golden table.
+// CLI and the pinned golden table — and a filtered run must print the same
+// cells the full one does.
 func TestBinaryMatrixMatchesFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the full corpus")
@@ -39,12 +40,50 @@ func TestBinaryMatrixMatchesFigures(t *testing.T) {
 			stdout, want.Render())
 	}
 
-	// Legacy mode still produces the old per-attack listing.
-	legacy, err := exec.Command(bin, "-attack", "spectre", "-scheme", "insecure").Output()
-	if err != nil {
-		t.Fatalf("attacks -legacy: %v", err)
+	// -attack and -scheme filter the matrix: a filtered run prints exactly
+	// the cells it selects, each as the full matrix prints it.
+	full := cells(t, string(stdout))
+	for _, tc := range []struct {
+		args       []string
+		rows, cols int
+	}{
+		{[]string{"-attack", "spectre"}, 1, len(want.Schemes)},
+		{[]string{"-scheme", "muontrap"}, len(want.Rows), 1},
+		{[]string{"-attack", "btb-data", "-scheme", "safebet"}, 1, 1},
+	} {
+		out, err := exec.Command(bin, tc.args...).Output()
+		if err != nil {
+			t.Fatalf("attacks %v: %v", tc.args, err)
+		}
+		got := cells(t, string(out))
+		if len(got) != tc.rows*tc.cols {
+			t.Fatalf("attacks %v printed %d cells, want %d rows × %d columns:\n%s", tc.args, len(got), tc.rows, tc.cols, out)
+		}
+		for at, v := range got {
+			if full[at] != v {
+				t.Fatalf("attacks %v: cell %v is %q, the full matrix's %q", tc.args, at, v, full[at])
+			}
+		}
 	}
-	if !strings.Contains(string(legacy), "spectre") || !strings.Contains(string(legacy), "LEAKED") {
-		t.Fatalf("legacy output lost its verdict line:\n%s", legacy)
+}
+
+// cells parses a rendered matrix into its verdicts by (scenario, scheme).
+func cells(t *testing.T, render string) map[[2]string]string {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(render, "\n"), "\n")
+	if len(lines) < 3 {
+		t.Fatalf("not a matrix:\n%s", render)
 	}
+	schemes := strings.Fields(lines[1])[1:]
+	out := make(map[[2]string]string)
+	for _, line := range lines[2:] {
+		f := strings.Fields(line)
+		if len(f) != 1+len(schemes) {
+			t.Fatalf("row %q has %d cells for %d schemes", line, len(f)-1, len(schemes))
+		}
+		for i, s := range schemes {
+			out[[2]string{f[0], s}] = f[1+i]
+		}
+	}
+	return out
 }

@@ -2,9 +2,9 @@ package cpu
 
 import "repro/internal/event"
 
-// Defense selects the pipeline-level defense model. MuonTrap and the
-// unprotected baseline share DefenseNone here: MuonTrap's mechanisms are
-// configured in the memory system, not the pipeline.
+// Defense selects the pipeline-level defense model (see defenses for what
+// each one is). MuonTrap and the unprotected baseline share DefenseNone
+// here: MuonTrap's mechanisms are configured in the memory system.
 type Defense uint8
 
 // Pipeline defense models.
@@ -17,20 +17,51 @@ const (
 	DefenseSafeBet
 )
 
+// policy is a pipeline defense as two orthogonal choices: when a load stops
+// being speculative, and what a load does until then. NewCore resolves
+// Config.Defense to one, and each pipeline stage consults it at one site.
+type policy struct {
+	safe   safeRule
+	unsafe unsafeAction
+}
+
+// safeRule is when a load is safe (loadSafe).
+type safeRule uint8
+
+const (
+	safeAlways       safeRule = iota
+	safeBranches              // every older branch has resolved
+	safeUnsquashable          // every older instruction has executed
+)
+
+// unsafeAction is what a load does while it is not safe.
+type unsafeAction uint8
+
+const (
+	proceed   unsafeAction = iota // access the memory system as usual
+	expose                        // read invisibly; expose once safe, or at commit without holding it
+	validate                      // read invisibly; expose at the ROB head, holding commit
+	taint                         // access as usual; dependent transmitters wait until it is safe
+	footprint                     // stall unless the line is in the committed footprint
+)
+
+// defenses is the one table from a Defense to its name and policy; a value
+// outside it runs as DefenseNone.
+var defenses = [...]struct {
+	name string
+	pol  policy
+}{
+	DefenseNone:              {"none", policy{safeAlways, proceed}},
+	DefenseInvisiSpecSpectre: {"invisispec-spectre", policy{safeBranches, expose}},
+	DefenseInvisiSpecFuture:  {"invisispec-future", policy{safeUnsquashable, validate}},
+	DefenseSTTSpectre:        {"stt-spectre", policy{safeBranches, taint}},
+	DefenseSTTFuture:         {"stt-future", policy{safeUnsquashable, taint}},
+	DefenseSafeBet:           {"safebet", policy{safeBranches, footprint}},
+}
+
 func (d Defense) String() string {
-	switch d {
-	case DefenseNone:
-		return "none"
-	case DefenseInvisiSpecSpectre:
-		return "invisispec-spectre"
-	case DefenseInvisiSpecFuture:
-		return "invisispec-future"
-	case DefenseSTTSpectre:
-		return "stt-spectre"
-	case DefenseSTTFuture:
-		return "stt-future"
-	case DefenseSafeBet:
-		return "safebet"
+	if int(d) < len(defenses) {
+		return defenses[d].name
 	}
 	return "unknown"
 }

@@ -21,6 +21,7 @@ const fetchHandle = int32(-1)
 type Core struct {
 	id    int
 	cfg   Config
+	pol   policy // cfg.Defense, resolved once by NewCore
 	sched *event.Scheduler
 	port  *memsys.Port
 	phys  *mem.Physical
@@ -51,8 +52,8 @@ type Core struct {
 	// reached; see firstUndoneSeq for how they are kept.
 	undonePos int
 	branchPos int
-	// exposeScan is raised when the branch frontier moves or an invisible
-	// load completes: the only two ways a load becomes exposable, so
+	// exposeScan is raised when a frontier moves or an invisible load
+	// completes: the only two ways a load becomes exposable, so
 	// defenseMaintenance looks at the load queue only then.
 	exposeScan bool
 
@@ -125,10 +126,10 @@ type Core struct {
 	// FU busy-until times for the unpipelined divider slots.
 	divFree []event.Cycle
 
-	// SafeBet committed-footprint sets (nil except under DefenseSafeBet):
+	// Committed-footprint sets (nil except under the footprint action):
 	// data lines by physical address, code lines by virtual address.
-	sbData map[mem.Addr]struct{}
-	sbCode map[uint64]struct{}
+	sbData lineSet[mem.Addr]
+	sbCode lineSet[uint64]
 
 	// Stats.
 	Committed     uint64
@@ -155,6 +156,9 @@ func NewCore(id int, cfg Config, sched *event.Scheduler, port *memsys.Port, phys
 		phys:    phys,
 		pred:    bpred.New(bpred.DefaultConfig()),
 		divFree: make([]event.Cycle, cfg.MulDivs),
+	}
+	if int(cfg.Defense) < len(defenses) {
+		c.pol = defenses[cfg.Defense].pol
 	}
 	c.drainDone = func() {
 		c.wake()
@@ -401,15 +405,6 @@ func (c *Core) commit() {
 		switch cls {
 		case isa.ClassLoad:
 			c.CommitLoads++
-			if c.safeBetActive() {
-				c.sbInsertData(d.paddr)
-			}
-			if c.cfg.Defense == DefenseInvisiSpecSpectre && d.needsExpose && !d.exposing && !d.exposeDone {
-				// The load became safe only now: fire the exposure so the
-				// line still reaches the caches (asynchronously; the
-				// Spectre variant never blocks commit on it).
-				c.exposeLoad(d)
-			}
 			if !d.forwarded {
 				c.port.CommitLoad(d.pc, mem.VAddr(d.effAddr), d.paddr)
 			}
@@ -423,9 +418,6 @@ func (c *Core) commit() {
 				return // retry next cycle
 			}
 			c.CommitStores++
-			if c.safeBetActive() {
-				c.sbInsertData(d.paddr)
-			}
 			d.v2 = c.storeData(d)
 			// Latch the data: the producer link must not be consulted
 			// after commit (the producer's slot may be recycled, and the
@@ -462,8 +454,8 @@ func (c *Core) commit() {
 			c.freeInst(d)
 			return
 		}
-		if c.safeBetActive() {
-			c.sbInsertCode(mem.LineAddr(d.pc))
+		if c.pol.unsafe == footprint {
+			c.footprintCommit(d) // after a syscall's domain switch has cleared the footprint
 		}
 		c.port.CommitIfetch(c.instPaddr(d.pc))
 		c.port.CommitTranslation(mem.VAddr(d.pc), true)
@@ -483,8 +475,8 @@ func (c *Core) commit() {
 }
 
 // commitReady reports whether the ROB head can retire this cycle, and
-// triggers head-of-ROB work (NACK reissue, AMO execution, InvisiSpec
-// validation).
+// triggers head-of-ROB work (NACK reissue, AMO execution, the exposure of
+// an invisible load).
 func (c *Core) commitReady(d *dynInst) bool {
 	switch {
 	case d.isAmo():
@@ -495,15 +487,17 @@ func (c *Core) commitReady(d *dynInst) bool {
 		return true
 	case d.isLoad():
 		if d.phase == memNACKed {
-			c.reissueLoad(d, false)
+			c.reissueLoad(d)
 			return false
 		}
 		if !d.done {
 			return false
 		}
-		if c.cfg.Defense == DefenseInvisiSpecFuture && d.needsExpose && !d.exposeDone {
-			c.exposeLoad(d) // the Future variant's validation holds commit
-			return false
+		if d.needsExpose && !d.exposeDone {
+			// The line must still reach the caches: validate holds commit
+			// until the exposure lands, expose only starts it.
+			c.exposeLoad(d)
+			return c.pol.unsafe != validate
 		}
 		return true
 	case d.isStore():
@@ -656,11 +650,11 @@ func (c *Core) fetchLineReady(pc uint64) bool {
 		return false
 	}
 	c.moved = true
-	if c.safeBetActive() && !c.sbCodeHit(line) && c.firstUnresolvedBranchSeq() != ^uint64(0) {
-		// SafeBet: a speculative fetch outside the committed code footprint
-		// (e.g. through a mistrained BTB) may not touch the memory system
-		// while any control flow is unresolved; retry next cycle. The stall
-		// is counted per cycle, so the core stays awake through it.
+	if c.pol.unsafe == footprint && !c.sbCode.has(line) && !c.loadSafe(c.seq+1) {
+		// A fetch outside the committed code footprint (e.g. through a
+		// mistrained BTB) may not touch the memory system while the next
+		// instruction would not be safe; retry next cycle. The stall is
+		// counted per cycle, so the core stays awake through it.
 		c.SafeBetStalls++
 		return false
 	}
@@ -725,9 +719,9 @@ func (c *Core) dispatch(si *isa.StaticInst, pc uint64) *dynInst {
 		c.rename[si.Dest] = d
 		c.renameSeq[si.Dest] = d.seq
 	}
-	// STT taint propagation at dispatch (operand roots recorded; safety
-	// checked lazily at issue time).
-	if c.sttActive() {
+	// Taint propagation at dispatch (operand roots recorded; safety checked
+	// lazily at issue time).
+	if c.pol.unsafe == taint {
 		d.taintRoot, d.taintSeq = c.operandTaint(d)
 	}
 
@@ -810,9 +804,9 @@ func (c *Core) TranslateDone(idx int32, seq uint64, pa mem.Addr, walked, fault b
 		c.complete(d)
 		if !d.prefetched {
 			d.prefetched = true
-			// SafeBet also vetoes the speculative store-prefetch channel
-			// for lines outside the committed footprint.
-			if !c.safeBetActive() || c.loadSafe(d) || c.sbDataHit(d.paddr) {
+			// The footprint action also vetoes the speculative
+			// store-prefetch channel for lines outside it.
+			if c.pol.unsafe != footprint || c.loadSafe(d.seq) || c.sbData.has(d.paddr) {
 				c.port.StorePrefetch(d.pc, mem.VAddr(d.effAddr), d.paddr, nil)
 			}
 		}

@@ -13,6 +13,11 @@ import (
 // buildAndRun loads prog on a 1-core machine and runs to halt.
 func buildAndRun(t *testing.T, prog *isa.Program, defense cpu.Defense, mode memsys.Mode) (*sim.System, sim.RunResult) {
 	t.Helper()
+	return runToHalt(t, newMachine(prog, defense, mode))
+}
+
+// newMachine builds buildAndRun's machine with prog loaded, not yet run.
+func newMachine(prog *isa.Program, defense cpu.Defense, mode memsys.Mode) *sim.System {
 	cfg := sim.DefaultConfig(1)
 	cfg.CPU.Defense = defense
 	cfg.Mem.Mode = mode
@@ -20,8 +25,12 @@ func buildAndRun(t *testing.T, prog *isa.Program, defense cpu.Defense, mode mems
 	// scheduling, not DRAM row-buffer luck.
 	cfg.Mem.DRAM.RowHitLatency = cfg.Mem.DRAM.RowMissLatency
 	s := sim.New(cfg)
-	p := s.NewProcess(prog)
-	s.RunOn(0, p, 0)
+	s.RunOn(0, s.NewProcess(prog), 0)
+	return s
+}
+
+func runToHalt(t *testing.T, s *sim.System) (*sim.System, sim.RunResult) {
+	t.Helper()
 	res, err := s.RunUntilHalt(3_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -128,20 +137,11 @@ func coldBranchProgram(iters int64) *isa.Program {
 	return b.MustBuild()
 }
 
+// TestArchitecturalResultsIdenticalAcrossDefenses runs one program under
+// every row of the speculation-policy table, the test-only rows included,
+// and under MuonTrap's memory system: each must compute what an
+// independent oracle computes.
 func TestArchitecturalResultsIdenticalAcrossDefenses(t *testing.T) {
-	type cfgCase struct {
-		name    string
-		defense cpu.Defense
-		mode    memsys.Mode
-	}
-	cases := []cfgCase{
-		{"insecure", cpu.DefenseNone, memsys.Mode{}},
-		{"muontrap", cpu.DefenseNone, mtMode},
-		{"invisispec-spectre", cpu.DefenseInvisiSpecSpectre, memsys.Mode{}},
-		{"invisispec-future", cpu.DefenseInvisiSpecFuture, memsys.Mode{}},
-		{"stt-spectre", cpu.DefenseSTTSpectre, memsys.Mode{}},
-		{"stt-future", cpu.DefenseSTTFuture, memsys.Mode{}},
-	}
 	// A program with data-dependent branches, loads, stores and arithmetic.
 	b := isa.NewBuilder("mix")
 	arr := b.Alloc("arr", 64*8, 64)
@@ -173,31 +173,25 @@ func TestArchitecturalResultsIdenticalAcrossDefenses(t *testing.T) {
 	b.Halt()
 	prog := b.MustBuild()
 
-	var want uint64
-	first := true
-	for _, cs := range cases {
-		s, _ := buildAndRun(t, prog, cs.defense, cs.mode)
-		got := s.Cores[0].Reg(isa.X(5))
-		if first {
-			want = got
-			first = false
-			// Independent oracle.
-			var exp int64
-			for i := int64(0); i < 64; i++ {
-				sq := i * i
-				if sq%2 == 1 {
-					exp += sq
-				} else {
-					exp -= sq
-				}
-			}
-			if got != uint64(exp) {
-				t.Fatalf("baseline result %d != oracle %d", int64(got), exp)
-			}
-			continue
+	var want int64
+	for i := int64(0); i < 64; i++ {
+		if sq := i * i; sq%2 == 1 {
+			want += sq
+		} else {
+			want -= sq
 		}
-		if got != want {
-			t.Fatalf("%s: result %d differs from baseline %d", cs.name, got, want)
+	}
+	rows := cpu.PolicyRows()
+	for i, row := range append(rows, rows[0]) {
+		name, mode := row.Name, memsys.Mode{}
+		if i == len(rows) {
+			name, mode = "muontrap", mtMode
+		}
+		s := newMachine(prog, cpu.DefenseNone, mode)
+		s.Cores[0].SetPolicy(row)
+		runToHalt(t, s)
+		if got := int64(s.Cores[0].Reg(isa.X(5))); got != want {
+			t.Fatalf("%s: result %d, oracle %d", name, got, want)
 		}
 	}
 }

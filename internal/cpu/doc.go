@@ -20,9 +20,12 @@
 //     cycles every core sleeps through in one step.
 //   - dynInst: one in-flight dynamic instruction, pool-allocated.
 //   - Defense: the pipeline-level defense models compared against MuonTrap
-//     (InvisiSpec and STT, each in Spectre and Future variants). MuonTrap
-//     itself needs almost nothing from the core beyond commit-time hooks
-//     and NACK retries: its protection lives in the memory system.
+//     (InvisiSpec and STT, each in Spectre and Future variants, and
+//     SafeBet). NewCore resolves it once, through the defenses table, to a
+//     policy — when a load is safe, and what it does until then (expose or
+//     validate an invisible read, taint its dependents, stall outside the
+//     committed footprint) — that each stage consults at one site. MuonTrap
+//     itself needs only commit-time hooks and NACK retries from the core.
 //
 // Invariants:
 //

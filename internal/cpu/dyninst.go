@@ -350,7 +350,8 @@ func insertBySeq(list []*dynInst, d *dynInst) []*dynInst {
 // so neither frontier is beyond the cut.) A query then steps its frontier
 // forward over what has completed since the last one — each entry is
 // stepped over once in its life, so no query walks the ROB — and a scheme
-// that never asks (the baseline, MuonTrap) pays for none of it.
+// that never asks (the baseline, MuonTrap) pays for none of it. A frontier
+// that moves may have made an invisible load safe to expose (exposeScan).
 
 // firstUndoneSeq returns the sequence number of the oldest instruction
 // that has not finished executing, or MaxUint64 when all are done.
@@ -358,6 +359,7 @@ func (c *Core) firstUndoneSeq() uint64 {
 	n := c.rob.len()
 	for c.undonePos < n && c.rob.at(c.undonePos).done {
 		c.undonePos++
+		c.exposeScan = true
 	}
 	if c.undonePos < n {
 		return c.rob.at(c.undonePos).seq
@@ -366,8 +368,7 @@ func (c *Core) firstUndoneSeq() uint64 {
 }
 
 // firstUnresolvedBranchSeq returns the sequence number of the oldest
-// in-flight unresolved branch, or MaxUint64 when none. A frontier that
-// moves may have made an invisible load safe to expose.
+// in-flight unresolved branch, or MaxUint64 when none.
 func (c *Core) firstUnresolvedBranchSeq() uint64 {
 	for n := c.rob.len(); c.branchPos < n; c.branchPos++ {
 		if d := c.rob.at(c.branchPos); d.isBranch() && !d.done {
@@ -402,7 +403,7 @@ func (c *Core) operandTaint(d *dynInst) (*dynInst, uint64) {
 		if r == nil || r.seq != rSeq {
 			return // root committed: safe
 		}
-		if !c.loadSafe(r) && (root == nil || r.seq > root.seq) {
+		if !c.loadSafe(r.seq) && (root == nil || r.seq > root.seq) {
 			root = r
 		}
 	}

@@ -51,26 +51,16 @@ func (c *Core) HandleEvent(op int32, a1, a2 uint64) {
 	}
 }
 
-func (c *Core) sttActive() bool {
-	return c.cfg.Defense == DefenseSTTSpectre || c.cfg.Defense == DefenseSTTFuture
-}
-
-func (c *Core) invisiSpecActive() bool {
-	return c.cfg.Defense == DefenseInvisiSpecSpectre || c.cfg.Defense == DefenseInvisiSpecFuture
-}
-
-// loadSafe reports whether a load's value may be forwarded to dependents
-// (STT) or its access made visible (InvisiSpec), per the defense variant:
-// the Spectre variants require all older branches resolved; the Future
-// variants require the load to be unsquashable (every older instruction
-// executed). Both compare the load's age with a frontier the core keeps
-// (see firstUndoneSeq), not with a walk of the ROB.
-func (c *Core) loadSafe(d *dynInst) bool {
-	switch c.cfg.Defense {
-	case DefenseSTTSpectre, DefenseInvisiSpecSpectre, DefenseSafeBet:
-		return c.firstUnresolvedBranchSeq() > d.seq
-	case DefenseSTTFuture, DefenseInvisiSpecFuture:
-		return c.firstUndoneSeq() >= d.seq
+// loadSafe reports whether a load with sequence number seq is past the
+// policy's unsafe action: all older branches resolved, or every older
+// instruction executed (the load is unsquashable). Both compare seq with a
+// frontier the core keeps (see firstUndoneSeq), not with a walk of the ROB.
+func (c *Core) loadSafe(seq uint64) bool {
+	switch c.pol.safe {
+	case safeBranches:
+		return c.firstUnresolvedBranchSeq() > seq
+	case safeUnsquashable:
+		return c.firstUndoneSeq() >= seq
 	}
 	return true
 }
@@ -114,9 +104,9 @@ func (c *Core) issue() {
 		kept++
 		cls := d.si.Class
 
-		// STT: tainted transmitters may not issue until their taint root
-		// is safe.
-		if c.sttActive() && (cls == isa.ClassLoad || cls == isa.ClassStore || cls == isa.ClassJumpInd) {
+		// Tainted transmitters may not issue until their taint root is
+		// safe.
+		if c.pol.unsafe == taint && (cls == isa.ClassLoad || cls == isa.ClassStore || cls == isa.ClassJumpInd) {
 			if root, _ := c.operandTaint(d); root != nil {
 				c.STTStalls++ // counted per cycle: the core stays awake
 				c.moved = true
@@ -295,7 +285,7 @@ func (c *Core) execMemAgen(d *dynInst) {
 // older stores, forward when possible, otherwise access the hierarchy. A
 // load that must wait for an older instruction is parked on it and is not
 // looked at again until that instruction lets it go (unpark). The result
-// is true only for a SafeBet stall, which is counted cycle by cycle: the
+// is true only for a footprint stall, which is counted cycle by cycle: the
 // caller keeps the load on the retry list for the next cycle.
 func (c *Core) tryLoadAccess(d *dynInst) (stalled bool) {
 	if d.squashed || d.phase >= memAccessIssued {
@@ -313,38 +303,35 @@ func (c *Core) tryLoadAccess(d *dynInst) (stalled bool) {
 		c.sched.AfterEvent(1, c, opFwdDone, uint64(uint32(d.idx)), d.seq)
 		return false
 	}
-	if c.safeBetActive() && !c.loadSafe(d) && !c.sbDataHit(d.paddr) {
-		// SafeBet: the line was never accessed non-speculatively by this
-		// domain, so the speculative access may not reach the memory system.
-		// Wait (memMaintenance retries) until older branches resolve.
+	// One decision: a normal access (taint is the issue stage's business),
+	// a footprint stall, or an invisible read.
+	d.phase = memAccessIssued
+	switch act := c.pol.unsafe; {
+	case act == proceed || act == taint || c.loadSafe(d.seq) || act == footprint && c.sbData.has(d.paddr):
+		c.port.LoadC(d.pc, mem.VAddr(d.effAddr), d.paddr, true, d.idx, d.seq)
+	case act == footprint:
+		// The line was never accessed non-speculatively by this domain, so
+		// the access may not reach the memory system until the load is
+		// safe (memMaintenance retries it).
 		c.SafeBetStalls++
 		d.phase = memWaitingOlderStores
 		return true
-	}
-	d.phase = memAccessIssued
-	if c.invisiSpecActive() && !c.loadSafe(d) {
-		// InvisiSpec: unsafe loads read invisibly and must expose later.
+	default: // expose, validate: read invisibly now, expose later
 		d.needsExpose = true
 		c.port.LoadNoFillC(d.paddr, d.idx, d.seq)
-		return false
 	}
-	c.issueLoadToPort(d, true)
 	return false
-}
-
-func (c *Core) issueLoadToPort(d *dynInst, spec bool) {
-	c.port.LoadC(d.pc, mem.VAddr(d.effAddr), d.paddr, spec, d.idx, d.seq)
 }
 
 // reissueLoad reruns a NACKed load non-speculatively once it is the oldest
 // instruction (§4.5 forward-progress rule).
-func (c *Core) reissueLoad(d *dynInst, spec bool) {
+func (c *Core) reissueLoad(d *dynInst) {
 	if d.phase != memNACKed {
 		return
 	}
 	c.moved = true
 	d.phase = memAccessIssued
-	c.issueLoadToPort(d, spec)
+	c.port.LoadC(d.pc, mem.VAddr(d.effAddr), d.paddr, false, d.idx, d.seq)
 }
 
 func (c *Core) finishLoad(d *dynInst) {
@@ -398,9 +385,9 @@ func (c *Core) searchOlderStores(d *dynInst) (match, blocker *dynInst) {
 
 // memMaintenance runs the loads on the retry list through disambiguation
 // again, oldest first: each was released by the instruction it waited for
-// since the last cycle, or stalls under SafeBet and is counted every
-// cycle. A load blocked again parks on its new blocker; only a SafeBet
-// stall stays listed.
+// since the last cycle, or stalls outside the footprint and is counted
+// every cycle. A load blocked again parks on its new blocker; only a
+// footprint stall stays listed.
 func (c *Core) memMaintenance() {
 	if len(c.retry) == 0 {
 		return
@@ -498,19 +485,18 @@ func (c *Core) executeAmoAtHead(d *dynInst) {
 	})
 }
 
-// --- Defense maintenance (InvisiSpec exposures) ---
+// --- Defense maintenance (exposures of invisible loads) ---
 
-// defenseMaintenance fires the exposures of the InvisiSpec Spectre
-// variant: every invisible load that has its data and is now safe. A load
-// gets there only by completing or by the branch frontier passing it, and
-// both raise exposeScan, so a cycle after which neither happened has
-// nothing to find. The Future variant exposes at the ROB head from
-// commitReady.
+// defenseMaintenance fires the exposures of the expose action: every
+// invisible load that has its data and is now safe. A load gets there only
+// by completing or by the safe-when frontier passing it, and both raise
+// exposeScan, so a cycle after which neither happened has nothing to find.
+// Loads still invisible at commit are exposed from commitReady.
 func (c *Core) defenseMaintenance() {
-	if c.cfg.Defense != DefenseInvisiSpecSpectre {
+	if c.pol.unsafe != expose {
 		return
 	}
-	c.firstUnresolvedBranchSeq() // lets the frontier catch up with the cycle's completions
+	c.loadSafe(0) // lets the frontier catch up with the cycle's completions
 	if !c.exposeScan {
 		return
 	}
@@ -520,15 +506,15 @@ func (c *Core) defenseMaintenance() {
 		if d.squashed || !d.needsExpose || d.exposing || d.exposeDone {
 			continue
 		}
-		if d.done && c.loadSafe(d) {
+		if d.done && c.loadSafe(d.seq) {
 			c.exposeLoad(d)
 		}
 	}
 }
 
 // exposeLoad replays an invisible load as a normal access, installing the
-// line. The closure pins the dynInst: a Spectre-variant exposure can
-// outlive the load's commit, and the pin keeps the pool slot alive until it
+// line. The closure pins the dynInst: under the expose action an exposure
+// can outlive the load's commit, and the pin keeps the pool slot alive until it
 // lands.
 func (c *Core) exposeLoad(d *dynInst) {
 	if d.exposing || d.exposeDone {

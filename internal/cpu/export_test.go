@@ -287,12 +287,18 @@ func (c *Core) CheckParkedLoads() error {
 		return fmt.Errorf("frontiers at (undone %d, branch %d) of %d are past what a walk of the ROB finds, (%d, %d)",
 			c.undonePos, c.branchPos, c.rob.len(), undone, branch)
 	}
-	// defenseMaintenance first lets the branch frontier catch up, which
+	// defenseMaintenance first lets the policy's frontier catch up, which
 	// raises exposeScan if it moves; with the frontier already there and
 	// the flag down it will not look, so there must be nothing to find.
-	if c.cfg.Defense == DefenseInvisiSpecSpectre && !c.exposeScan && c.branchPos == branch {
+	pos, frontier := branch, c.branchPos
+	if c.pol.safe == safeUnsquashable {
+		pos, frontier = undone, c.undonePos
+	}
+	if c.pol.unsafe == expose && !c.exposeScan && frontier == pos {
 		for _, d := range c.lq {
-			safe := branch == c.rob.len() || c.rob.at(branch).seq > d.seq
+			// A done load is never the oldest undone instruction, so one
+			// comparison serves both rules.
+			safe := pos == c.rob.len() || c.rob.at(pos).seq > d.seq
 			if d.needsExpose && !d.exposing && !d.exposeDone && d.done && safe {
 				return fmt.Errorf("load seq %d can be exposed but exposeScan is down", d.seq)
 			}
@@ -447,3 +453,32 @@ func (c *Core) ParkedKinds() (onStore, onAmo int) {
 
 // RetryListLen is the number of loads memMaintenance will retry next cycle.
 func (c *Core) RetryListLen() int { return len(c.retry) }
+
+// PolicyRow is one row of the speculation-policy table as tests see it.
+// Used rows are the ones a Defense resolves to; the others combine a
+// safe-when rule and an unsafe action that no scheme does, named after the
+// scheme whose action they borrow (a Spectre variant is safe once older
+// branches resolve, a Future one once the load is unsquashable).
+type PolicyRow struct {
+	Name string
+	Used bool
+	pol  policy
+}
+
+// PolicyRows returns the table's rows, in Defense order, followed by the
+// test-only rows.
+func PolicyRows() []PolicyRow {
+	var rows []PolicyRow
+	for _, d := range defenses {
+		rows = append(rows, PolicyRow{d.name, true, d.pol})
+	}
+	return append(rows,
+		PolicyRow{"safebet-future", false, policy{safeUnsquashable, footprint}},
+		PolicyRow{"invisispec-spectre-validate", false, policy{safeBranches, validate}},
+		PolicyRow{"invisispec-future-expose", false, policy{safeUnsquashable, expose}},
+	)
+}
+
+// SetPolicy puts the core under a row's policy in place of the one NewCore
+// resolved from its Defense. Call it before the core runs.
+func (c *Core) SetPolicy(r PolicyRow) { c.pol = r.pol }

@@ -1,57 +1,78 @@
 package cpu
 
-import "repro/internal/mem"
+import (
+	"maps"
+	"slices"
 
-// SafeBet (Ainsworth-adjacent related work, PAPERS.md): a speculative load
-// may access the memory system only if its line was previously touched
-// non-speculatively by the same protection domain — the committed-footprint
-// check. Loads outside the footprint wait until they are no longer
-// squashable by an unresolved branch; speculative instruction fetches to
-// lines outside the committed code footprint likewise stall until control
-// flow resolves. The footprints are cleared on every protection-domain
-// switch, so one domain's accesses can never pre-authorise another's.
-//
-// The model tracks two per-core sets keyed by line address: data lines
-// (physical, inserted when a load/store commits) and code lines (virtual,
-// inserted when an instruction commits). Both are nil except under
-// DefenseSafeBet, keeping the defenseless hot path allocation-free.
+	"repro/internal/checkpoint"
+	"repro/internal/mem"
+)
 
-func (c *Core) safeBetActive() bool { return c.cfg.Defense == DefenseSafeBet }
+// The footprint action (SafeBet, PAPERS.md): an unsafe load may access the
+// memory system only if its line was touched non-speculatively by the same
+// protection domain — the committed footprint. Otherwise loads wait until
+// they are safe, stores send no prefetch, and instruction fetches stall
+// while the next instruction would not be safe. Each core keeps two
+// footprints, data lines (physical, added when a load or store commits) and
+// code lines (virtual, added when any instruction commits), cleared on
+// every protection-domain switch, so one domain's accesses never
+// pre-authorise another's. Both stay nil under every other policy.
 
-// sbDataHit reports whether a data line is in the committed footprint.
-func (c *Core) sbDataHit(pa mem.Addr) bool {
-	_, ok := c.sbData[mem.LineAddr(pa)]
+// lineSet is one footprint: the lines holding the addresses added to it,
+// nil until the first.
+type lineSet[K ~uint64] map[K]struct{}
+
+func (s lineSet[K]) has(a K) bool {
+	_, ok := s[mem.LineAddr(a)]
 	return ok
 }
 
-// sbCodeHit reports whether a code line (virtual) is in the footprint.
-func (c *Core) sbCodeHit(lineVA uint64) bool {
-	_, ok := c.sbCode[lineVA]
-	return ok
-}
-
-func (c *Core) sbInsertData(pa mem.Addr) {
-	if c.sbData == nil {
-		c.sbData = make(map[mem.Addr]struct{})
+func (s *lineSet[K]) add(a K) {
+	if *s == nil {
+		*s = make(lineSet[K])
 	}
-	c.sbData[mem.LineAddr(pa)] = struct{}{}
+	(*s)[mem.LineAddr(a)] = struct{}{}
 }
 
-func (c *Core) sbInsertCode(lineVA uint64) {
-	if c.sbCode == nil {
-		c.sbCode = make(map[uint64]struct{})
+// save writes the set in ascending order, so equal machine states produce
+// identical snapshot bytes.
+func (s lineSet[K]) save(w *checkpoint.Writer) {
+	lines := slices.AppendSeq(make([]K, 0, len(s)), maps.Keys(s))
+	slices.Sort(lines)
+	w.U32(uint32(len(lines)))
+	for _, a := range lines {
+		w.U64(uint64(a))
 	}
-	c.sbCode[lineVA] = struct{}{}
 }
 
-// FlushSpecFootprint clears the SafeBet footprints. The system calls it on
-// every protection-domain switch; a no-op for other defense models.
+// restore replaces the set with what save wrote, adding lines as it reads
+// them: a corrupt count in a fuzzed snapshot must error out, not
+// over-allocate.
+func (s *lineSet[K]) restore(r *checkpoint.Reader) error {
+	*s = nil
+	for i, n := 0, int(r.U32()); i < n; i++ {
+		a := r.U64()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		s.add(K(a))
+	}
+	return nil
+}
+
+// footprintCommit adds what a committing instruction touched to the
+// footprints: its code line, and the data line of a load or store.
+func (c *Core) footprintCommit(d *dynInst) {
+	if d.isLoad() || d.isStore() {
+		c.sbData.add(d.paddr)
+	}
+	c.sbCode.add(d.pc)
+}
+
+// FlushSpecFootprint clears the committed footprints. The system calls it
+// on every protection-domain switch; a no-op for other defense models.
 func (c *Core) FlushSpecFootprint() {
 	c.wake()
-	if c.sbData != nil {
-		clear(c.sbData)
-	}
-	if c.sbCode != nil {
-		clear(c.sbCode)
-	}
+	clear(c.sbData)
+	clear(c.sbCode)
 }

@@ -244,6 +244,59 @@ func TestContextSwitchOracle(t *testing.T) {
 	}
 }
 
+// TestTestOnlyPolicyRowsOracle runs the policy rows no scheme uses — a
+// safe-when rule paired with an action no scheme pairs it with — through
+// the three per-cycle oracles, across a mid-run drain, on the kernels where
+// the actions engage: cold loads behind unresolved branches (coldbranch),
+// loads parked on stores (forwarding) and squashes (branchy). Every run
+// must end in the baseline's architectural state, and each row's action
+// must engage somewhere.
+func TestTestOnlyPolicyRowsOracle(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("per-cycle parked-load and sleeper oracles are skipped under the race detector")
+	}
+	kernels := []struct {
+		name    string
+		prog    *isa.Program
+		drainAt int
+	}{
+		{"coldbranch", coldBranchProgram(40), 3000},
+		{"forwarding", forwardingKernel(200), 3000},
+		{"branchy", branchyKernel(1500), 4000},
+	}
+	for _, row := range cpu.PolicyRows() {
+		if row.Used {
+			continue
+		}
+		t.Run(row.Name, func(t *testing.T) {
+			var stalls, exposures uint64
+			for _, k := range kernels {
+				base := oneCore(defense.Insecure(), k.prog)
+				if _, err := base.RunUntilHalt(2_000_000); err != nil {
+					t.Fatal(err)
+				}
+				s := oneCore(defense.Insecure(), k.prog)
+				c := s.Cores[0]
+				c.SetPolicy(row)
+				runWithOracle(t, s, k.drainAt, 2_000_000)
+				if c.CommittedInsts() != base.Cores[0].CommittedInsts() {
+					t.Fatalf("%s: %d instructions committed, the baseline %d", k.name, c.CommittedInsts(), base.Cores[0].CommittedInsts())
+				}
+				for r := isa.Reg(0); r < isa.NumRegs; r++ {
+					if c.Reg(r) != base.Cores[0].Reg(r) {
+						t.Fatalf("%s: register %d is %#x, the baseline's %#x", k.name, r, c.Reg(r), base.Cores[0].Reg(r))
+					}
+				}
+				stalls, exposures = stalls+c.SafeBetStalls, exposures+c.Exposures
+			}
+			t.Logf("%d footprint stalls, %d exposures", stalls, exposures)
+			if stalls+exposures == 0 {
+				t.Fatal("test premise broken: the row's action never engaged")
+			}
+		})
+	}
+}
+
 // TestSleepersOracle ticks every sleeping core anyway, every cycle, and
 // requires that nothing changes (see SleeperCheck) — under every scheme, on
 // one and on four cores, with a drain in the middle — on the kernels that

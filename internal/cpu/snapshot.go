@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/event"
@@ -80,26 +79,8 @@ func (c *Core) Save(w *checkpoint.Writer) {
 	w.U64(c.SafeBetStalls)
 	w.U64(c.CommitStores)
 	w.U64(c.CommitLoads)
-	// SafeBet footprints, sorted so equal machine states produce identical
-	// snapshot bytes (both sets empty for other defense models).
-	data := make([]uint64, 0, len(c.sbData))
-	for a := range c.sbData {
-		data = append(data, uint64(a))
-	}
-	slices.Sort(data)
-	w.U32(uint32(len(data)))
-	for _, a := range data {
-		w.U64(a)
-	}
-	code := make([]uint64, 0, len(c.sbCode))
-	for a := range c.sbCode {
-		code = append(code, a)
-	}
-	slices.Sort(code)
-	w.U32(uint32(len(code)))
-	for _, a := range code {
-		w.U64(a)
-	}
+	c.sbData.save(w) // both footprints are empty outside the footprint action
+	c.sbCode.save(w)
 	c.pred.Save(w)
 }
 
@@ -147,29 +128,11 @@ func (c *Core) Restore(r *checkpoint.Reader) error {
 	c.SafeBetStalls = r.U64()
 	c.CommitStores = r.U64()
 	c.CommitLoads = r.U64()
-	c.sbData = nil
-	// Insert-as-read (no count-sized preallocation): a corrupt count in a
-	// fuzzed snapshot must error out, not over-allocate.
-	for i, nd := 0, int(r.U32()); i < nd; i++ {
-		v := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if c.sbData == nil {
-			c.sbData = make(map[mem.Addr]struct{})
-		}
-		c.sbData[mem.Addr(v)] = struct{}{}
+	if err := c.sbData.restore(r); err != nil {
+		return err
 	}
-	c.sbCode = nil
-	for i, nc := 0, int(r.U32()); i < nc; i++ {
-		v := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if c.sbCode == nil {
-			c.sbCode = make(map[uint64]struct{})
-		}
-		c.sbCode[v] = struct{}{}
+	if err := c.sbCode.restore(r); err != nil {
+		return err
 	}
 	if err := c.pred.Restore(r); err != nil {
 		return err

@@ -33,10 +33,6 @@ func TestByName(t *testing.T) {
 }
 
 func TestInsecureIsTrulyBare(t *testing.T) {
-	s := Insecure()
-	if s.Mode != (InsecureL0().Mode) {
-		// sanity: differ only in L0Data
-	}
 	zero := Insecure().Mode
 	if zero.L0Data || zero.FilterProtect || zero.CoherenceProtect {
 		t.Fatalf("insecure mode not bare: %+v", zero)
@@ -53,12 +49,6 @@ func TestCumulativeStagesAreMonotone(t *testing.T) {
 	}
 	// Each stage must enable a superset of protection mechanisms relative
 	// to the previous stage (ignoring the insecure-L0 start).
-	count := func(m interface {
-	}) int {
-		return 0
-	}
-	_ = count
-	type flags struct{ a, b, c, d, e, f bool }
 	on := func(i int) int {
 		m := stages[i].Mode
 		n := 0
@@ -98,6 +88,7 @@ func TestInvisiSpecAndSTTUseCPUDefenses(t *testing.T) {
 		"invisispec-future":  cpu.DefenseInvisiSpecFuture,
 		"stt-spectre":        cpu.DefenseSTTSpectre,
 		"stt-future":         cpu.DefenseSTTFuture,
+		"safebet":            cpu.DefenseSafeBet,
 	}
 	for name, want := range cases {
 		s, err := ByName(name)
@@ -108,7 +99,7 @@ func TestInvisiSpecAndSTTUseCPUDefenses(t *testing.T) {
 			t.Fatalf("%s: CPU defense = %v, want %v", name, s.CPU, want)
 		}
 		if s.Mode.L0Data {
-			t.Fatalf("%s: comparison schemes have no filter caches", name)
+			t.Fatalf("%s: pipeline defenses have no filter caches", name)
 		}
 	}
 }

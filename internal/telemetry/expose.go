@@ -22,21 +22,25 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (r *Registry) write(w *bufio.Writer) {
+	// register appends to a family's series under r.mu, so each family's
+	// slice is copied here, under the same lock, not after it is released.
 	r.mu.Lock()
 	names := append([]string(nil), r.names...)
 	fams := make([]*family, len(names))
+	sers := make([][]*series, len(names))
 	sort.Strings(names)
 	for i, n := range names {
 		fams[i] = r.families[n]
+		sers[i] = append([]*series(nil), fams[i].series...)
 	}
 	r.mu.Unlock()
 
-	for _, f := range fams {
+	for i, f := range fams {
 		if f.help != "" {
 			fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
-		ser := append([]*series(nil), f.series...)
+		ser := sers[i]
 		sort.Slice(ser, func(a, b int) bool { return ser[a].sig < ser[b].sig })
 		for _, s := range ser {
 			if s.hist != nil {
