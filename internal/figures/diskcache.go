@@ -5,21 +5,17 @@ import (
 	"debug/elf"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/event"
 	"repro/internal/sim"
 )
-
-// resultCacheVersion versions the on-disk result entry layout; bump it
-// when the entry format (not the simulator) changes. v2 added the
-// mid-run checkpoint cadence to the key.
-const resultCacheVersion = 2
 
 // binFingerprint identifies the running executable once, so disk-cached
 // results are keyed to the exact simulator build that produced them: any
@@ -83,19 +79,74 @@ func goBuildID(path string) string {
 }
 
 // BinFingerprint returns the running executable's build fingerprint (see
-// fingerprintFile) — the same fingerprint every disk-cache key embeds. The
-// experiment service folds it into its sweep cache keys so a rebuilt
-// simulator (which may change timing) never serves a stale remote result.
+// fingerprintFile) — the same fingerprint every key KeyKind.Key renders
+// embeds.
 func BinFingerprint() string { return binFingerprint() }
 
-// diskKey renders a runKey as the canonical string the disk cache hashes.
-// Every figure input that can change a run's outcome is present: the
-// workload/scheme/scale/geometry tuple, the warm-up depth and snapshot
-// content hash, and the simulator build fingerprint.
+// A KeyKind is one kind of key and the version of its layout. Every cache,
+// chain and store key in the repository is rendered by KeyKind.Key, so
+// each one names its kind and version and embeds the build fingerprint: a
+// rebuilt simulator (which may change timing) never serves a stale entry.
+// Bump a kind's version when its fields change, so entries written under
+// the old layout miss instead of being misread.
+type KeyKind struct {
+	name    string
+	version int
+}
+
+var (
+	// resultKind keys the disk result cache, and behind "midrun|" the
+	// mid-run checkpoint chains (diskKey). v2 added the checkpoint cadence.
+	resultKind = KeyKind{"result", 2}
+	// warmKind keys warm snapshots (warmInputKey): a new machine image
+	// format is a new snapshot.
+	warmKind = KeyKind{"warm", checkpoint.FormatVersion}
+	// SweepKind keys the experiment service's stored sweep results. It is
+	// versioned apart from the service's job journal, whose layout never
+	// decides what a stored result is.
+	SweepKind = KeyKind{"sweep", 1}
+)
+
+// Key renders kind|v<version>|bin=<fingerprint>|name=value|… from fields
+// given as name, value pairs, in the order given.
+func (k KeyKind) Key(fields ...string) string {
+	if len(fields)%2 != 0 {
+		panic("figures: key fields must come in name, value pairs")
+	}
+	fp := binFingerprint()
+	n := len(k.name) + len("|v00|bin=") + len(fp)
+	for _, f := range fields {
+		n += len(f) + 1
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(k.name)
+	b.WriteString("|v")
+	b.WriteString(strconv.Itoa(k.version))
+	b.WriteString("|bin=")
+	b.WriteString(fp)
+	for i := 0; i < len(fields); i += 2 {
+		b.WriteByte('|')
+		b.WriteString(fields[i])
+		b.WriteByte('=')
+		b.WriteString(fields[i+1])
+	}
+	return b.String()
+}
+
+// diskKey renders a runKey as the canonical string the disk cache hashes:
+// every field of the key, so every figure input that can change a run's
+// outcome.
 func diskKey(key runKey) string {
-	return fmt.Sprintf("result|v%d|bin=%s|wl=%s|scheme=%s|scale=%g|max=%d|l0d=%d/%d|warm=%d|snap=%s|every=%d",
-		resultCacheVersion, binFingerprint(), key.workload, key.scheme,
-		key.scale, key.maxCycles, key.l0dSize, key.l0dAssoc, key.warmup, key.snapHash, key.every)
+	return resultKind.Key(
+		"wl", key.workload,
+		"scheme", key.scheme,
+		"scale", strconv.FormatFloat(key.scale, 'g', -1, 64),
+		"max", strconv.Itoa(key.maxCycles),
+		"l0d", strconv.FormatUint(key.l0dSize, 10)+"/"+strconv.Itoa(key.l0dAssoc),
+		"warm", strconv.Itoa(key.warmup),
+		"snap", key.snapHash,
+		"every", strconv.Itoa(key.every))
 }
 
 // cachedEntry is the JSON layout of one disk-cached run result. The full
@@ -108,21 +159,21 @@ type cachedEntry struct {
 	Counters  map[string]uint64 `json:"counters"`
 }
 
-func resultPath(dir string, key runKey) string {
-	sum := sha256.Sum256([]byte(diskKey(key)))
+func resultPath(dir, dkey string) string {
+	sum := sha256.Sum256([]byte(dkey))
 	return filepath.Join(dir, "results", hex.EncodeToString(sum[:])+".json")
 }
 
-// diskGet loads a previously computed run result. All failures — missing
-// entry, unreadable file, key mismatch — report a miss; the cache is an
-// accelerator, never an oracle.
-func diskGet(dir string, key runKey) (sim.RunResult, bool) {
-	b, err := os.ReadFile(resultPath(dir, key))
+// diskGet loads a previously computed run result stored under dkey (a
+// diskKey). All failures — missing entry, unreadable file, key mismatch —
+// report a miss; the cache is an accelerator, never an oracle.
+func diskGet(dir, dkey string) (sim.RunResult, bool) {
+	b, err := os.ReadFile(resultPath(dir, dkey))
 	if err != nil {
 		return sim.RunResult{}, false
 	}
 	var e cachedEntry
-	if err := json.Unmarshal(b, &e); err != nil || e.Key != diskKey(key) {
+	if err := json.Unmarshal(b, &e); err != nil || e.Key != dkey {
 		return sim.RunResult{}, false
 	}
 	return sim.RunResult{
@@ -132,15 +183,15 @@ func diskGet(dir string, key runKey) (sim.RunResult, bool) {
 	}, true
 }
 
-// diskPut stores a run result, best-effort: a full disk or unwritable
-// directory only costs future cache hits.
-func diskPut(dir string, key runKey, res sim.RunResult) {
-	path := resultPath(dir, key)
+// diskPut stores a run result under dkey, best-effort: a full disk or
+// unwritable directory only costs future cache hits.
+func diskPut(dir, dkey string, res sim.RunResult) {
+	path := resultPath(dir, dkey)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return
 	}
 	e := cachedEntry{
-		Key:       diskKey(key),
+		Key:       dkey,
 		Cycles:    uint64(res.Cycles),
 		Committed: res.Committed,
 		Counters:  res.Counters,

@@ -24,9 +24,8 @@ import (
 
 // Job is one cell of an experiment matrix: a workload under a scheme at
 // the sizing carried in Opt. Series/Work name the cell for aggregation
-// and error reporting. Custom, when non-nil, overrides the scheme-derived
-// run (the Fig 5/6 filter-geometry sweeps); CustomKey identifies it for
-// memoization.
+// and error reporting. Its identity — what the memo map, the disk cache
+// and the checkpoint chain key it by — is newRunKey(job).
 type Job struct {
 	Spec   workload.Spec
 	Scheme defense.Scheme
@@ -42,8 +41,28 @@ type Job struct {
 	// microarchitectural statistics.
 	Attack string
 
-	Custom    func(ctx context.Context) (sim.RunResult, error)
-	CustomKey runKey
+	// Custom, when non-nil, replaces the workload run: an attack cell's
+	// run (AttackJob).
+	Custom func(ctx context.Context) (sim.RunResult, error)
+
+	// subject, when set, is what the cell's key names in place of
+	// Spec.Name (an attack cell's scenario encoding). l0dSize/l0dAssoc,
+	// when set, replace the data filter cache geometry (the Fig 5/6
+	// cells, built by buildSweep).
+	subject  string
+	l0dSize  uint64
+	l0dAssoc int
+}
+
+// run executes the cell under its completed key.
+func (j Job) run(ctx context.Context, key runKey) (sim.RunResult, error) {
+	if j.Custom != nil {
+		return j.Custom(ctx)
+	}
+	if j.l0dSize != 0 {
+		return forkOrRun(ctx, j.Spec, j.Opt, buildSweep(j.Spec, j.Scheme, j.l0dSize, j.l0dAssoc, j.Opt), key)
+	}
+	return forkOrRun(ctx, j.Spec, j.Opt, buildRun(j.Spec, j.Scheme, j.Opt), key)
 }
 
 // Outcome is one successfully completed Job with its result. (Failures
@@ -144,26 +163,14 @@ func (e *Executor) runJob(ctx context.Context, j Job) (sim.RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return sim.RunResult{}, err
 	}
-	snapHash, err := snapHashFor(j.Spec, j.Opt)
+	key, err := newRunKey(j)
 	if err != nil {
 		return sim.RunResult{}, err
 	}
-	key := j.CustomKey
-	run := j.Custom
-	if run == nil {
-		key = runKey{workload: j.Spec.Name, scheme: j.Scheme.Name,
-			scale: j.Opt.Scale, maxCycles: j.Opt.MaxCycles}
-		opt := j.Opt
-		spec, sch := j.Spec, j.Scheme
-		run = func(ctx context.Context) (sim.RunResult, error) {
-			return RunOne(ctx, spec, sch, opt)
-		}
-	}
-	key.warmup = j.Opt.WarmupInsts
-	key.snapHash = snapHash
-	key.every = j.Opt.ckptEvery()
 	cellStart := time.Now()
-	res, err := cachedRun(ctx, j.Opt, key, run)
+	res, err := cachedRun(ctx, j.Opt, key, func(ctx context.Context) (sim.RunResult, error) {
+		return j.run(ctx, key)
+	})
 	if err == nil {
 		// Cell wall time includes cache lookups and any singleflight wait:
 		// it is what a caller of the executor actually experiences per cell.

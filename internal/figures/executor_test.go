@@ -81,8 +81,7 @@ func TestExecutorCancelPropagates(t *testing.T) {
 	defer cancel()
 	jobs := make([]Job, 4)
 	for i := range jobs {
-		key := runKey{workload: "block", scheme: "s", maxCycles: i + 1}
-		jobs[i] = Job{Series: "s", Work: "block", CustomKey: key,
+		jobs[i] = Job{Series: "s", Work: "block", Opt: Options{MaxCycles: i + 1},
 			Custom: func(ctx context.Context) (sim.RunResult, error) {
 				cancel() // first job to run cancels the whole sweep
 				<-ctx.Done()
@@ -103,9 +102,9 @@ func TestExecutorFailFast(t *testing.T) {
 	ResetRunCache()
 	boom := errors.New("boom")
 	jobs := []Job{
-		{Series: "a", Work: "bad", CustomKey: runKey{workload: "bad"},
+		{Series: "a", Work: "bad", subject: "bad",
 			Custom: func(context.Context) (sim.RunResult, error) { return sim.RunResult{}, boom }},
-		{Series: "a", Work: "slow", CustomKey: runKey{workload: "slow"},
+		{Series: "a", Work: "slow", subject: "slow",
 			Custom: func(ctx context.Context) (sim.RunResult, error) {
 				select {
 				case <-ctx.Done():

@@ -91,7 +91,9 @@ func DefaultOptions() Options {
 // runKey identifies one deterministic simulation: every figure input that
 // can change a run's outcome is part of the key. Geometry fields are only
 // non-zero for the Fig 5/6 filter-cache sweeps; warmup/snapHash only when
-// snapshot forking is enabled.
+// snapshot forking is enabled. newRunKey is its one constructor; the
+// in-process memo map is keyed by the struct itself and every on-disk key
+// is its diskKey rendering.
 type runKey struct {
 	workload  string
 	scheme    string
@@ -105,6 +107,27 @@ type runKey struct {
 	// deterministically, so runs at different cadences are distinct
 	// experiments.
 	every int
+}
+
+// newRunKey builds a cell's identity: what it runs (Spec, or an attack
+// cell's subject; Scheme; filter geometry), its sizing, and the warm-up
+// depth, warm snapshot hash and checkpoint cadence. The executor builds it
+// once per cell and hands it to the run, so the memo map, the disk cache
+// and the mid-run checkpoint chain all see the same key. With warm-up set
+// it materialises the workload's warm snapshot to learn its hash.
+func newRunKey(j Job) (key runKey, err error) {
+	snapHash, err := snapHashFor(j.Spec, j.Opt)
+	if err != nil {
+		return key, err
+	}
+	name := j.Spec.Name
+	if j.subject != "" {
+		name = j.subject
+	}
+	return runKey{workload: name, scheme: j.Scheme.Name,
+		scale: j.Opt.Scale, maxCycles: j.Opt.MaxCycles,
+		l0dSize: j.l0dSize, l0dAssoc: j.l0dAssoc,
+		warmup: j.Opt.WarmupInsts, snapHash: snapHash, every: j.Opt.ckptEvery()}, nil
 }
 
 // runEntry is a singleflight-style cache slot: concurrent jobs for the
@@ -144,8 +167,10 @@ func cachedRun(ctx context.Context, opt Options, key runKey, run func(context.Co
 			runCacheMu.Unlock()
 			prof.RecordCacheEvent(telemetry.CacheMemory, false)
 
+			var dkey string
 			if opt.CacheDir != "" {
-				if res, ok := diskGet(opt.CacheDir, key); ok {
+				dkey = diskKey(key)
+				if res, ok := diskGet(opt.CacheDir, dkey); ok {
 					prof.RecordCacheEvent(telemetry.CacheDisk, true)
 					e.res = res
 					close(e.ready)
@@ -159,7 +184,7 @@ func cachedRun(ctx context.Context, opt Options, key runKey, run func(context.Co
 				prof.RecordRun(schemeLabel(key.scheme), uint64(e.res.Cycles), e.res.Committed, time.Since(simStart))
 			}
 			if e.err == nil && opt.CacheDir != "" {
-				diskPut(opt.CacheDir, key, e.res)
+				diskPut(opt.CacheDir, dkey, e.res)
 			}
 			if e.err != nil && ctxErr(e.err) {
 				// Aborted, not wrong: drop the entry (before waking
@@ -239,8 +264,12 @@ func buildRun(spec workload.Spec, sch defense.Scheme, opt Options) *sim.System {
 // shared warm snapshot (which is memoized) instead of simulating from
 // reset. Cancelling ctx mid-simulation returns ctx.Err().
 func RunOne(ctx context.Context, spec workload.Spec, sch defense.Scheme, opt Options) (sim.RunResult, error) {
-	return forkOrRun(ctx, spec, opt, buildRun(spec, sch, opt),
-		runKey{workload: spec.Name, scheme: sch.Name, scale: opt.Scale, maxCycles: opt.MaxCycles})
+	j := Job{Spec: spec, Scheme: sch, Opt: opt}
+	key, err := newRunKey(j)
+	if err != nil {
+		return sim.RunResult{}, err
+	}
+	return j.run(ctx, key)
 }
 
 // runMatrix executes jobs through the shared executor and returns cycles
@@ -317,12 +346,22 @@ func Fig4(ctx context.Context, opt Options) (*stats.Table, error) {
 		workload.Parsec(), opt)
 }
 
+// sweepScheme is full MuonTrap under the name the Fig 5/6 cells are keyed
+// by, so a custom-geometry cell never shares a key with a standard one.
+func sweepScheme() defense.Scheme {
+	sch := defense.MuonTrap()
+	sch.Name = "muontrap-sweep"
+	return sch
+}
+
 // buildSweep assembles the Fig 5/6 machine: a Parsec workload on four
-// cores under full MuonTrap with a custom data filter cache geometry.
-func buildSweep(spec workload.Spec, sizeBytes uint64, assoc int, opt Options) *sim.System {
+// cores under sch (sweepScheme) with a custom data filter cache geometry.
+// The warm snapshot (if any) is shared with the standard-geometry runs:
+// filter caches hold no warm state, so L0 geometry does not enter it.
+func buildSweep(spec workload.Spec, sch defense.Scheme, sizeBytes uint64, assoc int, opt Options) *sim.System {
 	prog := workload.Build(spec, opt.Scale)
 	cfg := sim.DefaultConfig(4)
-	cfg.Mem.Mode = defense.MuonTrap().Mode
+	cfg.Mem.Mode = sch.Mode
 	cfg.Mem.L0D.SizeBytes = sizeBytes
 	cfg.Mem.L0D.Assoc = assoc
 	cfg.TimerInterval = 500_000
@@ -336,15 +375,6 @@ func buildSweep(spec workload.Spec, sizeBytes uint64, assoc int, opt Options) *s
 	return sys
 }
 
-// sweepRun runs a buildSweep machine. The warm snapshot (if any) is shared
-// with the standard-geometry runs: filter caches hold no warm state, so L0
-// geometry does not enter the snapshot.
-func sweepRun(ctx context.Context, spec workload.Spec, sizeBytes uint64, assoc int, opt Options) (sim.RunResult, error) {
-	return forkOrRun(ctx, spec, opt, buildSweep(spec, sizeBytes, assoc, opt),
-		runKey{workload: spec.Name, scheme: "muontrap-sweep", scale: opt.Scale,
-			maxCycles: opt.MaxCycles, l0dSize: sizeBytes, l0dAssoc: assoc})
-}
-
 // geometryFigure builds Figures 5/6: the insecure baseline plus one
 // custom-geometry MuonTrap series per (size, assoc) point.
 func geometryFigure(ctx context.Context, title string, opt Options,
@@ -352,19 +382,11 @@ func geometryFigure(ctx context.Context, title string, opt Options,
 	specs := workload.Parsec()
 	var jobs []Job
 	for _, sp := range specs {
-		sp := sp
 		jobs = append(jobs, Job{Spec: sp, Scheme: defense.Insecure(), Opt: opt, Series: "baseline", Work: sp.Name})
 		for i := 0; i < n; i++ {
 			size, assoc := geom(i)
-			jobs = append(jobs, Job{
-				Spec: sp, Opt: opt, Work: sp.Name, Series: series(i),
-				CustomKey: runKey{workload: sp.Name, scheme: "muontrap-sweep",
-					scale: opt.Scale, maxCycles: opt.MaxCycles,
-					l0dSize: size, l0dAssoc: assoc},
-				Custom: func(ctx context.Context) (sim.RunResult, error) {
-					return sweepRun(ctx, sp, size, assoc, opt)
-				},
-			})
+			jobs = append(jobs, Job{Spec: sp, Scheme: sweepScheme(), Opt: opt, Series: series(i), Work: sp.Name,
+				l0dSize: size, l0dAssoc: assoc})
 		}
 	}
 	cycles, err := runMatrix(ctx, jobs)

@@ -61,23 +61,18 @@ func (c oracleCell) job(tb testing.TB) Job {
 	if c.L0DSize == 0 {
 		return Job{Spec: spec, Scheme: c.scheme(tb), Opt: opt, Series: c.Scheme, Work: c.String()}
 	}
-	size, assoc := c.L0DSize, int(c.L0DSize/64)
-	return Job{Spec: spec, Opt: opt, Series: "sweep", Work: c.String(),
-		CustomKey: runKey{workload: spec.Name, scheme: "muontrap-sweep", scale: opt.Scale,
-			maxCycles: opt.MaxCycles, l0dSize: size, l0dAssoc: assoc},
-		Custom: func(ctx context.Context) (sim.RunResult, error) {
-			return sweepRun(ctx, spec, size, assoc, opt)
-		}}
+	return Job{Spec: spec, Scheme: sweepScheme(), Opt: opt, Series: "sweep", Work: c.String(),
+		l0dSize: c.L0DSize, l0dAssoc: int(c.L0DSize / 64)}
 }
 
 func (c oracleCell) run(tb testing.TB) sim.RunResult {
 	tb.Helper()
 	j := c.job(tb)
-	run := j.Custom
-	if run == nil {
-		run = func(ctx context.Context) (sim.RunResult, error) { return RunOne(ctx, j.Spec, j.Scheme, j.Opt) }
+	key, err := newRunKey(j)
+	if err != nil {
+		tb.Fatalf("%s: %v", c, err)
 	}
-	res, err := run(context.Background())
+	res, err := j.run(context.Background(), key)
 	if err != nil {
 		tb.Fatalf("%s: %v", c, err)
 	}
@@ -92,7 +87,7 @@ func (c oracleCell) runFresh(tb testing.TB) sim.RunResult {
 	opt := oracleOptions()
 	var sys *sim.System
 	if c.L0DSize > 0 {
-		sys = buildSweep(c.spec(tb), c.L0DSize, int(c.L0DSize/64), opt)
+		sys = buildSweep(c.spec(tb), sweepScheme(), c.L0DSize, int(c.L0DSize/64), opt)
 	} else {
 		sys = buildRun(c.spec(tb), c.scheme(tb), opt)
 	}

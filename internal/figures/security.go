@@ -89,13 +89,12 @@ func AttackJob(sc attack.Scenario, sch defense.Scheme, opt Options) Job {
 	o.Scale, o.MaxCycles = 0, 0
 	o.WarmupInsts, o.CheckpointEvery, o.Resume = 0, 0, false
 	return Job{
-		Scheme: sch,
-		Opt:    o,
-		Series: sch.Name,
-		Work:   sc.Name,
-		Attack: sc.Name,
-		CustomKey: runKey{workload: "attack:" + sc.Encode(),
-			scheme: sch.Name},
+		Scheme:  sch,
+		Opt:     o,
+		Series:  sch.Name,
+		Work:    sc.Name,
+		Attack:  sc.Name,
+		subject: "attack:" + sc.Encode(),
 		Custom: func(ctx context.Context) (sim.RunResult, error) {
 			if err := ctx.Err(); err != nil {
 				return sim.RunResult{}, err

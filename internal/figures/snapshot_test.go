@@ -210,7 +210,7 @@ func TestDiskCacheResumesAcrossProcessLifetimes(t *testing.T) {
 	// A different key must miss.
 	other := key
 	other.scheme = "muontrap"
-	if _, ok := diskGet(dir, other); ok {
+	if _, ok := diskGet(dir, diskKey(other)); ok {
 		t.Fatal("disk cache hit for a different scheme")
 	}
 }

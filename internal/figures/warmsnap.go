@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 
 	"repro/internal/checkpoint"
@@ -41,8 +42,10 @@ var (
 // workload's suite and the default configuration, which the build
 // fingerprint pins.
 func warmInputKey(spec workload.Spec, opt Options) string {
-	return fmt.Sprintf("warm|v%d|bin=%s|wl=%s|scale=%g|insts=%d",
-		checkpoint.FormatVersion, binFingerprint(), spec.Name, opt.Scale, opt.WarmupInsts)
+	return warmKind.Key(
+		"wl", spec.Name,
+		"scale", strconv.FormatFloat(opt.Scale, 'g', -1, 64),
+		"insts", strconv.Itoa(opt.WarmupInsts))
 }
 
 // warmSnapshot returns (building if necessary) the shared warm snapshot
@@ -127,10 +130,8 @@ func resetSnapCache() {
 //     checkpoints of the same chain are pruned — only the latest stays
 //     on disk).
 //
-// key carries the run's identity (workload, scheme, geometry, sizing) as
-// the caller would memoize it; forkOrRun completes it with the
-// warm-up/snapshot/cadence fields it owns, so the mid-run checkpoint
-// chain is keyed by exactly the inputs the result cache uses.
+// key is the run's completed identity (newRunKey), so the mid-run
+// checkpoint chain is keyed by exactly the inputs the result cache uses.
 //
 // The warm snapshot build itself is not cancellable (it is architectural
 // fast-forward, orders of magnitude cheaper than detailed simulation), so
@@ -141,13 +142,6 @@ func resetSnapCache() {
 // nothing with them).
 func forkOrRun(ctx context.Context, spec workload.Spec, opt Options, sys *sim.System, key runKey) (sim.RunResult, error) {
 	defer sys.Release()
-	snapHash, err := snapHashFor(spec, opt)
-	if err != nil {
-		return sim.RunResult{}, err
-	}
-	key.warmup = opt.WarmupInsts
-	key.snapHash = snapHash
-	key.every = opt.ckptEvery()
 	var st checkpoint.ContentStore
 	var mkey string
 	if key.every > 0 {

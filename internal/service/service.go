@@ -143,7 +143,8 @@ func (l local) Run(ctx context.Context, job muontrap.Job, resume bool, progress 
 // evaluation matrix to replay without eviction.
 const defaultStreamHistory = 256
 
-// journalVersion versions the job journal entry layout.
+// journalVersion versions the job journal entry layout. (Stored sweep
+// results are versioned apart, by figures.SweepKind.)
 const journalVersion = 1
 
 // jobEntry is the JSON layout of one journaled job: the public record
@@ -1021,8 +1022,10 @@ func (s *Server) effectiveScales(sw muontrap.Sweep) []float64 {
 // matrix in declaration order (order is part of the result — SweepResult
 // is declaration-ordered), every option that can change an outcome
 // (scales, cycle bound, warm-up depth, checkpoint cadence), and the
-// simulator build fingerprint. Worker count is deliberately absent: the
-// repo's determinism tests pin that parallelism never changes results.
+// simulator build fingerprint, rendered by the one key encoder
+// (figures.KeyKind.Key) as the sweep kind. Worker count is deliberately
+// absent: the repo's determinism tests pin that parallelism never changes
+// results.
 // Priority and tenant are absent for the same reason — they decide when
 // a result is computed, never what it is. It is the one key function of
 // the job plane: a fleet coordinator keys each cell — a single-cell
@@ -1058,10 +1061,14 @@ func (s *Server) SweepKey(sw muontrap.Sweep) string {
 	for i, a := range sw.Attacks {
 		atk[i] = string(a)
 	}
-	canon := fmt.Sprintf("sweep|v%d|bin=%s|wl=%s|atk=%s|sch=%s|scales=%s|max=%d|warm=%d|every=%d",
-		journalVersion, figures.BinFingerprint(),
-		strings.Join(wl, ","), strings.Join(atk, ","), strings.Join(sch, ","),
-		strings.Join(scales, ","), maxCycles, s.cfg.Warmup, s.cfg.CheckpointEvery)
+	canon := figures.SweepKind.Key(
+		"wl", strings.Join(wl, ","),
+		"atk", strings.Join(atk, ","),
+		"sch", strings.Join(sch, ","),
+		"scales", strings.Join(scales, ","),
+		"max", strconv.Itoa(maxCycles),
+		"warm", strconv.Itoa(s.cfg.Warmup),
+		"every", strconv.Itoa(s.cfg.CheckpointEvery))
 	sum := sha256.Sum256([]byte(canon))
 	return hex.EncodeToString(sum[:])
 }

@@ -39,20 +39,13 @@
 //     configuration; NewSystem builds the underlying machine for advanced
 //     scenarios.
 //
-// # Migrating from Run/Figure to Runner/Sweep
-//
-// The pre-service API survives as thin deprecated shims:
-//
-//	res, err := muontrap.Run(muontrap.Config{Workload: "povray", Scheme: "muontrap"})
-//	tbl, err := muontrap.Figure("fig4", opt)
-//
-// becomes
+// # Runs, sweeps and figures
 //
 //	r := muontrap.NewRunner(
 //		muontrap.WithWorkers(4),
-//		muontrap.WithCacheDir(dir),     // was Options.CacheDir
-//		muontrap.WithWarmup(100_000),   // was Options.WarmupInsts
-//		muontrap.WithScale(opt.Scale),  // was Options.Scale / Config.Scale
+//		muontrap.WithCacheDir(dir),
+//		muontrap.WithWarmup(100_000),
+//		muontrap.WithScale(0.15),
 //	)
 //	rr, err := r.Run(ctx, muontrap.RunSpec{Workload: "povray", Scheme: "muontrap"})
 //	tbl, err := r.Figure(ctx, muontrap.Fig4)
@@ -64,12 +57,9 @@
 //		Schemes:   []muontrap.Scheme{"insecure", "muontrap"},
 //	})
 //
-// Semantics worth knowing when migrating: Runner.Run is a fresh,
-// unmemoized simulation (exactly like the old Run); Runner.Sweep and
+// Runner.Run is a fresh, unmemoized simulation; Runner.Sweep and
 // Runner.Figure deduplicate identical cells in-process and, with
-// WithCacheDir, across invocations. Options is now a plain public struct
-// (no longer an alias of an internal type); it remains only to size the
-// deprecated Figure shim.
+// WithCacheDir, across invocations.
 //
 // Invariants:
 //

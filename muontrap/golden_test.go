@@ -1,6 +1,7 @@
 package muontrap_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/simtest"
@@ -14,7 +15,7 @@ import (
 // the event queue's (when, seq) total order and the pipeline's scheduling
 // decisions are load-bearing for every figure in the evaluation.
 //
-// These runs go through muontrap.Run -> figures.RunOne, which is not
+// These runs go through Runner.Run -> figures.RunOne, which is not
 // memoized, so each entry is a fresh simulation.
 var golden = map[string]struct {
 	Cycles    uint64
@@ -28,9 +29,10 @@ var golden = map[string]struct {
 	"stt-future":         {Cycles: 21888, Committed: 25814},
 }
 
-func goldenRun(t *testing.T, scheme string) muontrap.Result {
+func goldenRun(t *testing.T, scheme string) muontrap.RunResult {
 	t.Helper()
-	res, err := muontrap.Run(muontrap.Config{Workload: "hmmer", Scheme: scheme, Scale: 0.1})
+	res, err := muontrap.NewRunner().Run(context.Background(),
+		muontrap.RunSpec{Workload: "hmmer", Scheme: muontrap.Scheme(scheme), Scale: 0.1})
 	if err != nil {
 		t.Fatalf("%s: %v", scheme, err)
 	}
@@ -55,7 +57,8 @@ func TestGoldenCyclesPerScheme(t *testing.T) {
 // TestGoldenMultiCoreParsec pins a 4-core full-system run (timer ticks,
 // domain flushes, coherence traffic) under full MuonTrap.
 func TestGoldenMultiCoreParsec(t *testing.T) {
-	res, err := muontrap.Run(muontrap.Config{Workload: "canneal", Scheme: "muontrap", Scale: 0.05})
+	res, err := muontrap.NewRunner().Run(context.Background(),
+		muontrap.RunSpec{Workload: "canneal", Scheme: "muontrap", Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,12 @@
 package muontrap
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/attack"
 	"repro/internal/defense"
 	"repro/internal/figures"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Result reports one run.
@@ -28,100 +26,6 @@ func (r Result) IPC() float64 {
 		return 0
 	}
 	return float64(r.Instructions) / float64(r.Cycles)
-}
-
-// Options sizes an experiment (a sweep or a figure regeneration). It is a
-// plain public struct; the internal experiment options are mapped from it.
-type Options struct {
-	// Scale multiplies every workload's trip count (default 0.15).
-	Scale float64
-	// MaxCycles bounds each run (default 40M).
-	MaxCycles int
-	// Parallelism caps concurrent runs (0 = GOMAXPROCS).
-	Parallelism int
-	// WarmupInsts, when positive, architecturally fast-forwards this many
-	// instructions per workload once and forks every run of that workload
-	// from the restored warm snapshot.
-	WarmupInsts int
-	// CacheDir, when non-empty, backs run memoization with a disk cache
-	// so experiment sweeps resume across process invocations.
-	CacheDir string
-	// CheckpointEvery, when positive, drains and snapshots each run every
-	// n simulated cycles mid-detailed-simulation (persisted under
-	// CacheDir) so interrupted sweeps can crash-resume. See
-	// WithCheckpointEvery for the determinism contract.
-	CheckpointEvery int
-	// Resume restarts runs from their latest persisted mid-run
-	// checkpoint; see WithResume.
-	Resume bool
-}
-
-// DefaultOptions is the bench-harness experiment size.
-func DefaultOptions() Options {
-	def := figures.DefaultOptions()
-	return Options{Scale: def.Scale, MaxCycles: def.MaxCycles}
-}
-
-// runner builds the Runner equivalent of a legacy Options value.
-func (o Options) runner() *Runner {
-	return NewRunner(
-		WithScale(o.Scale),
-		WithMaxCycles(o.MaxCycles),
-		WithWorkers(o.Parallelism),
-		WithWarmup(o.WarmupInsts),
-		WithCacheDir(o.CacheDir),
-		WithCheckpointEvery(o.CheckpointEvery),
-		WithResume(o.Resume),
-	)
-}
-
-// Config selects one simulation run.
-//
-// Deprecated: Config carries stringly-typed identifiers. Use RunSpec with
-// Runner.Run, which validates Workload/Scheme values and honors
-// context.Context.
-type Config struct {
-	// Workload is a benchmark name from Workloads().
-	Workload string
-	// Scheme is a protection scheme name from Schemes(); empty means the
-	// unprotected baseline.
-	Scheme string
-	// Scale multiplies the workload's trip count (default 0.15).
-	Scale float64
-	// MaxCycles bounds the run (default 40M).
-	MaxCycles int
-}
-
-// Run executes one workload under one protection scheme, blocking until
-// it completes.
-//
-// Deprecated: use Runner.Run, which adds context cancellation, typed
-// identifiers and worker pooling. Run remains as a thin shim over it.
-func Run(cfg Config) (Result, error) {
-	r := NewRunner()
-	rr, err := r.Run(context.Background(), RunSpec{
-		Workload:  Workload(cfg.Workload),
-		Scheme:    Scheme(cfg.Scheme),
-		Scale:     cfg.Scale,
-		MaxCycles: cfg.MaxCycles,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return rr.Result, nil
-}
-
-// Figure regenerates one of the paper's figures ("fig3" … "fig9") as a
-// printable table.
-//
-// Deprecated: use Runner.Figure, which adds context cancellation and a
-// validated FigureID. Figure remains as a thin shim over it.
-func Figure(id string, opt Options) (*stats.Table, error) {
-	fid, err := ParseFigureID(id)
-	if err != nil {
-		return nil, err
-	}
-	return opt.runner().Figure(context.Background(), fid)
 }
 
 // TableOne renders the paper's Table 1 from the live configuration.

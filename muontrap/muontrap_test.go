@@ -1,6 +1,8 @@
 package muontrap_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,7 +10,8 @@ import (
 )
 
 func TestRunBasic(t *testing.T) {
-	res, err := muontrap.Run(muontrap.Config{Workload: "hmmer", Scheme: "muontrap", Scale: 0.05})
+	res, err := muontrap.NewRunner().Run(context.Background(),
+		muontrap.RunSpec{Workload: "hmmer", Scheme: "muontrap", Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,21 +27,26 @@ func TestRunBasic(t *testing.T) {
 }
 
 func TestRunDefaultsToInsecure(t *testing.T) {
-	res, err := muontrap.Run(muontrap.Config{Workload: "hmmer", Scale: 0.05})
+	res, err := muontrap.NewRunner().Run(context.Background(),
+		muontrap.RunSpec{Workload: "hmmer", Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Scheme != muontrap.SchemeInsecure {
+		t.Fatalf("scheme = %q, want %q", res.Scheme, muontrap.SchemeInsecure)
 	}
 	if _, ok := res.Counters["core0.l0d.hits"]; ok {
 		t.Fatal("default scheme should have no filter cache")
 	}
 }
 
+// TestRunErrors: an unknown scheme fails a single run with its sentinel
+// (the unknown-workload case is in TestSweepValidatesUpfront).
 func TestRunErrors(t *testing.T) {
-	if _, err := muontrap.Run(muontrap.Config{Workload: "nope"}); err == nil {
-		t.Fatal("unknown workload should error")
-	}
-	if _, err := muontrap.Run(muontrap.Config{Workload: "hmmer", Scheme: "nope"}); err == nil {
-		t.Fatal("unknown scheme should error")
+	_, err := muontrap.NewRunner().Run(context.Background(),
+		muontrap.RunSpec{Workload: "hmmer", Scheme: "nope"})
+	if !errors.Is(err, muontrap.ErrUnknownScheme) {
+		t.Fatalf("err = %v, want ErrUnknownScheme", err)
 	}
 }
 
@@ -93,8 +101,8 @@ func TestAttackAPI(t *testing.T) {
 }
 
 func TestFigureUnknownID(t *testing.T) {
-	if _, err := muontrap.Figure("fig99", muontrap.DefaultOptions()); err == nil {
-		t.Fatal("unknown figure should error")
+	if _, err := muontrap.NewRunner().Figure(context.Background(), "fig99"); !errors.Is(err, muontrap.ErrUnknownFigure) {
+		t.Fatalf("err = %v, want ErrUnknownFigure", err)
 	}
 }
 

@@ -349,17 +349,13 @@ func (r *Runner) execute(ctx context.Context, jobs []figures.Job) ([]figures.Out
 // counter map is copied: memoized cells share one map process-wide, and
 // the public result must be safe for callers to mutate.
 func outcomeResult(o figures.Outcome) RunResult {
-	scheme := o.Job.Scheme.Name
-	if scheme == "" {
-		scheme = o.Job.Series // custom-geometry cells carry no scheme
-	}
 	counters := make(map[string]uint64, len(o.Res.Counters))
 	for k, v := range o.Res.Counters {
 		counters[k] = v
 	}
 	return RunResult{
 		Workload: Workload(o.Job.Spec.Name),
-		Scheme:   Scheme(scheme),
+		Scheme:   Scheme(o.Job.Scheme.Name),
 		Scale:    o.Job.Opt.Scale,
 		Attack:   AttackName(o.Job.Attack),
 		Result: Result{

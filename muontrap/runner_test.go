@@ -191,28 +191,6 @@ func TestSweepValidatesUpfront(t *testing.T) {
 	}
 }
 
-// TestRunnerFigureMatchesDeprecatedShim: the deprecated Figure shim and
-// Runner.Figure render byte-identical tables (they are the same path).
-func TestRunnerFigureMatchesDeprecatedShim(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure regeneration")
-	}
-	opt := muontrap.DefaultOptions()
-	opt.Scale = 0.02
-	old, err := muontrap.Figure("fig7", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := muontrap.NewRunner(muontrap.WithScale(opt.Scale))
-	nu, err := r.Figure(context.Background(), muontrap.Fig7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.String() != nu.String() {
-		t.Fatalf("shim table differs from Runner table:\n%s\nvs\n%s", old.String(), nu.String())
-	}
-}
-
 // TestSweepCheckpointResumeAcrossRunners is the public-API crash-resume
 // gate: a checkpointing sweep is interrupted only after its first
 // mid-run checkpoint has verifiably been persisted (the test polls the
