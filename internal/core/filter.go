@@ -133,12 +133,3 @@ func (f *FilterCache) FlashInvalidate(onDrop func(paddr mem.Addr)) int {
 
 // ForEach visits every valid line.
 func (f *FilterCache) ForEach(fn func(*cache.Line)) { f.arr.ForEach(fn) }
-
-// HitRate reports the CPU-side hit rate.
-func (f *FilterCache) HitRate() float64 {
-	total := f.Hits + f.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(f.Hits) / float64(total)
-}

@@ -8,35 +8,38 @@ import (
 	"repro/internal/mem"
 )
 
-// Quiesced reports whether the core holds no in-flight pipeline state:
-// empty ROB, queues and store buffer, no outstanding drains and no pending
-// instruction fetch. Checkpoints are only valid in this state — the
-// snapshot format deliberately has no encoding for in-flight dynInsts.
-// Quiet is the allocation-free form of Quiesced, for callers that poll
-// every cycle (the drain loop): Quiet() == (Quiesced() == nil), without
-// building an error. The two must cover the same conditions; the quiesce
-// table test pins the equivalence.
-func (c *Core) Quiet() bool {
-	return c.rob.len() == 0 && c.iqCount == 0 && len(c.lq) == 0 && len(c.sq) == 0 &&
-		c.storeBuf.len() == 0 && c.drainsInFlight == 0 && !c.fetchLinePend
-}
-
-func (c *Core) Quiesced() error {
+// busy names the first structure still holding in-flight pipeline state,
+// as a format and its argument (an occupancy; for a pending ifetch, the
+// line). The format is "" on a quiesced core, the only state a checkpoint
+// may capture: the snapshot format has no encoding for in-flight dynInsts.
+func (c *Core) busy() (format string, arg uint64) {
 	switch {
 	case c.rob.len() > 0:
-		return fmt.Errorf("cpu: %d instructions in the ROB", c.rob.len())
+		return "%d instructions in the ROB", uint64(c.rob.len())
 	case c.iqCount > 0:
-		return fmt.Errorf("cpu: %d instructions in the issue queue", c.iqCount)
+		return "%d instructions in the issue queue", uint64(c.iqCount)
 	case len(c.lq) > 0:
-		return fmt.Errorf("cpu: %d loads in the load queue", len(c.lq))
+		return "%d loads in the load queue", uint64(len(c.lq))
 	case len(c.sq) > 0:
-		return fmt.Errorf("cpu: %d stores in the store queue", len(c.sq))
+		return "%d stores in the store queue", uint64(len(c.sq))
 	case c.storeBuf.len() > 0:
-		return fmt.Errorf("cpu: %d committed stores in the store buffer", c.storeBuf.len())
+		return "%d committed stores in the store buffer", uint64(c.storeBuf.len())
 	case c.drainsInFlight > 0:
-		return fmt.Errorf("cpu: %d store drains in flight", c.drainsInFlight)
+		return "%d store drains in flight", uint64(c.drainsInFlight)
 	case c.fetchLinePend:
-		return fmt.Errorf("cpu: in-flight instruction fetch for line %#x", c.fetchPendLine)
+		return "in-flight instruction fetch for line %#x", c.fetchPendLine
+	}
+	return "", 0
+}
+
+// Quiet reports whether the core is quiesced, without allocating (the
+// drain loop polls it every cycle).
+func (c *Core) Quiet() bool { format, _ := c.busy(); return format == "" }
+
+// Quiesced is nil on a quiesced core, else an error naming what holds.
+func (c *Core) Quiesced() error {
+	if format, arg := c.busy(); format != "" {
+		return fmt.Errorf("cpu: "+format, arg)
 	}
 	return nil
 }

@@ -106,11 +106,3 @@ func (d *DRAM) Access(a Addr) event.Cycle {
 	d.busFree = start + d.cfg.BurstGap
 	return done
 }
-
-// RowHitRate reports the fraction of accesses that hit an open row.
-func (d *DRAM) RowHitRate() float64 {
-	if d.Accesses == 0 {
-		return 0
-	}
-	return float64(d.RowHits) / float64(d.Accesses)
-}

@@ -145,16 +145,18 @@ func TestDRAMRowConflictEvictsRow(t *testing.T) {
 	}
 }
 
+// TestDRAMRowHitRate pins the counters a row-hit rate is read from: every
+// access counts, only one that finds its row open counts as a row hit.
 func TestDRAMRowHitRate(t *testing.T) {
 	s := event.NewScheduler()
 	d := NewDRAM(s, DefaultDRAMConfig())
-	if d.RowHitRate() != 0 {
-		t.Fatal("empty DRAM should report 0 hit rate")
+	if d.RowHits != 0 || d.Accesses != 0 {
+		t.Fatal("fresh DRAM has counted accesses")
 	}
 	d.Access(0)
 	d.Access(Addr(uint64(DefaultDRAMConfig().Banks) * LineBytes))
-	if d.RowHitRate() != 0.5 {
-		t.Fatalf("RowHitRate = %v, want 0.5", d.RowHitRate())
+	if d.RowHits != 1 || d.Accesses != 2 {
+		t.Fatalf("row hits/accesses = %d/%d, want 1/2", d.RowHits, d.Accesses)
 	}
 }
 

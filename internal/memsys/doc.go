@@ -16,8 +16,12 @@
 //     completions arrive through scheduled events, either as parked
 //     callbacks or as typed Client notifications identified by
 //     (pool index, seq) pairs the core validates against recycling.
-//     An L1D miss's retry, NACK or fill is a typed event over a reused
-//     slot (dmiss), like a page-table walk's steps: no closure per miss.
+//     Everything a port parks under an event argument — callbacks,
+//     MSHR-coalesced waiters, page-table walks, L1D misses (retry, NACK
+//     or fill) — lives in a slots[T] registry, and the slot number is
+//     the event argument: no closure per miss. Quiet and Quiesced are
+//     two readings of one predicate over those registries and the MSHR
+//     files.
 //   - Mode: the per-mechanism protection switches (filter protection,
 //     coherence protection, commit-time prefetch, filter TLB, …).
 //   - Client: the typed completion receiver the core implements.

@@ -92,32 +92,22 @@ type Port struct {
 
 	ctr [numPortCounters]uint64
 
-	// Deferred-callback registries: completion closures parked in reused
-	// slots so scheduling a delivery event never boxes or re-allocates.
-	cbs     []func(AccessResult)
-	cbFree  []int32
-	vcbs    []func()
-	vcbFree []int32
-
-	// Parked MSHR-coalescing waiters: a secondary miss parks its pending
-	// completion here and hands the MSHR file the slot index; the wake-up
-	// at fill time retrieves it — no per-miss closure.
-	mwait     []comp
-	mwaitFree []int32
-	iwait     []icomp
-	iwaitFree []int32
-
-	// Pooled page-table walks: each in-flight hardware walk lives in a
-	// reused slot; its per-level reads complete back into walkStep through
-	// a typed comp route instead of a per-walk closure chain.
-	walks    []ptwalk
-	walkFree []int32
-
-	// Parked L1D misses: what a miss's scheduled retry, NACK or fill needs
-	// when it fires lives in a reused slot delivered by a typed event — no
-	// per-miss closure.
-	misses   []dmiss
-	missFree []int32
+	// What the port parks under an event argument, each kind in its own
+	// slot registry so a delivery carries a slot number, never a boxed
+	// value:
+	//   - cbs, vcbs: completion callbacks awaiting their delivery event;
+	//   - mwait, iwait: MSHR-coalesced waiters, the slot handed to the
+	//     MSHR file and retrieved by the wake-up at fill time;
+	//   - walks: hardware page-table walks, whose per-level reads complete
+	//     back into walkStep through a typed comp route;
+	//   - misses: what an L1D miss's scheduled retry, NACK or fill needs
+	//     when it fires.
+	cbs    slots[func(AccessResult)]
+	vcbs   slots[func()]
+	mwait  slots[comp]
+	iwait  slots[icomp]
+	walks  slots[ptwalk]
+	misses slots[dmiss]
 }
 
 // dmiss is one L1D miss parked until its event fires: the whole access
@@ -153,11 +143,7 @@ type ptwalk struct {
 type dataMSHRWaker struct{ p *Port }
 
 func (wk dataMSHRWaker) MSHRWake(slot int32) {
-	p := wk.p
-	cm := p.mwait[slot]
-	p.mwait[slot] = comp{}
-	p.mwaitFree = append(p.mwaitFree, slot)
-	p.completeNow(cm, AccessResult{Level: FromL2})
+	wk.p.completeNow(wk.p.mwait.take(slot), AccessResult{Level: FromL2})
 }
 
 // instMSHRWaker delivers instruction-side MSHR wake-ups parked in the
@@ -165,33 +151,7 @@ func (wk dataMSHRWaker) MSHRWake(slot int32) {
 type instMSHRWaker struct{ p *Port }
 
 func (wk instMSHRWaker) MSHRWake(slot int32) {
-	p := wk.p
-	cm := p.iwait[slot]
-	p.iwait[slot] = icomp{}
-	p.iwaitFree = append(p.iwaitFree, slot)
-	p.completeINow(cm, AccessResult{Level: FromL2})
-}
-
-func (p *Port) mwaitPut(cm comp) int32 {
-	if n := len(p.mwaitFree); n > 0 {
-		slot := p.mwaitFree[n-1]
-		p.mwaitFree = p.mwaitFree[:n-1]
-		p.mwait[slot] = cm
-		return slot
-	}
-	p.mwait = append(p.mwait, cm)
-	return int32(len(p.mwait) - 1)
-}
-
-func (p *Port) iwaitPut(cm icomp) int32 {
-	if n := len(p.iwaitFree); n > 0 {
-		slot := p.iwaitFree[n-1]
-		p.iwaitFree = p.iwaitFree[:n-1]
-		p.iwait[slot] = cm
-		return slot
-	}
-	p.iwait = append(p.iwait, cm)
-	return int32(len(p.iwait) - 1)
+	wk.p.completeINow(wk.p.iwait.take(slot), AccessResult{Level: FromL2})
 }
 
 func newPort(h *Hierarchy, id int) *Port {
@@ -292,9 +252,9 @@ func decodeResult(v uint64) AccessResult {
 func (p *Port) HandleEvent(op int32, a1, a2 uint64) {
 	switch op {
 	case popDeliverAccess:
-		p.cbTake(int32(a1))(decodeResult(a2))
+		p.cbs.take(int32(a1))(decodeResult(a2))
 	case popDeliverVoid:
-		p.vcbTake(int32(a1))()
+		p.vcbs.take(int32(a1))()
 	case popLoadDone:
 		p.client.LoadDone(int32(uint32(a1)), a2, decodeResult(a1>>32))
 	case popIfetchDone:
@@ -310,58 +270,22 @@ func (p *Port) HandleEvent(op int32, a1, a2 uint64) {
 			l2.State = cache.Modified
 		}
 		if slot := a2 >> 1; slot != 0 {
-			p.vcbTake(int32(slot - 1))()
+			p.vcbs.take(int32(slot - 1))()
 		}
 	case popCommitWT:
 		p.commitWTFin(uint64(a1), cache.State(a2))
 	case popWalkStep:
 		p.walkStep(int32(a1))
 	case popMissRetry:
-		ms := p.missTake(int32(a1))
+		ms := p.misses.take(int32(a1))
 		p.dataRead(ms.pc, ms.vaddr, ms.paddr, ms.spec, ms.train, ms.cm)
 	case popMissNACK:
-		ms := p.missTake(int32(a1))
+		ms := p.misses.take(int32(a1))
 		ms.mshrs.Complete(uint64(mem.LineAddr(ms.paddr)))
 		p.completeNow(ms.cm, AccessResult{NACK: true})
 	case popMissFill:
-		p.missFill(p.missTake(int32(a1)))
+		p.missFill(p.misses.take(int32(a1)))
 	}
-}
-
-func (p *Port) cbPut(fn func(AccessResult)) int32 {
-	if n := len(p.cbFree); n > 0 {
-		slot := p.cbFree[n-1]
-		p.cbFree = p.cbFree[:n-1]
-		p.cbs[slot] = fn
-		return slot
-	}
-	p.cbs = append(p.cbs, fn)
-	return int32(len(p.cbs) - 1)
-}
-
-func (p *Port) cbTake(slot int32) func(AccessResult) {
-	fn := p.cbs[slot]
-	p.cbs[slot] = nil
-	p.cbFree = append(p.cbFree, slot)
-	return fn
-}
-
-func (p *Port) vcbPut(fn func()) int32 {
-	if n := len(p.vcbFree); n > 0 {
-		slot := p.vcbFree[n-1]
-		p.vcbFree = p.vcbFree[:n-1]
-		p.vcbs[slot] = fn
-		return slot
-	}
-	p.vcbs = append(p.vcbs, fn)
-	return int32(len(p.vcbs) - 1)
-}
-
-func (p *Port) vcbTake(slot int32) func() {
-	fn := p.vcbs[slot]
-	p.vcbs[slot] = nil
-	p.vcbFree = append(p.vcbFree, slot)
-	return fn
 }
 
 // comp is a pending data-access completion: a typed client delivery
@@ -393,7 +317,7 @@ func (p *Port) complete(lat event.Cycle, cm comp, res AccessResult) {
 		p.h.sched.AfterEvent(lat, p, popWalkStep, uint64(cm.walk-1), 0)
 		return
 	}
-	p.h.sched.AfterEvent(lat, p, popDeliverAccess, uint64(p.cbPut(cm.cb)), encodeResult(res))
+	p.h.sched.AfterEvent(lat, p, popDeliverAccess, uint64(p.cbs.put(cm.cb)), encodeResult(res))
 }
 
 // completeNow delivers synchronously (MSHR coalescing wake-ups fire inside
@@ -422,7 +346,7 @@ func (p *Port) completeI(lat event.Cycle, cm icomp, res AccessResult) {
 		p.h.sched.AfterEvent(lat, p, popIfetchDone, encodeResult(res), cm.epoch)
 		return
 	}
-	p.h.sched.AfterEvent(lat, p, popDeliverAccess, uint64(p.cbPut(cm.cb)), encodeResult(res))
+	p.h.sched.AfterEvent(lat, p, popDeliverAccess, uint64(p.cbs.put(cm.cb)), encodeResult(res))
 }
 
 func (p *Port) completeINow(cm icomp, res AccessResult) {
@@ -490,24 +414,12 @@ func (p *Port) translate(vaddr mem.VAddr, instr, spec bool, cm tcomp) {
 		return
 	}
 	p.ctr[PCPTWalks]++
-	slot := p.walkPut(ptwalk{
+	slot := p.walks.put(ptwalk{
 		vaddr: vaddr, vpn: vpn, pfn: pfn,
 		addrs: p.pt.WalkAddrs(vpn),
 		spec:  spec, instr: instr, cm: cm,
 	})
 	p.walkStep(slot)
-}
-
-// walkPut parks an in-flight page-table walk in a reused slot.
-func (p *Port) walkPut(w ptwalk) int32 {
-	if n := len(p.walkFree); n > 0 {
-		slot := p.walkFree[n-1]
-		p.walkFree = p.walkFree[:n-1]
-		p.walks[slot] = w
-		return slot
-	}
-	p.walks = append(p.walks, w)
-	return int32(len(p.walks) - 1)
 }
 
 // walkStep issues the walk's next per-level read, or — after the last
@@ -516,11 +428,9 @@ func (p *Port) walkPut(w ptwalk) int32 {
 // through the comp walk route, replacing the former per-walk closure
 // chain: the event order, latency and TLB effects are identical.
 func (p *Port) walkStep(slot int32) {
-	w := &p.walks[slot]
+	w := p.walks.at(slot)
 	if int(w.next) >= len(w.addrs) {
-		fin := *w
-		p.walks[slot] = ptwalk{}
-		p.walkFree = append(p.walkFree, slot)
+		fin := p.walks.take(slot)
 		if p.fdtlb != nil && fin.spec {
 			// Speculative translations go to the filter TLB (§4.7).
 			p.fdtlb.Insert(p.asid, fin.vpn, fin.pfn)
@@ -633,7 +543,7 @@ func (p *Port) dataRead(pc uint64, vaddr mem.VAddr, paddr mem.Addr, spec, train 
 		mshrs = p.l0d.MSHRs
 	}
 	if existing := mshrs.Lookup(line); existing != nil {
-		mshrs.Allocate(line, p.mwaitPut(cm))
+		mshrs.Allocate(line, p.mwait.put(cm))
 		return
 	}
 	if mshrs.Full() {
@@ -657,22 +567,7 @@ func (p *Port) dataRead(pc uint64, vaddr mem.VAddr, paddr mem.Addr, spec, train 
 // parkMiss parks ms in a reused slot and schedules op to pick it up after
 // lat cycles.
 func (p *Port) parkMiss(lat event.Cycle, op int32, ms dmiss) {
-	slot := int32(len(p.misses))
-	if n := len(p.missFree); n > 0 {
-		slot = p.missFree[n-1]
-		p.missFree = p.missFree[:n-1]
-		p.misses[slot] = ms
-	} else {
-		p.misses = append(p.misses, ms)
-	}
-	p.h.sched.AfterEvent(lat, p, op, uint64(slot), 0)
-}
-
-func (p *Port) missTake(slot int32) dmiss {
-	ms := p.misses[slot]
-	p.misses[slot] = dmiss{}
-	p.missFree = append(p.missFree, slot)
-	return ms
+	p.h.sched.AfterEvent(lat, p, op, uint64(p.misses.put(ms)), 0)
 }
 
 // missFill completes an L1D miss whose data has arrived.
@@ -871,7 +766,7 @@ func (p *Port) deliverVoid(lat event.Cycle, done func()) {
 	if done == nil {
 		return
 	}
-	p.h.sched.AfterEvent(lat, p, popDeliverVoid, uint64(p.vcbPut(done)), 0)
+	p.h.sched.AfterEvent(lat, p, popDeliverVoid, uint64(p.vcbs.put(done)), 0)
 }
 
 // scheduleDrainFin schedules the store-drain completion work (sharer
@@ -880,7 +775,7 @@ func (p *Port) deliverVoid(lat event.Cycle, done func()) {
 func (p *Port) scheduleDrainFin(lat event.Cycle, line uint64, broadcast bool, done func()) {
 	var a2 uint64
 	if done != nil {
-		a2 = uint64(p.vcbPut(done)+1) << 1
+		a2 = uint64(p.vcbs.put(done)+1) << 1
 	}
 	if broadcast {
 		a2 |= 1
@@ -1018,7 +913,7 @@ func (p *Port) ifetch(vaddr mem.VAddr, paddr mem.Addr, cm icomp) {
 		mshrs = p.l0i.MSHRs
 	}
 	if existing := mshrs.Lookup(line); existing != nil {
-		mshrs.Allocate(line, p.iwaitPut(cm))
+		mshrs.Allocate(line, p.iwait.put(cm))
 		return
 	}
 	if mshrs.Full() {

@@ -6,91 +6,74 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/event"
 )
 
-// Quiet is the allocation-free form of Quiesced, for callers that poll
-// every cycle (the drain loop): Quiet() == (Quiesced() == nil), without
-// building an error. The two must cover the same conditions; the quiesce
-// table test pins the equivalence.
-func (h *Hierarchy) Quiet() bool {
-	if h.l2MSHRs.InUse() > 0 {
-		return false
-	}
-	for _, p := range h.ports {
-		if !p.quiet() {
-			return false
-		}
-	}
-	return true
-}
-
-func (p *Port) quiet() bool {
-	if p.l1dMSHRs.InUse() > 0 || p.l1iMSHRs.InUse() > 0 {
-		return false
-	}
-	if p.l0d != nil && p.l0d.MSHRs.InUse() > 0 {
-		return false
-	}
-	if p.l0i != nil && p.l0i.MSHRs.InUse() > 0 {
-		return false
-	}
-	return len(p.cbs) == len(p.cbFree) && len(p.vcbs) == len(p.vcbFree) &&
-		len(p.mwait) == len(p.mwaitFree) && len(p.iwait) == len(p.iwaitFree) &&
-		len(p.walks) == len(p.walkFree) && len(p.misses) == len(p.missFree)
-}
-
-// Quiesced reports whether the hierarchy holds no in-flight transactions:
-// every MSHR file empty and no parked completion callbacks. Checkpoints
-// are only valid in this state.
-func (h *Hierarchy) Quiesced() error {
+// busy names the first structure of the hierarchy still holding
+// something: its port (-1 for the shared level), a format naming it and
+// its occupancy n. n is 0 on a quiesced hierarchy — every MSHR file empty,
+// every slot registry empty — the only state a checkpoint may capture.
+func (h *Hierarchy) busy() (port int, format string, n int) {
 	if n := h.l2MSHRs.InUse(); n > 0 {
-		return fmt.Errorf("memsys: %d live L2 MSHRs", n)
+		return -1, "%d live L2 MSHRs", n
 	}
 	for i, p := range h.ports {
-		if err := p.quiesced(); err != nil {
-			return fmt.Errorf("memsys: port %d: %w", i, err)
+		if format, n := p.busy(); n > 0 {
+			return i, format, n
 		}
 	}
-	return nil
+	return -1, "", 0
 }
 
-func (p *Port) quiesced() error {
-	if n := p.l1dMSHRs.InUse(); n > 0 {
-		return fmt.Errorf("%d live L1D MSHRs", n)
-	}
-	if n := p.l1iMSHRs.InUse(); n > 0 {
-		return fmt.Errorf("%d live L1I MSHRs", n)
-	}
-	if p.l0d != nil {
-		if n := p.l0d.MSHRs.InUse(); n > 0 {
-			return fmt.Errorf("%d live L0D MSHRs", n)
+// busy names the first structure of the port still holding something, as
+// a format and its occupancy; the occupancy is 0 on a quiesced port.
+func (p *Port) busy() (format string, n int) {
+	for _, s := range [...]struct {
+		format string
+		n      int
+	}{
+		{"%d live L1D MSHRs", p.l1dMSHRs.InUse()},
+		{"%d live L1I MSHRs", p.l1iMSHRs.InUse()},
+		{"%d live L0D MSHRs", filterMSHRs(p.l0d)},
+		{"%d live L0I MSHRs", filterMSHRs(p.l0i)},
+		{"%d parked access callbacks", p.cbs.live()},
+		{"%d parked void callbacks", p.vcbs.live()},
+		{"%d parked MSHR waiters", p.mwait.live()},
+		{"%d parked ifetch MSHR waiters", p.iwait.live()},
+		{"%d in-flight page-table walks", p.walks.live()},
+		{"%d parked L1D misses", p.misses.live()},
+	} {
+		if s.n > 0 {
+			return s.format, s.n
 		}
 	}
-	if p.l0i != nil {
-		if n := p.l0i.MSHRs.InUse(); n > 0 {
-			return fmt.Errorf("%d live L0I MSHRs", n)
-		}
+	return "", 0
+}
+
+// filterMSHRs counts a filter cache's live MSHRs; an absent one has none.
+func filterMSHRs(f *core.FilterCache) int {
+	if f == nil {
+		return 0
 	}
-	if live := len(p.cbs) - len(p.cbFree); live > 0 {
-		return fmt.Errorf("%d parked access callbacks", live)
+	return f.MSHRs.InUse()
+}
+
+// Quiet reports whether the hierarchy is quiesced, without allocating
+// (the drain loop polls it every cycle).
+func (h *Hierarchy) Quiet() bool { _, _, n := h.busy(); return n == 0 }
+
+// Quiesced is nil on a quiesced hierarchy, else an error naming what
+// holds and how much.
+func (h *Hierarchy) Quiesced() error {
+	port, format, n := h.busy()
+	switch {
+	case n == 0:
+		return nil
+	case port < 0:
+		return fmt.Errorf("memsys: "+format, n)
 	}
-	if live := len(p.vcbs) - len(p.vcbFree); live > 0 {
-		return fmt.Errorf("%d parked void callbacks", live)
-	}
-	if live := len(p.mwait) - len(p.mwaitFree); live > 0 {
-		return fmt.Errorf("%d parked MSHR waiters", live)
-	}
-	if live := len(p.iwait) - len(p.iwaitFree); live > 0 {
-		return fmt.Errorf("%d parked ifetch MSHR waiters", live)
-	}
-	if live := len(p.walks) - len(p.walkFree); live > 0 {
-		return fmt.Errorf("%d in-flight page-table walks", live)
-	}
-	if live := len(p.misses) - len(p.missFree); live > 0 {
-		return fmt.Errorf("%d parked L1D misses", live)
-	}
-	return nil
+	return fmt.Errorf("memsys: port %d: "+format, port, n)
 }
 
 // Occupancy counts the table entries the hierarchy holds: valid cache

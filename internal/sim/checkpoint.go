@@ -32,18 +32,33 @@ const machineFormat = 3
 // stall or two); hitting it means a component is leaking in-flight state.
 const drainBound = 2_000_000
 
-// Quiesced reports whether the whole machine is at a checkpointable
-// boundary: no pending events, no in-flight pipeline state on any core,
-// no outstanding memory transactions. The error names the specific
-// component that holds state.
-func (s *System) Quiesced() error {
-	if n := s.Sched.Pending(); n > 0 {
-		return fmt.Errorf("sim: %d pending events in the scheduler", n)
+// busy names the first part of the machine still holding something: the
+// scheduler (part < 0), core number part, or the memory system (part ==
+// len(s.Cores)); held is false at a checkpointable boundary. It does not
+// allocate: the drain loop polls it every cycle.
+func (s *System) busy() (part int, held bool) {
+	if s.Sched.Pending() > 0 {
+		return -1, true
 	}
 	for ci, c := range s.Cores {
-		if err := c.Quiesced(); err != nil {
-			return fmt.Errorf("sim: core %d: %w", ci, err)
+		if !c.Quiet() {
+			return ci, true
 		}
+	}
+	return len(s.Cores), !s.Hier.Quiet()
+}
+
+// Quiesced reports whether the whole machine is at a checkpointable
+// boundary. The error names the specific component that holds state.
+func (s *System) Quiesced() error {
+	part, held := s.busy()
+	switch {
+	case !held:
+		return nil
+	case part < 0:
+		return fmt.Errorf("sim: %d pending events in the scheduler", s.Sched.Pending())
+	case part < len(s.Cores):
+		return fmt.Errorf("sim: core %d: %w", part, s.Cores[part].Quiesced())
 	}
 	return s.Hier.Quiesced()
 }
@@ -71,7 +86,7 @@ func (s *System) drainWithin(ctx context.Context, bound int) error {
 	done := ctx.Done()
 	limit := s.Sched.Now() + event.Cycle(bound)
 	for i := 0; s.Sched.Now() < limit; i++ {
-		if s.quiet() {
+		if _, held := s.busy(); !held {
 			return nil
 		}
 		if done != nil && i%64 == 0 {
@@ -87,23 +102,6 @@ func (s *System) drainWithin(ctx context.Context, bound int) error {
 		return fmt.Errorf("sim: machine refused to drain within %d cycles: %w", bound, err)
 	}
 	return nil
-}
-
-// quiet is the allocation-free per-cycle form of Quiesced() == nil: the
-// drain loop polls it every cycle, and building (then discarding) a
-// formatted error per cycle would put garbage on a path the simulator
-// keeps allocation-free. The component Quiet methods mirror their
-// Quiesced error conditions exactly (pinned by the quiesce table tests).
-func (s *System) quiet() bool {
-	if s.Sched.Pending() > 0 {
-		return false
-	}
-	for _, c := range s.Cores {
-		if !c.Quiet() {
-			return false
-		}
-	}
-	return s.Hier.Quiet()
 }
 
 // ResumeFetch reopens the front end on every core after a Drain.

@@ -26,6 +26,38 @@ func busyMachine(t *testing.T) *System {
 	return s
 }
 
+var busySink bool
+
+// TestQuietOnBusySystemZeroAlloc walks a real drain cycle by cycle and
+// checks, at every cycle the machine still holds something, that the
+// predicate the drain loop polls does not allocate. A 1-core drain is
+// held by the scheduler throughout; the core and memory-system arms read
+// Core.Quiet and Hierarchy.Quiet, whose busy cases are pinned at 0
+// allocations in their own packages.
+func TestQuietOnBusySystemZeroAlloc(t *testing.T) {
+	s := busyMachine(t)
+	for _, c := range s.Cores {
+		c.StopFetch()
+	}
+	parts := map[int]int{}
+	limit := s.Sched.Now() + drainBound
+	for {
+		part, held := s.busy()
+		if !held {
+			break
+		}
+		if s.Sched.Now() >= limit {
+			t.Fatal("machine did not drain")
+		}
+		parts[part]++
+		if a := testing.AllocsPerRun(1, func() { _, busySink = s.busy() }); a != 0 {
+			t.Fatalf("busy() on a machine held by part %d allocates %.1f/op, want 0", part, a)
+		}
+		s.cycle(limit)
+	}
+	t.Logf("cycles held, by part (-1 scheduler, 0 core, 1 memory system): %v", parts)
+}
+
 // TestDrainQuiescesBusyMachine drives a machine mid-run to a quiescent
 // boundary and verifies execution continues to completion afterwards.
 func TestDrainQuiescesBusyMachine(t *testing.T) {

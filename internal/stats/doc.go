@@ -1,10 +1,9 @@
-// Package stats collects simulation statistics and provides the summary
-// arithmetic used by the evaluation harness (ratios, geometric means and
-// normalised-execution-time tables in the style of the paper's figures).
+// Package stats provides the summary arithmetic used by the evaluation
+// harness: geometric means and normalised-execution-time tables in the
+// style of the paper's figures.
 //
 // Key types:
 //
-//   - Counters: a named set of monotonically increasing event counts.
 //   - Table / Series: the data behind one paper figure — workloads on the
 //     x-axis, one or more named series of per-workload values, rendered by
 //     String with a trailing geomean row.
@@ -13,8 +12,8 @@
 //
 // Invariants:
 //
-//   - Rendering is deterministic: counters print in sorted name order and
-//     tables in their construction order, so figure output is directly
-//     diffable across runs (the disk cache's re-emitted rows are
-//     byte-identical to freshly simulated ones).
+//   - Rendering is deterministic: tables print in their construction
+//     order, so figure output is directly diffable across runs (the disk
+//     cache's re-emitted rows are byte-identical to freshly simulated
+//     ones).
 package stats

@@ -3,60 +3,8 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Counters is a named set of monotonically increasing event counts.
-// The zero value is ready to use.
-type Counters struct {
-	m map[string]uint64
-}
-
-// Inc adds 1 to the named counter.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
-// Add adds n to the named counter.
-func (c *Counters) Add(name string, n uint64) {
-	if c.m == nil {
-		c.m = make(map[string]uint64)
-	}
-	c.m[name] += n
-}
-
-// Get reports the value of the named counter (0 if never touched).
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
-
-// Names returns all counter names in sorted order.
-func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Reset clears every counter.
-func (c *Counters) Reset() { c.m = nil }
-
-// Ratio returns num/den as a float, or 0 when the denominator is zero.
-func (c *Counters) Ratio(num, den string) float64 {
-	d := c.Get(den)
-	if d == 0 {
-		return 0
-	}
-	return float64(c.Get(num)) / float64(d)
-}
-
-// String renders the counters one per line, sorted by name.
-func (c *Counters) String() string {
-	var b strings.Builder
-	for _, n := range c.Names() {
-		fmt.Fprintf(&b, "%-40s %12d\n", n, c.m[n])
-	}
-	return b.String()
-}
 
 // Geomean returns the geometric mean of xs. It panics if any value is
 // non-positive, because a normalised execution time can never be ≤ 0.

@@ -7,53 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestCountersZeroValue(t *testing.T) {
-	var c Counters
-	if c.Get("x") != 0 {
-		t.Fatal("unset counter not zero")
-	}
-	c.Inc("x")
-	c.Add("x", 4)
-	if c.Get("x") != 5 {
-		t.Fatalf("x = %d, want 5", c.Get("x"))
-	}
-}
-
-func TestCountersNamesSorted(t *testing.T) {
-	var c Counters
-	c.Inc("zeta")
-	c.Inc("alpha")
-	c.Inc("mid")
-	names := c.Names()
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", names, want)
-		}
-	}
-}
-
-func TestCountersRatio(t *testing.T) {
-	var c Counters
-	c.Add("hit", 3)
-	c.Add("access", 4)
-	if got := c.Ratio("hit", "access"); got != 0.75 {
-		t.Fatalf("Ratio = %v, want 0.75", got)
-	}
-	if got := c.Ratio("hit", "nothing"); got != 0 {
-		t.Fatalf("Ratio with zero denominator = %v, want 0", got)
-	}
-}
-
-func TestCountersReset(t *testing.T) {
-	var c Counters
-	c.Add("a", 10)
-	c.Reset()
-	if c.Get("a") != 0 {
-		t.Fatal("Reset did not clear counters")
-	}
-}
-
 func TestGeomeanKnownValues(t *testing.T) {
 	got := Geomean([]float64{1, 4})
 	if math.Abs(got-2) > 1e-12 {

@@ -179,11 +179,3 @@ func (t *TLB) CountValid() int {
 	}
 	return n
 }
-
-// HitRate reports the fraction of lookups that hit.
-func (t *TLB) HitRate() float64 {
-	if t.Lookups == 0 {
-		return 0
-	}
-	return float64(t.Hits) / float64(t.Lookups)
-}
