@@ -31,11 +31,14 @@ type Config struct {
 	// disables persistence and with it coordinator-restart resume and
 	// checkpoint migration — workers have nowhere shared to mirror to).
 	// Scale, MaxCycles, Warmup and CheckpointEvery are the run-identity
-	// flags and MUST match every worker's: they enter every sweep's and
-	// every cell's content key, so a mismatched fleet would compute under
-	// one identity and store under another. Tenants, Metrics and Tracer
-	// mean what they mean on a daemon. Backend is set by New (the
-	// coordinator itself); MaxJobs, Workers and SnapStore do not apply.
+	// flags: they enter every sweep's and every cell's content key. Scale
+	// and MaxCycles are resolved here and every dispatched cell carries
+	// them, so a worker's own defaults never apply; Warmup and
+	// CheckpointEvery MUST match every worker's, or the fleet would
+	// compute under one identity and store under another. Tenants,
+	// Metrics and Tracer mean what they mean on a daemon. Backend is set
+	// by New (the coordinator itself); MaxJobs, Workers and SnapStore do
+	// not apply.
 	service.Config
 	// HeartbeatTimeout marks a worker dead when no heartbeat arrives
 	// within it (0 = 5s). Dead workers' in-flight cells re-dispatch with
@@ -105,7 +108,8 @@ type attempt struct {
 	started  time.Time
 }
 
-// cell is one resolved (workload, scheme, scale) unit of a sweep: the
+// cell is one distinct cell of muontrap.Sweep.Cells — a resolved
+// (workload, scheme, scale) or (attack, scheme) unit of a sweep: the
 // unit of dispatch, migration, stealing and merge.
 type cell struct {
 	job      *fleetJob
@@ -657,7 +661,10 @@ func (co *Coordinator) cancelRemote(a *attempt) {
 // lands, when a worker reports the sweep itself failing, or when ctx is
 // cancelled (DELETE, shutdown), which settles every open attempt.
 func (co *Coordinator) Run(ctx context.Context, job muontrap.Job, resume bool, progress func(muontrap.Progress)) (*muontrap.SweepResult, error) {
-	j := co.shard(job, resume, progress)
+	j, err := co.shard(job, resume, progress)
+	if err != nil {
+		return nil, err
+	}
 	stored := make([]*muontrap.SweepResult, len(j.cells))
 	for i, c := range j.cells {
 		if res, ok := co.plane.StoredSweep(c.sweep); ok && len(res.Runs) == 1 {
@@ -689,20 +696,25 @@ func (co *Coordinator) Run(ctx context.Context, job muontrap.Job, resume bool, p
 	return &muontrap.SweepResult{Runs: j.results}, nil
 }
 
-// shard splits a validated sweep into cells, deduplicating repeated
-// declarations by cache key (they share one dispatch and one merge).
-func (co *Coordinator) shard(job muontrap.Job, resume bool, progress func(muontrap.Progress)) *fleetJob {
+// shard splits a sweep into the cells muontrap.Sweep.Cells lists against
+// the plane's defaults — each carrying the resolved scale and cycle
+// bound, so a worker runs exactly the cell keyed here — deduplicating
+// repeated declarations by cache key (they share one dispatch and one
+// merge).
+func (co *Coordinator) shard(job muontrap.Job, resume bool, progress func(muontrap.Progress)) (*fleetJob, error) {
+	subs, err := job.Sweep.Cells(co.cfg.Scale, co.cfg.MaxCycles)
+	if err != nil {
+		return nil, err
+	}
 	j := &fleetJob{
 		id:       job.ID,
 		prio:     job.Priority,
-		results:  make([]muontrap.RunResult, job.Total),
+		results:  make([]muontrap.RunResult, len(subs)),
 		progress: progress,
 		done:     make(chan struct{}),
 	}
 	byKey := make(map[string]*cell)
-	idx := 0
-	add := func(sub muontrap.Sweep) {
-		sub.MaxCycles = job.Sweep.MaxCycles
+	for idx, sub := range subs {
 		key := co.plane.SweepKey(sub)
 		c := byKey[key]
 		if c == nil {
@@ -711,33 +723,8 @@ func (co *Coordinator) shard(job muontrap.Job, resume bool, progress func(muontr
 			j.cells = append(j.cells, c)
 		}
 		c.indexes = append(c.indexes, idx)
-		idx++
 	}
-	// A sweep that declares no scales runs once at the workers' default:
-	// its cells declare none either, so they key exactly as a worker will.
-	scales := [][]float64{nil}
-	if len(job.Sweep.Scales) > 0 {
-		scales = scales[:0]
-		for _, sc := range job.Sweep.Scales {
-			scales = append(scales, []float64{sc})
-		}
-	}
-	for _, w := range job.Sweep.Workloads {
-		for _, s := range job.Sweep.Schemes {
-			for _, sc := range scales {
-				add(muontrap.Sweep{Workloads: []muontrap.Workload{w}, Schemes: []muontrap.Scheme{s}, Scales: sc})
-			}
-		}
-	}
-	// Attack cells follow the workload block, mirroring Runner.Sweep's
-	// declaration order: attacks outer, schemes inner, no scale dimension
-	// (attack outcomes are scale-independent).
-	for _, a := range job.Sweep.Attacks {
-		for _, s := range job.Sweep.Schemes {
-			add(muontrap.Sweep{Attacks: []muontrap.AttackName{a}, Schemes: []muontrap.Scheme{s}})
-		}
-	}
-	return j
+	return j, nil
 }
 
 // ---- worker registry ------------------------------------------------

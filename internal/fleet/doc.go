@@ -8,9 +8,12 @@
 // envelope, admission and tenants, the journal, the result store, SSE
 // and every /v1 handler exist once, and muontrap/client drives a fleet
 // and a daemon with identical code. This package holds what only a fleet
-// has. Run splits an admitted sweep's resolved cell list into single-cell
-// jobs, dispatches them to registered workers (registration and
-// heartbeat over HTTP, see Agent) least-loaded and interactive-first,
+// has. Run splits an admitted sweep into the cells muontrap.Sweep.Cells
+// lists against the coordinator's defaults — single-cell jobs that carry
+// the resolved scale and cycle bound, so a worker runs exactly the cell
+// the coordinator keyed — dispatches them to registered workers
+// (registration and heartbeat over HTTP, see Agent) least-loaded and
+// interactive-first,
 // follows each on the worker's event stream, steals cells from
 // stragglers, and — when a worker dies mid-cell — re-dispatches the
 // interrupted cell to another machine with checkpoint-resume enabled.

@@ -130,6 +130,42 @@ func TestMergeDuplicateCompletionIdempotent(t *testing.T) {
 	}
 }
 
+// TestShardSlotsAreTheSweepsCells: the plane's job size and the
+// coordinator's result slots are both the length of the sweep's cell
+// list, for a sweep with two scales, the empty-scheme alias beside its
+// name, and an attack. The alias and its name resolve to the same cells,
+// so they share dispatches but not slots; every dispatched cell carries
+// the plane's resolved cycle bound.
+func TestShardSlotsAreTheSweepsCells(t *testing.T) {
+	co := inertCoordinator(t)
+	sw := muontrap.Sweep{
+		Workloads: []muontrap.Workload{"swaptions"},
+		Schemes:   []muontrap.Scheme{"", "insecure", "muontrap"},
+		Scales:    []float64{0.02, 0.03},
+		Attacks:   []muontrap.AttackName{muontrap.AttackSpectre},
+	}
+	cells, err := sw.Cells(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, job, c := admit(t, co, sw)
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	j := c.job
+	if job.Total != len(cells) || len(j.results) != len(cells) {
+		t.Fatalf("Job.Total %d, result slots %d; want both len(cells) = %d", job.Total, len(j.results), len(cells))
+	}
+	// The alias repeats two workload cells and one attack cell.
+	if len(cells) != 9 || len(j.cells) != 6 {
+		t.Fatalf("%d cells, %d distinct; want 9 and 6", len(cells), len(j.cells))
+	}
+	for _, d := range j.cells {
+		if d.sweep.MaxCycles != 40_000_000 || (len(d.sweep.Workloads) == 1 && len(d.sweep.Scales) != 1) {
+			t.Fatalf("dispatched cell %+v lacks the resolved scale or cycle bound", d.sweep)
+		}
+	}
+}
+
 // TestMergeDuplicateAfterSiblingCancel pins the narrower race inside
 // the same regression: the winner's merge closes the sibling attempt
 // moments before the sibling's own completion lands. The late

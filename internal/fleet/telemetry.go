@@ -126,12 +126,8 @@ func (co *Coordinator) span(s telemetry.Span) { co.cfg.Tracer.Emit(s) }
 // cellLabel compresses a cell to its workload/scheme identity for trace
 // records (the full cache key is long and opaque).
 func cellLabel(c *cell) string {
-	if len(c.sweep.Workloads) == 1 && len(c.sweep.Schemes) == 1 {
-		sch := string(c.sweep.Schemes[0])
-		if sch == "" {
-			sch = "insecure"
-		}
-		return string(c.sweep.Workloads[0]) + "/" + sch
+	if len(c.sweep.Workloads) == 1 {
+		return string(c.sweep.Workloads[0]) + "/" + string(c.sweep.Schemes[0])
 	}
 	return c.key[:12]
 }

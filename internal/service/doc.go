@@ -4,8 +4,9 @@
 // worker or a fleet coordinator.
 //
 // A Server accepts declarative muontrap.Sweep submissions, validates
-// their identifiers up front (400 + sentinel-coded errors, never a
-// queued-then-failed job), and owns everything a job is from then on:
+// them up front through muontrap.Sweep.Cells (400 + sentinel-coded
+// errors, never a queued-then-failed job; the job's size is the cell
+// count), and owns everything a job is from then on:
 // the job table and state machine, admission, the journal, the
 // content-keyed result store, the event ring each stream reads, and the
 // ten /v1 handlers. How an admitted attempt's cells get computed is the
@@ -46,11 +47,15 @@
 // drops, delays and injected 500s; its load test drives all of the above
 // concurrently under the race detector.
 //
-// Results are content-keyed: a job's cache key hashes the resolved
-// matrix, every option that can change the outcome, and the simulator
-// build fingerprint. Identical submissions are served from the stored
-// result without simulating, and GET /v1/results/{key} fetches a result
-// with no job ID at all.
+// Results are content-keyed: a job's cache key hashes the matrix as
+// muontrap.Sweep.Resolve makes it explicit, every option that can change
+// the outcome, and the simulator build fingerprint. Identical submissions
+// are served from the stored result without simulating, and GET
+// /v1/results/{key} fetches a result with no job ID at all. The key is
+// also a journaled job's identity: the journal records the job and
+// nothing else, and a job whose recorded key is not the one this daemon
+// computes for its sweep (other identity flags, or another build) refuses
+// resume with 409 rather than file a result under the wrong key.
 //
 // Durability composes with the PR 4 checkpoint machinery rather than
 // duplicating it. The server journals job lifecycle under Dir/service;

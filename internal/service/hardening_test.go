@@ -220,22 +220,12 @@ func TestShutdownDrainTimeoutJournalsInterrupted(t *testing.T) {
 	}
 }
 
-// TestJournalLoadsExplicitInterruptedEntry: a journal entry recorded
-// with state "interrupted" — what an expired drain timeout writes —
-// loads as interrupted with progress reset, and resumes normally under
-// its journaled cache key.
-func TestJournalLoadsExplicitInterruptedEntry(t *testing.T) {
-	figures.ResetRunCache()
-	defer figures.ResetRunCache()
-	ctx := context.Background()
-	dir := t.TempDir()
-	sw := muontrap.Sweep{
-		Workloads: []muontrap.Workload{"hmmer"},
-		Schemes:   []muontrap.Scheme{""},
-		Scales:    []float64{0.061},
-	}
-	const id = "job-00000000000000ab"
-	key := strings.Repeat("0123456789abcdef", 4) // 64 hex digits
+// plantInterrupted writes a journal entry for job id under dir, recorded
+// with state "interrupted" (what an expired drain timeout writes), the
+// given sweep and cache key, stale progress, and the identity flags older
+// daemons journaled beside the record.
+func plantInterrupted(t *testing.T, dir, id string, sw muontrap.Sweep, key string) {
+	t.Helper()
 	entry := map[string]any{
 		"version": 1,
 		"job": map[string]any{
@@ -246,6 +236,7 @@ func TestJournalLoadsExplicitInterruptedEntry(t *testing.T) {
 			"done":      7, // stale progress from the dead daemon; must reload as 0
 			"total":     1,
 		},
+		"checkpoint_every": 0, "warmup": 0, "scale": 0, "max_cycles": 0,
 	}
 	b, err := json.Marshal(entry)
 	if err != nil {
@@ -258,6 +249,30 @@ func TestJournalLoadsExplicitInterruptedEntry(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(jobsDir, id+".json"), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestJournalLoadsExplicitInterruptedEntry: a journal entry recorded
+// with state "interrupted" — what an expired drain timeout writes —
+// loads as interrupted with progress reset, and resumes normally under
+// its journaled cache key, which is the key this daemon computes.
+func TestJournalLoadsExplicitInterruptedEntry(t *testing.T) {
+	figures.ResetRunCache()
+	defer figures.ResetRunCache()
+	ctx := context.Background()
+	dir := t.TempDir()
+	sw := muontrap.Sweep{
+		Workloads: []muontrap.Workload{"hmmer"},
+		Schemes:   []muontrap.Scheme{""},
+		Scales:    []float64{0.061},
+	}
+	const id = "job-00000000000000ab"
+	keyer, err := service.New(service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := keyer.SweepKey(sw)
+	keyer.Close()
+	plantInterrupted(t, dir, id, sw, key)
 
 	srv, err := service.New(service.Config{Dir: dir})
 	if err != nil {
@@ -287,6 +302,47 @@ func TestJournalLoadsExplicitInterruptedEntry(t *testing.T) {
 	// The result landed in the store under the journaled key.
 	if _, err := c.ResultByKey(ctx, key); err != nil {
 		t.Fatalf("result by journaled key: %v", err)
+	}
+}
+
+// TestJournalRefusesResumeUnderForeignKey: a resumable entry whose cache
+// key is not the one this daemon computes for its sweep — recorded by a
+// different build, or under other identity flags — loads, but its resume
+// is refused with 409: the attempt would file this daemon's result under
+// the old key. The message names the identity inputs, the cadence among
+// them.
+func TestJournalRefusesResumeUnderForeignKey(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	const id = "job-00000000000000cd"
+	foreign := strings.Repeat("0123456789abcdef", 4) // 64 hex digits
+	plantInterrupted(t, dir, id, mcfSweep(36), foreign)
+
+	c, _ := newTestServer(t, service.Config{Dir: dir})
+	if job, err := c.Job(ctx, id); err != nil || job.State != muontrap.JobInterrupted || job.CacheKey != foreign {
+		t.Fatalf("loaded entry: %+v, err %v; want interrupted under the journaled key", job, err)
+	}
+	_, err := c.Resume(ctx, id)
+	if apiErr := apiStatus(t, err, http.StatusConflict, "conflict"); !strings.Contains(apiErr.Message, "cadence") {
+		t.Fatalf("409 message %q does not name the identity inputs", apiErr.Message)
+	}
+	if job, err := c.Job(ctx, id); err != nil || job.State != muontrap.JobInterrupted {
+		t.Fatalf("after the refused resume: state %v, err %v, want still interrupted", job.State, err)
+	}
+}
+
+// TestSubmitRefusesNonPositiveScale: a declared scale of zero or below is
+// a bad request. It used to be admitted, keyed as scales=0 and run at the
+// default scale — one experiment under two keys.
+func TestSubmitRefusesNonPositiveScale(t *testing.T) {
+	c, _ := newTestServer(t, service.Config{})
+	for _, scale := range []float64{0, -1} {
+		_, err := c.Submit(context.Background(), muontrap.Sweep{
+			Workloads: []muontrap.Workload{"hmmer"},
+			Schemes:   []muontrap.Scheme{"insecure"},
+			Scales:    []float64{scale},
+		})
+		apiStatus(t, err, http.StatusBadRequest, "bad_request")
 	}
 }
 

@@ -71,9 +71,9 @@ type Config struct {
 	// cannot accept a write within this bound (0 = 30s). The client
 	// resumes with Last-Event-ID; dead peers stop pinning goroutines.
 	StreamWriteTimeout time.Duration
-	// Scale and MaxCycles are the defaults applied when a submitted Sweep
-	// leaves Scales / MaxCycles empty, exactly like the corresponding
-	// Runner options (0 = library default).
+	// Scale and MaxCycles are the defaults a submitted Sweep resolves
+	// against when it leaves Scales / MaxCycles empty (see
+	// muontrap.Sweep.Resolve; 0 = library default).
 	Scale     float64
 	MaxCycles int
 	// Warmup forwards muontrap.WithWarmup to every job's runner.
@@ -84,8 +84,8 @@ type Config struct {
 	// from the middle of a simulation after a daemon restart — and what
 	// makes priority preemption cheap: a preempted bulk job loses at
 	// most one cadence interval of work. The cadence is part of run
-	// identity, so it must match across restarts — the journal records
-	// it and Resume refuses a mismatch.
+	// identity, so it must match across restarts — every job's cache key
+	// covers it, and Resume refuses a job whose key no longer matches.
 	CheckpointEvery int
 	// SnapStore, when non-nil, overrides where mid-run checkpoints are
 	// persisted (muontrap.WithSnapshotStore). Fleet workers install a
@@ -147,19 +147,15 @@ const defaultStreamHistory = 256
 // results are versioned apart, by figures.SweepKind.)
 const journalVersion = 1
 
-// jobEntry is the JSON layout of one journaled job: the public record
-// plus every config field that is part of run identity (folded into the
-// job's cache key), so a restarted daemon detects that it is configured
-// incompatibly with the jobs it is about to resume — resuming under
-// changed flags would store a differently-configured result under the
-// journaled cache key, silently poisoning the content-keyed store.
+// jobEntry is the JSON layout of one journaled job. The record's cache
+// key is the job's whole run identity — resolved matrix, identity flags
+// and build — so nothing else needs journaling for a restarted daemon to
+// tell whether it may resume the job (see compatible). Entries written
+// when the identity flags were journaled beside the record still load:
+// the extra fields are ignored.
 type jobEntry struct {
-	Version         int          `json:"version"`
-	Job             muontrap.Job `json:"job"`
-	CheckpointEvery int          `json:"checkpoint_every"`
-	Warmup          int          `json:"warmup"`
-	Scale           float64      `json:"scale"`
-	MaxCycles       int          `json:"max_cycles"`
+	Version int          `json:"version"`
+	Job     muontrap.Job `json:"job"`
 }
 
 // job is one submitted sweep and its live scheduling state. Lock order:
@@ -168,11 +164,6 @@ type job struct {
 	mu     sync.Mutex
 	rec    muontrap.Job
 	resume bool // run with WithResume (set by Resume and by preemption)
-	// incompat, when non-empty, names the identity-flag mismatch between
-	// this journaled job and the daemon's current configuration; resume
-	// is refused (409) so the differently-configured attempt cannot
-	// store its result under the job's old cache key.
-	incompat string
 	// tenant is the submitting tenant's live quota state (nil on an open
 	// daemon, or when a journaled job's tenant is no longer configured).
 	// The pointer and its counters are guarded by Server.mu: a SIGHUP
@@ -421,23 +412,22 @@ func prioIndex(p muontrap.Priority) int {
 // sets it when re-dispatching a cell another machine already checkpointed;
 // with no matching checkpoint it is a silent cold start.
 func (s *Server) submit(sw muontrap.Sweep, prio muontrap.Priority, tn *tenant, resume bool) (muontrap.Job, bool, error) {
-	if err := validateSweep(sw); err != nil {
+	cells, err := sw.Cells(s.cfg.Scale, s.cfg.MaxCycles)
+	if err != nil {
 		return muontrap.Job{}, false, err
 	}
-	prio, err := muontrap.ParsePriority(string(prio))
+	prio, err = muontrap.ParsePriority(string(prio))
 	if err != nil {
 		return muontrap.Job{}, false, err
 	}
 	key := s.SweepKey(sw)
-	total := len(sw.Workloads)*len(sw.Schemes)*len(s.effectiveScales(sw)) +
-		len(sw.Attacks)*len(sw.Schemes)
 	rec := muontrap.Job{
 		ID:          newJobID(),
 		State:       muontrap.JobQueued,
 		Sweep:       sw,
 		CacheKey:    key,
 		Priority:    prio,
-		Total:       total,
+		Total:       len(cells),
 		SubmittedAt: time.Now().UTC().Format(time.RFC3339),
 	}
 	if tn != nil {
@@ -452,7 +442,7 @@ func (s *Server) submit(sw muontrap.Sweep, prio muontrap.Priority, tn *tenant, r
 	// born-done job consumes neither queue depth nor quota.
 	if res, ok := s.loadResult(key); ok {
 		j.rec.State = muontrap.JobDone
-		j.rec.Done = total
+		j.rec.Done = len(cells)
 		j.rec.FinishedAt = j.rec.SubmittedAt
 		j.result = res
 		s.mu.Lock()
@@ -858,11 +848,10 @@ func (s *Server) ResumeJob(id string) (muontrap.Job, error) {
 		return muontrap.Job{}, &conflictError{fmt.Sprintf(
 			"job %s is %s; only interrupted, cancelled or failed jobs can be resumed", id, state)}
 	}
-	if j.incompat != "" {
-		msg := j.incompat
+	if err := s.compatible(j.rec); err != nil {
 		j.mu.Unlock()
 		s.mu.Unlock()
-		return muontrap.Job{}, &conflictError{msg}
+		return muontrap.Job{}, err
 	}
 	if err := s.admitLocked(j.tenant); err != nil {
 		j.mu.Unlock()
@@ -974,103 +963,47 @@ func (s *Server) lookup(id string) (*job, error) {
 	return j, nil
 }
 
-// validateSweep applies the same up-front identifier validation
-// Runner.Sweep performs, so a bad matrix is rejected at submission with
-// the sentinel-coded error rather than failing the job later.
-func validateSweep(sw muontrap.Sweep) error {
-	if len(sw.Workloads) == 0 && len(sw.Attacks) == 0 {
-		return fmt.Errorf("sweep declares no workloads or attacks")
-	}
-	if len(sw.Schemes) == 0 {
-		return fmt.Errorf("sweep declares no schemes")
-	}
-	for _, w := range sw.Workloads {
-		if _, err := muontrap.ParseWorkload(string(w)); err != nil {
-			return err
-		}
-	}
-	for _, a := range sw.Attacks {
-		if _, err := muontrap.ParseAttackName(string(a)); err != nil {
-			return err
-		}
-	}
-	for _, sch := range sw.Schemes {
-		if sch == "" {
-			continue // empty means the insecure baseline, as everywhere
-		}
-		if _, err := muontrap.ParseScheme(string(sch)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// effectiveScales resolves the sweep's scales exactly as the job's
-// runner will: an empty list means one run at the configured default.
-func (s *Server) effectiveScales(sw muontrap.Sweep) []float64 {
-	if len(sw.Scales) > 0 {
-		return sw.Scales
-	}
-	scale := s.cfg.Scale
-	if scale <= 0 {
-		scale = figures.DefaultOptions().Scale
-	}
-	return []float64{scale}
-}
-
-// SweepKey derives the content key of a sweep's result: the resolved
-// matrix in declaration order (order is part of the result — SweepResult
-// is declaration-ordered), every option that can change an outcome
-// (scales, cycle bound, warm-up depth, checkpoint cadence), and the
-// simulator build fingerprint, rendered by the one key encoder
-// (figures.KeyKind.Key) as the sweep kind. Worker count is deliberately
-// absent: the repo's determinism tests pin that parallelism never changes
-// results.
+// SweepKey derives the content key of a sweep's result: the sweep as
+// resolved against this plane's defaults (muontrap.Sweep.Resolve — so the
+// empty scheme and the insecure baseline, or an omitted scale and the
+// default one, share one stored result), in declaration order (order is
+// part of the result — SweepResult is declaration-ordered), every option
+// that can change an outcome (scales, cycle bound, warm-up depth,
+// checkpoint cadence), and the simulator build fingerprint, rendered by
+// the one key encoder (figures.KeyKind.Key) as the sweep kind. Worker
+// count is deliberately absent: the repo's determinism tests pin that
+// parallelism never changes results.
 // Priority and tenant are absent for the same reason — they decide when
 // a result is computed, never what it is. It is the one key function of
 // the job plane: a fleet coordinator keys each cell — a single-cell
 // sweep — with it, so the coordinator, its workers and a lone daemon
 // under the same flags agree on what "the same experiment" means.
 func (s *Server) SweepKey(sw muontrap.Sweep) string {
-	maxCycles := sw.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = s.cfg.MaxCycles
-	}
-	if maxCycles <= 0 {
-		maxCycles = figures.DefaultOptions().MaxCycles
-	}
-	scales := make([]string, 0, len(sw.Scales))
-	for _, sc := range s.effectiveScales(sw) {
-		scales = append(scales, strconv.FormatFloat(sc, 'g', -1, 64))
-	}
-	wl := make([]string, len(sw.Workloads))
-	for i, w := range sw.Workloads {
-		wl[i] = string(w)
-	}
-	sch := make([]string, len(sw.Schemes))
-	for i, x := range sw.Schemes {
-		if x == "" {
-			// The empty scheme is the documented alias for the insecure
-			// baseline everywhere it is accepted; normalize before
-			// hashing so the alias and the name share one stored result.
-			x = muontrap.SchemeInsecure
-		}
-		sch[i] = string(x)
-	}
-	atk := make([]string, len(sw.Attacks))
-	for i, a := range sw.Attacks {
-		atk[i] = string(a)
+	sw = sw.Resolve(s.cfg.Scale, s.cfg.MaxCycles)
+	scales := make([]string, len(sw.Scales))
+	for i, sc := range sw.Scales {
+		scales[i] = strconv.FormatFloat(sc, 'g', -1, 64)
 	}
 	canon := figures.SweepKind.Key(
-		"wl", strings.Join(wl, ","),
-		"atk", strings.Join(atk, ","),
-		"sch", strings.Join(sch, ","),
+		"wl", names(sw.Workloads),
+		"atk", names(sw.Attacks),
+		"sch", names(sw.Schemes),
 		"scales", strings.Join(scales, ","),
-		"max", strconv.Itoa(maxCycles),
+		"max", strconv.Itoa(sw.MaxCycles),
 		"warm", strconv.Itoa(s.cfg.Warmup),
 		"every", strconv.Itoa(s.cfg.CheckpointEvery))
 	sum := sha256.Sum256([]byte(canon))
 	return hex.EncodeToString(sum[:])
+}
+
+// names joins a declaration's identifiers with commas, as the sweep key
+// spells them.
+func names[T ~string](ids []T) string {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = string(id)
+	}
+	return strings.Join(out, ",")
 }
 
 // newJobID returns a fresh random job identifier.
@@ -1129,11 +1062,7 @@ func (s *Server) journal(rec muontrap.Job) {
 	if s.cfg.Dir == "" {
 		return
 	}
-	e := jobEntry{
-		Version: journalVersion, Job: rec,
-		CheckpointEvery: s.cfg.CheckpointEvery, Warmup: s.cfg.Warmup,
-		Scale: s.cfg.Scale, MaxCycles: s.cfg.MaxCycles,
-	}
+	e := jobEntry{Version: journalVersion, Job: rec}
 	b, err := json.MarshalIndent(e, "", "\t")
 	if err != nil {
 		return
@@ -1204,37 +1133,29 @@ func (s *Server) StoreSweep(sw muontrap.Sweep, res *muontrap.SweepResult) bool {
 	return s.storeResult(s.SweepKey(sw), res)
 }
 
-// compatible verifies that this daemon's identity-affecting
-// configuration matches what a journal entry was recorded under. On a
-// mismatch the job loads but refuses resume (409): its cache key embeds
-// the old values, and a resumed attempt under new flags would run a
-// different experiment while storing its result under the old key.
-// Startup itself never fails over this — one stale entry must not brick
-// the daemon.
-func (s *Server) compatible(e jobEntry) error {
-	mismatch := func(field string, old, new any) error {
-		return fmt.Errorf("job %s was recorded with %s=%v, this daemon is configured with %v; restart with the original flags to resume it",
-			e.Job.ID, field, old, new)
+// compatible verifies, before a resume, that a job's cache key is the one
+// this daemon computes for its sweep — exactly the condition under which
+// the resumed attempt stores its result under the right key. The key
+// covers the default scale and cycle bound, warm-up, checkpoint cadence
+// and the simulator build, so a journaled job fails it on a daemon
+// restarted under other flags, or rebuilt, and its resume is refused
+// (409). The job itself still loads and serves: one stale entry must not
+// brick the daemon.
+func (s *Server) compatible(rec muontrap.Job) error {
+	key := s.SweepKey(rec.Sweep)
+	if key == rec.CacheKey {
+		return nil
 	}
-	switch {
-	case e.CheckpointEvery != s.cfg.CheckpointEvery:
-		return mismatch("checkpoint cadence", e.CheckpointEvery, s.cfg.CheckpointEvery)
-	case e.Warmup != s.cfg.Warmup:
-		return mismatch("warmup", e.Warmup, s.cfg.Warmup)
-	case e.Scale != s.cfg.Scale:
-		return mismatch("scale", e.Scale, s.cfg.Scale)
-	case e.MaxCycles != s.cfg.MaxCycles:
-		return mismatch("max-cycles", e.MaxCycles, s.cfg.MaxCycles)
-	}
-	return nil
+	return &conflictError{fmt.Sprintf("job %s is keyed %.12s…, but this daemon keys its sweep %.12s… "+
+		"(the key covers the default scale and cycle bound, warm-up, checkpoint cadence and simulator build); "+
+		"restart with the original flags and build to resume it, or resubmit the sweep", rec.ID, rec.CacheKey, key)}
 }
 
 // loadJournal restores the job table from Dir/service/jobs. Jobs the
 // dead process left queued or running become interrupted — the crash
 // window restart-resume exists for — and jobs an expired drain timeout
-// journaled as interrupted stay so. Resumable entries recorded under
-// different identity-affecting flags (checkpoint cadence, warmup,
-// scale, cycle bound) load but refuse resume; see compatible.
+// journaled as interrupted stay so. A resume of an entry whose cache key
+// is not the one this daemon computes is refused; see compatible.
 func (s *Server) loadJournal() error {
 	if s.cfg.Dir == "" {
 		return nil
@@ -1294,17 +1215,7 @@ func (s *Server) loadJournal() error {
 			// way out. Same resumable picture.
 			rec.Done = 0
 		}
-		j := s.newJob(rec)
-		// Done jobs never re-run, so they place no constraint on this
-		// daemon's flags; any resumable entry recorded under different
-		// identity-affecting flags loads but refuses resume.
-		if rec.State != muontrap.JobDone {
-			if err := s.compatible(e); err != nil {
-				j.incompat = err.Error()
-				fmt.Fprintf(os.Stderr, "muontrapd: %v\n", err)
-			}
-		}
-		s.jobs[rec.ID] = j
+		s.jobs[rec.ID] = s.newJob(rec)
 		s.order = append(s.order, rec.ID)
 	}
 	return nil

@@ -29,6 +29,13 @@
 //     FigureIDs(), AttackNames() and SchemeDescriptions() enumerate them;
 //     list output is sorted and duplicate-free, so help text and golden
 //     output are deterministic.
+//   - Sweep.Resolve and Sweep.Cells decide what a sweep declaration
+//     means: Resolve makes every default explicit (the empty scheme is
+//     the insecure baseline, empty Scales the default scale, a zero
+//     MaxCycles the default bound), and Cells validates the resolved
+//     sweep and lists its one-cell sweeps in declaration order. The
+//     Runner, the experiment daemon and the fleet coordinator all read a
+//     sweep through them.
 //   - Job and JobState are the experiment daemon's wire types: cmd/
 //     muontrapd serves Runner.Sweep over HTTP (submit / stream / cancel /
 //     resume / fetch-by-cache-key), and muontrap/client drives it with

@@ -39,10 +39,19 @@ func (w Workload) Suite() string {
 // ParseWorkload validates a benchmark name. Unknown names return an error
 // wrapping ErrUnknownWorkload.
 func ParseWorkload(s string) (Workload, error) {
-	if _, ok := workload.ByName(s); !ok {
-		return "", fmt.Errorf("%w %q (see Workloads())", ErrUnknownWorkload, s)
+	if _, err := lookupWorkload(Workload(s)); err != nil {
+		return "", err
 	}
 	return Workload(s), nil
+}
+
+// lookupWorkload is the one registry lookup for a workload name.
+func lookupWorkload(w Workload) (workload.Spec, error) {
+	spec, ok := workload.ByName(string(w))
+	if !ok {
+		return workload.Spec{}, fmt.Errorf("%w %q (see Workloads())", ErrUnknownWorkload, w)
+	}
+	return spec, nil
 }
 
 // Scheme names one protection configuration. Construct validated values
@@ -57,12 +66,32 @@ const SchemeInsecure Scheme = "insecure"
 func (s Scheme) String() string { return string(s) }
 
 // ParseScheme validates a protection-scheme name. Unknown names return an
-// error wrapping ErrUnknownScheme.
+// error wrapping ErrUnknownScheme. The empty name is not a scheme: the
+// insecure default applies only where a Scheme is optional.
 func ParseScheme(s string) (Scheme, error) {
-	if _, err := defense.ByName(s); err != nil {
-		return "", fmt.Errorf("%w %q (see Schemes())", ErrUnknownScheme, s)
+	if _, err := lookupScheme(Scheme(s)); err != nil {
+		return "", err
 	}
 	return Scheme(s), nil
+}
+
+// orInsecure returns the scheme an optional Scheme names: the empty scheme
+// is the insecure baseline. It is the one place that alias is spelled.
+func (s Scheme) orInsecure() Scheme {
+	if s == "" {
+		return SchemeInsecure
+	}
+	return s
+}
+
+// lookupScheme is the one registry lookup for a scheme name. It takes the
+// name as given; callers holding an optional Scheme pass s.orInsecure().
+func lookupScheme(s Scheme) (defense.Scheme, error) {
+	sch, err := defense.ByName(string(s))
+	if err != nil {
+		return defense.Scheme{}, fmt.Errorf("%w %q (see Schemes())", ErrUnknownScheme, s)
+	}
+	return sch, nil
 }
 
 // FigureID names one regenerable paper figure.
@@ -116,12 +145,19 @@ func (a AttackName) String() string { return string(a) }
 // ParseAttackName validates an attack name. Unknown names return an error
 // wrapping ErrUnknownAttack.
 func ParseAttackName(s string) (AttackName, error) {
-	for _, a := range AttackNames() {
-		if string(a) == s {
-			return a, nil
-		}
+	if _, err := lookupAttack(AttackName(s)); err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("%w %q (see AttackNames())", ErrUnknownAttack, s)
+	return AttackName(s), nil
+}
+
+// lookupAttack is the one registry lookup for an attack scenario name.
+func lookupAttack(a AttackName) (attack.Scenario, error) {
+	sc, ok := attack.ScenarioByName(string(a))
+	if !ok {
+		return attack.Scenario{}, fmt.Errorf("%w %q (see AttackNames())", ErrUnknownAttack, a)
+	}
+	return sc, nil
 }
 
 // Workloads lists the available benchmark names (26 SPEC CPU2006 kernels

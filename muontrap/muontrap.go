@@ -1,10 +1,7 @@
 package muontrap
 
 import (
-	"fmt"
-
 	"repro/internal/attack"
-	"repro/internal/defense"
 	"repro/internal/figures"
 	"repro/internal/sim"
 )
@@ -42,16 +39,13 @@ type AttackResult = attack.Result
 // attacked too. An empty scheme means the insecure baseline; unknown
 // identifiers return errors wrapping ErrUnknownAttack / ErrUnknownScheme.
 func Attack(name AttackName, scheme Scheme, secret int) (AttackResult, error) {
-	if scheme == "" {
-		scheme = SchemeInsecure
-	}
-	sch, err := defense.ByName(string(scheme))
+	sch, err := lookupScheme(scheme.orInsecure())
 	if err != nil {
-		return AttackResult{}, fmt.Errorf("%w %q (see Schemes())", ErrUnknownScheme, scheme)
+		return AttackResult{}, err
 	}
-	sc, ok := attack.ScenarioByName(string(name))
-	if !ok {
-		return AttackResult{}, fmt.Errorf("%w %q (see AttackNames())", ErrUnknownAttack, name)
+	sc, err := lookupAttack(name)
+	if err != nil {
+		return AttackResult{}, err
 	}
 	return attack.RunSecret(sc, sch, secret), nil
 }
@@ -63,12 +57,9 @@ type System = sim.System
 
 // NewSystem builds a machine with the named scheme on n cores.
 func NewSystem(scheme Scheme, cores int) (*System, error) {
-	if scheme == "" {
-		scheme = SchemeInsecure
-	}
-	sch, err := defense.ByName(string(scheme))
+	sch, err := lookupScheme(scheme.orInsecure())
 	if err != nil {
-		return nil, fmt.Errorf("%w %q (see Schemes())", ErrUnknownScheme, scheme)
+		return nil, err
 	}
 	cfg := sim.DefaultConfig(cores)
 	cfg.CPU.Defense = sch.CPU

@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/attack"
 	"repro/internal/checkpoint"
-	"repro/internal/defense"
 	"repro/internal/figures"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Runner is the experiment service: it executes single runs, declarative
@@ -100,25 +97,15 @@ func NewRunner(opts ...RunnerOption) *Runner {
 	for _, o := range opts {
 		o(r)
 	}
-	def := figures.DefaultOptions()
-	if r.scale <= 0 {
-		r.scale = def.Scale
-	}
-	if r.maxCycles <= 0 {
-		r.maxCycles = def.MaxCycles
-	}
+	// The runner's defaults are what a sweep that declares none resolves to.
+	def := Sweep{}.Resolve(r.scale, r.maxCycles)
+	r.scale, r.maxCycles = def.Scales[0], def.MaxCycles
 	return r
 }
 
-// options maps the runner's configuration (plus per-call overrides) to the
+// options maps the runner's configuration and one run's sizing to the
 // internal experiment options.
 func (r *Runner) options(scale float64, maxCycles int) figures.Options {
-	if scale <= 0 {
-		scale = r.scale
-	}
-	if maxCycles <= 0 {
-		maxCycles = r.maxCycles
-	}
 	return figures.Options{
 		Scale:           scale,
 		MaxCycles:       maxCycles,
@@ -138,22 +125,6 @@ type RunSpec struct {
 	Scheme    Scheme
 	Scale     float64
 	MaxCycles int
-}
-
-// Sweep declares a (workloads × schemes × scales) experiment matrix,
-// optionally extended with an (attacks × schemes) security block. An
-// empty Scales runs every cell at the runner's default scale; a zero
-// MaxCycles inherits the runner's default. Attack cells run each named
-// scenario under each scheme with the scenario's canonical secret; they
-// ignore scales and the cycle bound (an attack's identity is its spec).
-// A sweep may declare attacks without workloads. The JSON field names are
-// the experiment service's wire format (see docs/API.md).
-type Sweep struct {
-	Workloads []Workload   `json:"workloads,omitempty"`
-	Schemes   []Scheme     `json:"schemes"`
-	Scales    []float64    `json:"scales,omitempty"`
-	MaxCycles int          `json:"max_cycles,omitempty"`
-	Attacks   []AttackName `json:"attacks,omitempty"`
 }
 
 // RunResult is one completed run with its full identity, so streamed
@@ -194,31 +165,24 @@ func (s *SweepResult) Find(w Workload, sch Scheme) (RunResult, bool) {
 	return RunResult{}, false
 }
 
-// resolve validates a (workload, scheme) pair against the registries. An
-// empty scheme defaults to the insecure baseline.
-func resolve(w Workload, s Scheme) (workload.Spec, defense.Scheme, error) {
-	spec, ok := workload.ByName(string(w))
-	if !ok {
-		return workload.Spec{}, defense.Scheme{}, fmt.Errorf("%w %q (see Workloads())", ErrUnknownWorkload, w)
-	}
-	sch, err := resolveScheme(s)
+// job maps one cell of Sweep.Cells to the executor's job.
+func (r *Runner) job(cell Sweep) (figures.Job, error) {
+	sch, err := lookupScheme(cell.Schemes[0])
 	if err != nil {
-		return workload.Spec{}, defense.Scheme{}, err
+		return figures.Job{}, err
 	}
-	return spec, sch, nil
-}
-
-// resolveScheme validates a scheme name alone (attack cells have no
-// workload). An empty scheme defaults to the insecure baseline.
-func resolveScheme(s Scheme) (defense.Scheme, error) {
-	if s == "" {
-		s = SchemeInsecure
+	if len(cell.Attacks) > 0 {
+		sc, err := lookupAttack(cell.Attacks[0])
+		if err != nil {
+			return figures.Job{}, err
+		}
+		return figures.AttackJob(sc, sch, r.options(0, 0)), nil
 	}
-	sch, err := defense.ByName(string(s))
-	if err != nil {
-		return defense.Scheme{}, fmt.Errorf("%w %q (see Schemes())", ErrUnknownScheme, s)
-	}
-	return sch, nil
+	spec, err := lookupWorkload(cell.Workloads[0])
+	return figures.Job{
+		Spec: spec, Scheme: sch, Opt: r.options(cell.Scales[0], cell.MaxCycles),
+		Series: sch.Name, Work: spec.Name,
+	}, err
 }
 
 // Run executes one workload under one protection scheme and blocks until
@@ -227,19 +191,26 @@ func resolveScheme(s Scheme) (defense.Scheme, error) {
 // never memoized: every call is a fresh simulation, as throughput
 // benchmarking requires. Use Sweep for deduplicated, cached batches.
 func (r *Runner) Run(ctx context.Context, spec RunSpec) (RunResult, error) {
-	wspec, sch, err := resolve(spec.Workload, spec.Scheme)
+	sw := Sweep{Workloads: []Workload{spec.Workload}, Schemes: []Scheme{spec.Scheme}, MaxCycles: spec.MaxCycles}
+	if spec.Scale > 0 {
+		sw.Scales = []float64{spec.Scale}
+	}
+	cells, err := sw.Cells(r.scale, r.maxCycles)
 	if err != nil {
 		return RunResult{}, err
 	}
-	opt := r.options(spec.Scale, spec.MaxCycles)
-	res, err := figures.RunOne(ctx, wspec, sch, opt)
+	job, err := r.job(cells[0])
+	if err != nil {
+		return RunResult{}, err
+	}
+	res, err := figures.RunOne(ctx, job.Spec, job.Scheme, job.Opt)
 	if err != nil {
 		return RunResult{}, err
 	}
 	return RunResult{
 		Workload: spec.Workload,
-		Scheme:   Scheme(sch.Name),
-		Scale:    opt.Scale,
+		Scheme:   Scheme(job.Scheme.Name),
+		Scale:    job.Opt.Scale,
 		Result: Result{
 			Cycles:       uint64(res.Cycles),
 			Instructions: res.Committed,
@@ -254,46 +225,17 @@ func (r *Runner) Run(ctx context.Context, spec RunSpec) (RunResult, error) {
 // once; with WithCacheDir, once across process invocations), each
 // completed cell is streamed to the WithProgress callback, and
 // cancelling ctx aborts in-flight simulations promptly with ctx.Err().
-// The matrix is validated up front: an unknown identifier fails the whole
-// sweep before any simulation starts.
+// The matrix is validated up front (see Sweep.Cells): an unknown
+// identifier fails the whole sweep before any simulation starts.
 func (r *Runner) Sweep(ctx context.Context, sw Sweep) (*SweepResult, error) {
-	scales := sw.Scales
-	if len(scales) == 0 {
-		scales = []float64{r.scale}
+	cells, err := sw.Cells(r.scale, r.maxCycles)
+	if err != nil {
+		return nil, err
 	}
-	if len(sw.Workloads) == 0 && len(sw.Attacks) == 0 {
-		return nil, fmt.Errorf("muontrap: sweep declares no workloads or attacks")
-	}
-	if len(sw.Schemes) == 0 {
-		return nil, fmt.Errorf("muontrap: sweep declares no schemes")
-	}
-	var jobs []figures.Job
-	for _, w := range sw.Workloads {
-		for _, s := range sw.Schemes {
-			wspec, sch, err := resolve(w, s)
-			if err != nil {
-				return nil, err
-			}
-			for _, scale := range scales {
-				opt := r.options(scale, sw.MaxCycles)
-				jobs = append(jobs, figures.Job{
-					Spec: wspec, Scheme: sch, Opt: opt,
-					Series: sch.Name, Work: wspec.Name,
-				})
-			}
-		}
-	}
-	for _, a := range sw.Attacks {
-		sc, ok := attack.ScenarioByName(string(a))
-		if !ok {
-			return nil, fmt.Errorf("%w %q (see AttackNames())", ErrUnknownAttack, a)
-		}
-		for _, s := range sw.Schemes {
-			sch, err := resolveScheme(s)
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, figures.AttackJob(sc, sch, r.options(0, 0)))
+	jobs := make([]figures.Job, len(cells))
+	for i, c := range cells {
+		if jobs[i], err = r.job(c); err != nil {
+			return nil, err
 		}
 	}
 	outs, err := r.execute(ctx, jobs)
@@ -317,7 +259,7 @@ func (r *Runner) Figure(ctx context.Context, id FigureID) (*stats.Table, error) 
 	if !ok {
 		return nil, fmt.Errorf("%w %q (fig3..fig9)", ErrUnknownFigure, id)
 	}
-	return fn(ctx, r.options(0, 0))
+	return fn(ctx, r.options(r.scale, r.maxCycles))
 }
 
 var figureFns = map[FigureID]func(context.Context, figures.Options) (*stats.Table, error){

@@ -189,6 +189,17 @@ func TestSweepValidatesUpfront(t *testing.T) {
 	if _, err := r.Run(context.Background(), muontrap.RunSpec{Workload: "nope"}); !errors.Is(err, muontrap.ErrUnknownWorkload) {
 		t.Fatalf("Run err should wrap ErrUnknownWorkload")
 	}
+	// A declared scale of zero or below is refused: it would run at the
+	// default scale while being keyed apart from it.
+	for _, scale := range []float64{0, -1} {
+		if _, err := r.Sweep(context.Background(), muontrap.Sweep{
+			Workloads: []muontrap.Workload{"hmmer"},
+			Schemes:   []muontrap.Scheme{"insecure"},
+			Scales:    []float64{scale},
+		}); err == nil || !strings.Contains(err.Error(), "scale must be positive") {
+			t.Fatalf("Sweep at scale %g: err = %v, want a refusal", scale, err)
+		}
+	}
 }
 
 // TestSweepCheckpointResumeAcrossRunners is the public-API crash-resume

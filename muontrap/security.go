@@ -101,11 +101,11 @@ func SecurityMatrixFromSweep(sw Sweep, res *SweepResult) (*SecurityMatrixResult,
 	}
 	m := &SecurityMatrixResult{}
 	for _, s := range sw.Schemes {
-		sch, err := resolveScheme(s)
-		if err != nil {
+		s = s.orInsecure()
+		if _, err := lookupScheme(s); err != nil {
 			return nil, err
 		}
-		m.Schemes = append(m.Schemes, Scheme(sch.Name))
+		m.Schemes = append(m.Schemes, s)
 	}
 	for _, a := range sw.Attacks {
 		row := SecurityRow{Attack: a}
