@@ -19,7 +19,7 @@
 // re-dispatches cells from dead workers using their mirrored mid-run
 // checkpoints, and steals cells from stragglers (-steal-after). A worker
 // given -join registers with the coordinator, heartbeats, and mirrors
-// its mid-run checkpoints into the coordinator's content store so any
+// its mid-run checkpoints into the coordinator's checkpoint store so any
 // other machine can pick up its interrupted cells. The identity flags
 // (-scale, -max-cycles, -warmup, -checkpoint-every) must match across
 // the coordinator and every worker.
@@ -162,10 +162,10 @@ func main() {
 	}
 
 	// A fleet worker mirrors its mid-run checkpoints into the
-	// coordinator's content store so any other machine can resume its
+	// coordinator's checkpoint store so any other machine can resume its
 	// interrupted cells; the local half (when a cache directory exists)
 	// keeps single-machine restart-resume working too.
-	var snapStore checkpoint.ContentStore
+	var snapStore checkpoint.ChainStore
 	if *join != "" {
 		if *advertise == "" {
 			fatal(errors.New("-join needs -advertise: the base URL the coordinator reaches this daemon at"))

@@ -1,7 +1,8 @@
-// Package checkpoint implements the versioned, content-addressed snapshot
-// format the simulator uses to fast-forward figure runs: a Snapshot is an
-// ordered set of named sections, each a flat little-endian byte payload
-// produced by a component's Save method and consumed by its Restore.
+// Package checkpoint implements the versioned snapshot format the
+// simulator uses to fast-forward figure runs, and the stores that keep
+// snapshots: a Snapshot is an ordered set of named sections, each a flat
+// little-endian byte payload produced by a component's Save method and
+// consumed by its Restore.
 //
 // Key types:
 //
@@ -41,18 +42,27 @@
 //     tables (2-bit counters, the RAS, DRAM banks) stay dense, written
 //     through Writer.Raw in one loop.
 //   - Snapshot.WriteTo streams the canonical form from the section
-//     buffers; Encode, Hash and Store.Put all go through it, so hashing
-//     and storing a snapshot never builds a second copy of the image.
-//   - Store: a content-addressed directory of encoded snapshots
-//     (<hash>.snap), with human-opaque ref files mapping an input key — the
-//     (workload, scale, cores, warm-up) tuple that produced a snapshot — to
-//     its content hash, so later runs resolve a snapshot without
-//     re-simulating the warm-up that built it.
+//     buffers; Encode, Hash, Store.Put and Store.Save all go through it,
+//     so hashing and storing a snapshot never builds a second copy of the
+//     image.
+//   - Store: warm snapshots content-addressed (<hash>.snap, Put/Load),
+//     with ref files mapping an input key — the (workload, scale,
+//     warm-up) tuple that built a snapshot — to its hash (Link/Resolve),
+//     so later runs skip the warm-up; and mid-run checkpoint chains.
+//   - ChainStore (Save, Latest, Drop), implemented by Store, HTTPStore
+//     (the client of StoreHandler) and Mirror: a chain is two slots, and
+//     checkpoint ordinal g overwrites slot g mod 2 in place with its
+//     ordinal, length and SHA-256, then the image. Latest returns the
+//     highest ordinal that checks out, so a slot torn by a crash falls
+//     back to the checkpoint before it.
 //
 // Invariants:
 //
 //   - The format is versioned (FormatVersion); Decode rejects other
 //     versions rather than guessing.
+//   - Nothing read from a store or the network is trusted: a .snap must
+//     hash to its name, a slot's image to its header's hash, and uploads
+//     are re-hashed before they are stored.
 //   - Section names are unique within a snapshot and iteration order is
 //     insertion order; Encode is therefore deterministic given
 //     deterministic savers.

@@ -1,6 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -34,6 +37,30 @@ func newRemote(t *testing.T) (*Store, *HTTPStore) {
 	return st, NewHTTPStore(srv.URL, srv.Client())
 }
 
+// wireKey is the key a StoreHandler files a client's chain under: the
+// client hex-encodes the opaque key into the query string.
+func wireKey(key string) string { return hex.EncodeToString([]byte(key)) }
+
+// wantLatest asserts a chain's newest intact checkpoint is s at ordinal g.
+func wantLatest(t *testing.T, cs ChainStore, key string, g uint64, s *Snapshot) {
+	t.Helper()
+	got, gotG, err := cs.Latest(key)
+	if err != nil || got == nil {
+		t.Fatalf("Latest(%q) = %v, %v; want ordinal %d", key, got, err, g)
+	}
+	if gotG != g || !bytes.Equal(got.Encode(), s.Encode()) {
+		t.Fatalf("Latest(%q) = ordinal %d (hash %s), want %d (hash %s)", key, gotG, got.Hash(), g, s.Hash())
+	}
+}
+
+// wantNoChain asserts the chain does not exist.
+func wantNoChain(t *testing.T, cs ChainStore, key string) {
+	t.Helper()
+	if got, g, err := cs.Latest(key); got != nil || err != nil {
+		t.Fatalf("Latest(%q) = ordinal %d, %v; want no chain", key, g, err)
+	}
+}
+
 func TestHTTPStoreRoundTrip(t *testing.T) {
 	backing, remote := newRemote(t)
 
@@ -50,54 +77,50 @@ func TestHTTPStoreRoundTrip(t *testing.T) {
 		t.Fatalf("backing store missing uploaded snapshot: %v", err)
 	}
 
-	got, err := remote.Load(hash)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
+	const key = "midrun|wl=x|sch=y/z"
+	wantNoChain(t, remote, key)
+	a, b := sampleSnap(t, "g1"), sampleSnap(t, "g2")
+	if err := remote.Save(key, 1, a); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
-	if string(got.Encode()) != string(snap.Encode()) {
-		t.Fatal("round-tripped snapshot differs")
+	if err := remote.Save(key, 2, b); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
+	wantLatest(t, remote, key, 2, b)
 	if remote.Fetches() != 1 {
 		t.Fatalf("Fetches = %d, want 1", remote.Fetches())
 	}
+	// The server holds both slots, exactly as a local chain would.
+	wantLatest(t, backing, wireKey(key), 2, b)
 
-	const key = "midrun|wl=x|sch=y/z"
-	if err := remote.Link(key, hash); err != nil {
-		t.Fatalf("Link: %v", err)
-	}
-	if h, ok := remote.Resolve(key); !ok || h != hash {
-		t.Fatalf("Resolve = %q, %v; want %q, true", h, ok, hash)
-	}
-	remote.Unlink(key)
-	if _, ok := remote.Resolve(key); ok {
-		t.Fatal("ref survived Unlink")
-	}
-
-	remote.Remove(hash)
-	if _, err := remote.Load(hash); err == nil {
-		t.Fatal("snapshot survived Remove")
+	remote.Drop(key)
+	wantNoChain(t, remote, key)
+	if names := dirNames(t, backing.Dir()); len(names) != 1 {
+		t.Fatalf("Drop left %v in the store, want only the Put snapshot", names)
 	}
 }
 
 func TestHTTPStoreErrors(t *testing.T) {
-	_, remote := newRemote(t)
+	backing, remote := newRemote(t)
 
-	if _, err := remote.Load(strings.Repeat("ab", 32)); err == nil {
-		t.Fatal("Load of unknown hash succeeded")
+	// A chain that exists but holds nothing intact is an error, not "no
+	// chain": the caller must be able to say its work was lost.
+	if err := os.WriteFile(backing.slotPath(wireKey("k"), 0), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := remote.Resolve("no-such-key"); ok {
-		t.Fatal("Resolve of unknown key succeeded")
-	}
-	if err := remote.Link("k", "not-a-hash"); err == nil {
-		t.Fatal("Link with malformed hash succeeded")
+	if got, _, err := remote.Latest("k"); got != nil || err == nil {
+		t.Fatalf("Latest over a garbled chain = %v, %v; want an error", got, err)
 	}
 	// A dead endpoint surfaces as errors, not panics.
 	dead := NewHTTPStore("http://127.0.0.1:1/store", nil)
 	if _, err := dead.Put(sampleSnap(t, "x")); err == nil {
 		t.Fatal("Put to dead endpoint succeeded")
 	}
-	if _, ok := dead.Resolve("k"); ok {
-		t.Fatal("Resolve against dead endpoint succeeded")
+	if err := dead.Save("k", 1, sampleSnap(t, "x")); err == nil {
+		t.Fatal("Save to dead endpoint succeeded")
+	}
+	if _, _, err := dead.Latest("k"); err == nil {
+		t.Fatal("Latest against dead endpoint succeeded")
 	}
 }
 
@@ -115,17 +138,10 @@ func dirNames(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestStoreHandlerRejectsLies pins the server-side verification: a PUT
-// whose body does not hash to the claimed name must be rejected and must
-// not leave linkable content behind.
-func TestStoreHandlerRejectsLies(t *testing.T) {
-	backing, remote := newRemote(t)
-	srv := httptest.NewServer(StoreHandler(backing))
-	defer srv.Close()
-
-	snap := sampleSnap(t, "honest")
-	lie := strings.Repeat("00", 32)
-	req, err := http.NewRequest(http.MethodPut, srv.URL+"/snap/"+lie, strings.NewReader(string(snap.Encode())))
+// put sends one PUT to the handler and returns the status.
+func put(t *testing.T, srv *httptest.Server, path string, body []byte) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPut, srv.URL+path, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,62 +150,77 @@ func TestStoreHandlerRejectsLies(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("lying PUT: status %d, want 400", resp.StatusCode)
+	return resp.StatusCode
+}
+
+// TestStoreHandlerRejectsLies pins the server-side verification: an
+// upload whose body does not hash to what it claims must be rejected and
+// must not leave anything behind.
+func TestStoreHandlerRejectsLies(t *testing.T) {
+	backing, remote := newRemote(t)
+	srv := httptest.NewServer(StoreHandler(backing))
+	defer srv.Close()
+
+	snap := sampleSnap(t, "honest")
+	lie := strings.Repeat("00", 32)
+	if code := put(t, srv, "/snap/"+lie, snap.Encode()); code != http.StatusBadRequest {
+		t.Fatalf("lying PUT: status %d, want 400", code)
 	}
-	// Neither the lie nor the true hash is servable afterwards.
-	if _, err := remote.Load(lie); err == nil {
-		t.Fatal("lying hash became loadable")
-	}
-	if _, err := remote.Load(snap.Hash()); err == nil {
-		t.Fatal("true hash of rejected upload became loadable")
+	if names := dirNames(t, backing.Dir()); len(names) != 0 {
+		t.Fatalf("a rejected PUT wrote %v", names)
 	}
 
 	// A lie about bytes the store legitimately holds must cost nothing: the
-	// honest object stays loadable and no file is written or removed.
+	// honest object stays and no file is written or removed.
 	held := sampleSnap(t, "held")
 	heldHash, err := backing.Put(held)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := dirNames(t, backing.Dir())
-	req, err = http.NewRequest(http.MethodPut, srv.URL+"/snap/"+lie, strings.NewReader(string(held.Encode())))
-	if err != nil {
-		t.Fatal(err)
+	if code := put(t, srv, "/snap/"+lie, held.Encode()); code != http.StatusBadRequest {
+		t.Fatalf("lying PUT of held content: status %d, want 400", code)
 	}
-	resp, err = srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("lying PUT of held content: status %d, want 400", resp.StatusCode)
-	}
-	if _, err := remote.Load(heldHash); err != nil {
+	if _, err := backing.Load(heldHash); err != nil {
 		t.Fatalf("a mis-named PUT removed a legitimately stored snapshot: %v", err)
 	}
 	if after := dirNames(t, backing.Dir()); !slices.Equal(before, after) {
 		t.Fatalf("a rejected PUT changed the store directory: %v -> %v", before, after)
 	}
 
-	// Garbage bodies and malformed hashes are 400s too.
+	// A chain upload is re-hashed too: a slot whose hash does not match its
+	// image, or whose image is no snapshot, never reaches a slot.
+	const key = "midrun|lies"
+	rec := encodeSlot(1, snap)
+	flipped := bytes.Clone(rec)
+	flipped[len(flipped)-1] ^= 1
+	img := []byte("not a snapshot")
+	notSnap := append(make([]byte, slotHeaderSize), img...)
+	sum := sha256.Sum256(img)
+	putSlotHeader(notSnap, 1, uint64(len(img)), sum[:])
+	for name, body := range map[string][]byte{
+		"bit flip":    flipped,
+		"truncated":   rec[:len(rec)-1],
+		"short":       rec[:slotHeaderSize-1],
+		"no snapshot": notSnap,
+	} {
+		if code := put(t, srv, "/chain?key="+wireKey(key), body); code != http.StatusBadRequest {
+			t.Errorf("PUT /chain (%s): status %d, want 400", name, code)
+		}
+	}
+	wantNoChain(t, remote, key)
+	if after := dirNames(t, backing.Dir()); !slices.Equal(before, after) {
+		t.Fatalf("a rejected chain upload changed the store directory: %v -> %v", before, after)
+	}
+
+	// Garbage bodies, malformed hashes and missing keys are 400s too.
 	for _, tc := range []struct{ path, body string }{
 		{"/snap/" + lie, "not a snapshot"},
 		{"/snap/zzz", string(snap.Encode())},
-		{"/ref?key=k", "not-a-hash"},
-		{"/ref", strings.Repeat("ab", 32)},
+		{"/chain", string(rec)},
 	} {
-		req, err := http.NewRequest(http.MethodPut, srv.URL+tc.path, strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := srv.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("PUT %s: status %d, want 400", tc.path, resp.StatusCode)
+		if code := put(t, srv, tc.path, []byte(tc.body)); code != http.StatusBadRequest {
+			t.Errorf("PUT %s: status %d, want 400", tc.path, code)
 		}
 	}
 }
@@ -202,68 +233,34 @@ func TestMirrorWriteOrderingAndFallback(t *testing.T) {
 	remoteBacking, remote := newRemote(t)
 	m := &Mirror{Local: local, Remote: remote}
 
-	snap := sampleSnap(t, "m")
-	hash, err := m.Put(snap)
-	if err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if _, err := local.Load(hash); err != nil {
-		t.Fatalf("Put did not land locally: %v", err)
-	}
-	if _, err := remoteBacking.Load(hash); err != nil {
-		t.Fatalf("Put did not land remotely: %v", err)
-	}
-
 	const key = "midrun|mirror"
-	if err := m.Link(key, hash); err != nil {
-		t.Fatalf("Link: %v", err)
+	snap := sampleSnap(t, "m")
+	if err := m.Save(key, 1, snap); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
-	// The ordering invariant: a local ref implies the remote ref exists.
-	if _, ok := local.Resolve(key); !ok {
-		t.Fatal("Link did not land locally")
+	wantLatest(t, local, key, 1, snap)
+	wantLatest(t, remoteBacking, wireKey(key), 1, snap)
+	if remote.Fetches() != 0 {
+		t.Fatal("a local hit fetched from the remote")
 	}
-	if h, ok := remote.Resolve(key); !ok || h != hash {
-		t.Fatalf("Link did not land remotely: %q, %v", h, ok)
-	}
-	if h, ok := m.Resolve(key); !ok || h != hash {
-		t.Fatalf("Mirror Resolve = %q, %v", h, ok)
-	}
+	wantLatest(t, m, key, 1, snap)
 
-	// Drop the local copy: Load falls back to the remote and backfills.
-	local.Remove(hash)
-	got, err := m.Load(hash)
-	if err != nil {
-		t.Fatalf("Load after local prune: %v", err)
-	}
-	if got.Hash() != hash {
-		t.Fatalf("fallback Load hash = %s, want %s", got.Hash(), hash)
-	}
+	// Drop the local chain: Latest falls back to the remote.
+	local.Drop(key)
+	wantLatest(t, m, key, 1, snap)
 	if remote.Fetches() == 0 {
-		t.Fatal("fallback Load did not fetch from the remote")
-	}
-	if _, err := local.Load(hash); err != nil {
-		t.Fatalf("fallback Load did not backfill locally: %v", err)
+		t.Fatal("fallback Latest did not fetch from the remote")
 	}
 
-	// Drop only the local ref: Resolve falls back to the remote one.
-	local.Unlink(key)
-	if h, ok := m.Resolve(key); !ok || h != hash {
-		t.Fatalf("Resolve after local unlink = %q, %v", h, ok)
-	}
-
-	m.Unlink(key)
-	if _, ok := m.Resolve(key); ok {
-		t.Fatal("ref survived Mirror Unlink")
-	}
-	m.Remove(hash)
-	if _, err := m.Load(hash); err == nil {
-		t.Fatal("snapshot survived Mirror Remove")
-	}
+	m.Drop(key)
+	wantNoChain(t, m, key)
+	wantNoChain(t, remote, key)
 }
 
 // TestMirrorRemoteFailureIsLoud pins the durability contract: when the
-// remote side is down, Put and Link fail rather than silently degrading
-// to local-only checkpoints.
+// remote side is down, Save fails rather than silently degrading to
+// local-only checkpoints — and, because it is remote-first, leaves no
+// local slot behind.
 func TestMirrorRemoteFailureIsLoud(t *testing.T) {
 	local, err := NewStore(t.TempDir())
 	if err != nil {
@@ -271,15 +268,10 @@ func TestMirrorRemoteFailureIsLoud(t *testing.T) {
 	}
 	m := &Mirror{Local: local, Remote: NewHTTPStore("http://127.0.0.1:1/store", nil)}
 
-	snap := sampleSnap(t, "down")
-	if _, err := m.Put(snap); err == nil {
-		t.Fatal("Put with dead remote succeeded")
+	if err := m.Save("k", 1, sampleSnap(t, "down")); err == nil {
+		t.Fatal("Save with dead remote succeeded")
 	}
-	if err := m.Link("k", snap.Hash()); err == nil {
-		t.Fatal("Link with dead remote succeeded")
-	}
-	// And because Link is remote-first, no local ref was recorded.
-	if _, ok := local.Resolve("k"); ok {
-		t.Fatal("failed Link left a local ref behind")
+	if names := dirNames(t, local.Dir()); len(names) != 0 {
+		t.Fatalf("failed Save left %v in the local store", names)
 	}
 }

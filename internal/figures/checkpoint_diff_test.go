@@ -155,7 +155,7 @@ func TestCrashResumeProducesIdenticalResult(t *testing.T) {
 		t.Fatalf("crash run: got %v, want simulated crash", err)
 	}
 
-	// The latest persisted checkpoint must be resolvable.
+	// The latest persisted checkpoint must be the chain's newest.
 	st, err := checkpoint.NewStore(filepath.Join(crashDir, "snapshots"))
 	if err != nil {
 		t.Fatal(err)
@@ -166,24 +166,23 @@ func TestCrashResumeProducesIdenticalResult(t *testing.T) {
 	}
 	crashKey := runKey{workload: spec.Name, scheme: sch.Name, scale: optCrash.Scale,
 		maxCycles: optCrash.MaxCycles, snapHash: snapHash, every: optCrash.CheckpointEvery}
-	if _, ok := st.Resolve(midrunKey(crashKey)); !ok {
-		t.Fatal("crashed run left no resolvable mid-run checkpoint")
+	if snap, g, err := st.Latest(midrunKey(crashKey)); snap == nil || g != 2 {
+		t.Fatalf("crashed run's chain: newest checkpoint %d (%v), want #2", g, err)
 	}
-	// Pruning: only the chain's latest full-machine image may remain on
-	// disk (the crash happened right after checkpoint #2 landed, so
-	// checkpoint #1 must already have been removed).
-	snaps := 0
+	// Superseded checkpoints are overwritten in place: the chain is its two
+	// slots, whatever its length, and nothing else is left on disk.
 	ents, err := os.ReadDir(st.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	slots := 0
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".snap") {
-			snaps++
+		if strings.Contains(e.Name(), ".slot") {
+			slots++
 		}
 	}
-	if snaps != 1 {
-		t.Fatalf("crashed run left %d snapshots on disk, want 1 (superseded checkpoints must be pruned)", snaps)
+	if slots != 2 || len(ents) != 2 {
+		t.Fatalf("crashed run left %d files (%d slots) on disk, want the chain's 2 slots", len(ents), slots)
 	}
 
 	// Resume: bit-identical final result, and only the tail re-simulated
@@ -206,8 +205,8 @@ func TestCrashResumeProducesIdenticalResult(t *testing.T) {
 	if got := res.Counters["ckpt.taken"]; got != uint64(fullCkpts) {
 		t.Fatalf("resumed run reports %d total checkpoints, uninterrupted took %d", got, fullCkpts)
 	}
-	// Completion retires the chain: no dead full-machine images or refs
-	// remain once the result is cached.
+	// Completion retires the chain: no dead full-machine images remain
+	// once the result is cached.
 	left, err := os.ReadDir(st.Dir())
 	if err != nil {
 		t.Fatal(err)

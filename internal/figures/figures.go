@@ -63,7 +63,7 @@ type Options struct {
 	// here (local disk + the coordinator's HTTP store) so an interrupted
 	// cell's latest checkpoint is fetchable from any other machine. The
 	// keying is unchanged — only where the bytes live.
-	SnapshotStore checkpoint.ContentStore
+	SnapshotStore checkpoint.ChainStore
 
 	// ckptSpy, when non-nil (tests only), observes the n-th mid-run
 	// checkpoint after it is persisted; returning an error aborts the run,

@@ -56,7 +56,7 @@ func executeOne(t *testing.T, j Job) sim.RunResult {
 var errPinCrash = errors.New("crash after first checkpoint")
 
 // TestKeyBytesWorkloadCellAndChain pins a warm snapshot's ref, a mid-run
-// checkpoint chain's ref and a workload cell's result key, all with the
+// checkpoint chain's key and a workload cell's result key, all with the
 // warm-up and cadence fields set.
 func TestKeyBytesWorkloadCellAndChain(t *testing.T) {
 	defer ResetRunCache()
@@ -84,8 +84,8 @@ func TestKeyBytesWorkloadCellAndChain(t *testing.T) {
 	}
 	cell := "result|v2|bin=" + fp + "|wl=hmmer|scheme=muontrap|scale=0.05|max=4000000" +
 		"|l0d=0/0|warm=1500|snap=" + snap + "|every=2000"
-	if _, ok := st.Resolve("midrun|" + cell); !ok {
-		t.Fatalf("no mid-run chain under %q", "midrun|"+cell)
+	if chain, _, err := st.Latest("midrun|" + cell); chain == nil {
+		t.Fatalf("no mid-run chain under %q (%v)", "midrun|"+cell, err)
 	}
 
 	ResetRunCache()

@@ -2,6 +2,12 @@ package figures
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/defense"
@@ -240,5 +246,63 @@ func TestWarmSnapshotDiskResume(t *testing.T) {
 	}
 	if snap.Hash() != hash2 {
 		t.Fatal("loaded snapshot content does not match its hash")
+	}
+}
+
+// TestWarmSnapshotPersistenceFailuresAreReported: a warm snapshot that
+// cannot be stored — no store, a failed Put, a failed Link — costs the
+// next process a re-simulated warm-up, never a result: the cell is the
+// clean cell bit for bit, its identity keeps the snapshot's content hash,
+// and the lost persistence is reported once.
+func TestWarmSnapshotPersistenceFailuresAreReported(t *testing.T) {
+	defer ResetRunCache()
+	spec := simtest.MustSpec(t, "hmmer")
+	opt := tinyOptions()
+	opt.WarmupInsts = 1000
+	ResetRunCache()
+	want, err := RunOne(context.Background(), spec, defense.MuonTrap(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, goodHash, err := warmSnapshot(spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keySum := sha256.Sum256([]byte(warmInputKey(spec, opt)))
+	// Each case blocks one write by putting something where it must land.
+	for name, block := range map[string]struct{ path, want string }{
+		"store": {"snapshots", "will NOT be persisted"},
+		"put":   {filepath.Join("snapshots", goodHash+".snap", "x"), "not persisted"},
+		"link":  {filepath.Join("snapshots", hex.EncodeToString(keySum[:])+".ref", "x"), "not persisted"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ResetRunCache()
+			dir := t.TempDir()
+			path := filepath.Join(dir, block.path)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte("in the way"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var warnings []string
+			oldWarnf := warnf
+			warnf = func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }
+			defer func() { warnf = oldWarnf }()
+			blocked := opt
+			blocked.CacheDir = dir
+			got, err := RunOne(context.Background(), spec, defense.MuonTrap(), blocked)
+			if err != nil {
+				t.Fatalf("run over an unwritable snapshot store: %v", err)
+			}
+			resultsEqual(t, "unpersisted warm snapshot", want, got)
+			if h, err := snapHashFor(spec, blocked); err != nil || h != goodHash {
+				t.Fatalf("cell identity carries snapshot hash %q (%v), want %q", h, err, goodHash)
+			}
+			if len(warnings) != 1 || !strings.Contains(warnings[0], "warm snapshot") ||
+				!strings.Contains(warnings[0], block.want) {
+				t.Fatalf("want one warm-snapshot warning saying %q, got %q", block.want, warnings)
+			}
+		})
 	}
 }

@@ -14,20 +14,11 @@ import (
 	"repro/internal/simtest"
 )
 
-// relinkAsFormat2 rewrites the stored snapshot a ref resolves to so that
-// its machine section claims machineFormat 2 (the layout before sparse
-// tables), stores the forgery and points the ref at it — a store an older
+// asFormat2 returns a copy of snap whose machine section claims
+// machineFormat 2 (the layout before sparse tables) — an image an older
 // build left behind, as far as this binary can tell.
-func relinkAsFormat2(t *testing.T, st *checkpoint.Store, key string) {
+func asFormat2(t *testing.T, snap *checkpoint.Snapshot) *checkpoint.Snapshot {
 	t.Helper()
-	hash, ok := st.Resolve(key)
-	if !ok {
-		t.Fatalf("no ref for %q", key)
-	}
-	snap, err := st.Load(hash)
-	if err != nil {
-		t.Fatal(err)
-	}
 	enc := snap.Encode()
 	// magic(8) version(4) count(4), then the first section: name length,
 	// "machine", payload length, payload — whose first word is the format.
@@ -39,7 +30,22 @@ func relinkAsFormat2(t *testing.T, st *checkpoint.Store, key string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldHash, err := st.Put(old)
+	return old
+}
+
+// relinkAsFormat2 stores the format-2 forgery of the warm snapshot a ref
+// resolves to and points the ref at it.
+func relinkAsFormat2(t *testing.T, st *checkpoint.Store, key string) {
+	t.Helper()
+	hash, ok := st.Resolve(key)
+	if !ok {
+		t.Fatalf("no ref for %q", key)
+	}
+	snap, err := st.Load(hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldHash, err := st.Put(asFormat2(t, snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +130,16 @@ func TestStaleFormatMidRunCheckpointStartsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relinkAsFormat2(t, st, midrunKey(runKey{workload: spec.Name, scheme: sch.Name, scale: opt.Scale,
-		maxCycles: opt.MaxCycles, every: opt.CheckpointEvery}))
+	// Overwrite the chain's newest checkpoint with its format-2 forgery.
+	mkey := midrunKey(runKey{workload: spec.Name, scheme: sch.Name, scale: opt.Scale,
+		maxCycles: opt.MaxCycles, every: opt.CheckpointEvery})
+	snap, g, err := st.Latest(mkey)
+	if snap == nil {
+		t.Fatalf("no mid-run chain under %q (%v)", mkey, err)
+	}
+	if err := st.Save(mkey, g, asFormat2(t, snap)); err != nil {
+		t.Fatal(err)
+	}
 
 	var warnings []string
 	oldWarnf := warnf

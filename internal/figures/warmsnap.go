@@ -62,7 +62,10 @@ func warmSnapshot(spec workload.Spec, opt Options) (*checkpoint.Snapshot, string
 	e.once.Do(func() {
 		var st *checkpoint.Store
 		if opt.CacheDir != "" {
-			st, _ = checkpoint.NewStore(filepath.Join(opt.CacheDir, "snapshots"))
+			var err error
+			if st, err = checkpoint.NewStore(filepath.Join(opt.CacheDir, "snapshots")); err != nil {
+				warnf("%s: warm snapshot will NOT be persisted (snapshot store: %v)", spec.Name, err)
+			}
 		}
 		if st != nil {
 			if hash, ok := st.Resolve(ikey); ok {
@@ -86,13 +89,18 @@ func warmSnapshot(spec workload.Spec, opt Options) (*checkpoint.Snapshot, string
 		if st != nil {
 			// Put returns the content hash of the encoding it just wrote;
 			// reuse it rather than re-encoding and re-hashing the snapshot.
-			if h, err := st.Put(snap); err == nil {
+			h, err := st.Put(snap)
+			if err == nil {
 				e.hash = h
-				_ = st.Link(ikey, h)
-				return
+				err = st.Link(ikey, h)
+			}
+			if err != nil {
+				warnf("%s: warm snapshot not persisted: %v", spec.Name, err)
 			}
 		}
-		e.hash = snap.Hash()
+		if e.hash == "" {
+			e.hash = snap.Hash()
+		}
 	})
 	return e.snap, e.hash, e.err
 }
@@ -125,10 +133,9 @@ func resetSnapCache() {
 //   - otherwise, with WarmupInsts set, the workload's shared warm
 //     snapshot is restored — the figure-row fork path;
 //   - with CheckpointEvery set, the run drains and snapshots itself
-//     periodically, persisting each checkpoint to the content-addressed
-//     store under CacheDir so a later invocation can resume (superseded
-//     checkpoints of the same chain are pruned — only the latest stays
-//     on disk).
+//     periodically, saving each checkpoint into the run's chain under
+//     CacheDir so a later invocation can resume; the chain holds the
+//     latest two checkpoints and is dropped when the run completes.
 //
 // key is the run's completed identity (newRunKey), so the mid-run
 // checkpoint chain is keyed by exactly the inputs the result cache uses.
@@ -142,7 +149,7 @@ func resetSnapCache() {
 // nothing with them).
 func forkOrRun(ctx context.Context, spec workload.Spec, opt Options, sys *sim.System, key runKey) (sim.RunResult, error) {
 	defer sys.Release()
-	var st checkpoint.ContentStore
+	var st checkpoint.ChainStore
 	var mkey string
 	if key.every > 0 {
 		switch {
@@ -163,26 +170,24 @@ func forkOrRun(ctx context.Context, spec workload.Spec, opt Options, sys *sim.Sy
 		}
 	}
 	resumed := false
-	prevHash := "" // this chain's on-disk checkpoint, pruned when superseded
+	var ord uint64 // the ordinal of the chain's newest checkpoint
 	if opt.Resume && st != nil {
-		if hash, ok := st.Resolve(mkey); ok {
-			snap, err := st.Load(hash)
-			if err == nil {
-				err = sim.CheckFormat(snap)
+		snap, g, err := st.Latest(mkey)
+		if err == nil && snap != nil {
+			err = sim.CheckFormat(snap)
+		}
+		switch {
+		case err != nil:
+			// An unreadable chain, or a checkpoint in an older build's
+			// machine format, falls back to a cold start (the store is an
+			// accelerator, never an oracle) — but the lost work is
+			// reported, not hidden.
+			warnf("%s: mid-run checkpoint unreadable, restarting from cold: %v", spec.Name, err)
+		case snap != nil:
+			if err := sys.RestoreSnapshot(snap); err != nil {
+				return sim.RunResult{}, fmt.Errorf("%s: mid-run resume: %w", spec.Name, err)
 			}
-			if err == nil {
-				if err := sys.RestoreSnapshot(snap); err != nil {
-					return sim.RunResult{}, fmt.Errorf("%s: mid-run resume: %w", spec.Name, err)
-				}
-				resumed = true
-				prevHash = hash
-			} else {
-				// An unreadable checkpoint, or one in an older build's
-				// machine format, falls back to a cold start (the store is
-				// an accelerator, never an oracle) — but the lost work is
-				// reported, not hidden.
-				warnf("%s: mid-run checkpoint unreadable, restarting from cold: %v", spec.Name, err)
-			}
+			resumed, ord = true, g
 		}
 	}
 	if !resumed && opt.WarmupInsts > 0 {
@@ -202,24 +207,13 @@ func forkOrRun(ctx context.Context, spec workload.Spec, opt Options, sys *sim.Sy
 		sink = func(snap *checkpoint.Snapshot) error {
 			taken++
 			if st != nil {
-				// Put then Link, both atomic: a crash between them leaves
-				// the previous checkpoint resolvable, never a torn one.
-				// Once the new checkpoint is linked, the superseded one is
-				// pruned — every checkpoint is a full-machine image, and
-				// only the latest of a chain is ever resolvable. A failed
-				// write (full disk, revoked permissions) keeps the run
-				// alive but is reported once — silently losing durability
-				// would defeat the feature's whole purpose.
-				h, err := st.Put(snap)
-				if err == nil {
-					err = st.Link(mkey, h)
-				}
-				if err == nil {
-					if prevHash != "" && prevHash != h {
-						st.Remove(prevHash)
-					}
-					prevHash = h
-				} else if !warned {
+				// One write over checkpoint ord-2's slot: a crash mid-write
+				// leaves checkpoint ord-1 resumable in the other slot. A
+				// failed write (full disk, revoked permissions) keeps the
+				// run alive but is reported once — silently losing
+				// durability would defeat the feature's whole purpose.
+				ord++
+				if err := st.Save(mkey, ord, snap); err != nil && !warned {
 					warned = true
 					warnf("%s: mid-run checkpoint %d not persisted: %v", spec.Name, taken, err)
 				}
@@ -237,19 +231,18 @@ func forkOrRun(ctx context.Context, spec workload.Spec, opt Options, sys *sim.Sy
 		sys.OnCheckpointSample = p.RecordQueueDepth
 	}
 	res, err := sys.RunUntilHaltCkpt(ctx, opt.MaxCycles, event.Cycle(key.every), sink)
-	if err == nil && st != nil && prevHash != "" {
+	if err == nil && ord > 0 {
 		// The run completed: its cached result supersedes the checkpoint
-		// chain, so retire the chain's last image and its ref instead of
-		// leaving one dead full-machine snapshot per finished cell.
-		st.Remove(prevHash)
-		st.Unlink(mkey)
+		// chain, so drop the chain instead of leaving two dead
+		// full-machine images per finished cell.
+		st.Drop(mkey)
 	}
 	return res, err
 }
 
-// warnf reports a non-fatal persistence degradation (checkpoint store
-// unusable, checkpoint not written, resume checkpoint unreadable) on
-// stderr. Simulations never fail for persistence reasons, but losing
+// warnf reports a non-fatal persistence degradation (snapshot store
+// unusable, warm snapshot or checkpoint not written, checkpoint chain
+// unreadable) on stderr. Simulations never fail for persistence reasons, but losing
 // crash-resume durability silently would defeat the feature, so it is
 // always said out loud. Var so tests can intercept.
 var warnf = func(format string, args ...any) {

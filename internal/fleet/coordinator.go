@@ -27,7 +27,7 @@ type Config struct {
 	// Config is the coordinator's job plane — the same internal/service
 	// Server a lone daemon is, and configured the same way. Dir is the
 	// state root (the plane's journal and result store under Dir/service,
-	// the shared checkpoint content store under Dir/fleet/store; empty
+	// the shared checkpoint store under Dir/fleet/store; empty
 	// disables persistence and with it coordinator-restart resume and
 	// checkpoint migration — workers have nowhere shared to mirror to).
 	// Scale, MaxCycles, Warmup and CheckpointEvery are the run-identity
@@ -140,7 +140,7 @@ type fleetJob struct {
 // service.Backend of its own job plane — a service.Server whose admitted
 // attempts run on the fleet instead of an in-process Runner — and an
 // http.Handler: the /fleet/v1/* control plane (register, heartbeat,
-// workers, the shared checkpoint content store) and its own /v1/healthz,
+// workers, the shared checkpoint store) and its own /v1/healthz,
 // with every other request falling through to the plane.
 type Coordinator struct {
 	cfg   Config
@@ -190,6 +190,7 @@ func New(cfg Config) (*Coordinator, error) {
 		workers: make(map[string]*worker),
 	}
 	cfg.Backend = co
+	cfg.MaxJobs = 0 // the fleet's capacity is the bound
 	co.cfg = cfg
 	if cfg.Metrics != nil {
 		co.met = newFleetMetrics(cfg.Metrics, co)

@@ -93,9 +93,9 @@ func fleetHealth(t *testing.T, base string) map[string]any {
 // TestRealDaemonFleetKillDashNine is the out-of-process half of the
 // chaos gate: a real coordinator process and two real worker processes
 // (separate muontrapd binaries, real TCP, real kill -9), one worker
-// SIGKILLed mid-cell after its first mid-run checkpoint ref lands on
-// disk. The fleet must finish the sweep — the interrupted cell migrated
-// via the coordinator's content store — and the table must be
+// SIGKILLed mid-cell after its first mid-run checkpoint lands on disk.
+// The fleet must finish the sweep — the interrupted cell migrated via the
+// coordinator's checkpoint store — and the table must be
 // byte-identical to the single-machine reference.
 func TestRealDaemonFleetKillDashNine(t *testing.T) {
 	if testing.Short() {
@@ -165,15 +165,15 @@ func TestRealDaemonFleetKillDashNine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// kill -9 the first worker the moment its first checkpoint ref lands
+	// kill -9 the first worker the moment its first checkpoint slot appears
 	// (the Mirror ships remote-first, so the checkpoint is already in the
 	// coordinator's store).
 	victim := workers[0]
 	snapDir := filepath.Join(victim.dir, "snapshots")
 	killDeadline := time.Now().Add(2 * time.Minute)
-	for !hasRef(snapDir) {
+	for !hasSlot(snapDir) {
 		if time.Now().After(killDeadline) {
-			t.Fatal("no checkpoint ref appeared on the victim daemon before the kill deadline")
+			t.Fatal("no checkpoint appeared on the victim daemon before the kill deadline")
 		}
 		if j, err := c.Job(context.Background(), job.ID); err == nil && j.State.Terminal() {
 			t.Fatalf("job reached %s before the victim ever checkpointed", j.State)

@@ -19,7 +19,7 @@
 // interrupted cell to another machine with checkpoint-resume enabled.
 // The migrated run picks up from the dead worker's latest mid-run
 // checkpoint, which is network-reachable because every worker mirrors
-// its checkpoints into the coordinator's HTTP content store
+// its checkpoint chains into the coordinator's HTTP checkpoint store
 // (checkpoint.Mirror over checkpoint.HTTPStore, same keying as the local
 // store).
 //

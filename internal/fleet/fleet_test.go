@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,9 +37,9 @@ import (
 const cadence = 2000
 
 // testWorker is one in-process worker daemon: a real service.Server
-// with a Mirror snapshot store (local disk + the coordinator's HTTP
-// content store), fronted by a Switchable so a test can "kill" the
-// process by swapping in faultinject.Down.
+// with a Mirror checkpoint store (local disk + the coordinator's HTTP
+// checkpoint store) behind a heldChain, fronted by a Switchable so a test
+// can "kill" the process by swapping in faultinject.Down.
 type testWorker struct {
 	name   string
 	dir    string
@@ -46,10 +48,65 @@ type testWorker struct {
 	hs     *httptest.Server
 	agent  *fleet.Agent
 	remote *checkpoint.HTTPStore
+	hold   *heldChain
 	dead   bool
 }
 
-// snapDir is where the worker's local mid-run checkpoint refs land.
+// heldChain is a worker's checkpoint store that, once armed, holds the
+// first checkpoint it saves — after the save, so the checkpoint is
+// already in the coordinator's store — until the worker is killed. A
+// test that kills the armed worker on that signal kills it mid-cell with
+// a shipped checkpoint, however fast the cell would otherwise finish.
+type heldChain struct {
+	checkpoint.ChainStore
+	armed    atomic.Bool
+	once     sync.Once
+	saved    chan struct{} // closed once the first armed save has landed
+	release  chan struct{} // closed by free
+	freeOnce sync.Once
+}
+
+func newHeldChain(inner checkpoint.ChainStore) *heldChain {
+	return &heldChain{ChainStore: inner, saved: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (h *heldChain) Save(key string, g uint64, s *checkpoint.Snapshot) error {
+	err := h.ChainStore.Save(key, g, s)
+	if h.armed.Load() {
+		h.once.Do(func() {
+			close(h.saved)
+			<-h.release
+		})
+	}
+	return err
+}
+
+// free lets a held save return, into a run its worker is cancelling.
+func (h *heldChain) free() { h.freeOnce.Do(func() { close(h.release) }) }
+
+// killAtFirstCheckpoint arms the victim, runs submit, and kills the
+// victim the moment its first mid-run checkpoint has shipped.
+func (f *testFleet) killAtFirstCheckpoint(victim *testWorker, submit func() string) {
+	f.t.Helper()
+	victim.hold.armed.Store(true)
+	id := submit()
+	deadline := time.After(2 * time.Minute)
+	for {
+		select {
+		case <-victim.hold.saved:
+			victim.kill()
+			return
+		case <-deadline:
+			f.t.Fatal("no mid-run checkpoint appeared on the victim before the kill deadline")
+		case <-time.After(10 * time.Millisecond):
+			if j, err := f.client.Job(context.Background(), id); err == nil && j.State.Terminal() {
+				f.t.Fatalf("job reached %s before the victim ever checkpointed", j.State)
+			}
+		}
+	}
+}
+
+// snapDir is where the worker's local mid-run checkpoint chains land.
 func (w *testWorker) snapDir() string { return filepath.Join(w.dir, "snapshots") }
 
 // kill simulates SIGKILL of the worker process: the HTTP front answers
@@ -65,6 +122,7 @@ func (w *testWorker) kill() {
 	w.dead = true
 	w.swit.Swap(faultinject.Down)
 	w.agent.Close()
+	w.hold.free()
 	w.srv.Close()
 }
 
@@ -117,13 +175,14 @@ func (f *testFleet) addWorker() *testWorker {
 	if err != nil {
 		f.t.Fatal(err)
 	}
+	hold := newHeldChain(&checkpoint.Mirror{Local: local, Remote: remote})
 	srv, err := service.New(service.Config{
 		Dir:             dir,
 		CheckpointEvery: f.cfg.CheckpointEvery,
 		Scale:           f.cfg.Scale,
 		MaxCycles:       f.cfg.MaxCycles,
 		Warmup:          f.cfg.Warmup,
-		SnapStore:       &checkpoint.Mirror{Local: local, Remote: remote},
+		SnapStore:       hold,
 	})
 	if err != nil {
 		f.t.Fatal(err)
@@ -132,7 +191,7 @@ func (f *testFleet) addWorker() *testWorker {
 	hs := httptest.NewServer(swit)
 	w := &testWorker{
 		name: "w" + string(rune('0'+len(f.workers))), dir: dir,
-		srv: srv, swit: swit, hs: hs, remote: remote,
+		srv: srv, swit: swit, hs: hs, remote: remote, hold: hold,
 	}
 	agent, err := fleet.StartAgent(fleet.AgentConfig{
 		Coordinator: f.hs.URL,
@@ -147,6 +206,7 @@ func (f *testFleet) addWorker() *testWorker {
 	f.t.Cleanup(func() {
 		if !w.dead {
 			agent.Close()
+			hold.free()
 			srv.Close()
 		}
 		hs.Close()
@@ -177,7 +237,7 @@ func (f *testFleet) waitWorkers(n int) {
 }
 
 // remoteFetches sums checkpoint downloads from the coordinator's
-// content store across all workers — the witness that a migrated cell
+// checkpoint store across all workers — the witness that a migrated cell
 // really resumed from a shipped checkpoint.
 func (f *testFleet) remoteFetches() uint64 {
 	var n uint64
@@ -197,16 +257,16 @@ func marshal(t *testing.T, res *muontrap.SweepResult) []byte {
 	return b
 }
 
-// hasRef reports whether a snapshot store directory holds any
-// latest-checkpoint ref file (mid-run refs are unlinked when their run
-// completes, so a ref implies an in-flight checkpointed run).
-func hasRef(snapDir string) bool {
+// hasSlot reports whether a snapshot store directory holds any
+// checkpoint chain slot (a chain is dropped when its run completes, so a
+// slot implies an in-flight checkpointed run).
+func hasSlot(snapDir string) bool {
 	ents, err := os.ReadDir(snapDir)
 	if err != nil {
 		return false
 	}
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".ref") {
+		if strings.Contains(e.Name(), ".slot") {
 			return true
 		}
 	}
@@ -256,9 +316,9 @@ func reference(t *testing.T, sw muontrap.Sweep) *muontrap.SweepResult {
 
 // TestFleetChaosKillWorkerMidCell is the headline chaos gate: a
 // three-worker fleet runs the Figure-4-shaped sweep; one worker is
-// killed mid-cell, after its first mid-run checkpoint ref lands; the
+// killed mid-cell, after its first mid-run checkpoint lands; the
 // interrupted cell must migrate to a surviving machine, resume from the
-// checkpoint the dead worker mirrored into the coordinator's content
+// checkpoint the dead worker mirrored into the coordinator's checkpoint
 // store, and the merged fleet table must be byte-identical to the
 // uninterrupted single-machine reference.
 func TestFleetChaosKillWorkerMidCell(t *testing.T) {
@@ -270,27 +330,18 @@ func TestFleetChaosKillWorkerMidCell(t *testing.T) {
 	ref := reference(t, sw)
 
 	f := newTestFleet(t, 3, fleet.Config{})
-	job, err := f.client.Submit(context.Background(), sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill worker 0 the moment its first mid-run checkpoint ref lands:
-	// the Mirror writes remote-then-local, so a local ref guarantees the
-	// checkpoint is already in the coordinator's store — the kill cannot
-	// outrace the ship.
-	victim := f.workers[0]
-	deadline := time.Now().Add(2 * time.Minute)
-	for !hasRef(victim.snapDir()) {
-		if time.Now().After(deadline) {
-			t.Fatal("no mid-run checkpoint ref appeared on the victim before the kill deadline")
+	var job muontrap.Job
+	// Kill worker 0 the moment its first mid-run checkpoint has shipped:
+	// the Mirror saves remote-then-local, and the held save returns only
+	// into the kill, so the victim dies mid-cell with its checkpoint
+	// already in the coordinator's store.
+	f.killAtFirstCheckpoint(f.workers[0], func() string {
+		var err error
+		if job, err = f.client.Submit(context.Background(), sw); err != nil {
+			t.Fatal(err)
 		}
-		if j, err := f.client.Job(context.Background(), job.ID); err == nil && j.State.Terminal() {
-			t.Fatalf("job reached %s before the victim ever checkpointed", j.State)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	victim.kill()
+		return job.ID
+	})
 
 	final, err := f.client.Stream(context.Background(), job.ID, nil)
 	if err != nil {
@@ -316,7 +367,7 @@ func TestFleetChaosKillWorkerMidCell(t *testing.T) {
 		t.Fatal("worker killed but the coordinator never marked it dead")
 	}
 	if f.remoteFetches() == 0 {
-		t.Fatal("cell migrated but no checkpoint was fetched from the coordinator's content store")
+		t.Fatal("cell migrated but no checkpoint was fetched from the coordinator's checkpoint store")
 	}
 }
 

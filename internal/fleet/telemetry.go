@@ -53,7 +53,7 @@ func newFleetMetrics(reg *telemetry.Registry, co *Coordinator) *fleetMetrics {
 		"Oldest heartbeat age among alive workers.",
 		co.oldestHeartbeatAge)
 	reg.GaugeFunc("muontrap_fleet_store_bytes",
-		"Bytes held by the shared checkpoint content store.",
+		"Bytes held by the shared checkpoint store.",
 		co.storeBytes)
 	m := &fleetMetrics{
 		attemptOK: reg.Histogram("muontrap_fleet_attempt_seconds",

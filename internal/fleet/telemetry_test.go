@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/figures"
 	"repro/internal/fleet"
@@ -77,31 +76,21 @@ func TestFleetChaosMetricsScrape(t *testing.T) {
 		Schemes:   []muontrap.Scheme{"insecure", "muontrap", "stt-spectre"},
 		Scales:    []float64{0.02},
 	}
-	job, err := f.client.Submit(context.Background(), sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Live scrape while the sweep is in flight.
-	live := scrapeCoordinator(t, f.hs.URL)
-	if !strings.Contains(live, "muontrap_fleet_workers_alive 2") {
-		t.Errorf("live scrape shows wrong alive count:\n%s", grepFor(live, "workers_alive"))
-	}
-
-	// Kill a worker once its first mid-run checkpoint ref lands, exactly
-	// as the headline chaos test does.
-	victim := f.workers[0]
-	deadline := time.Now().Add(2 * time.Minute)
-	for !hasRef(victim.snapDir()) {
-		if time.Now().After(deadline) {
-			t.Fatal("no mid-run checkpoint ref appeared before the kill deadline")
+	var job muontrap.Job
+	// Kill a worker once its first mid-run checkpoint has shipped, exactly
+	// as the headline chaos test does, scraping live while the sweep is in
+	// flight.
+	f.killAtFirstCheckpoint(f.workers[0], func() string {
+		var err error
+		if job, err = f.client.Submit(context.Background(), sw); err != nil {
+			t.Fatal(err)
 		}
-		if j, err := f.client.Job(context.Background(), job.ID); err == nil && j.State.Terminal() {
-			t.Fatalf("job reached %s before the victim ever checkpointed", j.State)
+		live := scrapeCoordinator(t, f.hs.URL)
+		if !strings.Contains(live, "muontrap_fleet_workers_alive 2") {
+			t.Errorf("live scrape shows wrong alive count:\n%s", grepFor(live, "workers_alive"))
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	victim.kill()
+		return job.ID
+	})
 
 	final, err := f.client.Stream(context.Background(), job.ID, nil)
 	if err != nil {

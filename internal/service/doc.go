@@ -14,9 +14,9 @@
 // pool of Runners in this process — MaxJobs concurrent sweeps, Workers
 // simulations each — and, on a coordinator, internal/fleet, which shards
 // the sweep across worker daemons. A plane over a Backend puts no
-// sweep-slot bound in front of it (the backend's own capacity is the
-// bound, and its own rule decides priority), which is the only
-// behavioural difference between the two. Every completed matrix cell
+// sweep-slot bound in front of it unless MaxJobs sets one (the backend's
+// own capacity is the bound, and its own rule decides priority), which is
+// the only behavioural difference between the two. Every completed matrix cell
 // streams to subscribers as a Server-Sent Event; DELETE cancels the
 // attempt's context, which a Backend must honour promptly — the default
 // threads it all the way into the simulator's cycle loop.

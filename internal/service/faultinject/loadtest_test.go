@@ -52,11 +52,11 @@ func longSweep(scale float64) muontrap.Sweep {
 	}
 }
 
-// foreverSweep never completes within the test's lifetime (mcf at a
-// huge trip-count multiplier), so a job built from it holds whatever
-// scheduling state the test drove it into until it is cancelled — the
-// assertions against it can never race a surprise completion.
-func foreverSweep(scale float64) muontrap.Sweep {
+// heldSweep is a bulk job the test only ever holds at the gate and then
+// cancels: it keeps whatever scheduling state the test drove it into, so
+// the assertions against it can never race a surprise completion.
+// Distinct scales keep distinct jobs off each other's cache keys.
+func heldSweep(scale float64) muontrap.Sweep {
 	return muontrap.Sweep{
 		Workloads: []muontrap.Workload{"mcf"},
 		Schemes:   []muontrap.Scheme{"insecure"},
@@ -89,6 +89,57 @@ func baseline(t *testing.T, dir string, sw muontrap.Sweep) string {
 	}
 	figures.ResetRunCache()
 	return marshalResult(t, res)
+}
+
+// gatedBackend runs each attempt on a local muontrap.Runner keyed like
+// the daemon's own (cache directory and cadence), but holds bulk attempts
+// at a gate while it is shut. A held attempt is running as far as the
+// plane can tell, yet computes nothing until the gate opens or its
+// context is cancelled — so what the test observes about scheduling never
+// depends on how fast the simulator is.
+type gatedBackend struct {
+	dir  string
+	mu   sync.Mutex
+	open chan struct{} // closed while the gate is open
+}
+
+func newGatedBackend(dir string) *gatedBackend {
+	g := &gatedBackend{dir: dir, open: make(chan struct{})}
+	close(g.open)
+	return g
+}
+
+// shut holds every bulk attempt that reaches the gate from now on.
+func (g *gatedBackend) shut() {
+	g.mu.Lock()
+	g.open = make(chan struct{})
+	g.mu.Unlock()
+}
+
+// release lets every held bulk attempt, and every later one, through.
+func (g *gatedBackend) release() {
+	g.mu.Lock()
+	close(g.open)
+	g.mu.Unlock()
+}
+
+func (g *gatedBackend) Run(ctx context.Context, job muontrap.Job, resume bool, progress func(muontrap.Progress)) (*muontrap.SweepResult, error) {
+	if job.Priority != muontrap.PriorityInteractive {
+		g.mu.Lock()
+		open := g.open
+		g.mu.Unlock()
+		select {
+		case <-open:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return muontrap.NewRunner(
+		muontrap.WithCacheDir(g.dir),
+		muontrap.WithCheckpointEvery(cadence),
+		muontrap.WithResume(resume),
+		muontrap.WithProgress(progress),
+	).Sweep(ctx, job.Sweep)
 }
 
 // eventually retries an operation that may be eaten by an injected
@@ -191,13 +242,15 @@ func histogramP99(t *testing.T, body, family, tenant string) float64 {
 	return math.Inf(1)
 }
 
-func hasRef(snapDir string) bool {
+// hasSlot reports whether the snapshot store holds any checkpoint chain
+// slot.
+func hasSlot(snapDir string) bool {
 	ents, err := os.ReadDir(snapDir)
 	if err != nil {
 		return false
 	}
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".ref") {
+		if strings.Contains(e.Name(), ".slot") {
 			return true
 		}
 	}
@@ -210,8 +263,10 @@ func TestLoadSmokeUnderFaults(t *testing.T) {
 	ctx := context.Background()
 
 	dir := t.TempDir()
+	gate := newGatedBackend(dir)
 	cfg := service.Config{
 		Dir:             dir,
+		Backend:         gate,
 		MaxJobs:         2,
 		MaxQueue:        128,
 		CheckpointEvery: cadence,
@@ -372,16 +427,18 @@ func TestLoadSmokeUnderFaults(t *testing.T) {
 	}
 
 	// ---- per-tenant quota shedding: bob (max 1 queued, 1 running)
-	// floods distinct long sweeps and must be shed with 429 +
-	// Retry-After while alice's daemon stays serviceable. bob
-	// deliberately runs without retries so the shed response surfaces.
+	// floods distinct sweeps and must be shed with 429 + Retry-After
+	// while alice's daemon stays serviceable. bob deliberately runs
+	// without retries so the shed response surfaces. The gate stays shut
+	// from here until the preemption is observed: bob's running job must
+	// still be running when his queued job's synchronous cancel is
+	// asserted below.
+	gate.shut()
 	bob := client.New(hs.URL, client.WithAPIKey("sk-bob"))
 	var bobJobs []muontrap.Job
 	var shed *client.APIError
 	for i := 0; shed == nil && i < 40; i++ {
-		// Never-completing sweeps: bob's running job must still be running
-		// when his queued job's synchronous cancel is asserted below.
-		job, err := bob.Submit(ctx, foreverSweep(40+float64(i)))
+		job, err := bob.Submit(ctx, heldSweep(40+float64(i)))
 		switch {
 		case err == nil:
 			bobJobs = append(bobJobs, job)
@@ -428,15 +485,14 @@ func TestLoadSmokeUnderFaults(t *testing.T) {
 	// ---- preemption: both slots run alice's bulk sweeps; carol's
 	// interactive job must claw a slot back (one bulk job returns to
 	// queued), finish, and the preempted sweep must still converge to
-	// the byte-identical result.
-	// The victims must outlive carol's submission even when injected
-	// faults back it off for a few hundred milliseconds, so they carry
-	// seconds of simulation, not the fleet's fractional scales.
-	b1, err := alice.Submit(ctx, longSweep(3.0))
+	// the byte-identical result. The shut gate holds both victims, so
+	// they stay running however long carol's submission is backed off by
+	// injected faults.
+	b1, err := alice.Submit(ctx, longSweep(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := alice.Submit(ctx, longSweep(3.2))
+	b2, err := alice.Submit(ctx, longSweep(0.52))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,9 +501,9 @@ func TestLoadSmokeUnderFaults(t *testing.T) {
 	// b3 pins the preemption observable: it sits at the head of the bulk
 	// queue, so when carol's interactive job finishes, the freed slot
 	// goes to b3 (FIFO) and the preempted victim measurably stays queued
-	// instead of being re-dispatched in the same instant. It never
-	// completes and is cancelled once the observation is made.
-	b3, err := alice.Submit(ctx, foreverSweep(90))
+	// instead of being re-dispatched in the same instant. The gate holds
+	// it until it is cancelled once the observation is made.
+	b3, err := alice.Submit(ctx, heldSweep(90))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,6 +543,7 @@ func TestLoadSmokeUnderFaults(t *testing.T) {
 		return err
 	})
 	waitJobState(t, alice, b3.ID, muontrap.JobCancelled, 15*time.Second)
+	gate.release()
 	if term, err := carol.Stream(ctx, cj.ID, nil); err != nil || term.State != muontrap.JobDone {
 		t.Fatalf("interactive job under preemption: state %v, err %v", term.State, err)
 	}
@@ -499,7 +556,7 @@ func TestLoadSmokeUnderFaults(t *testing.T) {
 		}
 	}
 	t.Logf("preempted bulk job: %s", preempted)
-	for id, sc := range map[string]float64{b1.ID: 3.0, b2.ID: 3.2} {
+	for id, sc := range map[string]float64{b1.ID: 0.5, b2.ID: 0.52} {
 		res, err := alice.Result(ctx, id)
 		if err != nil {
 			t.Fatal(err)
@@ -520,12 +577,11 @@ func TestLoadSmokeUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill a *running* job: earlier cancelled jobs left .ref files in the
-	// snapshot store, so the checkpoint poll below can satisfy instantly —
-	// without this wait the kill could land while kj is still queued.
+	// Kill a *running* job: wait for kj to start, so the slot the poll
+	// below finds is kj's own checkpoint, never a kill while it is queued.
 	waitJobState(t, alice, kj.ID, muontrap.JobRunning, 30*time.Second)
 	snapDir := filepath.Join(dir, "snapshots")
-	for deadline := time.Now().Add(2 * time.Minute); !hasRef(snapDir); {
+	for deadline := time.Now().Add(2 * time.Minute); !hasSlot(snapDir); {
 		if time.Now().After(deadline) {
 			t.Fatal("no mid-run checkpoint appeared before the kill deadline")
 		}

@@ -38,15 +38,16 @@ type Config struct {
 	// Backend executes admitted attempts. Nil runs them in this process
 	// on a muontrap.Runner — the single-machine daemon. A non-nil Backend
 	// (the fleet coordinator) brings its own capacity and its own
-	// priority rule, so the plane puts no sweep-slot bound in front of
-	// it: every admitted sweep's Run starts at once, MaxJobs, Workers and
-	// SnapStore are unused, and slot preemption never fires.
+	// priority rule: Workers and SnapStore are unused, and with MaxJobs
+	// zero the plane puts no sweep-slot bound in front of it — every
+	// admitted sweep's Run starts at once and slot preemption never
+	// fires.
 	Backend Backend
 	// Workers caps concurrent simulations per sweep (0 = GOMAXPROCS).
 	Workers int
 	// MaxJobs caps concurrently executing sweeps; further submissions
-	// queue. Zero means 1: one sweep at a time, each using the full
-	// worker pool.
+	// queue. Zero means 1 — one sweep at a time, each using the full
+	// worker pool — unless a Backend is set, where it means unbounded.
 	MaxJobs int
 	// MaxQueue caps jobs waiting for a runner slot across all tenants.
 	// Submissions beyond it are shed with 503 + Retry-After instead of
@@ -93,7 +94,7 @@ type Config struct {
 	// store — so another machine can resume this daemon's interrupted
 	// cells from their latest checkpoint. Nil keeps checkpoints in the
 	// Dir-local store, exactly the single-machine behavior.
-	SnapStore checkpoint.ContentStore
+	SnapStore checkpoint.ChainStore
 	// Metrics, when non-nil, registers the service's metric series on it
 	// and mounts the registry at GET /metrics (unauthenticated, like
 	// /v1/healthz — both are operational probes). Nil disables metrics
@@ -225,13 +226,12 @@ type Server struct {
 // jobs the previous process left queued or running are surfaced as
 // "interrupted" (resumable), completed jobs keep serving their results.
 func New(cfg Config) (*Server, error) {
-	if cfg.Backend != nil {
-		cfg.MaxJobs = 0 // unbounded: the backend's capacity is the bound
-	} else {
-		if cfg.MaxJobs <= 0 {
-			cfg.MaxJobs = 1
-		}
+	switch {
+	case cfg.Backend == nil:
+		cfg.MaxJobs = max(cfg.MaxJobs, 1)
 		cfg.Backend = local{cfg}
+	case cfg.MaxJobs < 0:
+		cfg.MaxJobs = 0 // unbounded: the backend's capacity is the bound
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second

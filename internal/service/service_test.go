@@ -535,9 +535,9 @@ func TestServerKillRestartResumeIdenticalTable(t *testing.T) {
 	}
 	snapDir := filepath.Join(dir, "snapshots")
 	deadline := time.Now().Add(2 * time.Minute)
-	for !hasRef(snapDir) {
+	for !hasSlot(snapDir) {
 		if time.Now().After(deadline) {
-			t.Fatal("no mid-run checkpoint ref appeared before the kill deadline")
+			t.Fatal("no mid-run checkpoint appeared before the kill deadline")
 		}
 		if j, err := c.Job(context.Background(), job.ID); err == nil && j.State.Terminal() {
 			break // outraced the poll; the resume leg degrades to the store path below
@@ -614,15 +614,15 @@ func TestServerKillRestartResumeIdenticalTable(t *testing.T) {
 	simtest.CountersEqual(t, "restart-resume", a.Counters, b.Counters)
 }
 
-// hasRef reports whether the snapshot store holds any latest-checkpoint
-// ref file.
-func hasRef(snapDir string) bool {
+// hasSlot reports whether the snapshot store holds any checkpoint chain
+// slot.
+func hasSlot(snapDir string) bool {
 	ents, err := os.ReadDir(snapDir)
 	if err != nil {
 		return false
 	}
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".ref") {
+		if strings.Contains(e.Name(), ".slot") {
 			return true
 		}
 	}

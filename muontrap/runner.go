@@ -23,7 +23,7 @@ type Runner struct {
 	ckptEvery int
 	resume    bool
 	progress  func(Progress)
-	snapStore checkpoint.ContentStore
+	snapStore checkpoint.ChainStore
 }
 
 // RunnerOption configures a Runner at construction.
@@ -51,8 +51,8 @@ func WithWarmup(insts int) RunnerOption { return func(r *Runner) { r.warmup = in
 
 // WithCheckpointEvery drains each run to a quiescent boundary every n
 // simulated cycles and snapshots the whole machine mid-detailed-
-// simulation, persisting the checkpoint into the cache directory's
-// content-addressed snapshot store (when WithCacheDir is set) so an
+// simulation, persisting the checkpoint into the run's checkpoint chain in
+// the cache directory's snapshot store (when WithCacheDir is set) so an
 // interrupted sweep can crash-resume with WithResume. Draining costs
 // deterministic simulated cycles, so the cadence is part of each run's
 // identity: results are cached per cadence, and a resumed run is
@@ -67,13 +67,13 @@ func WithCheckpointEvery(n int) RunnerOption { return func(r *Runner) { r.ckptEv
 // silently falls back to a cold start.
 func WithResume(resume bool) RunnerOption { return func(r *Runner) { r.resume = resume } }
 
-// WithSnapshotStore overrides where mid-run checkpoints live: st replaces
-// the default CacheDir-local content-addressed store. Fleet workers pass
+// WithSnapshotStore overrides where mid-run checkpoint chains live: st
+// replaces the default CacheDir-local store. Fleet workers pass
 // a checkpoint.Mirror (local disk plus a network store) so an interrupted
 // cell's latest checkpoint can be fetched by any other machine; the
 // checkpoint keying — and therefore which runs can resume from which
 // checkpoints — is unchanged. Nil (the default) keeps checkpoints local.
-func WithSnapshotStore(st checkpoint.ContentStore) RunnerOption {
+func WithSnapshotStore(st checkpoint.ChainStore) RunnerOption {
 	return func(r *Runner) { r.snapStore = st }
 }
 

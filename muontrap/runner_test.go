@@ -240,7 +240,7 @@ func TestSweepCheckpointResumeAcrossRunners(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: cancel as soon as the first checkpoint ref lands
+	// Interrupted run: cancel as soon as the first checkpoint slot appears
 	// on disk, so the kill provably happens after persistence began. (If
 	// the run outraces the poll and completes, the wiped result cache
 	// below still forces the resume branch from the final checkpoint.)
@@ -252,7 +252,7 @@ func TestSweepCheckpointResumeAcrossRunners(t *testing.T) {
 		for {
 			if ents, err := os.ReadDir(snapDir); err == nil {
 				for _, e := range ents {
-					if strings.HasSuffix(e.Name(), ".ref") {
+					if strings.Contains(e.Name(), ".slot") {
 						cancel()
 						return
 					}
@@ -277,18 +277,18 @@ func TestSweepCheckpointResumeAcrossRunners(t *testing.T) {
 	if sweepErr == nil {
 		t.Log("sweep completed before cancellation; resume leg covers the cold fallback only")
 	} else {
-		refs := 0
+		slots := 0
 		ents, err := os.ReadDir(snapDir)
 		if err != nil {
 			t.Fatalf("no snapshot store after interrupted run: %v", err)
 		}
 		for _, e := range ents {
-			if strings.HasSuffix(e.Name(), ".ref") {
-				refs++
+			if strings.Contains(e.Name(), ".slot") {
+				slots++
 			}
 		}
-		if refs == 0 {
-			t.Fatal("interrupted run persisted no checkpoint ref")
+		if slots == 0 {
+			t.Fatal("interrupted run persisted no checkpoint")
 		}
 	}
 	if err := os.RemoveAll(filepath.Join(crashDir, "results")); err != nil {
