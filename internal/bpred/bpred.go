@@ -59,12 +59,9 @@ type Predictor struct {
 	ras    []uint64
 	rasTop int
 
-	// Stats
-	Lookups     uint64
-	BTBHits     uint64
-	DirMispred  uint64
-	TgtMispred  uint64
-	RASOverflow uint64
+	// DirMispred counts conditional branches whose direction was
+	// mispredicted.
+	DirMispred uint64
 }
 
 // The predictor's tables are borrowed from these and handed back by
@@ -131,7 +128,6 @@ type Prediction struct {
 
 // PredictBranch predicts a conditional branch at pc.
 func (p *Predictor) PredictBranch(pc uint64) Prediction {
-	p.Lookups++
 	li := p.localIdx(pc)
 	localTaken := p.localCtr[p.localCtrIdx(p.localHist[li])].taken()
 	globalTaken := p.globalCtr[p.globalIdx(pc)].taken()
@@ -147,9 +143,6 @@ func (p *Predictor) PredictBranch(pc uint64) Prediction {
 		RASTop:    p.rasTop,
 	}
 	pr.Target, pr.BTBHit = p.btbLookup(pc)
-	if pr.BTBHit {
-		p.BTBHits++
-	}
 	// Speculatively shift predicted direction into global history; a
 	// squash restores the snapshot.
 	p.globalHist = (p.globalHist<<1 | b2u(taken)) & mask(p.cfg.GlobalHistBits)
@@ -158,12 +151,8 @@ func (p *Predictor) PredictBranch(pc uint64) Prediction {
 
 // PredictJump predicts a direct or indirect jump at pc via the BTB.
 func (p *Predictor) PredictJump(pc uint64) Prediction {
-	p.Lookups++
 	pr := Prediction{Taken: true, GHist: p.globalHist, RASTop: p.rasTop}
 	pr.Target, pr.BTBHit = p.btbLookup(pc)
-	if pr.BTBHit {
-		p.BTBHits++
-	}
 	return pr
 }
 
@@ -178,7 +167,6 @@ func (p *Predictor) PredictCall(pc, retAddr uint64) Prediction {
 
 // PredictRet predicts a return through the RAS.
 func (p *Predictor) PredictRet(pc uint64) Prediction {
-	p.Lookups++
 	pr := Prediction{Taken: true, GHist: p.globalHist, UsedRAS: true, RASTop: p.rasTop}
 	pr.Target = p.rasPop()
 	pr.BTBHit = pr.Target != 0
@@ -223,9 +211,6 @@ func (p *Predictor) Update(pc uint64, pr Prediction, taken bool, target uint64, 
 		i := int((pc >> 2) % uint64(p.cfg.BTBEntries))
 		p.btbTags[i] = pc
 		p.btbTargets[i] = target
-		if pr.Taken && pr.Target != target {
-			p.TgtMispred++
-		}
 	}
 }
 
@@ -248,9 +233,6 @@ func (p *Predictor) FlushBTB() {
 
 func (p *Predictor) rasPush(addr uint64) {
 	p.rasTop = (p.rasTop + 1) % p.cfg.RASEntries
-	if p.ras[p.rasTop] != 0 {
-		p.RASOverflow++
-	}
 	p.ras[p.rasTop] = addr
 }
 

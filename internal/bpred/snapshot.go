@@ -3,16 +3,16 @@ package bpred
 import "repro/internal/checkpoint"
 
 // Saved sizes: the fixed part is five u32 geometry words, rasTop, the
-// global history and five statistics, plus the two sparse tables' counts;
+// global history and the mispredict count, plus the two sparse tables' counts;
 // a local-history entry is its index and shift register, a BTB entry its
 // index, tag and target.
 const (
-	fixedSaveBytes     = 5*4 + 4 + 8 + 5*8 + 4 + 4
+	fixedSaveBytes     = 5*4 + 4 + 8 + 8 + 4 + 4
 	localHistSaveBytes = 4 + 8
 	btbSaveBytes       = 4 + 8 + 8
 )
 
-// Save serialises the speculative history state and statistics, the
+// Save serialises the speculative history state and mispredict count, the
 // 2-bit counter tables and the RAS in full (they are small and densely
 // trained), and the local-history table and the BTB sparsely: each
 // non-zero entry prefixed by its ascending index. A zero entry is what
@@ -25,11 +25,7 @@ func (p *Predictor) Save(w *checkpoint.Writer) {
 	w.U32(uint32(p.cfg.RASEntries))
 	w.U64(p.globalHist)
 	w.U32(uint32(p.rasTop))
-	w.U64(p.Lookups)
-	w.U64(p.BTBHits)
 	w.U64(p.DirMispred)
-	w.U64(p.TgtMispred)
-	w.U64(p.RASOverflow)
 	for _, tbl := range [][]counter{p.localCtr, p.globalCtr, p.chooserCtr} {
 		b := w.Raw(len(tbl))
 		for i, c := range tbl {
@@ -104,11 +100,7 @@ func (p *Predictor) Restore(r *checkpoint.Reader) error {
 		return r.Failf("RAS top %d in a stack of %d", rasTop, len(p.ras))
 	}
 	p.rasTop = rasTop
-	p.Lookups = r.U64()
-	p.BTBHits = r.U64()
 	p.DirMispred = r.U64()
-	p.TgtMispred = r.U64()
-	p.RASOverflow = r.U64()
 	for _, tbl := range [][]counter{p.localCtr, p.globalCtr, p.chooserCtr} {
 		b := r.Raw(len(tbl))
 		if err := r.Err(); err != nil {

@@ -123,9 +123,7 @@ func forgePredictor(rasTop uint32, hist, btb sparse) *checkpoint.Reader {
 	}
 	w.U64(5) // globalHist
 	w.U32(rasTop)
-	for i := 0; i < 5; i++ {
-		w.U64(uint64(i)) // statistics
-	}
+	w.U64(3)         // DirMispred
 	w.Raw(8 + 8 + 8) // counter tables
 	for i := 0; i < 4; i++ {
 		w.U64(0) // RAS

@@ -4,7 +4,7 @@ package bpred
 // architecturally (no speculation), so the predictor can be trained with
 // the resolved outcome directly — the fetch-time history snapshot that
 // Update reconstructs from a Prediction is simply the current history.
-// None of these bump the Lookups/mispredict statistics: warm-up precedes
+// None of these bump the mispredict count: warm-up precedes
 // the measured region.
 
 // WarmBranch trains the tournament tables and (when taken) the BTB with an

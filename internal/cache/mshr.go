@@ -35,11 +35,6 @@ type MSHRFile struct {
 	entries map[uint64]*MSHR
 	waker   Waker
 	free    []*MSHR
-
-	// Stats
-	Allocs    uint64
-	Coalesced uint64
-	FullStall uint64
 }
 
 // NewMSHRFile returns a file with capacity registers.
@@ -74,14 +69,12 @@ func (f *MSHRFile) Allocate(addr uint64, slot int32) (*MSHR, bool) {
 	}
 	la := mem.LineAddr(addr)
 	if m, ok := f.entries[la]; ok {
-		f.Coalesced++
 		if slot != NoWaiter {
 			m.slots = append(m.slots, slot)
 		}
 		return m, true
 	}
 	if len(f.entries) >= f.cap {
-		f.FullStall++
 		return nil, false
 	}
 	var m *MSHR
@@ -96,7 +89,6 @@ func (f *MSHRFile) Allocate(addr uint64, slot int32) (*MSHR, bool) {
 		m.slots = append(m.slots, slot)
 	}
 	f.entries[la] = m
-	f.Allocs++
 	return m, true
 }
 

@@ -77,23 +77,3 @@ func (a *Array) Restore(r *checkpoint.Reader) error {
 	}
 	return r.Err()
 }
-
-// Save serialises the MSHR file's statistics. Live registers are
-// intentionally not serialised: checkpoints are only taken on a quiesced
-// machine, where every file is empty — callers enforce that with InUse.
-func (f *MSHRFile) Save(w *checkpoint.Writer) {
-	w.U64(f.Allocs)
-	w.U64(f.Coalesced)
-	w.U64(f.FullStall)
-}
-
-// MSHRSaveSize is the number of bytes MSHRFile.Save writes.
-const MSHRSaveSize = 3 * 8
-
-// Restore loads MSHR statistics saved by Save.
-func (f *MSHRFile) Restore(r *checkpoint.Reader) error {
-	f.Allocs = r.U64()
-	f.Coalesced = r.U64()
-	f.FullStall = r.U64()
-	return r.Err()
-}

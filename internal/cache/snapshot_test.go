@@ -143,25 +143,3 @@ func TestArrayRestoreRejectsGeometryMismatch(t *testing.T) {
 		t.Fatal("restore into mismatched geometry succeeded")
 	}
 }
-
-func TestMSHRFileSaveRestoreStats(t *testing.T) {
-	f := NewMSHRFile(2)
-	f.SetWaker(&slotRecorder{})
-	f.Allocate(0x40, 1)
-	f.Allocate(0x40, 2)
-	f.Allocate(0x80, NoWaiter)
-	f.Allocate(0xc0, NoWaiter) // full -> stall
-	f.Complete(0x40)
-	f.Complete(0x80)
-
-	snap := checkpoint.New()
-	f.Save(snap.Section("m"))
-	g := NewMSHRFile(2)
-	r, _ := snap.Open("m")
-	if err := g.Restore(r); err != nil {
-		t.Fatal(err)
-	}
-	if g.Allocs != f.Allocs || g.Coalesced != f.Coalesced || g.FullStall != f.FullStall {
-		t.Fatalf("stats mismatch: %+v vs %+v", g, f)
-	}
-}

@@ -22,7 +22,7 @@
 // Key types:
 //
 //   - FilterCache: the structure itself — a cache.Array with dual tags and
-//     committed bits, plus its MSHR file and statistics.
+//     committed bits, plus its MSHR file and hit/flush statistics.
 //   - FilterConfig: geometry (the paper's tuned configuration is 2KiB,
 //     4-way).
 //

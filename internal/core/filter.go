@@ -32,7 +32,6 @@ type FilterCache struct {
 	// Stats.
 	Hits                uint64
 	Misses              uint64
-	Fills               uint64
 	Flushes             uint64
 	LinesFlushed        uint64
 	EvictedUncommitted3 uint64 // uncommitted lines displaced before commit
@@ -79,7 +78,6 @@ func (f *FilterCache) Snoop(paddr mem.Addr) *cache.Line {
 // each physical line ever exists (§4.4). It returns the evicted line when
 // a valid line was displaced.
 func (f *FilterCache) Fill(vaddr mem.VAddr, paddr mem.Addr, st cache.State, committed bool, fillLevel uint8) (evicted cache.Line, hadVictim bool) {
-	f.Fills++
 	line, ev, had := f.arr.FillPreferCommitted(uint64(paddr), st)
 	line.VTag = uint64(mem.LineAddr(vaddr))
 	line.Committed = committed

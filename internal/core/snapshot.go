@@ -1,26 +1,21 @@
 package core
 
-import (
-	"repro/internal/cache"
-	"repro/internal/checkpoint"
-)
+import "repro/internal/checkpoint"
 
-// Save serialises the filter cache's line array, MSHR statistics and
-// hit/flush statistics. Checkpoints are taken on quiesced machines, so the
-// MSHR file carries no live registers.
+// Save serialises the filter cache's line array and hit/flush statistics.
+// Checkpoints are taken on quiesced machines, so the MSHR file holds
+// nothing to save.
 func (f *FilterCache) Save(w *checkpoint.Writer) {
 	f.arr.Save(w)
-	f.MSHRs.Save(w)
 	w.U64(f.Hits)
 	w.U64(f.Misses)
-	w.U64(f.Fills)
 	w.U64(f.Flushes)
 	w.U64(f.LinesFlushed)
 	w.U64(f.EvictedUncommitted3)
 }
 
 // SaveSize is the number of bytes Save writes.
-func (f *FilterCache) SaveSize() int { return f.arr.SaveSize() + cache.MSHRSaveSize + 6*8 }
+func (f *FilterCache) SaveSize() int { return f.arr.SaveSize() + 5*8 }
 
 // Restore loads state saved by Save into a filter cache of identical
 // geometry.
@@ -28,12 +23,8 @@ func (f *FilterCache) Restore(r *checkpoint.Reader) error {
 	if err := f.arr.Restore(r); err != nil {
 		return err
 	}
-	if err := f.MSHRs.Restore(r); err != nil {
-		return err
-	}
 	f.Hits = r.U64()
 	f.Misses = r.U64()
-	f.Fills = r.U64()
 	f.Flushes = r.U64()
 	f.LinesFlushed = r.U64()
 	f.EvictedUncommitted3 = r.U64()

@@ -109,7 +109,7 @@ func TestDispatchCommitZeroAlloc(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := warmSystem(t, tc.prog, cpu.DefenseNone, tc.mode)
 			c := s.Cores[0]
-			committed, squashed := c.CommittedInsts(), c.Squashed
+			committed, squashed := c.CommittedInsts(), c.Count(cpu.Squashed)
 			allocs := testing.AllocsPerRun(2000, func() { s.Step(1) })
 			if allocs != 0 {
 				t.Fatalf("steady-state step allocates %.2f, want 0", allocs)
@@ -117,9 +117,9 @@ func TestDispatchCommitZeroAlloc(t *testing.T) {
 			if c.CommittedInsts() == committed {
 				t.Fatal("no instructions committed during measurement")
 			}
-			if tc.squash && c.Squashed-squashed < 1000 {
+			if tc.squash && c.Count(cpu.Squashed)-squashed < 1000 {
 				t.Fatalf("only %d instructions squashed during measurement: the kernel lost its mispredicts",
-					c.Squashed-squashed)
+					c.Count(cpu.Squashed)-squashed)
 			}
 		})
 	}

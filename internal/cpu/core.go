@@ -131,19 +131,8 @@ type Core struct {
 	sbData lineSet[mem.Addr]
 	sbCode lineSet[uint64]
 
-	// Stats.
-	Committed     uint64
-	Fetched       uint64
-	Squashed      uint64
-	Mispredicts   uint64
-	LoadNACKs     uint64
-	Syscalls      uint64
-	Barriers      uint64
-	Exposures     uint64
-	STTStalls     uint64
-	SafeBetStalls uint64
-	CommitStores  uint64
-	CommitLoads   uint64
+	// ctr holds the counters counters declares, indexed by Counter.
+	ctr [numCounters]uint64
 }
 
 // NewCore builds a core attached to a memory port.
@@ -249,7 +238,7 @@ func (c *Core) ResumeFetch() {
 }
 
 // CommittedInsts reports the number of committed instructions.
-func (c *Core) CommittedInsts() uint64 { return c.Committed }
+func (c *Core) CommittedInsts() uint64 { return c.ctr[Committed] }
 
 // SetPC redirects fetch (context-switch restore). The pipeline must be
 // empty (SetProgram flushes it).
@@ -404,7 +393,6 @@ func (c *Core) commit() {
 		cls := d.si.Class
 		switch cls {
 		case isa.ClassLoad:
-			c.CommitLoads++
 			if !d.forwarded {
 				c.port.CommitLoad(d.pc, mem.VAddr(d.effAddr), d.paddr)
 			}
@@ -417,7 +405,6 @@ func (c *Core) commit() {
 			if c.storeBuf.len() >= c.cfg.StoreBufferSize {
 				return // retry next cycle
 			}
-			c.CommitStores++
 			d.v2 = c.storeData(d)
 			// Latch the data: the producer link must not be consulted
 			// after commit (the producer's slot may be recycled, and the
@@ -433,7 +420,7 @@ func (c *Core) commit() {
 			c.removeFromSQ(d)
 			c.unpark(d)
 		case isa.ClassSyscall:
-			c.Syscalls++
+			c.ctr[Syscalls]++
 			cost := c.cfg.SyscallCost
 			if c.OnSyscall != nil {
 				cost += c.OnSyscall(c)
@@ -441,7 +428,6 @@ func (c *Core) commit() {
 			c.commitStallUntil = c.sched.Now() + cost
 			c.fetchStall = false
 		case isa.ClassBarrier:
-			c.Barriers++
 			c.fetchStall = false
 		case isa.ClassFlush:
 			c.port.FlushDomain()
@@ -450,7 +436,7 @@ func (c *Core) commit() {
 			c.halted = true
 			c.haltedBad = d.synthetic
 			c.retire()
-			c.Committed++
+			c.ctr[Committed]++
 			c.freeInst(d)
 			return
 		}
@@ -461,7 +447,7 @@ func (c *Core) commit() {
 		c.port.CommitTranslation(mem.VAddr(d.pc), true)
 		c.moved = true
 		c.retire()
-		c.Committed++
+		c.ctr[Committed]++
 
 		// Stores stay alive in the store buffer and are freed after the
 		// drain; everything else is dead once it leaves the ROB.
@@ -581,7 +567,7 @@ func (c *Core) fetchAndDispatch() {
 		}
 		cls := si.Class
 		d := c.dispatch(si, c.fetchPC)
-		c.Fetched++
+		c.ctr[Fetched]++
 
 		switch cls {
 		case isa.ClassBranch:
@@ -655,7 +641,7 @@ func (c *Core) fetchLineReady(pc uint64) bool {
 		// mistrained BTB) may not touch the memory system while the next
 		// instruction would not be safe; retry next cycle. The stall is
 		// counted per cycle, so the core stays awake through it.
-		c.SafeBetStalls++
+		c.ctr[SafeBetStalls]++
 		return false
 	}
 	c.fetchLinePend = true
@@ -825,7 +811,7 @@ func (c *Core) LoadDone(idx int32, seq uint64, res memsys.AccessResult) {
 		return
 	}
 	if res.NACK {
-		c.LoadNACKs++
+		c.ctr[LoadNACKs]++
 		d.phase = memNACKed
 		return
 	}

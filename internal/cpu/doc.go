@@ -15,7 +15,7 @@
 //   - Core: one hardware thread — architectural registers, rename map,
 //     ROB, issue queue (ready list + waiter chains), load/store queues
 //     (retry list + parked chains), post-commit store buffer, fetch engine
-//     and statistics. Tick advances it one cycle unless it is asleep; the
+//     and counters. Tick advances it one cycle unless it is asleep; the
 //     owner (internal/sim) advances the shared event scheduler, over the
 //     cycles every core sleeps through in one step.
 //   - dynInst: one in-flight dynamic instruction, pool-allocated.
@@ -26,6 +26,8 @@
 //     validate an invisible read, taint its dependents, stall outside the
 //     committed footprint) — that each stage consults at one site. MuonTrap
 //     itself needs only commit-time hooks and NACK retries from the core.
+//   - Counter: the core's counter table. The hot path bumps ctr[Counter];
+//     Save, Restore and RenderCounters walk the table.
 //
 // Invariants:
 //
@@ -76,7 +78,8 @@
 //     delay of the oldest ready entry), or never. Every entry point that
 //     hands the core something calls wake first. While now < wakeAt,
 //     running the tick anyway changes no state at all; SleeperCheck does
-//     exactly that. Cycles that bump STTStalls or SafeBetStalls moved.
+//     exactly that. Cycles that bump the STTStalls or SafeBetStalls
+//     counter moved.
 //     Sleep is not saved: a restored core is awake.
 //   - Commit is in order; stores update functional memory the moment they
 //     leave the store buffer, preserving per-core visibility order.

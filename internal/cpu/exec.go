@@ -108,7 +108,7 @@ func (c *Core) issue() {
 		// safe.
 		if c.pol.unsafe == taint && (cls == isa.ClassLoad || cls == isa.ClassStore || cls == isa.ClassJumpInd) {
 			if root, _ := c.operandTaint(d); root != nil {
-				c.STTStalls++ // counted per cycle: the core stays awake
+				c.ctr[STTStalls]++ // counted per cycle: the core stays awake
 				c.moved = true
 				continue
 			}
@@ -198,7 +198,7 @@ func (c *Core) resolveBranch(d *dynInst, r isa.ExecResult) {
 		return
 	}
 	if actualNext != d.predNext {
-		c.Mispredicts++
+		c.ctr[Mispredicts]++
 		c.squashAfter(d, actualNext, r.Taken)
 	}
 }
@@ -219,7 +219,7 @@ func (c *Core) squashAfter(d *dynInst, newPC uint64, actualTaken bool) {
 	for i := pos + 1; i < c.rob.len(); i++ {
 		y := c.rob.at(i)
 		y.squashed = true
-		c.Squashed++
+		c.ctr[Squashed]++
 		if y.inIQ {
 			c.iqCount-- // parked or ready, its queue slot is free again
 		}
@@ -313,7 +313,7 @@ func (c *Core) tryLoadAccess(d *dynInst) (stalled bool) {
 		// The line was never accessed non-speculatively by this domain, so
 		// the access may not reach the memory system until the load is
 		// safe (memMaintenance retries it).
-		c.SafeBetStalls++
+		c.ctr[SafeBetStalls]++
 		d.phase = memWaitingOlderStores
 		return true
 	default: // expose, validate: read invisibly now, expose later
@@ -522,7 +522,7 @@ func (c *Core) exposeLoad(d *dynInst) {
 	}
 	c.moved = true
 	d.exposing = true
-	c.Exposures++
+	c.ctr[Exposures]++
 	d.pins++
 	c.port.LoadExpose(d.pc, mem.VAddr(d.effAddr), d.paddr, func(memsys.AccessResult) {
 		c.wake()

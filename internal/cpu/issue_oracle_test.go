@@ -163,8 +163,8 @@ func TestIssueQueueMatchesPolledDefinition(t *testing.T) {
 				peaks := runWithOracle(t, s, k.drainAt, 2_000_000)
 				t.Logf("%d cycles, %d squashed on core 0; at most %d stale waiter references "+
 					"and %d consumers parked on a faulted producer at once",
-					s.Sched.Now(), s.Cores[0].Squashed, peaks.stale, peaks.onFaulted)
-				if k.name == "branchy" && (s.Cores[0].Squashed < 1000 || peaks.stale == 0 || peaks.onFaulted == 0) {
+					s.Sched.Now(), s.Cores[0].Count(cpu.Squashed), peaks.stale, peaks.onFaulted)
+				if k.name == "branchy" && (s.Cores[0].Count(cpu.Squashed) < 1000 || peaks.stale == 0 || peaks.onFaulted == 0) {
 					t.Fatalf("test premise broken: the squash-heavy kernel must leave parked consumers " +
 						"behind its squashes and park wrong-path consumers on a faulted load")
 				}

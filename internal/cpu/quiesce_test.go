@@ -135,8 +135,8 @@ func TestStopFetchParksFrontEnd(t *testing.T) {
 		c.Tick()
 		sched.Tick()
 	}
-	if c.Fetched != 0 {
-		t.Fatalf("parked core fetched %d instructions", c.Fetched)
+	if c.Count(Fetched) != 0 {
+		t.Fatalf("parked core fetched %d instructions", c.Count(Fetched))
 	}
 	if err := c.Quiesced(); err != nil {
 		t.Fatalf("parked core not quiesced: %v", err)

@@ -287,7 +287,7 @@ func TestTestOnlyPolicyRowsOracle(t *testing.T) {
 						t.Fatalf("%s: register %d is %#x, the baseline's %#x", k.name, r, c.Reg(r), base.Cores[0].Reg(r))
 					}
 				}
-				stalls, exposures = stalls+c.SafeBetStalls, exposures+c.Exposures
+				stalls, exposures = stalls+c.Count(cpu.SafeBetStalls), exposures+c.Count(cpu.Exposures)
 			}
 			t.Logf("%d footprint stalls, %d exposures", stalls, exposures)
 			if stalls+exposures == 0 {

@@ -47,9 +47,9 @@ func (c *Core) Quiesced() error {
 // Save serialises the core's architectural and quiesced-microarchitectural
 // state: registers, fetch state, statistics and the branch predictor.
 func (c *Core) Save(w *checkpoint.Writer) {
-	// Registers, 8 fetch/sequence words, 4 flags, the divider slots, 12
-	// statistics, the two SafeBet footprints, the predictor.
-	w.Grow(8*len(c.regs) + 8*8 + 4 + 4 + 8*len(c.divFree) + 12*8 +
+	// Registers, 8 fetch/sequence words, 4 flags, the divider slots, the
+	// counters, the two SafeBet footprints, the predictor.
+	w.Grow(8*len(c.regs) + 8*8 + 4 + 4 + 8*len(c.divFree) + 8*len(c.ctr) +
 		4 + 8*len(c.sbData) + 4 + 8*len(c.sbCode) + c.pred.SaveSize())
 	for _, v := range c.regs {
 		w.U64(v)
@@ -70,18 +70,9 @@ func (c *Core) Save(w *checkpoint.Writer) {
 	for _, f := range c.divFree {
 		w.U64(uint64(f))
 	}
-	w.U64(c.Committed)
-	w.U64(c.Fetched)
-	w.U64(c.Squashed)
-	w.U64(c.Mispredicts)
-	w.U64(c.LoadNACKs)
-	w.U64(c.Syscalls)
-	w.U64(c.Barriers)
-	w.U64(c.Exposures)
-	w.U64(c.STTStalls)
-	w.U64(c.SafeBetStalls)
-	w.U64(c.CommitStores)
-	w.U64(c.CommitLoads)
+	for _, v := range c.ctr {
+		w.U64(v)
+	}
 	c.sbData.save(w) // both footprints are empty outside the footprint action
 	c.sbCode.save(w)
 	c.pred.Save(w)
@@ -119,18 +110,9 @@ func (c *Core) Restore(r *checkpoint.Reader) error {
 	for i := range c.divFree {
 		c.divFree[i] = event.Cycle(r.U64())
 	}
-	c.Committed = r.U64()
-	c.Fetched = r.U64()
-	c.Squashed = r.U64()
-	c.Mispredicts = r.U64()
-	c.LoadNACKs = r.U64()
-	c.Syscalls = r.U64()
-	c.Barriers = r.U64()
-	c.Exposures = r.U64()
-	c.STTStalls = r.U64()
-	c.SafeBetStalls = r.U64()
-	c.CommitStores = r.U64()
-	c.CommitLoads = r.U64()
+	for k := range c.ctr {
+		c.ctr[k] = r.U64()
+	}
 	if err := c.sbData.restore(r); err != nil {
 		return err
 	}

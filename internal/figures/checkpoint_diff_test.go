@@ -33,7 +33,7 @@ const diffEvery = 500
 // mid-run snapshot.
 func goldenWithCheckpoints(t *testing.T, spec workload.Spec, sch defense.Scheme, opt Options) (sim.RunResult, []*checkpoint.Snapshot) {
 	t.Helper()
-	sys := buildRun(spec, sch, opt)
+	sys := BuildSystem(spec, sch, opt.Scale)
 	var snaps []*checkpoint.Snapshot
 	res, err := sys.RunUntilHaltCkpt(context.Background(), opt.MaxCycles, diffEvery,
 		func(s *checkpoint.Snapshot) error { snaps = append(snaps, s); return nil })
@@ -92,7 +92,7 @@ func TestDifferentialCheckpointRestoreAllWorkloads(t *testing.T) {
 						sch.Name, diffEvery, golden.Cycles)
 				}
 				for _, k := range restorePoints(len(snaps)) {
-					sys := buildRun(sp, sch, opt)
+					sys := BuildSystem(sp, sch, opt.Scale)
 					if err := sys.RestoreSnapshot(snaps[k]); err != nil {
 						t.Fatalf("%s: restore checkpoint %d: %v", sch.Name, k, err)
 					}

@@ -62,7 +62,7 @@ func (j Job) run(ctx context.Context, key runKey) (sim.RunResult, error) {
 	if j.l0dSize != 0 {
 		return forkOrRun(ctx, j.Spec, j.Opt, buildSweep(j.Spec, j.Scheme, j.l0dSize, j.l0dAssoc, j.Opt), key)
 	}
-	return forkOrRun(ctx, j.Spec, j.Opt, buildRun(j.Spec, j.Scheme, j.Opt), key)
+	return forkOrRun(ctx, j.Spec, j.Opt, BuildSystem(j.Spec, j.Scheme, j.Opt.Scale), key)
 }
 
 // Outcome is one successfully completed Job with its result. (Failures

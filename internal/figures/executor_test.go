@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/defense"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -142,7 +143,7 @@ func TestFigureTableBytesParallelVsSequential(t *testing.T) {
 		ResetRunCache()
 		opt := tinyOptions()
 		opt.Parallelism = workers
-		tbl, err := comparisonFigure(context.Background(), "det", specs, opt)
+		tbl, err := schemeFigure(context.Background(), "det", specs, defense.Comparison(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}

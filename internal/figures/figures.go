@@ -9,6 +9,8 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/defense"
 	"repro/internal/event"
+	"repro/internal/isa"
+	"repro/internal/memsys"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -227,7 +229,6 @@ func ResetRunCache() {
 // yet simulated. It is exported for the differential checkpoint suites,
 // which must run the exact machine the figures do.
 func BuildSystem(spec workload.Spec, sch defense.Scheme, scale float64) *sim.System {
-	prog := workload.Build(spec, scale)
 	cores := 1
 	if spec.Suite == "parsec" {
 		cores = 4
@@ -242,19 +243,20 @@ func BuildSystem(spec workload.Spec, sch defense.Scheme, scale float64) *sim.Sys
 		// domain flushes per committed instruction.
 		cfg.TimerInterval = 150_000
 	}
+	return assemble(cfg, workload.Build(spec, scale))
+}
+
+// assemble builds the machine cfg describes and loads prog into one
+// process, scheduled with one thread on each core.
+func assemble(cfg sim.Config, prog *isa.Program) *sim.System {
 	sys := sim.New(cfg)
 	p := sys.NewProcess(prog)
 	sys.RunOn(0, p, 0)
-	for th := 1; th < cores; th++ {
+	for th := 1; th < cfg.Mem.Cores; th++ {
 		sys.AddThread(p, th, prog.Entry)
 		sys.RunOn(th, p, th)
 	}
 	return sys
-}
-
-// buildRun is BuildSystem at an Options' scale.
-func buildRun(spec workload.Spec, sch defense.Scheme, opt Options) *sim.System {
-	return BuildSystem(spec, sch, opt.Scale)
 }
 
 // RunOne executes one workload under one scheme and returns the result.
@@ -313,13 +315,13 @@ func normalisedTable(title string, workloads []string, order []string,
 	return t
 }
 
-// comparisonFigure builds Figures 3/4: the suite's workloads under the
-// five compared schemes, normalised to the insecure baseline.
-func comparisonFigure(ctx context.Context, title string, specs []workload.Spec, opt Options) (*stats.Table, error) {
+// schemeFigure builds Figures 3/4 and 8/9: the suite's workloads under
+// each scheme, one series per scheme, normalised to the insecure baseline.
+func schemeFigure(ctx context.Context, title string, specs []workload.Spec, schemes []defense.Scheme, opt Options) (*stats.Table, error) {
 	var jobs []Job
 	for _, sp := range specs {
 		jobs = append(jobs, Job{Spec: sp, Scheme: defense.Insecure(), Opt: opt, Series: "baseline", Work: sp.Name})
-		for _, sch := range defense.Comparison() {
+		for _, sch := range schemes {
 			jobs = append(jobs, Job{Spec: sp, Scheme: sch, Opt: opt, Series: sch.Name, Work: sp.Name})
 		}
 	}
@@ -328,7 +330,7 @@ func comparisonFigure(ctx context.Context, title string, specs []workload.Spec, 
 		return nil, err
 	}
 	var order []string
-	for _, sch := range defense.Comparison() {
+	for _, sch := range schemes {
 		order = append(order, sch.Name)
 	}
 	return normalisedTable(title, workload.Names(specs), order, cycles), nil
@@ -336,14 +338,14 @@ func comparisonFigure(ctx context.Context, title string, specs []workload.Spec, 
 
 // Fig3 is the SPEC CPU2006 comparison (paper Figure 3).
 func Fig3(ctx context.Context, opt Options) (*stats.Table, error) {
-	return comparisonFigure(ctx, "Figure 3: SPEC CPU2006 normalised execution time",
-		workload.SPEC2006(), opt)
+	return schemeFigure(ctx, "Figure 3: SPEC CPU2006 normalised execution time",
+		workload.SPEC2006(), defense.Comparison(), opt)
 }
 
 // Fig4 is the Parsec comparison on 4 cores (paper Figure 4).
 func Fig4(ctx context.Context, opt Options) (*stats.Table, error) {
-	return comparisonFigure(ctx, "Figure 4: Parsec normalised execution time (4 threads)",
-		workload.Parsec(), opt)
+	return schemeFigure(ctx, "Figure 4: Parsec normalised execution time (4 threads)",
+		workload.Parsec(), defense.Comparison(), opt)
 }
 
 // sweepScheme is full MuonTrap under the name the Fig 5/6 cells are keyed
@@ -359,20 +361,12 @@ func sweepScheme() defense.Scheme {
 // The warm snapshot (if any) is shared with the standard-geometry runs:
 // filter caches hold no warm state, so L0 geometry does not enter it.
 func buildSweep(spec workload.Spec, sch defense.Scheme, sizeBytes uint64, assoc int, opt Options) *sim.System {
-	prog := workload.Build(spec, opt.Scale)
 	cfg := sim.DefaultConfig(4)
 	cfg.Mem.Mode = sch.Mode
 	cfg.Mem.L0D.SizeBytes = sizeBytes
 	cfg.Mem.L0D.Assoc = assoc
 	cfg.TimerInterval = 500_000
-	sys := sim.New(cfg)
-	p := sys.NewProcess(prog)
-	sys.RunOn(0, p, 0)
-	for th := 1; th < 4; th++ {
-		sys.AddThread(p, th, prog.Entry)
-		sys.RunOn(th, p, th)
-	}
-	return sys
+	return assemble(cfg, workload.Build(spec, opt.Scale))
 }
 
 // geometryFigure builds Figures 5/6: the insecure baseline plus one
@@ -444,8 +438,8 @@ func Fig7(ctx context.Context, opt Options) (*stats.Table, error) {
 	}
 	series := t.AddSeries("invalidate-rate")
 	for _, o := range outs {
-		drains := o.Res.Counters["core0.store.drains"]
-		ups := o.Res.Counters["core0.store.upgrades"]
+		drains := o.Res.Counters[memsys.PCStoreDrains.Key(0)]
+		ups := o.Res.Counters[memsys.PCStoreUpgrades.Key(0)]
 		if drains > 0 {
 			series.Values[o.Job.Work] = float64(ups) / float64(drains)
 		}
@@ -453,30 +447,9 @@ func Fig7(ctx context.Context, opt Options) (*stats.Table, error) {
 	return t, nil
 }
 
-// cumulativeFigure builds Figures 8/9: protection mechanisms added one at
-// a time, normalised to the insecure baseline.
-func cumulativeFigure(ctx context.Context, title string, specs []workload.Spec, schemes []defense.Scheme, opt Options) (*stats.Table, error) {
-	var jobs []Job
-	for _, sp := range specs {
-		jobs = append(jobs, Job{Spec: sp, Scheme: defense.Insecure(), Opt: opt, Series: "baseline", Work: sp.Name})
-		for _, sch := range schemes {
-			jobs = append(jobs, Job{Spec: sp, Scheme: sch, Opt: opt, Series: sch.Name, Work: sp.Name})
-		}
-	}
-	cycles, err := runMatrix(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-	var order []string
-	for _, sch := range schemes {
-		order = append(order, sch.Name)
-	}
-	return normalisedTable(title, workload.Names(specs), order, cycles), nil
-}
-
 // Fig8 is the Parsec cumulative-mechanism breakdown (paper Figure 8).
 func Fig8(ctx context.Context, opt Options) (*stats.Table, error) {
-	return cumulativeFigure(ctx, "Figure 8: cumulative protection mechanisms, Parsec",
+	return schemeFigure(ctx, "Figure 8: cumulative protection mechanisms, Parsec",
 		workload.Parsec(), defense.CumulativeStages(), opt)
 }
 
@@ -484,7 +457,7 @@ func Fig8(ctx context.Context, opt Options) (*stats.Table, error) {
 // L1 lookup option (paper Figure 9).
 func Fig9(ctx context.Context, opt Options) (*stats.Table, error) {
 	schemes := append(defense.CumulativeStages(), defense.MuonTrapParallelL1())
-	return cumulativeFigure(ctx, "Figure 9: cumulative protection mechanisms, SPEC CPU2006",
+	return schemeFigure(ctx, "Figure 9: cumulative protection mechanisms, SPEC CPU2006",
 		workload.SPEC2006(), schemes, opt)
 }
 

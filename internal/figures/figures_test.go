@@ -71,7 +71,7 @@ func TestComparisonFigureTinySubset(t *testing.T) {
 		s, _ := workload.ByName(n)
 		specs = append(specs, s)
 	}
-	tbl, err := comparisonFigure(context.Background(), "tiny", specs, tinyOptions())
+	tbl, err := schemeFigure(context.Background(), "tiny", specs, defense.Comparison(), tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

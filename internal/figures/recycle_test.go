@@ -89,7 +89,7 @@ func (c oracleCell) runFresh(tb testing.TB) sim.RunResult {
 	if c.L0DSize > 0 {
 		sys = buildSweep(c.spec(tb), sweepScheme(), c.L0DSize, int(c.L0DSize/64), opt)
 	} else {
-		sys = buildRun(c.spec(tb), c.scheme(tb), opt)
+		sys = BuildSystem(c.spec(tb), c.scheme(tb), opt.Scale)
 	}
 	if n := sys.Warmup(c.Warmup); n != c.Warmup {
 		tb.Fatalf("%s: warm-up executed %d insts, want %d", c, n, c.Warmup)

@@ -46,7 +46,7 @@ func TestSnapshotForkMatchesColdRun(t *testing.T) {
 		sch := sch
 		t.Run(sch.Name, func(t *testing.T) {
 			// Cold: warm-up executed in-place on this scheme's machine.
-			coldSys := buildRun(spec, sch, opt)
+			coldSys := BuildSystem(spec, sch, opt.Scale)
 			if n := coldSys.Warmup(opt.WarmupInsts); n != opt.WarmupInsts {
 				t.Fatalf("warm-up executed %d insts, want %d", n, opt.WarmupInsts)
 			}
@@ -99,7 +99,7 @@ func TestSnapshotForkAcrossSyscall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldSys := buildRun(spec, sch, opt)
+		coldSys := BuildSystem(spec, sch, opt.Scale)
 		coldSys.Warmup(opt.WarmupInsts)
 		cold, err := coldSys.RunUntilHalt(opt.MaxCycles)
 		if err != nil {
@@ -133,7 +133,7 @@ func TestSnapshotForkMultiCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldSys := buildRun(spec, sch, opt)
+		coldSys := BuildSystem(spec, sch, opt.Scale)
 		coldSys.Warmup(opt.WarmupInsts)
 		cold, err := coldSys.RunUntilHalt(opt.MaxCycles)
 		if err != nil {

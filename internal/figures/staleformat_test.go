@@ -14,10 +14,14 @@ import (
 	"repro/internal/simtest"
 )
 
-// asFormat2 returns a copy of snap whose machine section claims
-// machineFormat 2 (the layout before sparse tables) — an image an older
-// build left behind, as far as this binary can tell.
-func asFormat2(t *testing.T, snap *checkpoint.Snapshot) *checkpoint.Snapshot {
+// olderFormats are the machine formats older builds wrote: 2, every way of
+// every table; 3, the counters no code read still saved.
+var olderFormats = []uint32{2, 3}
+
+// asFormat returns a copy of snap whose machine section claims machine
+// format f — an image an older build left behind, as far as this binary
+// can tell.
+func asFormat(t *testing.T, snap *checkpoint.Snapshot, f uint32) *checkpoint.Snapshot {
 	t.Helper()
 	enc := snap.Encode()
 	// magic(8) version(4) count(4), then the first section: name length,
@@ -25,7 +29,7 @@ func asFormat2(t *testing.T, snap *checkpoint.Snapshot) *checkpoint.Snapshot {
 	if string(enc[20:27]) != "machine" {
 		t.Fatalf("first section is %q, want machine", enc[20:27])
 	}
-	binary.LittleEndian.PutUint32(enc[35:], 2)
+	binary.LittleEndian.PutUint32(enc[35:], f)
 	old, err := checkpoint.Decode(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -33,9 +37,9 @@ func asFormat2(t *testing.T, snap *checkpoint.Snapshot) *checkpoint.Snapshot {
 	return old
 }
 
-// relinkAsFormat2 stores the format-2 forgery of the warm snapshot a ref
+// relinkAsFormat stores the format-f forgery of the warm snapshot a ref
 // resolves to and points the ref at it.
-func relinkAsFormat2(t *testing.T, st *checkpoint.Store, key string) {
+func relinkAsFormat(t *testing.T, st *checkpoint.Store, key string, f uint32) {
 	t.Helper()
 	hash, ok := st.Resolve(key)
 	if !ok {
@@ -45,7 +49,7 @@ func relinkAsFormat2(t *testing.T, st *checkpoint.Store, key string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldHash, err := st.Put(asFormat2(t, snap))
+	oldHash, err := st.Put(asFormat(t, snap, f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +63,12 @@ func relinkAsFormat2(t *testing.T, st *checkpoint.Store, key string) {
 // is re-simulated, the ref re-linked, and the forked run is the run a
 // clean cache produces.
 func TestStaleFormatWarmSnapshotIsRebuilt(t *testing.T) {
+	for _, f := range olderFormats {
+		t.Run(fmt.Sprintf("format%d", f), func(t *testing.T) { staleWarmSnapshotIsRebuilt(t, f) })
+	}
+}
+
+func staleWarmSnapshotIsRebuilt(t *testing.T, f uint32) {
 	defer ResetRunCache()
 	ResetRunCache()
 	spec := simtest.MustSpec(t, "hmmer")
@@ -82,7 +92,7 @@ func TestStaleFormatWarmSnapshotIsRebuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relinkAsFormat2(t, st, warmInputKey(spec, opt))
+	relinkAsFormat(t, st, warmInputKey(spec, opt), f)
 
 	ResetRunCache() // a later process
 	got, err := RunOne(context.Background(), spec, defense.MuonTrap(), opt)
@@ -99,6 +109,12 @@ func TestStaleFormatWarmSnapshotIsRebuilt(t *testing.T) {
 // older machine format is reported and the run starts from cold — the
 // same result as an uninterrupted run, never a failed cell.
 func TestStaleFormatMidRunCheckpointStartsCold(t *testing.T) {
+	for _, f := range olderFormats {
+		t.Run(fmt.Sprintf("format%d", f), func(t *testing.T) { staleMidRunCheckpointStartsCold(t, f) })
+	}
+}
+
+func staleMidRunCheckpointStartsCold(t *testing.T, f uint32) {
 	defer ResetRunCache()
 	ResetRunCache()
 	spec := simtest.MustSpec(t, "hmmer")
@@ -130,14 +146,14 @@ func TestStaleFormatMidRunCheckpointStartsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Overwrite the chain's newest checkpoint with its format-2 forgery.
+	// Overwrite the chain's newest checkpoint with its format-f forgery.
 	mkey := midrunKey(runKey{workload: spec.Name, scheme: sch.Name, scale: opt.Scale,
 		maxCycles: opt.MaxCycles, every: opt.CheckpointEvery})
 	snap, g, err := st.Latest(mkey)
 	if snap == nil {
 		t.Fatalf("no mid-run chain under %q (%v)", mkey, err)
 	}
-	if err := st.Save(mkey, g, asFormat2(t, snap)); err != nil {
+	if err := st.Save(mkey, g, asFormat(t, snap, f)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -77,7 +77,7 @@ func warmSnapshot(spec workload.Spec, opt Options) (*checkpoint.Snapshot, string
 				}
 			}
 		}
-		sys := buildRun(spec, defense.Insecure(), opt)
+		sys := BuildSystem(spec, defense.Insecure(), opt.Scale)
 		sys.Warmup(opt.WarmupInsts)
 		snap, err := sys.Checkpoint()
 		sys.Release() // the image is a copy

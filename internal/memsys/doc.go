@@ -22,6 +22,9 @@
 //     the event argument: no closure per miss. Quiet and Quiesced are
 //     two readings of one predicate over those registries and the MSHR
 //     files.
+//   - PortCounter, hierCounter: the port's and the shared level's counter
+//     tables. The hot path bumps ctr[counter]; Save, Restore and
+//     RenderCounters walk the tables.
 //   - Mode: the per-mechanism protection switches (filter protection,
 //     coherence protection, commit-time prefetch, filter TLB, …).
 //   - Client: the typed completion receiver the core implements.

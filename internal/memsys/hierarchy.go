@@ -50,15 +50,8 @@ type Hierarchy struct {
 	// coherence protections, and exactly the state attack 4 exploits.
 	filterOwner map[uint64]int
 
-	// Stats.
-	L2Hits           uint64
-	L2Misses         uint64
-	DRAMFills        uint64
-	NACKs            uint64
-	RemoteDowngrades uint64
-	FilterBroadcasts uint64
-	PrefetchFills    uint64
-	L2Writebacks     uint64
+	// ctr holds the counters hierCounters declares, indexed by hierCounter.
+	ctr [numHierCounters]uint64
 }
 
 // New builds the hierarchy and its per-core ports.
@@ -152,7 +145,7 @@ func (h *Hierarchy) l2Install(line uint64, dirty bool) {
 	if had {
 		h.backInvalidate(ev.Tag)
 		if ev.State == cache.Modified {
-			h.L2Writebacks++
+			h.ctr[l2Writebacks]++
 			h.dram.Access(mem.Addr(ev.Tag))
 		}
 	}
@@ -195,7 +188,7 @@ func (h *Hierarchy) downgradeOwner(line uint64, e *dirEntry) bool {
 	e.sharers |= 1 << uint(e.owner)
 	e.owner = -1
 	e.ownerState = cache.Invalid
-	h.RemoteDowngrades++
+	h.ctr[remoteDowngrades]++
 	return true
 }
 
@@ -237,7 +230,7 @@ func (h *Hierarchy) invalidateSharers(line uint64, except int) bool {
 // copies; done as a broadcast for timing invariance, tracked precisely
 // here for function).
 func (h *Hierarchy) broadcastFilterInvalidate(line uint64, except int) {
-	h.FilterBroadcasts++
+	h.ctr[filterBroadcasts]++
 	mask := h.filterSharers[line]
 	for i, p := range h.ports {
 		bit := uint64(1) << uint(i)
@@ -313,11 +306,20 @@ func (h *Hierarchy) prefetchFill(addr mem.Addr) {
 		return // prefetches are best-effort; drop on MSHR pressure
 	}
 	done := h.dram.Access(mem.Addr(line))
-	h.PrefetchFills++
+	h.ctr[prefetchFills]++
 	h.sched.At(done+h.cfg.Lat.DRAMCtrl, func() {
 		h.l2MSHRs.Complete(line)
 		h.l2Install(line, false)
 	})
+}
+
+// dramWait issues a DRAM access for line and returns how long after now
+// its data arrives.
+func (h *Hierarchy) dramWait(line uint64) event.Cycle {
+	if done := h.dram.Access(mem.Addr(line)); done > h.sched.Now() {
+		return done - h.sched.Now()
+	}
+	return 0
 }
 
 // loadOutcome is the result of the shared-level (L2/directory/DRAM) part
@@ -343,7 +345,7 @@ func (h *Hierarchy) l2LoadAccess(coreID int, line uint64, spec, fillL2 bool, pc 
 		// A remote private cache holds the line E or M.
 		if spec && m.FilterProtect && m.CoherenceProtect {
 			// §4.5 reduced coherency speculation: refuse, constant time.
-			h.NACKs++
+			h.ctr[cohNACKs]++
 			out.nack = true
 			out.extraLat = h.cfg.Lat.SnoopNACK
 			return out
@@ -371,18 +373,13 @@ func (h *Hierarchy) l2LoadAccess(coreID int, line uint64, spec, fillL2 bool, pc 
 		h.pf.Observe(pc, mem.Addr(line))
 	}
 	if l2l := h.l2.Lookup(line); l2l != nil {
-		h.L2Hits++
+		h.ctr[l2Hits]++
 		out.extraLat += h.cfg.Lat.L2Hit
 		out.level = FromL2
 	} else {
-		h.L2Misses++
-		dramDone := h.dram.Access(mem.Addr(line))
-		h.DRAMFills++
-		wait := event.Cycle(0)
-		if dramDone > h.sched.Now() {
-			wait = dramDone - h.sched.Now()
-		}
-		out.extraLat += h.cfg.Lat.L2Hit + h.cfg.Lat.DRAMCtrl + wait
+		h.ctr[l2Misses]++
+		h.ctr[dramFills]++
+		out.extraLat += h.cfg.Lat.L2Hit + h.cfg.Lat.DRAMCtrl + h.dramWait(line)
 		out.level = FromMem
 		if fillL2 {
 			h.l2Install(line, false)
@@ -408,23 +405,6 @@ func (h *Hierarchy) EvictLine(pa mem.Addr) {
 // scenarios can construct same-set prime/probe conflicts.
 func (h *Hierarchy) L2SetIndex(pa mem.Addr) uint64 {
 	return h.l2.SetIndex(uint64(pa))
-}
-
-// DumpCounters copies hierarchy statistics into a flat counter set,
-// prefixed for the figures harness.
-func (h *Hierarchy) DumpCounters(c map[string]uint64) {
-	c["l2.hits"] = h.L2Hits
-	c["l2.misses"] = h.L2Misses
-	c["dram.fills"] = h.DRAMFills
-	c["dram.accesses"] = h.dram.Accesses
-	c["coh.nacks"] = h.NACKs
-	c["coh.remote_downgrades"] = h.RemoteDowngrades
-	c["coh.filter_broadcasts"] = h.FilterBroadcasts
-	c["pf.fills"] = h.PrefetchFills
-	c["l2.writebacks"] = h.L2Writebacks
-	for i, p := range h.ports {
-		p.dumpCounters(c, fmt.Sprintf("core%d.", i))
-	}
 }
 
 // CheckInvariants verifies the cross-cache coherence invariants; tests

@@ -291,7 +291,7 @@ func TestStoreUpgradeBroadcastsFilterInvalidate(t *testing.T) {
 	if r.h.Port(0).FilterD().Snoop(shared) != nil {
 		t.Fatal("exclusive upgrade must invalidate other filter caches (§4.5)")
 	}
-	if r.h.FilterBroadcasts == 0 {
+	if r.h.ctr[filterBroadcasts] == 0 {
 		t.Fatal("broadcast not counted")
 	}
 }
@@ -375,7 +375,7 @@ func TestPrefetcherTrainsSpeculativelyWhenUnprotected(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		r.sched.Tick()
 	}
-	if r.h.PrefetchFills == 0 {
+	if r.h.ctr[prefetchFills] == 0 {
 		t.Fatal("prefetcher issued nothing for a sequential stream")
 	}
 	next := base + mem.Addr(4*64)
@@ -393,7 +393,7 @@ func TestCommitPrefetchIgnoresSpeculativeStream(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		r.sched.Tick()
 	}
-	if r.h.PrefetchFills != 0 {
+	if r.h.ctr[prefetchFills] != 0 {
 		t.Fatal("commit-time prefetcher must not train on speculative accesses (§4.6)")
 	}
 	// Committing the loads trains it.
@@ -403,7 +403,7 @@ func TestCommitPrefetchIgnoresSpeculativeStream(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		r.sched.Tick()
 	}
-	if r.h.PrefetchFills == 0 {
+	if r.h.ctr[prefetchFills] == 0 {
 		t.Fatal("commit notifications should train the prefetcher")
 	}
 }
@@ -561,8 +561,8 @@ func TestMSHRCoalescingAcrossRequests(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("completions = %d, want 3", n)
 	}
-	if r.h.DRAMFills != 1 {
-		t.Fatalf("DRAM fills = %d, want 1 (coalesced)", r.h.DRAMFills)
+	if r.h.ctr[dramFills] != 1 {
+		t.Fatalf("DRAM fills = %d, want 1 (coalesced)", r.h.ctr[dramFills])
 	}
 }
 

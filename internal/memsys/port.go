@@ -8,51 +8,6 @@ import (
 	"repro/internal/tlb"
 )
 
-// PortCounter indexes a Port's fixed counter array. Hot-path statistic
-// bumps are plain array increments; the name table is only consulted when
-// counters are dumped for the figures harness.
-type PortCounter uint8
-
-// Port counters.
-const (
-	PCLoads PortCounter = iota
-	PCStores
-	PCIfetches
-	PCL1DHits
-	PCL1DMisses
-	PCL1IHits
-	PCL1IMisses
-	PCStoreDrains
-	PCStoreUpgrades // drains that were not already M/E locally (fig 7)
-	PCCommitWrites  // commit-time write-throughs of filter lines
-	PCCommitReloads // passive reloads of lines evicted before commit
-	PCSEUpgrades    // asynchronous S->E upgrades at commit
-	PCDomainFlushes
-	PCMisspecFlushes
-	PCPTWalks
-	PCNACKRetries
-	numPortCounters
-)
-
-var portCounterNames = [numPortCounters]string{
-	PCLoads:          "loads",
-	PCStores:         "stores",
-	PCIfetches:       "ifetches",
-	PCL1DHits:        "l1d.hits",
-	PCL1DMisses:      "l1d.misses",
-	PCL1IHits:        "l1i.hits",
-	PCL1IMisses:      "l1i.misses",
-	PCStoreDrains:    "store.drains",
-	PCStoreUpgrades:  "store.upgrades",
-	PCCommitWrites:   "commit.writes",
-	PCCommitReloads:  "commit.reloads",
-	PCSEUpgrades:     "commit.se_upgrades",
-	PCDomainFlushes:  "flush.domain",
-	PCMisspecFlushes: "flush.misspec",
-	PCPTWalks:        "ptwalks",
-	PCNACKRetries:    "nack.retries",
-}
-
 // Client receives typed completions for the allocation-free request paths
 // (TranslateC/LoadC/LoadNoFillC/IfetchC). The out-of-order core implements
 // it; requests carry a (pool index, seq) pair — or (fetch sentinel, epoch)
@@ -199,9 +154,6 @@ func (p *Port) SetProcess(asid uint64, pt *tlb.PageTable) {
 
 // ASID returns the current address-space ID.
 func (p *Port) ASID() uint64 { return p.asid }
-
-// Stat reads one hot-path counter.
-func (p *Port) Stat(c PortCounter) uint64 { return p.ctr[c] }
 
 // FilterD returns the data filter cache (may be nil).
 func (p *Port) FilterD() *core.FilterCache { return p.l0d }
@@ -749,13 +701,8 @@ func (p *Port) StoreDrain(pc uint64, vaddr mem.VAddr, paddr mem.Addr, done func(
 	if onChip {
 		extra += lat.L2Hit
 	} else {
-		dramDone := p.h.dram.Access(mem.Addr(line))
-		wait := event.Cycle(0)
-		if dramDone > p.h.sched.Now() {
-			wait = dramDone - p.h.sched.Now()
-		}
-		p.h.DRAMFills++
-		extra += lat.L2Hit + lat.DRAMCtrl + wait
+		p.h.ctr[dramFills]++
+		extra += lat.L2Hit + lat.DRAMCtrl + p.h.dramWait(line)
 	}
 	p.scheduleDrainFin(lat.L1DHit+extra, line, broadcast, done)
 }
@@ -927,18 +874,13 @@ func (p *Port) ifetch(vaddr mem.VAddr, paddr mem.Addr, cm icomp) {
 	extra := p.h.l2PortDelay()
 	var level FillLevel
 	if l2l := p.h.l2.Lookup(line); l2l != nil {
-		p.h.L2Hits++
+		p.h.ctr[l2Hits]++
 		extra += lat.L2Hit
 		level = FromL2
 	} else {
-		p.h.L2Misses++
-		dramDone := p.h.dram.Access(mem.Addr(line))
-		p.h.DRAMFills++
-		wait := event.Cycle(0)
-		if dramDone > p.h.sched.Now() {
-			wait = dramDone - p.h.sched.Now()
-		}
-		extra += lat.L2Hit + lat.DRAMCtrl + wait
+		p.h.ctr[l2Misses]++
+		p.h.ctr[dramFills]++
+		extra += lat.L2Hit + lat.DRAMCtrl + p.h.dramWait(line)
 		level = FromMem
 		if !specBypass {
 			p.h.l2Install(line, false)
@@ -1068,35 +1010,11 @@ func (p *Port) loadNoFill(paddr mem.Addr, cm comp) {
 		p.complete(lat.L1DHit+lat.L2Hit+extra, cm, AccessResult{Level: FromL2})
 		return
 	}
-	dramDone := p.h.dram.Access(mem.Addr(line))
-	wait := event.Cycle(0)
-	if dramDone > p.h.sched.Now() {
-		wait = dramDone - p.h.sched.Now()
-	}
-	p.complete(lat.L1DHit+lat.L2Hit+lat.DRAMCtrl+wait+extra, cm, AccessResult{Level: FromMem})
+	p.complete(lat.L1DHit+lat.L2Hit+lat.DRAMCtrl+p.h.dramWait(line)+extra, cm, AccessResult{Level: FromMem})
 }
 
 // LoadExpose performs the InvisiSpec exposure/validation access: a normal
 // non-speculative load that installs the line in the caches.
 func (p *Port) LoadExpose(pc uint64, vaddr mem.VAddr, paddr mem.Addr, done func(AccessResult)) {
 	p.dataRead(pc, vaddr, paddr, false, true, compOf(done))
-}
-
-func (p *Port) dumpCounters(c map[string]uint64, prefix string) {
-	for i := PortCounter(0); i < numPortCounters; i++ {
-		c[prefix+portCounterNames[i]] = p.ctr[i]
-	}
-	if p.l0d != nil {
-		c[prefix+"l0d.hits"] = p.l0d.Hits
-		c[prefix+"l0d.misses"] = p.l0d.Misses
-		c[prefix+"l0d.evicted_uncommitted"] = p.l0d.EvictedUncommitted3
-	}
-	if p.l0i != nil {
-		c[prefix+"l0i.hits"] = p.l0i.Hits
-		c[prefix+"l0i.misses"] = p.l0i.Misses
-	}
-	c[prefix+"dtlb.hits"] = p.dtlb.Hits
-	c[prefix+"dtlb.lookups"] = p.dtlb.Lookups
-	c[prefix+"itlb.hits"] = p.itlb.Hits
-	c[prefix+"itlb.lookups"] = p.itlb.Lookups
 }

@@ -111,15 +111,14 @@ const dirSaveBytes = 8 + 8 + 1 + 8 + 8
 // exact size before the first field goes in.
 func (h *Hierarchy) Save(snap *checkpoint.Snapshot) {
 	w := snap.Section("hier")
-	size := h.l2.SaveSize() + cache.MSHRSaveSize + 8 + h.dram.SaveSize() +
+	size := h.l2.SaveSize() + 8 + h.dram.SaveSize() +
 		8 + dirSaveBytes*len(h.dir) + 8 + 16*len(h.filterSharers) + 8 + 16*len(h.filterOwner) +
-		1 + 8*8
+		1 + 8*len(h.ctr)
 	if h.pf != nil {
 		size += h.pf.SaveSize()
 	}
 	w.Grow(size)
 	h.l2.Save(w)
-	h.l2MSHRs.Save(w)
 	w.U64(uint64(h.l2PortFree))
 	h.dram.Save(w)
 
@@ -154,14 +153,9 @@ func (h *Hierarchy) Save(snap *checkpoint.Snapshot) {
 		h.pf.Save(w)
 	}
 
-	w.U64(h.L2Hits)
-	w.U64(h.L2Misses)
-	w.U64(h.DRAMFills)
-	w.U64(h.NACKs)
-	w.U64(h.RemoteDowngrades)
-	w.U64(h.FilterBroadcasts)
-	w.U64(h.PrefetchFills)
-	w.U64(h.L2Writebacks)
+	for _, v := range h.ctr {
+		w.U64(v)
+	}
 
 	for i, p := range h.ports {
 		p.save(snap.Section(fmt.Sprintf("port%d", i)))
@@ -189,9 +183,6 @@ func (h *Hierarchy) Restore(snap *checkpoint.Snapshot) error {
 		return err
 	}
 	if err := h.l2.Restore(r); err != nil {
-		return err
-	}
-	if err := h.l2MSHRs.Restore(r); err != nil {
 		return err
 	}
 	h.l2PortFree = event.Cycle(r.U64())
@@ -241,14 +232,9 @@ func (h *Hierarchy) Restore(snap *checkpoint.Snapshot) error {
 		}
 	}
 
-	h.L2Hits = r.U64()
-	h.L2Misses = r.U64()
-	h.DRAMFills = r.U64()
-	h.NACKs = r.U64()
-	h.RemoteDowngrades = r.U64()
-	h.FilterBroadcasts = r.U64()
-	h.PrefetchFills = r.U64()
-	h.L2Writebacks = r.U64()
+	for k := range h.ctr {
+		h.ctr[k] = r.U64()
+	}
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -268,8 +254,8 @@ func (h *Hierarchy) Restore(snap *checkpoint.Snapshot) error {
 // save serialises one port: caches, TLBs, filter structures (presence-
 // flagged), counters.
 func (p *Port) save(w *checkpoint.Writer) {
-	size := p.l1d.SaveSize() + p.l1i.SaveSize() + 2*cache.MSHRSaveSize +
-		p.dtlb.SaveSize() + p.itlb.SaveSize() + 3 + 8 + 8 + 8*int(numPortCounters)
+	size := p.l1d.SaveSize() + p.l1i.SaveSize() +
+		p.dtlb.SaveSize() + p.itlb.SaveSize() + 3 + 8 + 8 + 8*len(p.ctr)
 	if p.l0d != nil {
 		size += p.l0d.SaveSize()
 	}
@@ -281,9 +267,7 @@ func (p *Port) save(w *checkpoint.Writer) {
 	}
 	w.Grow(size)
 	p.l1d.Save(w)
-	p.l1dMSHRs.Save(w)
 	p.l1i.Save(w)
-	p.l1iMSHRs.Save(w)
 	p.dtlb.Save(w)
 	p.itlb.Save(w)
 	w.Bool(p.l0d != nil)
@@ -300,8 +284,8 @@ func (p *Port) save(w *checkpoint.Writer) {
 	}
 	w.U64(p.asid)
 	w.U64(p.lastCommitILine)
-	for i := PortCounter(0); i < numPortCounters; i++ {
-		w.U64(p.ctr[i])
+	for _, v := range p.ctr {
+		w.U64(v)
 	}
 }
 
@@ -309,13 +293,7 @@ func (p *Port) restore(r *checkpoint.Reader) error {
 	if err := p.l1d.Restore(r); err != nil {
 		return err
 	}
-	if err := p.l1dMSHRs.Restore(r); err != nil {
-		return err
-	}
 	if err := p.l1i.Restore(r); err != nil {
-		return err
-	}
-	if err := p.l1iMSHRs.Restore(r); err != nil {
 		return err
 	}
 	if err := p.dtlb.Restore(r); err != nil {
@@ -344,8 +322,8 @@ func (p *Port) restore(r *checkpoint.Reader) error {
 	}
 	p.asid = r.U64()
 	p.lastCommitILine = r.U64()
-	for i := PortCounter(0); i < numPortCounters; i++ {
-		p.ctr[i] = r.U64()
+	for k := range p.ctr {
+		p.ctr[k] = r.U64()
 	}
 	return r.Err()
 }

@@ -27,11 +27,9 @@ type entry struct {
 // Prefetcher is a per-PC stride predictor. Issue is a callback the owner
 // installs to receive prefetch addresses (the L2 turns them into fills).
 type Prefetcher struct {
-	cfg     Config
-	table   []entry
-	Issue   func(addr mem.Addr)
-	Trained uint64
-	Issued  uint64
+	cfg   Config
+	table []entry
+	Issue func(addr mem.Addr)
 }
 
 // New builds a stride prefetcher.
@@ -48,7 +46,6 @@ func (p *Prefetcher) slot(pc uint64) *entry {
 // decides *when* accesses are observed: at execute time (insecure) or at
 // commit time (MuonTrap).
 func (p *Prefetcher) Observe(pc uint64, addr mem.Addr) {
-	p.Trained++
 	e := p.slot(pc)
 	if !e.valid || e.pc != pc {
 		*e = entry{pc: pc, lastAddr: addr, valid: true}
@@ -71,7 +68,6 @@ func (p *Prefetcher) Observe(pc uint64, addr mem.Addr) {
 	if e.conf >= p.cfg.TrainThreshold && p.Issue != nil {
 		for i := 1; i <= p.cfg.Degree; i++ {
 			target := mem.Addr(int64(addr) + stride*int64(i))
-			p.Issued++
 			p.Issue(mem.LineAddr(target))
 		}
 	}

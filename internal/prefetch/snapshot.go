@@ -9,13 +9,11 @@ import (
 // address, stride and confidence.
 const entrySaveBytes = 4 + 8 + 8 + 8 + 4
 
-// Save serialises the table size and statistics, then every valid stride
+// Save serialises the table size, then every valid stride
 // entry prefixed by its slot index (ascending). An invalid slot carries
 // no bytes: Observe overwrites the whole entry when it finds one.
 func (p *Prefetcher) Save(w *checkpoint.Writer) {
 	w.U32(uint32(len(p.table)))
-	w.U64(p.Trained)
-	w.U64(p.Issued)
 	t := w.Table()
 	for i := range p.table {
 		e := &p.table[i]
@@ -43,7 +41,7 @@ func (p *Prefetcher) CountValid() int {
 }
 
 // SaveSize is the number of bytes Save writes.
-func (p *Prefetcher) SaveSize() int { return 4 + 8 + 8 + 4 + p.CountValid()*entrySaveBytes }
+func (p *Prefetcher) SaveSize() int { return 4 + 4 + p.CountValid()*entrySaveBytes }
 
 // Restore loads state saved by Save into a prefetcher of identical table
 // size: the table is cleared, then the saved entries are placed. A count
@@ -57,8 +55,6 @@ func (p *Prefetcher) Restore(r *checkpoint.Reader) error {
 	if n != len(p.table) {
 		return r.Failf("prefetch table has %d entries, snapshot %d", len(p.table), n)
 	}
-	p.Trained = r.U64()
-	p.Issued = r.U64()
 	p.Reset()
 	t := r.Table(len(p.table))
 	for i, ok := t.Next(); ok; i, ok = t.Next() {

@@ -22,9 +22,6 @@ func TestPrefetcherSaveRestoreRoundTrip(t *testing.T) {
 	if err := b.Restore(r); err != nil {
 		t.Fatal(err)
 	}
-	if b.Trained != a.Trained || b.Issued != a.Issued {
-		t.Fatal("stats lost")
-	}
 	// The locked stride must keep issuing identically from restored state.
 	var issuedB []mem.Addr
 	b.Issue = func(addr mem.Addr) { issuedB = append(issuedB, addr) }
@@ -75,8 +72,6 @@ func forgePrefetcher(count uint32, idxs ...uint32) *checkpoint.Reader {
 	snap := checkpoint.New()
 	w := snap.Section("pf")
 	w.U32(8)
-	w.U64(4) // Trained, Issued
-	w.U64(2)
 	w.U32(count)
 	for _, i := range idxs {
 		w.U32(i)

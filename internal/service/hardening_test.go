@@ -11,9 +11,11 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/figures"
 	"repro/internal/service"
 	"repro/muontrap"
@@ -449,12 +451,75 @@ func TestTenantAuthAndOwnership(t *testing.T) {
 	waitState(t, alice, job.ID, muontrap.JobCancelled, 10*time.Second)
 }
 
+// heldChain is a daemon's mid-run checkpoint store that holds its first
+// saves, each after it has landed, until the test frees it. A test that
+// acts on the daemon while a job sits at a held save acts after that
+// job's checkpoint exists, however fast the simulator finishes a cell.
+type heldChain struct {
+	checkpoint.ChainStore
+	holds     atomic.Int32  // saves still to hold
+	saved     chan struct{} // one value per held save, once it has landed
+	release   chan struct{} // one value lets one held save return
+	closed    chan struct{} // closed by close: every held save returns
+	closeOnce sync.Once
+}
+
+// newHeldChain stores chains under dir, as a daemon's default store
+// would, and holds the first holds saves.
+func newHeldChain(t *testing.T, dir string, holds int32) *heldChain {
+	t.Helper()
+	st, err := checkpoint.NewStore(filepath.Join(dir, "snapshots"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &heldChain{ChainStore: st, saved: make(chan struct{}),
+		release: make(chan struct{}), closed: make(chan struct{})}
+	h.holds.Store(holds)
+	return h
+}
+
+func (h *heldChain) Save(key string, g uint64, s *checkpoint.Snapshot) error {
+	err := h.ChainStore.Save(key, g, s)
+	if h.holds.Add(-1) >= 0 {
+		select {
+		case h.saved <- struct{}{}:
+			select {
+			case <-h.release:
+			case <-h.closed:
+			}
+		case <-h.closed:
+		}
+	}
+	return err
+}
+
+// next waits until a held save has landed; the saver stays parked in it
+// until free.
+func (h *heldChain) next(t *testing.T) {
+	t.Helper()
+	select {
+	case <-h.saved:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("no mid-run checkpoint was saved")
+	}
+}
+
+// free lets the parked save return.
+func (h *heldChain) free() { h.release <- struct{}{} }
+
+// close lets every held save return, so a failed test can shut its daemon
+// down; register it after the daemon's own cleanup.
+func (h *heldChain) close() { h.closeOnce.Do(func() { close(h.closed) }) }
+
 // TestInteractivePreemptsBulkByteIdentical is the in-process preemption
 // gate: with the single runner slot busy on a bulk sweep, an
 // interactive submission drives the bulk job back to queued (losslessly,
 // via its checkpoint), completes first, and the preempted sweep still
 // converges to a result byte-identical to an unpreempted run at the
-// same cadence.
+// same cadence. The bulk job is held at its first persisted checkpoint
+// while the interactive job is submitted, and the interactive job at its
+// own first one while the bulk job's state is read, so neither step
+// depends on how long a cell takes.
 func TestInteractivePreemptsBulkByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure-scale simulation")
@@ -473,61 +538,49 @@ func TestInteractivePreemptsBulkByteIdentical(t *testing.T) {
 		Schemes:   []muontrap.Scheme{""},
 		Scales:    []float64{0.064},
 	}
-	cfg := func(dir string) service.Config {
-		return service.Config{Dir: dir, CheckpointEvery: 2000}
-	}
 
 	// Unpreempted reference at the same cadence.
-	cRef, _ := newTestServer(t, cfg(t.TempDir()))
+	cRef, _ := newTestServer(t, service.Config{Dir: t.TempDir(), CheckpointEvery: 2000})
 	ref, err := cRef.Sweep(ctx, bulkSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	figures.ResetRunCache()
-	c, _ := newTestServer(t, cfg(t.TempDir()))
+	dir := t.TempDir()
+	hold := newHeldChain(t, dir, 2)
+	c, _ := newTestServer(t, service.Config{Dir: dir, CheckpointEvery: 2000, SnapStore: hold})
+	t.Cleanup(hold.close)
 	bulk, err := c.Submit(ctx, bulkSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, c, bulk.ID, muontrap.JobRunning, 30*time.Second)
+	hold.next(t) // the bulk job's first checkpoint
+	inter, err := c.Submit(ctx, interactive, client.WithPriority(muontrap.PriorityInteractive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold.free()
 
-	// Sweep blocks through submit/stream/result; run the interactive one
-	// in the background so the preemption is observable mid-flight.
-	type sweepOut struct {
-		res *muontrap.SweepResult
-		err error
+	// The preemption signature: while the interactive job runs, the bulk
+	// job is back in the queue.
+	hold.next(t) // the interactive job's first checkpoint
+	job, err := c.Job(ctx, bulk.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	intDone := make(chan sweepOut, 1)
-	go func() {
-		res, err := c.Sweep(ctx, interactive, client.WithPriority(muontrap.PriorityInteractive))
-		intDone <- sweepOut{res, err}
-	}()
+	if job.State != muontrap.JobQueued {
+		t.Fatalf("bulk job is %s while the interactive job runs, want queued", job.State)
+	}
+	hold.free()
 
-	// The preemption signature: the running bulk job returns to queued.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		job, err := c.Job(ctx, bulk.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if job.State == muontrap.JobQueued {
-			break
-		}
-		if job.State.Terminal() {
-			t.Fatalf("bulk job reached %s before preemption was observed", job.State)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("bulk job was never preempted")
-		}
-		time.Sleep(time.Millisecond)
+	waitState(t, c, inter.ID, muontrap.JobDone, 2*time.Minute)
+	out, err := c.Result(ctx, inter.ID)
+	if err != nil {
+		t.Fatalf("interactive sweep under preemption: %v", err)
 	}
-	out := <-intDone
-	if out.err != nil {
-		t.Fatalf("interactive sweep under preemption: %v", out.err)
-	}
-	if len(out.res.Runs) != 1 {
-		t.Fatalf("interactive sweep returned %d runs, want 1", len(out.res.Runs))
+	if len(out.Runs) != 1 {
+		t.Fatalf("interactive sweep returned %d runs, want 1", len(out.Runs))
 	}
 
 	term := waitState(t, c, bulk.ID, muontrap.JobDone, 2*time.Minute)

@@ -141,10 +141,16 @@ func TestPreemptResumeSpanChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tracer.Close()
+	// The interactive job is submitted while the bulk job sits at its
+	// first persisted checkpoint, so the preemption lands after a
+	// checkpoint exists, however fast the cell is.
+	dir := t.TempDir()
+	hold := newHeldChain(t, dir, 1)
 	c, hs := newTestServer(t, service.Config{
-		Dir: t.TempDir(), CheckpointEvery: 2000,
+		Dir: dir, CheckpointEvery: 2000, SnapStore: hold,
 		Metrics: reg, Tracer: tracer,
 	})
+	t.Cleanup(hold.close)
 
 	bulk, err := c.Submit(ctx, muontrap.Sweep{
 		Workloads: []muontrap.Workload{"hmmer"},
@@ -154,15 +160,17 @@ func TestPreemptResumeSpanChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, c, bulk.ID, muontrap.JobRunning, 30*time.Second)
-
-	if _, err := c.Sweep(ctx, muontrap.Sweep{
+	hold.next(t)
+	inter, err := c.Submit(ctx, muontrap.Sweep{
 		Workloads: []muontrap.Workload{"hmmer"},
 		Schemes:   []muontrap.Scheme{""},
 		Scales:    []float64{0.063},
-	}, client.WithPriority(muontrap.PriorityInteractive)); err != nil {
+	}, client.WithPriority(muontrap.PriorityInteractive))
+	if err != nil {
 		t.Fatalf("interactive sweep: %v", err)
 	}
+	hold.free()
+	waitState(t, c, inter.ID, muontrap.JobDone, 2*time.Minute)
 	waitState(t, c, bulk.ID, muontrap.JobDone, 2*time.Minute)
 
 	assertSubsequence(t, readTraceEvents(t, traceDir, bulk.ID),

@@ -24,7 +24,10 @@ import (
 // local-history table write a count and then each valid (or non-zero)
 // entry prefixed by its ascending index, where v2 wrote every way of
 // every set (a 4-core image went from 1.47 MB to about 0.2 MB).
-const machineFormat = 3
+//
+// v4 saves only the counters something reads, each component's in the
+// order of its counter table (ARCHITECTURE.md lists the ones dropped).
+const machineFormat = 4
 
 // drainBound caps how many cycles Drain will step while waiting for the
 // machine to quiesce. It is far beyond any legitimate drain (the deepest
@@ -148,10 +151,11 @@ func (s *System) snapshot(midRun bool, base event.Cycle) (*checkpoint.Snapshot, 
 	w.U32(machineFormat)
 	w.U32(uint32(len(s.Cores)))
 	w.U64(uint64(s.Sched.Now()))
-	w.U64(s.WarmedInsts)
+	for _, r := range systemCounters {
+		w.U64(*r.at(s))
+	}
 	w.U64(s.ContextSwitches)
 	w.U64(s.TimerTicks)
-	w.U64(s.CheckpointsTaken)
 	w.Bool(midRun)
 	w.U64(uint64(base))
 	for ci, c := range s.Cores {
@@ -227,10 +231,11 @@ func (s *System) RestoreSnapshot(snap *checkpoint.Snapshot) error {
 	if snapNow < s.Sched.Now() {
 		return fmt.Errorf("sim: snapshot taken at cycle %d, machine already at %d", snapNow, s.Sched.Now())
 	}
-	s.WarmedInsts = r.U64()
+	for _, c := range systemCounters {
+		*c.at(s) = r.U64()
+	}
 	s.ContextSwitches = r.U64()
 	s.TimerTicks = r.U64()
-	s.CheckpointsTaken = r.U64()
 	midRun := r.Bool()
 	base := event.Cycle(r.U64())
 	retired := make([]uint64, len(s.Cores))

@@ -16,8 +16,9 @@
 //     BTB-isolation option of §4.9.
 //   - Process: one address space (program, page table) plus saved
 //     per-thread execution contexts.
-//   - RunResult: cycles, committed instructions and the full counter dump
-//     of one run.
+//   - RunResult: cycles, committed instructions and the counter map of
+//     one run, rendered from the machine's, memsys's and cpu's counter
+//     tables (docs/OBSERVABILITY.md lists every key).
 //
 // Invariants:
 //
@@ -63,12 +64,13 @@
 //     costs simulated cycles, so the checkpoint cadence is part of a
 //     run's identity, and a run restored from any mid-run snapshot
 //     finishes bit-identically to the run that produced it.
-//   - The machine payload layout is versioned by machineFormat, now 3:
+//   - The machine payload layout is versioned by machineFormat, now 4:
 //     every table writes a count and then its valid (or non-zero) entries
 //     prefixed by their ascending index, so an image is proportional to
 //     the state the machine holds (about 0.2 MB for a busy 4-core
 //     machine), not to its geometry (1.47 MB under format 2, which wrote
-//     every way of every set). CheckFormat reads only the format word;
+//     every way of every set); format 4 saves only the counters something
+//     reads. CheckFormat reads only the format word;
 //     RestoreSnapshot refuses any other format before it touches the
 //     machine, and figures treats such an image as a miss: the warm-up is
 //     rebuilt, a mid-run resume warns and starts cold.

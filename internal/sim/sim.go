@@ -499,21 +499,6 @@ func (s *System) RunUntilHaltCkpt(ctx context.Context, maxCycles int, every even
 		return res, err
 	}
 	res.Cycles = s.Sched.Now() - start
-	res.Counters = make(map[string]uint64)
-	res.Counters["ckpt.taken"] = s.CheckpointsTaken
-	res.Counters["warmup.insts"] = s.WarmedInsts
-	s.Hier.DumpCounters(res.Counters)
-	for ci, c := range s.Cores {
-		prefix := fmt.Sprintf("core%d.", ci)
-		res.Counters[prefix+"committed"] = c.CommittedInsts()
-		res.Counters[prefix+"fetched"] = c.Fetched
-		res.Counters[prefix+"squashed"] = c.Squashed
-		res.Counters[prefix+"mispredicts"] = c.Mispredicts
-		res.Counters[prefix+"nacks"] = c.LoadNACKs
-		res.Counters[prefix+"syscalls"] = c.Syscalls
-		res.Counters[prefix+"exposures"] = c.Exposures
-		res.Counters[prefix+"stt_stalls"] = c.STTStalls
-		res.Counters[prefix+"safebet_stalls"] = c.SafeBetStalls
-	}
+	res.Counters = s.counters()
 	return res, nil
 }

@@ -150,10 +150,8 @@ func TestContextSwitchPreservesArchState(t *testing.T) {
 		t.Fatalf("context switches = %d", s.ContextSwitches)
 	}
 	// MuonTrap: every switch flushed the filter caches.
-	counters := map[string]uint64{}
-	s.Hier.DumpCounters(counters)
-	if counters["core0.flush.domain"] < 2 {
-		t.Fatalf("domain flushes = %d, want >= 2", counters["core0.flush.domain"])
+	if n := s.Hier.Port(0).Stat(memsys.PCDomainFlushes); n < 2 {
+		t.Fatalf("domain flushes = %d, want >= 2", n)
 	}
 }
 
@@ -175,10 +173,8 @@ func TestTimerTickFlushesDomain(t *testing.T) {
 	if s.TimerTicks < 5 {
 		t.Fatalf("timer ticks = %d, want several", s.TimerTicks)
 	}
-	counters := map[string]uint64{}
-	s.Hier.DumpCounters(counters)
-	if counters["core0.flush.domain"] < 5 {
-		t.Fatalf("timer should flush the filter: %d", counters["core0.flush.domain"])
+	if n := s.Hier.Port(0).Stat(memsys.PCDomainFlushes); n < 5 {
+		t.Fatalf("timer should flush the filter: %d", n)
 	}
 }
 

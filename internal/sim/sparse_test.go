@@ -97,36 +97,39 @@ func sectionSpans(tb testing.TB, enc []byte) map[string][2]int {
 }
 
 // TestRestoreRefusesOlderMachineFormat: an image whose machine section
-// says format 2 — the every-way encoding — is refused with the
-// "incompatible snapshot; rebuild it" error before a byte of it reaches
-// the machine, never parsed as if it were the current layout.
+// says an older format — 2, the every-way encoding, or 3, which still
+// saved the counters no code read — is refused with the "incompatible
+// snapshot; rebuild it" error before a byte of it reaches the machine,
+// never parsed as if it were the current layout.
 func TestRestoreRefusesOlderMachineFormat(t *testing.T) {
 	snap, err := warmMachine(t, 500).Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := snap.Encode()
-	binary.LittleEndian.PutUint32(enc[sectionSpans(t, enc)["machine"][0]:], 2)
-	old, err := checkpoint.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin := warmMachine(t, 0)
-	before, err := twin.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, err := range []error{sim.CheckFormat(old), twin.RestoreSnapshot(old)} {
-		if err == nil || !strings.Contains(err.Error(), "incompatible snapshot; rebuild it") {
-			t.Fatalf("format-2 image: got %v, want the incompatible-snapshot error", err)
+	for _, f := range []uint32{2, 3} {
+		enc := snap.Encode()
+		binary.LittleEndian.PutUint32(enc[sectionSpans(t, enc)["machine"][0]:], f)
+		old, err := checkpoint.Decode(enc)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	after, err := twin.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.Hash() != after.Hash() {
-		t.Fatal("a refused restore changed the machine")
+		twin := warmMachine(t, 0)
+		before, err := twin.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, err := range []error{sim.CheckFormat(old), twin.RestoreSnapshot(old)} {
+			if err == nil || !strings.Contains(err.Error(), "incompatible snapshot; rebuild it") {
+				t.Fatalf("format-%d image: got %v, want the incompatible-snapshot error", f, err)
+			}
+		}
+		after, err := twin.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if before.Hash() != after.Hash() {
+			t.Fatalf("a refused format-%d restore changed the machine", f)
+		}
 	}
 	if err := sim.CheckFormat(snap); err != nil {
 		t.Fatalf("current-format image refused: %v", err)

@@ -9,6 +9,9 @@
 //     String with a trailing geomean row.
 //   - Geomean: geometric mean; it panics on non-positive input because a
 //     normalised execution time can never be <= 0.
+//   - Counter: one row of a simulator component's counter table (key,
+//     unit, meaning, the configuration that adds it); CoreKey renders a
+//     per-core counter's key, "core<i>.<key>".
 //
 // Invariants:
 //

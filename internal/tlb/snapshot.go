@@ -15,7 +15,6 @@ func (t *TLB) Save(w *checkpoint.Writer) {
 	w.U64(t.tick)
 	w.U64(t.Lookups)
 	w.U64(t.Hits)
-	w.U64(t.Fills)
 	tbl := w.Table()
 	for i := range t.entries {
 		if !t.valid[i] {
@@ -32,7 +31,7 @@ func (t *TLB) Save(w *checkpoint.Writer) {
 }
 
 // SaveSize is the number of bytes Save writes.
-func (t *TLB) SaveSize() int { return 4 + 4*8 + 4 + t.CountValid()*entrySaveBytes }
+func (t *TLB) SaveSize() int { return 4 + 3*8 + 4 + t.CountValid()*entrySaveBytes }
 
 // Restore loads state saved by Save into a TLB of identical capacity:
 // every slot is invalidated, then the saved entries are placed. A count
@@ -49,7 +48,6 @@ func (t *TLB) Restore(r *checkpoint.Reader) error {
 	t.tick = r.U64()
 	t.Lookups = r.U64()
 	t.Hits = r.U64()
-	t.Fills = r.U64()
 	clear(t.entries)
 	clear(t.valid)
 	tbl := r.Table(len(t.entries))

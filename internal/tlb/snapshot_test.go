@@ -21,8 +21,7 @@ func TestTLBSaveRestoreRoundTrip(t *testing.T) {
 	if err := b.Restore(r); err != nil {
 		t.Fatal(err)
 	}
-	if b.CountValid() != a.CountValid() || b.Lookups != a.Lookups ||
-		b.Hits != a.Hits || b.Fills != a.Fills {
+	if b.CountValid() != a.CountValid() || b.Lookups != a.Lookups || b.Hits != a.Hits {
 		t.Fatal("restored TLB differs")
 	}
 	// Same translations resolve (and the same ones don't).
@@ -69,9 +68,8 @@ func forgeTLB(count uint32, idxs ...uint32) *checkpoint.Reader {
 	w := snap.Section("t")
 	w.U32(8)
 	w.U64(50) // tick
-	w.U64(3)  // Lookups, Hits, Fills
+	w.U64(3)  // Lookups, Hits
 	w.U64(2)
-	w.U64(1)
 	w.U32(count)
 	for _, i := range idxs {
 		w.U32(i)

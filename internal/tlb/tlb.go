@@ -74,7 +74,6 @@ type TLB struct {
 
 	Lookups uint64
 	Hits    uint64
-	Fills   uint64
 }
 
 // New creates a TLB with the given number of entries.
@@ -112,7 +111,6 @@ func (t *TLB) Lookup(asid, vpn uint64) (uint64, bool) {
 // Insert fills a translation, evicting LRU if needed. Duplicate fills
 // update in place.
 func (t *TLB) Insert(asid, vpn, pfn uint64) {
-	t.Fills++
 	t.tick++
 	victim := 0
 	for i := range t.entries {

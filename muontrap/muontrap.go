@@ -12,8 +12,9 @@ type Result struct {
 	Cycles uint64 `json:"cycles"`
 	// Instructions is the committed instruction count across all cores.
 	Instructions uint64 `json:"instructions"`
-	// Counters carries every microarchitectural statistic the simulator
-	// collected, keyed as "core0.l0d.hits", "l2.misses", ….
+	// Counters carries every counter the simulated machine reports,
+	// keyed as "core0.l0d.hits", "l2.misses", …; docs/OBSERVABILITY.md
+	// ("Simulator counters") lists each key with its unit and meaning.
 	Counters map[string]uint64 `json:"counters"`
 }
 
