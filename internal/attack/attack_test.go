@@ -3,9 +3,29 @@ package attack
 import (
 	"testing"
 
+	"repro/internal/defense"
 	"repro/internal/event"
 	"repro/internal/memsys"
 )
+
+// scenario fetches a registry scenario, failing the test when it is
+// missing.
+func scenario(t testing.TB, name string) Scenario {
+	t.Helper()
+	sc, ok := ScenarioByName(name)
+	if !ok {
+		t.Fatalf("no registry scenario %q", name)
+	}
+	return sc
+}
+
+// run runs the named registry scenario with the given secret under a
+// scheme that is mode alone: the memory-system protections under test and
+// no pipeline defense.
+func run(t testing.TB, name string, mode memsys.Mode, secret int) Result {
+	t.Helper()
+	return RunSecret(scenario(t, name), defense.Scheme{Name: "mode-only", Mode: mode}, secret)
+}
 
 var (
 	insecure = memsys.Mode{}
@@ -26,7 +46,7 @@ var (
 
 func TestAttack1SpectreLeaksInsecure(t *testing.T) {
 	for _, secret := range []int{3, 7, 12} {
-		res := SpectrePrimeProbe(insecure, secret)
+		res := run(t, "spectre", insecure, secret)
 		if !res.Succeeded {
 			t.Fatalf("Spectre should leak on the insecure baseline: %v", res)
 		}
@@ -35,7 +55,7 @@ func TestAttack1SpectreLeaksInsecure(t *testing.T) {
 
 func TestAttack1SpectreDefeatedByMuonTrap(t *testing.T) {
 	for _, secret := range []int{3, 7, 12} {
-		res := SpectrePrimeProbe(full, secret)
+		res := run(t, "spectre", full, secret)
 		if res.Succeeded {
 			t.Fatalf("MuonTrap failed to stop Spectre: %v", res)
 		}
@@ -46,7 +66,7 @@ func TestAttack1AlsoDefeatedByFcacheAlone(t *testing.T) {
 	// The basic data filter cache already defends the original Spectre
 	// (§6.5): speculative fills never reach shared caches and are flushed
 	// on the context switch.
-	res := SpectrePrimeProbe(fcacheOnly, 9)
+	res := run(t, "spectre", fcacheOnly, 9)
 	if res.Succeeded {
 		t.Fatalf("filter cache alone should stop attack 1: %v", res)
 	}
@@ -54,7 +74,7 @@ func TestAttack1AlsoDefeatedByFcacheAlone(t *testing.T) {
 
 func TestAttack2InclusionLeaksInsecure(t *testing.T) {
 	for _, bit := range []int{0, 1} {
-		res := InclusionPolicy(insecure, bit)
+		res := run(t, "inclusion", insecure, bit)
 		if !res.Succeeded {
 			t.Fatalf("inclusion attack should leak on insecure baseline: %v", res)
 		}
@@ -63,7 +83,7 @@ func TestAttack2InclusionLeaksInsecure(t *testing.T) {
 
 func TestAttack2DefeatedByMuonTrap(t *testing.T) {
 	for _, bit := range []int{0, 1} {
-		res := InclusionPolicy(full, bit)
+		res := run(t, "inclusion", full, bit)
 		if res.Succeeded {
 			t.Fatalf("MuonTrap failed to stop the inclusion attack: %v", res)
 		}
@@ -72,7 +92,7 @@ func TestAttack2DefeatedByMuonTrap(t *testing.T) {
 
 func TestAttack3SharedDataLeaksInsecure(t *testing.T) {
 	for _, bit := range []int{0, 1} {
-		res := SharedData(insecure, bit)
+		res := run(t, "shareddata", insecure, bit)
 		if !res.Succeeded {
 			t.Fatalf("shared-data attack should leak on insecure baseline: %v", res)
 		}
@@ -84,7 +104,7 @@ func TestAttack3SharedDataLeaksOnFcacheOnly(t *testing.T) {
 	// the attacker's exclusive line: the filter cache alone is not enough.
 	leaked := 0
 	for _, bit := range []int{0, 1} {
-		if SharedData(fcacheOnly, bit).Succeeded {
+		if run(t, "shareddata", fcacheOnly, bit).Succeeded {
 			leaked++
 		}
 	}
@@ -95,11 +115,11 @@ func TestAttack3SharedDataLeaksOnFcacheOnly(t *testing.T) {
 
 func TestAttack3DefeatedByCoherenceProtection(t *testing.T) {
 	for _, bit := range []int{0, 1} {
-		res := SharedData(withCoherence, bit)
+		res := run(t, "shareddata", withCoherence, bit)
 		if res.Succeeded {
 			t.Fatalf("coherence protections failed to stop attack 3: %v", res)
 		}
-		res = SharedData(full, bit)
+		res = run(t, "shareddata", full, bit)
 		if res.Succeeded {
 			t.Fatalf("full MuonTrap failed to stop attack 3: %v", res)
 		}
@@ -109,7 +129,7 @@ func TestAttack3DefeatedByCoherenceProtection(t *testing.T) {
 func TestAttack4FilterCoherencyLeaksOnNaiveFilter(t *testing.T) {
 	leaked := 0
 	for _, bit := range []int{0, 1} {
-		if FilterCoherency(fcacheOnly, bit).Succeeded {
+		if run(t, "filtercoherency", fcacheOnly, bit).Succeeded {
 			leaked++
 		}
 	}
@@ -120,11 +140,11 @@ func TestAttack4FilterCoherencyLeaksOnNaiveFilter(t *testing.T) {
 
 func TestAttack4DefeatedBySharedOnlyFills(t *testing.T) {
 	for _, bit := range []int{0, 1} {
-		res := FilterCoherency(withCoherence, bit)
+		res := run(t, "filtercoherency", withCoherence, bit)
 		if res.Succeeded {
 			t.Fatalf("S-only filter fills failed to stop attack 4: %v", res)
 		}
-		res = FilterCoherency(full, bit)
+		res = run(t, "filtercoherency", full, bit)
 		if res.Succeeded {
 			t.Fatalf("full MuonTrap failed to stop attack 4: %v", res)
 		}
@@ -134,7 +154,7 @@ func TestAttack4DefeatedBySharedOnlyFills(t *testing.T) {
 func TestAttack5PrefetcherLeaksWithoutCommitTraining(t *testing.T) {
 	leaked := 0
 	for _, secret := range []int{0, 1, 2, 3} {
-		if Prefetcher(insecure, secret).Succeeded {
+		if run(t, "prefetcher", insecure, secret).Succeeded {
 			leaked++
 		}
 	}
@@ -146,7 +166,7 @@ func TestAttack5PrefetcherLeaksWithoutCommitTraining(t *testing.T) {
 	// stage exists precisely for this.
 	leaked = 0
 	for _, secret := range []int{0, 1, 2, 3} {
-		if Prefetcher(withCoherence, secret).Succeeded {
+		if run(t, "prefetcher", withCoherence, secret).Succeeded {
 			leaked++
 		}
 	}
@@ -157,7 +177,7 @@ func TestAttack5PrefetcherLeaksWithoutCommitTraining(t *testing.T) {
 
 func TestAttack5DefeatedByCommitPrefetch(t *testing.T) {
 	for _, secret := range []int{0, 1, 2, 3} {
-		res := Prefetcher(full, secret)
+		res := run(t, "prefetcher", full, secret)
 		if res.Succeeded {
 			t.Fatalf("commit-time prefetching failed to stop attack 5: %v", res)
 		}
@@ -167,7 +187,7 @@ func TestAttack5DefeatedByCommitPrefetch(t *testing.T) {
 func TestAttack6ICacheLeaksInsecure(t *testing.T) {
 	leaked := 0
 	for _, secret := range []int{0, 1, 2, 3} {
-		if InstructionCache(insecure, secret).Succeeded {
+		if run(t, "icache", insecure, secret).Succeeded {
 			leaked++
 		}
 	}
@@ -178,7 +198,7 @@ func TestAttack6ICacheLeaksInsecure(t *testing.T) {
 
 func TestAttack6DefeatedByInstructionFilter(t *testing.T) {
 	for _, secret := range []int{0, 1, 2, 3} {
-		res := InstructionCache(full, secret)
+		res := run(t, "icache", full, secret)
 		if res.Succeeded {
 			t.Fatalf("instruction filter cache failed to stop attack 6: %v", res)
 		}

@@ -18,10 +18,9 @@
 //     security-matrix cell. Scenarios() enumerates the corpus.
 //   - Result: one trial's outcome — the probe timings, the recovered
 //     value and whether it matches the planted secret.
-//   - The legacy attack functions (SpectrePrimeProbe, InclusionPolicy,
-//     SharedData, FilterCoherency, Prefetcher, InstructionCache), kept as
-//     named entry points over the interpreter, each parameterised by the
-//     memsys.Mode under test.
+//   - ScenarioByName and RunSecret: one registry scenario run under one
+//     scheme with a chosen secret — how the paper's six hand-built attacks
+//     are run, by name, under a memory-system mode alone.
 //
 // Invariants:
 //

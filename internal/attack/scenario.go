@@ -484,15 +484,6 @@ func ScenarioByName(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
-// mustScenario fetches a registry scenario for the legacy attack wrappers.
-func mustScenario(name string) Scenario {
-	s, ok := ScenarioByName(name)
-	if !ok {
-		panic("attack: missing registry scenario " + name)
-	}
-	return s
-}
-
 // Run executes a scenario under a defense scheme with its canonical secret.
 func Run(sc Scenario, sch defense.Scheme) Result {
 	return RunSecret(sc, sch, sc.Secret)

@@ -57,7 +57,7 @@ func TestScenarioEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeScenarioStrict(t *testing.T) {
-	valid := mustScenario("spectre").Encode()
+	valid := scenario(t, "spectre").Encode()
 	reject := []struct {
 		name, enc string
 	}{

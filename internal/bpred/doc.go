@@ -25,6 +25,6 @@
 //     always reflects the committed path after recovery.
 //   - The Warm* methods train identically to a sequential predict/update
 //     pair (no stats, no speculation); the checkpoint warm-up relies on
-//     this equivalence, and Save/Restore round-trips every table bit.
+//     this equivalence, and Checkpoint round-trips every table bit.
 //   - FlushBTB models the Arm v8.5 / eIBRS domain isolation of §4.9.
 package bpred

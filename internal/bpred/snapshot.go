@@ -2,55 +2,68 @@ package bpred
 
 import "repro/internal/checkpoint"
 
-// Saved sizes: the fixed part is five u32 geometry words, rasTop, the
-// global history and the mispredict count, plus the two sparse tables' counts;
-// a local-history entry is its index and shift register, a BTB entry its
-// index, tag and target.
-const (
-	fixedSaveBytes     = 5*4 + 4 + 8 + 8 + 4 + 4
-	localHistSaveBytes = 4 + 8
-	btbSaveBytes       = 4 + 8 + 8
-)
+// Checkpoint walks the five geometry words, the speculative history state
+// and mispredict count, the 2-bit counter tables and the RAS in full (they
+// are small and densely trained), and the local-history table and the BTB
+// sparsely: each non-zero entry prefixed by its ascending index — a
+// history its shift register, a BTB entry its tag and target. A zero entry
+// is what New and FlushBTB leave behind, so it carries no bytes. A load
+// needs a predictor of identical configuration; it clears the sparse
+// tables, then fills them, and rejects a count above the table size, an
+// index out of range or not strictly ascending, and an all-zero entry
+// (which a save never writes).
+func (p *Predictor) Checkpoint(s *checkpoint.State) {
+	geom := [5]uint32{uint32(p.cfg.LocalEntries), uint32(p.cfg.GlobalEntries),
+		uint32(p.cfg.ChooserEntries), uint32(p.cfg.BTBEntries), uint32(p.cfg.RASEntries)}
+	for i := range geom {
+		s.U32(&geom[i])
+	}
+	if s.Loading() && (int(geom[0]) != p.cfg.LocalEntries || int(geom[1]) != p.cfg.GlobalEntries ||
+		int(geom[2]) != p.cfg.ChooserEntries || int(geom[3]) != p.cfg.BTBEntries || int(geom[4]) != p.cfg.RASEntries) {
+		s.Failf("predictor geometry mismatch: have %+v, snapshot (%d,%d,%d,%d,%d)",
+			p.cfg, geom[0], geom[1], geom[2], geom[3], geom[4])
+	}
+	s.U64(&p.globalHist)
+	top := uint32(p.rasTop)
+	if s.U32(&top); s.Loading() && int(top) >= len(p.ras) {
+		s.Failf("RAS top %d in a stack of %d", top, len(p.ras))
+	}
+	p.rasTop = int(top)
+	s.U64(&p.DirMispred)
+	checkpoint.Raw(s, p.localCtr)
+	checkpoint.Raw(s, p.globalCtr)
+	checkpoint.Raw(s, p.chooserCtr)
+	for i := range p.ras {
+		s.U64(&p.ras[i])
+	}
 
-// Save serialises the speculative history state and mispredict count, the
-// 2-bit counter tables and the RAS in full (they are small and densely
-// trained), and the local-history table and the BTB sparsely: each
-// non-zero entry prefixed by its ascending index. A zero entry is what
-// New and FlushBTB leave behind, so it carries no bytes.
-func (p *Predictor) Save(w *checkpoint.Writer) {
-	w.U32(uint32(p.cfg.LocalEntries))
-	w.U32(uint32(p.cfg.GlobalEntries))
-	w.U32(uint32(p.cfg.ChooserEntries))
-	w.U32(uint32(p.cfg.BTBEntries))
-	w.U32(uint32(p.cfg.RASEntries))
-	w.U64(p.globalHist)
-	w.U32(uint32(p.rasTop))
-	w.U64(p.DirMispred)
-	for _, tbl := range [][]counter{p.localCtr, p.globalCtr, p.chooserCtr} {
-		b := w.Raw(len(tbl))
-		for i, c := range tbl {
-			b[i] = uint8(c)
+	if s.Loading() {
+		clear(p.localHist)
+	}
+	local := p.localHist
+	hist := s.Table(len(local), p.heldHistories)
+	for i := 0; hist.More(i); i++ {
+		if !hist.Holds(i, local[i] != 0) {
+			continue
 		}
-	}
-	for _, v := range p.ras {
-		w.U64(v)
-	}
-
-	hist := w.Table()
-	for i, h := range p.localHist {
-		if h != 0 {
-			hist.Entry(i)
-			w.U64(h)
+		if s.U64(&local[i]); local[i] == 0 {
+			s.Failf("local history %d saved empty", i)
 		}
 	}
 	hist.End()
 
-	btb := w.Table()
-	for i, tag := range p.btbTags {
-		if tag|p.btbTargets[i] != 0 {
-			btb.Entry(i)
-			w.U64(tag)
-			w.U64(p.btbTargets[i])
+	if s.Loading() {
+		p.FlushBTB()
+	}
+	tags, targets := p.btbTags, p.btbTargets[:len(p.btbTags)]
+	btb := s.Table(len(tags), p.heldBTB)
+	for i := 0; btb.More(i); i++ {
+		if !btb.Holds(i, tags[i]|targets[i] != 0) {
+			continue
+		}
+		s.U64(&tags[i])
+		if s.U64(&targets[i]); tags[i]|targets[i] == 0 {
+			s.Failf("BTB entry %d saved empty", i)
 		}
 	}
 	btb.End()
@@ -58,77 +71,24 @@ func (p *Predictor) Save(w *checkpoint.Writer) {
 
 // Occupancy counts the entries of the two sparse tables: local histories
 // and BTB entries that are not zero.
-func (p *Predictor) Occupancy() (localHist, btb int) {
+func (p *Predictor) Occupancy() (localHist, btb int) { return p.heldHistories(), p.heldBTB() }
+
+func (p *Predictor) heldHistories() int {
+	n := 0
 	for _, h := range p.localHist {
 		if h != 0 {
-			localHist++
+			n++
 		}
 	}
+	return n
+}
+
+func (p *Predictor) heldBTB() int {
+	n := 0
 	for i, tag := range p.btbTags {
 		if tag|p.btbTargets[i] != 0 {
-			btb++
+			n++
 		}
 	}
-	return localHist, btb
-}
-
-// SaveSize is the number of bytes Save writes.
-func (p *Predictor) SaveSize() int {
-	hist, btb := p.Occupancy()
-	return fixedSaveBytes + len(p.localCtr) + len(p.globalCtr) + len(p.chooserCtr) + 8*len(p.ras) +
-		hist*localHistSaveBytes + btb*btbSaveBytes
-}
-
-// Restore loads state saved by Save into a predictor of identical
-// configuration. The sparse tables are cleared, then filled; a count
-// above the table size, an index out of range or not strictly ascending,
-// and an all-zero entry (which Save never writes) are rejected.
-func (p *Predictor) Restore(r *checkpoint.Reader) error {
-	le, ge := int(r.U32()), int(r.U32())
-	ce, be, re := int(r.U32()), int(r.U32()), int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if le != p.cfg.LocalEntries || ge != p.cfg.GlobalEntries ||
-		ce != p.cfg.ChooserEntries || be != p.cfg.BTBEntries || re != p.cfg.RASEntries {
-		return r.Failf("predictor geometry mismatch: have %+v, snapshot (%d,%d,%d,%d,%d)",
-			p.cfg, le, ge, ce, be, re)
-	}
-	p.globalHist = r.U64()
-	rasTop := int(r.U32())
-	if r.Err() == nil && rasTop >= len(p.ras) {
-		return r.Failf("RAS top %d in a stack of %d", rasTop, len(p.ras))
-	}
-	p.rasTop = rasTop
-	p.DirMispred = r.U64()
-	for _, tbl := range [][]counter{p.localCtr, p.globalCtr, p.chooserCtr} {
-		b := r.Raw(len(tbl))
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for i := range tbl {
-			tbl[i] = counter(b[i])
-		}
-	}
-	for i := range p.ras {
-		p.ras[i] = r.U64()
-	}
-
-	clear(p.localHist)
-	hist := r.Table(len(p.localHist))
-	for i, ok := hist.Next(); ok; i, ok = hist.Next() {
-		if p.localHist[i] = r.U64(); p.localHist[i] == 0 && r.Err() == nil {
-			return r.Failf("local history %d saved empty", i)
-		}
-	}
-
-	p.FlushBTB()
-	btb := r.Table(len(p.btbTags))
-	for i, ok := btb.Next(); ok; i, ok = btb.Next() {
-		p.btbTags[i], p.btbTargets[i] = r.U64(), r.U64()
-		if p.btbTags[i]|p.btbTargets[i] == 0 && r.Err() == nil {
-			return r.Failf("BTB entry %d saved empty", i)
-		}
-	}
-	return r.Err()
+	return n
 }

@@ -1,16 +1,29 @@
 package bpred
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/checkpoint"
 )
 
-func predBytes(p *Predictor) string {
+// The bytes a predictor saves beyond its dense tables: five u32 geometry
+// words, rasTop, the global history and the mispredict count, plus the
+// two sparse tables' counts; a local-history entry is its index and shift
+// register, a BTB entry its index, tag and target.
+const (
+	fixedBytes     = 5*4 + 4 + 8 + 8 + 4 + 4
+	localHistBytes = 4 + 8
+	btbBytes       = 4 + 8 + 8
+)
+
+func save(p *Predictor) *checkpoint.Snapshot {
 	s := checkpoint.New()
-	p.Save(s.Section("p"))
-	return s.Hash()
+	s.Put("p", p.Checkpoint)
+	return s
 }
+
+func predBytes(p *Predictor) string { return save(p).Hash() }
 
 func TestPredictorSaveRestoreRoundTrip(t *testing.T) {
 	a := New(DefaultConfig())
@@ -24,11 +37,8 @@ func TestPredictorSaveRestoreRoundTrip(t *testing.T) {
 	a.WarmBranch(0x400200, true, 0x400300)
 	a.WarmRet(0x400900, 0x400104)
 
-	snap := checkpoint.New()
-	a.Save(snap.Section("p"))
 	b := New(DefaultConfig())
-	r, _ := snap.Open("p")
-	if err := b.Restore(r); err != nil {
+	if err := save(a).Get("p", b.Checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	if predBytes(a) != predBytes(b) {
@@ -44,13 +54,10 @@ func TestPredictorSaveRestoreRoundTrip(t *testing.T) {
 
 func TestPredictorRestoreRejectsConfigMismatch(t *testing.T) {
 	a := New(DefaultConfig())
-	snap := checkpoint.New()
-	a.Save(snap.Section("p"))
 	small := DefaultConfig()
 	small.BTBEntries = 64
 	b := New(small)
-	r, _ := snap.Open("p")
-	if err := b.Restore(r); err == nil {
+	if err := save(a).Get("p", b.Checkpoint); err == nil {
 		t.Fatal("restore into mismatched config succeeded")
 	}
 }
@@ -92,17 +99,14 @@ func tinyConfig() Config {
 // BTB entry adds a fixed number of bytes.
 func TestPredictorSaveTracksOccupancy(t *testing.T) {
 	p := New(DefaultConfig())
-	empty := p.SaveSize()
-	if dense := fixedSaveBytes + 2048 + 8192 + 2048 + 8*16; empty != dense {
+	empty := save(p).Len("p")
+	if dense := fixedBytes + 2048 + 8192 + 2048 + 8*16; empty != dense {
 		t.Fatalf("untrained predictor saves to %d bytes, want %d (no BTB or local-history bytes)", empty, dense)
 	}
 	p.WarmBranch(0x400200, true, 0x400300) // one local history, one BTB entry
 	p.WarmJump(0x400204, 0x400400)         // one more BTB entry
-	snap := checkpoint.New()
-	w := snap.Section("p")
-	p.Save(w)
-	if want := empty + localHistSaveBytes + 2*btbSaveBytes; w.Len() != want || p.SaveSize() != want {
-		t.Fatalf("Save wrote %d, SaveSize %d, want %d", w.Len(), p.SaveSize(), want)
+	if want, got := empty+localHistBytes+2*btbBytes, save(p).Len("p"); got != want {
+		t.Fatalf("saved %d bytes, want %d", got, want)
 	}
 }
 
@@ -115,36 +119,34 @@ type sparse struct {
 
 // forgePredictor writes a tinyConfig payload with the given RAS top,
 // local-history table and BTB (whose target is its tag + 64).
-func forgePredictor(rasTop uint32, hist, btb sparse) *checkpoint.Reader {
-	snap := checkpoint.New()
-	w := snap.Section("p")
+func forgePredictor(rasTop uint32, hist, btb sparse) *checkpoint.Snapshot {
+	le := binary.LittleEndian
+	var b []byte
 	for _, n := range []uint32{8, 8, 8, 8, 4} {
-		w.U32(n)
+		b = le.AppendUint32(b, n)
 	}
-	w.U64(5) // globalHist
-	w.U32(rasTop)
-	w.U64(3)         // DirMispred
-	w.Raw(8 + 8 + 8) // counter tables
+	b = le.AppendUint64(b, 5) // globalHist
+	b = le.AppendUint32(b, rasTop)
+	b = le.AppendUint64(b, 3)             // DirMispred
+	b = append(b, make([]byte, 8+8+8)...) // counter tables
 	for i := 0; i < 4; i++ {
-		w.U64(0) // RAS
+		b = le.AppendUint64(b, 0) // RAS
 	}
-	w.U32(hist.count)
+	b = le.AppendUint32(b, hist.count)
 	for _, e := range hist.ents {
-		w.U32(uint32(e[0]))
-		w.U64(e[1])
+		b = le.AppendUint64(le.AppendUint32(b, uint32(e[0])), e[1])
 	}
-	w.U32(btb.count)
+	b = le.AppendUint32(b, btb.count)
 	for _, e := range btb.ents {
-		w.U32(uint32(e[0]))
-		w.U64(e[1])
+		target := uint64(0)
 		if e[1] != 0 {
-			w.U64(e[1] + 64)
-		} else {
-			w.U64(0)
+			target = e[1] + 64
 		}
+		b = le.AppendUint64(le.AppendUint64(le.AppendUint32(b, uint32(e[0])), e[1]), target)
 	}
-	r, _ := snap.Open("p")
-	return r
+	snap := checkpoint.New()
+	snap.Put("p", func(s *checkpoint.State) { checkpoint.Raw(s, b) })
+	return snap
 }
 
 // TestPredictorRestoreRejectsCorruptEntries: the sparse tables' indices
@@ -155,13 +157,13 @@ func TestPredictorRestoreRejectsCorruptEntries(t *testing.T) {
 	good := sparse{2, [][2]uint64{{1, 0x400004}, {7, 0x40001c}}}
 	ok := New(tinyConfig())
 	ok.WarmJump(0x400010, 0x400800) // BTB slot 4: stale content a restore must clear
-	if err := ok.Restore(forgePredictor(3, good, good)); err != nil {
+	if err := forgePredictor(3, good, good).Get("p", ok.Checkpoint); err != nil {
 		t.Fatalf("well-formed payload rejected: %v", err)
 	}
 	if ok.btbTags[4] != 0 || ok.btbTags[7] != 0x40001c || ok.localHist[1] != 0x400004 {
 		t.Fatal("restore did not leave exactly the saved entries")
 	}
-	for name, r := range map[string]*checkpoint.Reader{
+	for name, snap := range map[string]*checkpoint.Snapshot{
 		"RAS top beyond the stack":   forgePredictor(4, none, none),
 		"history count above table":  forgePredictor(0, sparse{9, nil}, none),
 		"history count beyond bytes": forgePredictor(0, sparse{2, good.ents[:1]}, none),
@@ -175,7 +177,7 @@ func TestPredictorRestoreRejectsCorruptEntries(t *testing.T) {
 		"BTB duplicate":              forgePredictor(0, none, sparse{2, [][2]uint64{{5, 0x400014}, {5, 0x400014}}}),
 		"BTB entry saved empty":      forgePredictor(0, none, sparse{1, [][2]uint64{{5, 0}}}),
 	} {
-		if err := New(tinyConfig()).Restore(r); err == nil {
+		if err := snap.Get("p", New(tinyConfig()).Checkpoint); err == nil {
 			t.Errorf("%s: restore succeeded", name)
 		}
 	}

@@ -37,10 +37,10 @@
 //   - An invalid way is not state. Lookup, Peek, LookupVirtual and both
 //     victim choosers test a way's State before they read anything else
 //     of it, a fill overwrites the whole Line, and the invalidations
-//     zero it. Array.Save therefore writes geometry, the LRU tick, a
-//     count, and only the valid lines, each prefixed by its way index
+//     zero it. Array.Checkpoint therefore saves geometry, the LRU tick,
+//     a count, and only the valid lines, each prefixed by its way index
 //     (set*assoc + way, ascending): 31 bytes per line held instead of
-//     27 per way built. Restore clears the array and places the saved
+//     27 per way built. A load clears the array and places the saved
 //     lines, rejecting a count above the capacity, an index out of range
 //     or not strictly ascending, and a line saved Invalid or in no MESI
 //     state. A restored array and the one it was saved from make the same

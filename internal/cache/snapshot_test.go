@@ -1,16 +1,27 @@
 package cache
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/checkpoint"
 )
 
-func arrayBytes(a *Array) string {
+// The bytes an array saves: geometry (two u32), the LRU tick and the
+// valid-line count; then per valid line its way index, both tags, state,
+// committed bit, fill level and LRU stamp.
+const (
+	arrayHeaderBytes = 4 + 4 + 8 + 4
+	lineBytes        = 4 + 8 + 8 + 1 + 1 + 1 + 8
+)
+
+func save(a *Array) *checkpoint.Snapshot {
 	s := checkpoint.New()
-	a.Save(s.Section("a"))
-	return s.Hash()
+	s.Put("a", a.Checkpoint)
+	return s
 }
+
+func arrayBytes(a *Array) string { return save(a).Hash() }
 
 func TestArraySaveRestoreRoundTrip(t *testing.T) {
 	cfg := Config{Name: "l1", SizeBytes: 4096, Assoc: 2}
@@ -21,15 +32,12 @@ func TestArraySaveRestoreRoundTrip(t *testing.T) {
 	a.Lookup(0x1000) // perturb LRU
 	a.InvalidateLine(0x1040)
 
-	snap := checkpoint.New()
-	w := snap.Section("a")
-	a.Save(w)
-	if w.Len() != a.SaveSize() {
-		t.Fatalf("Save wrote %d bytes, SaveSize says %d", w.Len(), a.SaveSize())
+	snap := save(a)
+	if want := arrayHeaderBytes + a.CountValid()*lineBytes; snap.Len("a") != want {
+		t.Fatalf("saved %d bytes for %d valid lines, want %d", snap.Len("a"), a.CountValid(), want)
 	}
 	b := NewArray(cfg)
-	r, _ := snap.Open("a")
-	if err := b.Restore(r); err != nil {
+	if err := snap.Get("a", b.Checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	if arrayBytes(a) != arrayBytes(b) {
@@ -42,21 +50,18 @@ func TestArraySaveRestoreRoundTrip(t *testing.T) {
 }
 
 // TestArraySaveTracksOccupancy: an empty array saves to its header alone
-// and every valid line adds exactly lineSaveBytes — bytes follow what the
+// and every valid line adds exactly lineBytes — bytes follow what the
 // array holds, not its geometry.
 func TestArraySaveTracksOccupancy(t *testing.T) {
 	a := NewArray(Config{Name: "l2", SizeBytes: 1 << 20, Assoc: 8})
-	if got := a.SaveSize(); got != arraySaveHeader {
-		t.Fatalf("empty 1 MiB array saves to %d bytes, want %d", got, arraySaveHeader)
+	if got := save(a).Len("a"); got != arrayHeaderBytes {
+		t.Fatalf("empty 1 MiB array saves to %d bytes, want %d", got, arrayHeaderBytes)
 	}
 	for i := uint64(0); i < 100; i++ {
 		a.Fill(i*64, Shared)
 	}
-	snap := checkpoint.New()
-	w := snap.Section("a")
-	a.Save(w)
-	if want := arraySaveHeader + 100*lineSaveBytes; w.Len() != want || a.SaveSize() != want {
-		t.Fatalf("100 valid lines: Save wrote %d, SaveSize %d, want %d", w.Len(), a.SaveSize(), want)
+	if want, got := arrayHeaderBytes+100*lineBytes, save(a).Len("a"); got != want {
+		t.Fatalf("100 valid lines: saved %d bytes, want %d", got, want)
 	}
 }
 
@@ -69,10 +74,7 @@ func TestArrayRestoreClearsStaleLines(t *testing.T) {
 	for i := uint64(0); i < 64; i++ {
 		b.Fill(0x8000+i*64, Shared)
 	}
-	snap := checkpoint.New()
-	a.Save(snap.Section("a"))
-	r, _ := snap.Open("a")
-	if err := b.Restore(r); err != nil {
+	if err := save(a).Get("a", b.Checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	if b.CountValid() != 1 || b.Peek(0x1000) == nil || arrayBytes(a) != arrayBytes(b) {
@@ -88,24 +90,18 @@ type savedLine struct {
 
 // forgeArray writes an Array payload for a 32x2 array claiming count
 // entries, followed by the given lines.
-func forgeArray(count uint32, lines ...savedLine) *checkpoint.Reader {
-	snap := checkpoint.New()
-	w := snap.Section("a")
-	w.U32(32)
-	w.U32(2)
-	w.U64(99)
-	w.U32(count)
+func forgeArray(count uint32, lines ...savedLine) *checkpoint.Snapshot {
+	le := binary.LittleEndian
+	b := le.AppendUint32(le.AppendUint32(nil, 32), 2)
+	b = le.AppendUint32(le.AppendUint64(b, 99), count)
 	for _, l := range lines {
-		w.U32(l.idx)
-		w.U64(0x1000 + uint64(l.idx)*64)
-		w.U64(0)
-		w.U8(uint8(l.state))
-		w.Bool(true)
-		w.U8(1)
-		w.U64(uint64(l.idx) + 1)
+		b = le.AppendUint64(le.AppendUint32(b, l.idx), 0x1000+uint64(l.idx)*64)
+		b = append(le.AppendUint64(b, 0), uint8(l.state), 1, 1)
+		b = le.AppendUint64(b, uint64(l.idx)+1)
 	}
-	r, _ := snap.Open("a")
-	return r
+	snap := checkpoint.New()
+	snap.Put("a", func(s *checkpoint.State) { checkpoint.Raw(s, b) })
+	return snap
 }
 
 // TestArrayRestoreRejectsCorruptEntries: the indices in a payload address
@@ -114,10 +110,10 @@ func forgeArray(count uint32, lines ...savedLine) *checkpoint.Reader {
 // from the file.
 func TestArrayRestoreRejectsCorruptEntries(t *testing.T) {
 	cfg := Config{Name: "l1", SizeBytes: 4096, Assoc: 2} // 32 sets x 2 ways
-	if err := NewArray(cfg).Restore(forgeArray(2, savedLine{3, Shared}, savedLine{63, Modified})); err != nil {
+	if err := forgeArray(2, savedLine{3, Shared}, savedLine{63, Modified}).Get("a", NewArray(cfg).Checkpoint); err != nil {
 		t.Fatalf("well-formed payload rejected: %v", err)
 	}
-	for name, r := range map[string]*checkpoint.Reader{
+	for name, snap := range map[string]*checkpoint.Snapshot{
 		"count above capacity":   forgeArray(65),
 		"count beyond the bytes": forgeArray(3, savedLine{1, Shared}),
 		"index at capacity":      forgeArray(1, savedLine{64, Shared}),
@@ -127,7 +123,7 @@ func TestArrayRestoreRejectsCorruptEntries(t *testing.T) {
 		"entry saved Invalid":    forgeArray(1, savedLine{5, Invalid}),
 		"entry in no MESI state": forgeArray(1, savedLine{5, State(9)}),
 	} {
-		if err := NewArray(cfg).Restore(r); err == nil {
+		if err := snap.Get("a", NewArray(cfg).Checkpoint); err == nil {
 			t.Errorf("%s: restore succeeded", name)
 		}
 	}
@@ -135,11 +131,8 @@ func TestArrayRestoreRejectsCorruptEntries(t *testing.T) {
 
 func TestArrayRestoreRejectsGeometryMismatch(t *testing.T) {
 	a := NewArray(Config{Name: "a", SizeBytes: 4096, Assoc: 2})
-	snap := checkpoint.New()
-	a.Save(snap.Section("a"))
 	b := NewArray(Config{Name: "b", SizeBytes: 8192, Assoc: 2})
-	r, _ := snap.Open("a")
-	if err := b.Restore(r); err == nil {
+	if err := save(a).Get("a", b.Checkpoint); err == nil {
 		t.Fatal("restore into mismatched geometry succeeded")
 	}
 }

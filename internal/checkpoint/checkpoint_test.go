@@ -7,21 +7,55 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
+// sample is the field set buildSample saves and TestCodecRoundTrip loads.
+type sample struct {
+	u64  uint64
+	u32  uint32
+	u8   uint8
+	ok   bool
+	raw  [3]byte
+	i64  int64
+	beta uint64
+}
+
+func (v *sample) alpha(s *State) {
+	i64 := uint64(v.i64)
+	s.U64(&v.u64)
+	s.U32(&v.u32)
+	s.U8(&v.u8)
+	s.Bool(&v.ok)
+	Raw(s, v.raw[:])
+	s.U64(&i64)
+	v.i64 = int64(i64)
+}
+
+// putWords adds a section of little-endian words.
+func putWords(s *Snapshot, name string, words ...uint64) {
+	s.Put(name, func(s *State) {
+		for i := range words {
+			s.U64(&words[i])
+		}
+	})
+}
+
+// putBytes adds a section holding b after its length.
+func putBytes(s *Snapshot, name string, b []byte) {
+	s.Put(name, func(s *State) {
+		n := uint64(len(b))
+		s.U64(&n)
+		Raw(s, b)
+	})
+}
+
 func buildSample() *Snapshot {
 	s := New()
-	w := s.Section("alpha")
-	w.Grow(64) // reserve, then fill: changes capacity, never the bytes
-	w.U64(42)
-	w.U32(7)
-	w.U8(3)
-	w.Bool(true)
-	w.Bytes([]byte{1, 2, 3})
-	w.String("hello")
-	w.I64(-5)
-	s.Section("beta").U64(99)
+	v := sample{u64: 42, u32: 7, u8: 3, ok: true, raw: [3]byte{1, 2, 3}, i64: -5, beta: 99}
+	s.Put("alpha", v.alpha)
+	s.Put("beta", func(s *State) { s.U64(&v.beta) })
 	return s
 }
 
@@ -34,109 +68,215 @@ func TestCodecRoundTrip(t *testing.T) {
 	if got, want := dec.Hash(), s.Hash(); got != want {
 		t.Fatalf("hash changed across encode/decode: %s vs %s", got, want)
 	}
-	r, err := dec.Open("alpha")
-	if err != nil {
+	var v sample
+	if err := dec.Get("alpha", v.alpha); err != nil {
 		t.Fatal(err)
 	}
-	if r.U64() != 42 || r.U32() != 7 || r.U8() != 3 || !r.Bool() {
+	if v.u64 != 42 || v.u32 != 7 || v.u8 != 3 || !v.ok {
 		t.Fatal("primitive mismatch")
 	}
-	b := r.Bytes()
-	if len(b) != 3 || b[0] != 1 || b[2] != 3 {
-		t.Fatalf("bytes mismatch: %v", b)
+	if v.raw != [3]byte{1, 2, 3} {
+		t.Fatalf("bytes mismatch: %v", v.raw)
 	}
-	if r.String() != "hello" || r.I64() != -5 {
-		t.Fatal("string/int mismatch")
+	if v.i64 != -5 {
+		t.Fatal("int mismatch")
 	}
-	if r.Err() != nil {
-		t.Fatal(r.Err())
+	if dec.Len("alpha") != 8+4+1+1+3+8 || dec.Len("gamma") != 0 {
+		t.Fatalf("section lengths %d, %d", dec.Len("alpha"), dec.Len("gamma"))
 	}
 	if !dec.Has("beta") || dec.Has("gamma") {
 		t.Fatal("section presence wrong")
 	}
 }
 
+// TestReaderStickyError: a load that reads past its section's end stops
+// there — nothing after it is read or written — and Get reports where.
 func TestReaderStickyError(t *testing.T) {
 	s := New()
-	s.Section("short").U8(1)
-	r, _ := s.Open("short")
-	r.U8()
-	if r.U64() != 0 || r.Err() == nil {
-		t.Fatal("overrun not detected")
+	one := uint8(1)
+	s.Put("short", func(s *State) { s.U8(&one) })
+	var a uint8
+	b, c := uint64(7), uint32(9)
+	err := s.Get("short", func(s *State) {
+		s.U8(&a)
+		s.U64(&b)
+		s.U32(&c)
+	})
+	if err == nil || !strings.Contains(err.Error(), `section "short" truncated at offset 1 (+8)`) {
+		t.Fatalf("overrun: %v", err)
 	}
-	// Subsequent reads stay zero with the same first error.
-	first := r.Err()
-	if r.U32() != 0 || r.Err() != first {
-		t.Fatal("error not sticky")
+	if a != 1 || b != 7 || c != 9 {
+		t.Fatalf("fields after the failure were written: %d %d %d", a, b, c)
+	}
+	if err := s.Get("short", func(s *State) { s.Failf("bad %d", 3) }); err == nil ||
+		err.Error() != `checkpoint: section "short": bad 3` {
+		t.Fatalf("Failf: %v", err)
+	}
+	if err := s.Get("none", func(*State) {}); err == nil {
+		t.Fatal("missing section opened")
 	}
 }
 
+// TestPutReservesExactly: Put's payload is allocated at the measured size
+// and filled to it, and a walk that saves other than it measured panics
+// instead of regrowing the buffer.
+func TestPutReservesExactly(t *testing.T) {
+	s := buildSample()
+	for _, name := range s.Names() {
+		sec := s.sections[s.index[name]]
+		if len(sec.buf) != cap(sec.buf) {
+			t.Errorf("section %q: %d bytes in a %d-byte reservation", name, len(sec.buf), cap(sec.buf))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a walk that saves more than it measures did not panic")
+		}
+	}()
+	v := uint64(1)
+	New().Put("liar", func(s *State) {
+		if s.mode == saving {
+			s.U64(&v)
+		}
+	})
+}
+
 // TestSparseTable pins the sparse-table convention (a count, then
-// ascending index-prefixed entries): the writer fills in the count after
-// its one pass, and the reader bounds the count by the table, requires
-// every index in range and strictly above the one before it, and makes a
-// violation stick like any other decoding error.
+// ascending index-prefixed entries): saving writes only held entries and
+// fills the count in at the end, measuring counts what saving writes from
+// the first held entry and the structure's own count, and loading bounds
+// the count by the table, requires every index in range and strictly
+// above the one before it, and ends the load on a violation.
 func TestSparseTable(t *testing.T) {
-	// table writes the indices as a sparse table of one-byte entries.
+	// walk walks a table of one-byte entries, each its own index: held
+	// where the byte is non-zero.
+	walk := func(entries []uint8) func(*State) {
+		return func(s *State) {
+			held := func() int {
+				n := 0
+				for _, e := range entries {
+					if e != 0 {
+						n++
+					}
+				}
+				return n
+			}
+			tb := s.Table(len(entries), held)
+			for i := 0; tb.More(i); i++ {
+				if !tb.Holds(i, entries[i] != 0) {
+					continue
+				}
+				if s.U8(&entries[i]); s.Loading() && entries[i] != uint8(i) {
+					t.Fatalf("entry %d carries the wrong byte", i)
+				}
+			}
+			tb.End()
+			abc := []byte("abc")
+			Raw(s, abc)
+			if s.Loading() && string(abc) != "abc" {
+				t.Fatal("load not positioned after the table")
+			}
+		}
+	}
+	// table saves the indices as a held table of capacity 16.
 	table := func(idxs ...int) *Snapshot {
 		s := New()
-		w := s.Section("t")
-		tw := w.Table()
+		entries := make([]uint8, 16)
 		for _, i := range idxs {
-			tw.Entry(i)
-			w.U8(uint8(i))
+			entries[i] = uint8(i)
 		}
-		tw.End()
-		copy(w.Raw(3), "abc")
+		s.Put("t", walk(entries))
 		return s
 	}
-	// read returns the indices Next yields and the reader's final error.
-	read := func(s *Snapshot, capacity int) ([]int, error) {
-		r, _ := s.Open("t")
-		var got []int
-		tr := r.Table(capacity)
-		for i, ok := tr.Next(); ok; i, ok = tr.Next() {
-			if r.U8() != uint8(i) {
-				t.Fatalf("entry %d carries the wrong byte", i)
+	// forge writes the indices as a table's payload by hand.
+	forge := func(idxs ...uint32) *Snapshot {
+		s := New()
+		s.Put("t", func(s *State) {
+			n := uint32(len(idxs))
+			s.U32(&n)
+			for _, i := range idxs {
+				b := uint8(i)
+				s.U32(&i)
+				s.U8(&b)
 			}
-			got = append(got, i)
+			Raw(s, []byte("abc"))
+		})
+		return s
+	}
+	// read returns the indices a load yields and its error.
+	read := func(s *Snapshot, capacity int) ([]int, error) {
+		entries := make([]uint8, capacity)
+		err := s.Get("t", walk(entries))
+		var got []int
+		for i, e := range entries {
+			if e != 0 {
+				got = append(got, i)
+			}
 		}
-		if _, ok := tr.Next(); ok {
-			t.Fatal("Next yielded an entry after reporting the end")
-		}
-		if r.Err() == nil && string(r.Raw(3)) != "abc" {
-			t.Fatal("reader not positioned after the table")
-		}
-		return got, r.Err()
+		return got, err
 	}
 
-	if got, err := read(table(0, 3, 9), 10); err != nil || !slices.Equal(got, []int{0, 3, 9}) {
+	if got, err := read(table(1, 3, 9), 16); err != nil || !slices.Equal(got, []int{1, 3, 9}) {
 		t.Fatalf("well-formed table: %v, %v", got, err)
 	}
-	if got, err := read(table(), 10); err != nil || len(got) != 0 {
+	if got, err := read(table(), 16); err != nil || len(got) != 0 {
 		t.Fatalf("empty table: %v, %v", got, err)
+	}
+	if n := table(1, 3, 9).Len("t"); n != 4+3*(4+1)+3 {
+		t.Fatalf("a 3-entry table saved %d bytes", n)
+	}
+	if got, err := read(forge(15), 16); err != nil || !slices.Equal(got, []int{15}) {
+		t.Fatalf("entry at the last index: %v, %v", got, err)
 	}
 	for name, tc := range map[string]struct {
 		s        *Snapshot
 		capacity int
-		want     []int // yielded before the failure
+		want     []int // loaded before the failure
 	}{
-		"count above capacity": {table(0, 1, 2), 2, nil},
-		"index at capacity":    {table(0, 9), 9, []int{0}},
-		"repeated index":       {table(0, 3, 3), 10, []int{0, 3}},
-		"descending index":     {table(5, 2), 10, []int{5}},
+		"count above capacity":     {forge(1, 2, 3), 2, nil},
+		"index at capacity":        {forge(1, 9), 9, []int{1}},
+		"repeated index":           {forge(1, 3, 3), 10, []int{1, 3}},
+		"descending index":         {forge(5, 2), 10, []int{5}},
+		"entry after the last one": {forge(8, 9), 9, []int{8}},
 	} {
 		got, err := read(tc.s, tc.capacity)
 		if err == nil || !slices.Equal(got, tc.want) {
-			t.Errorf("%s: yielded %v, err %v; want %v and an error", name, got, err, tc.want)
+			t.Errorf("%s: loaded %v, err %v; want %v and an error", name, got, err, tc.want)
 		}
 	}
+}
 
-	r, _ := table().Open("t")
-	r.Table(0)
-	r.Raw(3)
-	if r.Raw(1) != nil || r.Err() == nil {
-		t.Fatal("Raw past the end succeeded")
+// TestMapIsCanonical: a map saves in ascending key order whatever its
+// iteration order, measures what it saves without sorting, and loads into
+// a cleared map.
+func TestMapIsCanonical(t *testing.T) {
+	walk := func(m *map[uint64]uint64) func(*State) {
+		return func(s *State) {
+			n := uint64(len(*m))
+			s.U64(&n)
+			Map(s, m, n, nil, func(k, v uint64) (uint64, uint64) {
+				s.U64(&k)
+				s.U64(&v)
+				return k, v
+			})
+		}
+	}
+	a, b := map[uint64]uint64{}, map[uint64]uint64{}
+	for i := uint64(0); i < 64; i++ {
+		a[i*7919%101] = i
+	}
+	for k, v := range a {
+		b[k] = v
+	}
+	sa, sb := New(), New()
+	sa.Put("m", walk(&a))
+	sb.Put("m", walk(&b))
+	if sa.Hash() != sb.Hash() || sa.Len("m") != 8+64*16 {
+		t.Fatalf("equal maps, %d and %d bytes, hashes differ: %v", sa.Len("m"), sb.Len("m"), sa.Hash() != sb.Hash())
+	}
+	got := map[uint64]uint64{1 << 40: 1}
+	if err := sa.Get("m", walk(&got)); err != nil || len(got) != 64 || got[1<<40] != 0 {
+		t.Fatalf("loaded %d entries (err %v)", len(got), err)
 	}
 }
 
@@ -158,15 +298,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 func TestHashReflectsContent(t *testing.T) {
-	a := New()
-	a.Section("x").U64(1)
-	b := New()
-	b.Section("x").U64(2)
+	word := func(v uint64) *Snapshot {
+		s := New()
+		s.Put("x", func(s *State) { s.U64(&v) })
+		return s
+	}
+	a, b, c := word(1), word(2), word(1)
 	if a.Hash() == b.Hash() {
 		t.Fatal("distinct content, same hash")
 	}
-	c := New()
-	c.Section("x").U64(1)
 	if a.Hash() != c.Hash() {
 		t.Fatal("equal content, different hash")
 	}

@@ -1,46 +1,53 @@
 // Package checkpoint implements the versioned snapshot format the
 // simulator uses to fast-forward figure runs, and the stores that keep
 // snapshots: a Snapshot is an ordered set of named sections, each a flat
-// little-endian byte payload produced by a component's Save method and
-// consumed by its Restore.
+// little-endian byte payload that one component method walks.
 //
 // Key types:
 //
-//   - Snapshot: the container. Sections are created with Section (write
-//     side) and read back with Open. Encode/Decode give the canonical byte
-//     form; Hash is the SHA-256 of that form, so two snapshots with equal
-//     state have equal hashes (every saver serialises maps in sorted order
-//     and tables in index order to keep the encoding canonical).
-//   - Writer / Reader: fixed-width primitive codecs. Readers carry a sticky
-//     error; a Restore implementation reads unconditionally and returns
-//     r.Err() once at the end. Writers append, so every section reserves
-//     exactly, then fills: each component has a SaveSize that says how
-//     many bytes its Save will write, and the owner of a section (the
-//     hierarchy for "hier", a port for "port<i>", a core for "core<i>",
-//     the system for "machine", physical memory for "phys") calls
-//     Writer.Grow once with the sum before the first field goes in. A
-//     buffer left to regrow as fields are appended costs several times
-//     the snapshot's size in garbage per checkpoint;
+//   - Snapshot: the container. Put adds a section, Get loads one, and
+//     Section is either, for an owner whose one walk both saves and loads
+//     several sections. Encode/Decode give the canonical byte form; Hash
+//     is the SHA-256 of that form, so two snapshots with equal state have
+//     equal hashes (every walk saves maps in sorted key order and tables
+//     in index order to keep the encoding canonical).
+//   - State: one section's payload in one of three modes — measuring,
+//     saving, loading. A component spells its layout once, as a method
+//     (Checkpoint, by convention) that hands every field to the State's
+//     primitives in order (U64, U32, U8, Bool, Raw); what only a load does
+//     — geometry and owner-range checks, clearing a table before filling
+//     it — sits under Loading. Put runs the walk measuring, reserves
+//     exactly the measured bytes, and runs it again saving, so a snapshot
+//     allocates about its own size and no buffer regrows; a walk that
+//     saves another size than it measured panics.
 //     TestCheckpointAllocatesAboutItsSize in internal/sim holds a whole
-//     machine's checkpoint to 1.5x its encoding (it measures 1.07x). Grow
-//     changes capacity only — never a byte of the encoding.
+//     machine's checkpoint to 1.5x its encoding (it measures 1.07x). A
+//     load ends at its first failure: a read past the payload's end,
+//     Failf or Fail do not return, and Get reports the error, so a walk
+//     checks nothing after each field. The primitives are inlined into
+//     the walks (go build -gcflags=-m=2 ./internal/checkpoint), which make
+//     one call per field of every entry a structure holds.
 //   - Sparse tables: a structure that is mostly empty (cache arrays, TLBs,
 //     the prefetcher table, the predictor's BTB and local-history table)
-//     writes its geometry, its tick and statistics, a count, and then
+//     walks its geometry, its tick and statistics, a count, and then
 //     only the valid — or, where there is no valid bit, non-zero —
-//     entries, each prefixed by its ascending index. Save writes it
-//     through a TableWriter (Writer.Table), which fills the count in
-//     after the one pass over the structure. Restore clears the
-//     structure and reads it through a TableReader (Reader.Table), which
-//     fails the reader on a count above the capacity and on an index out
-//     of range or not strictly above its predecessor, so a loop is
-//     bounded by the structure it fills and no index from a file reaches
-//     an array unchecked; an entry saved in an invalid state is rejected
-//     too. An
-//     entry that is not written is one nothing reads, so "canonical"
-//     means: equal valid contents, equal bytes. Small, densely used
-//     tables (2-bit counters, the RAS, DRAM banks) stay dense, written
-//     through Writer.Raw in one loop.
+//     entries, each prefixed by its ascending index, through a Table
+//     (State.Table, More, Holds, End). Saving visits every index and fills
+//     the count in at End. Measuring walks the first held entry and counts
+//     the rest at its size from the number the structure reports holding,
+//     so it costs a count of the structure, not a walk of it. Loading
+//     clears the structure first, then fails on a count above the
+//     capacity and on an index out of range or not strictly above its
+//     predecessor, so a loop is bounded by the structure it fills and no
+//     index from a file reaches an array unchecked; an entry saved in an
+//     invalid state is rejected by the walk too. An entry that is not
+//     written is one nothing reads, so "canonical" means: equal valid
+//     contents, equal bytes. Small, densely used tables (2-bit counters,
+//     the RAS, DRAM banks) stay dense, walked through Raw in one loop.
+//   - Map walks a map keyed by an address (the directory, filter-sharer
+//     tracking, physical frames, the SafeBet footprints) after its count:
+//     saving in ascending key order through one sort buffer per section,
+//     measuring one entry without sorting, loading into the cleared map.
 //   - Snapshot.WriteTo streams the canonical form from the section
 //     buffers; Encode, Hash, Store.Put and Store.Save all go through it,
 //     so hashing and storing a snapshot never builds a second copy of the
@@ -65,7 +72,7 @@
 //     are re-hashed before they are stored.
 //   - Section names are unique within a snapshot and iteration order is
 //     insertion order; Encode is therefore deterministic given
-//     deterministic savers.
+//     deterministic walks.
 //   - checkpoint sits below every simulated component: it imports nothing
 //     from the simulator, and everything that owns machine state imports
 //     it.

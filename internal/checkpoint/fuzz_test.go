@@ -3,6 +3,7 @@ package checkpoint_test
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -27,20 +28,30 @@ func realSnapshotBytes(f *testing.F) []byte {
 	return snap.Encode()
 }
 
+// primitives walks one of each primitive a State has.
+func primitives(s *checkpoint.State) {
+	var (
+		u64 uint64 = 0xdeadbeefcafef00d
+		u32 uint32 = 42
+		u8  uint8  = 7
+		ok         = true
+		raw        = []byte("hello")
+	)
+	s.U64(&u64)
+	s.U32(&u32)
+	s.U8(&u8)
+	s.Bool(&ok)
+	checkpoint.Raw(s, raw)
+}
+
 // tinySnapshotBytes builds a minimal multi-section snapshot exercising
-// every primitive the Writer emits.
+// every primitive a State saves.
 func tinySnapshotBytes() []byte {
 	s := checkpoint.New()
-	w := s.Section("alpha")
-	w.U64(0xdeadbeefcafef00d)
-	w.U32(42)
-	w.U8(7)
-	w.Bool(true)
-	w.Bytes([]byte{1, 2, 3})
-	w.String("hello")
-	s.Section("empty")
-	w2 := s.Section("beta")
-	w2.I64(-12345)
+	s.Put("alpha", primitives)
+	s.Put("empty", func(*checkpoint.State) {})
+	beta := uint64(12345)
+	s.Put("beta", func(s *checkpoint.State) { s.U64(&beta) })
 	return s.Encode()
 }
 
@@ -81,78 +92,69 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(enc, b) {
 			t.Fatalf("decode/encode not canonical: %d in, %d out", len(b), len(enc))
 		}
-		// Every named section must open, and its reader must survive
-		// arbitrary over-reads (errors stick, getters return zeros).
+		// Every named section must load, or end its load with an error
+		// on an over-read, never a panic.
 		for _, name := range s.Names() {
-			r, err := s.Open(name)
-			if err != nil {
-				t.Fatalf("section %q listed but will not open: %v", name, err)
+			if err := s.Get(name, primitives); err != nil && !strings.Contains(err.Error(), "truncated") {
+				t.Fatalf("section %q: %v", name, err)
 			}
-			r.U64()
-			r.Bytes()
-			r.U32()
-			_ = r.String()
-			r.U8()
-			r.Bool()
-			_ = r.Err()
 		}
 	})
 }
 
-// FuzzReaderPrimitives drives the section reader's primitive decoders
-// over arbitrary payloads: no input may panic, and the first error must
-// stick (later reads return zero values).
+// FuzzReaderPrimitives drives a loading State's primitives and sparse
+// table over arbitrary payloads: no input may panic, a load either
+// completes or ends with an error at its first failure, and a table never
+// yields an index outside its capacity or out of order.
 func FuzzReaderPrimitives(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1))
 	f.Add(bytes.Repeat([]byte{0xff}, 64), uint8(7))
 	f.Fuzz(func(t *testing.T, payload []byte, order uint8) {
 		s := checkpoint.New()
-		w := s.Section("p")
-		w.Bytes(payload)
+		s.Put("p", func(s *checkpoint.State) { checkpoint.Raw(s, payload) })
 		dec, err := checkpoint.Decode(s.Encode())
 		if err != nil {
 			t.Fatalf("round trip of fuzz payload failed: %v", err)
 		}
-		r, err := dec.Open("p")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Interleave primitive reads in a fuzz-chosen order; once Err is
-		// non-nil it must never reset.
-		sawErr := false
-		for i := 0; i < 16; i++ {
-			switch (int(order) + i) % 9 {
-			case 0:
-				r.U64()
-			case 1:
-				r.U32()
-			case 2:
-				r.U8()
-			case 3:
-				r.Bool()
-			case 4:
-				r.Bytes()
-			case 5:
-				_ = r.String()
-			case 6, 7:
-				tr, prev := r.Table(int(order)), -1
-				for idx, ok := tr.Next(); ok; idx, ok = tr.Next() {
-					if idx >= int(order) || idx <= prev {
-						t.Fatalf("table of %d yielded index %d after %d", order, idx, prev)
+		// Interleave primitive reads in a fuzz-chosen order.
+		done := 0
+		err = dec.Get("p", func(s *checkpoint.State) {
+			for i := 0; i < 16; i++ {
+				switch (int(order) + i) % 7 {
+				case 0:
+					var v uint64
+					s.U64(&v)
+				case 1:
+					var v uint32
+					s.U32(&v)
+				case 2:
+					var v uint8
+					s.U8(&v)
+				case 3:
+					var v bool
+					s.Bool(&v)
+				case 4, 5:
+					capacity, prev := int(order), -1
+					tb := s.Table(capacity, nil)
+					for idx := 0; tb.More(idx); idx++ {
+						if !tb.Holds(idx, false) {
+							continue
+						}
+						if idx >= capacity || idx <= prev {
+							t.Fatalf("table of %d yielded index %d after %d", capacity, idx, prev)
+						}
+						prev = idx
 					}
-					prev = idx
+					tb.End()
+				case 6:
+					checkpoint.Raw(s, make([]byte, order))
 				}
-			case 8:
-				if b := r.Raw(int(order)); b != nil && len(b) != int(order) {
-					t.Fatalf("Raw(%d) returned %d bytes", order, len(b))
-				}
+				done++
 			}
-			if r.Err() != nil {
-				sawErr = true
-			} else if sawErr {
-				t.Fatal("reader error did not stick")
-			}
+		})
+		if err == nil && done != 16 {
+			t.Fatalf("load stopped after %d reads without an error", done)
 		}
 	})
 }

@@ -17,10 +17,8 @@ import (
 func sampleSnap(t *testing.T, tag string) *Snapshot {
 	t.Helper()
 	s := New()
-	w := s.Section("cpu")
-	w.U64(42)
-	w.String(tag)
-	s.Section("mem").Bytes([]byte("payload-" + tag))
+	putBytes(s, "cpu", append([]byte{42, 0, 0, 0, 0, 0, 0, 0}, tag...))
+	putBytes(s, "mem", []byte("payload-"+tag))
 	return s
 }
 

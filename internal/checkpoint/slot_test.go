@@ -12,8 +12,8 @@ import (
 // bigSnap builds a snapshot whose image dwarfs any per-write bookkeeping.
 func bigSnap(tag byte, n int) *Snapshot {
 	s := New()
-	s.Section("machine").U64(uint64(tag))
-	s.Section("phys").Bytes(bytes.Repeat([]byte{tag}, n))
+	putWords(s, "machine", uint64(tag))
+	putBytes(s, "phys", bytes.Repeat([]byte{tag}, n))
 	return s
 }
 
@@ -135,9 +135,9 @@ func TestChainSaveStreamsTheImage(t *testing.T) {
 func FuzzReadSlot(f *testing.F) {
 	small := encodeSlot(1, bigSnap(1, 64))
 	multi := New()
-	multi.Section("machine").U64(3)
-	multi.Section("core0").Raw(300)
-	multi.Section("empty")
+	putWords(multi, "machine", 3)
+	multi.Put("core0", func(s *State) { Raw(s, make([]byte, 300)) })
+	multi.Put("empty", func(*State) {})
 	big := encodeSlot(1<<40, multi)
 	f.Add([]byte{})
 	f.Add(small)

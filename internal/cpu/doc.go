@@ -27,7 +27,7 @@
 //     committed footprint) — that each stage consults at one site. MuonTrap
 //     itself needs only commit-time hooks and NACK retries from the core.
 //   - Counter: the core's counter table. The hot path bumps ctr[Counter];
-//     Save, Restore and RenderCounters walk the table.
+//     Checkpoint and RenderCounters walk the table.
 //
 // Invariants:
 //
@@ -84,6 +84,6 @@
 //   - Commit is in order; stores update functional memory the moment they
 //     leave the store buffer, preserving per-core visibility order.
 //   - Quiesced() (empty pipeline, drained stores, no in-flight fetch) is
-//     the only state Save/Restore handles: the snapshot format
-//     deliberately has no encoding for in-flight speculation.
+//     the only state Checkpoint handles, saving or loading: the snapshot
+//     format deliberately has no encoding for in-flight speculation.
 package cpu

@@ -1,9 +1,6 @@
 package cpu
 
 import (
-	"maps"
-	"slices"
-
 	"repro/internal/checkpoint"
 	"repro/internal/mem"
 )
@@ -34,30 +31,18 @@ func (s *lineSet[K]) add(a K) {
 	(*s)[mem.LineAddr(a)] = struct{}{}
 }
 
-// save writes the set in ascending order, so equal machine states produce
-// identical snapshot bytes.
-func (s lineSet[K]) save(w *checkpoint.Writer) {
-	lines := slices.AppendSeq(make([]K, 0, len(s)), maps.Keys(s))
-	slices.Sort(lines)
-	w.U32(uint32(len(lines)))
-	for _, a := range lines {
-		w.U64(uint64(a))
-	}
-}
-
-// restore replaces the set with what save wrote, adding lines as it reads
-// them: a corrupt count in a fuzzed snapshot must error out, not
-// over-allocate.
-func (s *lineSet[K]) restore(r *checkpoint.Reader) error {
-	*s = nil
-	for i, n := 0, int(r.U32()); i < n; i++ {
-		a := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		s.add(K(a))
-	}
-	return nil
+// checkpoint walks the set as a count and its lines, ascending, so equal
+// machine states produce identical snapshot bytes. A load replaces the
+// set, adding lines as it reads them: a corrupt count in a fuzzed snapshot
+// must end the load at the payload's end, not over-allocate.
+func (s *lineSet[K]) checkpoint(st *checkpoint.State) {
+	n := uint32(len(*s))
+	st.U32(&n)
+	checkpoint.Map(st, (*map[K]struct{})(s), uint64(n), nil, func(a K, v struct{}) (K, struct{}) {
+		line := uint64(a)
+		st.U64(&line)
+		return K(line), v
+	})
 }
 
 // footprintCommit adds what a committing instruction touched to the

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/event"
-	"repro/internal/mem"
 )
 
 // busy names the first structure still holding in-flight pipeline state,
@@ -44,85 +42,46 @@ func (c *Core) Quiesced() error {
 	return nil
 }
 
-// Save serialises the core's architectural and quiesced-microarchitectural
-// state: registers, fetch state, statistics and the branch predictor.
-func (c *Core) Save(w *checkpoint.Writer) {
-	// Registers, 8 fetch/sequence words, 4 flags, the divider slots, the
-	// counters, the two SafeBet footprints, the predictor.
-	w.Grow(8*len(c.regs) + 8*8 + 4 + 4 + 8*len(c.divFree) + 8*len(c.ctr) +
-		4 + 8*len(c.sbData) + 4 + 8*len(c.sbCode) + c.pred.SaveSize())
-	for _, v := range c.regs {
-		w.U64(v)
+// Checkpoint walks the core's architectural and quiesced-
+// microarchitectural state: registers, fetch state, the divider slots,
+// statistics, the two SafeBet footprints and the branch predictor. A load
+// needs a quiesced core (it is after SetProgram / RunOn on a fresh
+// machine) and wakes it: sleep is derived, not saved.
+func (c *Core) Checkpoint(s *checkpoint.State) {
+	if s.Loading() {
+		if err := c.Quiesced(); err != nil {
+			s.Fail(err)
+		}
+		c.wake()
 	}
-	w.U64(c.fetchPC)
-	w.Bool(c.fetchStall)
-	w.Bool(c.halted)
-	w.Bool(c.haltedBad)
-	w.U64(uint64(c.commitStallUntil))
-	w.U64(uint64(c.fetchResumeAt))
-	w.U64(c.fetchVirtBase)
-	w.U64(uint64(c.fetchPhysBase))
-	w.U64(c.fetchLineVA)
-	w.Bool(c.fetchLineOK)
-	w.U64(c.fetchEpoch)
-	w.U64(c.seq)
-	w.U32(uint32(len(c.divFree)))
-	for _, f := range c.divFree {
-		w.U64(uint64(f))
-	}
-	for _, v := range c.ctr {
-		w.U64(v)
-	}
-	c.sbData.save(w) // both footprints are empty outside the footprint action
-	c.sbCode.save(w)
-	c.pred.Save(w)
-}
-
-// Restore loads state saved by Save. The core must be quiesced (it is
-// after SetProgram / RunOn on a fresh machine).
-func (c *Core) Restore(r *checkpoint.Reader) error {
-	if err := c.Quiesced(); err != nil {
-		return err
-	}
-	c.wake() // a restored core starts awake; sleep is derived, not saved
 	for i := range c.regs {
-		c.regs[i] = r.U64()
+		s.U64(&c.regs[i])
 	}
-	c.fetchPC = r.U64()
-	c.fetchStall = r.Bool()
-	c.halted = r.Bool()
-	c.haltedBad = r.Bool()
-	c.commitStallUntil = event.Cycle(r.U64())
-	c.fetchResumeAt = event.Cycle(r.U64())
-	c.fetchVirtBase = r.U64()
-	c.fetchPhysBase = mem.Addr(r.U64())
-	c.fetchLineVA = r.U64()
-	c.fetchLineOK = r.Bool()
-	c.fetchEpoch = r.U64()
-	c.seq = r.U64()
-	nd := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nd != len(c.divFree) {
-		return r.Failf("core has %d divider slots, snapshot %d", len(c.divFree), nd)
+	s.U64(&c.fetchPC)
+	s.Bool(&c.fetchStall)
+	s.Bool(&c.halted)
+	s.Bool(&c.haltedBad)
+	s.U64((*uint64)(&c.commitStallUntil))
+	s.U64((*uint64)(&c.fetchResumeAt))
+	s.U64(&c.fetchVirtBase)
+	s.U64((*uint64)(&c.fetchPhysBase))
+	s.U64(&c.fetchLineVA)
+	s.Bool(&c.fetchLineOK)
+	s.U64(&c.fetchEpoch)
+	s.U64(&c.seq)
+	nd := uint32(len(c.divFree))
+	if s.U32(&nd); s.Loading() && int(nd) != len(c.divFree) {
+		s.Failf("core has %d divider slots, snapshot %d", len(c.divFree), nd)
 	}
 	for i := range c.divFree {
-		c.divFree[i] = event.Cycle(r.U64())
+		s.U64((*uint64)(&c.divFree[i]))
 	}
 	for k := range c.ctr {
-		c.ctr[k] = r.U64()
+		s.U64(&c.ctr[k])
 	}
-	if err := c.sbData.restore(r); err != nil {
-		return err
-	}
-	if err := c.sbCode.restore(r); err != nil {
-		return err
-	}
-	if err := c.pred.Restore(r); err != nil {
-		return err
-	}
-	return r.Err()
+	c.sbData.checkpoint(s) // both footprints are empty outside the footprint action
+	c.sbCode.checkpoint(s)
+	c.pred.Checkpoint(s)
 }
 
 // WarmHalt stops the hardware thread from the functional warm-up executor

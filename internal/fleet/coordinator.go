@@ -55,15 +55,17 @@ type Config struct {
 	// Tick bounds how long scheduling work (dead-worker sweeps, steals)
 	// can sit waiting when no completion wakes the scheduler (0 = 100ms).
 	Tick time.Duration
-	// WorkerRetries is the retry budget of the coordinator's per-worker
-	// HTTP clients (0 = 2).
-	WorkerRetries int
-	// WorkerFailLimit marks a worker dead after this many consecutive
-	// failed attempts against it (0 = 3) — the fast-path death signal for
-	// a worker whose process died but whose heartbeat entry has not yet
-	// timed out, and for one whose agent outlived its daemon.
-	WorkerFailLimit int
 }
+
+// workerRetries is the retry budget of the coordinator's per-worker HTTP
+// clients.
+const workerRetries = 2
+
+// workerFailLimit marks a worker dead after this many consecutive failed
+// attempts against it — the fast-path death signal for a worker whose
+// process died but whose heartbeat entry has not yet timed out, and for
+// one whose agent outlived its daemon.
+const workerFailLimit = 3
 
 // Stats is the coordinator's observability surface: the fleet half of
 // the /v1/healthz payload (the plane's service.Stats is the other), and
@@ -175,12 +177,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = 100 * time.Millisecond
-	}
-	if cfg.WorkerRetries <= 0 {
-		cfg.WorkerRetries = 2
-	}
-	if cfg.WorkerFailLimit <= 0 {
-		cfg.WorkerFailLimit = 3
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	co := &Coordinator{
@@ -513,7 +509,7 @@ func (co *Coordinator) attemptFailed(a *attempt, err error) {
 	}
 	co.met.observeAttempt(a.started, false)
 	a.w.fails++
-	if a.w.fails >= co.cfg.WorkerFailLimit {
+	if a.w.fails >= workerFailLimit {
 		co.markWorkerDeadLocked(a.w)
 	}
 	co.requeueCellLocked(a.c)
@@ -747,7 +743,7 @@ func (co *Coordinator) register(req RegisterRequest) RegisterResponse {
 		id:       newWorkerID(),
 		name:     req.Name,
 		base:     req.BaseURL,
-		client:   client.New(req.BaseURL, client.WithRetries(co.cfg.WorkerRetries)),
+		client:   client.New(req.BaseURL, client.WithRetries(workerRetries)),
 		lastSeen: time.Now(),
 	}
 	co.workers[w.id] = w

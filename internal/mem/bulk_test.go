@@ -11,7 +11,7 @@ import (
 // saveBytes is the encoded snapshot of p alone.
 func saveBytes(p *Physical) []byte {
 	s := checkpoint.New()
-	p.Save(s.Section("phys"))
+	s.Put("phys", p.Checkpoint)
 	return s.Encode()
 }
 

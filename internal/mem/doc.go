@@ -15,12 +15,12 @@
 //     whole hierarchy.
 //   - Physical: sparse 4KiB-frame memory. Reads of unbacked memory return
 //     zeroes; writes allocate frames on demand. Bulk WriteData/ReadData
-//     move a frame at a time. Save elides all-zero frames — semantically
+//     move a frame at a time. Checkpoint elides all-zero frames — semantically
 //     invisible — and serialises the rest in frame order, so equal
 //     contents always produce equal snapshot bytes. Frames are borrowed
 //     from internal/recycle (zeroed on the way out, which is what the
 //     zero-fill contract below needs of a new frame) and handed back by
-//     Release, and by Restore for the frames it replaces.
+//     Release, and by a loading Checkpoint for the frames it replaces.
 //   - DRAM / DRAMConfig: a bank-aware open-row latency model (per-bank row
 //     tracking plus a shared data-bus serialisation constraint), DDR3-1600
 //     class by default (Table 1).
@@ -32,7 +32,7 @@
 // unbacked (over a backed frame the zeroes are stored like any data). In
 // return, whether a frame exists must never become observable to the
 // simulated machine or to anything derived from it: not to timing (DRAM
-// and the caches see addresses only), not to Save (zero frames are
+// and the caches see addresses only), not to a checkpoint (zero frames are
 // elided, so snapshot bytes, hashes and cache keys do not depend on it).
 // FrameCount exposes it to tests and benchmarks only, as a host-cost
 // figure.

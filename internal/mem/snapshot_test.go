@@ -15,11 +15,10 @@ func TestPhysicalSaveRestoreRoundTrip(t *testing.T) {
 	a.Write8(0x3_0000, 0) // touched but all-zero frame: elided
 
 	snap := checkpoint.New()
-	a.Save(snap.Section("phys"))
+	snap.Put("phys", a.Checkpoint)
 	b := NewPhysical()
 	b.Write64(0x9000, 77) // pre-existing contents must be replaced
-	r, _ := snap.Open("phys")
-	if err := b.Restore(r); err != nil {
+	if err := snap.Get("phys", b.Checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	if b.Read64(0x1000) != 0xdeadbeefcafef00d || b.Read64(0x10_0008) != 42 {
@@ -51,7 +50,7 @@ func TestPhysicalSaveIsCanonical(t *testing.T) {
 		p.Write64(0x2000, 6)
 		p.Write64(0x3000, 7)
 		s := checkpoint.New()
-		p.Save(s.Section("phys"))
+		s.Put("phys", p.Checkpoint)
 		return s.Hash()
 	}
 	a := mk([]Addr{0x1000, 0x2000, 0x3000})
@@ -68,10 +67,9 @@ func TestDRAMSaveRestoreRoundTrip(t *testing.T) {
 		a.Access(Addr(i * 64))
 	}
 	snap := checkpoint.New()
-	a.Save(snap.Section("dram"))
+	snap.Put("dram", a.Checkpoint)
 	b := NewDRAM(sched, DefaultDRAMConfig())
-	r, _ := snap.Open("dram")
-	if err := b.Restore(r); err != nil {
+	if err := snap.Get("dram", b.Checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	if b.Accesses != a.Accesses || b.RowHits != a.RowHits {

@@ -23,7 +23,7 @@
 //     two readings of one predicate over those registries and the MSHR
 //     files.
 //   - PortCounter, hierCounter: the port's and the shared level's counter
-//     tables. The hot path bumps ctr[counter]; Save, Restore and
+//     tables. The hot path bumps ctr[counter]; Checkpoint and
 //     RenderCounters walk the tables.
 //   - Mode: the per-mechanism protection switches (filter protection,
 //     coherence protection, commit-time prefetch, filter TLB, …).
@@ -43,6 +43,7 @@
 // The Warm* methods deposit an architectural access stream's footprint
 // (main TLBs, L1s, L2, directory) without events or elapsed cycles; they
 // never consult Mode, which is what makes checkpoint warm-up state
-// scheme-independent. Save/Restore serialise the whole hierarchy for the
-// checkpoint subsystem; both require a quiesced machine.
+// scheme-independent. Checkpoint puts the whole hierarchy into a snapshot
+// or gets it from one, as one walk per section ("hier", "port<i>"); both
+// directions require a quiesced machine.
 package memsys

@@ -2,12 +2,9 @@ package memsys
 
 import (
 	"fmt"
-	"slices"
 
-	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/event"
 )
 
 // busy names the first structure of the hierarchy still holding
@@ -101,229 +98,112 @@ func (h *Hierarchy) Occupancy() int {
 	return n
 }
 
-// dirSaveBytes is one saved directory entry: line, owner, owner state,
-// sharers, instruction sharers.
-const dirSaveBytes = 8 + 8 + 1 + 8 + 8
-
-// Save serialises the shared level (L2, directory, DRAM, prefetcher,
-// filter-sharer tracking, statistics) into the "hier" section and each
-// port into its own "port<i>" section. Every section is reserved at its
-// exact size before the first field goes in.
-func (h *Hierarchy) Save(snap *checkpoint.Snapshot) {
-	w := snap.Section("hier")
-	size := h.l2.SaveSize() + 8 + h.dram.SaveSize() +
-		8 + dirSaveBytes*len(h.dir) + 8 + 16*len(h.filterSharers) + 8 + 16*len(h.filterOwner) +
-		1 + 8*len(h.ctr)
-	if h.pf != nil {
-		size += h.pf.SaveSize()
+// Checkpoint puts the hierarchy into snap — or, with load, gets it from
+// snap — as the "hier" section for the shared level and a "port<i>"
+// section for each port. Filter structures present in a snapshot but
+// absent from this configuration are an error; absent from the snapshot
+// but present here, they are left as they are (empty): a snapshot taken on
+// an unprotected warm-up machine restores cleanly into any protected
+// configuration, whose filter caches legitimately start empty.
+func (h *Hierarchy) Checkpoint(snap *checkpoint.Snapshot, load bool) error {
+	if err := snap.Section(load, "hier", h.shared); err != nil {
+		return err
 	}
-	w.Grow(size)
-	h.l2.Save(w)
-	w.U64(uint64(h.l2PortFree))
-	h.dram.Save(w)
-
-	// The three maps are written in ascending key order so equal state is
-	// equal bytes; one key buffer serves all three.
-	keys := make([]uint64, 0, max(len(h.dir), len(h.filterSharers), len(h.filterOwner)))
-	keys = sortedKeys(keys, h.dir)
-	w.U64(uint64(len(keys)))
-	for _, line := range keys {
-		e := h.dir[line]
-		w.U64(line)
-		w.I64(int64(e.owner))
-		w.U8(uint8(e.ownerState))
-		w.U64(e.sharers)
-		w.U64(e.isharers)
-	}
-	keys = sortedKeys(keys, h.filterSharers)
-	w.U64(uint64(len(keys)))
-	for _, k := range keys {
-		w.U64(k)
-		w.U64(h.filterSharers[k])
-	}
-	keys = sortedKeys(keys, h.filterOwner)
-	w.U64(uint64(len(keys)))
-	for _, k := range keys {
-		w.U64(k)
-		w.U64(uint64(h.filterOwner[k]))
-	}
-
-	w.Bool(h.pf != nil)
-	if h.pf != nil {
-		h.pf.Save(w)
-	}
-
-	for _, v := range h.ctr {
-		w.U64(v)
-	}
-
 	for i, p := range h.ports {
-		p.save(snap.Section(fmt.Sprintf("port%d", i)))
-	}
-}
-
-// sortedKeys returns m's keys in ascending order, in buf's storage.
-func sortedKeys[V any](buf []uint64, m map[uint64]V) []uint64 {
-	buf = buf[:0]
-	for k := range m {
-		buf = append(buf, k)
-	}
-	slices.Sort(buf)
-	return buf
-}
-
-// Restore loads hierarchy state saved by Save. Filter structures present
-// in the snapshot but absent from this configuration (or vice versa) are
-// an error for the former and restored-empty for the latter: a snapshot
-// taken on an unprotected warm-up machine restores cleanly into any
-// protected configuration, whose filter caches legitimately start empty.
-func (h *Hierarchy) Restore(snap *checkpoint.Snapshot) error {
-	r, err := snap.Open("hier")
-	if err != nil {
-		return err
-	}
-	if err := h.l2.Restore(r); err != nil {
-		return err
-	}
-	h.l2PortFree = event.Cycle(r.U64())
-	if err := h.dram.Restore(r); err != nil {
-		return err
-	}
-
-	h.dir = make(map[uint64]*dirEntry)
-	n := r.U64()
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		line := r.U64()
-		e := &dirEntry{
-			owner:      int(r.I64()),
-			ownerState: cache.State(r.U8()),
-			sharers:    r.U64(),
-			isharers:   r.U64(),
-		}
-		if r.Err() == nil && (e.owner < -1 || e.owner >= len(h.ports)) {
-			return r.Failf("directory entry %#x owned by core %d of %d", line, e.owner, len(h.ports))
-		}
-		h.dir[line] = e
-	}
-
-	h.filterSharers = make(map[uint64]uint64)
-	n = r.U64()
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		k := r.U64()
-		h.filterSharers[k] = r.U64()
-	}
-	h.filterOwner = make(map[uint64]int)
-	n = r.U64()
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		k, owner := r.U64(), r.U64()
-		if r.Err() == nil && owner >= uint64(len(h.ports)) {
-			return r.Failf("filter line %#x owned by core %d of %d", k, owner, len(h.ports))
-		}
-		h.filterOwner[k] = int(owner)
-	}
-
-	hadPf := r.Bool()
-	if hadPf {
-		if h.pf == nil {
-			return r.Failf("snapshot has prefetcher state but prefetching is disabled")
-		}
-		if err := h.pf.Restore(r); err != nil {
-			return err
-		}
-	}
-
-	for k := range h.ctr {
-		h.ctr[k] = r.U64()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-
-	for i, p := range h.ports {
-		pr, err := snap.Open(fmt.Sprintf("port%d", i))
-		if err != nil {
-			return err
-		}
-		if err := p.restore(pr); err != nil {
+		if err := snap.Section(load, fmt.Sprintf("port%d", i), p.checkpoint); err != nil {
 			return fmt.Errorf("port %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// save serialises one port: caches, TLBs, filter structures (presence-
-// flagged), counters.
-func (p *Port) save(w *checkpoint.Writer) {
-	size := p.l1d.SaveSize() + p.l1i.SaveSize() +
-		p.dtlb.SaveSize() + p.itlb.SaveSize() + 3 + 8 + 8 + 8*len(p.ctr)
-	if p.l0d != nil {
-		size += p.l0d.SaveSize()
+// shared walks the shared level: L2, its port, DRAM, the directory and
+// filter-sharer tracking (each map in ascending key order, so equal state
+// is equal bytes), the presence-flagged prefetcher and the statistics.
+func (h *Hierarchy) shared(s *checkpoint.State) {
+	h.l2.Checkpoint(s)
+	s.U64((*uint64)(&h.l2PortFree))
+	h.dram.Checkpoint(s)
+
+	n := uint64(len(h.dir))
+	s.U64(&n)
+	checkpoint.Map(s, &h.dir, n, nil, func(line uint64, e *dirEntry) (uint64, *dirEntry) {
+		if s.Loading() {
+			e = new(dirEntry)
+		}
+		owner := uint64(e.owner)
+		s.U64(&line)
+		if s.U64(&owner); s.Loading() && (int(owner) < -1 || int(owner) >= len(h.ports)) {
+			s.Failf("directory entry %#x owned by core %d of %d", line, int(owner), len(h.ports))
+		}
+		e.owner = int(owner)
+		s.U8((*uint8)(&e.ownerState))
+		s.U64(&e.sharers)
+		s.U64(&e.isharers)
+		return line, e
+	})
+	n = uint64(len(h.filterSharers))
+	s.U64(&n)
+	checkpoint.Map(s, &h.filterSharers, n, nil, func(line, sharers uint64) (uint64, uint64) {
+		s.U64(&line)
+		s.U64(&sharers)
+		return line, sharers
+	})
+	n = uint64(len(h.filterOwner))
+	s.U64(&n)
+	checkpoint.Map(s, &h.filterOwner, n, nil, func(line uint64, owner int) (uint64, int) {
+		o := uint64(owner)
+		s.U64(&line)
+		if s.U64(&o); s.Loading() && o >= uint64(len(h.ports)) {
+			s.Failf("filter line %#x owned by core %d of %d", line, o, len(h.ports))
+		}
+		return line, int(o)
+	})
+
+	hasPf := h.pf != nil
+	if s.Bool(&hasPf); hasPf {
+		if h.pf == nil {
+			s.Failf("snapshot has prefetcher state but prefetching is disabled")
+		}
+		h.pf.Checkpoint(s)
 	}
-	if p.l0i != nil {
-		size += p.l0i.SaveSize()
-	}
-	if p.fdtlb != nil {
-		size += p.fdtlb.SaveSize()
-	}
-	w.Grow(size)
-	p.l1d.Save(w)
-	p.l1i.Save(w)
-	p.dtlb.Save(w)
-	p.itlb.Save(w)
-	w.Bool(p.l0d != nil)
-	if p.l0d != nil {
-		p.l0d.Save(w)
-	}
-	w.Bool(p.l0i != nil)
-	if p.l0i != nil {
-		p.l0i.Save(w)
-	}
-	w.Bool(p.fdtlb != nil)
-	if p.fdtlb != nil {
-		p.fdtlb.Save(w)
-	}
-	w.U64(p.asid)
-	w.U64(p.lastCommitILine)
-	for _, v := range p.ctr {
-		w.U64(v)
+	for k := range h.ctr {
+		s.U64(&h.ctr[k])
 	}
 }
 
-func (p *Port) restore(r *checkpoint.Reader) error {
-	if err := p.l1d.Restore(r); err != nil {
-		return err
-	}
-	if err := p.l1i.Restore(r); err != nil {
-		return err
-	}
-	if err := p.dtlb.Restore(r); err != nil {
-		return err
-	}
-	if err := p.itlb.Restore(r); err != nil {
-		return err
-	}
-	restoreOptional := func(present bool, do func(*checkpoint.Reader) error, what string) error {
-		if !r.Bool() {
-			return r.Err() // absent in snapshot: leave this machine's (empty) structure alone
-		}
-		if !present {
-			return r.Failf("snapshot has %s state but this configuration lacks it", what)
-		}
-		return do(r)
-	}
-	if err := restoreOptional(p.l0d != nil, func(r *checkpoint.Reader) error { return p.l0d.Restore(r) }, "L0D"); err != nil {
-		return err
-	}
-	if err := restoreOptional(p.l0i != nil, func(r *checkpoint.Reader) error { return p.l0i.Restore(r) }, "L0I"); err != nil {
-		return err
-	}
-	if err := restoreOptional(p.fdtlb != nil, func(r *checkpoint.Reader) error { return p.fdtlb.Restore(r) }, "filter TLB"); err != nil {
-		return err
-	}
-	p.asid = r.U64()
-	p.lastCommitILine = r.U64()
+// checkpoint walks one port: caches, TLBs, the presence-flagged filter
+// structures, its ASID, the last committed instruction line, counters.
+func (p *Port) checkpoint(s *checkpoint.State) {
+	p.l1d.Checkpoint(s)
+	p.l1i.Checkpoint(s)
+	p.dtlb.Checkpoint(s)
+	p.itlb.Checkpoint(s)
+	optional(s, p.l0d, "L0D")
+	optional(s, p.l0i, "L0I")
+	optional(s, p.fdtlb, "filter TLB")
+	s.U64(&p.asid)
+	s.U64(&p.lastCommitILine)
 	for k := range p.ctr {
-		p.ctr[k] = r.U64()
+		s.U64(&p.ctr[k])
 	}
-	return r.Err()
+}
+
+// optional walks a structure this configuration may lack (x nil) behind a
+// presence flag. A load of a structure the snapshot lacks leaves this
+// machine's (empty) one alone; one of a structure this machine lacks
+// fails.
+func optional[T interface {
+	comparable
+	Checkpoint(*checkpoint.State)
+}](s *checkpoint.State, x T, what string) {
+	var none T
+	present := x != none
+	if s.Bool(&present); !present {
+		return
+	}
+	if x == none {
+		s.Failf("snapshot has %s state but this configuration lacks it", what)
+	}
+	x.Checkpoint(s)
 }

@@ -1,30 +1,34 @@
 package prefetch
 
-import (
-	"repro/internal/checkpoint"
-	"repro/internal/mem"
-)
+import "repro/internal/checkpoint"
 
-// entrySaveBytes is one saved stride entry: its slot index, PC, last
-// address, stride and confidence.
-const entrySaveBytes = 4 + 8 + 8 + 8 + 4
-
-// Save serialises the table size, then every valid stride
-// entry prefixed by its slot index (ascending). An invalid slot carries
-// no bytes: Observe overwrites the whole entry when it finds one.
-func (p *Prefetcher) Save(w *checkpoint.Writer) {
-	w.U32(uint32(len(p.table)))
-	t := w.Table()
-	for i := range p.table {
+// Checkpoint walks the table size, then every valid stride entry prefixed
+// by its slot index (ascending): its PC, last address, stride and
+// confidence. An invalid slot carries no bytes: Observe overwrites the
+// whole entry when it finds one. A load needs a prefetcher of identical
+// table size; it clears the table, then places the saved entries, and
+// rejects a count above the table size and an index out of range or not
+// strictly ascending.
+func (p *Prefetcher) Checkpoint(s *checkpoint.State) {
+	n := uint32(len(p.table))
+	if s.U32(&n); s.Loading() && int(n) != len(p.table) {
+		s.Failf("prefetch table has %d entries, snapshot %d", len(p.table), n)
+	}
+	if s.Loading() {
+		p.Reset()
+	}
+	t := s.Table(len(p.table), p.CountValid)
+	for i := 0; t.More(i); i++ {
 		e := &p.table[i]
-		if !e.valid {
+		if !t.Holds(i, e.valid) {
 			continue
 		}
-		t.Entry(i)
-		w.U64(e.pc)
-		w.U64(uint64(e.lastAddr))
-		w.I64(e.stride)
-		w.U32(uint32(e.conf))
+		stride, conf := uint64(e.stride), uint32(e.conf)
+		s.U64(&e.pc)
+		s.U64((*uint64)(&e.lastAddr))
+		s.U64(&stride)
+		s.U32(&conf)
+		e.stride, e.conf, e.valid = int64(stride), int(conf), true
 	}
 	t.End()
 }
@@ -38,37 +42,4 @@ func (p *Prefetcher) CountValid() int {
 		}
 	}
 	return n
-}
-
-// SaveSize is the number of bytes Save writes.
-func (p *Prefetcher) SaveSize() int { return 4 + 4 + p.CountValid()*entrySaveBytes }
-
-// Restore loads state saved by Save into a prefetcher of identical table
-// size: the table is cleared, then the saved entries are placed. A count
-// above the table size and an index out of range or not strictly
-// ascending are rejected.
-func (p *Prefetcher) Restore(r *checkpoint.Reader) error {
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(p.table) {
-		return r.Failf("prefetch table has %d entries, snapshot %d", len(p.table), n)
-	}
-	p.Reset()
-	t := r.Table(len(p.table))
-	for i, ok := t.Next(); ok; i, ok = t.Next() {
-		e := entry{
-			pc:       r.U64(),
-			lastAddr: mem.Addr(r.U64()),
-			stride:   r.I64(),
-			conf:     int(r.U32()),
-			valid:    true,
-		}
-		if r.Err() != nil {
-			break
-		}
-		p.table[i] = e
-	}
-	return r.Err()
 }

@@ -37,7 +37,7 @@
 //   - Scalable SSE fan-out: progress frames live in one bounded ring
 //     per job; subscribers read at their own cursor and are disconnected
 //     (resumably, via Last-Event-ID) if they cannot accept a write
-//     within StreamWriteTimeout, so no consumer pins memory or stalls
+//     within streamWriteTimeout (30 s), so no consumer pins memory or stalls
 //     the pool.
 //   - Bounded drain: Shutdown(ctx) stops intake and waits for running
 //     sweeps; when ctx expires first, still-running jobs are journaled

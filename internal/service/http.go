@@ -438,7 +438,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// The per-write deadline is the shed mechanism for dead or
 		// too-slow consumers: a blocked write aborts this subscriber
 		// (only), and the client's Last-Event-ID makes the cut resumable.
-		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
+		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 		var err error
 		if id > 0 {
 			_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, name, data)

@@ -63,15 +63,6 @@ type Config struct {
 	// RetryAfter is the hint returned with shed (429/503) responses.
 	// Zero defaults to one second.
 	RetryAfter time.Duration
-	// StreamHistory bounds the per-job ring of recent SSE progress
-	// frames (0 = 256). Subscribers that fall further behind continue
-	// from the oldest retained frame; a done job's full sequence is
-	// synthesized from its stored result regardless.
-	StreamHistory int
-	// StreamWriteTimeout disconnects an SSE subscriber whose connection
-	// cannot accept a write within this bound (0 = 30s). The client
-	// resumes with Last-Event-ID; dead peers stop pinning goroutines.
-	StreamWriteTimeout time.Duration
 	// Scale and MaxCycles are the defaults a submitted Sweep resolves
 	// against when it leaves Scales / MaxCycles empty (see
 	// muontrap.Sweep.Resolve; 0 = library default).
@@ -139,10 +130,17 @@ func (l local) Run(ctx context.Context, job muontrap.Job, resume bool, progress 
 	).Sweep(ctx, job.Sweep)
 }
 
-// defaultStreamHistory is the per-job SSE ring capacity when
-// Config.StreamHistory is zero — enough for the paper's full 33×6
-// evaluation matrix to replay without eviction.
-const defaultStreamHistory = 256
+// streamHistory bounds the per-job ring of recent SSE progress frames —
+// enough for the paper's full 33×6 evaluation matrix to replay without
+// eviction. Subscribers that fall further behind continue from the oldest
+// retained frame; a done job's full sequence is synthesized from its
+// stored result regardless.
+const streamHistory = 256
+
+// streamWriteTimeout disconnects an SSE subscriber whose connection
+// cannot accept a write within this bound. The client resumes with
+// Last-Event-ID; dead peers stop pinning goroutines.
+const streamWriteTimeout = 30 * time.Second
 
 // journalVersion versions the job journal entry layout. (Stored sweep
 // results are versioned apart, by figures.SweepKind.)
@@ -236,9 +234,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
-	if cfg.StreamWriteTimeout <= 0 {
-		cfg.StreamWriteTimeout = 30 * time.Second
-	}
 	tbl, err := newTenantTable(cfg.Tenants)
 	if err != nil {
 		return nil, err
@@ -269,7 +264,7 @@ func (s *Server) newJob(rec muontrap.Job) *job {
 	return &job{
 		rec:    rec,
 		born:   time.Now(),
-		ring:   newEventRing(s.cfg.StreamHistory),
+		ring:   newEventRing(streamHistory),
 		subs:   make(map[*subscriber]struct{}),
 		tenant: s.tenants.Load().owner(rec.Tenant),
 	}

@@ -36,9 +36,6 @@ type eventRing struct {
 }
 
 func newEventRing(capacity int) *eventRing {
-	if capacity <= 0 {
-		capacity = defaultStreamHistory
-	}
 	return &eventRing{buf: make([]streamEvent, capacity)}
 }
 

@@ -47,11 +47,11 @@ func TestEventRingRetentionAndCursor(t *testing.T) {
 	}
 }
 
-// The default capacity must hold the paper's full 33×6 evaluation
+// The daemon's capacity must hold the paper's full 33×6 evaluation
 // matrix, so a subscriber to a complete Figure 3–9 sweep never loses a
 // frame to eviction.
 func TestEventRingDefaultCapacityHoldsFullMatrix(t *testing.T) {
-	r := newEventRing(0)
+	r := newEventRing(streamHistory)
 	if len(r.buf) < 33*6 {
 		t.Fatalf("default ring capacity %d cannot hold the 33×6 matrix", len(r.buf))
 	}

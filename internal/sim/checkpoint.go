@@ -146,34 +146,86 @@ func (s *System) snapshot(midRun bool, base event.Cycle) (*checkpoint.Snapshot, 
 		return nil, fmt.Errorf("sim: checkpoint requires a quiesced machine: %w", err)
 	}
 	snap := checkpoint.New()
-	w := snap.Section("machine")
-	w.Grow(4 + 4 + 5*8 + 1 + 8 + len(s.Cores)*(8+8+8+4))
-	w.U32(machineFormat)
-	w.U32(uint32(len(s.Cores)))
-	w.U64(uint64(s.Sched.Now()))
-	for _, r := range systemCounters {
-		w.U64(*r.at(s))
-	}
-	w.U64(s.ContextSwitches)
-	w.U64(s.TimerTicks)
-	w.Bool(midRun)
-	w.U64(uint64(base))
-	for ci, c := range s.Cores {
-		w.U64(c.CommittedInsts())
-		w.U64(uint64(s.nextTimer[ci]))
-		if p := s.running[ci]; p != nil {
-			w.U64(p.PID)
-		} else {
-			w.U64(0)
-		}
-		w.U32(uint32(s.runThread[ci]))
-	}
-	s.Phys.Save(snap.Section("phys"))
-	s.Hier.Save(snap)
-	for i, c := range s.Cores {
-		c.Save(snap.Section(fmt.Sprintf("core%d", i)))
+	m := machineImage{now: s.Sched.Now(), midRun: midRun, base: base}
+	if err := s.sections(snap, false, &m); err != nil {
+		return nil, err
 	}
 	return snap, nil
+}
+
+// machineImage is what the "machine" section holds beyond the system's
+// own fields: the snapshot's cycle, whether it was taken mid-run and the
+// stats baseline, and — read on a load, checked once the cores are
+// restored — each core's retired-instruction count.
+type machineImage struct {
+	now, base event.Cycle
+	midRun    bool
+	retired   []uint64
+}
+
+// sections puts the machine into snap — or, with load, gets it from snap
+// — as the "machine" section, "phys", the hierarchy's sections and one
+// "core<i>" section per core.
+func (s *System) sections(snap *checkpoint.Snapshot, load bool, m *machineImage) error {
+	if err := snap.Section(load, "machine", func(st *checkpoint.State) { s.machine(st, m) }); err != nil {
+		return err
+	}
+	if err := snap.Section(load, "phys", s.Phys.Checkpoint); err != nil {
+		return err
+	}
+	if err := s.Hier.Checkpoint(snap, load); err != nil {
+		return err
+	}
+	for i, c := range s.Cores {
+		if err := snap.Section(load, fmt.Sprintf("core%d", i), c.Checkpoint); err != nil {
+			return fmt.Errorf("sim: core %d: %w", i, err)
+		}
+		if got := c.CommittedInsts(); load && got != m.retired[i] {
+			return fmt.Errorf("sim: core %d: machine section says %d retired, core section restored %d (corrupt snapshot)",
+				i, m.retired[i], got)
+		}
+	}
+	return nil
+}
+
+// machine walks the "machine" section: the format word, the core count,
+// the cycle, the system counters, the mid-run flag and baseline, then per
+// core its retired count, next timer deadline and RunOn assignment (PID,
+// thread). A load checks the core count, that the machine is not past the
+// snapshot's cycle, and that the RunOn sequences agree.
+func (s *System) machine(st *checkpoint.State, m *machineImage) {
+	format, cores := uint32(machineFormat), uint32(len(s.Cores))
+	st.U32(&format) // a load checked it first, with CheckFormat
+	if st.U32(&cores); st.Loading() && int(cores) != len(s.Cores) {
+		st.Fail(fmt.Errorf("sim: snapshot has %d cores, machine has %d", cores, len(s.Cores)))
+	}
+	if st.U64((*uint64)(&m.now)); st.Loading() && m.now < s.Sched.Now() {
+		st.Fail(fmt.Errorf("sim: snapshot taken at cycle %d, machine already at %d", m.now, s.Sched.Now()))
+	}
+	for _, r := range systemCounters {
+		st.U64(r.at(s))
+	}
+	st.U64(&s.ContextSwitches)
+	st.U64(&s.TimerTicks)
+	st.Bool(&m.midRun)
+	st.U64((*uint64)(&m.base))
+	for ci, c := range s.Cores {
+		retired := c.CommittedInsts()
+		if st.U64(&retired); st.Loading() {
+			m.retired[ci] = retired
+		}
+		st.U64((*uint64)(&s.nextTimer[ci]))
+		var runPID uint64
+		if p := s.running[ci]; p != nil {
+			runPID = p.PID
+		}
+		pid, thread := runPID, uint32(s.runThread[ci])
+		st.U64(&pid)
+		if st.U32(&thread); st.Loading() && (pid != runPID || (pid != 0 && int(thread) != s.runThread[ci])) {
+			st.Fail(fmt.Errorf("sim: core %d: snapshot scheduled pid %d thread %d, machine pid %d thread %d (RunOn sequences differ)",
+				ci, pid, thread, runPID, s.runThread[ci]))
+		}
+	}
 }
 
 // CheckFormat reports whether the snapshot's machine payload is in this
@@ -182,12 +234,8 @@ func (s *System) snapshot(midRun bool, base event.Cycle) (*checkpoint.Snapshot, 
 // image (rebuild it, or start cold) from a usable one before restoring a
 // byte of it into a machine.
 func CheckFormat(snap *checkpoint.Snapshot) error {
-	r, err := snap.Open("machine")
-	if err != nil {
-		return err
-	}
-	f := r.U32()
-	if err := r.Err(); err != nil {
+	var f uint32
+	if err := snap.Get("machine", func(st *checkpoint.State) { st.U32(&f) }); err != nil {
 		return err
 	}
 	if f != machineFormat {
@@ -219,72 +267,16 @@ func (s *System) RestoreSnapshot(snap *checkpoint.Snapshot) error {
 	if err := CheckFormat(snap); err != nil {
 		return err
 	}
-	r, err := snap.Open("machine")
-	if err != nil {
+	m := machineImage{retired: make([]uint64, len(s.Cores))}
+	if err := s.sections(snap, true, &m); err != nil {
 		return err
-	}
-	r.U32() // machineFormat, checked above
-	if n := int(r.U32()); n != len(s.Cores) {
-		return fmt.Errorf("sim: snapshot has %d cores, machine has %d", n, len(s.Cores))
-	}
-	snapNow := event.Cycle(r.U64())
-	if snapNow < s.Sched.Now() {
-		return fmt.Errorf("sim: snapshot taken at cycle %d, machine already at %d", snapNow, s.Sched.Now())
-	}
-	for _, c := range systemCounters {
-		*c.at(s) = r.U64()
-	}
-	s.ContextSwitches = r.U64()
-	s.TimerTicks = r.U64()
-	midRun := r.Bool()
-	base := event.Cycle(r.U64())
-	retired := make([]uint64, len(s.Cores))
-	for ci := range s.Cores {
-		retired[ci] = r.U64()
-		s.nextTimer[ci] = event.Cycle(r.U64())
-		pid := r.U64()
-		thread := int(r.U32())
-		var runPID uint64
-		if p := s.running[ci]; p != nil {
-			runPID = p.PID
-		}
-		if pid != runPID || (pid != 0 && thread != s.runThread[ci]) {
-			return fmt.Errorf("sim: core %d: snapshot scheduled pid %d thread %d, machine pid %d thread %d (RunOn sequences differ)",
-				ci, pid, thread, runPID, s.runThread[ci])
-		}
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	pr, err := snap.Open("phys")
-	if err != nil {
-		return err
-	}
-	if err := s.Phys.Restore(pr); err != nil {
-		return err
-	}
-	if err := s.Hier.Restore(snap); err != nil {
-		return err
-	}
-	for i, c := range s.Cores {
-		cr, err := snap.Open(fmt.Sprintf("core%d", i))
-		if err != nil {
-			return err
-		}
-		if err := c.Restore(cr); err != nil {
-			return fmt.Errorf("sim: core %d: %w", i, err)
-		}
-		if got := c.CommittedInsts(); got != retired[i] {
-			return fmt.Errorf("sim: core %d: machine section says %d retired, core section restored %d (corrupt snapshot)",
-				i, retired[i], got)
-		}
 	}
 	// An empty event queue makes the jump to the snapshot's cycle a pure
 	// clock change; Quiesced() above guaranteed it.
-	s.Sched.AdvanceTo(snapNow)
-	if midRun {
+	s.Sched.AdvanceTo(m.now)
+	if m.midRun {
 		s.resumedMidRun = true
-		s.resumeBase = base
+		s.resumeBase = m.base
 	}
 	return nil
 }

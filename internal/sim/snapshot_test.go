@@ -101,6 +101,34 @@ func TestCheckpointAllocatesAboutItsSize(t *testing.T) {
 	}
 }
 
+// TestCheckpointReservesExactly: every section of a populated machine's
+// checkpoint is saved into a payload reserved at the size its walk
+// measured — checkpoint.Snapshot.Put panics on a walk that saves another
+// size, which a table whose held count disagrees with its walk, or an
+// entry of another size than the first, would — and a checkpoint makes
+// no more allocations than the 44 it made when each component also
+// spelled its layout as a byte count.
+func TestCheckpointReservesExactly(t *testing.T) {
+	for _, cycles := range []int{5_000, 100_000} {
+		s := drainedCanneal(t, cycles)
+		snap, err := s.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range snap.Names() {
+			if snap.Len(name) == 0 {
+				t.Errorf("after %d cycles: section %q is empty", cycles, name)
+			}
+		}
+		if simtest.RaceEnabled {
+			continue
+		}
+		if n := testing.AllocsPerRun(5, func() { _, _ = s.Checkpoint() }); n > 44 {
+			t.Errorf("after %d cycles: Checkpoint() makes %.0f allocations, want at most 44", cycles, n)
+		}
+	}
+}
+
 // TestCheckpointIsDeterministic asserts two identically warmed machines
 // produce byte-identical snapshots — the property the content-addressed
 // store and the disk cache keys depend on.

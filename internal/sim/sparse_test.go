@@ -31,9 +31,9 @@ func heldEntries(s *sim.System) int {
 // physBytes is the size of the machine's "phys" section, which grows by
 // the page, not by the table entry.
 func physBytes(s *sim.System) int {
-	w := checkpoint.New().Section("phys")
-	s.Phys.Save(w)
-	return w.Len()
+	snap := checkpoint.New()
+	snap.Put("phys", s.Phys.Checkpoint)
+	return snap.Len("phys")
 }
 
 // TestCheckpointSizeTracksOccupancy pins what a checkpoint pays for: the

@@ -1,10 +1,21 @@
 package tlb
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/checkpoint"
 )
+
+// entryBytes is one saved translation: its slot index, VPN, PFN, ASID and
+// LRU stamp.
+const entryBytes = 4 + 8 + 8 + 8 + 8
+
+func save(t *TLB) *checkpoint.Snapshot {
+	s := checkpoint.New()
+	s.Put("t", t.Checkpoint)
+	return s
+}
 
 func TestTLBSaveRestoreRoundTrip(t *testing.T) {
 	a := New("dtlb", 8)
@@ -14,11 +25,8 @@ func TestTLBSaveRestoreRoundTrip(t *testing.T) {
 	a.Lookup(1, 0x108) // refresh one entry's LRU
 	a.Remove(1, 0x109)
 
-	snap := checkpoint.New()
-	a.Save(snap.Section("t"))
 	b := New("dtlb", 8)
-	r, _ := snap.Open("t")
-	if err := b.Restore(r); err != nil {
+	if err := save(a).Get("t", b.Checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	if b.CountValid() != a.CountValid() || b.Lookups != a.Lookups || b.Hits != a.Hits {
@@ -35,51 +43,47 @@ func TestTLBSaveRestoreRoundTrip(t *testing.T) {
 
 func TestTLBRestoreRejectsSizeMismatch(t *testing.T) {
 	a := New("a", 8)
-	snap := checkpoint.New()
-	a.Save(snap.Section("t"))
 	b := New("b", 16)
-	r, _ := snap.Open("t")
-	if err := b.Restore(r); err == nil {
+	if err := save(a).Get("t", b.Checkpoint); err == nil {
 		t.Fatal("restore into mismatched size succeeded")
 	}
 }
 
-// TestTLBSaveTracksOccupancy: Save writes what SaveSize says, and that is
-// a fixed header plus entrySaveBytes per valid translation.
+// TestTLBSaveTracksOccupancy: a TLB saves to a fixed header plus
+// entryBytes per valid translation.
 func TestTLBSaveTracksOccupancy(t *testing.T) {
 	a := New("dtlb", 64)
-	empty := a.SaveSize()
+	empty := save(a).Len("t")
+	if empty != 4+3*8+4 {
+		t.Fatalf("empty TLB saves to %d bytes", empty)
+	}
 	a.Insert(1, 0x10, 0x20)
 	a.Insert(1, 0x11, 0x21)
 	a.Insert(1, 0x12, 0x22)
 	a.Remove(1, 0x11)
-	snap := checkpoint.New()
-	w := snap.Section("t")
-	a.Save(w)
-	if want := empty + 2*entrySaveBytes; w.Len() != want || a.SaveSize() != want {
-		t.Fatalf("2 valid entries: Save wrote %d, SaveSize %d, want %d", w.Len(), a.SaveSize(), want)
+	if want, got := empty+2*entryBytes, save(a).Len("t"); got != want {
+		t.Fatalf("2 valid entries: saved %d bytes, want %d", got, want)
 	}
 }
 
 // forgeTLB writes a payload for an 8-entry TLB claiming count entries,
 // followed by entries at the given slot indices.
-func forgeTLB(count uint32, idxs ...uint32) *checkpoint.Reader {
-	snap := checkpoint.New()
-	w := snap.Section("t")
-	w.U32(8)
-	w.U64(50) // tick
-	w.U64(3)  // Lookups, Hits
-	w.U64(2)
-	w.U32(count)
+func forgeTLB(count uint32, idxs ...uint32) *checkpoint.Snapshot {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, 8)
+	b = le.AppendUint64(b, 50) // tick
+	b = le.AppendUint64(b, 3)  // Lookups, Hits
+	b = le.AppendUint64(b, 2)
+	b = le.AppendUint32(b, count)
 	for _, i := range idxs {
-		w.U32(i)
-		w.U64(0x100 + uint64(i))
-		w.U64(0x200 + uint64(i))
-		w.U64(1)
-		w.U64(uint64(i) + 1)
+		b = le.AppendUint32(b, i)
+		for _, v := range []uint64{0x100 + uint64(i), 0x200 + uint64(i), 1, uint64(i) + 1} {
+			b = le.AppendUint64(b, v)
+		}
 	}
-	r, _ := snap.Open("t")
-	return r
+	snap := checkpoint.New()
+	snap.Put("t", func(s *checkpoint.State) { checkpoint.Raw(s, b) })
+	return snap
 }
 
 // TestTLBRestoreRejectsCorruptEntries: slot indices come from the file
@@ -87,20 +91,20 @@ func forgeTLB(count uint32, idxs ...uint32) *checkpoint.Reader {
 func TestTLBRestoreRejectsCorruptEntries(t *testing.T) {
 	ok := New("t", 8)
 	ok.Insert(9, 0x999, 0x999) // stale content a restore must clear
-	if err := ok.Restore(forgeTLB(2, 0, 7)); err != nil {
+	if err := forgeTLB(2, 0, 7).Get("t", ok.Checkpoint); err != nil {
 		t.Fatalf("well-formed payload rejected: %v", err)
 	}
 	if _, hit := ok.Lookup(9, 0x999); hit || ok.CountValid() != 2 {
 		t.Fatalf("restore left %d valid entries (stale hit %v), want exactly the 2 saved", ok.CountValid(), hit)
 	}
-	for name, r := range map[string]*checkpoint.Reader{
+	for name, snap := range map[string]*checkpoint.Snapshot{
 		"count above capacity":   forgeTLB(9),
 		"count beyond the bytes": forgeTLB(2, 1),
 		"index at capacity":      forgeTLB(1, 8),
 		"descending indices":     forgeTLB(2, 5, 2),
 		"duplicate index":        forgeTLB(2, 5, 5),
 	} {
-		if err := New("t", 8).Restore(r); err == nil {
+		if err := snap.Get("t", New("t", 8).Checkpoint); err == nil {
 			t.Errorf("%s: restore succeeded", name)
 		}
 	}
