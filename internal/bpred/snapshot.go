@@ -42,7 +42,7 @@ func (p *Predictor) Checkpoint(s *checkpoint.State) {
 	}
 	local := p.localHist
 	hist := s.Table(len(local), p.heldHistories)
-	for i := 0; hist.More(i); i++ {
+	for i := hist.First(); hist.More(i); i = hist.Next(i) {
 		if !hist.Holds(i, local[i] != 0) {
 			continue
 		}
@@ -57,7 +57,7 @@ func (p *Predictor) Checkpoint(s *checkpoint.State) {
 	}
 	tags, targets := p.btbTags, p.btbTargets[:len(p.btbTags)]
 	btb := s.Table(len(tags), p.heldBTB)
-	for i := 0; btb.More(i); i++ {
+	for i := btb.First(); btb.More(i); i = btb.Next(i) {
 		if !btb.Holds(i, tags[i]|targets[i] != 0) {
 			continue
 		}

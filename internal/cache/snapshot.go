@@ -26,7 +26,7 @@ func (a *Array) Checkpoint(s *checkpoint.State) {
 	}
 	lines := a.lines
 	t := s.Table(len(lines), a.CountValid)
-	for i := 0; t.More(i); i++ {
+	for i := t.First(); t.More(i); i = t.Next(i) {
 		l := &lines[i]
 		if !t.Holds(i, l.State.Valid()) {
 			continue

@@ -148,8 +148,8 @@ func TestPutReservesExactly(t *testing.T) {
 // the count by the table, requires every index in range and strictly
 // above the one before it, and ends the load on a violation.
 func TestSparseTable(t *testing.T) {
-	// walk walks a table of one-byte entries, each its own index: held
-	// where the byte is non-zero.
+	// walk walks a table of one-byte entries, each its own index plus
+	// one: held where the byte is non-zero.
 	walk := func(entries []uint8) func(*State) {
 		return func(s *State) {
 			held := func() int {
@@ -162,11 +162,11 @@ func TestSparseTable(t *testing.T) {
 				return n
 			}
 			tb := s.Table(len(entries), held)
-			for i := 0; tb.More(i); i++ {
+			for i := tb.First(); tb.More(i); i = tb.Next(i) {
 				if !tb.Holds(i, entries[i] != 0) {
 					continue
 				}
-				if s.U8(&entries[i]); s.Loading() && entries[i] != uint8(i) {
+				if s.U8(&entries[i]); s.Loading() && entries[i] != uint8(i+1) {
 					t.Fatalf("entry %d carries the wrong byte", i)
 				}
 			}
@@ -183,7 +183,7 @@ func TestSparseTable(t *testing.T) {
 		s := New()
 		entries := make([]uint8, 16)
 		for _, i := range idxs {
-			entries[i] = uint8(i)
+			entries[i] = uint8(i + 1)
 		}
 		s.Put("t", walk(entries))
 		return s
@@ -195,7 +195,7 @@ func TestSparseTable(t *testing.T) {
 			n := uint32(len(idxs))
 			s.U32(&n)
 			for _, i := range idxs {
-				b := uint8(i)
+				b := uint8(i + 1)
 				s.U32(&i)
 				s.U8(&b)
 			}
@@ -216,28 +216,34 @@ func TestSparseTable(t *testing.T) {
 		return got, err
 	}
 
-	if got, err := read(table(1, 3, 9), 16); err != nil || !slices.Equal(got, []int{1, 3, 9}) {
+	if got, err := read(table(0, 3, 9), 16); err != nil || !slices.Equal(got, []int{0, 3, 9}) {
 		t.Fatalf("well-formed table: %v, %v", got, err)
 	}
 	if got, err := read(table(), 16); err != nil || len(got) != 0 {
 		t.Fatalf("empty table: %v, %v", got, err)
 	}
-	if n := table(1, 3, 9).Len("t"); n != 4+3*(4+1)+3 {
+	if n := table(0, 3, 9).Len("t"); n != 4+3*(4+1)+3 {
 		t.Fatalf("a 3-entry table saved %d bytes", n)
 	}
 	if got, err := read(forge(15), 16); err != nil || !slices.Equal(got, []int{15}) {
 		t.Fatalf("entry at the last index: %v, %v", got, err)
+	}
+	if got, err := read(forge(0), 1); err != nil || !slices.Equal(got, []int{0}) {
+		t.Fatalf("one entry at index 0: %v, %v", got, err)
 	}
 	for name, tc := range map[string]struct {
 		s        *Snapshot
 		capacity int
 		want     []int // loaded before the failure
 	}{
-		"count above capacity":     {forge(1, 2, 3), 2, nil},
-		"index at capacity":        {forge(1, 9), 9, []int{1}},
-		"repeated index":           {forge(1, 3, 3), 10, []int{1, 3}},
-		"descending index":         {forge(5, 2), 10, []int{5}},
-		"entry after the last one": {forge(8, 9), 9, []int{8}},
+		"count above capacity":      {forge(0, 1, 2), 2, nil},
+		"index at capacity":         {forge(0, 9), 9, []int{0}},
+		"repeated index":            {forge(0, 3, 3), 10, []int{0, 3}},
+		"repeated index 0":          {forge(0, 0), 10, []int{0}},
+		"descending to index 0":     {forge(5, 0), 10, []int{5}},
+		"descending index":          {forge(5, 2), 10, []int{5}},
+		"entry after the last one":  {forge(8, 9), 9, []int{8}},
+		"index 0 in an empty table": {forge(0), 0, nil},
 	} {
 		got, err := read(tc.s, tc.capacity)
 		if err == nil || !slices.Equal(got, tc.want) {
@@ -252,9 +258,7 @@ func TestSparseTable(t *testing.T) {
 func TestMapIsCanonical(t *testing.T) {
 	walk := func(m *map[uint64]uint64) func(*State) {
 		return func(s *State) {
-			n := uint64(len(*m))
-			s.U64(&n)
-			Map(s, m, n, nil, func(k, v uint64) (uint64, uint64) {
+			Map(s, m, Count64, nil, func(k, v uint64) (uint64, uint64) {
 				s.U64(&k)
 				s.U64(&v)
 				return k, v

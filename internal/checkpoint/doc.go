@@ -32,8 +32,10 @@
 //     walks its geometry, its tick and statistics, a count, and then
 //     only the valid — or, where there is no valid bit, non-zero —
 //     entries, each prefixed by its ascending index, through a Table
-//     (State.Table, More, Holds, End). Saving visits every index and fills
-//     the count in at End. Measuring walks the first held entry and counts
+//     (State.Table, First, More, Next, Holds, End), which also advances
+//     the loop. Saving visits every index and fills the count in at End;
+//     loading visits only the indices the payload holds. Measuring walks
+//     the first held entry and counts
 //     the rest at its size from the number the structure reports holding,
 //     so it costs a count of the structure, not a walk of it. Loading
 //     clears the structure first, then fails on a count above the
@@ -45,9 +47,10 @@
 //     contents, equal bytes. Small, densely used tables (2-bit counters,
 //     the RAS, DRAM banks) stay dense, walked through Raw in one loop.
 //   - Map walks a map keyed by an address (the directory, filter-sharer
-//     tracking, physical frames, the SafeBet footprints) after its count:
-//     saving in ascending key order through one sort buffer per section,
-//     measuring one entry without sorting, loading into the cleared map.
+//     tracking, physical frames, the SafeBet footprints) as a count and its
+//     entries: saving in ascending key order through one sort buffer per
+//     section, measuring one entry without sorting (counting the entries
+//     a filter keeps in the same pass), loading into the cleared map.
 //   - Snapshot.WriteTo streams the canonical form from the section
 //     buffers; Encode, Hash, Store.Put and Store.Save all go through it,
 //     so hashing and storing a snapshot never builds a second copy of the

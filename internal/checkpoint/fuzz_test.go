@@ -137,7 +137,7 @@ func FuzzReaderPrimitives(f *testing.F) {
 				case 4, 5:
 					capacity, prev := int(order), -1
 					tb := s.Table(capacity, nil)
-					for idx := 0; tb.More(idx); idx++ {
+					for idx := tb.First(); tb.More(idx); idx = tb.Next(idx) {
 						if !tb.Holds(idx, false) {
 							continue
 						}

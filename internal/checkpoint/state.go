@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"unsafe"
 )
 
 // mode is what a State does with the fields a walk hands it.
@@ -35,6 +36,7 @@ type State struct {
 	// section's largest map, so a section allocates it at most once.
 	keys    []uint64
 	maxKeys int
+	tab     tab // the sparse table being walked
 }
 
 // short is the panic of a load that reads past the payload's end, and
@@ -42,7 +44,11 @@ type State struct {
 // primitives panic rather than call an error path so that each stays
 // within the compiler's inlining budget (go build -gcflags=-m=2
 // ./internal/checkpoint): a walk makes one call per field of every
-// entry a structure holds.
+// entry a structure holds. For the same reason a save appends as
+// s.buf = append(s.buf, ...) and then fills the bytes: that form stores
+// only the new length while the reserved room lasts, where assigning
+// binary.LittleEndian.AppendUint64's result stores the whole slice, a
+// pointer store the garbage collector's write barrier guards.
 type (
 	short   struct{ off, n int }
 	failure struct{ err error }
@@ -57,7 +63,8 @@ func (s *State) U64(v *uint64) {
 	case measuring:
 		s.off += 8
 	case saving:
-		s.buf = binary.LittleEndian.AppendUint64(s.buf, *v)
+		s.buf = append(s.buf, 0, 0, 0, 0, 0, 0, 0, 0)
+		binary.LittleEndian.PutUint64(s.buf[len(s.buf)-8:], *v)
 	default:
 		if len(s.buf)-s.off < 8 {
 			panic(short{s.off, 8})
@@ -73,7 +80,8 @@ func (s *State) U32(v *uint32) {
 	case measuring:
 		s.off += 4
 	case saving:
-		s.buf = binary.LittleEndian.AppendUint32(s.buf, *v)
+		s.buf = append(s.buf, 0, 0, 0, 0)
+		binary.LittleEndian.PutUint32(s.buf[len(s.buf)-4:], *v)
 	default:
 		if len(s.buf)-s.off < 4 {
 			panic(short{s.off, 4})
@@ -105,33 +113,27 @@ func (s *State) Bool(v *bool) {
 	if *v {
 		b = 1
 	}
-	s.U8(&b)
-	*v = b != 0
+	if s.U8(&b); s.mode == loading {
+		*v = b != 0
+	}
 }
 
 // Raw walks v's bytes as they are, with no length before them: a dense
-// table of small elements, or a page, moves in one loop instead of one
+// table of small elements, or a page, moves in one copy instead of one
 // call per element.
 func Raw[T ~uint8](s *State, v []T) {
+	// b is v's memory as bytes: T's underlying type is uint8.
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
 	switch s.mode {
 	case measuring:
-		s.off += len(v)
+		s.off += len(b)
 	case saving:
-		at := len(s.buf)
-		s.buf = slices.Grow(s.buf, len(v))[:at+len(v)]
-		dst := s.buf[at:]
-		for i, c := range v {
-			dst[i] = uint8(c)
-		}
+		s.buf = append(s.buf, b...)
 	default:
-		if len(s.buf)-s.off < len(v) {
-			panic(short{s.off, len(v)})
+		if len(s.buf)-s.off < len(b) {
+			panic(short{s.off, len(b)})
 		}
-		src := s.buf[s.off : s.off+len(v)]
-		for i, c := range src {
-			v[i] = T(c)
-		}
-		s.off += len(v)
+		s.off += copy(b, s.buf[s.off:])
 	}
 }
 
@@ -165,7 +167,7 @@ func (s *State) ended(p any) error {
 // are equal bytes whatever the rest of the structure holds. A walk is
 //
 //	t := s.Table(len(entries), countHeld)
-//	for i := 0; t.More(i); i++ {
+//	for i := t.First(); t.More(i); i = t.Next(i) {
 //		if !t.Holds(i, entries[i].valid) {
 //			continue
 //		}
@@ -173,139 +175,184 @@ func (s *State) ended(p any) error {
 //	}
 //	t.End()
 //
-// Saving and loading visit every index. Measuring visits indices only up
-// to the first held entry and walks its fields: every entry of a table
-// has the size of the first, and held — which a measure alone calls —
-// says how many the structure holds. (Put panics if saving then writes
-// another size, so a held that disagrees with the walk cannot go
-// unnoticed.)
+// Saving visits every index. Loading visits only the indices the payload
+// holds, each read right after the fields of the entry before it.
+// Measuring visits indices only up to the first held entry and walks its
+// fields: every entry of a table has the size of the first, and held —
+// which a measure alone calls — says how many the structure holds. (Put
+// panics if saving then writes another size, so a held that disagrees
+// with the walk cannot go unnoticed.)
+//
+// A Table is a value whose methods take it by value, so a walk keeps it in
+// registers; what changes as the walk goes on is in the State's tab, as
+// tables do not nest.
 type Table struct {
-	s      *State
-	end    int  // More's bound: the size, or where a measure stops
-	at     int  // saving: where the count goes; measuring: where the first entry began
-	count  int  // saving: entries written; measuring: entries held; loading: entries left to read
-	next   int  // loading: the next index in the payload, or where to read it; else -1
-	unread bool // loading: next is where to read the following index
-	prev   int  // loading: the index read before
+	s    *State
+	end  int // the size; 0 when measuring a table that holds nothing
+	mode mode
 }
+
+// tab is the sparse table a State is walking: saving, where its count goes
+// and the entries written; measuring, where its first held entry began
+// (-1 until then) and the entries the structure holds; loading, the
+// entries left to read and the index read before.
+type tab struct{ at, count, prev int }
 
 // Table starts a sparse table in a structure of size entries. Loading, it
 // reads the count and fails on one above size, so the walk is bounded by
 // the structure it fills, never by a number from the file.
 func (s *State) Table(size int, held func() int) Table {
-	t := Table{s: s, end: size, at: -1, next: -1, prev: -1}
+	t := Table{s: s, end: size, mode: s.mode}
+	s.tab = tab{at: -1, prev: -1}
 	switch s.mode {
 	case measuring:
-		if t.count = held(); t.count == 0 {
+		if s.tab.count = held(); s.tab.count == 0 {
 			t.end = 0
 		}
 		s.off += 4
 	case saving:
-		t.at = len(s.buf)
+		s.tab.at = len(s.buf)
 		s.buf = append(s.buf, 0, 0, 0, 0)
 	default:
 		var n uint32
 		if s.U32(&n); uint64(n) > uint64(size) {
 			s.Failf("%d entries in a table of %d", n, size)
 		}
-		if t.count = int(n); n > 0 {
-			t.next, t.unread = 0, true
-		}
+		s.tab.count = int(n)
 	}
 	return t
 }
 
-// More reports whether the walk goes on to index i.
-func (t *Table) More(i int) bool { return i < t.end }
-
-// Holds reports whether entry i's fields follow. Saving, they do when the
-// structure holds the entry (held), and its index is written; measuring,
-// for the first held entry, after which the walk ends; loading, when i is
-// the next index in the payload, whatever held says. A loaded index must
-// be below the size and strictly above the one before it; anything else
-// fails the load, so no index from a file reaches the caller's structure
-// unchecked.
-func (t *Table) Holds(i int, held bool) bool {
-	return (held || i == t.next) && t.hold(i)
+// First is the walk's first index: loading, the first index in the
+// payload (the size when there is none); otherwise 0.
+func (t Table) First() int {
+	if t.mode == loading {
+		return t.s.next(-1, t.end)
+	}
+	return 0
 }
 
-// hold is Holds for an entry the structure holds or, loading, the index
-// the walk is to stop at (measuring and saving, next is -1): the call
-// Holds leaves out of its inlined body, which the walk runs for every
-// index it visits.
-func (t *Table) hold(i int) bool {
-	switch {
-	case t.s.mode == loading:
-		if i != t.next {
-			return false
-		}
-		// Read the following index here, right after the previous
-		// entry's fields; the entry at i is next only if it says so.
-		if t.unread {
-			if t.read(); t.next != i {
-				return false
-			}
-		}
-		t.next, t.unread = -1, false
-		if t.count > 0 {
-			t.next, t.unread = i+1, true
-		}
-	case t.s.mode == saving:
-		t.count++
-		t.s.buf = binary.LittleEndian.AppendUint32(t.s.buf, uint32(i))
-	default: // measuring the first held entry: mark where it begins, stop after it
-		t.at, t.end = t.s.off, i+1
-		t.s.off += 4
+// Next is the index the walk visits after i: saving, i+1; otherwise what
+// next says.
+func (t Table) Next(i int) int {
+	if t.mode == saving {
+		return i + 1
+	}
+	return t.s.next(i, t.end)
+}
+
+// More reports whether the walk goes on to index i.
+func (t Table) More(i int) bool { return i < t.end }
+
+// Holds reports whether entry i's fields follow. Loading, they always do:
+// i came from the payload. Saving, they do when the structure holds the
+// entry (held), and its index is written; measuring, for the first held
+// entry, after which Next ends the walk.
+func (t Table) Holds(i int, held bool) bool {
+	return held && t.s.hold(i) || t.mode == loading
+}
+
+// hold is Holds for an entry the structure holds: the call Holds leaves
+// out of its inlined body, which the walk runs for every index it visits.
+func (s *State) hold(i int) bool {
+	switch s.mode {
+	case saving:
+		s.tab.count++
+		s.buf = append(s.buf, 0, 0, 0, 0)
+		binary.LittleEndian.PutUint32(s.buf[len(s.buf)-4:], uint32(i))
+	case measuring: // the first held entry: mark where it begins
+		s.tab.at = s.off
+		s.off += 4
 	}
 	return true
 }
 
-func (t *Table) read() {
-	t.count--
-	var i uint32
-	if t.s.U32(&i); int64(i) >= int64(t.end) || int64(i) <= int64(t.prev) {
-		t.s.Failf("entry index %d after %d in a table of %d", i, t.prev, t.end)
+// next is Next measuring and loading. Measuring, it is end, the size,
+// once the first held entry is walked, else i+1. Loading, it reads the
+// next index in the payload, after entry i's fields, or is end when none
+// is left. An index must be below the size and strictly above the one
+// before it; anything else fails the load, so no index from a file
+// reaches the caller's structure unchecked.
+func (s *State) next(i, end int) int {
+	switch {
+	case s.mode == measuring && s.tab.at >= 0, s.mode == loading && s.tab.count == 0:
+		return end
+	case s.mode == measuring:
+		return i + 1
 	}
-	t.prev, t.next, t.unread = int(i), int(i), false
+	s.tab.count--
+	var n uint32
+	if s.U32(&n); int64(n) >= int64(end) || int64(n) <= int64(s.tab.prev) {
+		s.Failf("entry index %d after %d in a table of %d", n, s.tab.prev, end)
+	}
+	s.tab.prev = int(n)
+	return s.tab.prev
 }
 
 // End ends the walk: saving, it writes the count; measuring, it counts
-// the held entries after the first at the first's size; loading, an entry
-// still to read (after one at the last index) fails the load.
-func (t *Table) End() {
+// the held entries after the first at the first's size. A load has read
+// every index by the time More stops it.
+func (t Table) End() {
+	s := t.s
 	switch {
-	case t.s.mode == saving:
-		binary.LittleEndian.PutUint32(t.s.buf[t.at:], uint32(t.count))
-	case t.s.mode == measuring:
-		if t.at >= 0 {
-			t.s.off += (t.count - 1) * (t.s.off - t.at)
-		}
-	case t.count > 0:
-		t.read()
+	case t.mode == saving:
+		binary.LittleEndian.PutUint32(s.buf[s.tab.at:], uint32(s.tab.count))
+	case t.mode == measuring && s.tab.at >= 0:
+		s.off += (s.tab.count - 1) * (s.off - s.tab.at)
 	}
 }
 
-// Map walks the n entries of a map keyed by an address, a count the
-// caller walks before it: saving in ascending key order so equal maps are
-// equal bytes, loading n entries into *m, which is cleared first (and made
-// on the first entry if it is nil). Saving and measuring, it walks only
-// the entries held reports true for (every entry when held is nil), of
-// which there are n; measuring, it walks one of them — every entry has the
-// size of the first — and sorts nothing. Loading, the payload bounds n.
-// entry walks one key and its value and returns them, loaded or as they
-// were.
-func Map[K ~uint64, V any](s *State, m *map[K]V, n uint64, held func(V) bool, entry func(K, V) (K, V)) {
+// Count is the width of the entry count a Map walks before its entries.
+type Count uint8
+
+const (
+	Count32 Count = 4 // a uint32
+	Count64 Count = 8 // a uint64
+)
+
+// count walks n as a count of width w.
+func (s *State) count(w Count, n *uint64) {
+	if w == Count64 {
+		s.U64(n)
+		return
+	}
+	c := uint32(*n)
+	s.U32(&c)
+	*n = uint64(c)
+}
+
+// Map walks a map keyed by an address: a count of width w, then the
+// entries, saved in ascending key order so equal maps are equal bytes.
+// Saving and measuring, it walks only the entries held reports true for
+// (every entry when held is nil); measuring, it counts them in one pass
+// and walks the first — every entry has the size of the first — and sorts
+// nothing. Loading, it clears *m (making it on the first entry if it is
+// nil) and reads as many entries as the count says: the payload bounds
+// them. entry walks one key and its value and returns them, loaded or as
+// they were.
+func Map[K ~uint64, V any](s *State, m *map[K]V, w Count, held func(V) bool, entry func(K, V) (K, V)) {
+	var n uint64
 	switch s.mode {
 	case measuring:
-		s.maxKeys = max(s.maxKeys, int(n))
+		size := 0
 		for k, v := range *m {
-			if held == nil || held(v) {
+			if held != nil && !held(v) {
+				continue
+			}
+			if n++; n == 1 {
 				at := s.off
 				entry(k, v)
-				s.off += int(n-1) * (s.off - at)
-				return
+				size = s.off - at
+			}
+			if held == nil {
+				n = uint64(len(*m))
+				break
 			}
 		}
+		if s.count(w, &n); n > 1 {
+			s.off += int(n-1) * size
+		}
+		s.maxKeys = max(s.maxKeys, int(n))
 	case saving:
 		keys := s.keys[:0]
 		for k, v := range *m {
@@ -314,11 +361,14 @@ func Map[K ~uint64, V any](s *State, m *map[K]V, n uint64, held func(V) bool, en
 			}
 		}
 		slices.Sort(keys)
+		n = uint64(len(keys))
+		s.count(w, &n)
 		for _, k := range keys {
 			entry(K(k), (*m)[K(k)])
 		}
 		s.keys = keys
 	default:
+		s.count(w, &n)
 		clear(*m)
 		for ; n > 0; n-- {
 			var zk K

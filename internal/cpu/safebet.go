@@ -34,13 +34,14 @@ func (s *lineSet[K]) add(a K) {
 // checkpoint walks the set as a count and its lines, ascending, so equal
 // machine states produce identical snapshot bytes. A load replaces the
 // set, adding lines as it reads them: a corrupt count in a fuzzed snapshot
-// must end the load at the payload's end, not over-allocate.
+// must end the load at the payload's end, not over-allocate. A line that
+// is not line-aligned, which add never keeps, fails the load.
 func (s *lineSet[K]) checkpoint(st *checkpoint.State) {
-	n := uint32(len(*s))
-	st.U32(&n)
-	checkpoint.Map(st, (*map[K]struct{})(s), uint64(n), nil, func(a K, v struct{}) (K, struct{}) {
+	checkpoint.Map(st, (*map[K]struct{})(s), checkpoint.Count32, nil, func(a K, v struct{}) (K, struct{}) {
 		line := uint64(a)
-		st.U64(&line)
+		if st.U64(&line); st.Loading() && mem.LineAddr(line) != line {
+			st.Failf("footprint line %#x is not line-aligned", line)
+		}
 		return K(line), v
 	})
 }

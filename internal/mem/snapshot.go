@@ -9,18 +9,10 @@ import "repro/internal/checkpoint"
 // semantics exactly. A load replaces the memory's contents; the frames
 // held before go back to the recycler the new ones come from.
 func (p *Physical) Checkpoint(s *checkpoint.State) {
-	var n uint64
 	if s.Loading() {
 		p.dropFrames()
-	} else {
-		for _, f := range p.frames {
-			if nonZero(f) {
-				n++
-			}
-		}
 	}
-	s.U64(&n)
-	checkpoint.Map(s, &p.frames, n, nonZero, func(fn uint64, f *[PageBytes]byte) (uint64, *[PageBytes]byte) {
+	checkpoint.Map(s, &p.frames, checkpoint.Count64, nonZero, func(fn uint64, f *[PageBytes]byte) (uint64, *[PageBytes]byte) {
 		size := uint64(PageBytes)
 		s.U64(&fn)
 		if s.U64(&size); s.Loading() {

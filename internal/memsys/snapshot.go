@@ -125,9 +125,7 @@ func (h *Hierarchy) shared(s *checkpoint.State) {
 	s.U64((*uint64)(&h.l2PortFree))
 	h.dram.Checkpoint(s)
 
-	n := uint64(len(h.dir))
-	s.U64(&n)
-	checkpoint.Map(s, &h.dir, n, nil, func(line uint64, e *dirEntry) (uint64, *dirEntry) {
+	checkpoint.Map(s, &h.dir, checkpoint.Count64, nil, func(line uint64, e *dirEntry) (uint64, *dirEntry) {
 		if s.Loading() {
 			e = new(dirEntry)
 		}
@@ -142,16 +140,12 @@ func (h *Hierarchy) shared(s *checkpoint.State) {
 		s.U64(&e.isharers)
 		return line, e
 	})
-	n = uint64(len(h.filterSharers))
-	s.U64(&n)
-	checkpoint.Map(s, &h.filterSharers, n, nil, func(line, sharers uint64) (uint64, uint64) {
+	checkpoint.Map(s, &h.filterSharers, checkpoint.Count64, nil, func(line, sharers uint64) (uint64, uint64) {
 		s.U64(&line)
 		s.U64(&sharers)
 		return line, sharers
 	})
-	n = uint64(len(h.filterOwner))
-	s.U64(&n)
-	checkpoint.Map(s, &h.filterOwner, n, nil, func(line uint64, owner int) (uint64, int) {
+	checkpoint.Map(s, &h.filterOwner, checkpoint.Count64, nil, func(line uint64, owner int) (uint64, int) {
 		o := uint64(owner)
 		s.U64(&line)
 		if s.U64(&o); s.Loading() && o >= uint64(len(h.ports)) {

@@ -18,7 +18,7 @@ func (p *Prefetcher) Checkpoint(s *checkpoint.State) {
 		p.Reset()
 	}
 	t := s.Table(len(p.table), p.CountValid)
-	for i := 0; t.More(i); i++ {
+	for i := t.First(); t.More(i); i = t.Next(i) {
 		e := &p.table[i]
 		if !t.Holds(i, e.valid) {
 			continue

@@ -23,7 +23,7 @@ func (t *TLB) Checkpoint(s *checkpoint.State) {
 		clear(t.valid)
 	}
 	tbl := s.Table(len(t.entries), t.CountValid)
-	for i := 0; tbl.More(i); i++ {
+	for i := tbl.First(); tbl.More(i); i = tbl.Next(i) {
 		if !tbl.Holds(i, t.valid[i]) {
 			continue
 		}
