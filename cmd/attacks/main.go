@@ -1,9 +1,11 @@
 // Command attacks runs the attack-scenario corpus against the compared
 // protection schemes and prints the security matrix: scenario (rows) vs
 // scheme (columns), each cell a leak(value,signal) or block(signal)
-// verdict. The matrix is rendered by the same code path as the figures
-// executor's, so its bytes match the pinned golden artifact. -attack and
-// -scheme filter the matrix to one row or one column (both: one cell).
+// verdict. The cells run as a muontrap sweep and the matrix is assembled
+// and rendered by the library's one assembler, SecurityMatrixFromSweep, so
+// its bytes match the pinned golden artifact
+// (muontrap/testdata/security_matrix.golden). -attack and -scheme filter
+// the matrix to one row or one column (both: one cell).
 //
 // Usage:
 //

@@ -1,23 +1,22 @@
 package main
 
 import (
-	"context"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/attack"
-	"repro/internal/defense"
-	"repro/internal/figures"
 )
 
-// TestBinaryMatrixMatchesFigures is the e2e smoke: the attacks binary's
-// default output must be byte-for-byte the matrix the figures executor
-// renders in-process — one renderer, one artifact, no drift between the
-// CLI and the pinned golden table — and a filtered run must print the same
-// cells the full one does.
-func TestBinaryMatrixMatchesFigures(t *testing.T) {
+// goldenMatrix is the pinned security matrix the muontrap regression
+// suite checks the library against.
+const goldenMatrix = "../../muontrap/testdata/security_matrix.golden"
+
+// TestBinaryMatrixMatchesGolden is the e2e smoke: the attacks binary's
+// default output must be byte-for-byte the pinned golden matrix — one
+// renderer, one artifact, no drift between the CLI and the library — and
+// a filtered run must print the same cells the full one does.
+func TestBinaryMatrixMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the full corpus")
 	}
@@ -29,26 +28,25 @@ func TestBinaryMatrixMatchesFigures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("attacks: %v", err)
 	}
-
-	want, err := figures.SecurityMatrix(context.Background(),
-		defense.SecurityComparison(), attack.Scenarios(), figures.Options{})
+	want, err := os.ReadFile(goldenMatrix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(stdout) != want.Render() {
-		t.Fatalf("binary matrix differs from the figures-level matrix:\nbinary:\n%s\nfigures:\n%s",
-			stdout, want.Render())
+	if string(stdout) != string(want) {
+		t.Fatalf("binary matrix differs from %s:\nbinary:\n%s\ngolden:\n%s", goldenMatrix, stdout, want)
 	}
 
 	// -attack and -scheme filter the matrix: a filtered run prints exactly
 	// the cells it selects, each as the full matrix prints it.
 	full := cells(t, string(stdout))
+	lines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	rows, cols := len(lines)-2, len(strings.Fields(lines[1]))-1
 	for _, tc := range []struct {
 		args       []string
 		rows, cols int
 	}{
-		{[]string{"-attack", "spectre"}, 1, len(want.Schemes)},
-		{[]string{"-scheme", "muontrap"}, len(want.Rows), 1},
+		{[]string{"-attack", "spectre"}, 1, cols},
+		{[]string{"-scheme", "muontrap"}, rows, 1},
 		{[]string{"-attack", "btb-data", "-scheme", "safebet"}, 1, 1},
 	} {
 		out, err := exec.Command(bin, tc.args...).Output()

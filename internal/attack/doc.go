@@ -3,19 +3,22 @@
 // MuonTrap (Attacks 1-6, §2-§4), plus generated variants (Spectre v1 index
 // sweeps, v2 indirect-jump mistraining, MeltdownPrime-style coherence
 // prime+probe). Every attack is a declarative Scenario — a speculative
-// gadget, a mistraining strategy, a transmission channel and a decision
-// rule — and one interpreter (RunSecret) builds the victim program, drives
-// the mistraining, and runs the channel's receiver against it under a
-// defense scheme. The victim really executes speculatively on the
+// gadget on a transmission channel. The gadget implies the mistraining;
+// the channel's row in one channel table holds the gadgets it accepts, the
+// receiver's decision rule, the victim's placement, the candidate and
+// stride bounds and the receiver. One interpreter (RunSecret) builds the
+// victim program, places it from the row, drives the mistraining, and runs
+// the row's receiver against it under a defense scheme. The victim really executes speculatively on the
 // out-of-order core; run under the unprotected configuration the scenarios
 // recover the secret, and under the configuration whose mechanism the
 // paper credits as the defense they must fail.
 //
 // Key types:
 //
-//   - Scenario: the declarative spec, with a strict canonical wire form
-//     (Encode/DecodeScenario) that doubles as the cache identity of a
-//     security-matrix cell. Scenarios() enumerates the corpus.
+//   - Scenario: the declarative spec, validated against its channel's row,
+//     with a canonical wire form (Encode) that doubles as the cache
+//     identity of a security-matrix cell. Scenarios() enumerates the
+//     corpus.
 //   - Result: one trial's outcome — the probe timings, the recovered
 //     value and whether it matches the planted secret.
 //   - ScenarioByName and RunSecret: one registry scenario run under one
@@ -24,6 +27,8 @@
 //
 // Invariants:
 //
+//   - Every channel-dependent decision is read from the channel's row:
+//     nothing outside the table compares a scenario's channel.
 //   - The receivers (prime, probe, timing) are driven by the harness
 //     through committed, non-speculative port accesses — exactly the
 //     attacker capability in the paper's threat model (§3): an attacker

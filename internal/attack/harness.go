@@ -95,23 +95,19 @@ func (r *Result) score(lats []event.Cycle, secret int) {
 
 const signalThreshold = 0.6
 
-// rig wraps a System with the attack-harness plumbing.
-type rig struct {
-	sys *sim.System
-}
-
-func newRig(cores int, sch defense.Scheme) *rig {
+// newSystem builds the attack machine: cores cores under the scheme.
+func newSystem(cores int, sch defense.Scheme) *sim.System {
 	cfg := sim.DefaultConfig(cores)
 	cfg.CPU.Defense = sch.CPU
 	cfg.Mem.Mode = sch.Mode
-	// Attack rigs run with a row-neutral DRAM (open-row hits cost the
+	// Attack machines run with a row-neutral DRAM (open-row hits cost the
 	// same as misses). DRAM row-buffer timing is itself a side channel,
 	// but one the paper explicitly does not address (§4.10 lists the
 	// remaining channels); neutralising it isolates the cache-level
 	// channels MuonTrap is about, for both the leak and the defense
 	// assertions.
 	cfg.Mem.DRAM.RowHitLatency = cfg.Mem.DRAM.RowMissLatency
-	return &rig{sys: sim.New(cfg)}
+	return sim.New(cfg)
 }
 
 // translate resolves a virtual address through a process's page table.
@@ -124,79 +120,67 @@ func translate(p *sim.Process, va uint64) mem.Addr {
 }
 
 // readWord / writeWord access a process's memory functionally.
-func (r *rig) readWord(p *sim.Process, va uint64) uint64 {
-	return r.sys.Phys.Read64(translate(p, va))
+func (t *trial) readWord(p *sim.Process, va uint64) uint64 {
+	return t.sys.Phys.Read64(translate(p, va))
 }
 
-func (r *rig) writeWord(p *sim.Process, va uint64, v uint64) {
-	r.sys.Phys.Write64(translate(p, va), v)
+func (t *trial) writeWord(p *sim.Process, va uint64, v uint64) {
+	t.sys.Phys.Write64(translate(p, va), v)
 }
 
 // step advances the machine n cycles.
-func (r *rig) step(n int) { r.sys.Step(n) }
+func (t *trial) step(n int) { t.sys.Step(n) }
 
-// timedLoad measures a committed (non-speculative) data access by the
-// receiver on the given core: the attacker timing its own load. Each call
-// site passes a distinct pc so the receiver's own accesses do not train
-// the stride prefetcher (real attacks probe from unrolled code for the
-// same reason).
-func (r *rig) timedLoad(core int, p *sim.Process, pc, va uint64) event.Cycle {
-	pa := translate(p, va)
-	start := r.sys.Sched.Now()
+// timed measures one committed (non-speculative) access the receiver
+// issues on the attacker's core: issue starts it on the port and calls
+// done when it completes, and the machine runs until then.
+func (t *trial) timed(issue func(port *memsys.Port, done func())) event.Cycle {
+	start := t.sys.Sched.Now()
 	done := false
-	r.sys.Hier.Port(core).Load(pc, mem.VAddr(va), pa, false, func(memsys.AccessResult) {
-		done = true
-	})
+	issue(t.sys.Hier.Port(attackerCore), func() { done = true })
 	for i := 0; i < 100000 && !done; i++ {
-		r.step(1)
+		t.step(1)
 	}
 	if !done {
-		panic("attack: timed load never completed")
+		panic("attack: timed access never completed")
 	}
-	return r.sys.Sched.Now() - start
+	return t.sys.Sched.Now() - start
+}
+
+// timedLoad measures a committed data load: the attacker timing its own
+// load. Each call site passes a distinct pc so the receiver's own accesses
+// do not train the stride prefetcher (real attacks probe from unrolled
+// code for the same reason).
+func (t *trial) timedLoad(p *sim.Process, pc, va uint64) event.Cycle {
+	pa := translate(p, va)
+	return t.timed(func(port *memsys.Port, done func()) {
+		port.Load(pc, mem.VAddr(va), pa, false, func(memsys.AccessResult) { done() })
+	})
 }
 
 // timedIfetch measures a committed instruction fetch.
-func (r *rig) timedIfetch(core int, p *sim.Process, va uint64) event.Cycle {
+func (t *trial) timedIfetch(p *sim.Process, va uint64) event.Cycle {
 	pa := translate(p, va)
-	start := r.sys.Sched.Now()
-	done := false
-	r.sys.Hier.Port(core).Ifetch(mem.VAddr(va), pa, func(memsys.AccessResult) {
-		done = true
+	return t.timed(func(port *memsys.Port, done func()) {
+		port.Ifetch(mem.VAddr(va), pa, func(memsys.AccessResult) { done() })
 	})
-	for i := 0; i < 100000 && !done; i++ {
-		r.step(1)
-	}
-	if !done {
-		panic("attack: timed ifetch never completed")
-	}
-	return r.sys.Sched.Now() - start
 }
 
-// timedStore measures a committed store drain (attack 3's receiver).
-func (r *rig) timedStore(core int, p *sim.Process, va uint64) event.Cycle {
+// timedStore measures a committed store drain.
+func (t *trial) timedStore(p *sim.Process, va uint64) event.Cycle {
 	pa := translate(p, va)
-	start := r.sys.Sched.Now()
-	done := false
-	r.sys.Hier.Port(core).StoreDrain(0x400040, mem.VAddr(va), pa, func() {
-		done = true
+	return t.timed(func(port *memsys.Port, done func()) {
+		port.StoreDrain(0x400040, mem.VAddr(va), pa, done)
 	})
-	for i := 0; i < 100000 && !done; i++ {
-		r.step(1)
-	}
-	if !done {
-		panic("attack: timed store never completed")
-	}
-	return r.sys.Sched.Now() - start
 }
 
-// waitAck runs the machine until the victim's iteration counter at ackVA
-// advances past prev (the victim acknowledges processing one mailbox
-// input), or a bound expires.
-func (r *rig) waitAck(p *sim.Process, ackVA uint64, prev uint64) uint64 {
+// waitAck runs the machine until the victim's iteration counter advances
+// past prev (the victim acknowledges processing one mailbox input), or a
+// bound expires.
+func (t *trial) waitAck(prev uint64) uint64 {
 	for i := 0; i < 200000; i++ {
-		r.step(1)
-		if v := r.readWord(p, ackVA); v > prev {
+		t.step(1)
+		if v := t.readWord(t.victim, t.l.ack); v > prev {
 			return v
 		}
 	}
@@ -205,6 +189,6 @@ func (r *rig) waitAck(p *sim.Process, ackVA uint64, prev uint64) uint64 {
 
 // evict removes a victim line from the shared cache levels (attacker-
 // feasible set-contention eviction).
-func (r *rig) evict(p *sim.Process, va uint64) {
-	r.sys.Hier.EvictLine(translate(p, va))
+func (t *trial) evict(va uint64) {
+	t.sys.Hier.EvictLine(translate(t.victim, va))
 }

@@ -7,19 +7,62 @@ import (
 )
 
 // The scenario interpreter: RunSecret builds the victim a Scenario
-// describes, applies the spec's mistraining strategy, and runs the
-// channel's receiver procedure against it under a defense scheme.
+// describes, places it from the channel's row, and runs the row's receiver
+// against it under a defense scheme.
+
+// trial is one scenario run in progress: the machine, the victim and the
+// attacker (the same binary, so text is shared), the victim's layout and
+// core, and the out-of-bounds index whose speculative use transmits the
+// secret.
+type trial struct {
+	sys              *sim.System
+	sc               Scenario
+	victim, attacker *sim.Process
+	l                *victimLayout
+	core             int
+	oob              uint64
+}
+
+// attackerCore is the core the receiver's timed accesses issue from.
+const attackerCore = 0
+
+// newTrial builds the machine and the victim with secret planted, and
+// places the victim from its channel's row: on the receiver's core for a
+// same-core channel, else on a core of its own.
+func newTrial(sc Scenario, sch defense.Scheme, secret int) *trial {
+	cores, t := 2, &trial{sc: sc, core: 1}
+	if channels[sc.Channel].sameCore {
+		cores, t.core = 1, attackerCore
+	}
+	t.sys = newSystem(cores, sch)
+	prog, l := buildScenarioVictim(sc)
+	t.l = l
+	t.victim = t.sys.NewProcess(prog)
+	t.attacker = t.sys.NewProcess(prog)
+
+	t.writeWord(t.victim, l.size, 8)
+	t.writeWord(t.victim, l.secret, uint64(secret))
+	// Training inputs (index 1) transmit through the benign candidate,
+	// away from the scored ones, so the architecturally executed gadget
+	// does not pollute the channel.
+	t.writeWord(t.victim, l.array1+8, uint64(sc.trainValue()))
+	t.oob = (l.secret - l.array1) / 8
+
+	t.sys.RunOn(t.core, t.victim, 0)
+	t.step(200)
+	return t
+}
 
 // train drives the victim through n in-bounds iterations, training the
 // bounds-check branch — or, for indirect gadgets, the BTB through the
 // benign jump target — and warming the victim's TLB and caches so later
 // phases see a steady-state victim (priming before the victim's warm-up
 // would let its page-table-walk traffic pollute the primed sets).
-func (r *rig) train(p *sim.Process, l *victimLayout, n int) {
-	ack := r.readWord(p, l.ack)
+func (t *trial) train(n int) {
+	ack := t.readWord(t.victim, t.l.ack)
 	for i := 0; i < n; i++ {
-		r.writeWord(p, l.mailbox, 1) // in bounds (size = 8)
-		ack = r.waitAck(p, l.ack, ack)
+		t.writeWord(t.victim, t.l.mailbox, 1) // in bounds (size = 8)
+		ack = t.waitAck(ack)
 	}
 }
 
@@ -32,32 +75,32 @@ func (r *rig) train(p *sim.Process, l *victimLayout, n int) {
 // then returns the victim to a benign input and lets it settle, so the
 // receiver's later timing is not polluted by concurrent victim memory
 // traffic (a contention channel the paper scopes out, §4.10).
-func (r *rig) fire(core int, p *sim.Process, l *victimLayout, oobIndex uint64, evictLines int, evictStride uint64) {
-	ack := r.readWord(p, l.ack)
-	r.evict(p, l.size)
+func (t *trial) fire(evictLines int, evictStride uint64) {
+	ack := t.readWord(t.victim, t.l.ack)
+	t.evict(t.l.size)
 	// The victim's filter cache would otherwise retain the bounds line
 	// (it is private and non-inclusive, so the attacker cannot evict it).
 	// In reality OS timer interrupts and the victim's own syscalls flush
 	// filter state constantly — MuonTrap flushes on every such domain
 	// switch by design — so the attacker simply fires after one. Model
 	// that tick here (a no-op for configurations without filter caches).
-	r.sys.Hier.Port(core).FlushDomain()
+	t.sys.Hier.Port(t.core).FlushDomain()
 	for s := 0; s < evictLines; s++ {
-		r.evict(p, l.probe+uint64(s)*evictStride)
+		t.evict(t.l.probe + uint64(s)*evictStride)
 	}
-	r.writeWord(p, l.mailbox, oobIndex)
+	t.writeWord(t.victim, t.l.mailbox, t.oob)
 	for i := 0; i < 3; i++ {
-		ack = r.waitAck(p, l.ack, ack)
+		ack = t.waitAck(ack)
 	}
-	r.writeWord(p, l.mailbox, 1) // quiesce on a benign input
-	r.waitAck(p, l.ack, ack)
-	r.step(500)
+	t.writeWord(t.victim, t.l.mailbox, 1) // quiesce on a benign input
+	t.waitAck(ack)
+	t.step(500)
 }
 
-// trainAndFire is the common single-shot sequence for a victim on core.
-func (r *rig) trainAndFire(core int, p *sim.Process, l *victimLayout, oobIndex uint64, evictLines int, evictStride uint64) {
-	r.train(p, l, 24)
-	r.fire(core, p, l, oobIndex, evictLines, evictStride)
+// trainAndFire is the common single-shot sequence.
+func (t *trial) trainAndFire(evictLines int, evictStride uint64) {
+	t.train(24)
+	t.fire(evictLines, evictStride)
 }
 
 // permStep picks the first probe-permutation step coprime with n from a
@@ -80,6 +123,18 @@ func permStep(n int, prefs ...int) int {
 	return 1
 }
 
+// timeCandidates visits candidate (i*step + off) mod Candidates for each i
+// and returns the latencies time measured, indexed by candidate.
+func (t *trial) timeCandidates(step, off int, time func(s int) event.Cycle) []event.Cycle {
+	n := t.sc.Candidates
+	lats := make([]event.Cycle, n)
+	for i := 0; i < n; i++ {
+		s := (i*step + off) % n
+		lats[s] = time(s)
+	}
+	return lats
+}
+
 // RunSecret executes a scenario under a defense scheme with a chosen
 // secret (normalised into [0, Candidates)). The verdict is deterministic:
 // the simulator has no noise sources, so a defended configuration yields
@@ -87,201 +142,142 @@ func permStep(n int, prefs ...int) int {
 func RunSecret(sc Scenario, sch defense.Scheme, secret int) Result {
 	n := sc.Candidates
 	secret = ((secret % n) + n) % n
+	t := newTrial(sc, sch, secret)
+	defer t.sys.Release()
 
-	// Same-core channels (flush+reload across a context switch) use one
-	// core; cross-core channels give the victim its own core and let the
-	// attacker observe from core 0.
-	cores, victimCore := 2, 1
-	if sc.Channel == ChannelProbeReload || sc.Channel == ChannelIfetch {
-		cores, victimCore = 1, 0
+	ch := &channels[sc.Channel]
+	probe := ch.recv(t)
+	if ch.sameCore {
+		t.sys.RunOn(attackerCore, t.attacker, 0) // protection-domain switch
+		t.step(50)
 	}
-	r := newRig(cores, sch)
-	defer r.sys.Release()
-	prog, l := buildScenarioVictim(sc)
-	victim := r.sys.NewProcess(prog)
-	attacker := r.sys.NewProcess(prog) // same binary: text is shared
-
-	r.writeWord(victim, l.size, 8)
-	r.writeWord(victim, l.secret, uint64(secret))
-	// Training inputs (index 1) transmit through the benign candidate,
-	// away from the scored ones, so the architecturally executed gadget
-	// does not pollute the channel.
-	r.writeWord(victim, l.array1+8, uint64(sc.trainValue()))
-	oob := (l.secret - l.array1) / 8
-
 	res := Result{Name: sc.Name}
-	switch sc.Channel {
-	case ChannelProbeReload:
-		res.score(r.recvProbeReload(sc, victim, attacker, l, oob), secret)
-	case ChannelInclusion:
-		res.scoreDelta(r.recvInclusion(sc, victim, attacker, l, oob), secret, sc.MinDelta)
-	case ChannelCoherenceStore:
-		res.scoreDelta(r.recvCoherenceStore(sc, victim, attacker, l, oob), secret, sc.MinDelta)
-	case ChannelCoherenceLoad:
-		res.scoreDelta(r.recvCoherenceLoad(sc, victim, attacker, l, oob), secret, sc.MinDelta)
-	case ChannelPrefetchNext:
-		res.score(r.recvPrefetchNext(sc, victim, attacker, l, oob), secret)
-	case ChannelIfetch:
-		res.score(r.recvIfetch(sc, victim, attacker, l, oob, victimCore), secret)
+	if ch.slowestDelta {
+		res.scoreDelta(probe(), secret, sc.MinDelta)
+	} else {
+		res.score(probe(), secret)
 	}
 	return res
 }
 
 // recvProbeReload is the flush+reload receiver: evict every probe line the
-// victim could transmit through, fire, context-switch in, and time each
-// scored candidate in permuted order (fastest = transmitted).
-func (r *rig) recvProbeReload(sc Scenario, victim, attacker *sim.Process, l *victimLayout, oob uint64) []event.Cycle {
+// victim could transmit through, fire, and (after the domain switch) time
+// each scored candidate in permuted order (fastest = transmitted).
+func recvProbeReload(t *trial) func() []event.Cycle {
 	// Park the attacker's own copy of the gadget: a huge mailbox index
 	// and zero bounds keep its (speculative) gadget away from the probe.
-	r.writeWord(attacker, l.mailbox, 1<<20)
-
-	r.sys.RunOn(0, victim, 0)
-	r.step(200)
-	r.trainAndFire(0, victim, l, oob, sc.maxProbeIndex()+1, sc.Stride)
-	if sc.Gadget == GadgetJumpLoad {
+	t.writeWord(t.attacker, t.l.mailbox, 1<<20)
+	evict := t.sc.maxProbeIndex() + 1
+	t.trainAndFire(evict, t.sc.Stride)
+	if t.sc.Gadget == GadgetJumpLoad {
 		// The first window spends itself fetching the secret target's cold
 		// code line; fire again with the code warm so the target's probe
 		// load issues inside the window.
-		r.fire(0, victim, l, oob, sc.maxProbeIndex()+1, sc.Stride)
+		t.fire(evict, t.sc.Stride)
 	}
-
-	r.sys.RunOn(0, attacker, 0) // protection-domain switch
-	r.step(50)
-	lats := make([]event.Cycle, sc.Candidates)
-	step, off := permStep(sc.Candidates, 7, 5, 3, 1), 5%sc.Candidates
-	for i := 0; i < sc.Candidates; i++ {
-		s := (i*step + off) % sc.Candidates // permuted probe order
-		lats[s] = r.timedLoad(0, attacker, 0x400040+uint64(s)*4096,
-			l.probe+uint64(s)*sc.Stride)
+	return func() []event.Cycle {
+		return t.timeCandidates(permStep(t.sc.Candidates, 7, 5, 3, 1), 5%t.sc.Candidates, func(s int) event.Cycle {
+			return t.timedLoad(t.attacker, 0x400040+uint64(s)*4096, t.l.probe+uint64(s)*t.sc.Stride)
+		})
 	}
-	return lats
 }
 
 // recvInclusion is the cross-core prime+probe receiver over L2 sets: prime
 // each candidate set with 8 same-set lines, fire repeatedly, and re-time
 // the primed lines (the secret set's lines were evicted by the inclusive
 // L2's back-invalidations, so its worst reload is slow).
-func (r *rig) recvInclusion(sc Scenario, victim, attacker *sim.Process, l *victimLayout, oob uint64) []event.Cycle {
-	r.sys.RunOn(1, victim, 0)
-	r.step(200)
+func recvInclusion(t *trial) func() []event.Cycle {
 	// Let the victim reach steady state first: its cold-start page-table
 	// walks and fills would otherwise pollute the primed sets.
-	r.train(victim, l, 24)
+	t.train(24)
 
 	// Prime the candidate L2 sets with 8 same-set lines each, selected
 	// from the attacker's physically contiguous buffer by actual set
 	// index.
-	primeVAs := make([][]uint64, sc.Candidates)
-	for s := 0; s < sc.Candidates; s++ {
-		target := r.sys.Hier.L2SetIndex(translate(victim, l.vbuf+uint64(s)*sc.Stride))
+	primeVAs := make([][]uint64, t.sc.Candidates)
+	for s := range primeVAs {
+		target := t.sys.Hier.L2SetIndex(translate(t.victim, t.l.vbuf+uint64(s)*t.sc.Stride))
 		for o := uint64(0); o < 4*1024*1024 && len(primeVAs[s]) < 8; o += 64 {
-			va := l.abuf + o
-			if r.sys.Hier.L2SetIndex(translate(attacker, va)) == target {
+			va := t.l.abuf + o
+			if t.sys.Hier.L2SetIndex(translate(t.attacker, va)) == target {
 				primeVAs[s] = append(primeVAs[s], va)
 			}
 		}
 	}
-	for s := 0; s < sc.Candidates; s++ {
-		for i, va := range primeVAs[s] {
-			r.timedLoad(0, attacker, 0x400040+uint64(s*16+i)*4096, va)
+	for s, vas := range primeVAs {
+		for i, va := range vas {
+			t.timedLoad(t.attacker, 0x400040+uint64(s*16+i)*4096, va)
 		}
 	}
 
 	// Fire the speculation a few times; each window fills up to 4 lines
 	// of the secret set.
-	for t := 0; t < 3; t++ {
-		r.fire(1, victim, l, oob, 0, 0)
-		r.train(victim, l, 4) // re-establish the branch bias
+	for range 3 {
+		t.fire(0, 0)
+		t.train(4) // re-establish the branch bias
 	}
 
 	// Re-time the primed lines: the secret set shows evictions (slow
 	// reloads).
-	worst := make([]event.Cycle, sc.Candidates)
-	for s := 0; s < sc.Candidates; s++ {
-		for i, va := range primeVAs[s] {
-			if lat := r.timedLoad(0, attacker, 0x600040+uint64(s*16+i)*4096, va); lat > worst[s] {
-				worst[s] = lat
+	return func() []event.Cycle {
+		return t.timeCandidates(1, 0, func(s int) event.Cycle {
+			worst := event.Cycle(0)
+			for i, va := range primeVAs[s] {
+				worst = max(worst, t.timedLoad(t.attacker, 0x600040+uint64(s*16+i)*4096, va))
 			}
-		}
+			return worst
+		})
 	}
-	return worst
 }
 
 // recvCoherenceStore is the MeltdownPrime-style store receiver: take every
 // candidate line exclusive, fire, and re-time the stores (the line the
 // victim's speculative load downgraded pays an upgrade penalty).
-func (r *rig) recvCoherenceStore(sc Scenario, victim, attacker *sim.Process, l *victimLayout, oob uint64) []event.Cycle {
-	r.sys.RunOn(1, victim, 0)
-	r.step(200)
-	r.train(victim, l, 24)
-
+func recvCoherenceStore(t *trial) func() []event.Cycle {
+	t.train(24)
 	// Attacker takes the candidate lines exclusive (a store drain leaves
 	// them Modified in its L1).
-	for s := 0; s < sc.Candidates; s++ {
-		r.timedStore(0, attacker, l.probe+uint64(s)*sc.Stride)
-	}
-
-	r.fire(1, victim, l, oob, 0, 0)
-
-	// Attacker times stores to the candidates: the line the victim
-	// speculatively touched lost its exclusivity.
-	lats := make([]event.Cycle, sc.Candidates)
-	for s := 0; s < sc.Candidates; s++ {
-		lats[s] = r.timedStore(0, attacker, l.probe+uint64(s)*sc.Stride)
-	}
-	return lats
+	store := func(s int) event.Cycle { return t.timedStore(t.attacker, t.l.probe+uint64(s)*t.sc.Stride) }
+	t.timeCandidates(1, 0, store)
+	t.fire(0, 0)
+	// The line the victim speculatively touched lost its exclusivity.
+	return func() []event.Cycle { return t.timeCandidates(1, 0, store) }
 }
 
 // recvCoherenceLoad is the filter-exclusivity receiver: fire, then load
 // each candidate cold (the line held exclusively in the victim's filter
-// cache pays the downgrade penalty).
-func (r *rig) recvCoherenceLoad(sc Scenario, victim, attacker *sim.Process, l *victimLayout, oob uint64) []event.Cycle {
-	r.sys.RunOn(1, victim, 0)
-	r.step(200)
-	r.trainAndFire(1, victim, l, oob, 0, 0)
-
-	// Attacker loads the candidate lines (cold in its own caches; DRAM
-	// row state equalised by construction): the one held exclusively in
-	// the victim's filter pays the downgrade penalty.
-	lats := make([]event.Cycle, sc.Candidates)
-	for s := 0; s < sc.Candidates; s++ {
-		lats[s] = r.timedLoad(0, attacker, 0x400040+uint64(s)*4096, l.probe+uint64(s)*sc.Stride)
+// cache pays the downgrade penalty; DRAM row state is equalised by
+// construction).
+func recvCoherenceLoad(t *trial) func() []event.Cycle {
+	t.trainAndFire(0, 0)
+	return func() []event.Cycle {
+		return t.timeCandidates(1, 0, func(s int) event.Cycle {
+			return t.timedLoad(t.attacker, 0x400040+uint64(s)*4096, t.l.probe+uint64(s)*t.sc.Stride)
+		})
 	}
-	return lats
 }
 
 // recvPrefetchNext is the prefetcher receiver: after firing, probe the
 // line *beyond* the speculatively streamed window in each candidate
 // region — only the prefetcher could have fetched it.
-func (r *rig) recvPrefetchNext(sc Scenario, victim, attacker *sim.Process, l *victimLayout, oob uint64) []event.Cycle {
-	r.sys.RunOn(1, victim, 0)
-	r.step(200)
-	r.trainAndFire(1, victim, l, oob, 0, 0)
-	r.step(500) // let prefetches land
-
-	lats := make([]event.Cycle, sc.Candidates)
-	step, off := permStep(sc.Candidates, 3, 7, 1), 1%sc.Candidates
-	for i := 0; i < sc.Candidates; i++ {
-		s := (i*step + off) % sc.Candidates // permuted probe order
-		va := l.probe + uint64(s)*sc.Stride + 4*64
-		lats[s] = r.timedLoad(0, attacker, 0x400040+uint64(s)*4096, va)
+func recvPrefetchNext(t *trial) func() []event.Cycle {
+	t.trainAndFire(0, 0)
+	t.step(500) // let prefetches land
+	return func() []event.Cycle {
+		return t.timeCandidates(permStep(t.sc.Candidates, 3, 7, 1), 1%t.sc.Candidates, func(s int) event.Cycle {
+			return t.timedLoad(t.attacker, 0x400040+uint64(s)*4096, t.l.probe+uint64(s)*t.sc.Stride+4*64)
+		})
 	}
-	return lats
 }
 
-// recvIfetch is the instruction-cache receiver: after firing, context-
-// switch in and time an instruction fetch of each candidate target block
+// recvIfetch is the instruction-cache receiver: after firing and the
+// domain switch, time an instruction fetch of each candidate target block
 // (the secret block's code line was speculatively fetched).
-func (r *rig) recvIfetch(sc Scenario, victim, attacker *sim.Process, l *victimLayout, oob uint64, core int) []event.Cycle {
-	r.sys.RunOn(core, victim, 0)
-	r.step(200)
-	r.trainAndFire(core, victim, l, oob, 0, 0)
-
-	r.sys.RunOn(core, attacker, 0) // domain switch
-	r.step(50)
-	lats := make([]event.Cycle, sc.Candidates)
-	for s := 0; s < sc.Candidates; s++ {
-		lats[s] = r.timedIfetch(core, attacker, l.targets+uint64(s)*sc.Stride)
+func recvIfetch(t *trial) func() []event.Cycle {
+	t.trainAndFire(0, 0)
+	return func() []event.Cycle {
+		return t.timeCandidates(1, 0, func(s int) event.Cycle {
+			return t.timedIfetch(t.attacker, t.l.targets+uint64(s)*t.sc.Stride)
+		})
 	}
-	return lats
 }

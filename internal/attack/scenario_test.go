@@ -3,11 +3,11 @@ package attack
 import (
 	"context"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/defense"
+	"repro/internal/event"
 )
 
 func TestScenarioRegistry(t *testing.T) {
@@ -40,74 +40,33 @@ func TestScenarioRegistry(t *testing.T) {
 	}
 }
 
-func TestScenarioEncodeDecodeRoundTrip(t *testing.T) {
-	for _, sc := range Scenarios() {
-		enc := sc.Encode()
-		got, err := DecodeScenario(enc)
-		if err != nil {
-			t.Fatalf("%s: decode of own encoding failed: %v\n%s", sc.Name, err, enc)
-		}
-		if got != sc {
-			t.Fatalf("%s: round trip mismatch:\n in: %+v\nout: %+v", sc.Name, sc, got)
-		}
-		if re := got.Encode(); re != enc {
-			t.Fatalf("%s: re-encode differs:\n in: %s\nout: %s", sc.Name, enc, re)
-		}
+// FuzzScenarioEncode pins the property the attack cell's cache key rests
+// on: two valid scenarios that differ encode differently.
+func FuzzScenarioEncode(f *testing.F) {
+	add := func(a, b Scenario) {
+		f.Add(a.Name, uint8(a.Gadget), uint8(a.Channel), a.Candidates, a.Stride, a.SecretDist, uint64(a.MinDelta), a.Secret,
+			b.Name, uint8(b.Gadget), uint8(b.Channel), b.Candidates, b.Stride, b.SecretDist, uint64(b.MinDelta), b.Secret)
 	}
-}
-
-func TestDecodeScenarioStrict(t *testing.T) {
-	valid := scenario(t, "spectre").Encode()
-	reject := []struct {
-		name, enc string
-	}{
-		{"empty", ""},
-		{"wrong prefix", strings.Replace(valid, "scenario/v1", "scenario/v2", 1)},
-		{"missing field", strings.Replace(valid, "|dist=0", "", 1)},
-		{"extra field", valid + "|zzz=1"},
-		{"reordered fields", strings.Replace(valid,
-			"gadget=index-load|train=bounds-branch", "train=bounds-branch|gadget=index-load", 1)},
-		{"unknown gadget", strings.Replace(valid, "gadget=index-load", "gadget=rsb", 1)},
-		{"unknown channel", strings.Replace(valid, "chan=probe-reload", "chan=dram-row", 1)},
-		{"non-canonical int", strings.Replace(valid, "cand=15", "cand=015", 1)},
-		{"negative int", strings.Replace(valid, "secret=11", "secret=-1", 1)},
-		{"huge int", strings.Replace(valid, "stride=512", "stride=99999999999999999999", 1)},
-		{"bad name char", strings.Replace(valid, "name=spectre", "name=Spectre!", 1)},
-		{"semantic: secret out of range", strings.Replace(valid, "secret=11", "secret=15", 1)},
-		{"semantic: stride not power of two", strings.Replace(valid, "stride=512", "stride=513", 1)},
-		{"semantic: incompatible channel", strings.Replace(valid, "chan=probe-reload", "chan=inclusion", 1)},
+	scs := Scenarios()
+	for i, sc := range scs {
+		add(sc, scs[(i+1)%len(scs)])
 	}
-	for _, tc := range reject {
-		if _, err := DecodeScenario(tc.enc); err == nil {
-			t.Errorf("%s: decoder accepted %q", tc.name, tc.enc)
-		}
-	}
-}
-
-// FuzzScenarioDecode pins the strict round-trip property: any encoding the
-// decoder accepts must re-encode to exactly the input bytes (the encoding
-// is canonical), and the decoded spec must validate and round-trip again.
-func FuzzScenarioDecode(f *testing.F) {
-	for _, sc := range Scenarios() {
-		f.Add(sc.Encode())
-	}
-	f.Add("scenario/v1|name=x|gadget=index-load|train=bounds-branch|chan=probe-reload|decide=fastest-outlier|cand=2|stride=128|dist=0|delta=0|secret=0")
-	f.Add("scenario/v2|bogus")
-	f.Fuzz(func(t *testing.T, enc string) {
-		sc, err := DecodeScenario(enc)
-		if err != nil {
+	add(scs[0], scs[0])
+	other := scs[0]
+	other.Secret = (other.Secret + 1) % other.Candidates
+	add(scs[0], other)
+	f.Fuzz(func(t *testing.T,
+		an string, ag, ac uint8, acand int, astride uint64, adist int, adelta uint64, asecret int,
+		bn string, bg, bc uint8, bcand int, bstride uint64, bdist int, bdelta uint64, bsecret int) {
+		a := Scenario{Name: an, Gadget: GadgetKind(ag), Channel: ChannelKind(ac), Candidates: acand,
+			Stride: astride, SecretDist: adist, MinDelta: event.Cycle(adelta), Secret: asecret}
+		b := Scenario{Name: bn, Gadget: GadgetKind(bg), Channel: ChannelKind(bc), Candidates: bcand,
+			Stride: bstride, SecretDist: bdist, MinDelta: event.Cycle(bdelta), Secret: bsecret}
+		if a == b || a.Validate() != nil || b.Validate() != nil {
 			return
 		}
-		if verr := sc.Validate(); verr != nil {
-			t.Fatalf("decoder accepted an invalid scenario: %v\n%q", verr, enc)
-		}
-		re := sc.Encode()
-		if re != enc {
-			t.Fatalf("accepted encoding is not canonical:\n in: %q\nout: %q", enc, re)
-		}
-		back, err := DecodeScenario(re)
-		if err != nil || back != sc {
-			t.Fatalf("re-decode mismatch (%v):\n in: %+v\nout: %+v", err, sc, back)
+		if a.Encode() == b.Encode() {
+			t.Fatalf("distinct scenarios share an encoding %q:\n%+v\n%+v", a.Encode(), a, b)
 		}
 	})
 }
@@ -122,21 +81,10 @@ func TestScenarioVictimsQuiesce(t *testing.T) {
 	defer cancel()
 	for _, sch := range []defense.Scheme{defense.Insecure(), defense.MuonTrap(), defense.SafeBet()} {
 		for _, sc := range Scenarios() {
-			cores := 2
-			if sc.Channel == ChannelProbeReload || sc.Channel == ChannelIfetch {
-				cores = 1
-			}
-			r := newRig(cores, sch)
-			prog, l := buildScenarioVictim(sc)
-			victim := r.sys.NewProcess(prog)
-			r.writeWord(victim, l.size, 8)
-			r.writeWord(victim, l.secret, uint64(sc.Secret))
-			r.writeWord(victim, l.array1+8, uint64(sc.trainValue()))
-			r.sys.RunOn(cores-1, victim, 0)
-			r.step(200)
-			r.train(victim, l, 4)
-			r.fire(cores-1, victim, l, (l.secret-l.array1)/8, 0, 0)
-			if err := r.sys.Drain(ctx); err != nil {
+			tr := newTrial(sc, sch, sc.Secret)
+			tr.train(4)
+			tr.fire(0, 0)
+			if err := tr.sys.Drain(ctx); err != nil {
 				t.Fatalf("scenario %s under %s does not quiesce: %v", sc.Name, sch.Name, err)
 			}
 		}

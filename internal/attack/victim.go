@@ -34,7 +34,7 @@ const (
 // target training it is the benign jump-target block (the block past the
 // scored candidates).
 func (s Scenario) trainValue() int {
-	if s.Train == TrainIndirectTarget {
+	if s.Gadget.indirect() {
 		return s.Candidates
 	}
 	return s.benignIndex()
@@ -61,7 +61,7 @@ func (s Scenario) maxProbeIndex() int {
 // Registers on entry to the gadget body:
 //
 //	x14 = untrusted index, x15 = bounds, x22 = &array1, x23 = &probe,
-//	x27 = &vbuf (inclusion only)
+//	x27 = &vbuf (set-fill only)
 func buildScenarioVictim(sc Scenario) (*isa.Program, *victimLayout) {
 	b := isa.NewBuilder(sc.Name + "-victim")
 	l := &victimLayout{}
@@ -75,10 +75,11 @@ func buildScenarioVictim(sc Scenario) (*isa.Program, *victimLayout) {
 	}
 	l.secret = b.Alloc("secret", 64, 64)
 	l.probe = b.ZeroSegment("probe", 0x3000_0000, probeSegBytes, true)
-	inclusion := sc.Channel == ChannelInclusion
-	if inclusion {
-		// Per-process (non-shared) megabuffers for set-conflict attacks:
-		// the victim uses vbuf, the attacker uses abuf of its own copy.
+	setFill := sc.Gadget == GadgetSetFill
+	if setFill {
+		// Per-process (non-shared) megabuffers for the set-fill gadget and
+		// its inclusion receiver: the victim uses vbuf, the attacker uses
+		// abuf of its own copy.
 		l.vbuf = b.Alloc("vbuf", 2*1024*1024, 4096)
 		l.abuf = b.Alloc("abuf", 4*1024*1024, 4096)
 	}
@@ -95,7 +96,7 @@ func buildScenarioVictim(sc Scenario) (*isa.Program, *victimLayout) {
 	}
 	b.Li(isa.X(24), l.ack)
 	b.Li(isa.X(25), l.secret)
-	if inclusion {
+	if setFill {
 		b.Li(isa.X(27), l.vbuf)
 	}
 	b.Li(isa.X(26), 0) // ack counter
@@ -121,7 +122,7 @@ func buildScenarioVictim(sc Scenario) (*isa.Program, *victimLayout) {
 	b.Store(isa.X(26), isa.X(24), 0)
 	b.Jmp("loop")
 
-	if sc.Gadget == GadgetJumpTable || sc.Gadget == GadgetJumpLoad {
+	if sc.Gadget.indirect() {
 		emitTargets(b, l, sc)
 	}
 	return b.MustBuild(), l

@@ -3,14 +3,18 @@ package muontrap
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/defense"
 	"repro/internal/figures"
 )
 
-// The public face of the security matrix: the full attack-scenario corpus
-// run under the compared schemes, reported as a scheme × scenario verdict
-// table. The matrix is a golden artifact — its rendered form is pinned
+// The security matrix: the full attack-scenario corpus run under the
+// compared schemes, reported as a scheme × scenario verdict table. This is
+// its one type and its one assembler, SecurityMatrixFromSweep: the attack
+// cells run as sweep cells (internal/figures compiles each to an executor
+// Job), and the table is assembled from the sweep result however the sweep
+// ran. The matrix is a golden artifact — its rendered form is pinned
 // byte-for-byte by the regression suite and is identical whether the cells
 // ran in-process, from the disk cache, or sharded across a fleet.
 
@@ -40,19 +44,32 @@ type SecurityRow struct {
 	Results []AttackResult `json:"results"`
 }
 
-// Render prints the matrix as the canonical fixed-width table (the golden
-// artifact the regression suite pins).
+// Render prints the matrix as a fixed-width table, each cell
+// "leak(value,signal)" when the receiver recovered the secret, else
+// "block(signal)". The output is the golden artifact the regression suite
+// pins byte-for-byte and compares across in-process, disk-cached and
+// fleet-sharded execution, so it depends only on the verdicts, never on
+// timing or environment.
 func (m *SecurityMatrixResult) Render() string {
-	fm := figures.SecurityMatrixResult{Schemes: make([]string, len(m.Schemes))}
-	for i, s := range m.Schemes {
-		fm.Schemes[i] = string(s)
+	var b strings.Builder
+	b.WriteString("Security matrix: scenario (rows) vs scheme (columns); leak(value,signal) or block(signal)\n")
+	fmt.Fprintf(&b, "%-16s", "scenario")
+	for _, s := range m.Schemes {
+		fmt.Fprintf(&b, " %-15s", s)
 	}
+	b.WriteByte('\n')
 	for _, row := range m.Rows {
-		fm.Rows = append(fm.Rows, figures.SecurityRow{
-			Scenario: string(row.Attack), Results: row.Results,
-		})
+		fmt.Fprintf(&b, "%-16s", row.Attack)
+		for _, r := range row.Results {
+			v := fmt.Sprintf("block(%.3f)", r.Signal)
+			if r.Succeeded {
+				v = fmt.Sprintf("leak(%d,%.3f)", r.Leaked, r.Signal)
+			}
+			fmt.Fprintf(&b, " %-15s", v)
+		}
+		b.WriteByte('\n')
 	}
-	return fm.Render()
+	return b.String()
 }
 
 // AttackVerdict decodes the attack result an attack cell carries in its
