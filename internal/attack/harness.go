@@ -95,7 +95,8 @@ func (r *Result) score(lats []event.Cycle, secret int) {
 
 const signalThreshold = 0.6
 
-// newSystem builds the attack machine: cores cores under the scheme.
+// newSystem builds the attack machine with the given number of cores
+// under the scheme.
 func newSystem(cores int, sch defense.Scheme) *sim.System {
 	cfg := sim.DefaultConfig(cores)
 	cfg.CPU.Defense = sch.CPU

@@ -96,9 +96,9 @@ type channel struct {
 	// gadgets are the gadget bodies that can transmit through the channel.
 	gadgets []GadgetKind
 	// slowestDelta selects the decision rule: the slowest candidate leaks
-	// and must beat the runner-up by MinDelta cycles (scoreDelta), where
-	// otherwise the fastest candidate leaks when it is a clear outlier
-	// below the median (score).
+	// and must beat the runner-up by MinDelta cycles (scoreDelta). Without
+	// it the fastest candidate leaks when it is a clear outlier below the
+	// median (score).
 	slowestDelta bool
 	// sameCore puts the victim on the receiver's core, which times its
 	// probes after a protection-domain switch (flush+reload across a
