@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // sample is the field set buildSample saves and TestCodecRoundTrip loads.
@@ -139,6 +140,63 @@ func TestPutReservesExactly(t *testing.T) {
 			s.U64(&v)
 		}
 	})
+}
+
+// TestResetRefillsByteIdentical: a snapshot refilled after Reset encodes
+// and hashes exactly as a new snapshot of the same Puts, whether a
+// section comes back shorter, longer, under another name or not at all,
+// and a section refilled under its old name at its old position saves
+// into its old buffer.
+func TestResetRefillsByteIdentical(t *testing.T) {
+	putMap := func(s *Snapshot, name string, n uint64) {
+		m := map[uint64]uint64{}
+		for i := uint64(0); i < n; i++ {
+			m[i*7919%1009] = i
+		}
+		s.Put(name, func(s *State) {
+			Map(s, &m, Count32, nil, func(k, v uint64) (uint64, uint64) {
+				s.U64(&k)
+				s.U64(&v)
+				return k, v
+			})
+		})
+	}
+	img := New()
+	putWords(img, "a", 1, 2, 3, 4)
+	putWords(img, "b", 5)
+	putMap(img, "c", 8)
+	putWords(img, "d", 6, 7)
+	putWords(img, "gone", 8)
+	first := func(name string) *byte { return unsafe.SliceData(img.sections[img.index[name]].buf) }
+	a, d := first("a"), first("d")
+
+	refill := []func(*Snapshot){
+		func(s *Snapshot) { putWords(s, "a", 9) },                // shorter
+		func(s *Snapshot) { putWords(s, "b", 1, 2, 3, 4, 5, 6) }, // longer
+		func(s *Snapshot) { putMap(s, "x", 40) },                 // renamed, a larger map
+		func(s *Snapshot) { putWords(s, "d", 7, 6) },
+	}
+	img.Reset()
+	fresh := New()
+	for _, put := range refill {
+		put(img)
+		put(fresh)
+	}
+	if !bytes.Equal(img.Encode(), fresh.Encode()) || img.Hash() != fresh.Hash() {
+		t.Fatalf("refilled image differs from a new one:\n%x\n%x", img.Encode(), fresh.Encode())
+	}
+	if !slices.Equal(img.Names(), []string{"a", "b", "x", "d"}) || img.Has("c") || img.Has("gone") {
+		t.Fatalf("refilled image holds %v", img.Names())
+	}
+	if first("a") != a || first("d") != d {
+		t.Error("a section refilled under its name and position did not reuse its buffer")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a section put twice after Reset did not panic")
+		}
+	}()
+	putWords(img, "a", 1)
 }
 
 // TestSparseTable pins the sparse-table convention (a count, then

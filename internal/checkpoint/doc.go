@@ -10,16 +10,27 @@
 //     several sections. Encode/Decode give the canonical byte form; Hash
 //     is the SHA-256 of that form, so two snapshots with equal state have
 //     equal hashes (every walk saves maps in sorted key order and tables
-//     in index order to keep the encoding canonical).
+//     in index order to keep the encoding canonical). Reset empties a
+//     snapshot for refilling and keeps its section buffers: a Put of the
+//     name a position held before saves into that position's buffer. The
+//     one who created a snapshot owns it; a mid-run checkpointing run
+//     (sim.System.RunUntilHaltCkpt) refills one image at every checkpoint
+//     and lends it to its sink until the sink returns, so a sink that
+//     keeps an image keeps a copy (Decode of its Encode). Images taken
+//     one at a time (Checkpoint, CheckpointAt, warm snapshots) are new
+//     and live as long as their holder keeps them.
 //   - State: one section's payload in one of three modes — measuring,
 //     saving, loading. A component spells its layout once, as a method
 //     (Checkpoint, by convention) that hands every field to the State's
 //     primitives in order (U64, U32, U8, Bool, Raw); what only a load does
 //     — geometry and owner-range checks, clearing a table before filling
 //     it — sits under Loading. Put runs the walk measuring, reserves
-//     exactly the measured bytes, and runs it again saving, so a snapshot
-//     allocates about its own size and no buffer regrows; a walk that
-//     saves another size than it measured panics.
+//     exactly the measured bytes, and runs it again saving, so a new
+//     snapshot allocates about its own size and no buffer regrows; a
+//     refilled one reuses the section's buffer, grown amortised when the
+//     section outgrows it, so refilling allocates nothing once the image
+//     has reached its size. A walk that saves another size than it
+//     measured panics.
 //     TestCheckpointAllocatesAboutItsSize in internal/sim holds a whole
 //     machine's checkpoint to 1.5x its encoding (it measures 1.07x). A
 //     load ends at its first failure: a read past the payload's end,

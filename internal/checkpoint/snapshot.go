@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // FormatVersion is the snapshot container format version. Bump it whenever
@@ -36,28 +37,45 @@ func New() *Snapshot {
 	return &Snapshot{index: make(map[string]int)}
 }
 
+// Reset empties the snapshot for refilling, keeping each section's
+// buffer: a Put that follows saves into the buffer of the section that
+// held the same position, when it had the same name. A run that
+// checkpoints the same machine again and again refills one image this
+// way instead of building one per checkpoint; whatever held the image
+// before Reset must be done with it.
+func (s *Snapshot) Reset() {
+	clear(s.index)
+	s.sections = s.sections[:0]
+}
+
 // Put adds the named section, walking fn twice: once measuring, then, into
-// a payload reserved at exactly the measured size, saving. A walk that
-// saves a different number of bytes than it measured, and a section
-// added twice, are programming errors and panic.
+// a payload with room for the measured size, saving. The payload is
+// reserved at exactly that size, unless Reset left a buffer of this name
+// at this position: that one is reused, grown amortised when it is too
+// small. A walk that saves a different number of bytes than it measured,
+// and a section added twice, are programming errors and panic.
 func (s *Snapshot) Put(name string, fn func(*State)) {
 	if _, dup := s.index[name]; dup {
 		panic(fmt.Sprintf("checkpoint: duplicate section %q", name))
 	}
 	st := &s.put
-	*st = State{mode: measuring, name: name}
+	*st = State{mode: measuring, name: name, keys: st.keys}
 	fn(st)
 	size := st.off
-	st.mode, st.buf = saving, make([]byte, 0, size)
-	if st.maxKeys > 0 {
-		st.keys = make([]uint64, 0, st.maxKeys)
+	// Reset left the sections it emptied past len(s.sections).
+	if spare := s.sections[len(s.sections):cap(s.sections)]; len(spare) > 0 && spare[0].name == name {
+		st.buf = slices.Grow(spare[0].buf[:0], size)
+	} else {
+		st.buf = make([]byte, 0, size)
 	}
+	st.mode = saving
+	st.keys = slices.Grow(st.keys[:0], st.maxKeys)
 	fn(st)
 	if len(st.buf) != size {
 		panic(fmt.Sprintf("checkpoint: section %q measured %d bytes but saved %d", name, size, len(st.buf)))
 	}
 	s.add(name, st.buf)
-	*st = State{}
+	*st = State{keys: st.keys}
 }
 
 // Get loads the named section by walking fn over its payload, and returns

@@ -33,7 +33,8 @@ type State struct {
 	buf  []byte // saving: the payload so far; loading: the payload
 	off  int    // measuring: the bytes counted; loading: the bytes read
 	// keys is Map's sort buffer while saving; measuring sizes it for the
-	// section's largest map, so a section allocates it at most once.
+	// section's largest map. It survives from Put to Put, so a snapshot
+	// allocates it only when a map outgrows every map before it.
 	keys    []uint64
 	maxKeys int
 	tab     tab // the sparse table being walked

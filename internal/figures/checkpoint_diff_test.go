@@ -36,7 +36,12 @@ func goldenWithCheckpoints(t *testing.T, spec workload.Spec, sch defense.Scheme,
 	sys := BuildSystem(spec, sch, opt.Scale)
 	var snaps []*checkpoint.Snapshot
 	res, err := sys.RunUntilHaltCkpt(context.Background(), opt.MaxCycles, diffEvery,
-		func(s *checkpoint.Snapshot) error { snaps = append(snaps, s); return nil })
+		func(s *checkpoint.Snapshot) error {
+			// The run refills s at its next checkpoint: keep a copy.
+			kept, err := checkpoint.Decode(s.Encode())
+			snaps = append(snaps, kept)
+			return err
+		})
 	if err != nil {
 		t.Fatalf("%s/%s golden: %v", spec.Name, sch.Name, err)
 	}

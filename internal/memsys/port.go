@@ -23,8 +23,9 @@ type Client interface {
 // operations complete through callbacks or typed client notifications
 // scheduled on the hierarchy's event scheduler; none block.
 type Port struct {
-	h  *Hierarchy
-	id int
+	h       *Hierarchy
+	id      int
+	section string // checkpoint section name "port<id>", set at the first checkpoint or restore
 
 	client Client
 

@@ -110,7 +110,10 @@ func (h *Hierarchy) Checkpoint(snap *checkpoint.Snapshot, load bool) error {
 		return err
 	}
 	for i, p := range h.ports {
-		if err := snap.Section(load, fmt.Sprintf("port%d", i), p.checkpoint); err != nil {
+		if p.section == "" {
+			p.section = fmt.Sprintf("port%d", i)
+		}
+		if err := snap.Section(load, p.section, p.checkpoint); err != nil {
 			return fmt.Errorf("port %d: %w", i, err)
 		}
 	}

@@ -121,36 +121,47 @@ func (s *System) ResumeFetch() {
 // encoding for in-flight state, which is what keeps restores bit-exact.
 // Use CheckpointAt to reach quiescence from a running machine.
 func (s *System) Checkpoint() (*checkpoint.Snapshot, error) {
-	return s.snapshot(false, 0)
-}
-
-// CheckpointAt drains the machine to a quiescent boundary, snapshots it,
-// and resumes fetch. base is the stats baseline: the cycle the measured
-// region started, recorded in the snapshot so a run restored from it
-// reports Cycles as a delta from the region's true start, exactly as the
-// uninterrupted run would.
-func (s *System) CheckpointAt(ctx context.Context, base event.Cycle) (*checkpoint.Snapshot, error) {
-	if err := s.Drain(ctx); err != nil {
+	snap := checkpoint.New()
+	if err := s.snapshot(snap, false, 0); err != nil {
 		return nil, err
 	}
-	snap, err := s.snapshot(true, base)
-	if err != nil {
+	return snap, nil
+}
+
+// CheckpointAt drains the machine to a quiescent boundary, snapshots it
+// into a new image, and resumes fetch. base is the stats baseline: the
+// cycle the measured region started, recorded in the snapshot so a run
+// restored from it reports Cycles as a delta from the region's true
+// start, exactly as the uninterrupted run would.
+func (s *System) CheckpointAt(ctx context.Context, base event.Cycle) (*checkpoint.Snapshot, error) {
+	snap := checkpoint.New()
+	if err := s.checkpointInto(ctx, snap, base); err != nil {
 		return nil, err
+	}
+	return snap, nil
+}
+
+// checkpointInto is CheckpointAt refilling snap in place of a new image:
+// RunUntilHaltCkpt takes every checkpoint of a run into one image.
+func (s *System) checkpointInto(ctx context.Context, snap *checkpoint.Snapshot, base event.Cycle) error {
+	if err := s.Drain(ctx); err != nil {
+		return err
+	}
+	if err := s.snapshot(snap, true, base); err != nil {
+		return err
 	}
 	s.ResumeFetch()
-	return snap, nil
+	return nil
 }
 
-func (s *System) snapshot(midRun bool, base event.Cycle) (*checkpoint.Snapshot, error) {
+// snapshot refills snap with the quiesced machine (see Snapshot.Reset).
+func (s *System) snapshot(snap *checkpoint.Snapshot, midRun bool, base event.Cycle) error {
 	if err := s.Quiesced(); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint requires a quiesced machine: %w", err)
+		return fmt.Errorf("sim: checkpoint requires a quiesced machine: %w", err)
 	}
-	snap := checkpoint.New()
+	snap.Reset()
 	m := machineImage{now: s.Sched.Now(), midRun: midRun, base: base}
-	if err := s.sections(snap, false, &m); err != nil {
-		return nil, err
-	}
-	return snap, nil
+	return s.sections(snap, false, &m)
 }
 
 // machineImage is what the "machine" section holds beyond the system's
@@ -176,8 +187,13 @@ func (s *System) sections(snap *checkpoint.Snapshot, load bool, m *machineImage)
 	if err := s.Hier.Checkpoint(snap, load); err != nil {
 		return err
 	}
+	if s.coreSections == nil {
+		for i := range s.Cores {
+			s.coreSections = append(s.coreSections, fmt.Sprintf("core%d", i))
+		}
+	}
 	for i, c := range s.Cores {
-		if err := snap.Section(load, fmt.Sprintf("core%d", i), c.Checkpoint); err != nil {
+		if err := snap.Section(load, s.coreSections[i], c.Checkpoint); err != nil {
 			return fmt.Errorf("sim: core %d: %w", i, err)
 		}
 		if got := c.CommittedInsts(); load && got != m.retired[i] {

@@ -11,7 +11,10 @@
 //     brings a running machine to a checkpointable boundary (stop fetch,
 //     retire the ROBs, complete MSHRs/walks/drains, run the event queue
 //     dry), and CheckpointAt/RunUntilHaltCkpt build mid-run checkpoints
-//     on top of it for crash-resume and sampling.
+//     on top of it for crash-resume and sampling. Checkpoint and
+//     CheckpointAt return a new image, which the caller owns;
+//     RunUntilHaltCkpt refills one image at every checkpoint of a run,
+//     valid in its CheckpointSink until the sink returns.
 //   - Config: machine shape plus OS costs (context switch, timer) and the
 //     BTB-isolation option of §4.9.
 //   - Process: one address space (program, page table) plus saved

@@ -1,6 +1,12 @@
 package sim
 
-import "repro/internal/stats"
+import (
+	"context"
+
+	"repro/internal/checkpoint"
+	"repro/internal/event"
+	"repro/internal/stats"
+)
 
 // SystemCounterTable returns the machine-wide counter declarations, in
 // table order, for the external tests.
@@ -10,4 +16,10 @@ func SystemCounterTable() []stats.Counter {
 		out[i] = r.Counter
 	}
 	return out
+}
+
+// CheckpointInto is CheckpointAt refilling snap, as RunUntilHaltCkpt does
+// at every checkpoint, for the external tests.
+func (s *System) CheckpointInto(ctx context.Context, snap *checkpoint.Snapshot, base event.Cycle) error {
+	return s.checkpointInto(ctx, snap, base)
 }

@@ -26,8 +26,10 @@ func ckptRun(t *testing.T, name string, sch defense.Scheme, scale float64,
 	var snaps []*checkpoint.Snapshot
 	res, err := sys.RunUntilHaltCkpt(context.Background(), 10_000_000, every,
 		func(s *checkpoint.Snapshot) error {
-			snaps = append(snaps, s)
-			return nil
+			// The run refills s at its next checkpoint: keep a copy.
+			kept, err := checkpoint.Decode(s.Encode())
+			snaps = append(snaps, kept)
+			return err
 		})
 	if err != nil {
 		t.Fatalf("run: %v", err)

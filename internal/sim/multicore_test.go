@@ -64,7 +64,12 @@ func TestContendingKernelCheckpointsByteIdentical(t *testing.T) {
 		}
 		var snaps []*checkpoint.Snapshot
 		res, err := s.RunUntilHaltCkpt(context.Background(), 5_000_000, 5_000,
-			func(sn *checkpoint.Snapshot) error { snaps = append(snaps, sn); return nil })
+			func(sn *checkpoint.Snapshot) error {
+				// The run refills sn at its next checkpoint: keep a copy.
+				kept, err := checkpoint.Decode(sn.Encode())
+				snaps = append(snaps, kept)
+				return err
+			})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,6 +84,8 @@ type System struct {
 
 	nextTimer []event.Cycle
 
+	coreSections []string // checkpoint section names "core<i>", set at the first checkpoint or restore
+
 	// Mid-run resume state: set by RestoreSnapshot when the snapshot was
 	// taken by CheckpointAt. resumeBase is the cycle the measured region
 	// originally started, so RunUntilHalt on the restored machine reports
@@ -407,6 +409,10 @@ func (s *System) RunUntilHaltCtx(ctx context.Context, maxCycles int) (RunResult,
 // Returning an error aborts the run with that error — the persistence
 // layer's failure, or a test simulating a crash immediately after a
 // checkpoint landed.
+//
+// The run owns the snapshot: it is valid until the sink returns, and the
+// next checkpoint refills it. A sink writes it out before returning; one
+// that keeps it must keep a copy (checkpoint.Decode(snap.Encode())).
 type CheckpointSink func(*checkpoint.Snapshot) error
 
 // RunUntilHaltCkpt is RunUntilHaltCtx with periodic mid-run checkpoints:
@@ -414,7 +420,12 @@ type CheckpointSink func(*checkpoint.Snapshot) error
 // snapshotted each time the run crosses a multiple of every cycles
 // (measured from the measured region's start), and each snapshot is
 // handed to sink (which may be nil to drain without keeping snapshots —
-// useful for reproducing a checkpointed run's exact timing).
+// useful for reproducing a checkpointed run's exact timing). Every
+// checkpoint of the run is taken into one image, which Snapshot.Reset
+// empties and the next checkpoint refills, its section buffers reused:
+// the sink sees the same *checkpoint.Snapshot each time (see
+// CheckpointSink). CheckpointAt and Checkpoint, whose images callers
+// keep, build a new one each call.
 //
 // Draining costs simulated cycles, so a checkpointed run's timing differs
 // from an uncheckpointed one — but it is deterministic: two runs with the
@@ -434,6 +445,7 @@ func (s *System) RunUntilHaltCkpt(ctx context.Context, maxCycles int, every even
 		start = s.resumeBase
 	}
 	var next event.Cycle
+	var img *checkpoint.Snapshot // the run's one image, refilled at every checkpoint
 	if every > 0 {
 		next = nextCheckpointAfter(start, every, s.Sched.Now())
 	}
@@ -469,11 +481,13 @@ func (s *System) RunUntilHaltCkpt(ctx context.Context, maxCycles int, every even
 				}
 				s.ResumeFetch()
 			} else {
-				snap, err := s.CheckpointAt(ctx, start)
-				if err != nil {
+				if img == nil {
+					img = checkpoint.New()
+				}
+				if err := s.checkpointInto(ctx, img, start); err != nil {
 					return RunResult{}, fmt.Errorf("sim: mid-run checkpoint: %w", err)
 				}
-				if err := sink(snap); err != nil {
+				if err := sink(img); err != nil {
 					return RunResult{}, err
 				}
 			}

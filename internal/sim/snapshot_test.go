@@ -3,9 +3,12 @@ package sim_test
 import (
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/defense"
+	"repro/internal/event"
 	"repro/internal/figures"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -125,6 +128,82 @@ func TestCheckpointReservesExactly(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(5, func() { _, _ = s.Checkpoint() }); n > 44 {
 			t.Errorf("after %d cycles: Checkpoint() makes %.0f allocations, want at most 44", cycles, n)
+		}
+	}
+}
+
+// TestReusedCheckpointZeroAlloc: a run takes every checkpoint into one
+// image (RunUntilHaltCkpt), and once that image has reached the machine's
+// size, refilling it allocates nothing — no section buffer, no sort
+// buffer, no section name — and refilling it from an unchanged machine
+// gives the same image.
+func TestReusedCheckpointZeroAlloc(t *testing.T) {
+	s := drainedCanneal(t, 100_000)
+	ctx, img := context.Background(), checkpoint.New()
+	if err := s.CheckpointInto(ctx, img, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := img.Hash()
+	if !simtest.RaceEnabled {
+		if n := testing.AllocsPerRun(5, func() {
+			if err := s.CheckpointInto(ctx, img, 0); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("refilling a checkpoint makes %.0f allocations, want 0", n)
+		}
+	}
+	if got := img.Hash(); got != want {
+		t.Fatalf("refilled image %s, first fill %s", got, want)
+	}
+}
+
+// TestReusedCheckpointMatchesFresh: every checkpoint a run takes into its
+// one image hashes exactly as a new image (CheckpointAt) of a twin machine
+// at the same cycle, over a run whose image grows from checkpoint to
+// checkpoint, and the run hands its sink that one image each time.
+func TestReusedCheckpointMatchesFresh(t *testing.T) {
+	const cycles, every = 200_000, 5_000
+	type point struct {
+		cycle event.Cycle
+		hash  string
+	}
+	ctx := context.Background()
+	run := func(sink func(s *sim.System, img *checkpoint.Snapshot) point) []point {
+		s := figures.BuildSystem(simtest.MustSpec(t, "canneal"), defense.MuonTrap(), 0.15)
+		var got []point
+		_, err := s.RunUntilHaltCkpt(ctx, cycles, every, func(img *checkpoint.Snapshot) error {
+			got = append(got, sink(s, img))
+			return nil
+		})
+		if err != nil && !strings.Contains(err.Error(), "did not complete") {
+			t.Fatal(err)
+		}
+		return got
+	}
+	var first *checkpoint.Snapshot
+	reused := run(func(s *sim.System, img *checkpoint.Snapshot) point {
+		if first == nil {
+			first = img
+		} else if img != first {
+			t.Fatal("the run handed its sink a second image")
+		}
+		return point{s.Sched.Now(), img.Hash()}
+	})
+	fresh := run(func(s *sim.System, _ *checkpoint.Snapshot) point {
+		snap, err := s.CheckpointAt(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return point{s.Sched.Now(), snap.Hash()}
+	})
+	if len(reused) != 19 || len(fresh) != len(reused) {
+		t.Fatalf("%d checkpoints through the reused image and %d fresh in %d cycles at every %d, want 19",
+			len(reused), len(fresh), cycles, every)
+	}
+	for i := range reused {
+		if reused[i] != fresh[i] {
+			t.Fatalf("checkpoint %d: reused image %+v, fresh image of the twin %+v", i, reused[i], fresh[i])
 		}
 	}
 }
