@@ -36,10 +36,13 @@ type Core struct {
 	rename    [isa.NumRegs]*dynInst
 	renameSeq [isa.NumRegs]uint64
 
-	// dynInst pool (stable pointers; see dyninst.go).
-	insts    []*dynInst
-	freeList []int32
-	snapFree []*renameSnap
+	// dynInst pool (stable pointers; see dyninst.go), and the borrowed
+	// chunks behind it and behind the rename snapshots.
+	insts      []*dynInst
+	freeList   []int32
+	snapFree   []*renameSnap
+	instChunks [][]dynInst
+	snapChunks [][]renameSnap
 
 	// ROB, in program order; index 0 is the oldest.
 	rob instRing
@@ -170,6 +173,22 @@ func NewCore(id int, cfg Config, sched *event.Scheduler, port *memsys.Port, phys
 		port.SetClient(c)
 	}
 	return c
+}
+
+// Release ends the core's life: its instruction window, rename snapshots
+// and predictor tables go back to be borrowed by the next core. Every
+// in-flight instruction is dropped with them, so the core must not be
+// ticked again; a second Release does nothing.
+func (c *Core) Release() {
+	for _, chunk := range c.instChunks {
+		instPool.Put(chunk)
+	}
+	for _, chunk := range c.snapChunks {
+		snapPool.Put(chunk)
+	}
+	c.instChunks, c.snapChunks = nil, nil
+	c.insts, c.freeList, c.snapFree = nil, nil, nil
+	c.pred.Release()
 }
 
 // ID returns the core's index.

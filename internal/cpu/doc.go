@@ -18,7 +18,10 @@
 //     and counters. Tick advances it one cycle unless it is asleep; the
 //     owner (internal/sim) advances the shared event scheduler, over the
 //     cycles every core sleeps through in one step.
-//   - dynInst: one in-flight dynamic instruction, pool-allocated.
+//   - dynInst: one in-flight dynamic instruction, pool-allocated. The pool
+//     and the rename snapshots grow in chunks borrowed from
+//     internal/recycle; Core.Release hands them back with the predictor's
+//     tables, dropping whatever is in flight.
 //   - Defense: the pipeline-level defense models compared against MuonTrap
 //     (InvisiSpec and STT, each in Spectre and Future variants, and
 //     SafeBet). NewCore resolves it once, through the defenses table, to a

@@ -4,6 +4,7 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/recycle"
 )
 
 // memPhase tracks a memory instruction's progress through its multi-step
@@ -115,11 +116,22 @@ type renameSnap struct {
 
 // poolChunk is the pool growth quantum. The steady-state population is
 // bounded by the ROB plus the store buffer plus in-flight exposures, so
-// growth stops almost immediately.
-const poolChunk = 64
+// growth stops almost immediately. snapChunk is the renameSnap quantum.
+const (
+	poolChunk = 64
+	snapChunk = 16
+)
+
+// The instruction window's chunks and the rename snapshots are borrowed
+// from these and handed back by Core.Release.
+var (
+	instPool recycle.Pool[dynInst]
+	snapPool recycle.Pool[renameSnap]
+)
 
 func (c *Core) growPool() {
-	chunk := make([]dynInst, poolChunk)
+	chunk := instPool.Get(poolChunk)
+	c.instChunks = append(c.instChunks, chunk)
 	for i := range chunk {
 		d := &chunk[i]
 		d.idx = int32(len(c.insts))
@@ -188,13 +200,15 @@ func (c *Core) inst(a1, a2 uint64) *dynInst {
 
 // allocSnap checkpoints the current rename map from the pool.
 func (c *Core) allocSnap() *renameSnap {
-	var s *renameSnap
-	if n := len(c.snapFree); n > 0 {
-		s = c.snapFree[n-1]
-		c.snapFree = c.snapFree[:n-1]
-	} else {
-		s = new(renameSnap)
+	if len(c.snapFree) == 0 {
+		chunk := snapPool.Get(snapChunk)
+		c.snapChunks = append(c.snapChunks, chunk)
+		for i := range chunk {
+			c.snapFree = append(c.snapFree, &chunk[i])
+		}
 	}
+	s := c.snapFree[len(c.snapFree)-1]
+	c.snapFree = c.snapFree[:len(c.snapFree)-1]
 	s.ptr = c.rename
 	s.seq = c.renameSeq
 	return s

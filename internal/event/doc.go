@@ -10,7 +10,11 @@
 //     closures; AtEvent/AfterEvent schedule typed (Handler, op, a1, a2)
 //     tuples that never allocate in steady state. Tick runs one cycle;
 //     TickOrSkipTo is Tick for a caller with nothing to do before a given
-//     cycle, and skips the cycles in which no event fires either.
+//     cycle, and skips the cycles in which no event fires either. The
+//     zero value works, its buckets growing by append; NewScheduler
+//     borrows one slab from internal/recycle that backs the first 16
+//     items of every bucket, and Release hands it back and drops every
+//     pending event.
 //   - Handler: the typed-event receiver. The (op, a1, a2) tuple is opaque
 //     to the scheduler; receivers use op to select the action and the args
 //     to identify the target (typically a pool index plus a generation or
@@ -35,6 +39,7 @@
 //     buckets are occupied.
 //   - Allocation-free steady state: events are stored by value (no
 //     interface boxing), near-future events live in a ring of per-cycle
-//     buckets that reuse their backing arrays, and far-future (DRAM-class)
-//     events go to a hand-rolled 4-ary min-heap.
+//     buckets that reuse their backing arrays (a borrowed slab, until a
+//     bucket outgrows its share), and far-future (DRAM-class) events go
+//     to a hand-rolled 4-ary min-heap.
 package event

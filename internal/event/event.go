@@ -1,6 +1,10 @@
 package event
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/recycle"
+)
 
 // Cycle is a point in simulated time, measured in core clock cycles.
 type Cycle uint64
@@ -52,7 +56,9 @@ type bucket struct {
 }
 
 // Scheduler owns the simulated clock and the pending-event queue.
-// The zero value is ready to use at cycle 0.
+// The zero value is ready to use at cycle 0; its buckets grow by append.
+// NewScheduler borrows one slab that backs the first bucketCap items of
+// every bucket, and Release hands it back.
 type Scheduler struct {
 	now Cycle
 	seq uint64
@@ -76,10 +82,39 @@ type Scheduler struct {
 	// inDrain marks that runDue is executing: same-cycle events go to the
 	// live bucket (the drain loop picks them up) instead of overdue.
 	inDrain bool
+
+	// slab is the borrowed array behind the buckets' first items (nil for
+	// the zero value and after Release).
+	slab []item
 }
 
-// NewScheduler returns a scheduler starting at cycle 0.
-func NewScheduler() *Scheduler { return &Scheduler{} }
+// bucketCap is how many items each bucket holds in the borrowed slab; a
+// bucket that outgrows it appends into an array of its own.
+const bucketCap = 16
+
+// slabPool lends schedulers their bucket slabs.
+var slabPool recycle.Pool[item]
+
+// NewScheduler returns a scheduler starting at cycle 0, its buckets backed
+// by a slab borrowed from the previous scheduler released in this process.
+func NewScheduler() *Scheduler {
+	s := &Scheduler{slab: slabPool.Get(ringSize * bucketCap)}
+	for i := range s.buckets {
+		s.buckets[i].items = s.slab[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
+	}
+	return s
+}
+
+// Release ends the scheduler's life: its slab goes back to be borrowed by
+// the next NewScheduler, and every pending event is dropped with it. The
+// clock stays where it was; a second Release does nothing.
+func (s *Scheduler) Release() {
+	slabPool.Put(s.slab)
+	s.slab = nil
+	s.buckets = [ringSize]bucket{}
+	s.occupied, s.ringCount = 0, 0
+	s.heap, s.overdue = nil, nil
+}
 
 // Now reports the current cycle.
 func (s *Scheduler) Now() Cycle { return s.now }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/defense"
+	"repro/internal/event"
 	"repro/internal/sim"
 	"repro/internal/simtest"
 	"repro/internal/workload"
@@ -23,16 +26,28 @@ import (
 
 // oracleCell is one cell of the oracle: a figure cell (Scheme set) or a
 // Fig 5 sweep cell (L0DSize set: a fully associative data filter cache of
-// that many bytes), optionally forked from a warm snapshot.
+// that many bytes), optionally forked from a warm snapshot. Only an A cell
+// may be one whose result is not compared: an attack trial (Attack names
+// the scenario, run under Scheme), or a figure cell cancelled mid-run
+// (CancelAt: its context is cancelled at the first checkpoint boundary of
+// that cadence, before the drain, so the machine is released with its
+// pipeline full and its events pending).
 type oracleCell struct {
-	Work    string
-	Scheme  string
-	L0DSize uint64
-	Warmup  int
+	Work     string
+	Scheme   string
+	L0DSize  uint64
+	Warmup   int
+	Attack   string
+	CancelAt event.Cycle
 }
 
 func (c oracleCell) String() string {
-	if c.L0DSize > 0 {
+	switch {
+	case c.Attack != "":
+		return fmt.Sprintf("attack %s/%s", c.Attack, c.Scheme)
+	case c.CancelAt > 0:
+		return fmt.Sprintf("%s/%s/cancelled@%d", c.Work, c.Scheme, c.CancelAt)
+	case c.L0DSize > 0:
 		return fmt.Sprintf("%s/l0d=%dB/warm=%d", c.Work, c.L0DSize, c.Warmup)
 	}
 	return fmt.Sprintf("%s/%s/warm=%d", c.Work, c.Scheme, c.Warmup)
@@ -57,7 +72,21 @@ func (c oracleCell) scheme(tb testing.TB) defense.Scheme {
 func (c oracleCell) job(tb testing.TB) Job {
 	opt := oracleOptions()
 	opt.WarmupInsts = c.Warmup
+	if c.Attack != "" {
+		sc, ok := attack.ScenarioByName(c.Attack)
+		if !ok {
+			tb.Fatalf("no attack scenario %q", c.Attack)
+		}
+		return AttackJob(sc, c.scheme(tb), opt)
+	}
 	spec := c.spec(tb)
+	if c.CancelAt > 0 {
+		j := Job{Spec: spec, Scheme: c.scheme(tb), Opt: opt, Series: c.Scheme, Work: c.String()}
+		j.Custom = func(ctx context.Context) (sim.RunResult, error) {
+			return sim.RunResult{}, c.cancelMidRun(ctx, BuildSystem(spec, j.Scheme, opt.Scale))
+		}
+		return j
+	}
 	if c.L0DSize == 0 {
 		return Job{Spec: spec, Scheme: c.scheme(tb), Opt: opt, Series: c.Scheme, Work: c.String()}
 	}
@@ -77,6 +106,22 @@ func (c oracleCell) run(tb testing.TB) sim.RunResult {
 		tb.Fatalf("%s: %v", c, err)
 	}
 	return res
+}
+
+// cancelMidRun runs sys until its context is cancelled at the first
+// checkpoint boundary, then releases it, and reports an error unless the
+// run ended cancelled with events pending.
+func (c oracleCell) cancelMidRun(ctx context.Context, sys *sim.System) error {
+	defer sys.Release()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	pending := 0
+	sys.OnCheckpointSample = func(n int) { pending = n; cancel() }
+	_, err := sys.RunUntilHaltCkpt(ctx, oracleOptions().MaxCycles, c.CancelAt, nil)
+	if !errors.Is(err, context.Canceled) || pending == 0 {
+		return fmt.Errorf("%s: run ended with %v and %d events pending at the cancel, want it cancelled with some", c, err, pending)
+	}
+	return nil
 }
 
 // runFresh is the cell's definition without the machinery under test: the
@@ -105,7 +150,10 @@ func (c oracleCell) runFresh(tb testing.TB) sim.RunResult {
 // 16 MiB mcf kernel for the one-core machines, canneal with the largest
 // Fig 5 filter cache for the four-core ones — then B runs on what A
 // released. The pairs cover a scheme change, a workload change, a
-// filter-cache geometry change in both directions and a warm fork.
+// filter-cache geometry change in both directions and a warm fork, and
+// A cells that release a dirty pipeline: one cancelled mid-run with
+// events pending and an InvisiSpec exposure pinning a window slot, and
+// attack trials, whose victim is still running when the trial ends.
 var oraclePairs = [][2]oracleCell{
 	{{Work: "mcf", Scheme: "muontrap"}, {Work: "hmmer", Scheme: "insecure"}},
 	{{Work: "mcf", Scheme: "insecure"}, {Work: "hmmer", Scheme: "muontrap"}},
@@ -114,6 +162,11 @@ var oraclePairs = [][2]oracleCell{
 	{{Work: "canneal", L0DSize: 256}, {Work: "swaptions", Scheme: "muontrap"}},
 	{{Work: "mcf", Scheme: "muontrap", Warmup: 3000}, {Work: "hmmer", Scheme: "muontrap", Warmup: 3000}},
 	{{Work: "canneal", L0DSize: 4096, Warmup: 3000}, {Work: "swaptions", L0DSize: 1024, Warmup: 3000}},
+	// At cycle 7 000 gcc's window holds 112 instructions, one of them
+	// pinned by an exposure in flight (counted when the pair was chosen).
+	{{Work: "gcc", Scheme: "invisispec-future", CancelAt: 7000}, {Work: "hmmer", Scheme: "invisispec-future"}},
+	{{Attack: "spectre", Scheme: "invisispec-spectre"}, {Work: "bzip2", Scheme: "muontrap"}},
+	{{Attack: "inclusion", Scheme: "insecure"}, {Work: "hmmer", Scheme: "stt-spectre"}},
 }
 
 const freshCellsEnv = "FIGURES_FRESH_CELLS"

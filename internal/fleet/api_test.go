@@ -61,7 +61,12 @@ func normalise(b []byte) string {
 // against a coordinator, the two transcripts must be equal: both serve
 // the /v1 API from the same job plane, and this is the test that would
 // have caught them drifting apart when they were two implementations.
-func wireSession(t *testing.T, base string) []string {
+//
+// The two-cell sweep's 202 must describe the job before any cell ran on
+// both servers, so admitted is called once that 202 is read: a daemon
+// whose backend holds the sweep until then cannot have finished a cell by
+// the time it answers.
+func wireSession(t *testing.T, base string, admitted func()) []string {
 	t.Helper()
 	var out []string
 	say := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
@@ -127,6 +132,7 @@ func wireSession(t *testing.T, base string) []string {
 	const submit = `{"sweep":{"workloads":["swaptions"],"schemes":["insecure","muontrap"],"scales":[0.02]}}`
 	status, b := rawCall(t, "POST", base+"/v1/jobs", submit)
 	say("POST /v1/jobs → %d %s", status, admittedRe.ReplaceAllString(normalise(b), `"state": "admitted"`))
+	admitted()
 	var job muontrap.Job
 	if err := json.Unmarshal(b, &job); err != nil || job.ID == "" {
 		t.Fatalf("submit answered %d %s", status, b)
@@ -156,6 +162,29 @@ func wireSession(t *testing.T, base string) []string {
 	return out
 }
 
+// gatedBackend runs a daemon's attempts as its default in-process backend
+// does with one worker, after holding each at a gate until the test opens
+// it.
+type gatedBackend struct {
+	dir  string
+	open chan struct{}
+}
+
+func (g gatedBackend) Run(ctx context.Context, job muontrap.Job, resume bool, progress func(muontrap.Progress)) (*muontrap.SweepResult, error) {
+	select {
+	case <-g.open:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return muontrap.NewRunner(
+		muontrap.WithWorkers(1),
+		muontrap.WithCacheDir(g.dir),
+		muontrap.WithCheckpointEvery(cadence),
+		muontrap.WithResume(resume),
+		muontrap.WithProgress(progress),
+	).Sweep(ctx, job.Sweep)
+}
+
 // TestWireParityDaemonAndCoordinator runs the scripted session against a
 // lone daemon and against a coordinator with one worker — status codes,
 // error codes, SSE event names and id sequences, and bodies must be
@@ -168,18 +197,20 @@ func TestWireParityDaemonAndCoordinator(t *testing.T) {
 	defer figures.ResetRunCache()
 	figures.ResetRunCache()
 
-	srv, err := service.New(service.Config{Dir: t.TempDir(), CheckpointEvery: cadence, Workers: 1})
+	dir := t.TempDir()
+	gate := gatedBackend{dir: dir, open: make(chan struct{})}
+	srv, err := service.New(service.Config{Dir: dir, CheckpointEvery: cadence, Backend: gate, MaxJobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(srv)
-	daemon := wireSession(t, hs.URL)
+	daemon := wireSession(t, hs.URL, func() { close(gate.open) })
 	hs.Close()
 	srv.Close()
 	figures.ResetRunCache()
 
 	f := newTestFleet(t, 1, fleet.Config{})
-	coordinator := wireSession(t, f.hs.URL)
+	coordinator := wireSession(t, f.hs.URL, func() {})
 	for i := 0; i < len(daemon) || i < len(coordinator); i++ {
 		var d, c string
 		if i < len(daemon) {

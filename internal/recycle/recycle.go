@@ -6,12 +6,14 @@
 //
 // The contract is the one make gives: Get returns a slice of exactly the
 // requested length, every element zero. A returned table is zeroed on its
-// way out again, so a component built on a recycled table and one built on
-// a fresh one are the same value and no component defines its power-on
-// state twice. Tables are kept per length; a length nobody has returned is
-// a miss and is made, never resized from another. What is idle is held by
-// sync.Pool, so the collector frees it and a Put that is never made costs
-// what it always did: the table becomes garbage.
+// way back in, so a component built on a recycled table and one built on
+// a fresh one are the same value, no component defines its power-on state
+// twice, and an idle table points at nothing — a pooled instruction window
+// or event slab keeps no released machine reachable. Tables are kept per
+// length; a length nobody has returned is a miss and is made, never
+// resized from another. What is idle is held by sync.Pool, so the
+// collector frees it and a Put that is never made costs what it always
+// did: the table becomes garbage.
 package recycle
 
 import "sync"
@@ -33,15 +35,16 @@ func (p *Pool[T]) class(n int) *sync.Pool {
 // Get returns a zeroed slice of length n.
 func (p *Pool[T]) Get(n int) []T {
 	if s, ok := p.class(n).Get().(*[]T); ok {
-		clear(*s)
 		return *s
 	}
 	return make([]T, n)
 }
 
-// Put hands s back. The caller must hold no other reference to it.
+// Put zeroes s and hands it back. The caller must hold no other reference
+// to it.
 func (p *Pool[T]) Put(s []T) {
 	if len(s) > 0 {
+		clear(s)
 		p.class(len(s)).Put(&s)
 	}
 }

@@ -77,13 +77,15 @@
 //     RestoreSnapshot refuses any other format before it touches the
 //     machine, and figures treats such an image as a miss: the warm-up is
 //     rebuilt, a mid-run resume warns and starts cold.
-//   - A machine has an end of life. Release hands its geometry-sized
-//     tables — cache-line arrays, physical frames, predictor tables —
-//     back to internal/recycle, which the next machine's constructors
-//     borrow from (zeroed, so a recycled table and a fresh one are the
-//     same value). The owner of a machine releases it once its results
-//     are collected; a RunResult and a Snapshot share nothing with the
-//     machine. A machine never released is simply collected. One used
-//     after Release panics at its first table access; releasing twice is
-//     a no-op.
+//   - A machine has an end of life. Release hands its tables — cache-line
+//     arrays, physical frames, predictor tables, each core's instruction
+//     window and rename snapshots, the event queue's bucket slab — back
+//     to internal/recycle, which the next machine's constructors borrow
+//     from (zeroed, so a recycled table and a fresh one are the same
+//     value), and drops every pending event. The owner of a machine
+//     releases it once its results are collected, finished or not; a
+//     RunResult and a Snapshot share nothing with the machine. A machine
+//     never released is simply collected. Stepping one after Release
+//     panics, as does any other use at its first table access; releasing
+//     twice is a no-op.
 package sim

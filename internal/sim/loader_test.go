@@ -243,3 +243,47 @@ func TestZeroFillEqualsExplicitZeroes(t *testing.T) {
 		})
 	}
 }
+
+// TestRemappingInitialisedBytesPanics: a page table keeps the last mapping
+// of a page, so a segment that shares a page with an earlier initialised
+// segment would hide that segment's bytes behind fresh frames. The load
+// refuses it when a hidden byte is non-zero, and names both segments.
+func TestRemappingInitialisedBytesPanics(t *testing.T) {
+	const base = 0x2000_0000
+	load := func(build func(b *isa.Builder)) (msg any) {
+		b := isa.NewBuilder("remap")
+		build(b)
+		b.Halt()
+		prog := b.MustBuild()
+		defer func() { msg = recover() }()
+		sim.New(sim.DefaultConfig(1)).NewProcess(prog)
+		return nil
+	}
+	fine := map[string]func(b *isa.Builder){
+		"an initialised segment after a zero-fill one on its page": func(b *isa.Builder) {
+			b.ZeroSegment("zeros", base, 64, false)
+			b.Segment("init", base+64, []byte{1, 2, 3}, false)
+		},
+		"a segment on the page after an initialised one": func(b *isa.Builder) {
+			b.Segment("init", base, []byte{1, 2, 3}, false)
+			b.ZeroSegment("next page", base+mem.PageBytes, 64, false)
+		},
+		"a segment on a page where an earlier one holds only zeroes": func(b *isa.Builder) {
+			b.Segment("init", base+mem.PageBytes-8, []byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 0}, false)
+			b.ZeroSegment("mailbox", base+mem.PageBytes+64, 8, false)
+		},
+	}
+	for name, build := range fine {
+		if msg := load(build); msg != nil {
+			t.Errorf("%s panicked: %v", name, msg)
+		}
+	}
+	msg := load(func(b *isa.Builder) {
+		b.Segment("table", base+mem.PageBytes-8, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, false)
+		b.ZeroSegment("mailbox", base+mem.PageBytes+64, 8, false)
+	})
+	want := `sim: program "remap": segment "mailbox" remaps a page holding segment "table"'s initialised bytes`
+	if msg != want {
+		t.Errorf("remapping an initialised segment's second page: panic %v, want %q", msg, want)
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
@@ -84,6 +85,8 @@ type System struct {
 
 	nextTimer []event.Cycle
 
+	released bool // set by Release: the machine must not run again
+
 	coreSections []string // checkpoint section names "core<i>", set at the first checkpoint or restore
 
 	// Mid-run resume state: set by RestoreSnapshot when the snapshot was
@@ -144,17 +147,21 @@ func New(cfg Config) *System {
 	return s
 }
 
-// Release ends the machine's life: the geometry-sized tables it was built
-// on (cache-line arrays, physical frames, predictor tables) go back to be
-// borrowed by the next machine built in this process. Call it once the
-// machine's results have been collected. Any later use of the machine
-// panics at its first table access; a second Release does nothing, and a
-// machine that is never released is simply collected.
+// Release ends the machine's life: the tables it was built on (cache-line
+// arrays, physical frames, predictor tables, each core's instruction window
+// and rename snapshots, the event queue's bucket slab) go back to be
+// borrowed by the next machine built in this process, and every pending
+// event is dropped. Call it once the machine's results have been
+// collected. Stepping the machine afterwards panics, and so does any other
+// later use at its first table access; a second Release does nothing, and
+// a machine that is never released is simply collected.
 func (s *System) Release() {
+	s.released = true
+	s.Sched.Release()
 	s.Phys.Release()
 	s.Hier.Release()
 	for _, c := range s.Cores {
-		c.Predictor().Release()
+		c.Release()
 	}
 }
 
@@ -189,10 +196,23 @@ func (s *System) NewProcess(prog *isa.Program) *Process {
 
 	// Data segments. A segment may start mid-page, so the page count runs
 	// from the page holding its first byte to the one holding its last.
+	// Segments that share a page each map it and the last mapping wins,
+	// which loses nothing while the earlier segments read zero there; one
+	// that would hide an earlier segment's non-zero bytes is refused.
+	var inited []isa.DataSegment
 	for _, seg := range prog.Data {
 		vpn := seg.Base >> mem.PageShift
 		off := seg.Base % mem.PageBytes
 		pages := (off + seg.Len() + mem.PageBytes - 1) / mem.PageBytes
+		for _, old := range inited {
+			if hidesBytes(old, vpn, pages) {
+				panic(fmt.Sprintf("sim: program %q: segment %q remaps a page holding segment %q's initialised bytes",
+					prog.Name, seg.Name, old.Name))
+			}
+		}
+		if len(seg.Bytes) > 0 {
+			inited = append(inited, seg)
+		}
 		var pfn uint64
 		mapped := false
 		if seg.Shared {
@@ -221,6 +241,14 @@ func (s *System) NewProcess(prog *isa.Program) *Process {
 	p.contexts[0].regs[isa.SP] = isa.StackTop
 	s.procs = append(s.procs, p)
 	return p
+}
+
+// hidesBytes reports whether mapping pages pages from vpn covers a non-zero
+// initial byte of seg.
+func hidesBytes(seg isa.DataSegment, vpn, pages uint64) bool {
+	lo := max(vpn<<mem.PageShift, seg.Base)
+	hi := min((vpn+pages)<<mem.PageShift, seg.Base+uint64(len(seg.Bytes)))
+	return lo < hi && slices.ContainsFunc(seg.Bytes[lo-seg.Base:hi-seg.Base], func(b byte) bool { return b != 0 })
 }
 
 // AddThread prepares an additional execution context (for Parsec-style
@@ -312,6 +340,9 @@ func (s *System) Step(n int) {
 // poke between calls, so the dead stretch ends at the earliest wake-up
 // time, timer or event.
 func (s *System) cycle(end event.Cycle) {
+	if s.released {
+		panic("sim: machine stepped after Release")
+	}
 	idleUntil := end
 	for ci, c := range s.Cores {
 		if s.running[ci] == nil {

@@ -7,7 +7,9 @@
 //
 // Key types:
 //
-//   - PageTable: one process's vpn->pfn map plus the simulated radix-table
+//   - PageTable: one process's translations, kept as the page ranges it
+//     was mapped with ({vpn, pfn, n} extents, searched newest first, so
+//     the latest mapping of a page wins), plus the simulated radix-table
 //     layout (WalkAddrs) the hardware walker touches — WalkDepth physical
 //     reads per translation, placed so different VPN ranges hit different
 //     page-table cache lines.

@@ -10,11 +10,20 @@ import (
 // owns the simulated radix-table layout walked by the hardware walker: each
 // translation has WalkDepth pointer locations in physical memory whose
 // addresses the walker touches.
+//
+// The mapping is kept as the ranges it was built from, not page by page: a
+// process maps a handful of ranges (text, each data segment, each stack)
+// that cover thousands of pages. Ranges may overlap — segments that share a
+// page each map it — and the newest mapping of a page wins, so Translate
+// searches newest first.
 type PageTable struct {
 	ASID     uint64
-	entries  map[uint64]uint64 // vpn -> pfn
+	extents  []extent // in mapping order
 	walkBase mem.Addr
 }
+
+// extent maps n consecutive pages from vpn to consecutive frames from pfn.
+type extent struct{ vpn, pfn, n uint64 }
 
 // WalkDepth is the number of memory accesses a page-table walk performs
 // (a two-level simulated radix table).
@@ -24,23 +33,28 @@ const WalkDepth = 2
 // walkBase places that process's page-table pages in physical memory so
 // walks generate realistic, distinct cache traffic per process.
 func NewPageTable(asid uint64, walkBase mem.Addr) *PageTable {
-	return &PageTable{ASID: asid, entries: make(map[uint64]uint64), walkBase: walkBase}
+	return &PageTable{ASID: asid, walkBase: walkBase}
 }
 
 // Map installs vpn -> pfn.
-func (pt *PageTable) Map(vpn, pfn uint64) { pt.entries[vpn] = pfn }
+func (pt *PageTable) Map(vpn, pfn uint64) { pt.MapRange(vpn, pfn, 1) }
 
-// MapRange maps n consecutive pages starting at the given numbers.
+// MapRange maps n consecutive pages starting at the given numbers,
+// replacing any earlier mapping of those pages.
 func (pt *PageTable) MapRange(vpn, pfn, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		pt.Map(vpn+i, pfn+i)
+	if n > 0 {
+		pt.extents = append(pt.extents, extent{vpn, pfn, n})
 	}
 }
 
 // Translate returns the frame for a virtual page.
 func (pt *PageTable) Translate(vpn uint64) (uint64, bool) {
-	pfn, ok := pt.entries[vpn]
-	return pfn, ok
+	for i := len(pt.extents) - 1; i >= 0; i-- {
+		if e := &pt.extents[i]; vpn-e.vpn < e.n {
+			return e.pfn + (vpn - e.vpn), true
+		}
+	}
+	return 0, false
 }
 
 // WalkAddrs returns the physical addresses the hardware walker reads to

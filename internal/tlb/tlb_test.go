@@ -179,3 +179,47 @@ func TestWalkAddrsWithinReasonableRange(t *testing.T) {
 		}
 	}
 }
+
+// FuzzPageTableMatchesMap: a page table built from any sequence of
+// MapRange and Map calls — overlapping, repeated, wrapping past the top of
+// the address space — translates every page exactly as a per-page map
+// does in which each call overwrites the pages it names.
+func FuzzPageTableMatchesMap(f *testing.F) {
+	f.Add([]byte{0x10, 0x02, 0x10, 0x00})
+	f.Add([]byte{0x00, 0x01, 0x20, 0x00, 0x08, 0x05, 0x04, 0x00, 0x08, 0x09, 0x01, 0x00})
+	f.Add([]byte{0x03, 0x01, 0x08, 0x80, 0x00, 0x02, 0x08, 0x00})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		pt := NewPageTable(1, 0x100000)
+		ref := make(map[uint64]uint64)
+		edges := []uint64{0, ^uint64(0)} // pages just outside or at a range's ends
+		check := func(vpn uint64) {
+			want, wantOK := ref[vpn]
+			if got, ok := pt.Translate(vpn); ok != wantOK || got != want {
+				t.Fatalf("Translate(%#x) = %#x, %v; the per-page map has %#x, %v", vpn, got, ok, want, wantOK)
+			}
+		}
+		for ; len(ops) >= 4; ops = ops[4:] {
+			vpn := uint64(ops[0])
+			if ops[3]&0x80 != 0 {
+				vpn = ^uint64(0) - vpn // near the top: the range may wrap
+			}
+			pfn := uint64(ops[1])<<7 | uint64(ops[3]&0x7f)
+			n := uint64(ops[2] % 48)
+			if n == 1 {
+				pt.Map(vpn, pfn)
+			} else {
+				pt.MapRange(vpn, pfn, n)
+			}
+			for i := uint64(0); i < n; i++ {
+				ref[vpn+i] = pfn + i
+			}
+			edges = append(edges, vpn-1, vpn, vpn+n-1, vpn+n)
+			for vpn := range ref {
+				check(vpn)
+			}
+			for _, vpn := range edges {
+				check(vpn)
+			}
+		}
+	})
+}
