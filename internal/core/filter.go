@@ -32,8 +32,6 @@ type FilterCache struct {
 	// Stats.
 	Hits                uint64
 	Misses              uint64
-	Flushes             uint64
-	LinesFlushed        uint64
 	EvictedUncommitted3 uint64 // uncommitted lines displaced before commit
 }
 
@@ -117,16 +115,12 @@ func (f *FilterCache) Invalidate(paddr mem.Addr) cache.State {
 
 // FlashInvalidate clears every line in a single cycle by dropping the
 // register valid bits (§4.3). It returns the number of lines cleared and
-// invokes onDrop for each so the owner can update its filter-sharer
-// tracking.
+// invokes onDrop, when not nil, with each line's physical address first.
 func (f *FilterCache) FlashInvalidate(onDrop func(paddr mem.Addr)) int {
 	if onDrop != nil {
 		f.arr.ForEach(func(l *cache.Line) { onDrop(mem.Addr(l.Tag)) })
 	}
-	n := f.arr.InvalidateAll()
-	f.Flushes++
-	f.LinesFlushed += uint64(n)
-	return n
+	return f.arr.InvalidateAll()
 }
 
 // ForEach visits every valid line.

@@ -336,7 +336,7 @@ func TestSyscallFlushesFilterUnderMuonTrap(t *testing.T) {
 	if s.Cores[0].Count(cpu.Syscalls) != 1 {
 		t.Fatalf("syscalls = %d", s.Cores[0].Count(cpu.Syscalls))
 	}
-	if port.FilterD().Flushes == 0 {
+	if port.Stat(memsys.PCDomainFlushes) == 0 {
 		t.Fatal("syscall did not flush the filter cache")
 	}
 }

@@ -9,8 +9,9 @@
 //
 // Key types:
 //
-//   - Hierarchy: the shared level — L2, directory, DRAM, prefetcher, and
-//     the filter-sharer tracking used for §4.5 broadcast invalidation.
+//   - Hierarchy: the shared level — L2, directory, DRAM and prefetcher.
+//     It does not track which filter caches hold a line: the §4.5
+//     invalidation is a broadcast to every filter cache.
 //   - Port: one core's window onto the memory system (its L0s, L1s and
 //     TLBs plus every operation the pipeline invokes). Nothing blocks:
 //     completions arrive through scheduled events, either as parked

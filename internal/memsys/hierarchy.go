@@ -23,8 +23,9 @@ func (e *dirEntry) empty() bool {
 }
 
 // Hierarchy is the whole memory system below the cores: shared L2 with
-// directory, DRAM, stride prefetcher, the per-core Ports, and the
-// filter-cache sharer tracking used for broadcast invalidation.
+// directory, DRAM, stride prefetcher and the per-core Ports. Nothing here
+// records which filter caches hold a line: each filter cache is the only
+// record of its contents, and invalidation reaches them by broadcast.
 type Hierarchy struct {
 	cfg   Config
 	sched *event.Scheduler
@@ -40,14 +41,15 @@ type Hierarchy struct {
 
 	ports []*Port
 
-	// filterSharers maps a physical line to the bitmask of cores whose
-	// data filter caches hold it. The paper uses a broadcast precisely to
-	// avoid tracking this in hardware (timing invariance); we track it for
-	// functional invalidation and charge the constant broadcast latency.
-	filterSharers map[uint64]uint64
 	// filterOwner records a data filter cache holding a line exclusively —
 	// only possible in the vulnerable "fcache only" configuration without
 	// coherence protections, and exactly the state attack 4 exploits.
+	// It is not a mirror of the filter caches and cannot be derived by
+	// snooping them: a speculative fcache fill decides exclusivity from
+	// the L1 directory alone, so more than one filter cache can hold a
+	// line E at once, and the map names the last to fill it. Snooping
+	// instead moves the timing matrix's streamcluster/fcache cell from
+	// 45824 to 45888 cycles.
 	filterOwner map[uint64]int
 
 	// ctr holds the counters hierCounters declares, indexed by hierCounter.
@@ -60,15 +62,14 @@ func New(sched *event.Scheduler, phys *mem.Physical, cfg Config) *Hierarchy {
 		panic(fmt.Sprintf("memsys: bad core count %d", cfg.Cores))
 	}
 	h := &Hierarchy{
-		cfg:           cfg,
-		sched:         sched,
-		Phys:          phys,
-		dram:          mem.NewDRAM(sched, cfg.DRAM),
-		l2:            cache.NewArray(cfg.L2),
-		l2MSHRs:       cache.NewMSHRFile(cfg.L2MSHRs),
-		dir:           make(map[uint64]*dirEntry),
-		filterSharers: make(map[uint64]uint64),
-		filterOwner:   make(map[uint64]int),
+		cfg:         cfg,
+		sched:       sched,
+		Phys:        phys,
+		dram:        mem.NewDRAM(sched, cfg.DRAM),
+		l2:          cache.NewArray(cfg.L2),
+		l2MSHRs:     cache.NewMSHRFile(cfg.L2MSHRs),
+		dir:         make(map[uint64]*dirEntry),
+		filterOwner: make(map[uint64]int),
 	}
 	if cfg.PrefetchEnabled {
 		h.pf = prefetch.New(cfg.Prefetch)
@@ -227,44 +228,23 @@ func (h *Hierarchy) invalidateSharers(line uint64, except int) bool {
 
 // broadcastFilterInvalidate drops the line from every data filter cache
 // except the requester's (§4.5: exclusive upgrades must invalidate filter
-// copies; done as a broadcast for timing invariance, tracked precisely
-// here for function).
+// copies). It is a broadcast, so nothing tracks which filter caches hold
+// the line: one that does not simply has nothing to drop.
 func (h *Hierarchy) broadcastFilterInvalidate(line uint64, except int) {
 	h.ctr[filterBroadcasts]++
-	mask := h.filterSharers[line]
 	for i, p := range h.ports {
-		bit := uint64(1) << uint(i)
-		if i == except || mask&bit == 0 {
-			continue
-		}
-		if p.l0d != nil {
+		if i != except && p.l0d != nil {
 			p.l0d.Invalidate(mem.Addr(line))
 		}
-		mask &^= bit
-	}
-	if keep := mask & (1 << uint(except)); keep != 0 {
-		h.filterSharers[line] = keep
-	} else {
-		delete(h.filterSharers, line)
 	}
 	if o, ok := h.filterOwner[line]; ok && o != except {
 		delete(h.filterOwner, line)
 	}
 }
 
-func (h *Hierarchy) noteFilterFill(line uint64, coreID int) {
-	h.filterSharers[line] |= 1 << uint(coreID)
-}
-
+// noteFilterDrop forgets coreID's exclusive filter copy of line, if the
+// line was one.
 func (h *Hierarchy) noteFilterDrop(line uint64, coreID int) {
-	if m, ok := h.filterSharers[line]; ok {
-		m &^= 1 << uint(coreID)
-		if m == 0 {
-			delete(h.filterSharers, line)
-		} else {
-			h.filterSharers[line] = m
-		}
-	}
 	if o, ok := h.filterOwner[line]; ok && o == coreID {
 		delete(h.filterOwner, line)
 	}

@@ -278,22 +278,47 @@ func TestInsecureSpeculativeLoadDowngradesRemote(t *testing.T) {
 }
 
 func TestStoreUpgradeBroadcastsFilterInvalidate(t *testing.T) {
-	r := newRig(2, muontrap)
 	shared := mem.Addr(0x2000_0000)
 	sharedV := mem.VAddr(0x2000_0000)
-	// Core 0 speculatively loads the line into its filter.
-	r.load(t, 0, sharedV, shared, true)
-	if r.h.Port(0).FilterD().Snoop(shared) == nil {
-		t.Fatal("setup: filter should hold the line")
-	}
-	// Core 1 commits a store to it: broadcast must clear core 0's copy.
-	r.store(t, 1, sharedV, shared)
-	if r.h.Port(0).FilterD().Snoop(shared) != nil {
-		t.Fatal("exclusive upgrade must invalidate other filter caches (§4.5)")
-	}
-	if r.h.ctr[filterBroadcasts] == 0 {
-		t.Fatal("broadcast not counted")
-	}
+	t.Run("two cores", func(t *testing.T) {
+		r := newRig(2, muontrap)
+		// Core 0 speculatively loads the line into its filter.
+		r.load(t, 0, sharedV, shared, true)
+		if r.h.Port(0).FilterD().Snoop(shared) == nil {
+			t.Fatal("setup: filter should hold the line")
+		}
+		// Core 1 commits a store to it: broadcast must clear core 0's copy.
+		r.store(t, 1, sharedV, shared)
+		if r.h.Port(0).FilterD().Snoop(shared) != nil {
+			t.Fatal("exclusive upgrade must invalidate other filter caches (§4.5)")
+		}
+		if r.h.ctr[filterBroadcasts] == 0 {
+			t.Fatal("broadcast not counted")
+		}
+	})
+	t.Run("three cores", func(t *testing.T) {
+		// Every core holds the line in its filter; core 1's store drain
+		// reaches cores 0 and 2 with one broadcast and leaves its own copy.
+		r := newRig(3, muontrap)
+		for c := 0; c < 3; c++ {
+			r.load(t, c, sharedV, shared, true)
+			if r.h.Port(c).FilterD().Snoop(shared) == nil {
+				t.Fatalf("setup: core %d's filter should hold the line", c)
+			}
+		}
+		r.store(t, 1, sharedV, shared)
+		for _, c := range []int{0, 2} {
+			if r.h.Port(c).FilterD().Snoop(shared) != nil {
+				t.Fatalf("core %d's filter kept the line past the broadcast", c)
+			}
+		}
+		if r.h.Port(1).FilterD().Snoop(shared) == nil {
+			t.Fatal("the storing core's own filter copy was dropped")
+		}
+		if n := r.h.ctr[filterBroadcasts]; n != 1 {
+			t.Fatalf("%d broadcasts counted, want 1", n)
+		}
+	})
 }
 
 func TestFigure7Accounting(t *testing.T) {
@@ -339,9 +364,6 @@ func TestDomainFlushClearsFilterState(t *testing.T) {
 	p.FlushDomain()
 	if p.FilterD().CountValid() != 0 {
 		t.Fatal("domain flush left filter lines")
-	}
-	if len(r.h.filterSharers) != 0 {
-		t.Fatal("filter sharer tracking leaked after flush")
 	}
 }
 

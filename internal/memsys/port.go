@@ -44,8 +44,6 @@ type Port struct {
 	pt   *tlb.PageTable
 	asid uint64
 
-	lastCommitILine uint64
-
 	ctr [numPortCounters]uint64
 
 	// What the port parks under an event argument, each kind in its own
@@ -561,15 +559,12 @@ func (p *Port) missFill(ms dmiss) {
 	p.completeNow(ms.cm, AccessResult{Level: ms.level})
 }
 
-// fillL0 installs a line in the data filter cache and maintains the
-// hierarchy's filter-sharer tracking.
+// fillL0 installs a line in the data filter cache; a displaced line the
+// filter held exclusively loses its filter ownership.
 func (p *Port) fillL0(vaddr mem.VAddr, paddr mem.Addr, st cache.State, committed bool, level uint8) {
-	line := uint64(mem.LineAddr(paddr))
-	ev, had := p.l0d.Fill(mem.LineAddr(vaddr), mem.LineAddr(paddr), st, committed, level)
-	if had {
+	if ev, had := p.l0d.Fill(mem.LineAddr(vaddr), mem.LineAddr(paddr), st, committed, level); had {
 		p.h.noteFilterDrop(ev.Tag, p.id)
 	}
-	p.h.noteFilterFill(line, p.id)
 }
 
 // l1InstallData installs a line in this core's L1D with directory upkeep,
@@ -929,10 +924,6 @@ func (p *Port) CommitIfetch(paddr mem.Addr) {
 		return
 	}
 	line := uint64(mem.LineAddr(paddr))
-	if line == p.lastCommitILine {
-		return
-	}
-	p.lastCommitILine = line
 	_, wasUncommitted, present := p.l0i.MarkCommitted(mem.Addr(line))
 	if present && wasUncommitted {
 		delay := p.h.l2PortDelay() + p.h.cfg.Lat.L2Port
@@ -946,27 +937,20 @@ func (p *Port) CommitIfetch(paddr mem.Addr) {
 // the filter TLB. Called on context switches, system calls and sandbox
 // entry (§4.3, §4.9). The flash invalidate itself is a single cycle; the
 // protection-domain switch cost is charged by the caller.
-func (p *Port) FlushDomain() {
-	p.ctr[PCDomainFlushes]++
-	if p.l0d != nil {
-		p.l0d.FlashInvalidate(func(pa mem.Addr) { p.h.noteFilterDrop(uint64(pa), p.id) })
-	}
-	if p.l0i != nil {
-		p.l0i.FlashInvalidate(nil)
-	}
-	if p.fdtlb != nil {
-		p.fdtlb.FlushAll()
-	}
-	p.lastCommitILine = 0
-}
+func (p *Port) FlushDomain() { p.flushFilters(PCDomainFlushes) }
 
 // FlushOnMisspec clears filter state on a pipeline squash when the
 // per-process clear-on-misspeculate mode is enabled (§4.9).
 func (p *Port) FlushOnMisspec() {
-	if !p.h.cfg.Mode.ClearOnMisspec {
-		return
+	if p.h.cfg.Mode.ClearOnMisspec {
+		p.flushFilters(PCMisspecFlushes)
 	}
-	p.ctr[PCMisspecFlushes]++
+}
+
+// flushFilters flash-invalidates both filter caches and the filter TLB,
+// counting the flush under why.
+func (p *Port) flushFilters(why PortCounter) {
+	p.ctr[why]++
 	if p.l0d != nil {
 		p.l0d.FlashInvalidate(func(pa mem.Addr) { p.h.noteFilterDrop(uint64(pa), p.id) })
 	}

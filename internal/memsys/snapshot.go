@@ -74,12 +74,12 @@ func (h *Hierarchy) Quiesced() error {
 }
 
 // Occupancy counts the table entries the hierarchy holds: valid cache
-// lines and translations at every level, directory and filter-tracking
+// lines and translations at every level, directory and filter-owner
 // entries, trained prefetcher slots. A checkpoint's size is proportional
 // to it, not to the geometry. It is counted on demand; nothing on the
 // simulation path maintains it.
 func (h *Hierarchy) Occupancy() int {
-	n := h.l2.CountValid() + len(h.dir) + len(h.filterSharers) + len(h.filterOwner)
+	n := h.l2.CountValid() + len(h.dir) + len(h.filterOwner)
 	if h.pf != nil {
 		n += h.pf.CountValid()
 	}
@@ -121,7 +121,7 @@ func (h *Hierarchy) Checkpoint(snap *checkpoint.Snapshot, load bool) error {
 }
 
 // shared walks the shared level: L2, its port, DRAM, the directory and
-// filter-sharer tracking (each map in ascending key order, so equal state
+// the filter owners (each map in ascending key order, so equal state
 // is equal bytes), the presence-flagged prefetcher and the statistics.
 func (h *Hierarchy) shared(s *checkpoint.State) {
 	h.l2.Checkpoint(s)
@@ -142,11 +142,6 @@ func (h *Hierarchy) shared(s *checkpoint.State) {
 		s.U64(&e.sharers)
 		s.U64(&e.isharers)
 		return line, e
-	})
-	checkpoint.Map(s, &h.filterSharers, checkpoint.Count64, nil, func(line, sharers uint64) (uint64, uint64) {
-		s.U64(&line)
-		s.U64(&sharers)
-		return line, sharers
 	})
 	checkpoint.Map(s, &h.filterOwner, checkpoint.Count64, nil, func(line uint64, owner int) (uint64, int) {
 		o := uint64(owner)
@@ -170,7 +165,7 @@ func (h *Hierarchy) shared(s *checkpoint.State) {
 }
 
 // checkpoint walks one port: caches, TLBs, the presence-flagged filter
-// structures, its ASID, the last committed instruction line, counters.
+// structures, its ASID, counters.
 func (p *Port) checkpoint(s *checkpoint.State) {
 	p.l1d.Checkpoint(s)
 	p.l1i.Checkpoint(s)
@@ -180,7 +175,6 @@ func (p *Port) checkpoint(s *checkpoint.State) {
 	optional(s, p.l0i, "L0I")
 	optional(s, p.fdtlb, "filter TLB")
 	s.U64(&p.asid)
-	s.U64(&p.lastCommitILine)
 	for k := range p.ctr {
 		s.U64(&p.ctr[k])
 	}

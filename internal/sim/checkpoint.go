@@ -27,7 +27,11 @@ import (
 //
 // v4 saves only the counters something reads, each component's in the
 // order of its counter table (ARCHITECTURE.md lists the ones dropped).
-const machineFormat = 4
+//
+// v5 saves only what the filter caches hold themselves: the hierarchy's
+// filter-sharer map, each port's last committed instruction line and the
+// filter caches' flush statistics are gone.
+const machineFormat = 5
 
 // drainBound caps how many cycles Drain will step while waiting for the
 // machine to quiesce. It is far beyond any legitimate drain (the deepest

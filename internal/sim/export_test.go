@@ -23,3 +23,6 @@ func SystemCounterTable() []stats.Counter {
 func (s *System) CheckpointInto(ctx context.Context, snap *checkpoint.Snapshot, base event.Cycle) error {
 	return s.checkpointInto(ctx, snap, base)
 }
+
+// MachineFormat is machineFormat, for the external tests.
+const MachineFormat = machineFormat

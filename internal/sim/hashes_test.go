@@ -4,8 +4,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/defense"
 	"repro/internal/figures"
+	"repro/internal/sim"
 	"repro/internal/simtest"
 	"repro/internal/workload"
 )
@@ -32,9 +35,9 @@ type pinnedImage struct {
 
 // pinnedImages builds the pinned snapshots: the warm-up checkpoint of
 // every workload, and mid-run CheckpointAt images that between them hold
-// every optional structure — filter caches, filter sharers and the
-// directory of a 4-core MuonTrap run, SafeBet footprints, a trained
-// prefetcher, a filter TLB.
+// every optional structure — filter caches and the directory of a
+// 4-core MuonTrap run, SafeBet footprints, a trained prefetcher, a filter
+// TLB.
 func pinnedImages(t *testing.T) []pinnedImage {
 	var out []pinnedImage
 	specs := append(workload.SPEC2006(), workload.Parsec()...)
@@ -99,33 +102,28 @@ func hashLines(t *testing.T, img pinnedImage) []string {
 	return lines
 }
 
-// TestSnapshotBytesArePinned compares every pinned snapshot's SHA-256 with
-// testdata/snapshot_hashes.golden. A saver refactor must leave every byte
-// where it was; a failure names the image and its first section whose
-// bytes moved. Rewrite the file with -update only together with a
-// machineFormat bump.
-func TestSnapshotBytesArePinned(t *testing.T) {
-	var got []string
-	for _, img := range pinnedImages(t) {
-		got = append(got, hashLines(t, img)...)
-	}
-	if *updateHashes {
-		if err := os.MkdirAll(filepath.Dir(hashesGolden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(hashesGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
+// goldenHeader is the golden's first line: the machineFormat it was
+// written under.
+const goldenHeader = "machineFormat %d"
+
+// readGolden reads testdata/snapshot_hashes.golden: the machineFormat in
+// its header and its hash lines.
+func readGolden() (format int, lines []string, err error) {
 	raw, err := os.ReadFile(hashesGolden)
 	if err != nil {
-		t.Fatalf("%v (record it with -update)", err)
+		return 0, nil, err
 	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if slices.Equal(got, want) {
-		return
+	head, rest, _ := strings.Cut(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if _, err := fmt.Sscanf(head, goldenHeader, &format); err != nil {
+		return 0, nil, fmt.Errorf("%s: first line %q is not %q", hashesGolden, head, goldenHeader)
 	}
+	return format, strings.Split(rest, "\n"), nil
+}
+
+// movedSection names the first section of got whose bytes differ from
+// want's, or is empty. Whole-image rows are skipped (they move exactly
+// when a section does), and so are rows on one side only.
+func movedSection(got, want []string) string {
 	wantHash := map[string]string{}
 	for _, l := range want {
 		k, v, _ := strings.Cut(l, " ")
@@ -133,10 +131,63 @@ func TestSnapshotBytesArePinned(t *testing.T) {
 	}
 	for _, l := range got {
 		k, v, _ := strings.Cut(l, " ")
-		if w, ok := wantHash[k]; !ok {
+		if w, ok := wantHash[k]; ok && w != v && strings.Contains(k, ":") {
+			return fmt.Sprintf("%s (%s, golden %s)", k, v[:16], w[:16])
+		}
+	}
+	return ""
+}
+
+// TestSnapshotBytesArePinned compares every pinned snapshot's SHA-256 with
+// testdata/snapshot_hashes.golden. A saver refactor must leave every byte
+// where it was; a failure names the image and its first section whose
+// bytes moved. The golden records the machineFormat it was written under,
+// and -update rewrites it only when no section moved or machineFormat
+// changed since: moved bytes under an unchanged format are refused.
+func TestSnapshotBytesArePinned(t *testing.T) {
+	var got []string
+	for _, img := range pinnedImages(t) {
+		got = append(got, hashLines(t, img)...)
+	}
+	format, want, err := readGolden()
+	if *updateHashes {
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatal(err)
+		}
+		if err == nil && format == sim.MachineFormat {
+			if sec := movedSection(got, want); sec != "" {
+				t.Fatalf("section %s moved bytes but machineFormat is still %d: bump it before rewriting the golden", sec, format)
+			}
+		}
+		if err := os.MkdirAll(filepath.Dir(hashesGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		out := append([]string{fmt.Sprintf(goldenHeader, sim.MachineFormat)}, got...)
+		if err := os.WriteFile(hashesGolden, []byte(strings.Join(out, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%v (record it with -update)", err)
+	}
+	if format != sim.MachineFormat {
+		t.Fatalf("the golden was written under machineFormat %d, this build writes %d (rewrite it with -update)", format, sim.MachineFormat)
+	}
+	if slices.Equal(got, want) {
+		return
+	}
+	if sec := movedSection(got, want); sec != "" {
+		t.Fatalf("section %s changed bytes", sec)
+	}
+	wantKeys := map[string]bool{}
+	for _, l := range want {
+		k, _, _ := strings.Cut(l, " ")
+		wantKeys[k] = true
+	}
+	for _, l := range got {
+		if k, _, _ := strings.Cut(l, " "); !wantKeys[k] {
 			t.Fatalf("%s is not in the golden", k)
-		} else if w != v && strings.Contains(k, ":") {
-			t.Fatalf("section %s changed bytes: %s, golden %s", k, v[:16], w[:16])
 		}
 	}
 	t.Fatalf("snapshot hashes differ from the golden (%d lines, golden %d)", len(got), len(want))

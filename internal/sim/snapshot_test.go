@@ -41,8 +41,7 @@ func drainedCanneal(t *testing.T, cycles int) *sim.System {
 // freshly assembled twin, and re-checkpoints: the two snapshots must be
 // byte-identical (equal content hashes), proving Save/Restore loses
 // nothing for any component. The 1-core machine has only been warmed; the
-// 4-core one has run, so its directory and filter-sharer tables are
-// non-empty.
+// 4-core one has run, so its directory and filter caches are non-empty.
 func TestCheckpointRoundTripIsLossless(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
