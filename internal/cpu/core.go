@@ -202,10 +202,10 @@ func (c *Core) Port() *memsys.Port { return c.port }
 func (c *Core) Predictor() *bpred.Predictor { return c.pred }
 
 // SetProgram loads a program: architectural registers are cleared, the
-// stack pointer initialised and fetch redirected to the entry point.
+// stack pointer initialised and fetch redirected to the entry point. The
+// core only reads p, which other machines may be running too.
 func (c *Core) SetProgram(p *isa.Program) {
 	c.wake()
-	p.Predecode() // no-op for Builder-produced programs
 	c.prog = p
 	for i := range c.regs {
 		c.regs[i] = 0

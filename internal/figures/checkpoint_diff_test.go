@@ -165,7 +165,7 @@ func TestCrashResumeProducesIdenticalResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapHash, err := snapHashFor(spec, optCrash)
+	snapHash, err := snapHashFor(Job{Spec: spec, Opt: optCrash})
 	if err != nil {
 		t.Fatal(err)
 	}

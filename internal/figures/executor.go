@@ -48,10 +48,14 @@ type Job struct {
 	// subject, when set, is what the cell's key names in place of
 	// Spec.Name (an attack cell's scenario encoding). l0dSize/l0dAssoc,
 	// when set, replace the data filter cache geometry (the Fig 5/6
-	// cells, built by buildSweep).
+	// cells, see config).
 	subject  string
 	l0dSize  uint64
 	l0dAssoc int
+
+	// row, set only on the copy Execute runs, is the cell's share of its
+	// row's program (see program).
+	row *progEntry
 }
 
 // run executes the cell under its completed key.
@@ -59,10 +63,7 @@ func (j Job) run(ctx context.Context, key runKey) (sim.RunResult, error) {
 	if j.Custom != nil {
 		return j.Custom(ctx)
 	}
-	if j.l0dSize != 0 {
-		return forkOrRun(ctx, j.Spec, j.Opt, buildSweep(j.Spec, j.Scheme, j.l0dSize, j.l0dAssoc, j.Opt), key)
-	}
-	return forkOrRun(ctx, j.Spec, j.Opt, BuildSystem(j.Spec, j.Scheme, j.Opt.Scale), key)
+	return forkOrRun(ctx, j, assemble(j.config(), j.program()), key)
 }
 
 // Outcome is one successfully completed Job with its result. (Failures
@@ -102,6 +103,13 @@ func (e *Executor) Execute(ctx context.Context, jobs []Job) ([]Outcome, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	// Every job holds its row's program until it returns, cache hit or
+	// not; a job never fed lets go after the feed loop.
+	rows := make([]*progEntry, len(jobs))
+	for i, j := range jobs {
+		rows[i] = acquireProgram(j)
+	}
+
 	outs := make([]Outcome, len(jobs))
 	idxCh := make(chan int)
 	var (
@@ -115,8 +123,12 @@ func (e *Executor) Execute(ctx context.Context, jobs []Job) ([]Outcome, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				j := jobs[i]
-				res, err := e.runJob(runCtx, j)
+				// The job, not Execute, holds the row's program: once the
+				// row's last job lets go, nothing keeps it reachable.
+				j, row := jobs[i], rows[i]
+				rows[i] = nil
+				res, err := e.runJob(runCtx, j, row)
+				row.release()
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -138,16 +150,20 @@ func (e *Executor) Execute(ctx context.Context, jobs []Job) ([]Outcome, error) {
 			}
 		}()
 	}
+	fed := 0
 feed:
-	for i := range jobs {
+	for ; fed < len(jobs); fed++ {
 		select {
-		case idxCh <- i:
+		case idxCh <- fed:
 		case <-runCtx.Done():
 			// Stop feeding; in-flight jobs unwind via their own ctx check.
 			break feed
 		}
 	}
 	close(idxCh)
+	for _, r := range rows[fed:] {
+		r.release()
+	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -158,8 +174,10 @@ feed:
 	return outs, nil
 }
 
-// runJob executes one cell through the shared memoization/fork path.
-func (e *Executor) runJob(ctx context.Context, j Job) (sim.RunResult, error) {
+// runJob executes one cell, on its row's program, through the shared
+// memoization/fork path.
+func (e *Executor) runJob(ctx context.Context, j Job, row *progEntry) (sim.RunResult, error) {
+	j.row = row
 	if err := ctx.Err(); err != nil {
 		return sim.RunResult{}, err
 	}

@@ -118,7 +118,7 @@ type runKey struct {
 // and the mid-run checkpoint chain all see the same key. With warm-up set
 // it materialises the workload's warm snapshot to learn its hash.
 func newRunKey(j Job) (key runKey, err error) {
-	snapHash, err := snapHashFor(j.Spec, j.Opt)
+	snapHash, err := snapHashFor(j)
 	if err != nil {
 		return key, err
 	}
@@ -223,12 +223,18 @@ func ResetRunCache() {
 }
 
 // BuildSystem assembles the standard figure machine for one workload
-// under one scheme: program built at scale, one core for SPEC or four
-// for Parsec (full-system, with the periodic OS timer that drives
-// protection-domain switches), processes loaded and scheduled, nothing
-// yet simulated. It is exported for the differential checkpoint suites,
-// which must run the exact machine the figures do.
+// under one scheme (figureConfig) on a freshly built program at scale,
+// processes loaded and scheduled, nothing yet simulated. It is exported
+// for the differential checkpoint suites, which must run the exact
+// machine the figures do.
 func BuildSystem(spec workload.Spec, sch defense.Scheme, scale float64) *sim.System {
+	return assemble(figureConfig(spec, sch), workload.Build(spec, scale))
+}
+
+// figureConfig is the standard figure machine for one workload under one
+// scheme: one core for SPEC or four for Parsec (full-system, with the
+// periodic OS timer that drives protection-domain switches).
+func figureConfig(spec workload.Spec, sch defense.Scheme) sim.Config {
 	cores := 1
 	if spec.Suite == "parsec" {
 		cores = 4
@@ -243,7 +249,24 @@ func BuildSystem(spec workload.Spec, sch defense.Scheme, scale float64) *sim.Sys
 		// domain flushes per committed instruction.
 		cfg.TimerInterval = 150_000
 	}
-	return assemble(cfg, workload.Build(spec, scale))
+	return cfg
+}
+
+// config is the machine the cell runs on: the standard figure machine,
+// or for a Fig 5/6 cell a Parsec workload on four cores under its scheme
+// (sweepScheme) with a custom data filter cache geometry. A geometry cell
+// forks from the same warm snapshot as the standard-geometry runs: filter
+// caches hold no warm state, so L0 geometry does not enter it.
+func (j Job) config() sim.Config {
+	if j.l0dSize == 0 {
+		return figureConfig(j.Spec, j.Scheme)
+	}
+	cfg := sim.DefaultConfig(4)
+	cfg.Mem.Mode = j.Scheme.Mode
+	cfg.Mem.L0D.SizeBytes = j.l0dSize
+	cfg.Mem.L0D.Assoc = j.l0dAssoc
+	cfg.TimerInterval = 500_000
+	return cfg
 }
 
 // assemble builds the machine cfg describes and loads prog into one
@@ -354,19 +377,6 @@ func sweepScheme() defense.Scheme {
 	sch := defense.MuonTrap()
 	sch.Name = "muontrap-sweep"
 	return sch
-}
-
-// buildSweep assembles the Fig 5/6 machine: a Parsec workload on four
-// cores under sch (sweepScheme) with a custom data filter cache geometry.
-// The warm snapshot (if any) is shared with the standard-geometry runs:
-// filter caches hold no warm state, so L0 geometry does not enter it.
-func buildSweep(spec workload.Spec, sch defense.Scheme, sizeBytes uint64, assoc int, opt Options) *sim.System {
-	cfg := sim.DefaultConfig(4)
-	cfg.Mem.Mode = sch.Mode
-	cfg.Mem.L0D.SizeBytes = sizeBytes
-	cfg.Mem.L0D.Assoc = assoc
-	cfg.TimerInterval = 500_000
-	return assemble(cfg, workload.Build(spec, opt.Scale))
 }
 
 // geometryFigure builds Figures 5/6: the insecure baseline plus one

@@ -81,9 +81,15 @@ func (c oracleCell) job(tb testing.TB) Job {
 	}
 	spec := c.spec(tb)
 	if c.CancelAt > 0 {
-		j := Job{Spec: spec, Scheme: c.scheme(tb), Opt: opt, Series: c.Scheme, Work: c.String()}
+		// Its own subject keeps its empty result out of the memo slot of
+		// the cell it would otherwise be keyed as.
+		j := Job{Spec: spec, Scheme: c.scheme(tb), Opt: opt, Series: c.Scheme, Work: c.String(), subject: c.String()}
 		j.Custom = func(ctx context.Context) (sim.RunResult, error) {
-			return sim.RunResult{}, c.cancelMidRun(ctx, BuildSystem(spec, j.Scheme, opt.Scale))
+			// The machine runs its row's program, as a standard cell does:
+			// the one a later cell of the row will run too, when one holds it.
+			row := acquireProgram(Job{Spec: spec, Opt: opt})
+			defer row.release()
+			return sim.RunResult{}, c.cancelMidRun(ctx, assemble(figureConfig(spec, j.Scheme), row.program()))
 		}
 		return j
 	}
@@ -97,6 +103,8 @@ func (c oracleCell) job(tb testing.TB) Job {
 func (c oracleCell) run(tb testing.TB) sim.RunResult {
 	tb.Helper()
 	j := c.job(tb)
+	j.row = acquireProgram(j)
+	defer j.row.release()
 	key, err := newRunKey(j)
 	if err != nil {
 		tb.Fatalf("%s: %v", c, err)
@@ -125,17 +133,14 @@ func (c oracleCell) cancelMidRun(ctx context.Context, sys *sim.System) error {
 }
 
 // runFresh is the cell's definition without the machinery under test: the
-// same machine, warmed in place (what a snapshot fork must equal, see
-// TestSnapshotForkMatchesColdRun), run, and left to the collector.
+// same machine on a program of its own, warmed in place (what a snapshot
+// fork must equal, see TestSnapshotForkMatchesColdRun), run, and left to
+// the collector.
 func (c oracleCell) runFresh(tb testing.TB) sim.RunResult {
 	tb.Helper()
 	opt := oracleOptions()
-	var sys *sim.System
-	if c.L0DSize > 0 {
-		sys = buildSweep(c.spec(tb), sweepScheme(), c.L0DSize, int(c.L0DSize/64), opt)
-	} else {
-		sys = BuildSystem(c.spec(tb), c.scheme(tb), opt.Scale)
-	}
+	j := c.job(tb)
+	sys := assemble(j.config(), workload.Build(j.Spec, opt.Scale))
 	if n := sys.Warmup(c.Warmup); n != c.Warmup {
 		tb.Fatalf("%s: warm-up executed %d insts, want %d", c, n, c.Warmup)
 	}
@@ -152,8 +157,9 @@ func (c oracleCell) runFresh(tb testing.TB) sim.RunResult {
 // released. The pairs cover a scheme change, a workload change, a
 // filter-cache geometry change in both directions and a warm fork, and
 // A cells that release a dirty pipeline: one cancelled mid-run with
-// events pending and an InvisiSpec exposure pinning a window slot, and
-// attack trials, whose victim is still running when the trial ends.
+// events pending and an InvisiSpec exposure pinning a window slot, one
+// cancelled mid-run on the shared program B then runs (the same row),
+// and attack trials, whose victim is still running when the trial ends.
 var oraclePairs = [][2]oracleCell{
 	{{Work: "mcf", Scheme: "muontrap"}, {Work: "hmmer", Scheme: "insecure"}},
 	{{Work: "mcf", Scheme: "insecure"}, {Work: "hmmer", Scheme: "muontrap"}},
@@ -165,6 +171,7 @@ var oraclePairs = [][2]oracleCell{
 	// At cycle 7 000 gcc's window holds 112 instructions, one of them
 	// pinned by an exposure in flight (counted when the pair was chosen).
 	{{Work: "gcc", Scheme: "invisispec-future", CancelAt: 7000}, {Work: "hmmer", Scheme: "invisispec-future"}},
+	{{Work: "gcc", Scheme: "muontrap", CancelAt: 7000}, {Work: "gcc", Scheme: "invisispec-future"}},
 	{{Attack: "spectre", Scheme: "invisispec-spectre"}, {Work: "bzip2", Scheme: "muontrap"}},
 	{{Attack: "inclusion", Scheme: "insecure"}, {Work: "hmmer", Scheme: "stt-spectre"}},
 }
@@ -219,10 +226,11 @@ func freshResults(t *testing.T) []sim.RunResult {
 }
 
 // TestRecycledCellsMatchFresh: cell B, run through the production path on
-// the tables cell A dirtied and released, reports the cycles, committed
-// count and full counter map B reports in a process where nothing was
-// ever released — one pair at a time, then all cells at once through a
-// two-worker Executor (run with -race -count=10: the recycler is the one
+// the tables cell A dirtied and released (and on A's program when they
+// are one row), reports the cycles, committed count and full counter map
+// B reports in a process where nothing was ever released or shared — one
+// pair at a time, then all cells at once through a two-worker Executor
+// (run with -race -count=10: the recycler and the rows' programs are the
 // state the workers share).
 func TestRecycledCellsMatchFresh(t *testing.T) {
 	if testing.Short() {
@@ -233,8 +241,12 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 	fresh := freshResults(t)
 
 	for i, pair := range oraclePairs {
+		// B's row is held across A, as a sweep holds it, so an A of the
+		// same row runs on the program B then runs.
+		held := acquireProgram(pair[1].job(t))
 		pair[0].run(t)
 		resultsEqual(t, pair[1].String()+" after "+pair[0].String(), fresh[i], pair[1].run(t))
+		held.release()
 	}
 
 	var jobs []Job

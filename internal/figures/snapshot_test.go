@@ -232,12 +232,12 @@ func TestWarmSnapshotDiskResume(t *testing.T) {
 	opt.CacheDir = t.TempDir()
 	spec, _ := workload.ByName("hmmer")
 
-	_, hash1, err := warmSnapshot(spec, opt)
+	_, hash1, err := warmSnapshot(Job{Spec: spec, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resetSnapCache() // fresh process
-	snap, hash2, err := warmSnapshot(spec, opt)
+	snap, hash2, err := warmSnapshot(Job{Spec: spec, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestWarmSnapshotPersistenceFailuresAreReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, goodHash, err := warmSnapshot(spec, opt)
+	_, goodHash, err := warmSnapshot(Job{Spec: spec, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestWarmSnapshotPersistenceFailuresAreReported(t *testing.T) {
 				t.Fatalf("run over an unwritable snapshot store: %v", err)
 			}
 			resultsEqual(t, "unpersisted warm snapshot", want, got)
-			if h, err := snapHashFor(spec, blocked); err != nil || h != goodHash {
+			if h, err := snapHashFor(Job{Spec: spec, Opt: blocked}); err != nil || h != goodHash {
 				t.Fatalf("cell identity carries snapshot hash %q (%v), want %q", h, err, goodHash)
 			}
 			if len(warnings) != 1 || !strings.Contains(warnings[0], "warm snapshot") ||

@@ -85,7 +85,7 @@ func staleWarmSnapshotIsRebuilt(t *testing.T, f uint32) {
 
 	ResetRunCache()
 	opt.CacheDir = t.TempDir()
-	_, goodHash, err := warmSnapshot(spec, opt)
+	_, goodHash, err := warmSnapshot(Job{Spec: spec, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}

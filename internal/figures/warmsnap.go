@@ -49,8 +49,10 @@ func warmInputKey(spec workload.Spec, opt Options) string {
 }
 
 // warmSnapshot returns (building if necessary) the shared warm snapshot
-// for a workload, plus its content hash.
-func warmSnapshot(spec workload.Spec, opt Options) (*checkpoint.Snapshot, string, error) {
+// for j's workload, plus its content hash. The warm-up machine runs j's
+// program, so a row's warm-up shares the row's program.
+func warmSnapshot(j Job) (*checkpoint.Snapshot, string, error) {
+	spec, opt := j.Spec, j.Opt
 	ikey := warmInputKey(spec, opt)
 	snapMu.Lock()
 	e := snapCache[ikey]
@@ -77,7 +79,7 @@ func warmSnapshot(spec workload.Spec, opt Options) (*checkpoint.Snapshot, string
 				}
 			}
 		}
-		sys := BuildSystem(spec, defense.Insecure(), opt.Scale)
+		sys := assemble(figureConfig(spec, defense.Insecure()), j.program())
 		sys.Warmup(opt.WarmupInsts)
 		snap, err := sys.Checkpoint()
 		sys.Release() // the image is a copy
@@ -108,11 +110,11 @@ func warmSnapshot(spec workload.Spec, opt Options) (*checkpoint.Snapshot, string
 // snapHashFor returns the warm snapshot's content hash for disk-cache
 // keying (materialising the snapshot if needed). With warm-up disabled it
 // returns the empty string.
-func snapHashFor(spec workload.Spec, opt Options) (string, error) {
-	if opt.WarmupInsts <= 0 {
+func snapHashFor(j Job) (string, error) {
+	if j.Opt.WarmupInsts <= 0 {
 		return "", nil
 	}
-	_, hash, err := warmSnapshot(spec, opt)
+	_, hash, err := warmSnapshot(j)
 	return hash, err
 }
 
@@ -147,8 +149,9 @@ func resetSnapCache() {
 // forkOrRun is the end of sys's life: on every return path the machine is
 // released, its tables going to the next cell's (the RunResult shares
 // nothing with them).
-func forkOrRun(ctx context.Context, spec workload.Spec, opt Options, sys *sim.System, key runKey) (sim.RunResult, error) {
+func forkOrRun(ctx context.Context, j Job, sys *sim.System, key runKey) (sim.RunResult, error) {
 	defer sys.Release()
+	spec, opt := j.Spec, j.Opt
 	var st checkpoint.ChainStore
 	var mkey string
 	if key.every > 0 {
@@ -191,7 +194,7 @@ func forkOrRun(ctx context.Context, spec workload.Spec, opt Options, sys *sim.Sy
 		}
 	}
 	if !resumed && opt.WarmupInsts > 0 {
-		snap, _, err := warmSnapshot(spec, opt)
+		snap, _, err := warmSnapshot(j)
 		if err != nil {
 			return sim.RunResult{}, err
 		}

@@ -14,7 +14,8 @@
 //     switches resolved once per program into plain fields, because the
 //     hot path consults them millions of times per static instruction.
 //   - Program / Builder: an assembled text segment plus data segments and
-//     labels; Builder is the tiny assembler workloads and attacks use.
+//     labels; Builder is the tiny assembler workloads and attacks use, and
+//     Build is the only way to make a Program (it predecodes the text).
 //   - DataSegment: a named region of the image, either initialised (its
 //     bytes are part of the image) or zero-fill (declared by length only,
 //     like ELF .bss). Builder.Alloc and ZeroSegment declare zero-fill
@@ -25,6 +26,10 @@
 //
 // Invariants:
 //
+//   - A Program is immutable once built. No core, loader or warm-up
+//     executor writes its text, data segments or static table, so one
+//     Program may be shared by machines running on different goroutines
+//     (a figure row's schemes all run one).
 //   - A zero-fill segment and a segment initialised with the same number
 //     of zero bytes are the same program: the loader backs neither with
 //     data it does not have to store (see the zero-fill contract in

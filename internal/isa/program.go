@@ -36,6 +36,11 @@ func (d DataSegment) Len() uint64 {
 }
 
 // Program is a complete executable image: text plus data segments.
+//
+// A Program is immutable once Builder.Build returns it: nothing that runs
+// it — a core, the loader, the warm-up executor — writes its text, its
+// data segments or its static table, so one Program may be shared by any
+// number of machines on different goroutines.
 type Program struct {
 	Name  string
 	Text  []Inst
@@ -43,18 +48,12 @@ type Program struct {
 	Entry uint64
 
 	// static is the predecoded per-instruction metadata table, built once
-	// by Predecode (Build does this automatically) and indexed in lockstep
-	// with Text.
+	// by Build and indexed in lockstep with Text.
 	static []StaticInst
 }
 
-// Predecode builds the static-instruction table. It is idempotent and is
-// called by Build; hand-assembled Programs get it lazily from the core's
-// SetProgram.
-func (p *Program) Predecode() {
-	if len(p.static) == len(p.Text) {
-		return
-	}
+// predecode builds the static-instruction table.
+func (p *Program) predecode() {
 	tab := make([]StaticInst, len(p.Text))
 	for i, in := range p.Text {
 		tab[i] = NewStaticInst(in)
@@ -352,7 +351,7 @@ func (b *Builder) Build() (*Program, error) {
 		}
 	}
 	p := &Program{Name: b.name, Text: b.text, Data: b.data, Entry: TextBase}
-	p.Predecode()
+	p.predecode()
 	return p, nil
 }
 

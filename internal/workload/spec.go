@@ -1,5 +1,7 @@
 package workload
 
+import "sync"
+
 // Pattern is the dominant data-access pattern of a kernel.
 type Pattern uint8
 
@@ -192,19 +194,20 @@ func Parsec() []Spec {
 	}
 }
 
+// byName indexes both suites by kernel name, built once. A Spec is a
+// value, so what ByName returns is the caller's own copy.
+var byName = sync.OnceValue(func() map[string]Spec {
+	m := make(map[string]Spec)
+	for _, s := range append(SPEC2006(), Parsec()...) {
+		m[s.Name] = s // names are unique across both suites
+	}
+	return m
+})
+
 // ByName looks a benchmark up in either suite.
 func ByName(name string) (Spec, bool) {
-	for _, s := range SPEC2006() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	for _, s := range Parsec() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Spec{}, false
+	s, ok := byName()[name]
+	return s, ok
 }
 
 // Names lists the names of a suite in order.
