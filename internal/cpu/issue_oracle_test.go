@@ -78,7 +78,10 @@ func allHalted(s *sim.System) bool {
 // the oracle after every cycle. A third of the way in (drainAt cycles) it
 // drains the machine the way a checkpoint does — still checking every
 // cycle — and requires the drained cores to be quiet with every waiter
-// node back on the free chain, then resumes.
+// node back on the free chain, then resumes. At the drained point and when
+// the run ends it also holds the memory system to its coherence
+// invariants (at most one L1D owner per line, never beside sharers, which
+// coherence reads straight off the L1s), under whatever scheme built s.
 func runWithOracle(t *testing.T, s *sim.System, drainAt, maxCycles int) (peaks waiterPeaks) {
 	t.Helper()
 	cycle := 0
@@ -102,6 +105,7 @@ func runWithOracle(t *testing.T, s *sim.System, drainAt, maxCycles int) (peaks w
 		}
 	}
 	checkOracles(t, s, "drained", &peaks) // empty ROB: the oracle demands every node free
+	checkCoherence(t, s, "drained")
 	s.ResumeFetch()
 	for ; !allHalted(s); cycle++ {
 		if cycle >= maxCycles {
@@ -115,7 +119,17 @@ func runWithOracle(t *testing.T, s *sim.System, drainAt, maxCycles int) (peaks w
 			t.Fatalf("core %d halted abnormally", ci)
 		}
 	}
+	checkCoherence(t, s, "ended")
 	return peaks
+}
+
+// checkCoherence fails the test when s's memory system breaks a coherence
+// invariant.
+func checkCoherence(t *testing.T, s *sim.System, phase string) {
+	t.Helper()
+	if msg := s.Hier.CheckInvariants(); msg != "" {
+		t.Fatalf("%s: coherence invariant broken: %s", phase, msg)
+	}
 }
 
 // TestIssueQueueMatchesPolledDefinition holds the event-driven issue

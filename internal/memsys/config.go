@@ -93,9 +93,6 @@ type Config struct {
 
 	DRAM     mem.DRAMConfig
 	Prefetch prefetch.Config
-	// PrefetchEnabled controls whether the L2 stride prefetcher exists at
-	// all (Table 1 includes it).
-	PrefetchEnabled bool
 
 	Lat  Latencies
 	Mode Mode
@@ -118,7 +115,6 @@ func DefaultConfig(cores int) Config {
 		FilterTLBEntries: 16,
 		DRAM:             mem.DefaultDRAMConfig(),
 		Prefetch:         prefetch.DefaultConfig(),
-		PrefetchEnabled:  true,
 		Lat:              DefaultLatencies(),
 	}
 }

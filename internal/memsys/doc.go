@@ -1,17 +1,21 @@
 // Package memsys implements the coherent memory hierarchy of the
 // simulated machine: per-core filter caches (L0) and L1 instruction/data
-// caches, a shared inclusive L2 with a directory-tracked MESI protocol
-// and stride prefetcher, split TLBs with a hardware page-table walker,
-// and a DRAM backend. It implements both the unprotected baseline
-// behaviour and every MuonTrap protection mechanism (paper §4), selected
-// per-mechanism so the evaluation can reproduce the cumulative cost
-// breakdowns of Figures 8/9.
+// caches, a shared inclusive L2 with a snooped MESI protocol and stride
+// prefetcher, split TLBs with a hardware page-table walker, and a DRAM
+// backend. It implements both the unprotected baseline behaviour and
+// every MuonTrap protection mechanism (paper §4), selected per-mechanism
+// so the evaluation can reproduce the cumulative cost breakdowns of
+// Figures 8/9.
 //
 // Key types:
 //
-//   - Hierarchy: the shared level — L2, directory, DRAM and prefetcher.
-//     It does not track which filter caches hold a line: the §4.5
-//     invalidation is a broadcast to every filter cache.
+//   - Hierarchy: the shared level — L2, DRAM and prefetcher. It keeps
+//     no record of which private caches hold a line: each L1 and filter
+//     cache is the only record of its contents. A coherence decision
+//     snoops every L1D for the line's owner and sharers (a Peek, which
+//     moves no replacement state), back-invalidation drops the line from
+//     every L1, and the §4.5 invalidation is a broadcast to every filter
+//     cache.
 //   - Port: one core's window onto the memory system (its L0s, L1s and
 //     TLBs plus every operation the pipeline invokes). Nothing blocks:
 //     completions arrive through scheduled events, either as parked
@@ -42,7 +46,7 @@
 //     event queue's (when, seq) contract.
 //
 // The Warm* methods deposit an architectural access stream's footprint
-// (main TLBs, L1s, L2, directory) without events or elapsed cycles; they
+// (main TLBs, L1s, L2) without events or elapsed cycles; they
 // never consult Mode, which is what makes checkpoint warm-up state
 // scheme-independent. Checkpoint puts the whole hierarchy into a snapshot
 // or gets it from one, as one walk per section ("hier", "port<i>"); both

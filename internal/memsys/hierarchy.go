@@ -9,23 +9,11 @@ import (
 	"repro/internal/prefetch"
 )
 
-// dirEntry is the directory state for one line resident in the L2.
-// The L2 is inclusive of every L1, so presence in any L1 implies a dirEntry.
-type dirEntry struct {
-	owner      int // core whose L1D holds the line E or M; -1 when none
-	ownerState cache.State
-	sharers    uint64 // bitmask of cores with the line S in their L1D
-	isharers   uint64 // bitmask of cores with the line in their L1I
-}
-
-func (e *dirEntry) empty() bool {
-	return e.owner < 0 && e.sharers == 0 && e.isharers == 0
-}
-
-// Hierarchy is the whole memory system below the cores: shared L2 with
-// directory, DRAM, stride prefetcher and the per-core Ports. Nothing here
-// records which filter caches hold a line: each filter cache is the only
-// record of its contents, and invalidation reaches them by broadcast.
+// Hierarchy is the whole memory system below the cores: shared L2, DRAM,
+// stride prefetcher and the per-core Ports. Nothing here records which
+// private caches hold a line: each L1 and filter cache is the only record
+// of its contents. Coherence asks the L1Ds (holders), and invalidation
+// reaches the filter caches by broadcast.
 type Hierarchy struct {
 	cfg   Config
 	sched *event.Scheduler
@@ -34,7 +22,6 @@ type Hierarchy struct {
 
 	l2         *cache.Array
 	l2MSHRs    *cache.MSHRFile
-	dir        map[uint64]*dirEntry
 	l2PortFree event.Cycle
 
 	pf *prefetch.Prefetcher
@@ -46,9 +33,8 @@ type Hierarchy struct {
 	// coherence protections, and exactly the state attack 4 exploits.
 	// It is not a mirror of the filter caches and cannot be derived by
 	// snooping them: a speculative fcache fill decides exclusivity from
-	// the L1 directory alone, so more than one filter cache can hold a
-	// line E at once, and the map names the last to fill it. Snooping
-	// instead moves the timing matrix's streamcluster/fcache cell from
+	// the L1Ds alone, so more than one filter cache can hold a line E at
+	// once, and the map names the last to fill it. Snooping instead moves the timing matrix's streamcluster/fcache cell from
 	// 45824 to 45888 cycles.
 	filterOwner map[uint64]int
 
@@ -68,13 +54,10 @@ func New(sched *event.Scheduler, phys *mem.Physical, cfg Config) *Hierarchy {
 		dram:        mem.NewDRAM(sched, cfg.DRAM),
 		l2:          cache.NewArray(cfg.L2),
 		l2MSHRs:     cache.NewMSHRFile(cfg.L2MSHRs),
-		dir:         make(map[uint64]*dirEntry),
+		pf:          prefetch.New(cfg.Prefetch),
 		filterOwner: make(map[uint64]int),
 	}
-	if cfg.PrefetchEnabled {
-		h.pf = prefetch.New(cfg.Prefetch)
-		h.pf.Issue = h.prefetchFill
-	}
+	h.pf.Issue = h.prefetchFill
 	for i := 0; i < cfg.Cores; i++ {
 		h.ports = append(h.ports, newPort(h, i))
 	}
@@ -107,15 +90,23 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // Scheduler returns the event scheduler driving the hierarchy.
 func (h *Hierarchy) Scheduler() *event.Scheduler { return h.sched }
 
-// --- L2 / directory helpers ---
+// --- L2 / coherence helpers ---
 
-func (h *Hierarchy) dirFor(line uint64) *dirEntry {
-	e := h.dir[line]
-	if e == nil {
-		e = &dirEntry{owner: -1}
-		h.dir[line] = e
+// holders snoops every core's L1D for line: owner is the core holding it
+// E or M (-1 when none), sharers the bitmask of cores holding it S. A
+// snoop is a Peek, so asking moves no replacement decision.
+func (h *Hierarchy) holders(line uint64) (owner int, sharers uint64) {
+	owner = -1
+	for i, p := range h.ports {
+		if l := p.l1d.Peek(line); l != nil {
+			if l.State.Owned() {
+				owner = i
+			} else {
+				sharers |= 1 << uint(i)
+			}
+		}
 	}
-	return e
+	return owner, sharers
 }
 
 // l2PortDelay charges L2 port occupancy and returns the queueing delay.
@@ -153,77 +144,41 @@ func (h *Hierarchy) l2Install(line uint64, dirty bool) {
 }
 
 // backInvalidate removes every L1 (I and D) copy of an evicted L2 line to
-// preserve inclusion, writing back a dirty owner's data state.
+// preserve inclusion.
 func (h *Hierarchy) backInvalidate(line uint64) {
-	e := h.dir[line]
-	if e == nil {
-		return
+	for _, p := range h.ports {
+		p.l1d.InvalidateLine(line)
+		p.l1i.InvalidateLine(line)
 	}
-	for i, p := range h.ports {
-		bit := uint64(1) << uint(i)
-		if e.owner == i || e.sharers&bit != 0 {
-			p.l1d.InvalidateLine(line)
-		}
-		if e.isharers&bit != 0 {
-			p.l1i.InvalidateLine(line)
-		}
-	}
-	delete(h.dir, line)
 }
 
-// downgradeOwner moves a remote owner's line to S (writing back if M) and
-// reports whether a downgrade happened.
-func (h *Hierarchy) downgradeOwner(line uint64, e *dirEntry) bool {
-	if e.owner < 0 {
-		return false
+// downgradeOwner moves owner's L1D copy of line to S, writing it back to
+// the L2 if it was M.
+func (h *Hierarchy) downgradeOwner(line uint64, owner int) {
+	l := h.ports[owner].l1d.Peek(line)
+	if l.State == cache.Modified {
+		h.dirtyL2(line)
 	}
-	p := h.ports[e.owner]
-	if l := p.l1d.Peek(line); l != nil {
-		if l.State == cache.Modified {
-			if l2 := h.l2.Peek(line); l2 != nil {
-				l2.State = cache.Modified
-			}
-		}
-		l.State = cache.Shared
-	}
-	e.sharers |= 1 << uint(e.owner)
-	e.owner = -1
-	e.ownerState = cache.Invalid
+	l.State = cache.Shared
 	h.ctr[remoteDowngrades]++
-	return true
+}
+
+// dirtyL2 marks the L2 copy of line Modified: an L1 wrote the line, or
+// gave up its dirty copy.
+func (h *Hierarchy) dirtyL2(line uint64) {
+	if l2 := h.l2.Peek(line); l2 != nil {
+		l2.State = cache.Modified
+	}
 }
 
 // invalidateSharers drops every L1D copy except the requester's, writing
-// back a dirty owner. Returns true when any remote copy existed.
-func (h *Hierarchy) invalidateSharers(line uint64, except int) bool {
-	e := h.dir[line]
-	if e == nil {
-		return false
-	}
-	any := false
-	if e.owner >= 0 && e.owner != except {
-		p := h.ports[e.owner]
-		if l := p.l1d.Peek(line); l != nil {
-			if l.State == cache.Modified {
-				if l2 := h.l2.Peek(line); l2 != nil {
-					l2.State = cache.Modified
-				}
-			}
-		}
-		p.l1d.InvalidateLine(line)
-		e.owner = -1
-		e.ownerState = cache.Invalid
-		any = true
-	}
+// back a dirty one.
+func (h *Hierarchy) invalidateSharers(line uint64, except int) {
 	for i, p := range h.ports {
-		bit := uint64(1) << uint(i)
-		if i != except && e.sharers&bit != 0 {
-			p.l1d.InvalidateLine(line)
-			e.sharers &^= bit
-			any = true
+		if i != except && p.l1d.InvalidateLine(line) == cache.Modified {
+			h.dirtyL2(line)
 		}
 	}
-	return any
 }
 
 // broadcastFilterInvalidate drops the line from every data filter cache
@@ -256,22 +211,19 @@ func (h *Hierarchy) noteFilterDrop(line uint64, coreID int) {
 // changing coherence decisions happen at completion events so concurrent
 // transactions to the same line are totally ordered by the event queue.
 func (h *Hierarchy) exclusiveAtFill(line uint64, core int) bool {
-	e := h.dir[line]
-	if e == nil {
-		return true
-	}
-	if e.owner >= 0 && e.owner != core {
-		h.downgradeOwner(line, e)
+	owner, sharers := h.holders(line)
+	if owner >= 0 && owner != core {
+		h.downgradeOwner(line, owner)
 		return false
 	}
-	return e.sharers&^(1<<uint(core)) == 0
+	return sharers&^(1<<uint(core)) == 0
 }
 
 // sharedAtFill prepares installing a line Shared at completion time,
 // downgrading a foreign owner that appeared meanwhile.
 func (h *Hierarchy) sharedAtFill(line uint64, core int) {
-	if e := h.dir[line]; e != nil && e.owner >= 0 && e.owner != core {
-		h.downgradeOwner(line, e)
+	if owner, _ := h.holders(line); owner >= 0 && owner != core {
+		h.downgradeOwner(line, owner)
 	}
 }
 
@@ -302,26 +254,24 @@ func (h *Hierarchy) dramWait(line uint64) event.Cycle {
 	return 0
 }
 
-// loadOutcome is the result of the shared-level (L2/directory/DRAM) part
+// loadOutcome is the result of the shared-level (coherence/L2/DRAM) part
 // of a load transaction.
 type loadOutcome struct {
-	nack      bool
-	extraLat  event.Cycle
-	level     FillLevel
-	exclusive bool // no other private cache holds the line
+	nack     bool
+	extraLat event.Cycle
+	level    FillLevel
 }
 
 // l2LoadAccess performs the shared-level work for a (data or translation)
-// read by coreID. spec marks the request speculative; instr routes
-// instruction fetches (no coherence, tracked in isharers at L1 fill time).
-// fillL2 controls whether a DRAM fill installs into the L2 (speculative
-// fills under FilterProtect must bypass it, §4.1).
+// read by coreID. spec marks the request speculative; fillL2 controls
+// whether a DRAM fill installs into the L2 (speculative fills under
+// FilterProtect must bypass it, §4.1); train lets the access at pc train
+// the conventional prefetcher.
 func (h *Hierarchy) l2LoadAccess(coreID int, line uint64, spec, fillL2 bool, pc uint64, train bool) loadOutcome {
 	var out loadOutcome
 	m := h.cfg.Mode
 
-	e := h.dir[line]
-	if e != nil && e.owner >= 0 && e.owner != coreID {
+	if owner, _ := h.holders(line); owner >= 0 && owner != coreID {
 		// A remote private cache holds the line E or M.
 		if spec && m.FilterProtect && m.CoherenceProtect {
 			// §4.5 reduced coherency speculation: refuse, constant time.
@@ -330,7 +280,7 @@ func (h *Hierarchy) l2LoadAccess(coreID int, line uint64, spec, fillL2 bool, pc 
 			out.extraLat = h.cfg.Lat.SnoopNACK
 			return out
 		}
-		h.downgradeOwner(line, e)
+		h.downgradeOwner(line, owner)
 		out.extraLat += h.cfg.Lat.RemoteWB
 	}
 	// Attack-4 surface: in the vulnerable no-coherence-protection filter
@@ -347,7 +297,7 @@ func (h *Hierarchy) l2LoadAccess(coreID int, line uint64, spec, fillL2 bool, pc 
 	}
 
 	out.extraLat += h.l2PortDelay()
-	if h.pf != nil && train && !m.CommitPrefetch {
+	if train && !m.CommitPrefetch {
 		// Conventional prefetcher: trained by every access the L2 sees,
 		// speculative or not — the attack-5 side channel.
 		h.pf.Observe(pc, mem.Addr(line))
@@ -365,8 +315,6 @@ func (h *Hierarchy) l2LoadAccess(coreID int, line uint64, spec, fillL2 bool, pc 
 			h.l2Install(line, false)
 		}
 	}
-	e = h.dir[line] // may have been created/cleared by install paths
-	out.exclusive = e == nil || (e.owner < 0 && e.sharers == 0)
 	return out
 }
 

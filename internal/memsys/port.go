@@ -217,9 +217,7 @@ func (p *Port) HandleEvent(op int32, a1, a2 uint64) {
 			p.h.broadcastFilterInvalidate(line, p.id)
 		}
 		p.l1InstallData(line, cache.Modified)
-		if l2 := p.h.l2.Peek(line); l2 != nil {
-			l2.State = cache.Modified
-		}
+		p.h.dirtyL2(line)
 		if slot := a2 >> 1; slot != 0 {
 			p.vcbs.take(int32(slot - 1))()
 		}
@@ -527,13 +525,11 @@ func (p *Port) missFill(ms dmiss) {
 	line := uint64(mem.LineAddr(ms.paddr))
 	if m.FilterProtect && ms.spec {
 		// Fill the filter cache only; exclusivity decided now, at
-		// completion, against the current directory state. Speculative
-		// fills never downgrade anyone (a foreign owner appearing
-		// mid-flight simply forces Shared).
-		e := p.h.dir[line]
-		excl := e == nil || (e.owner < 0 && e.sharers&^(1<<uint(p.id)) == 0)
+		// completion, against what the L1Ds hold. Speculative fills
+		// never downgrade anyone (a foreign owner appearing mid-flight
+		// simply forces Shared).
 		st := cache.Shared
-		if excl {
+		if owner, sharers := p.h.holders(line); owner < 0 && sharers&^(1<<uint(p.id)) == 0 {
 			if m.CoherenceProtect {
 				st = cache.SharedExclusivePending
 			} else {
@@ -567,10 +563,10 @@ func (p *Port) fillL0(vaddr mem.VAddr, paddr mem.Addr, st cache.State, committed
 	}
 }
 
-// l1InstallData installs a line in this core's L1D with directory upkeep,
-// handling the eviction writeback. Installing a weaker state over a line
-// the core already owns keeps the stronger state (a commit-time
-// write-through must not strip M/E gained by an earlier store).
+// l1InstallData installs a line in this core's L1D, handling the
+// eviction writeback. Installing a weaker state over a line the core
+// already owns keeps the stronger state (a commit-time write-through must
+// not strip M/E gained by an earlier store).
 func (p *Port) l1InstallData(line uint64, st cache.State) {
 	if l := p.l1d.Peek(line); l != nil {
 		if l.State == cache.Modified || (l.State == cache.Exclusive && st != cache.Modified) {
@@ -581,40 +577,8 @@ func (p *Port) l1InstallData(line uint64, st cache.State) {
 	p.h.l2Install(line, false)
 	l, ev, had := p.l1d.Fill(line, st)
 	l.Committed = true
-	if had {
-		if ev.State == cache.Modified {
-			if l2 := p.h.l2.Peek(ev.Tag); l2 != nil {
-				l2.State = cache.Modified
-			}
-		}
-		p.dirDropL1(ev.Tag)
-	}
-	e := p.h.dirFor(line)
-	if st.Owned() {
-		e.owner = p.id
-		e.ownerState = st
-		e.sharers &^= 1 << uint(p.id)
-	} else {
-		e.sharers |= 1 << uint(p.id)
-		if e.owner == p.id {
-			e.owner = -1
-			e.ownerState = cache.Invalid
-		}
-	}
-}
-
-func (p *Port) dirDropL1(line uint64) {
-	e := p.h.dir[line]
-	if e == nil {
-		return
-	}
-	if e.owner == p.id {
-		e.owner = -1
-		e.ownerState = cache.Invalid
-	}
-	e.sharers &^= 1 << uint(p.id)
-	if e.empty() {
-		delete(p.h.dir, line)
+	if had && ev.State == cache.Modified {
+		p.h.dirtyL2(ev.Tag)
 	}
 }
 
@@ -656,9 +620,6 @@ func (p *Port) StoreDrain(pc uint64, vaddr mem.VAddr, paddr mem.Addr, done func(
 
 	if l := p.l1d.Peek(line); l != nil && l.State.Owned() {
 		l.State = cache.Modified
-		if e := p.h.dir[line]; e != nil {
-			e.ownerState = cache.Modified
-		}
 		p.deliverVoid(lat.L1DHit, done)
 		return
 	}
@@ -671,9 +632,8 @@ func (p *Port) StoreDrain(pc uint64, vaddr mem.VAddr, paddr mem.Addr, done func(
 	// requests serialise at the same L1 miss-handling entry.
 	if m.FilterProtect && p.l0d != nil {
 		if l0 := p.l0d.Snoop(mem.Addr(line)); l0 != nil && l0.Committed {
-			e := p.h.dir[line]
-			soleOwner := e == nil || ((e.owner < 0 || e.owner == p.id) && e.sharers&^(1<<uint(p.id)) == 0)
-			if soleOwner {
+			owner, sharers := p.h.holders(line)
+			if (owner < 0 || owner == p.id) && sharers&^(1<<uint(p.id)) == 0 {
 				p.scheduleDrainFin(lat.L1DHit+lat.L2Port, line, false, done)
 				return
 			}
@@ -756,7 +716,7 @@ func (p *Port) CommitLoad(pc uint64, vaddr mem.VAddr, paddr mem.Addr) {
 				fl = FillLevel(l.FillLevel)
 			}
 			p.commitLineWriteThrough(mem.LineAddr(paddr), st)
-			if m.CommitPrefetch && p.h.pf != nil && fl >= FromL2 {
+			if m.CommitPrefetch && fl >= FromL2 {
 				p.h.pf.Observe(pc, mem.LineAddr(paddr))
 			}
 			return
@@ -774,7 +734,7 @@ func (p *Port) CommitLoad(pc uint64, vaddr mem.VAddr, paddr mem.Addr) {
 				p.l1InstallData(line, st)
 			})
 		})
-		if m.CommitPrefetch && p.h.pf != nil {
+		if m.CommitPrefetch {
 			p.h.pf.Observe(pc, mem.LineAddr(paddr))
 		}
 	}
@@ -903,17 +863,8 @@ func (p *Port) fillL0I(vaddr mem.VAddr, paddr mem.Addr, committed bool, level ui
 
 func (p *Port) l1InstallInst(line uint64) {
 	p.h.l2Install(line, false)
-	l, ev, had := p.l1i.Fill(line, cache.Shared)
+	l, _, _ := p.l1i.Fill(line, cache.Shared)
 	l.Committed = true
-	if had {
-		if e := p.h.dir[ev.Tag]; e != nil {
-			e.isharers &^= 1 << uint(p.id)
-			if e.empty() {
-				delete(p.h.dir, ev.Tag)
-			}
-		}
-	}
-	p.h.dirFor(line).isharers |= 1 << uint(p.id)
 }
 
 // CommitIfetch marks the instruction line containing paddr committed when
@@ -965,8 +916,8 @@ func (p *Port) flushFilters(why PortCounter) {
 // --- InvisiSpec support ---
 
 // LoadNoFill performs an InvisiSpec-style invisible load: the data's
-// location determines latency, but no cache, directory or filter state
-// changes anywhere. (DRAM open-row state does change — InvisiSpec does not
+// location determines latency, but no cache or filter state changes
+// anywhere. (DRAM open-row state does change — InvisiSpec does not
 // claim to hide DRAM timing.)
 func (p *Port) LoadNoFill(paddr mem.Addr, done func(AccessResult)) {
 	p.loadNoFill(paddr, compOf(done))
@@ -987,7 +938,7 @@ func (p *Port) loadNoFill(paddr mem.Addr, cm comp) {
 		return
 	}
 	extra := event.Cycle(0)
-	if e := p.h.dir[line]; e != nil && e.owner >= 0 && e.owner != p.id {
+	if owner, _ := p.h.holders(line); owner >= 0 && owner != p.id {
 		// Data forwarded from the owner without a state change.
 		extra += lat.RemoteWB
 	}

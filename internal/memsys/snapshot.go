@@ -74,15 +74,12 @@ func (h *Hierarchy) Quiesced() error {
 }
 
 // Occupancy counts the table entries the hierarchy holds: valid cache
-// lines and translations at every level, directory and filter-owner
-// entries, trained prefetcher slots. A checkpoint's size is proportional
-// to it, not to the geometry. It is counted on demand; nothing on the
-// simulation path maintains it.
+// lines and translations at every level, filter-owner entries, trained
+// prefetcher slots. A checkpoint's size is proportional to it, not to the
+// geometry. It is counted on demand; nothing on the simulation path
+// maintains it.
 func (h *Hierarchy) Occupancy() int {
-	n := h.l2.CountValid() + len(h.dir) + len(h.filterOwner)
-	if h.pf != nil {
-		n += h.pf.CountValid()
-	}
+	n := h.l2.CountValid() + len(h.filterOwner) + h.pf.CountValid()
 	for _, p := range h.ports {
 		n += p.l1d.CountValid() + p.l1i.CountValid() + p.dtlb.CountValid() + p.itlb.CountValid()
 		if p.l0d != nil {
@@ -120,29 +117,14 @@ func (h *Hierarchy) Checkpoint(snap *checkpoint.Snapshot, load bool) error {
 	return nil
 }
 
-// shared walks the shared level: L2, its port, DRAM, the directory and
-// the filter owners (each map in ascending key order, so equal state
-// is equal bytes), the presence-flagged prefetcher and the statistics.
+// shared walks the shared level: L2, its port, DRAM, the filter owners
+// (in ascending key order, so equal state is equal bytes), the
+// prefetcher and the statistics.
 func (h *Hierarchy) shared(s *checkpoint.State) {
 	h.l2.Checkpoint(s)
 	s.U64((*uint64)(&h.l2PortFree))
 	h.dram.Checkpoint(s)
 
-	checkpoint.Map(s, &h.dir, checkpoint.Count64, nil, func(line uint64, e *dirEntry) (uint64, *dirEntry) {
-		if s.Loading() {
-			e = new(dirEntry)
-		}
-		owner := uint64(e.owner)
-		s.U64(&line)
-		if s.U64(&owner); s.Loading() && (int(owner) < -1 || int(owner) >= len(h.ports)) {
-			s.Failf("directory entry %#x owned by core %d of %d", line, int(owner), len(h.ports))
-		}
-		e.owner = int(owner)
-		s.U8((*uint8)(&e.ownerState))
-		s.U64(&e.sharers)
-		s.U64(&e.isharers)
-		return line, e
-	})
 	checkpoint.Map(s, &h.filterOwner, checkpoint.Count64, nil, func(line uint64, owner int) (uint64, int) {
 		o := uint64(owner)
 		s.U64(&line)
@@ -152,13 +134,7 @@ func (h *Hierarchy) shared(s *checkpoint.State) {
 		return line, int(o)
 	})
 
-	hasPf := h.pf != nil
-	if s.Bool(&hasPf); hasPf {
-		if h.pf == nil {
-			s.Failf("snapshot has prefetcher state but prefetching is disabled")
-		}
-		h.pf.Checkpoint(s)
-	}
+	h.pf.Checkpoint(s)
 	for k := range h.ctr {
 		s.U64(&h.ctr[k])
 	}

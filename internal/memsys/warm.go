@@ -8,9 +8,10 @@ import (
 // Functional warm-up path. The checkpoint fast-forward executes the
 // warm-up region architecturally — no speculation, no events, no elapsed
 // cycles — and uses these methods to deposit the access stream's footprint
-// into the non-speculative structures (main TLBs, L1s, inclusive L2,
-// directory). Filter caches and the filter TLB hold only speculative state
-// and are never warmed, which is precisely what makes a warm snapshot
+// into the non-speculative structures (main TLBs, L1s, inclusive L2). The
+// L1s' line states are the coherence state, so warming them warms it.
+// Filter caches and the filter TLB hold only speculative state and are
+// never warmed, which is precisely what makes a warm snapshot
 // scheme-independent: none of these methods consults Mode.
 
 // WarmTranslate warms the main I- or D-TLB with (vpn -> pfn), reporting
@@ -29,24 +30,20 @@ func (p *Port) WarmTranslate(vpn, pfn uint64, instr bool) bool {
 }
 
 // WarmData deposits paddr's line in this core's L1D (and the inclusive
-// L2), with the same directory transitions a non-speculative demand access
-// at fill completion would perform. A write takes the line Modified,
-// invalidating remote sharers, exactly as a committed store drain does.
+// L2), with the same coherence transitions a non-speculative demand
+// access at fill completion would perform. A write takes the line
+// Modified, invalidating remote sharers, exactly as a committed store
+// drain does.
 func (p *Port) WarmData(paddr mem.Addr, write bool) {
 	line := uint64(mem.LineAddr(paddr))
 	if write {
 		if l := p.l1d.Lookup(line); l != nil && l.State.Owned() {
 			l.State = cache.Modified
-			if e := p.h.dir[line]; e != nil {
-				e.ownerState = cache.Modified
-			}
 			return
 		}
 		p.h.invalidateSharers(line, p.id)
 		p.l1InstallData(line, cache.Modified)
-		if l2 := p.h.l2.Peek(line); l2 != nil {
-			l2.State = cache.Modified
-		}
+		p.h.dirtyL2(line)
 		return
 	}
 	if p.l1d.Lookup(line) != nil {

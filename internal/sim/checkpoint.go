@@ -31,7 +31,11 @@ import (
 // v5 saves only what the filter caches hold themselves: the hierarchy's
 // filter-sharer map, each port's last committed instruction line and the
 // filter caches' flush statistics are gone.
-const machineFormat = 5
+//
+// v6 saves only what the L1s hold themselves: the L2 directory (owner,
+// owner state, sharer and instruction-sharer masks per line) is gone, as
+// is the prefetcher's presence flag, since every hierarchy has one.
+const machineFormat = 6
 
 // drainBound caps how many cycles Drain will step while waiting for the
 // machine to quiesce. It is far beyond any legitimate drain (the deepest
@@ -120,9 +124,10 @@ func (s *System) ResumeFetch() {
 
 // Checkpoint serialises the machine into a snapshot: physical memory,
 // per-core architectural state and branch predictors, cache and TLB
-// contents, directory/coherence state, DRAM timing state and every
-// statistics baseline. The machine must be quiesced — the format has no
-// encoding for in-flight state, which is what keeps restores bit-exact.
+// contents (the L1s' line states are the coherence state), DRAM timing
+// state and every statistics baseline. The machine must be quiesced — the
+// format has no encoding for in-flight state, which is what keeps
+// restores bit-exact.
 // Use CheckpointAt to reach quiescence from a running machine.
 func (s *System) Checkpoint() (*checkpoint.Snapshot, error) {
 	snap := checkpoint.New()

@@ -11,8 +11,7 @@ import (
 // simulated clock: each instruction executes functionally (registers and
 // physical memory update exactly as the pipeline would commit them) while
 // its footprint warms the non-speculative microarchitectural state — main
-// TLBs, L1 caches, the inclusive L2 and directory, and the branch
-// predictor.
+// TLBs, L1 caches, the inclusive L2, and the branch predictor.
 //
 // Because architectural execution involves no speculation, the warmed
 // state is identical under every protection scheme: MuonTrap, InvisiSpec
