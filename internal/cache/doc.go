@@ -37,12 +37,14 @@
 //   - An invalid way is not state. Lookup, Peek, LookupVirtual and both
 //     victim choosers test a way's State before they read anything else
 //     of it, a fill overwrites the whole Line, and the invalidations
-//     zero it. Array.Checkpoint therefore saves geometry, the LRU tick,
-//     a count, and only the valid lines, each prefixed by its way index
-//     (set*assoc + way, ascending): 31 bytes per line held instead of
-//     27 per way built. A load clears the array and places the saved
-//     lines, rejecting a count above the capacity, an index out of range
-//     or not strictly ascending, and a line saved Invalid or in no MESI
-//     state. A restored array and the one it was saved from make the same
-//     choices ever after and save to the same bytes.
+//     zero it. Array.Checkpoint therefore saves geometry, a count, and
+//     only the valid lines, each prefixed by its way index (set*assoc +
+//     way, ascending) and ending in its recency rank within its set: LRU
+//     stamps and the tick are only compared within a set, so arrays whose
+//     sets agree on lines and recency order save alike. A load clears the
+//     array and places the saved lines, rejecting a count above the
+//     capacity, an index out of range or not strictly ascending, a line
+//     saved Invalid or in no MESI state, and a rank not below the
+//     associativity. A restored array and the one it was saved from make
+//     the same choices ever after and save to the same bytes.
 package cache

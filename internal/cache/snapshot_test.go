@@ -7,12 +7,12 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// The bytes an array saves: geometry (two u32), the LRU tick and the
-// valid-line count; then per valid line its way index, both tags, state,
-// committed bit, fill level and LRU stamp.
+// The bytes an array saves: geometry (two u32) and the valid-line count;
+// then per valid line its way index, both tags, state, committed bit, fill
+// level and recency rank.
 const (
-	arrayHeaderBytes = 4 + 4 + 8 + 4
-	lineBytes        = 4 + 8 + 8 + 1 + 1 + 1 + 8
+	arrayHeaderBytes = 4 + 4 + 4
+	lineBytes        = 4 + 8 + 8 + 1 + 1 + 1 + 4
 )
 
 func save(a *Array) *checkpoint.Snapshot {
@@ -86,6 +86,7 @@ func TestArrayRestoreClearsStaleLines(t *testing.T) {
 type savedLine struct {
 	idx   uint32
 	state State
+	rank  uint32
 }
 
 // forgeArray writes an Array payload for a 32x2 array claiming count
@@ -93,11 +94,11 @@ type savedLine struct {
 func forgeArray(count uint32, lines ...savedLine) *checkpoint.Snapshot {
 	le := binary.LittleEndian
 	b := le.AppendUint32(le.AppendUint32(nil, 32), 2)
-	b = le.AppendUint32(le.AppendUint64(b, 99), count)
+	b = le.AppendUint32(b, count)
 	for _, l := range lines {
 		b = le.AppendUint64(le.AppendUint32(b, l.idx), 0x1000+uint64(l.idx)*64)
 		b = append(le.AppendUint64(b, 0), uint8(l.state), 1, 1)
-		b = le.AppendUint64(b, uint64(l.idx)+1)
+		b = le.AppendUint32(b, l.rank)
 	}
 	snap := checkpoint.New()
 	snap.Put("a", func(s *checkpoint.State) { checkpoint.Raw(s, b) })
@@ -110,18 +111,19 @@ func forgeArray(count uint32, lines ...savedLine) *checkpoint.Snapshot {
 // from the file.
 func TestArrayRestoreRejectsCorruptEntries(t *testing.T) {
 	cfg := Config{Name: "l1", SizeBytes: 4096, Assoc: 2} // 32 sets x 2 ways
-	if err := forgeArray(2, savedLine{3, Shared}, savedLine{63, Modified}).Get("a", NewArray(cfg).Checkpoint); err != nil {
+	if err := forgeArray(2, savedLine{3, Shared, 1}, savedLine{63, Modified, 0}).Get("a", NewArray(cfg).Checkpoint); err != nil {
 		t.Fatalf("well-formed payload rejected: %v", err)
 	}
 	for name, snap := range map[string]*checkpoint.Snapshot{
 		"count above capacity":   forgeArray(65),
-		"count beyond the bytes": forgeArray(3, savedLine{1, Shared}),
-		"index at capacity":      forgeArray(1, savedLine{64, Shared}),
-		"index far out of range": forgeArray(1, savedLine{1 << 31, Shared}),
-		"descending indices":     forgeArray(2, savedLine{9, Shared}, savedLine{4, Shared}),
-		"duplicate index":        forgeArray(2, savedLine{9, Shared}, savedLine{9, Exclusive}),
-		"entry saved Invalid":    forgeArray(1, savedLine{5, Invalid}),
-		"entry in no MESI state": forgeArray(1, savedLine{5, State(9)}),
+		"count beyond the bytes": forgeArray(3, savedLine{1, Shared, 0}),
+		"index at capacity":      forgeArray(1, savedLine{64, Shared, 0}),
+		"index far out of range": forgeArray(1, savedLine{1 << 31, Shared, 0}),
+		"descending indices":     forgeArray(2, savedLine{9, Shared, 0}, savedLine{4, Shared, 0}),
+		"duplicate index":        forgeArray(2, savedLine{9, Shared, 0}, savedLine{9, Exclusive, 1}),
+		"entry saved Invalid":    forgeArray(1, savedLine{5, Invalid, 0}),
+		"entry in no MESI state": forgeArray(1, savedLine{5, State(9), 0}),
+		"rank at the assoc":      forgeArray(1, savedLine{5, Shared, 2}),
 	} {
 		if err := snap.Get("a", NewArray(cfg).Checkpoint); err == nil {
 			t.Errorf("%s: restore succeeded", name)

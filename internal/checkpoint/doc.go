@@ -22,7 +22,8 @@
 //   - State: one section's payload in one of three modes — measuring,
 //     saving, loading. A component spells its layout once, as a method
 //     (Checkpoint, by convention) that hands every field to the State's
-//     primitives in order (U64, U32, U8, Bool, Raw); what only a load does
+//     primitives in order (U64, U32, U8, Bool, Raw, and Until for a
+//     busy-until cycle, saved as the wait left); what only a load does
 //     — geometry and owner-range checks, clearing a table before filling
 //     it — sits under Loading. Put runs the walk measuring, reserves
 //     exactly the measured bytes, and runs it again saving, so a new
@@ -40,15 +41,15 @@
 //     one call per field of every entry a structure holds.
 //   - Sparse tables: a structure that is mostly empty (cache arrays, TLBs,
 //     the prefetcher table, the predictor's BTB and local-history table)
-//     walks its geometry, its tick and statistics, a count, and then
-//     only the valid — or, where there is no valid bit, non-zero —
-//     entries, each prefixed by its ascending index, through a Table
-//     (State.Table, First, More, Next, Holds, End), which also advances
-//     the loop. Saving visits every index and fills the count in at End;
-//     loading visits only the indices the payload holds. Measuring walks
-//     the first held entry and counts
-//     the rest at its size from the number the structure reports holding,
-//     so it costs a count of the structure, not a walk of it. Loading
+//     walks its geometry, a count, and then only the valid — or, where
+//     there is no valid bit, non-zero — entries, each prefixed by its
+//     ascending index, through a Table (State.Table, First, More, Next,
+//     Holds, End), which also advances the loop. No statistics and no LRU
+//     tick: an entry saves its recency rank, not its stamp. Saving visits
+//     every index and fills the count in at End; loading visits only the
+//     indices the payload holds. Measuring walks the first held entry and
+//     counts the rest at its size from the number the structure reports
+//     holding, so it costs a count of the structure, not a walk of it. Loading
 //     clears the structure first, then fails on a count above the
 //     capacity and on an index out of range or not strictly above its
 //     predecessor, so a loop is bounded by the structure it fills and no

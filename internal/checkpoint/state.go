@@ -119,6 +119,17 @@ func (s *State) Bool(v *bool) {
 	}
 }
 
+// Until walks a busy-until cycle, a field only ever compared with the
+// current cycle now, as the cycles still to wait: max(*v, now) − now, so
+// a unit idle since any past cycle saves as 0. A load sets now plus the
+// wait, now being the snapshot's cycle there too.
+func Until[C ~uint64](s *State, v *C, now C) {
+	wait := uint64(max(*v, now) - now)
+	if s.U64(&wait); s.Loading() {
+		*v = now + C(wait)
+	}
+}
+
 // Raw walks v's bytes as they are, with no length before them: a dense
 // table of small elements, or a page, moves in one copy instead of one
 // call per element.

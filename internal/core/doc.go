@@ -22,7 +22,8 @@
 // Key types:
 //
 //   - FilterCache: the structure itself — a cache.Array with dual tags and
-//     committed bits, plus its MSHR file and hit/flush statistics.
+//     committed bits, plus its MSHR file. It keeps no statistics: the
+//     memsys port that owns it counts its hits, misses and evictions.
 //   - FilterConfig: geometry (the paper's tuned configuration is 2KiB,
 //     4-way).
 //

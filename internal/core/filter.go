@@ -28,11 +28,6 @@ func DefaultInstFilterConfig() FilterConfig {
 type FilterCache struct {
 	arr   *cache.Array
 	MSHRs *cache.MSHRFile
-
-	// Stats.
-	Hits                uint64
-	Misses              uint64
-	EvictedUncommitted3 uint64 // uncommitted lines displaced before commit
 }
 
 // NewFilterCache builds a filter cache.
@@ -52,16 +47,9 @@ func (f *FilterCache) Lines() int { return f.arr.Lines() }
 // CountValid reports live lines.
 func (f *FilterCache) CountValid() int { return f.arr.CountValid() }
 
-// Lookup performs the CPU-side (virtually addressed) lookup, counting
-// hit/miss statistics.
+// Lookup performs the CPU-side (virtually addressed) lookup.
 func (f *FilterCache) Lookup(vaddr mem.VAddr) *cache.Line {
-	l := f.arr.LookupVirtual(uint64(vaddr))
-	if l != nil {
-		f.Hits++
-	} else {
-		f.Misses++
-	}
-	return l
+	return f.arr.LookupVirtual(uint64(vaddr))
 }
 
 // Snoop performs the memory-side (physically addressed) lookup without
@@ -80,9 +68,6 @@ func (f *FilterCache) Fill(vaddr mem.VAddr, paddr mem.Addr, st cache.State, comm
 	line.VTag = uint64(mem.LineAddr(vaddr))
 	line.Committed = committed
 	line.FillLevel = fillLevel
-	if had && !ev.Committed {
-		f.EvictedUncommitted3++
-	}
 	return ev, had
 }
 

@@ -127,30 +127,6 @@ func TestInvalidateSingleLine(t *testing.T) {
 	}
 }
 
-func TestUncommittedEvictionCounted(t *testing.T) {
-	f := NewFilterCache(FilterConfig{Name: "tiny", SizeBytes: 64, Assoc: 1, MSHRs: 4})
-	f.Fill(0x9000, 0x5000, cache.Shared, false, 2)
-	f.Fill(0xa000, 0x6000, cache.Shared, false, 2) // displaces uncommitted line
-	if f.EvictedUncommitted3 != 1 {
-		t.Fatalf("EvictedUncommitted = %d, want 1", f.EvictedUncommitted3)
-	}
-}
-
-// TestHitRate pins the counters a filter cache's hit rate is read from
-// (the dumped l0d/l0i hits and misses): each CPU-side lookup counts once.
-func TestHitRate(t *testing.T) {
-	f := newFC()
-	f.Fill(0x9000, 0x5000, cache.Shared, false, 2)
-	f.Lookup(0x9000)
-	f.Lookup(0xdead000)
-	if f.Hits != 1 || f.Misses != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 1/1", f.Hits, f.Misses)
-	}
-}
-
-// Property: a filter cache never holds a line in an owned (E/M) state —
-// only I, S or SE are ever legal (paper §4.5) — given that fills only ever
-// supply S or SE, and no sequence of operations can manufacture ownership.
 func TestFilterNeverOwnedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

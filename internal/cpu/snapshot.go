@@ -44,9 +44,11 @@ func (c *Core) Quiesced() error {
 
 // Checkpoint walks the core's architectural and quiesced-
 // microarchitectural state: registers, fetch state, the divider slots,
-// statistics, the two SafeBet footprints and the branch predictor. A load
-// needs a quiesced core (it is after SetProgram / RunOn on a fresh
-// machine) and wakes it: sleep is derived, not saved.
+// statistics, the two SafeBet footprints and the branch predictor. The
+// commit stall, fetch resume and divider cycles save as the wait left
+// (checkpoint.Until). A load needs a quiesced core (it is after
+// SetProgram / RunOn on a fresh machine, on a scheduler at the snapshot's
+// cycle) and wakes it: sleep is derived, not saved.
 func (c *Core) Checkpoint(s *checkpoint.State) {
 	if s.Loading() {
 		if err := c.Quiesced(); err != nil {
@@ -61,8 +63,9 @@ func (c *Core) Checkpoint(s *checkpoint.State) {
 	s.Bool(&c.fetchStall)
 	s.Bool(&c.halted)
 	s.Bool(&c.haltedBad)
-	s.U64((*uint64)(&c.commitStallUntil))
-	s.U64((*uint64)(&c.fetchResumeAt))
+	now := c.sched.Now()
+	checkpoint.Until(s, &c.commitStallUntil, now)
+	checkpoint.Until(s, &c.fetchResumeAt, now)
 	s.U64(&c.fetchVirtBase)
 	s.U64((*uint64)(&c.fetchPhysBase))
 	s.U64(&c.fetchLineVA)
@@ -74,7 +77,7 @@ func (c *Core) Checkpoint(s *checkpoint.State) {
 		s.Failf("core has %d divider slots, snapshot %d", len(c.divFree), nd)
 	}
 	for i := range c.divFree {
-		s.U64((*uint64)(&c.divFree[i]))
+		checkpoint.Until(s, &c.divFree[i], now)
 	}
 	for k := range c.ctr {
 		s.U64(&c.ctr[k])

@@ -45,10 +45,6 @@ type DRAM struct {
 	hasRow   []bool
 	bankFree []event.Cycle
 	busFree  event.Cycle
-
-	// Stats
-	Accesses uint64
-	RowHits  uint64
 }
 
 // NewDRAM builds a DRAM model on the given scheduler.
@@ -78,7 +74,6 @@ func (d *DRAM) rowOf(a Addr) uint64 {
 // the data is available. Timing state (open rows, bank/bus occupancy) is
 // updated; the caller schedules its own completion event.
 func (d *DRAM) Access(a Addr) event.Cycle {
-	d.Accesses++
 	now := d.sched.Now()
 	bank := d.bankOf(a)
 	row := d.rowOf(a)
@@ -94,7 +89,6 @@ func (d *DRAM) Access(a Addr) event.Cycle {
 	var lat event.Cycle
 	if d.hasRow[bank] && d.openRow[bank] == row {
 		lat = d.cfg.RowHitLatency
-		d.RowHits++
 	} else {
 		lat = d.cfg.RowMissLatency
 		d.openRow[bank] = row

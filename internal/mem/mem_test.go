@@ -106,9 +106,6 @@ func TestDRAMRowHitFasterThanMiss(t *testing.T) {
 	if done2 != want {
 		t.Fatalf("second access done = %d, want %d", done2, want)
 	}
-	if d.RowHits != 1 {
-		t.Fatalf("RowHits = %d, want 1", d.RowHits)
-	}
 }
 
 func TestDRAMBankParallelism(t *testing.T) {
@@ -136,27 +133,33 @@ func TestDRAMRowConflictEvictsRow(t *testing.T) {
 	if d.bankOf(other) != d.bankOf(0) {
 		t.Fatal("test setup: expected same bank")
 	}
-	d.Access(other)
-	// Back to row 0: should be a miss again.
-	before := d.RowHits
-	d.Access(0)
-	if d.RowHits != before {
-		t.Fatal("row should have been closed by conflicting access")
+	s.AdvanceTo(d.Access(other))
+	// Back to row 0, on an idle bank: a miss again.
+	if lat := d.Access(0) - s.Now(); lat != cfg.RowMissLatency {
+		t.Fatalf("latency %d, want the row miss's %d: the conflicting access should have closed the row", lat, cfg.RowMissLatency)
 	}
 }
 
-// TestDRAMRowHitRate pins the counters a row-hit rate is read from: every
-// access counts, only one that finds its row open counts as a row hit.
+// TestDRAMRowHitRate: on an idle bank an access takes the row-hit latency
+// exactly when it finds its row open — the first access to a bank opens
+// its row, a second to the same row hits it, one to another row misses.
 func TestDRAMRowHitRate(t *testing.T) {
 	s := event.NewScheduler()
-	d := NewDRAM(s, DefaultDRAMConfig())
-	if d.RowHits != 0 || d.Accesses != 0 {
-		t.Fatal("fresh DRAM has counted accesses")
+	cfg := DefaultDRAMConfig()
+	d := NewDRAM(s, cfg)
+	sameBank := Addr(uint64(cfg.Banks) * LineBytes)
+	hits := 0
+	for _, a := range []Addr{0, sameBank, Addr(cfg.RowBytes * uint64(cfg.Banks)), LineBytes} {
+		done := d.Access(a)
+		if lat := done - s.Now(); lat == cfg.RowHitLatency {
+			hits++
+		} else if lat != cfg.RowMissLatency {
+			t.Fatalf("access to %#x took %d cycles on an idle bank", a, lat)
+		}
+		s.AdvanceTo(done)
 	}
-	d.Access(0)
-	d.Access(Addr(uint64(DefaultDRAMConfig().Banks) * LineBytes))
-	if d.RowHits != 1 || d.Accesses != 2 {
-		t.Fatalf("row hits/accesses = %d/%d, want 1/2", d.RowHits, d.Accesses)
+	if hits != 1 {
+		t.Fatalf("%d of 4 accesses hit an open row, want 1", hits)
 	}
 }
 

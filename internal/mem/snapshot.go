@@ -28,20 +28,20 @@ func (p *Physical) Checkpoint(s *checkpoint.State) {
 
 func nonZero(f *[PageBytes]byte) bool { return *f != [PageBytes]byte{} }
 
-// Checkpoint walks the DRAM timing state (open rows, bank and bus
-// occupancy) and statistics; a load needs a model with the same bank
-// count.
+// Checkpoint walks the DRAM timing state: open rows, and bank and bus
+// occupancy as the cycles still to wait (checkpoint.Until). A load needs
+// a model with the same bank count, on a scheduler at the snapshot's
+// cycle.
 func (d *DRAM) Checkpoint(s *checkpoint.State) {
 	banks := uint32(d.cfg.Banks)
 	if s.U32(&banks); s.Loading() && int(banks) != d.cfg.Banks {
 		s.Failf("dram has %d banks, snapshot %d", d.cfg.Banks, banks)
 	}
+	now := d.sched.Now()
 	for b := range d.cfg.Banks {
 		s.U64(&d.openRow[b])
 		s.Bool(&d.hasRow[b])
-		s.U64((*uint64)(&d.bankFree[b]))
+		checkpoint.Until(s, &d.bankFree[b], now)
 	}
-	s.U64((*uint64)(&d.busFree))
-	s.U64(&d.Accesses)
-	s.U64(&d.RowHits)
+	checkpoint.Until(s, &d.busFree, now)
 }

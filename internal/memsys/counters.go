@@ -2,8 +2,7 @@ package memsys
 
 import "repro/internal/stats"
 
-// hierCounter indexes hierCounters and, below numHierCounters, the
-// hierarchy's counter array; dramAccesses is the DRAM model's own count.
+// hierCounter indexes hierCounters and the hierarchy's counter array.
 type hierCounter uint8
 
 const (
@@ -16,13 +15,11 @@ const (
 	prefetchFills
 	l2Writebacks
 	dramAccesses
-	numHierRows
+	numHierCounters
 )
 
-const numHierCounters = dramAccesses
-
 // hierCounters declares each shared-level counter once.
-var hierCounters = [numHierRows]stats.Counter{
+var hierCounters = [numHierCounters]stats.Counter{
 	l2Hits:           {Key: "l2.hits", Unit: "accesses", Meaning: "L2 lookups that hit"},
 	l2Misses:         {Key: "l2.misses", Unit: "accesses", Meaning: "L2 lookups that missed and went to DRAM"},
 	dramFills:        {Key: "dram.fills", Unit: "lines", Meaning: "lines read from DRAM for a demand access or a store upgrade"},
@@ -35,26 +32,20 @@ var hierCounters = [numHierRows]stats.Counter{
 }
 
 // HierarchyCounterTable returns the shared level's counter declarations.
-func HierarchyCounterTable() [numHierRows]stats.Counter { return hierCounters }
+func HierarchyCounterTable() [numHierCounters]stats.Counter { return hierCounters }
 
 // RenderCounters writes the shared level's counters and every port's into
 // a run's counter map.
 func (h *Hierarchy) RenderCounters(dst map[string]uint64) {
 	for k, r := range hierCounters {
-		v := h.dram.Accesses
-		if k < int(numHierCounters) {
-			v = h.ctr[k]
-		}
-		dst[r.Key] = v
+		dst[r.Key] = h.ctr[k]
 	}
 	for _, p := range h.ports {
 		p.renderCounters(dst)
 	}
 }
 
-// PortCounter indexes portCounters and, below numPortCounters, the port's
-// counter array. The rows from PCL0DHits on are the filter caches' and
-// TLBs' own counts.
+// PortCounter indexes portCounters and the port's counter array.
 type PortCounter uint8
 
 // Port counters.
@@ -84,14 +75,12 @@ const (
 	PCDTLBLookups
 	PCITLBHits
 	PCITLBLookups
-	numPortRows
+	numPortCounters
 )
-
-const numPortCounters = PCL0DHits
 
 // portCounters declares each port counter once; a run reports it under
 // stats.CoreKey.
-var portCounters = [numPortRows]stats.Counter{
+var portCounters = [numPortCounters]stats.Counter{
 	PCLoads:                 {Key: "loads", Unit: "accesses", Meaning: "data load accesses issued to the port, wrong path and invisible loads included"},
 	PCStores:                {Key: "stores", Unit: "stores", Meaning: "committed stores drained to the L1D"},
 	PCIfetches:              {Key: "ifetches", Unit: "accesses", Meaning: "instruction-line fetches issued to the port"},
@@ -121,30 +110,14 @@ var portCounters = [numPortRows]stats.Counter{
 
 // PortCounterTable returns the port's counter declarations, indexed by
 // PortCounter.
-func PortCounterTable() [numPortRows]stats.Counter { return portCounters }
+func PortCounterTable() [numPortCounters]stats.Counter { return portCounters }
 
 // Key is the counter's key in a run's counter map for the given core.
 func (c PortCounter) Key(core int) string { return stats.CoreKey(core, portCounters[c].Key) }
 
 // Stat reads one port counter; a filter-cache row reads 0 on a port
 // without that filter cache.
-func (p *Port) Stat(c PortCounter) uint64 {
-	switch {
-	case c < numPortCounters:
-		return p.ctr[c]
-	case c <= PCL0DEvictedUncommitted:
-		if f := p.l0d; f != nil {
-			return [...]uint64{f.Hits, f.Misses, f.EvictedUncommitted3}[c-PCL0DHits]
-		}
-	case c <= PCL0IMisses:
-		if f := p.l0i; f != nil {
-			return [...]uint64{f.Hits, f.Misses}[c-PCL0IHits]
-		}
-	default:
-		return [...]uint64{p.dtlb.Hits, p.dtlb.Lookups, p.itlb.Hits, p.itlb.Lookups}[c-PCDTLBHits]
-	}
-	return 0
-}
+func (p *Port) Stat(c PortCounter) uint64 { return p.ctr[c] }
 
 // renderCounters writes the port's counters into a run's counter map: a
 // row with a When only on a port that has the filter cache it names.

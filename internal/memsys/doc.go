@@ -28,7 +28,8 @@
 //     two readings of one predicate over those registries and the MSHR
 //     files.
 //   - PortCounter, hierCounter: the port's and the shared level's counter
-//     tables. The hot path bumps ctr[counter]; Checkpoint and
+//     tables, the only record of every count (the filter caches, TLBs and
+//     DRAM keep none). The hot path bumps ctr[counter]; Checkpoint and
 //     RenderCounters walk the tables.
 //   - Mode: the per-mechanism protection switches (filter protection,
 //     coherence protection, commit-time prefetch, filter TLB, …).

@@ -138,6 +138,7 @@ func (h *Hierarchy) l2Install(line uint64, dirty bool) {
 		h.backInvalidate(ev.Tag)
 		if ev.State == cache.Modified {
 			h.ctr[l2Writebacks]++
+			h.ctr[dramAccesses]++
 			h.dram.Access(mem.Addr(ev.Tag))
 		}
 	}
@@ -239,6 +240,7 @@ func (h *Hierarchy) prefetchFill(addr mem.Addr) {
 	}
 	done := h.dram.Access(mem.Addr(line))
 	h.ctr[prefetchFills]++
+	h.ctr[dramAccesses]++
 	h.sched.At(done+h.cfg.Lat.DRAMCtrl, func() {
 		h.l2MSHRs.Complete(line)
 		h.l2Install(line, false)
@@ -248,6 +250,7 @@ func (h *Hierarchy) prefetchFill(addr mem.Addr) {
 // dramWait issues a DRAM access for line and returns how long after now
 // its data arrives.
 func (h *Hierarchy) dramWait(line uint64) event.Cycle {
+	h.ctr[dramAccesses]++
 	if done := h.dram.Access(mem.Addr(line)); done > h.sched.Now() {
 		return done - h.sched.Now()
 	}

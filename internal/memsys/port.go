@@ -341,11 +341,7 @@ func (p *Port) TranslateC(vaddr mem.VAddr, instr, spec bool, idx int32, seq uint
 
 func (p *Port) translate(vaddr mem.VAddr, instr, spec bool, cm tcomp) {
 	vpn := mem.PageNum(vaddr)
-	main := p.dtlb
-	if instr {
-		main = p.itlb
-	}
-	if pfn, ok := main.Lookup(p.asid, vpn); ok {
+	if _, pfn, ok := p.lookupMain(vpn, instr); ok {
 		p.translateDone(cm, mem.Addr(pfn<<mem.PageShift|uint64(vaddr)%mem.PageBytes), false, false)
 		return
 	}
@@ -369,6 +365,20 @@ func (p *Port) translate(vaddr mem.VAddr, instr, spec bool, cm tcomp) {
 		spec:  spec, instr: instr, cm: cm,
 	})
 	p.walkStep(slot)
+}
+
+// lookupMain looks vpn up in the main I- or D-TLB, counting the lookup
+// and a hit, and returns that TLB with the result.
+func (p *Port) lookupMain(vpn uint64, instr bool) (t *tlb.TLB, pfn uint64, hit bool) {
+	t, lookups, hits := p.dtlb, PCDTLBLookups, PCDTLBHits
+	if instr {
+		t, lookups, hits = p.itlb, PCITLBLookups, PCITLBHits
+	}
+	p.ctr[lookups]++
+	if pfn, hit = t.Lookup(p.asid, vpn); hit {
+		p.ctr[hits]++
+	}
+	return t, pfn, hit
 }
 
 // walkStep issues the walk's next per-level read, or — after the last
@@ -456,7 +466,11 @@ func (p *Port) dataRead(pc uint64, vaddr mem.VAddr, paddr mem.Addr, spec, train 
 	// L0 lookup.
 	l0Penalty := event.Cycle(0)
 	if p.l0d != nil {
-		if l := p.l0d.Lookup(mem.LineAddr(vaddr)); l != nil && l.Tag == line {
+		// A line under vaddr's virtual tag is a hit even when its
+		// physical tag turns out to be another line's.
+		if l := p.l0d.Lookup(mem.LineAddr(vaddr)); l == nil {
+			p.ctr[PCL0DMisses]++
+		} else if p.ctr[PCL0DHits]++; l.Tag == line {
 			p.complete(lat.L0Hit, cm, AccessResult{Level: FromL0})
 			return
 		}
@@ -555,10 +569,14 @@ func (p *Port) missFill(ms dmiss) {
 	p.completeNow(ms.cm, AccessResult{Level: ms.level})
 }
 
-// fillL0 installs a line in the data filter cache; a displaced line the
-// filter held exclusively loses its filter ownership.
+// fillL0 installs a line in the data filter cache, counting an
+// uncommitted line it displaces; a displaced line the filter held
+// exclusively loses its filter ownership.
 func (p *Port) fillL0(vaddr mem.VAddr, paddr mem.Addr, st cache.State, committed bool, level uint8) {
 	if ev, had := p.l0d.Fill(mem.LineAddr(vaddr), mem.LineAddr(paddr), st, committed, level); had {
+		if !ev.Committed {
+			p.ctr[PCL0DEvictedUncommitted]++
+		}
 		p.h.noteFilterDrop(ev.Tag, p.id)
 	}
 }
@@ -786,7 +804,9 @@ func (p *Port) ifetch(vaddr mem.VAddr, paddr mem.Addr, cm icomp) {
 
 	l0Penalty := event.Cycle(0)
 	if p.l0i != nil {
-		if l := p.l0i.Lookup(mem.LineAddr(vaddr)); l != nil && l.Tag == line {
+		if l := p.l0i.Lookup(mem.LineAddr(vaddr)); l == nil {
+			p.ctr[PCL0IMisses]++
+		} else if p.ctr[PCL0IHits]++; l.Tag == line {
 			p.completeI(lat.L0Hit, cm, AccessResult{Level: FromL0})
 			return
 		}

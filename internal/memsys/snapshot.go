@@ -117,12 +117,12 @@ func (h *Hierarchy) Checkpoint(snap *checkpoint.Snapshot, load bool) error {
 	return nil
 }
 
-// shared walks the shared level: L2, its port, DRAM, the filter owners
-// (in ascending key order, so equal state is equal bytes), the
-// prefetcher and the statistics.
+// shared walks the shared level: L2, its port's wait (checkpoint.Until),
+// DRAM, the filter owners (in ascending key order, so equal state is equal
+// bytes), the prefetcher and the counters, DRAM's among them.
 func (h *Hierarchy) shared(s *checkpoint.State) {
 	h.l2.Checkpoint(s)
-	s.U64((*uint64)(&h.l2PortFree))
+	checkpoint.Until(s, &h.l2PortFree, h.sched.Now())
 	h.dram.Checkpoint(s)
 
 	checkpoint.Map(s, &h.filterOwner, checkpoint.Count64, nil, func(line uint64, owner int) (uint64, int) {
@@ -141,7 +141,8 @@ func (h *Hierarchy) shared(s *checkpoint.State) {
 }
 
 // checkpoint walks one port: caches, TLBs, the presence-flagged filter
-// structures, its ASID, counters.
+// structures, its ASID, counters (its filter caches' and TLBs' among
+// them).
 func (p *Port) checkpoint(s *checkpoint.State) {
 	p.l1d.Checkpoint(s)
 	p.l1i.Checkpoint(s)

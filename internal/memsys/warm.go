@@ -18,11 +18,8 @@ import (
 // whether the translation missed (in which case the caller also warms the
 // page-walk lines, as the hardware walker's reads would have).
 func (p *Port) WarmTranslate(vpn, pfn uint64, instr bool) bool {
-	t := p.dtlb
-	if instr {
-		t = p.itlb
-	}
-	if _, ok := t.Lookup(p.asid, vpn); ok {
+	t, _, hit := p.lookupMain(vpn, instr)
+	if hit {
 		return false
 	}
 	t.Insert(p.asid, vpn, pfn)

@@ -35,7 +35,14 @@ import (
 // v6 saves only what the L1s hold themselves: the L2 directory (owner,
 // owner state, sharer and instruction-sharer masks per line) is gone, as
 // is the prefetcher's presence flag, since every hierarchy has one.
-const machineFormat = 6
+//
+// v7 saves only what a structure's behaviour reads: the filter caches',
+// TLBs' and DRAM's statistics move into their port's and the hierarchy's
+// counter arrays, a cache line or TLB entry saves its recency rank instead
+// of an LRU stamp under an array-wide tick, and busy-until cycles (L2 port,
+// DRAM banks and bus, commit stall, fetch resume, dividers) save as the
+// cycles still to wait, loaded relative to the snapshot's cycle.
+const machineFormat = 7
 
 // drainBound caps how many cycles Drain will step while waiting for the
 // machine to quiesce. It is far beyond any legitimate drain (the deepest
@@ -216,16 +223,23 @@ func (s *System) sections(snap *checkpoint.Snapshot, load bool, m *machineImage)
 // machine walks the "machine" section: the format word, the core count,
 // the cycle, the system counters, the mid-run flag and baseline, then per
 // core its retired count, next timer deadline and RunOn assignment (PID,
-// thread). A load checks the core count, that the machine is not past the
-// snapshot's cycle, and that the RunOn sequences agree.
+// thread). A load checks the core count and that the machine is not past
+// the snapshot's cycle, advances the clock to it, and checks that the
+// RunOn sequences agree.
 func (s *System) machine(st *checkpoint.State, m *machineImage) {
 	format, cores := uint32(machineFormat), uint32(len(s.Cores))
 	st.U32(&format) // a load checked it first, with CheckFormat
 	if st.U32(&cores); st.Loading() && int(cores) != len(s.Cores) {
 		st.Fail(fmt.Errorf("sim: snapshot has %d cores, machine has %d", cores, len(s.Cores)))
 	}
-	if st.U64((*uint64)(&m.now)); st.Loading() && m.now < s.Sched.Now() {
-		st.Fail(fmt.Errorf("sim: snapshot taken at cycle %d, machine already at %d", m.now, s.Sched.Now()))
+	if st.U64((*uint64)(&m.now)); st.Loading() {
+		if m.now < s.Sched.Now() {
+			st.Fail(fmt.Errorf("sim: snapshot taken at cycle %d, machine already at %d", m.now, s.Sched.Now()))
+		}
+		// An empty event queue (RestoreSnapshot checked Quiesced) makes
+		// the jump a pure clock change; every later section loads its
+		// busy-until cycles relative to it.
+		s.Sched.AdvanceTo(m.now)
 	}
 	for _, r := range systemCounters {
 		st.U64(r.at(s))
@@ -296,9 +310,6 @@ func (s *System) RestoreSnapshot(snap *checkpoint.Snapshot) error {
 	if err := s.sections(snap, true, &m); err != nil {
 		return err
 	}
-	// An empty event queue makes the jump to the snapshot's cycle a pure
-	// clock change; Quiesced() above guaranteed it.
-	s.Sched.AdvanceTo(m.now)
 	if m.midRun {
 		s.resumedMidRun = true
 		s.resumeBase = m.base

@@ -40,12 +40,12 @@ func physBytes(s *sim.System) int {
 // state the machine holds, not the geometry it was built with. A
 // just-assembled 4-core machine (2 MiB L2, four 64 KiB BTBs) encodes to a
 // few tens of KB, and running it grows the image by at most the largest
-// per-entry encoding (a TLB entry's 36 bytes) for every entry the run
-// added — so the image of canneal under MuonTrap stays under 128 KB after
-// 5 000 cycles and under 256 KB after 100 000, where the every-way
-// encoding wrote 1.47 MB from the first cycle on.
+// per-entry encoding (a TLB entry's or a prefetcher slot's 32 bytes) for
+// every entry the run added — so the image of canneal under MuonTrap stays
+// under 128 KB after 5 000 cycles and under 256 KB after 100 000, where
+// the every-way encoding wrote 1.47 MB from the first cycle on.
 func TestCheckpointSizeTracksOccupancy(t *testing.T) {
-	const perEntry = 36
+	const perEntry = 32
 	size := func(s *sim.System) int {
 		snap, err := s.Checkpoint()
 		if err != nil {
@@ -99,16 +99,17 @@ func sectionSpans(tb testing.TB, enc []byte) map[string][2]int {
 // TestRestoreRefusesOlderMachineFormat: an image whose machine section
 // says an older format — 2, the every-way encoding, 3, which still saved
 // the counters no code read, 4, which still saved the shadows of the
-// filter caches' contents, or 5, which still saved the L2 directory — is
-// refused with the "incompatible snapshot; rebuild it" error before a
-// byte of it reaches the machine, never parsed as if it were the current
-// layout.
+// filter caches' contents, 5, which still saved the L2 directory, or 6,
+// which still saved structures' statistics, LRU stamps and absolute
+// busy-until cycles — is refused with the "incompatible snapshot; rebuild
+// it" error before a byte of it reaches the machine, never parsed as if it
+// were the current layout.
 func TestRestoreRefusesOlderMachineFormat(t *testing.T) {
 	snap, err := warmMachine(t, 500).Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []uint32{2, 3, 4, 5} {
+	for _, f := range []uint32{2, 3, 4, 5, 6} {
 		enc := snap.Encode()
 		binary.LittleEndian.PutUint32(enc[sectionSpans(t, enc)["machine"][0]:], f)
 		old, err := checkpoint.Decode(enc)

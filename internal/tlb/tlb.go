@@ -85,9 +85,6 @@ type TLB struct {
 	entries []Entry
 	valid   []bool
 	tick    uint64
-
-	Lookups uint64
-	Hits    uint64
 }
 
 // New creates a TLB with the given number of entries.
@@ -110,36 +107,36 @@ func (t *TLB) Size() int { return len(t.entries) }
 
 // Lookup translates (asid, vpn), refreshing LRU on hit.
 func (t *TLB) Lookup(asid, vpn uint64) (uint64, bool) {
-	t.Lookups++
 	for i := range t.entries {
 		if t.valid[i] && t.entries[i].ASID == asid && t.entries[i].VPN == vpn {
 			t.tick++
 			t.entries[i].lru = t.tick
-			t.Hits++
 			return t.entries[i].PFN, true
 		}
 	}
 	return 0, false
 }
 
-// Insert fills a translation, evicting LRU if needed. Duplicate fills
-// update in place.
+// Insert fills a translation into the first free slot, else over the LRU
+// entry. A duplicate fill updates the entry in place, wherever it is.
 func (t *TLB) Insert(asid, vpn, pfn uint64) {
 	t.tick++
-	victim := 0
+	free, victim := -1, 0 // victim is read only when every slot is valid
 	for i := range t.entries {
-		if t.valid[i] && t.entries[i].ASID == asid && t.entries[i].VPN == vpn {
-			t.entries[i].PFN = pfn
-			t.entries[i].lru = t.tick
+		switch e := &t.entries[i]; {
+		case !t.valid[i]:
+			if free < 0 {
+				free = i
+			}
+		case e.ASID == asid && e.VPN == vpn:
+			e.PFN, e.lru = pfn, t.tick
 			return
-		}
-		if !t.valid[i] {
-			victim = i
-			break
-		}
-		if t.entries[i].lru < t.entries[victim].lru {
+		case e.lru < t.entries[victim].lru:
 			victim = i
 		}
+	}
+	if free >= 0 {
+		victim = free
 	}
 	t.entries[victim] = Entry{VPN: vpn, PFN: pfn, ASID: asid, lru: t.tick}
 	t.valid[victim] = true
@@ -162,18 +159,6 @@ func (t *TLB) FlushAll() int {
 	n := 0
 	for i := range t.valid {
 		if t.valid[i] {
-			n++
-			t.valid[i] = false
-		}
-	}
-	return n
-}
-
-// FlushASID invalidates entries belonging to one address space.
-func (t *TLB) FlushASID(asid uint64) int {
-	n := 0
-	for i := range t.valid {
-		if t.valid[i] && t.entries[i].ASID == asid {
 			n++
 			t.valid[i] = false
 		}

@@ -103,31 +103,6 @@ func TestTLBFlushAll(t *testing.T) {
 	}
 }
 
-func TestTLBFlushASID(t *testing.T) {
-	tl := New("d", 8)
-	tl.Insert(1, 0xa, 1)
-	tl.Insert(2, 0xb, 2)
-	if n := tl.FlushASID(1); n != 1 {
-		t.Fatalf("FlushASID = %d, want 1", n)
-	}
-	if _, ok := tl.Lookup(2, 0xb); !ok {
-		t.Fatal("other ASID should survive")
-	}
-}
-
-// TestTLBHitRate pins the counters a hit rate is read from (the dumped
-// dtlb/itlb hits and lookups): every lookup counts, only a hit counts as
-// one.
-func TestTLBHitRate(t *testing.T) {
-	tl := New("d", 4)
-	tl.Insert(1, 0xa, 1)
-	tl.Lookup(1, 0xa)
-	tl.Lookup(1, 0xb)
-	if tl.Hits != 1 || tl.Lookups != 2 {
-		t.Fatalf("hits/lookups = %d/%d, want 1/2", tl.Hits, tl.Lookups)
-	}
-}
-
 func TestBadTLBSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -137,8 +112,10 @@ func TestBadTLBSizePanics(t *testing.T) {
 	New("bad", 0)
 }
 
-// Property: the TLB never exceeds capacity and a lookup following an
-// insert with no intervening capacity pressure always hits.
+// Property: the TLB never exceeds capacity, never holds one (asid, vpn)
+// twice, and a lookup following an insert with no intervening capacity
+// pressure always hits — also after Remove (a filter-TLB promotion) has
+// freed a slot in front of a translation the TLB still holds.
 func TestTLBCapacityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -155,12 +132,19 @@ func TestTLBCapacityProperty(t *testing.T) {
 			case 1:
 				tl.Lookup(asid, vpn)
 			case 2:
-				if rng.Intn(10) == 0 {
-					tl.FlushASID(asid)
-				}
+				tl.Remove(asid, vpn)
 			}
 			if tl.CountValid() > tl.Size() {
 				return false
+			}
+			held := map[[2]uint64]bool{}
+			for i, e := range tl.entries {
+				if k := [2]uint64{e.ASID, e.VPN}; tl.valid[i] {
+					if held[k] {
+						return false
+					}
+					held[k] = true
+				}
 			}
 		}
 		return true
