@@ -341,7 +341,7 @@ func (p *Port) TranslateC(vaddr mem.VAddr, instr, spec bool, idx int32, seq uint
 
 func (p *Port) translate(vaddr mem.VAddr, instr, spec bool, cm tcomp) {
 	vpn := mem.PageNum(vaddr)
-	if _, pfn, ok := p.lookupMain(vpn, instr); ok {
+	if pfn, ok := p.lookupMain(vpn, instr); ok {
 		p.translateDone(cm, mem.Addr(pfn<<mem.PageShift|uint64(vaddr)%mem.PageBytes), false, false)
 		return
 	}
@@ -367,18 +367,26 @@ func (p *Port) translate(vaddr mem.VAddr, instr, spec bool, cm tcomp) {
 	p.walkStep(slot)
 }
 
-// lookupMain looks vpn up in the main I- or D-TLB, counting the lookup
-// and a hit, and returns that TLB with the result.
-func (p *Port) lookupMain(vpn uint64, instr bool) (t *tlb.TLB, pfn uint64, hit bool) {
-	t, lookups, hits := p.dtlb, PCDTLBLookups, PCDTLBHits
+// mainTLB is the main I- or D-TLB.
+func (p *Port) mainTLB(instr bool) *tlb.TLB {
 	if instr {
-		t, lookups, hits = p.itlb, PCITLBLookups, PCITLBHits
+		return p.itlb
+	}
+	return p.dtlb
+}
+
+// lookupMain looks vpn up in the main I- or D-TLB, counting the lookup
+// and a hit.
+func (p *Port) lookupMain(vpn uint64, instr bool) (pfn uint64, hit bool) {
+	lookups, hits := PCDTLBLookups, PCDTLBHits
+	if instr {
+		lookups, hits = PCITLBLookups, PCITLBHits
 	}
 	p.ctr[lookups]++
-	if pfn, hit = t.Lookup(p.asid, vpn); hit {
+	if pfn, hit = p.mainTLB(instr).Lookup(p.asid, vpn); hit {
 		p.ctr[hits]++
 	}
-	return t, pfn, hit
+	return pfn, hit
 }
 
 // walkStep issues the walk's next per-level read, or — after the last
@@ -394,11 +402,7 @@ func (p *Port) walkStep(slot int32) {
 			// Speculative translations go to the filter TLB (§4.7).
 			p.fdtlb.Insert(p.asid, fin.vpn, fin.pfn)
 		} else {
-			main := p.dtlb
-			if fin.instr {
-				main = p.itlb
-			}
-			main.Insert(p.asid, fin.vpn, fin.pfn)
+			p.mainTLB(fin.instr).Insert(p.asid, fin.vpn, fin.pfn)
 		}
 		p.translateDone(fin.cm, mem.Addr(fin.pfn<<mem.PageShift|uint64(fin.vaddr)%mem.PageBytes), true, false)
 		return
@@ -423,11 +427,7 @@ func (p *Port) CommitTranslation(vaddr mem.VAddr, instr bool) {
 		return
 	}
 	p.fdtlb.Remove(p.asid, vpn)
-	main := p.dtlb
-	if instr {
-		main = p.itlb
-	}
-	main.Insert(p.asid, vpn, pfn)
+	p.mainTLB(instr).Insert(p.asid, vpn, pfn)
 	for _, wa := range p.pt.WalkAddrs(vpn) {
 		p.commitLineWriteThrough(wa, cache.Shared)
 	}

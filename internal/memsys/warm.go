@@ -16,10 +16,12 @@ import (
 
 // WarmTranslate warms the main I- or D-TLB with (vpn -> pfn), reporting
 // whether the translation missed (in which case the caller also warms the
-// page-walk lines, as the hardware walker's reads would have).
+// page-walk lines, as the hardware walker's reads would have). Like
+// WarmData and WarmInst it counts nothing: the warm-up's lookups are not
+// the measured region's.
 func (p *Port) WarmTranslate(vpn, pfn uint64, instr bool) bool {
-	t, _, hit := p.lookupMain(vpn, instr)
-	if hit {
+	t := p.mainTLB(instr)
+	if _, hit := t.Lookup(p.asid, vpn); hit {
 		return false
 	}
 	t.Insert(p.asid, vpn, pfn)

@@ -40,3 +40,35 @@ func TestTLBHitRate(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmTranslateCountsNothing: the functional warm-up fills the main
+// TLBs but, like the warm-up's cache deposits, counts no lookup or hit —
+// those rows belong to the measured region. A detailed translation of a
+// warmed page then hits without a walk and counts as one lookup, one hit.
+func TestWarmTranslateCountsNothing(t *testing.T) {
+	sched := event.NewScheduler()
+	p := memsys.New(sched, mem.NewPhysical(), memsys.DefaultConfig(1)).Port(0)
+	pt := tlb.NewPageTable(1, 0x4000_0000)
+	pt.MapRange(0, 0x100, 16)
+	p.SetProcess(1, pt)
+	for _, w := range []struct {
+		instr, miss bool
+	}{{false, true}, {false, false}, {true, true}} {
+		if miss := p.WarmTranslate(1, 0x101, w.instr); miss != w.miss {
+			t.Fatalf("WarmTranslate(instr=%v) missed = %v, want %v", w.instr, miss, w.miss)
+		}
+	}
+	for _, c := range []memsys.PortCounter{memsys.PCDTLBLookups, memsys.PCDTLBHits, memsys.PCITLBLookups, memsys.PCITLBHits} {
+		if got := p.Stat(c); got != 0 {
+			t.Errorf("after warm-up, %s = %d, want 0", c.Key(0), got)
+		}
+	}
+	done, walked := false, true
+	p.Translate(0x1008, false, false, func(_ mem.Addr, w, _ bool) { done, walked = true, w })
+	if !done || walked {
+		t.Fatalf("translation of a warmed page: done = %v, walked = %v; want a synchronous hit", done, walked)
+	}
+	if l, h := p.Stat(memsys.PCDTLBLookups), p.Stat(memsys.PCDTLBHits); l != 1 || h != 1 {
+		t.Fatalf("dtlb lookups/hits = %d/%d, want 1/1", l, h)
+	}
+}
