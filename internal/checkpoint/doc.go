@@ -58,8 +58,8 @@
 //     written is one nothing reads, so "canonical" means: equal valid
 //     contents, equal bytes. Small, densely used tables (2-bit counters,
 //     the RAS, DRAM banks) stay dense, walked through Raw in one loop.
-//   - Map walks a map keyed by an address (the filter owners, physical
-//     frames, the SafeBet footprints) as a count and its
+//   - Map walks a map keyed by an address (physical frames, the SafeBet
+//     footprints) as a count and its
 //     entries: saving in ascending key order through one sort buffer per
 //     section, measuring one entry without sorting (counting the entries
 //     a filter keeps in the same pass), loading into the cleared map.

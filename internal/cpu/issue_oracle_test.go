@@ -80,8 +80,9 @@ func allHalted(s *sim.System) bool {
 // cycle — and requires the drained cores to be quiet with every waiter
 // node back on the free chain, then resumes. At the drained point and when
 // the run ends it also holds the memory system to its coherence
-// invariants (at most one L1D owner per line, never beside sharers, which
-// coherence reads straight off the L1s), under whatever scheme built s.
+// invariants (at most one owner per line across the L1Ds and data filter
+// caches, never beside L1D sharers, which coherence reads straight off
+// the caches), under whatever scheme built s.
 func runWithOracle(t *testing.T, s *sim.System, drainAt, maxCycles int) (peaks waiterPeaks) {
 	t.Helper()
 	cycle := 0

@@ -18,8 +18,9 @@ import (
 // every table; 3, the counters no code read still saved; 4, the shadows
 // of the filter caches' contents still saved; 5, the L2 directory, a
 // shadow of the L1s' contents, still saved; 6, structures' statistics,
-// LRU stamps and absolute busy-until cycles still saved.
-var olderFormats = []uint32{2, 3, 4, 5, 6}
+// LRU stamps and absolute busy-until cycles still saved; 7, the filter
+// owner map still saved.
+var olderFormats = []uint32{2, 3, 4, 5, 6, 7}
 
 // asFormat returns a copy of snap whose machine section claims machine
 // format f — an image an older build left behind, as far as this binary

@@ -12,10 +12,10 @@
 //   - Hierarchy: the shared level — L2, DRAM and prefetcher. It keeps
 //     no record of which private caches hold a line: each L1 and filter
 //     cache is the only record of its contents. A coherence decision
-//     snoops every L1D for the line's owner and sharers (a Peek, which
-//     moves no replacement state), back-invalidation drops the line from
-//     every L1, and the §4.5 invalidation is a broadcast to every filter
-//     cache.
+//     snoops every L1D for the line's owner and sharers, and every data
+//     filter cache for an owner (a Peek, which moves no replacement
+//     state), back-invalidation drops the line from every L1, and the
+//     §4.5 invalidation is a broadcast to every filter cache.
 //   - Port: one core's window onto the memory system (its L0s, L1s and
 //     TLBs plus every operation the pipeline invokes). Nothing blocks:
 //     completions arrive through scheduled events, either as parked
@@ -37,7 +37,10 @@
 //
 // Invariants (enforced by CheckInvariants, used by the property tests):
 //
-//   - At most one L1D owner per line, never alongside sharers.
+//   - At most one core owns a line (E or M) across its L1D and data
+//     filter cache, and no L1D shares it alongside an owner. Only the
+//     "fcache only" design, without coherence protections, lets a filter
+//     cache own a line.
 //   - Inclusion: every L1 line is present in the L2; back-invalidation on
 //     L2 eviction maintains it.
 //   - Under CoherenceProtect, filter caches only ever hold

@@ -12,8 +12,8 @@ import (
 // Hierarchy is the whole memory system below the cores: shared L2, DRAM,
 // stride prefetcher and the per-core Ports. Nothing here records which
 // private caches hold a line: each L1 and filter cache is the only record
-// of its contents. Coherence asks the L1Ds (holders), and invalidation
-// reaches the filter caches by broadcast.
+// of its contents. Coherence asks the L1Ds and data filter caches
+// (holders), and invalidation reaches the filter caches by broadcast.
 type Hierarchy struct {
 	cfg   Config
 	sched *event.Scheduler
@@ -28,16 +28,6 @@ type Hierarchy struct {
 
 	ports []*Port
 
-	// filterOwner records a data filter cache holding a line exclusively —
-	// only possible in the vulnerable "fcache only" configuration without
-	// coherence protections, and exactly the state attack 4 exploits.
-	// It is not a mirror of the filter caches and cannot be derived by
-	// snooping them: a speculative fcache fill decides exclusivity from
-	// the L1Ds alone, so more than one filter cache can hold a line E at
-	// once, and the map names the last to fill it. Snooping instead moves the timing matrix's streamcluster/fcache cell from
-	// 45824 to 45888 cycles.
-	filterOwner map[uint64]int
-
 	// ctr holds the counters hierCounters declares, indexed by hierCounter.
 	ctr [numHierCounters]uint64
 }
@@ -48,14 +38,13 @@ func New(sched *event.Scheduler, phys *mem.Physical, cfg Config) *Hierarchy {
 		panic(fmt.Sprintf("memsys: bad core count %d", cfg.Cores))
 	}
 	h := &Hierarchy{
-		cfg:         cfg,
-		sched:       sched,
-		Phys:        phys,
-		dram:        mem.NewDRAM(sched, cfg.DRAM),
-		l2:          cache.NewArray(cfg.L2),
-		l2MSHRs:     cache.NewMSHRFile(cfg.L2MSHRs),
-		pf:          prefetch.New(cfg.Prefetch),
-		filterOwner: make(map[uint64]int),
+		cfg:     cfg,
+		sched:   sched,
+		Phys:    phys,
+		dram:    mem.NewDRAM(sched, cfg.DRAM),
+		l2:      cache.NewArray(cfg.L2),
+		l2MSHRs: cache.NewMSHRFile(cfg.L2MSHRs),
+		pf:      prefetch.New(cfg.Prefetch),
 	}
 	h.pf.Issue = h.prefetchFill
 	for i := 0; i < cfg.Cores; i++ {
@@ -92,9 +81,12 @@ func (h *Hierarchy) Scheduler() *event.Scheduler { return h.sched }
 
 // --- L2 / coherence helpers ---
 
-// holders snoops every core's L1D for line: owner is the core holding it
-// E or M (-1 when none), sharers the bitmask of cores holding it S. A
-// snoop is a Peek, so asking moves no replacement decision.
+// holders snoops every core's L1D and data filter cache for line: owner
+// is the core holding it E or M in either (-1 when none), sharers the
+// bitmask of cores whose L1D holds it S. A filter line is owned only in
+// the vulnerable "fcache only" design without coherence protections —
+// exactly the state attack 4 exploits. A snoop is a Peek, so asking moves
+// no replacement decision.
 func (h *Hierarchy) holders(line uint64) (owner int, sharers uint64) {
 	owner = -1
 	for i, p := range h.ports {
@@ -104,6 +96,9 @@ func (h *Hierarchy) holders(line uint64) (owner int, sharers uint64) {
 			} else {
 				sharers |= 1 << uint(i)
 			}
+		}
+		if l := p.ownedFilterLine(line); l != nil {
+			owner = i
 		}
 	}
 	return owner, sharers
@@ -153,14 +148,19 @@ func (h *Hierarchy) backInvalidate(line uint64) {
 	}
 }
 
-// downgradeOwner moves owner's L1D copy of line to S, writing it back to
-// the L2 if it was M.
+// downgradeOwner moves whichever of owner's L1D and data filter copies of
+// line is owned to S, writing an M L1D copy back to the L2.
 func (h *Hierarchy) downgradeOwner(line uint64, owner int) {
-	l := h.ports[owner].l1d.Peek(line)
-	if l.State == cache.Modified {
-		h.dirtyL2(line)
+	p := h.ports[owner]
+	if l := p.l1d.Peek(line); l != nil && l.State.Owned() {
+		if l.State == cache.Modified {
+			h.dirtyL2(line)
+		}
+		l.State = cache.Shared
 	}
-	l.State = cache.Shared
+	if l := p.ownedFilterLine(line); l != nil {
+		l.State = cache.Shared
+	}
 	h.ctr[remoteDowngrades]++
 }
 
@@ -172,12 +172,18 @@ func (h *Hierarchy) dirtyL2(line uint64) {
 	}
 }
 
-// invalidateSharers drops every L1D copy except the requester's, writing
-// back a dirty one.
+// invalidateSharers drops every L1D copy and every owned data filter copy
+// except the requester's, writing back a dirty L1D one.
 func (h *Hierarchy) invalidateSharers(line uint64, except int) {
 	for i, p := range h.ports {
-		if i != except && p.l1d.InvalidateLine(line) == cache.Modified {
+		if i == except {
+			continue
+		}
+		if p.l1d.InvalidateLine(line) == cache.Modified {
 			h.dirtyL2(line)
+		}
+		if p.ownedFilterLine(line) != nil {
+			p.l0d.Invalidate(mem.Addr(line))
 		}
 	}
 }
@@ -192,17 +198,6 @@ func (h *Hierarchy) broadcastFilterInvalidate(line uint64, except int) {
 		if i != except && p.l0d != nil {
 			p.l0d.Invalidate(mem.Addr(line))
 		}
-	}
-	if o, ok := h.filterOwner[line]; ok && o != except {
-		delete(h.filterOwner, line)
-	}
-}
-
-// noteFilterDrop forgets coreID's exclusive filter copy of line, if the
-// line was one.
-func (h *Hierarchy) noteFilterDrop(line uint64, coreID int) {
-	if o, ok := h.filterOwner[line]; ok && o == coreID {
-		delete(h.filterOwner, line)
 	}
 }
 
@@ -275,7 +270,9 @@ func (h *Hierarchy) l2LoadAccess(coreID int, line uint64, spec, fillL2 bool, pc 
 	m := h.cfg.Mode
 
 	if owner, _ := h.holders(line); owner >= 0 && owner != coreID {
-		// A remote private cache holds the line E or M.
+		// A remote L1D or filter cache holds the line E or M. A remote
+		// filter owner is the attack-4 surface: downgrading it takes
+		// observable time.
 		if spec && m.FilterProtect && m.CoherenceProtect {
 			// §4.5 reduced coherency speculation: refuse, constant time.
 			h.ctr[cohNACKs]++
@@ -284,18 +281,6 @@ func (h *Hierarchy) l2LoadAccess(coreID int, line uint64, spec, fillL2 bool, pc 
 			return out
 		}
 		h.downgradeOwner(line, owner)
-		out.extraLat += h.cfg.Lat.RemoteWB
-	}
-	// Attack-4 surface: in the vulnerable no-coherence-protection filter
-	// design, a *filter* cache may hold the line exclusively; a cross-core
-	// access must downgrade it, which takes observable time.
-	if o, ok := h.filterOwner[line]; ok && o != coreID {
-		if p := h.ports[o]; p.l0d != nil {
-			if l := p.l0d.Snoop(mem.Addr(line)); l != nil {
-				l.State = cache.Shared
-			}
-		}
-		delete(h.filterOwner, line)
 		out.extraLat += h.cfg.Lat.RemoteWB
 	}
 
@@ -342,18 +327,23 @@ func (h *Hierarchy) L2SetIndex(pa mem.Addr) uint64 {
 // call it after randomised workloads. It returns a descriptive error
 // string, or "" when all invariants hold.
 func (h *Hierarchy) CheckInvariants() string {
-	// 1. At most one L1D owner per line, and no sharers alongside it.
+	// 1. At most one core owns a line across its L1D and data filter
+	// cache, and no L1D shares it alongside an owner.
 	owners := map[uint64]int{}
 	for i, p := range h.ports {
 		var bad string
-		p.l1d.ForEach(func(l *cache.Line) {
+		own := func(l *cache.Line) {
 			if l.State.Owned() {
-				if prev, dup := owners[l.Tag]; dup {
+				if prev, dup := owners[l.Tag]; dup && prev != i {
 					bad = fmt.Sprintf("line %#x owned by cores %d and %d", l.Tag, prev, i)
 				}
 				owners[l.Tag] = i
 			}
-		})
+		}
+		p.l1d.ForEach(own)
+		if p.l0d != nil {
+			p.l0d.ForEach(own)
+		}
 		if bad != "" {
 			return bad
 		}

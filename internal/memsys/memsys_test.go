@@ -76,6 +76,11 @@ var muontrap = Mode{
 	CommitPrefetch: true, FilterTLB: true,
 }
 
+// fcache is the vulnerable "fcache only" design: a data filter cache with
+// speculative isolation but no coherence protections, so a sole-copy
+// speculative fill takes the line Exclusive in the filter.
+var fcache = Mode{L0Data: true, FilterProtect: true, FilterTLB: true}
+
 func TestInsecureLoadFillsL1AndL2(t *testing.T) {
 	r := newRig(1, insecure)
 	pa := mem.Addr(0x100000)
@@ -539,7 +544,7 @@ func TestInvisiSpecNoFillLeavesNoTrace(t *testing.T) {
 }
 
 func TestCoherenceInvariantsAfterMixedTraffic(t *testing.T) {
-	for _, mode := range []Mode{insecure, muontrap} {
+	for _, mode := range []Mode{insecure, muontrap, fcache} {
 		r := newRig(4, mode)
 		shared := mem.Addr(0x2000_0000)
 		for i := 0; i < 40; i++ {

@@ -539,9 +539,9 @@ func (p *Port) missFill(ms dmiss) {
 	line := uint64(mem.LineAddr(ms.paddr))
 	if m.FilterProtect && ms.spec {
 		// Fill the filter cache only; exclusivity decided now, at
-		// completion, against what the L1Ds hold. Speculative fills
-		// never downgrade anyone (a foreign owner appearing mid-flight
-		// simply forces Shared).
+		// completion, against what the L1Ds and the other filter caches
+		// hold. Speculative fills never downgrade anyone (a foreign owner
+		// appearing mid-flight simply forces Shared).
 		st := cache.Shared
 		if owner, sharers := p.h.holders(line); owner < 0 && sharers&^(1<<uint(p.id)) == 0 {
 			if m.CoherenceProtect {
@@ -549,7 +549,6 @@ func (p *Port) missFill(ms dmiss) {
 			} else {
 				// Vulnerable fcache-only design: take E directly.
 				st = cache.Exclusive
-				p.h.filterOwner[line] = p.id
 			}
 		}
 		p.fillL0(ms.vaddr, ms.paddr, st, false, uint8(ms.level))
@@ -570,15 +569,23 @@ func (p *Port) missFill(ms dmiss) {
 }
 
 // fillL0 installs a line in the data filter cache, counting an
-// uncommitted line it displaces; a displaced line the filter held
-// exclusively loses its filter ownership.
+// uncommitted line it displaces.
 func (p *Port) fillL0(vaddr mem.VAddr, paddr mem.Addr, st cache.State, committed bool, level uint8) {
-	if ev, had := p.l0d.Fill(mem.LineAddr(vaddr), mem.LineAddr(paddr), st, committed, level); had {
-		if !ev.Committed {
-			p.ctr[PCL0DEvictedUncommitted]++
-		}
-		p.h.noteFilterDrop(ev.Tag, p.id)
+	if ev, had := p.l0d.Fill(mem.LineAddr(vaddr), mem.LineAddr(paddr), st, committed, level); had && !ev.Committed {
+		p.ctr[PCL0DEvictedUncommitted]++
 	}
+}
+
+// ownedFilterLine is the data filter cache's copy of line when it holds
+// it E or M, else nil.
+func (p *Port) ownedFilterLine(line uint64) *cache.Line {
+	if p.l0d == nil {
+		return nil
+	}
+	if l := p.l0d.Snoop(mem.Addr(line)); l != nil && l.State.Owned() {
+		return l
+	}
+	return nil
 }
 
 // l1InstallData installs a line in this core's L1D, handling the
@@ -923,7 +930,7 @@ func (p *Port) FlushOnMisspec() {
 func (p *Port) flushFilters(why PortCounter) {
 	p.ctr[why]++
 	if p.l0d != nil {
-		p.l0d.FlashInvalidate(func(pa mem.Addr) { p.h.noteFilterDrop(uint64(pa), p.id) })
+		p.l0d.FlashInvalidate(nil)
 	}
 	if p.l0i != nil {
 		p.l0i.FlashInvalidate(nil)

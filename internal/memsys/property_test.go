@@ -10,15 +10,21 @@ import (
 
 // Property: under arbitrary interleavings of loads, stores, commits,
 // flushes and NACK retries from four cores, the coherence invariants hold
-// at every step — single owner, no S beside an owner, inclusion, and
-// protocol-shared-only filter caches.
+// at every step — one owner across the L1Ds and data filter caches, no S
+// beside an owner, inclusion, and protocol-shared-only filter caches under
+// coherence protection — in the unprotected design, in MuonTrap, and in
+// the "fcache only" design, whose filter caches take lines Exclusive.
 func TestCoherencePropertyRandomTraffic(t *testing.T) {
-	f := func(seed int64, protectBits uint8) bool {
-		mode := Mode{}
-		if protectBits&1 != 0 {
-			mode = Mode{L0Data: true, L0Inst: true, FilterProtect: true,
-				CoherenceProtect: true, CommitPrefetch: true, FilterTLB: true}
-		}
+	for _, tc := range []struct {
+		name string
+		mode Mode
+	}{{"insecure", insecure}, {"muontrap", muontrap}, {"fcache", fcache}} {
+		t.Run(tc.name, func(t *testing.T) { coherenceUnderRandomTraffic(t, tc.mode) })
+	}
+}
+
+func coherenceUnderRandomTraffic(t *testing.T, mode Mode) {
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r := newRig(4, mode)
 		// A small set of contended lines in the shared window.

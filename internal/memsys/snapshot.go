@@ -74,12 +74,11 @@ func (h *Hierarchy) Quiesced() error {
 }
 
 // Occupancy counts the table entries the hierarchy holds: valid cache
-// lines and translations at every level, filter-owner entries, trained
-// prefetcher slots. A checkpoint's size is proportional to it, not to the
+// lines and translations at every level and trained prefetcher slots. A checkpoint's size is proportional to it, not to the
 // geometry. It is counted on demand; nothing on the simulation path
 // maintains it.
 func (h *Hierarchy) Occupancy() int {
-	n := h.l2.CountValid() + len(h.filterOwner) + h.pf.CountValid()
+	n := h.l2.CountValid() + h.pf.CountValid()
 	for _, p := range h.ports {
 		n += p.l1d.CountValid() + p.l1i.CountValid() + p.dtlb.CountValid() + p.itlb.CountValid()
 		if p.l0d != nil {
@@ -118,22 +117,11 @@ func (h *Hierarchy) Checkpoint(snap *checkpoint.Snapshot, load bool) error {
 }
 
 // shared walks the shared level: L2, its port's wait (checkpoint.Until),
-// DRAM, the filter owners (in ascending key order, so equal state is equal
-// bytes), the prefetcher and the counters, DRAM's among them.
+// DRAM, the prefetcher and the counters, DRAM's among them.
 func (h *Hierarchy) shared(s *checkpoint.State) {
 	h.l2.Checkpoint(s)
 	checkpoint.Until(s, &h.l2PortFree, h.sched.Now())
 	h.dram.Checkpoint(s)
-
-	checkpoint.Map(s, &h.filterOwner, checkpoint.Count64, nil, func(line uint64, owner int) (uint64, int) {
-		o := uint64(owner)
-		s.U64(&line)
-		if s.U64(&o); s.Loading() && o >= uint64(len(h.ports)) {
-			s.Failf("filter line %#x owned by core %d of %d", line, o, len(h.ports))
-		}
-		return line, int(o)
-	})
-
 	h.pf.Checkpoint(s)
 	for k := range h.ctr {
 		s.U64(&h.ctr[k])

@@ -192,6 +192,9 @@ func TestShutdownDrainTimeoutJournalsInterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The abandoned job keeps writing under dir until it unwinds; cleanups
+	// run last-in first-out, so this drain ends before dir is removed.
+	t.Cleanup(srv.Close)
 	hs := httptest.NewServer(srv)
 	c := client.New(hs.URL)
 	job, err := c.Submit(ctx, mcfSweep(30))

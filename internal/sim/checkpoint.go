@@ -42,7 +42,11 @@ import (
 // of an LRU stamp under an array-wide tick, and busy-until cycles (L2 port,
 // DRAM banks and bus, commit stall, fetch resume, dividers) save as the
 // cycles still to wait, loaded relative to the snapshot's cycle.
-const machineFormat = 7
+//
+// v8 saves no record of which filter cache owns a line: the hierarchy's
+// filter-owner map is gone, and coherence finds a data filter cache's E
+// copy by snooping it.
+const machineFormat = 8
 
 // drainBound caps how many cycles Drain will step while waiting for the
 // machine to quiesce. It is far beyond any legitimate drain (the deepest

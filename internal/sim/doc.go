@@ -67,15 +67,16 @@
 //     costs simulated cycles, so the checkpoint cadence is part of a
 //     run's identity, and a run restored from any mid-run snapshot
 //     finishes bit-identically to the run that produced it.
-//   - The machine payload layout is versioned by machineFormat, now 7:
+//   - The machine payload layout is versioned by machineFormat, now 8:
 //     every table writes a count and then its valid (or non-zero) entries
 //     prefixed by their ascending index, so an image is proportional to
 //     the state the machine holds (about 0.2 MB for a busy 4-core
 //     machine), not to its geometry (1.47 MB under format 2, which wrote
 //     every way of every set); format 4 saves only the counters something
 //     reads, format 5 nothing that mirrors a filter cache, format 6
-//     nothing that mirrors an L1, and format 7 no statistic, LRU stamp or
-//     past busy-until cycle inside a structure. CheckFormat reads only
+//     nothing that mirrors an L1, format 7 no statistic, LRU stamp or
+//     past busy-until cycle inside a structure, and format 8 no record
+//     of which filter cache owns a line. CheckFormat reads only
 //     the format word; RestoreSnapshot refuses any other format before it
 //     touches the machine, and figures treats such an image as a miss:
 //     the warm-up is rebuilt, a mid-run resume warns and starts cold.

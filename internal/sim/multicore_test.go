@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/defense"
+	"repro/internal/figures"
 	"repro/internal/sim"
 	"repro/internal/simtest"
 )
@@ -99,4 +100,32 @@ func TestContendingKernelCheckpointsByteIdentical(t *testing.T) {
 	restSnaps, restRes := run(snaps[mid])
 	simtest.ResultsEqual(t, "restored from the middle checkpoint", res, restRes)
 	sameSnaps("restored from the middle checkpoint", restSnaps, snaps[mid+1:])
+}
+
+// TestFcacheHoldsOneOwnerEveryCycle steps streamcluster under the
+// vulnerable "fcache only" design one cycle at a time and holds the memory
+// system to its coherence invariants on every cycle. It is the one design
+// whose data filter caches take lines Exclusive, so an L1D fill, a
+// speculative filter fill or a store drain beside another core's filter E
+// copy must find that copy by snooping, or two cores end up owning one
+// line.
+func TestFcacheHoldsOneOwnerEveryCycle(t *testing.T) {
+	s := figures.BuildSystem(simtest.MustSpec(t, "streamcluster"), defense.FcacheOnly(), 0.04)
+	defer s.Release()
+	for cycle := 0; ; cycle++ {
+		if cycle >= 200_000 {
+			t.Fatal("streamcluster did not halt within 200000 cycles")
+		}
+		halted := true
+		for _, c := range s.Cores {
+			halted = halted && c.Halted()
+		}
+		if halted {
+			break
+		}
+		s.Step(1)
+		if msg := s.Hier.CheckInvariants(); msg != "" {
+			t.Fatalf("cycle %d: %s", s.Sched.Now(), msg)
+		}
+	}
 }

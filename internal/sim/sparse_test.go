@@ -97,19 +97,16 @@ func sectionSpans(tb testing.TB, enc []byte) map[string][2]int {
 }
 
 // TestRestoreRefusesOlderMachineFormat: an image whose machine section
-// says an older format — 2, the every-way encoding, 3, which still saved
-// the counters no code read, 4, which still saved the shadows of the
-// filter caches' contents, 5, which still saved the L2 directory, or 6,
-// which still saved structures' statistics, LRU stamps and absolute
-// busy-until cycles — is refused with the "incompatible snapshot; rebuild
-// it" error before a byte of it reaches the machine, never parsed as if it
+// says any older format, 2 (the every-way encoding) up to the one before
+// this build's, is refused with the "incompatible snapshot; rebuild it"
+// error before a byte of it reaches the machine, never parsed as if it
 // were the current layout.
 func TestRestoreRefusesOlderMachineFormat(t *testing.T) {
 	snap, err := warmMachine(t, 500).Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []uint32{2, 3, 4, 5, 6} {
+	for f := uint32(2); f < sim.MachineFormat; f++ {
 		enc := snap.Encode()
 		binary.LittleEndian.PutUint32(enc[sectionSpans(t, enc)["machine"][0]:], f)
 		old, err := checkpoint.Decode(enc)
