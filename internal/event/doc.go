@@ -1,14 +1,16 @@
 // Package event provides the discrete-event scheduler that drives the
 // simulator. The clock counts processor cycles; components either tick
-// every cycle (the CPU pipeline) or schedule completion callbacks (the
+// every cycle (the CPU pipeline) or schedule typed completion events (the
 // memory system).
 //
 // Key types:
 //
 //   - Cycle: a point in simulated time.
-//   - Scheduler: the clock plus the pending-event queue. At/After schedule
-//     closures; AtEvent/AfterEvent schedule typed (Handler, op, a1, a2)
-//     tuples that never allocate in steady state. Tick runs one cycle;
+//   - Scheduler: the clock plus the pending-event queue. AtEvent and
+//     AfterEvent schedule one kind of event, a typed (Handler, op, a1, a2)
+//     tuple, which never allocates in steady state; there is no closure
+//     event, so whatever an event needs travels in its arguments or in a
+//     registry they index. Tick runs one cycle;
 //     TickOrSkipTo is Tick for a caller with nothing to do before a given
 //     cycle, and skips the cycles in which no event fires either. The
 //     zero value works, its buckets growing by append; NewScheduler
@@ -38,7 +40,7 @@
 //     the current cycle's slot — of the word that records which ring
 //     buckets are occupied.
 //   - Allocation-free steady state: events are stored by value (no
-//     interface boxing), near-future events live in a ring of per-cycle
+//     interface boxing, no captured closure), near-future events live in a ring of per-cycle
 //     buckets that reuse their backing arrays (a borrowed slab, until a
 //     bucket outgrows its share), and far-future (DRAM-class) events go
 //     to a hand-rolled 4-ary min-heap.

@@ -9,7 +9,7 @@ import (
 // Cycle is a point in simulated time, measured in core clock cycles.
 type Cycle uint64
 
-// Handler receives typed events scheduled with AtEvent/AfterEvent. The
+// Handler receives the events scheduled with AtEvent/AfterEvent. The
 // (op, a1, a2) tuple is opaque to the scheduler; receivers use op to select
 // the action and the args to identify the target (typically a pool index
 // plus a generation/sequence number for staleness checks).
@@ -20,20 +20,13 @@ type Handler interface {
 type item struct {
 	when Cycle
 	seq  uint64
-	fn   func()
 	h    Handler
 	op   int32
 	a1   uint64
 	a2   uint64
 }
 
-func (it *item) run() {
-	if it.fn != nil {
-		it.fn()
-		return
-	}
-	it.h.HandleEvent(it.op, it.a1, it.a2)
-}
+func (it *item) run() { it.h.HandleEvent(it.op, it.a1, it.a2) }
 
 // before reports strict (when, seq) order.
 func (a *item) before(b *item) bool {
@@ -119,24 +112,16 @@ func (s *Scheduler) Release() {
 // Now reports the current cycle.
 func (s *Scheduler) Now() Cycle { return s.now }
 
-// At schedules fn to run at cycle c. Scheduling in the past or at the
-// current cycle runs the event on the next Tick before the clock advances
-// further, preserving ordering with already-queued same-cycle events.
-func (s *Scheduler) At(c Cycle, fn func()) {
-	s.schedule(c, item{fn: fn})
-}
-
-// After schedules fn to run d cycles from now.
-func (s *Scheduler) After(d Cycle, fn func()) { s.At(s.now+d, fn) }
-
-// AtEvent schedules a typed event: at cycle c, h.HandleEvent(op, a1, a2)
-// runs. Unlike At with a fresh closure, this never allocates in steady
-// state (the Handler interface value holds a pointer receiver).
+// AtEvent schedules an event: at cycle c, h.HandleEvent(op, a1, a2) runs.
+// Scheduling in the past or at the current cycle runs the event on the
+// next Tick before the clock advances further, preserving ordering with
+// already-queued same-cycle events. It never allocates in steady state
+// (the Handler interface value holds a pointer receiver).
 func (s *Scheduler) AtEvent(c Cycle, h Handler, op int32, a1, a2 uint64) {
 	s.schedule(c, item{h: h, op: op, a1: a1, a2: a2})
 }
 
-// AfterEvent schedules a typed event d cycles from now.
+// AfterEvent schedules an event d cycles from now.
 func (s *Scheduler) AfterEvent(d Cycle, h Handler, op int32, a1, a2 uint64) {
 	s.AtEvent(s.now+d, h, op, a1, a2)
 }
@@ -240,7 +225,7 @@ func (s *Scheduler) runDue() {
 
 // finishDrain resets the consumed sources after a drain completes. The
 // overdue list and the current cycle's bucket are always fully consumed;
-// clearing zeroes the retained backing arrays so captured closures are not
+// clearing zeroes the retained backing arrays so fired handlers are not
 // kept alive.
 func (s *Scheduler) finishDrain(b *bucket, oi, bi int) {
 	if oi > 0 {

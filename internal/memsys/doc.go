@@ -21,12 +21,17 @@
 //     completions arrive through scheduled events, either as parked
 //     callbacks or as typed Client notifications identified by
 //     (pool index, seq) pairs the core validates against recycling.
-//     Everything a port parks under an event argument — callbacks,
-//     MSHR-coalesced waiters, page-table walks, L1D misses (retry, NACK
-//     or fill) — lives in a slots[T] registry, and the slot number is
-//     the event argument: no closure per miss. Quiet and Quiesced are
-//     two readings of one predicate over those registries and the MSHR
-//     files.
+//     Every pending action is a typed event (the scheduler has no
+//     other kind). Everything a port parks under an event argument —
+//     callbacks, MSHR-coalesced waiters, page-table walks, L1D and L1I
+//     misses (retry, NACK or fill) — lives in a slots[T] registry, and
+//     the slot number is the event argument; an action whose state fits
+//     the two arguments carries it there instead (a commit-time reload
+//     or write-through carries its line, a prefetch fill its line as
+//     the hierarchy's one event). Data and instruction accesses share
+//     one completion record, so no miss allocates. Quiet and Quiesced
+//     are two readings of one predicate over those registries and the
+//     MSHR files.
 //   - PortCounter, hierCounter: the port's and the shared level's counter
 //     tables, the only record of every count (the filter caches, TLBs and
 //     DRAM keep none). The hot path bumps ctr[counter]; Checkpoint and

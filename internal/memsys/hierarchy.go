@@ -215,6 +215,16 @@ func (h *Hierarchy) exclusiveAtFill(line uint64, core int) bool {
 	return sharers&^(1<<uint(core)) == 0
 }
 
+// fillState is the state a non-speculative data fill completing now
+// takes: Exclusive when core may take the line exclusively
+// (exclusiveAtFill), else Shared.
+func (h *Hierarchy) fillState(line uint64, core int) cache.State {
+	if h.exclusiveAtFill(line, core) {
+		return cache.Exclusive
+	}
+	return cache.Shared
+}
+
 // sharedAtFill prepares installing a line Shared at completion time,
 // downgrading a foreign owner that appeared meanwhile.
 func (h *Hierarchy) sharedAtFill(line uint64, core int) {
@@ -224,7 +234,7 @@ func (h *Hierarchy) sharedAtFill(line uint64, core int) {
 }
 
 // prefetchFill is the prefetcher's issue callback: bring a line into the
-// L2 asynchronously.
+// L2 asynchronously. The fill arrives as the hierarchy's event.
 func (h *Hierarchy) prefetchFill(addr mem.Addr) {
 	line := uint64(mem.LineAddr(addr))
 	if h.l2.Peek(line) != nil {
@@ -236,10 +246,14 @@ func (h *Hierarchy) prefetchFill(addr mem.Addr) {
 	done := h.dram.Access(mem.Addr(line))
 	h.ctr[prefetchFills]++
 	h.ctr[dramAccesses]++
-	h.sched.At(done+h.cfg.Lat.DRAMCtrl, func() {
-		h.l2MSHRs.Complete(line)
-		h.l2Install(line, false)
-	})
+	h.sched.AtEvent(done+h.cfg.Lat.DRAMCtrl, h, 0, line, 0)
+}
+
+// HandleEvent fires the hierarchy's one event, a prefetch fill: line a1
+// has arrived from DRAM, so its L2 MSHR frees and it fills the L2.
+func (h *Hierarchy) HandleEvent(_ int32, line, _ uint64) {
+	h.l2MSHRs.Complete(line)
+	h.l2Install(line, false)
 }
 
 // dramWait issues a DRAM access for line and returns how long after now

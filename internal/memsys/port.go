@@ -20,8 +20,9 @@ type Client interface {
 
 // Port is one core's window onto the memory system: its filter caches,
 // L1 caches and TLBs, plus the operations the pipeline invokes. All
-// operations complete through callbacks or typed client notifications
-// scheduled on the hierarchy's event scheduler; none block.
+// operations complete through parked callbacks or typed client
+// notifications, delivered by typed events on the hierarchy's scheduler;
+// none block.
 type Port struct {
 	h       *Hierarchy
 	id      int
@@ -50,23 +51,24 @@ type Port struct {
 	// slot registry so a delivery carries a slot number, never a boxed
 	// value:
 	//   - cbs, vcbs: completion callbacks awaiting their delivery event;
-	//   - mwait, iwait: MSHR-coalesced waiters, the slot handed to the
-	//     MSHR file and retrieved by the wake-up at fill time;
+	//   - mwait: MSHR-coalesced waiters, data and instruction alike, the
+	//     slot handed to the MSHR file and retrieved by the wake-up at
+	//     fill time;
 	//   - walks: hardware page-table walks, whose per-level reads complete
 	//     back into walkStep through a typed comp route;
-	//   - misses: what an L1D miss's scheduled retry, NACK or fill needs
-	//     when it fires.
+	//   - misses: what an L1D or L1I miss's scheduled retry, NACK or fill
+	//     needs when it fires.
 	cbs    slots[func(AccessResult)]
 	vcbs   slots[func()]
 	mwait  slots[comp]
-	iwait  slots[icomp]
 	walks  slots[ptwalk]
 	misses slots[dmiss]
 }
 
-// dmiss is one L1D miss parked until its event fires: the whole access
-// when it must be retried (front MSHR file full), or what the completion
-// needs when the NACK or the fill arrives.
+// dmiss is one L1D or L1I miss parked until its event fires: the whole
+// access when it must be retried (front MSHR file full), or what the
+// completion needs when the NACK or the fill arrives. An instruction miss
+// uses vaddr, paddr, level, mshrs and cm only.
 type dmiss struct {
 	pc    uint64
 	vaddr mem.VAddr
@@ -92,20 +94,12 @@ type ptwalk struct {
 	cm    tcomp
 }
 
-// dataMSHRWaker delivers data-side MSHR wake-ups (loads, page-walk reads)
-// parked in the port's comp slots.
-type dataMSHRWaker struct{ p *Port }
+// mshrWaker delivers the MSHR wake-ups (loads, page-walk reads and
+// instruction fetches) parked in the port's comp slots.
+type mshrWaker struct{ p *Port }
 
-func (wk dataMSHRWaker) MSHRWake(slot int32) {
+func (wk mshrWaker) MSHRWake(slot int32) {
 	wk.p.completeNow(wk.p.mwait.take(slot), AccessResult{Level: FromL2})
-}
-
-// instMSHRWaker delivers instruction-side MSHR wake-ups parked in the
-// port's icomp slots.
-type instMSHRWaker struct{ p *Port }
-
-func (wk instMSHRWaker) MSHRWake(slot int32) {
-	wk.p.completeINow(wk.p.iwait.take(slot), AccessResult{Level: FromL2})
 }
 
 func newPort(h *Hierarchy, id int) *Port {
@@ -131,13 +125,13 @@ func newPort(h *Hierarchy, id int) *Port {
 	if cfg.Mode.FilterTLB {
 		p.fdtlb = tlb.New("fdtlb", cfg.FilterTLBEntries)
 	}
-	p.l1dMSHRs.SetWaker(dataMSHRWaker{p})
-	p.l1iMSHRs.SetWaker(instMSHRWaker{p})
+	p.l1dMSHRs.SetWaker(mshrWaker{p})
+	p.l1iMSHRs.SetWaker(mshrWaker{p})
 	if p.l0d != nil {
-		p.l0d.MSHRs.SetWaker(dataMSHRWaker{p})
+		p.l0d.MSHRs.SetWaker(mshrWaker{p})
 	}
 	if p.l0i != nil {
-		p.l0i.MSHRs.SetWaker(instMSHRWaker{p})
+		p.l0i.MSHRs.SetWaker(mshrWaker{p})
 	}
 	return p
 }
@@ -169,22 +163,25 @@ func (p *Port) L1IPeek(paddr mem.Addr) *cache.Line { return p.l1i.Peek(uint64(pa
 // L2Peek reports whether paddr is present in the shared L2 (test hook).
 func (p *Port) L2Peek(paddr mem.Addr) *cache.Line { return p.h.l2.Peek(uint64(paddr)) }
 
-func (p *Port) after(d event.Cycle, fn func()) { p.h.sched.After(d, fn) }
-
 // --- Typed event plumbing (event.Handler) ---
 
 // Port event ops.
 const (
-	popDeliverAccess int32 = iota // a1 = cb slot, a2 = encoded AccessResult
-	popDeliverVoid                // a1 = vcb slot
-	popLoadDone                   // a1 = idx | res<<32, a2 = inst seq
-	popIfetchDone                 // a1 = encoded AccessResult, a2 = fetch epoch
-	popDrainFin                   // a1 = line, a2 = (vslot+1)<<1 | broadcast
-	popCommitWT                   // a1 = line paddr, a2 = cache state
-	popWalkStep                   // a1 = walk slot
-	popMissRetry                  // a1 = miss slot
-	popMissNACK                   // a1 = miss slot
-	popMissFill                   // a1 = miss slot
+	popDeliverAccess    int32 = iota // a1 = cb slot, a2 = encoded AccessResult
+	popDeliverVoid                   // a1 = vcb slot
+	popLoadDone                      // a1 = idx | res<<32, a2 = inst seq
+	popIfetchDone                    // a1 = encoded AccessResult, a2 = fetch epoch
+	popDrainFin                      // a1 = line, a2 = (vslot+1)<<1 | broadcast
+	popCommitWT                      // a1 = line paddr, a2 = cache state
+	popWalkStep                      // a1 = walk slot
+	popMissRetry                     // a1 = miss slot
+	popMissNACK                      // a1 = miss slot
+	popMissFill                      // a1 = miss slot
+	popIfetchRetry                   // a1 = miss slot
+	popIfetchFill                    // a1 = miss slot
+	popCommitReload                  // a1 = line, a2 = pc
+	popCommitReloadFill              // a1 = line
+	popCommitIfetchWT                // a1 = line
 )
 
 func encodeResult(res AccessResult) uint64 {
@@ -234,18 +231,34 @@ func (p *Port) HandleEvent(op int32, a1, a2 uint64) {
 		p.completeNow(ms.cm, AccessResult{NACK: true})
 	case popMissFill:
 		p.missFill(p.misses.take(int32(a1)))
+	case popIfetchRetry:
+		ms := p.misses.take(int32(a1))
+		p.ifetch(ms.vaddr, ms.paddr, ms.cm)
+	case popIfetchFill:
+		p.ifetchFill(p.misses.take(int32(a1)))
+	case popCommitReload:
+		out := p.h.l2LoadAccess(p.id, a1, false, true, a2, false)
+		p.h.sched.AfterEvent(out.extraLat, p, popCommitReloadFill, a1, 0)
+	case popCommitReloadFill:
+		p.l1InstallData(a1, p.h.fillState(a1, p.id))
+	case popCommitIfetchWT:
+		p.l1InstallInst(a1)
 	}
 }
 
-// comp is a pending data-access completion: a typed client delivery
-// (idx ≥ 0, validated by seq), a page-table-walk continuation (walk =
-// slot+1), or a stored callback.
+// comp is a pending access completion: a typed load delivery (idx ≥ 0,
+// validated by seq), a typed fetch delivery (idx = fetchIdx, the fetch
+// epoch in seq), a page-table-walk continuation (walk = slot+1), or a
+// stored callback.
 type comp struct {
 	idx  int32
 	walk int32
 	seq  uint64
 	cb   func(AccessResult)
 }
+
+// fetchIdx is the idx of a comp delivered to the client's IfetchDone.
+const fetchIdx int32 = -2
 
 func compOf(cb func(AccessResult)) comp { return comp{idx: -1, cb: cb} }
 
@@ -254,56 +267,35 @@ func compOf(cb func(AccessResult)) comp { return comp{idx: -1, cb: cb} }
 // before walk, and a zero idx would misdeliver to the client.
 func compOfWalk(slot int32) comp { return comp{idx: -1, walk: slot + 1} }
 
-// complete schedules delivery of a data-access result after lat cycles
+// complete schedules delivery of an access result after lat cycles
 // without allocating.
 func (p *Port) complete(lat event.Cycle, cm comp, res AccessResult) {
-	if cm.idx >= 0 {
+	switch {
+	case cm.idx >= 0:
 		p.h.sched.AfterEvent(lat, p, popLoadDone,
 			uint64(uint32(cm.idx))|encodeResult(res)<<32, cm.seq)
-		return
-	}
-	if cm.walk != 0 {
+	case cm.idx == fetchIdx:
+		p.h.sched.AfterEvent(lat, p, popIfetchDone, encodeResult(res), cm.seq)
+	case cm.walk != 0:
 		p.h.sched.AfterEvent(lat, p, popWalkStep, uint64(cm.walk-1), 0)
-		return
+	default:
+		p.h.sched.AfterEvent(lat, p, popDeliverAccess, uint64(p.cbs.put(cm.cb)), encodeResult(res))
 	}
-	p.h.sched.AfterEvent(lat, p, popDeliverAccess, uint64(p.cbs.put(cm.cb)), encodeResult(res))
 }
 
 // completeNow delivers synchronously (MSHR coalescing wake-ups fire inside
 // the primary miss's completion event).
 func (p *Port) completeNow(cm comp, res AccessResult) {
-	if cm.idx >= 0 {
+	switch {
+	case cm.idx >= 0:
 		p.client.LoadDone(cm.idx, cm.seq, res)
-		return
-	}
-	if cm.walk != 0 {
+	case cm.idx == fetchIdx:
+		p.client.IfetchDone(cm.seq, res)
+	case cm.walk != 0:
 		p.walkStep(cm.walk - 1)
-		return
+	default:
+		cm.cb(res)
 	}
-	cm.cb(res)
-}
-
-// icomp is a pending instruction-fetch completion.
-type icomp struct {
-	typed bool
-	epoch uint64
-	cb    func(AccessResult)
-}
-
-func (p *Port) completeI(lat event.Cycle, cm icomp, res AccessResult) {
-	if cm.typed {
-		p.h.sched.AfterEvent(lat, p, popIfetchDone, encodeResult(res), cm.epoch)
-		return
-	}
-	p.h.sched.AfterEvent(lat, p, popDeliverAccess, uint64(p.cbs.put(cm.cb)), encodeResult(res))
-}
-
-func (p *Port) completeINow(cm icomp, res AccessResult) {
-	if cm.typed {
-		p.client.IfetchDone(cm.epoch, res)
-		return
-	}
-	cm.cb(res)
 }
 
 // tcomp is a pending translation completion.
@@ -555,13 +547,26 @@ func (p *Port) missFill(ms dmiss) {
 	} else {
 		// Unprotected fill, or a non-speculative (NACK-retried)
 		// access under MuonTrap: install in L1/L2 directly.
-		st := cache.Shared
-		if p.h.exclusiveAtFill(line, p.id) {
-			st = cache.Exclusive
-		}
-		p.l1InstallData(line, st)
+		p.l1InstallData(line, p.h.fillState(line, p.id))
 		if p.l0d != nil {
 			p.fillL0(ms.vaddr, ms.paddr, cache.Shared, true, uint8(ms.level))
+		}
+	}
+	ms.mshrs.Complete(line)
+	p.completeNow(ms.cm, AccessResult{Level: ms.level})
+}
+
+// ifetchFill completes an L1I miss whose line has arrived: under filter
+// protection it fills the instruction filter cache only, speculatively
+// (§4.7); otherwise it installs in the L1I and commits any filter copy.
+func (p *Port) ifetchFill(ms dmiss) {
+	line := uint64(mem.LineAddr(ms.paddr))
+	if p.h.cfg.Mode.FilterProtect && p.l0i != nil {
+		p.fillL0I(ms.vaddr, ms.paddr, false, uint8(ms.level))
+	} else {
+		p.l1InstallInst(line)
+		if p.l0i != nil {
+			p.fillL0I(ms.vaddr, ms.paddr, true, uint8(ms.level))
 		}
 	}
 	ms.mshrs.Complete(line)
@@ -747,18 +752,11 @@ func (p *Port) CommitLoad(pc uint64, vaddr mem.VAddr, paddr mem.Addr) {
 			return
 		}
 		// Evicted before commit: a valid in-order execution would have
-		// cached it, so passively reload into the L1 (§4.2).
+		// cached it, so passively reload into the L1 (§4.2): the L2
+		// access goes out after the port latency, and popCommitReloadFill
+		// installs the line when it returns.
 		p.ctr[PCCommitReloads]++
-		p.after(p.h.cfg.Lat.L2Port, func() {
-			out := p.h.l2LoadAccess(p.id, line, false, true, pc, false)
-			p.after(out.extraLat, func() {
-				st := cache.Shared
-				if p.h.exclusiveAtFill(line, p.id) {
-					st = cache.Exclusive
-				}
-				p.l1InstallData(line, st)
-			})
-		})
+		p.h.sched.AfterEvent(p.h.cfg.Lat.L2Port, p, popCommitReload, line, pc)
 		if m.CommitPrefetch {
 			p.h.pf.Observe(pc, mem.LineAddr(paddr))
 		}
@@ -794,16 +792,16 @@ func (p *Port) commitWTFin(line uint64, st cache.State) {
 // Ifetch performs an instruction-cache access for the line containing
 // paddr. All fetches are speculative until the instructions commit.
 func (p *Port) Ifetch(vaddr mem.VAddr, paddr mem.Addr, done func(AccessResult)) {
-	p.ifetch(vaddr, paddr, icomp{cb: done})
+	p.ifetch(vaddr, paddr, compOf(done))
 }
 
 // IfetchC is the allocation-free Ifetch: completion goes to the client's
 // IfetchDone carrying the given fetch epoch.
 func (p *Port) IfetchC(vaddr mem.VAddr, paddr mem.Addr, epoch uint64) {
-	p.ifetch(vaddr, paddr, icomp{typed: true, epoch: epoch})
+	p.ifetch(vaddr, paddr, comp{idx: fetchIdx, seq: epoch})
 }
 
-func (p *Port) ifetch(vaddr mem.VAddr, paddr mem.Addr, cm icomp) {
+func (p *Port) ifetch(vaddr mem.VAddr, paddr mem.Addr, cm comp) {
 	p.ctr[PCIfetches]++
 	m := p.h.cfg.Mode
 	lat := p.h.cfg.Lat
@@ -814,7 +812,7 @@ func (p *Port) ifetch(vaddr mem.VAddr, paddr mem.Addr, cm icomp) {
 		if l := p.l0i.Lookup(mem.LineAddr(vaddr)); l == nil {
 			p.ctr[PCL0IMisses]++
 		} else if p.ctr[PCL0IHits]++; l.Tag == line {
-			p.completeI(lat.L0Hit, cm, AccessResult{Level: FromL0})
+			p.complete(lat.L0Hit, cm, AccessResult{Level: FromL0})
 			return
 		}
 		if !m.ParallelL1 {
@@ -833,7 +831,7 @@ func (p *Port) ifetch(vaddr mem.VAddr, paddr mem.Addr, cm icomp) {
 		if p.l0i != nil {
 			p.fillL0I(vaddr, paddr, true, uint8(FromL1))
 		}
-		p.completeI(l0Penalty+lat.L1IHit, cm, AccessResult{Level: FromL1})
+		p.complete(l0Penalty+lat.L1IHit, cm, AccessResult{Level: FromL1})
 		return
 	}
 	p.ctr[PCL1IMisses]++
@@ -843,11 +841,11 @@ func (p *Port) ifetch(vaddr mem.VAddr, paddr mem.Addr, cm icomp) {
 		mshrs = p.l0i.MSHRs
 	}
 	if existing := mshrs.Lookup(line); existing != nil {
-		mshrs.Allocate(line, p.iwait.put(cm))
+		mshrs.Allocate(line, p.mwait.put(cm))
 		return
 	}
 	if mshrs.Full() {
-		p.after(lat.MSHRRetry, func() { p.ifetch(vaddr, paddr, cm) })
+		p.parkMiss(lat.MSHRRetry, popIfetchRetry, dmiss{vaddr: vaddr, paddr: paddr, cm: cm})
 		return
 	}
 	mshrs.Allocate(line, cache.NoWaiter)
@@ -870,18 +868,7 @@ func (p *Port) ifetch(vaddr mem.VAddr, paddr mem.Addr, cm icomp) {
 		}
 	}
 	total := l0Penalty + lat.L1IHit + extra
-	p.after(total, func() {
-		if specBypass {
-			p.fillL0I(vaddr, paddr, false, uint8(level))
-		} else {
-			p.l1InstallInst(line)
-			if p.l0i != nil {
-				p.fillL0I(vaddr, paddr, true, uint8(level))
-			}
-		}
-		mshrs.Complete(line)
-		p.completeINow(cm, AccessResult{Level: level})
-	})
+	p.parkMiss(total, popIfetchFill, dmiss{vaddr: vaddr, paddr: paddr, level: level, mshrs: mshrs, cm: cm})
 }
 
 func (p *Port) fillL0I(vaddr mem.VAddr, paddr mem.Addr, committed bool, level uint8) {
@@ -905,7 +892,7 @@ func (p *Port) CommitIfetch(paddr mem.Addr) {
 	_, wasUncommitted, present := p.l0i.MarkCommitted(mem.Addr(line))
 	if present && wasUncommitted {
 		delay := p.h.l2PortDelay() + p.h.cfg.Lat.L2Port
-		p.after(delay, func() { p.l1InstallInst(line) })
+		p.h.sched.AfterEvent(delay, p, popCommitIfetchWT, line, 0)
 	}
 }
 

@@ -79,9 +79,9 @@ func TestHierarchyQuiescedNamesEachCondition(t *testing.T) {
 		{
 			name: "parked ifetch waiter",
 			mutate: func(h *Hierarchy) {
-				h.ports[0].iwait.put(icomp{typed: true})
+				h.ports[0].mwait.put(comp{idx: fetchIdx})
 			},
-			wantSub: "1 parked ifetch MSHR waiters",
+			wantSub: "1 parked MSHR waiters",
 		},
 		{
 			name: "in-flight page walk",
@@ -95,7 +95,7 @@ func TestHierarchyQuiescedNamesEachCondition(t *testing.T) {
 			mutate: func(h *Hierarchy) {
 				h.ports[0].parkMiss(1, popMissRetry, dmiss{})
 			},
-			wantSub: "1 parked L1D misses",
+			wantSub: "1 parked L1 misses",
 		},
 	}
 	for _, tc := range cases {

@@ -7,8 +7,7 @@ package memsys
 // growing the backing array, and a take zeroes its slot, so nothing taken
 // (a closure above all) stays reachable from the port. Everything a port
 // parks under an event argument lives in one of these, and the quiescence
-// predicate reads their live counts; closures handed to the scheduler
-// are counted as its pending events instead.
+// predicate reads their live counts.
 type slots[T any] struct {
 	vals []T
 	free []int32

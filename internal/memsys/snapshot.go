@@ -37,9 +37,8 @@ func (p *Port) busy() (format string, n int) {
 		{"%d parked access callbacks", p.cbs.live()},
 		{"%d parked void callbacks", p.vcbs.live()},
 		{"%d parked MSHR waiters", p.mwait.live()},
-		{"%d parked ifetch MSHR waiters", p.iwait.live()},
 		{"%d in-flight page-table walks", p.walks.live()},
-		{"%d parked L1D misses", p.misses.live()},
+		{"%d parked L1 misses", p.misses.live()},
 	} {
 		if s.n > 0 {
 			return s.format, s.n

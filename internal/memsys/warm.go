@@ -48,11 +48,7 @@ func (p *Port) WarmData(paddr mem.Addr, write bool) {
 	if p.l1d.Lookup(line) != nil {
 		return
 	}
-	st := cache.Shared
-	if p.h.exclusiveAtFill(line, p.id) {
-		st = cache.Exclusive
-	}
-	p.l1InstallData(line, st)
+	p.l1InstallData(line, p.h.fillState(line, p.id))
 }
 
 // WarmInst deposits the instruction line containing paddr in this core's
