@@ -19,8 +19,9 @@ import (
 // of the filter caches' contents still saved; 5, the L2 directory, a
 // shadow of the L1s' contents, still saved; 6, structures' statistics,
 // LRU stamps and absolute busy-until cycles still saved; 7, the filter
-// owner map still saved.
-var olderFormats = []uint32{2, 3, 4, 5, 6, 7}
+// owner map still saved; 8, the warm-up's shared-level counts still
+// saved.
+var olderFormats = []uint32{2, 3, 4, 5, 6, 7, 8}
 
 // asFormat returns a copy of snap whose machine section claims machine
 // format f — an image an older build left behind, as far as this binary

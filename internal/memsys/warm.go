@@ -12,13 +12,13 @@ import (
 // L1s' line states are the coherence state, so warming them warms it.
 // Filter caches and the filter TLB hold only speculative state and are
 // never warmed, which is precisely what makes a warm snapshot
-// scheme-independent: none of these methods consults Mode.
+// scheme-independent: none of these methods consults Mode. None of them
+// counts anything either: every counter belongs to the measured region.
 
 // WarmTranslate warms the main I- or D-TLB with (vpn -> pfn), reporting
 // whether the translation missed (in which case the caller also warms the
-// page-walk lines, as the hardware walker's reads would have). Like
-// WarmData and WarmInst it counts nothing: the warm-up's lookups are not
-// the measured region's.
+// page-walk lines, as the hardware walker's reads would have). It counts
+// no lookup or hit.
 func (p *Port) WarmTranslate(vpn, pfn uint64, instr bool) bool {
 	t := p.mainTLB(instr)
 	if _, hit := t.Lookup(p.asid, vpn); hit {
@@ -32,8 +32,9 @@ func (p *Port) WarmTranslate(vpn, pfn uint64, instr bool) bool {
 // L2), with the same coherence transitions a non-speculative demand
 // access at fill completion would perform. A write takes the line
 // Modified, invalidating remote sharers, exactly as a committed store
-// drain does.
+// drain does. A downgrade or an L2 writeback it causes is not counted.
 func (p *Port) WarmData(paddr mem.Addr, write bool) {
+	defer p.h.restoreCounters(p.h.ctr)
 	line := uint64(mem.LineAddr(paddr))
 	if write {
 		if l := p.l1d.Lookup(line); l != nil && l.State.Owned() {
@@ -52,11 +53,18 @@ func (p *Port) WarmData(paddr mem.Addr, write bool) {
 }
 
 // WarmInst deposits the instruction line containing paddr in this core's
-// L1I and the inclusive L2.
+// L1I and the inclusive L2. An L2 writeback it causes is not counted.
 func (p *Port) WarmInst(paddr mem.Addr) {
+	defer p.h.restoreCounters(p.h.ctr)
 	line := uint64(mem.LineAddr(paddr))
 	if p.l1i.Lookup(line) != nil {
 		return
 	}
 	p.l1InstallInst(line)
 }
+
+// restoreCounters puts the shared level's counters back to ctr. A warm
+// deposit runs the demand path's coherence transitions and L2 evictions,
+// which count remote downgrades, writebacks and DRAM accesses as they
+// go; the warm-up takes those counts back.
+func (h *Hierarchy) restoreCounters(ctr [numHierCounters]uint64) { h.ctr = ctr }

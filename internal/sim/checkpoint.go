@@ -46,7 +46,11 @@ import (
 // v8 saves no record of which filter cache owns a line: the hierarchy's
 // filter-owner map is gone, and coherence finds a data filter cache's E
 // copy by snooping it.
-const machineFormat = 8
+//
+// v9 saves a warm image with every counter zero: the functional warm-up
+// no longer counts the remote downgrades, L2 writebacks and DRAM accesses
+// its deposits cause.
+const machineFormat = 9
 
 // drainBound caps how many cycles Drain will step while waiting for the
 // machine to quiesce. It is far beyond any legitimate drain (the deepest

@@ -144,3 +144,21 @@ func TestCounterTablesMatchTheDocs(t *testing.T) {
 		t.Fatalf("docs/OBSERVABILITY.md counter table is stale; replace the block with:\n%s", want)
 	}
 }
+
+// TestWarmupCountsNothing: the functional warm-up deposits a footprint in
+// the TLBs and caches but counts nothing, since every counter belongs to
+// the measured region; only warmup.insts records it. canneal's four cores
+// take lines from each other's L1Ds during its warm-up (remote
+// downgrades), and mcf's dirty lines leave the L2 (writebacks).
+func TestWarmupCountsNothing(t *testing.T) {
+	for _, name := range []string{"canneal", "mcf"} {
+		s := figures.BuildSystem(simtest.MustSpec(t, name), defense.Insecure(), 0.05)
+		n := uint64(s.Warmup(200000))
+		for k, v := range s.Counters() {
+			if k == "warmup.insts" && v != n || k != "warmup.insts" && v != 0 {
+				t.Errorf("%s: after a warm-up of %d insts, %s = %d", name, n, k, v)
+			}
+		}
+		s.Release()
+	}
+}

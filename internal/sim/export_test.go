@@ -26,3 +26,7 @@ func (s *System) CheckpointInto(ctx context.Context, snap *checkpoint.Snapshot, 
 
 // MachineFormat is machineFormat, for the external tests.
 const MachineFormat = machineFormat
+
+// Counters is the counter map a run would report now, for the external
+// tests.
+func (s *System) Counters() map[string]uint64 { return s.counters() }
