@@ -118,6 +118,21 @@ func TestReaderStickyError(t *testing.T) {
 	}
 }
 
+// TestGetReadsToTheEnd: a walk that ends before its payload does fails the
+// load, since the bytes it left are state nothing restored.
+func TestGetReadsToTheEnd(t *testing.T) {
+	s := New()
+	v, w := uint64(5), uint32(6)
+	s.Put("two", func(s *State) { s.U64(&v); s.U32(&w) })
+	err := s.Get("two", func(s *State) { s.U64(&v) })
+	if err == nil || err.Error() != `checkpoint: section "two": 4 bytes left unread after the walk's 8` {
+		t.Fatalf("a walk that left 4 bytes: %v", err)
+	}
+	if err := s.Get("two", func(s *State) { s.U64(&v); s.U32(&w) }); err != nil {
+		t.Fatalf("a walk of the whole payload: %v", err)
+	}
+}
+
 // TestPutReservesExactly: Put's payload is allocated at the measured size
 // and filled to it, and a walk that saves other than it measured panics
 // instead of regrowing the buffer.

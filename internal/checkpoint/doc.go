@@ -5,9 +5,11 @@
 //
 // Key types:
 //
-//   - Snapshot: the container. Put adds a section, Get loads one, and
-//     Section is either, for an owner whose one walk both saves and loads
-//     several sections. Encode/Decode give the canonical byte form; Hash
+//   - Snapshot: the container. Put adds a section, Get loads one and
+//     fails when the walk leaves bytes of the payload unread. A Row names
+//     one section and its walk; an owner of state lists one row per
+//     structure it holds, and sim.System puts or gets every row in one
+//     loop. Encode/Decode give the canonical byte form; Hash
 //     is the SHA-256 of that form, so two snapshots with equal state have
 //     equal hashes (every walk saves maps in sorted key order and tables
 //     in index order to keep the encoding canonical). Reset empties a
@@ -33,7 +35,10 @@
 //     has reached its size. A walk that saves another size than it
 //     measured panics.
 //     TestCheckpointAllocatesAboutItsSize in internal/sim holds a whole
-//     machine's checkpoint to 1.5x its encoding (it measures 1.07x). A
+//     machine's checkpoint to 1.5x its encoding (it measures 1.11x to
+//     1.23x, the rows the machine builds at its first checkpoint
+//     included; Grow reserves a new image's section list and index at the
+//     row count up front). A
 //     load ends at its first failure: a read past the payload's end,
 //     Failf or Fail do not return, and Get reports the error, so a walk
 //     checks nothing after each field. The primitives are inlined into
@@ -66,7 +71,8 @@
 //   - Snapshot.WriteTo streams the canonical form from the section
 //     buffers; Encode, Hash, Store.Put and Store.Save all go through it,
 //     so hashing and storing a snapshot never builds a second copy of the
-//     image.
+//     image. Store.Save writes through one pooled 16 KiB buffer, so a
+//     section's header and payload do not each cost a system call.
 //   - Store: warm snapshots content-addressed (<hash>.snap, Put/Load),
 //     with ref files mapping an input key — the (workload, scale,
 //     warm-up) tuple that built a snapshot — to its hash (Link/Resolve),

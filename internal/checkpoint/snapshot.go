@@ -48,6 +48,20 @@ func (s *Snapshot) Reset() {
 	s.sections = s.sections[:0]
 }
 
+// Grow makes room for n more sections, so filling a new image whose
+// section count is known allocates its payloads and little else. It
+// allocates nothing when the room is there, as it is in an image that
+// Reset emptied after it held as many sections.
+func (s *Snapshot) Grow(n int) {
+	if cap(s.sections)-len(s.sections) >= n {
+		return
+	}
+	s.sections = slices.Grow(s.sections, n)
+	if len(s.index) == 0 {
+		s.index = make(map[string]int, cap(s.sections))
+	}
+}
+
 // Put adds the named section, walking fn twice: once measuring, then, into
 // a payload with room for the measured size, saving. The payload is
 // reserved at exactly that size, unless Reset left a buffer of this name
@@ -79,7 +93,9 @@ func (s *Snapshot) Put(name string, fn func(*State)) {
 }
 
 // Get loads the named section by walking fn over its payload, and returns
-// the error that ended the walk, if one did.
+// the error that ended the walk, if one did. A walk that ends before the
+// payload does fails too: the bytes it left are state that nothing
+// restored.
 func (s *Snapshot) Get(name string, fn func(*State)) (err error) {
 	i, ok := s.index[name]
 	if !ok {
@@ -88,17 +104,23 @@ func (s *Snapshot) Get(name string, fn func(*State)) (err error) {
 	st := &State{mode: loading, name: name, buf: s.sections[i].buf}
 	defer func() { err = st.ended(recover()) }()
 	fn(st)
+	if st.off != len(st.buf) {
+		st.Failf("%d bytes left unread after the walk's %d", len(st.buf)-st.off, st.off)
+	}
 	return nil
 }
 
-// Section is Get when load is set and Put otherwise, for an owner whose
-// one walk both saves and loads its sections.
-func (s *Snapshot) Section(load bool, name string, fn func(*State)) error {
-	if load {
-		return s.Get(name, fn)
-	}
-	s.Put(name, fn)
-	return nil
+// Row is one section of a machine: its name and the walk that measures,
+// saves and loads it. Each owner of state lists one row per structure it
+// holds, so a section holds one structure or one counter array, and a
+// structure the configuration lacks has no row. MayBeMissing marks a
+// structure that may start empty, such as a filter cache: an image
+// without its section (one taken on a machine without the structure)
+// leaves it as it is.
+type Row struct {
+	Name         string
+	Walk         func(*State)
+	MayBeMissing bool
 }
 
 func (s *Snapshot) add(name string, buf []byte) {

@@ -30,7 +30,7 @@
 //     committed footprint) — that each stage consults at one site. MuonTrap
 //     itself needs only commit-time hooks and NACK retries from the core.
 //   - Counter: the core's counter table. The hot path bumps ctr[Counter];
-//     Checkpoint and RenderCounters walk the table.
+//     its checkpoint row and RenderCounters walk the table.
 //
 // Invariants:
 //
@@ -87,6 +87,8 @@
 //   - Commit is in order; stores update functional memory the moment they
 //     leave the store buffer, preserving per-core visibility order.
 //   - Quiesced() (empty pipeline, drained stores, no in-flight fetch) is
-//     the only state Checkpoint handles, saving or loading: the snapshot
+//     the only state the core's checkpoint rows (Rows) handle, saving or
+//     loading, one section each for the registers, the fetch state, the
+//     two SafeBet footprints, the predictor and the counters: the snapshot
 //     format deliberately has no encoding for in-flight speculation.
 package cpu

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
+	"repro/internal/stats"
 )
 
 // busy names the first structure still holding in-flight pipeline state,
@@ -42,14 +43,32 @@ func (c *Core) Quiesced() error {
 	return nil
 }
 
-// Checkpoint walks the core's architectural and quiesced-
-// microarchitectural state: registers, fetch state, the divider slots,
-// statistics, the two SafeBet footprints and the branch predictor. The
-// commit stall, fetch resume and divider cycles save as the wait left
-// (checkpoint.Until). A load needs a quiesced core (it is after
-// SetProgram / RunOn on a fresh machine, on a scheduler at the snapshot's
-// cycle) and wakes it: sleep is derived, not saved.
-func (c *Core) Checkpoint(s *checkpoint.State) {
+// Rows appends the core's checkpoint rows to dst, named after its
+// counter keys ("core<i>.regs", ...): the registers, the fetch state, the
+// two SafeBet footprints (empty outside the footprint action), the branch
+// predictor and the counters.
+func (c *Core) Rows(dst []checkpoint.Row) []checkpoint.Row {
+	row := func(name string, walk func(*checkpoint.State)) checkpoint.Row {
+		return checkpoint.Row{Name: stats.CoreKey(c.id, name), Walk: walk}
+	}
+	return append(dst,
+		row("regs", c.regsWalk),
+		row("fetch", c.fetchWalk),
+		row("safebet.data", c.sbData.checkpoint),
+		row("safebet.code", c.sbCode.checkpoint),
+		row("bpred", c.pred.Checkpoint),
+		row("counters", func(s *checkpoint.State) {
+			for k := range c.ctr {
+				s.U64(&c.ctr[k])
+			}
+		}))
+}
+
+// regsWalk walks the architectural registers. It is the core's first row,
+// so a load checks here that the core is quiesced (it is after SetProgram
+// / RunOn on a fresh machine, on a scheduler at the snapshot's cycle) and
+// wakes it: sleep is derived, not saved.
+func (c *Core) regsWalk(s *checkpoint.State) {
 	if s.Loading() {
 		if err := c.Quiesced(); err != nil {
 			s.Fail(err)
@@ -59,6 +78,13 @@ func (c *Core) Checkpoint(s *checkpoint.State) {
 	for i := range c.regs {
 		s.U64(&c.regs[i])
 	}
+}
+
+// fetchWalk walks the quiesced front end and the cycles the core waits
+// on: fetch pc, stall and halt flags, the commit stall and fetch resume
+// cycles, the fetch line, the fetch epoch and sequence number, and the
+// divider slots. The waits save as the cycles left (checkpoint.Until).
+func (c *Core) fetchWalk(s *checkpoint.State) {
 	s.U64(&c.fetchPC)
 	s.Bool(&c.fetchStall)
 	s.Bool(&c.halted)
@@ -79,12 +105,6 @@ func (c *Core) Checkpoint(s *checkpoint.State) {
 	for i := range c.divFree {
 		checkpoint.Until(s, &c.divFree[i], now)
 	}
-	for k := range c.ctr {
-		s.U64(&c.ctr[k])
-	}
-	c.sbData.checkpoint(s) // both footprints are empty outside the footprint action
-	c.sbCode.checkpoint(s)
-	c.pred.Checkpoint(s)
 }
 
 // WarmHalt stops the hardware thread from the functional warm-up executor

@@ -20,21 +20,22 @@ import (
 // shadow of the L1s' contents, still saved; 6, structures' statistics,
 // LRU stamps and absolute busy-until cycles still saved; 7, the filter
 // owner map still saved; 8, the warm-up's shared-level counts still
-// saved.
-var olderFormats = []uint32{2, 3, 4, 5, 6, 7, 8}
+// saved; 9, one section per owner, with presence flags for the filter
+// structures.
+var olderFormats = []uint32{2, 3, 4, 5, 6, 7, 8, 9}
 
-// asFormat returns a copy of snap whose machine section claims machine
+// asFormat returns a copy of snap whose format section claims machine
 // format f — an image an older build left behind, as far as this binary
 // can tell.
 func asFormat(t *testing.T, snap *checkpoint.Snapshot, f uint32) *checkpoint.Snapshot {
 	t.Helper()
 	enc := snap.Encode()
 	// magic(8) version(4) count(4), then the first section: name length,
-	// "machine", payload length, payload — whose first word is the format.
-	if string(enc[20:27]) != "machine" {
-		t.Fatalf("first section is %q, want machine", enc[20:27])
+	// "format", payload length, payload — the format word.
+	if string(enc[20:26]) != "format" {
+		t.Fatalf("first section is %q, want format", enc[20:26])
 	}
-	binary.LittleEndian.PutUint32(enc[35:], f)
+	binary.LittleEndian.PutUint32(enc[34:], f)
 	old, err := checkpoint.Decode(enc)
 	if err != nil {
 		t.Fatal(err)

@@ -34,8 +34,8 @@
 //     MSHR files.
 //   - PortCounter, hierCounter: the port's and the shared level's counter
 //     tables, the only record of every count (the filter caches, TLBs and
-//     DRAM keep none). The hot path bumps ctr[counter]; Checkpoint and
-//     RenderCounters walk the tables.
+//     DRAM keep none). The hot path bumps ctr[counter]; each table's
+//     checkpoint row and RenderCounters walk it.
 //   - Mode: the per-mechanism protection switches (filter protection,
 //     coherence protection, commit-time prefetch, filter TLB, …).
 //   - Client: the typed completion receiver the core implements.
@@ -57,7 +57,11 @@
 // The Warm* methods deposit an architectural access stream's footprint
 // (main TLBs, L1s, L2) without events or elapsed cycles; they
 // never consult Mode, which is what makes checkpoint warm-up state
-// scheme-independent. Checkpoint puts the whole hierarchy into a snapshot
-// or gets it from one, as one walk per section ("hier", "port<i>"); both
-// directions require a quiesced machine.
+// scheme-independent. Hierarchy.Rows and Port.Rows list the checkpoint
+// sections, one per structure or counter array: "l2", "l2.port", "dram",
+// "pf" and "hier.counters", and per port "core<i>.l1d", "core<i>.l1i",
+// "core<i>.dtlb", "core<i>.itlb", the filter structures its configuration
+// has ("core<i>.l0d", "core<i>.l0i", "core<i>.fdtlb"), "core<i>.asid" and
+// "core<i>.port.counters". Saving and loading both require a quiesced
+// machine.
 package memsys

@@ -24,9 +24,8 @@ type Client interface {
 // notifications, delivered by typed events on the hierarchy's scheduler;
 // none block.
 type Port struct {
-	h       *Hierarchy
-	id      int
-	section string // checkpoint section name "port<id>", set at the first checkpoint or restore
+	h  *Hierarchy
+	id int
 
 	client Client
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // busy names the first structure of the hierarchy still holding
@@ -93,72 +94,49 @@ func (h *Hierarchy) Occupancy() int {
 	return n
 }
 
-// Checkpoint puts the hierarchy into snap — or, with load, gets it from
-// snap — as the "hier" section for the shared level and a "port<i>"
-// section for each port. Filter structures present in a snapshot but
-// absent from this configuration are an error; absent from the snapshot
-// but present here, they are left as they are (empty): a snapshot taken on
-// an unprotected warm-up machine restores cleanly into any protected
-// configuration, whose filter caches legitimately start empty.
-func (h *Hierarchy) Checkpoint(snap *checkpoint.Snapshot, load bool) error {
-	if err := snap.Section(load, "hier", h.shared); err != nil {
-		return err
-	}
-	for i, p := range h.ports {
-		if p.section == "" {
-			p.section = fmt.Sprintf("port%d", i)
-		}
-		if err := snap.Section(load, p.section, p.checkpoint); err != nil {
-			return fmt.Errorf("port %d: %w", i, err)
-		}
-	}
-	return nil
+// Rows appends the shared level's checkpoint rows to dst, one section
+// per structure: the L2, its port's wait (checkpoint.Until), DRAM, the
+// prefetcher, and the counters, DRAM's among them.
+func (h *Hierarchy) Rows(dst []checkpoint.Row) []checkpoint.Row {
+	return append(dst,
+		checkpoint.Row{Name: "l2", Walk: h.l2.Checkpoint},
+		checkpoint.Row{Name: "l2.port", Walk: func(s *checkpoint.State) { checkpoint.Until(s, &h.l2PortFree, h.sched.Now()) }},
+		checkpoint.Row{Name: "dram", Walk: h.dram.Checkpoint},
+		checkpoint.Row{Name: "pf", Walk: h.pf.Checkpoint},
+		checkpoint.Row{Name: "hier.counters", Walk: func(s *checkpoint.State) {
+			for k := range h.ctr {
+				s.U64(&h.ctr[k])
+			}
+		}},
+	)
 }
 
-// shared walks the shared level: L2, its port's wait (checkpoint.Until),
-// DRAM, the prefetcher and the counters, DRAM's among them.
-func (h *Hierarchy) shared(s *checkpoint.State) {
-	h.l2.Checkpoint(s)
-	checkpoint.Until(s, &h.l2PortFree, h.sched.Now())
-	h.dram.Checkpoint(s)
-	h.pf.Checkpoint(s)
-	for k := range h.ctr {
-		s.U64(&h.ctr[k])
+// Rows appends the port's checkpoint rows to dst, named after its
+// counter keys ("core<i>.l1d", ...): its caches and TLBs, the filter
+// structures its configuration has, its ASID and its counters (its filter
+// caches' and TLBs' among them). A filter structure may be missing from
+// an image: a warm snapshot of an unprotected machine restores into a
+// protected one, whose filter state legitimately starts empty.
+func (p *Port) Rows(dst []checkpoint.Row) []checkpoint.Row {
+	row := func(name string, walk func(*checkpoint.State), filter bool) checkpoint.Row {
+		return checkpoint.Row{Name: stats.CoreKey(p.id, name), Walk: walk, MayBeMissing: filter}
 	}
-}
-
-// checkpoint walks one port: caches, TLBs, the presence-flagged filter
-// structures, its ASID, counters (its filter caches' and TLBs' among
-// them).
-func (p *Port) checkpoint(s *checkpoint.State) {
-	p.l1d.Checkpoint(s)
-	p.l1i.Checkpoint(s)
-	p.dtlb.Checkpoint(s)
-	p.itlb.Checkpoint(s)
-	optional(s, p.l0d, "L0D")
-	optional(s, p.l0i, "L0I")
-	optional(s, p.fdtlb, "filter TLB")
-	s.U64(&p.asid)
-	for k := range p.ctr {
-		s.U64(&p.ctr[k])
+	dst = append(dst, row("l1d", p.l1d.Checkpoint, false), row("l1i", p.l1i.Checkpoint, false),
+		row("dtlb", p.dtlb.Checkpoint, false), row("itlb", p.itlb.Checkpoint, false))
+	if p.l0d != nil {
+		dst = append(dst, row("l0d", p.l0d.Checkpoint, true))
 	}
-}
-
-// optional walks a structure this configuration may lack (x nil) behind a
-// presence flag. A load of a structure the snapshot lacks leaves this
-// machine's (empty) one alone; one of a structure this machine lacks
-// fails.
-func optional[T interface {
-	comparable
-	Checkpoint(*checkpoint.State)
-}](s *checkpoint.State, x T, what string) {
-	var none T
-	present := x != none
-	if s.Bool(&present); !present {
-		return
+	if p.l0i != nil {
+		dst = append(dst, row("l0i", p.l0i.Checkpoint, true))
 	}
-	if x == none {
-		s.Failf("snapshot has %s state but this configuration lacks it", what)
+	if p.fdtlb != nil {
+		dst = append(dst, row("fdtlb", p.fdtlb.Checkpoint, true))
 	}
-	x.Checkpoint(s)
+	return append(dst,
+		row("asid", func(s *checkpoint.State) { s.U64(&p.asid) }, false),
+		row("port.counters", func(s *checkpoint.State) {
+			for k := range p.ctr {
+				s.U64(&p.ctr[k])
+			}
+		}, false))
 }

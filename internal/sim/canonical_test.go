@@ -69,11 +69,7 @@ func TestEqualStateEncodesEqually(t *testing.T) {
 				}
 			}
 			sched.AdvanceTo(5000)
-			snap := checkpoint.New()
-			if err := h.Checkpoint(snap, false); err != nil {
-				t.Fatal(err)
-			}
-			return snap
+			return putRows(h.Port(0).Rows(h.Rows(nil)))
 		}},
 		{"core whose divider was last busy at other past cycles", func(t *testing.T, history int) *checkpoint.Snapshot {
 			b := isa.NewBuilder("div")
@@ -92,7 +88,7 @@ func TestEqualStateEncodesEqually(t *testing.T) {
 			if err := s.Drain(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			return put(s.Cores[0].Checkpoint)
+			return putRows(s.Cores[0].Rows(nil))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,7 +102,14 @@ func TestEqualStateEncodesEqually(t *testing.T) {
 
 // put saves one walk as a snapshot's only section.
 func put(walk func(*checkpoint.State)) *checkpoint.Snapshot {
+	return putRows([]checkpoint.Row{{Name: "s", Walk: walk}})
+}
+
+// putRows saves each row as a section of one snapshot.
+func putRows(rows []checkpoint.Row) *checkpoint.Snapshot {
 	snap := checkpoint.New()
-	snap.Put("s", walk)
+	for _, r := range rows {
+		snap.Put(r.Name, r.Walk)
+	}
 	return snap
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/event"
@@ -50,7 +51,15 @@ import (
 // v9 saves a warm image with every counter zero: the functional warm-up
 // no longer counts the remote downgrades, L2 writebacks and DRAM accesses
 // its deposits cause.
-const machineFormat = 9
+//
+// v10 saves one section per structure or counter array, named after the
+// counter keys ("l2", "dram", "core0.l1d", "core0.regs", ...), where v9
+// saved one "hier" section, and per core one "port<i>" and one "core<i>"
+// section. A port's filter caches and filter TLB lose their presence
+// flags: a structure the configuration lacks writes no section. The
+// format word moves out of the "machine" section into a "format" section
+// of its own.
+const machineFormat = 10
 
 // drainBound caps how many cycles Drain will step while waiting for the
 // machine to quiesce. It is far beyond any legitimate drain (the deepest
@@ -184,8 +193,13 @@ func (s *System) snapshot(snap *checkpoint.Snapshot, midRun bool, base event.Cyc
 		return fmt.Errorf("sim: checkpoint requires a quiesced machine: %w", err)
 	}
 	snap.Reset()
-	m := machineImage{now: s.Sched.Now(), midRun: midRun, base: base}
-	return s.sections(snap, false, &m)
+	s.image = machineImage{now: s.Sched.Now(), midRun: midRun, base: base}
+	rows := s.checkpointRows()
+	snap.Grow(len(rows))
+	for _, r := range rows {
+		snap.Put(r.Name, r.Walk)
+	}
+	return nil
 }
 
 // machineImage is what the "machine" section holds beyond the system's
@@ -198,45 +212,42 @@ type machineImage struct {
 	retired   []uint64
 }
 
-// sections puts the machine into snap — or, with load, gets it from snap
-// — as the "machine" section, "phys", the hierarchy's sections and one
-// "core<i>" section per core.
-func (s *System) sections(snap *checkpoint.Snapshot, load bool, m *machineImage) error {
-	if err := snap.Section(load, "machine", func(st *checkpoint.State) { s.machine(st, m) }); err != nil {
-		return err
-	}
-	if err := snap.Section(load, "phys", s.Phys.Checkpoint); err != nil {
-		return err
-	}
-	if err := s.Hier.Checkpoint(snap, load); err != nil {
-		return err
-	}
-	if s.coreSections == nil {
-		for i := range s.Cores {
-			s.coreSections = append(s.coreSections, fmt.Sprintf("core%d", i))
+// checkpointRows lists the machine's sections, one per structure or
+// counter array: "format", "machine" and "phys", the shared level's, then
+// per core its port's and its own. It builds them at the first
+// checkpoint or restore; Release drops them.
+func (s *System) checkpointRows() []checkpoint.Row {
+	if s.rows == nil {
+		s.rows = append(s.rows,
+			checkpoint.Row{Name: "format", Walk: format},
+			checkpoint.Row{Name: "machine", Walk: s.machine},
+			checkpoint.Row{Name: "phys", Walk: s.Phys.Checkpoint})
+		s.rows = s.Hier.Rows(s.rows)
+		for i, c := range s.Cores {
+			s.rows = c.Rows(s.Hier.Port(i).Rows(s.rows))
 		}
 	}
-	for i, c := range s.Cores {
-		if err := snap.Section(load, s.coreSections[i], c.Checkpoint); err != nil {
-			return fmt.Errorf("sim: core %d: %w", i, err)
-		}
-		if got := c.CommittedInsts(); load && got != m.retired[i] {
-			return fmt.Errorf("sim: core %d: machine section says %d retired, core section restored %d (corrupt snapshot)",
-				i, m.retired[i], got)
-		}
-	}
-	return nil
+	return s.rows
 }
 
-// machine walks the "machine" section: the format word, the core count,
-// the cycle, the system counters, the mid-run flag and baseline, then per
-// core its retired count, next timer deadline and RunOn assignment (PID,
-// thread). A load checks the core count and that the machine is not past
-// the snapshot's cycle, advances the clock to it, and checks that the
-// RunOn sequences agree.
-func (s *System) machine(st *checkpoint.State, m *machineImage) {
-	format, cores := uint32(machineFormat), uint32(len(s.Cores))
-	st.U32(&format) // a load checked it first, with CheckFormat
+// format walks the "format" section: the machineFormat word alone. A load
+// of any other format fails.
+func format(st *checkpoint.State) {
+	f := uint32(machineFormat)
+	if st.U32(&f); st.Loading() && f != machineFormat {
+		st.Fail(fmt.Errorf("sim: snapshot machine format %d, want %d (incompatible snapshot; rebuild it)", f, machineFormat))
+	}
+}
+
+// machine walks the "machine" section: the core count, the cycle, the
+// system counters, the mid-run flag and baseline, then per core its
+// retired count, next timer deadline and RunOn assignment (PID, thread).
+// A load checks the core count and that the machine is not past the
+// snapshot's cycle, advances the clock to it, and checks that the RunOn
+// sequences agree.
+func (s *System) machine(st *checkpoint.State) {
+	m := &s.image
+	cores := uint32(len(s.Cores))
 	if st.U32(&cores); st.Loading() && int(cores) != len(s.Cores) {
 		st.Fail(fmt.Errorf("sim: snapshot has %d cores, machine has %d", cores, len(s.Cores)))
 	}
@@ -276,19 +287,16 @@ func (s *System) machine(st *checkpoint.State, m *machineImage) {
 }
 
 // CheckFormat reports whether the snapshot's machine payload is in this
-// build's layout. It reads nothing but the format word, so a caller
+// build's layout. It reads nothing but the "format" section, so a caller
 // holding a store that an older build may have written can tell a stale
 // image (rebuild it, or start cold) from a usable one before restoring a
-// byte of it into a machine.
+// byte of it into a machine. An image without that section predates
+// machineFormat 10, which gave the format word a section of its own.
 func CheckFormat(snap *checkpoint.Snapshot) error {
-	var f uint32
-	if err := snap.Get("machine", func(st *checkpoint.State) { st.U32(&f) }); err != nil {
-		return err
+	if !snap.Has("format") {
+		return fmt.Errorf("sim: snapshot has no format section, so its machine format is older than 10 (incompatible snapshot; rebuild it)")
 	}
-	if f != machineFormat {
-		return fmt.Errorf("sim: snapshot machine format %d, want %d (incompatible snapshot; rebuild it)", f, machineFormat)
-	}
-	return nil
+	return snap.Get("format", format)
 }
 
 // RestoreSnapshot loads a snapshot into this machine, which must be
@@ -307,6 +315,11 @@ func CheckFormat(snap *checkpoint.Snapshot) error {
 // restores into any scheme's machine. A mid-run snapshot carries filter
 // cache and coherence state and must be restored into an identically
 // configured machine.
+//
+// The image must hold exactly this machine's sections, each read to its
+// end: a section no row reads (a filter cache this machine lacks) and a
+// missing section fail the restore before the machine changes, except
+// that a filter structure the image lacks stays empty.
 func (s *System) RestoreSnapshot(snap *checkpoint.Snapshot) error {
 	if err := s.Quiesced(); err != nil {
 		return fmt.Errorf("sim: restore requires a quiesced machine: %w", err)
@@ -314,13 +327,35 @@ func (s *System) RestoreSnapshot(snap *checkpoint.Snapshot) error {
 	if err := CheckFormat(snap); err != nil {
 		return err
 	}
-	m := machineImage{retired: make([]uint64, len(s.Cores))}
-	if err := s.sections(snap, true, &m); err != nil {
-		return err
+	rows := s.checkpointRows()
+	for _, name := range snap.Names() {
+		if !slices.ContainsFunc(rows, func(r checkpoint.Row) bool { return r.Name == name }) {
+			return fmt.Errorf("sim: snapshot has a %q section but this machine has no such structure", name)
+		}
 	}
-	if m.midRun {
+	for _, r := range rows {
+		if !r.MayBeMissing && !snap.Has(r.Name) {
+			return fmt.Errorf("sim: snapshot has no %q section", r.Name)
+		}
+	}
+	s.image = machineImage{retired: make([]uint64, len(s.Cores))}
+	for _, r := range rows {
+		if !snap.Has(r.Name) {
+			continue // a structure the image's machine lacked stays empty
+		}
+		if err := snap.Get(r.Name, r.Walk); err != nil {
+			return err
+		}
+	}
+	for i, c := range s.Cores {
+		if got := c.CommittedInsts(); got != s.image.retired[i] {
+			return fmt.Errorf("sim: core %d: machine section says %d retired, core counters restored %d (corrupt snapshot)",
+				i, s.image.retired[i], got)
+		}
+	}
+	if s.image.midRun {
 		s.resumedMidRun = true
-		s.resumeBase = m.base
+		s.resumeBase = s.image.base
 	}
 	return nil
 }

@@ -67,7 +67,7 @@
 //     costs simulated cycles, so the checkpoint cadence is part of a
 //     run's identity, and a run restored from any mid-run snapshot
 //     finishes bit-identically to the run that produced it.
-//   - The machine payload layout is versioned by machineFormat, now 8:
+//   - The machine payload layout is versioned by machineFormat, now 10:
 //     every table writes a count and then its valid (or non-zero) entries
 //     prefixed by their ascending index, so an image is proportional to
 //     the state the machine holds (about 0.2 MB for a busy 4-core
@@ -75,11 +75,22 @@
 //     every way of every set); format 4 saves only the counters something
 //     reads, format 5 nothing that mirrors a filter cache, format 6
 //     nothing that mirrors an L1, format 7 no statistic, LRU stamp or
-//     past busy-until cycle inside a structure, and format 8 no record
-//     of which filter cache owns a line. CheckFormat reads only
-//     the format word; RestoreSnapshot refuses any other format before it
-//     touches the machine, and figures treats such an image as a miss:
-//     the warm-up is rebuilt, a mid-run resume warns and starts cold.
+//     past busy-until cycle inside a structure, format 8 no record of
+//     which filter cache owns a line, format 9 no warm-up count, and
+//     format 10 one section per structure or counter array. CheckFormat
+//     reads only the "format" section; RestoreSnapshot refuses any other
+//     format before it touches the machine, and figures treats such an
+//     image as a miss: the warm-up is rebuilt, a mid-run resume warns and
+//     starts cold.
+//   - Each owner lists its structures once, as checkpoint rows (section
+//     name and walk): the system its "format", "machine" and "phys" rows,
+//     memsys.Hierarchy and memsys.Port theirs, cpu.Core its own.
+//     Checkpoint and RestoreSnapshot run one loop over them. A restore
+//     reads every section of the image whole: a section no row reads, a
+//     missing section of a structure that cannot start empty, and a walk
+//     that leaves payload bytes unread all fail it. A filter structure's
+//     missing section leaves it empty, so a warm image of an unprotected
+//     machine restores into a protected one.
 //   - A machine has an end of life. Release hands its tables — cache-line
 //     arrays, physical frames, predictor tables, each core's instruction
 //     window and rename snapshots, the event queue's bucket slab — back

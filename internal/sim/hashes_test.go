@@ -35,9 +35,9 @@ type pinnedImage struct {
 
 // pinnedImages builds the pinned snapshots: the warm-up checkpoint of
 // every workload, and mid-run CheckpointAt images that between them hold
-// every optional structure — filter caches and the directory of a
-// 4-core MuonTrap run, SafeBet footprints, a trained prefetcher, a filter
-// TLB.
+// every structure some configuration lacks or leaves empty — the filter
+// caches of a 4-core MuonTrap run, SafeBet footprints, a trained
+// prefetcher, a filter TLB.
 func pinnedImages(t *testing.T) []pinnedImage {
 	var out []pinnedImage
 	specs := append(workload.SPEC2006(), workload.Parsec()...)
@@ -73,13 +73,16 @@ func pinnedImages(t *testing.T) []pinnedImage {
 			t.Fatal("libquantum image has no trained prefetcher")
 		}
 		if tc.scheme.Name == "safebet" {
-			// The footprints are in the image: clearing them shrinks the core section.
+			// The footprints are in the image: clearing them shrinks their sections.
 			s.Cores[0].FlushSpecFootprint()
 			flushed, err := s.Checkpoint()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if snap.Len("core0") <= flushed.Len("core0") {
+			footprint := func(snap *checkpoint.Snapshot) int {
+				return snap.Len("core0.safebet.data") + snap.Len("core0.safebet.code")
+			}
+			if footprint(snap) <= footprint(flushed) {
 				t.Fatal("safebet image holds no footprint lines")
 			}
 		}

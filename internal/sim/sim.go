@@ -87,7 +87,10 @@ type System struct {
 
 	released bool // set by Release: the machine must not run again
 
-	coreSections []string // checkpoint section names "core<i>", set at the first checkpoint or restore
+	// rows are the machine's checkpoint sections (checkpointRows), and
+	// image what the "machine" row walks beyond the system's own fields.
+	rows  []checkpoint.Row
+	image machineImage
 
 	// Mid-run resume state: set by RestoreSnapshot when the snapshot was
 	// taken by CheckpointAt. resumeBase is the cycle the measured region
@@ -157,6 +160,7 @@ func New(cfg Config) *System {
 // a machine that is never released is simply collected.
 func (s *System) Release() {
 	s.released = true
+	s.rows = nil
 	s.Sched.Release()
 	s.Phys.Release()
 	s.Hier.Release()
