@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/defense"
 	"repro/internal/isa"
 	"repro/internal/memsys"
 	"repro/internal/sim"
+	"repro/internal/simtest"
 )
 
 // loopKernel is a tight cached ALU/branch loop: once the line buffer,
@@ -93,33 +95,58 @@ func warmSystem(tb testing.TB, prog *isa.Program, defense cpu.Defense, mode mems
 // ROB/store-buffer, typed events, slot-parked completions and the waiter
 // slab. The squash-heavy case shows that the stale waiter references
 // squashes leave behind are reclaimed rather than accumulated: a slab that
-// kept growing would allocate.
+// kept growing would allocate. The InvisiSpec cases expose invisible
+// loads, and the contending kernel runs AMOs on four cores: every access
+// they make completes through the core's typed port client too. An
+// allocation every few dozen cycles reads as 0 per one-cycle step
+// (AllocsPerRun rounds down), so each case measures 1000-cycle windows.
 func TestDispatchCommitZeroAlloc(t *testing.T) {
+	invisiSpectre, invisiFuture := defense.InvisiSpecSpectre(), defense.InvisiSpecFuture()
 	for _, tc := range []struct {
-		name   string
-		prog   *isa.Program
-		mode   memsys.Mode
-		squash bool
+		name    string
+		prog    *isa.Program // nil: simtest.ContendingSystem under insecure
+		defense cpu.Defense
+		mode    memsys.Mode
+		squash  bool
 	}{
-		{"insecure", loopKernel(40_000_000), memsys.Mode{}, false},
-		{"muontrap", loopKernel(40_000_000), mtMode, false},
-		{"squash-heavy", branchyKernel(40_000_000), memsys.Mode{}, true},
-		{"squash-heavy-muontrap", branchyKernel(40_000_000), mtMode, true},
+		{"insecure", loopKernel(40_000_000), cpu.DefenseNone, memsys.Mode{}, false},
+		{"muontrap", loopKernel(40_000_000), cpu.DefenseNone, mtMode, false},
+		{"squash-heavy", branchyKernel(40_000_000), cpu.DefenseNone, memsys.Mode{}, true},
+		{"squash-heavy-muontrap", branchyKernel(40_000_000), cpu.DefenseNone, mtMode, true},
+		{"invisispec-spectre", branchyKernel(40_000_000), invisiSpectre.CPU, invisiSpectre.Mode, true},
+		{"invisispec-future", branchyKernel(40_000_000), invisiFuture.CPU, invisiFuture.Mode, true},
+		{"contending-amo", nil, cpu.DefenseNone, memsys.Mode{}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := warmSystem(t, tc.prog, cpu.DefenseNone, tc.mode)
+			var s *sim.System
+			if tc.prog != nil {
+				s = warmSystem(t, tc.prog, tc.defense, tc.mode)
+			} else {
+				s = simtest.ContendingSystem(defense.Insecure())
+				s.Step(5000) // its first core halts near cycle 29 000, after the last window
+			}
 			c := s.Cores[0]
-			committed, squashed := c.CommittedInsts(), c.Count(cpu.Squashed)
-			allocs := testing.AllocsPerRun(2000, func() { s.Step(1) })
+			committed, squashed, exposures := c.CommittedInsts(), c.Count(cpu.Squashed), c.Count(cpu.Exposures)
+			allocs := testing.AllocsPerRun(20, func() { s.Step(1000) })
 			if allocs != 0 {
-				t.Fatalf("steady-state step allocates %.2f, want 0", allocs)
+				t.Fatalf("steady-state 1000-cycle step allocates %.2f, want 0", allocs)
 			}
 			if c.CommittedInsts() == committed {
 				t.Fatal("no instructions committed during measurement")
 			}
+			for i, core := range s.Cores {
+				if core.Halted() {
+					t.Fatalf("core %d halted during measurement", i)
+				}
+			}
 			if tc.squash && c.Count(cpu.Squashed)-squashed < 1000 {
 				t.Fatalf("only %d instructions squashed during measurement: the kernel lost its mispredicts",
 					c.Count(cpu.Squashed)-squashed)
+			}
+			if tc.defense == invisiSpectre.CPU || tc.defense == invisiFuture.CPU {
+				if n := c.Count(cpu.Exposures) - exposures; n < 100 {
+					t.Fatalf("only %d exposures during measurement", n)
+				}
 			}
 		})
 	}

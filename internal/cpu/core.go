@@ -80,8 +80,15 @@ type Core struct {
 
 	// Post-commit store buffer.
 	storeBuf       instRing
-	drainsInFlight int
+	drainsInFlight int    // store-buffer drains plus an AMO's drain
 	drainDone      func() // prebuilt StoreDrain completion (allocated once)
+
+	// The AMO whose drain is in flight, and that drain's prebuilt
+	// completion (allocated once). At most one AMO drain is in flight (see
+	// executeAmoAtHead), so one (idx, seq) names it.
+	amoIdx  int32
+	amoSeq  uint64
+	amoDone func()
 
 	seq              uint64
 	fetchPC          uint64
@@ -155,6 +162,14 @@ func NewCore(id int, cfg Config, sched *event.Scheduler, port *memsys.Port, phys
 	c.drainDone = func() {
 		c.wake()
 		c.drainsInFlight--
+	}
+	c.amoDone = func() {
+		c.wake()
+		c.drainsInFlight--
+		if d := c.inst(uint64(uint32(c.amoIdx)), c.amoSeq); d != nil {
+			c.complete(d)
+			d.phase = memDone
+		}
 	}
 	c.rob.init(cfg.ROBSize)
 	c.storeBuf.init(cfg.StoreBufferSize)
@@ -235,7 +250,8 @@ func (c *Core) SetReg(r isa.Reg, v uint64) {
 // PC returns the current fetch PC.
 func (c *Core) PC() uint64 { return c.fetchPC }
 
-// Drained reports whether all post-commit stores have drained.
+// Drained reports whether all post-commit stores, and every AMO's drain,
+// have drained.
 func (c *Core) Drained() bool { return c.storeBuf.len() == 0 && c.drainsInFlight == 0 }
 
 // StopFetch parks the front end: no new instructions are fetched or
@@ -341,8 +357,8 @@ func (c *Core) tick() {
 }
 
 // wake ends the core's sleep. Everything that hands the core something —
-// HandleEvent, the memory port's typed completions, the store-drain, AMO
-// and exposure closures, and the system's pokes (Stall, StopFetch,
+// HandleEvent, the memory port's typed completions, the store-buffer and
+// AMO drain completions, and the system's pokes (Stall, StopFetch,
 // ResumeFetch, SetProgram, SetPC, SetReg, FlushSpecFootprint, WarmHalt,
 // Restore) — calls it first, whether or not what it delivers turns out to
 // matter: an unnecessary wake costs one empty tick, a missing one hangs
@@ -761,9 +777,9 @@ func (c *Core) dispatch(si *isa.StaticInst, pc uint64) *dynInst {
 var noopAccess = func(memsys.AccessResult) {}
 
 // TranslateDone receives a TranslateC completion: either the fetch engine's
-// line translation (idx == fetchHandle, seq == fetch epoch) or a load/store
-// address translation.
-func (c *Core) TranslateDone(idx int32, seq uint64, pa mem.Addr, walked, fault bool) {
+// line translation (idx == fetchHandle, seq == fetch epoch) or a load,
+// store or AMO address translation.
+func (c *Core) TranslateDone(idx int32, seq uint64, pa mem.Addr, fault bool) {
 	c.wake()
 	if idx == fetchHandle {
 		if seq != c.fetchEpoch {
@@ -793,7 +809,10 @@ func (c *Core) TranslateDone(idx int32, seq uint64, pa mem.Addr, walked, fault b
 	if d == nil {
 		return
 	}
-	d.walked = d.walked || walked
+	if d.isAmo() {
+		c.amoAccess(d, pa, fault)
+		return
+	}
 	if fault {
 		d.faulted = true
 		d.result = 0
@@ -812,7 +831,7 @@ func (c *Core) TranslateDone(idx int32, seq uint64, pa mem.Addr, walked, fault b
 			// The footprint action also vetoes the speculative
 			// store-prefetch channel for lines outside it.
 			if c.pol.unsafe != footprint || c.loadSafe(d.seq) || c.sbData.has(d.paddr) {
-				c.port.StorePrefetch(d.pc, mem.VAddr(d.effAddr), d.paddr, nil)
+				c.port.StorePrefetch(d.pc, mem.VAddr(d.effAddr), d.paddr)
 			}
 		}
 		return
@@ -822,11 +841,18 @@ func (c *Core) TranslateDone(idx int32, seq uint64, pa mem.Addr, walked, fault b
 	}
 }
 
-// LoadDone receives a LoadC/LoadNoFillC completion.
+// LoadDone receives a LoadC, LoadNoFill or LoadExpose completion. A load
+// that is exposing has its data already: what lands is the exposure, a
+// non-speculative read, which never NACKs.
 func (c *Core) LoadDone(idx int32, seq uint64, res memsys.AccessResult) {
 	c.wake()
 	d := c.inst(uint64(uint32(idx)), seq)
 	if d == nil {
+		return
+	}
+	if d.exposing {
+		d.exposing = false
+		d.exposeDone = true
 		return
 	}
 	if res.NACK {

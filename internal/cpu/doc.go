@@ -36,11 +36,16 @@
 //
 //   - dynInst seq-validation: dynInsts are recycled through a fixed pool,
 //     so every reference that can outlive an instruction — rename entries,
-//     producer links, scheduled events, MSHR waiters — carries the
-//     instruction's seq and validates it before use. A recycled slot has a
-//     different seq (or seq 0 while free); a mismatch means the producer
-//     committed (its value is architectural) or the event is stale and
-//     must be dropped.
+//     producer links, waiter chains, scheduled events, MSHR waiters and
+//     every memory-port completion — carries the instruction's seq and
+//     validates it before use. There is no exception: every access the
+//     core issues completes through the memsys.Client methods or, for a
+//     drain, a completion built once in NewCore, so a freed slot goes back
+//     to the pool at once. A recycled slot has a different seq (or seq 0
+//     while free); a mismatch means the producer committed (its value is
+//     architectural) or the completion is stale — an exposure that
+//     outlived its load's commit, a killed AMO's translation or drain —
+//     and must be dropped.
 //   - Wake, don't poll: the issue queue is not a list that is scanned. An
 //     entry dispatched with an operand still in flight is parked on that
 //     operand's producer (a waiter chain of (idx, seq) nodes from a
@@ -75,7 +80,7 @@
 //     demand, so a query costs what has completed since the last one and
 //     loadSafe never walks the ROB.
 //   - Sleep: a Tick that changed nothing (moved stayed false: nothing
-//     retired, issued, dispatched, fetched, drained, retried, exposed or
+//     committed, issued, dispatched, fetched, drained, retried, exposed or
 //     counted) puts the core to sleep until wakeAt — the first cycle the
 //     clock alone opens a gate (commit stall, redirect penalty, front-end
 //     delay of the oldest ready entry), or never. Every entry point that

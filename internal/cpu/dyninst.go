@@ -24,8 +24,9 @@ const (
 // dynInst is one in-flight dynamic instruction. Instances live in the
 // core's fixed pool and are recycled after commit or squash; every
 // reference that can outlive the instruction (rename entries, producer
-// links, scheduled events) therefore carries the instruction's seq and
-// validates it before use — a recycled slot has a different seq.
+// links, scheduled events, memory-port completions) therefore carries the
+// instruction's seq and validates it before use — a recycled slot has a
+// different seq.
 type dynInst struct {
 	idx int32  // pool slot; fixed for the slot's lifetime
 	seq uint64 // globally unique dispatch sequence number; 0 = free slot
@@ -68,19 +69,12 @@ type dynInst struct {
 	// compared with, or an older AMO. See unpark.
 	waiters int32
 	parked  int32
-	// pins counts outstanding closure references (InvisiSpec exposures)
-	// that captured the pointer directly; a pinned instruction's slot is
-	// not recycled until the pins drain. retired marks a freed-but-pinned
-	// slot awaiting its last unpin.
-	pins    int32
-	retired bool
 
 	// Memory state.
 	phase      memPhase
 	effAddr    uint64
 	paddr      mem.Addr
 	faulted    bool
-	walked     bool   // translation required a page-table walk
 	forwarded  bool   // value obtained by store-to-load forwarding
 	prefetched bool   // store prefetch issued (MuonTrap)
 	fwdVal     uint64 // forwarded store data, captured when the bypass fires
@@ -115,8 +109,8 @@ type renameSnap struct {
 // --- dynInst pool ---
 
 // poolChunk is the pool growth quantum. The steady-state population is
-// bounded by the ROB plus the store buffer plus in-flight exposures, so
-// growth stops almost immediately. snapChunk is the renameSnap quantum.
+// bounded by the ROB plus the store buffer, so growth stops almost
+// immediately. snapChunk is the renameSnap quantum.
 const (
 	poolChunk = 64
 	snapChunk = 16
@@ -155,9 +149,9 @@ func (c *Core) allocInst() *dynInst {
 }
 
 // freeInst retires a slot after the instruction left the ROB (commit or
-// squash) and the store buffer. The seq is invalidated immediately so every
-// (pointer, seq) reference detects staleness; the slot itself is withheld
-// from reuse while closure pins remain.
+// squash) and the store buffer, and returns it to the free list at once.
+// The seq is invalidated so every (pointer, seq) reference — a completion
+// still in flight included — detects staleness.
 func (c *Core) freeInst(d *dynInst) {
 	if d.seq == 0 {
 		panic("cpu: double free of dynInst slot")
@@ -171,21 +165,7 @@ func (c *Core) freeInst(d *dynInst) {
 	// or faulted) are squashed with it; their nodes go back to the slab.
 	c.releaseChain(&d.waiters)
 	c.releaseChain(&d.parked)
-	if d.pins > 0 {
-		d.retired = true
-		return
-	}
 	c.freeList = append(c.freeList, d.idx)
-}
-
-// unpin releases one closure reference, recycling the slot if the
-// instruction was already freed.
-func (c *Core) unpin(d *dynInst) {
-	d.pins--
-	if d.retired && d.pins == 0 {
-		d.retired = false
-		c.freeList = append(c.freeList, d.idx)
-	}
 }
 
 // inst resolves a scheduled event's (pool index, seq) pair, returning nil

@@ -4,7 +4,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/memsys"
 )
 
 // --- Issue & execute ---
@@ -318,7 +317,7 @@ func (c *Core) tryLoadAccess(d *dynInst) (stalled bool) {
 		return true
 	default: // expose, validate: read invisibly now, expose later
 		d.needsExpose = true
-		c.port.LoadNoFillC(d.paddr, d.idx, d.seq)
+		c.port.LoadNoFill(d.paddr, d.idx, d.seq)
 	}
 	return false
 }
@@ -426,10 +425,11 @@ func (c *Core) removeFromSQ(d *dynInst) {
 // --- AMO (atomic compare-and-swap), executed at the ROB head ---
 
 // AMOs run at the ROB head, where no older branch can squash them, but a
-// context switch (flushPipeline) can still kill an AMO mid-flight — so the
-// completion closures, which capture the pooled dynInst pointer directly,
-// pin the slot: the squashed flag stays readable until the last completion
-// lands, and a flushed AMO's pending callbacks become no-ops.
+// context switch (flushPipeline) can still kill an AMO mid-flight. Both
+// of its steps therefore complete through seq-checked routes, as every
+// other access does: the translation through TranslateDone (amoAccess),
+// the drain through amoDone, which finds the AMO by the (idx, seq) that
+// amoAccess recorded. A killed AMO's completions fail the check and drop.
 func (c *Core) executeAmoAtHead(d *dynInst) {
 	if d.phase != memIdle {
 		return
@@ -445,7 +445,9 @@ func (c *Core) executeAmoAtHead(d *dynInst) {
 		d.v2, d.v2Ready = c.regs[d.si.Src2], true
 		c.moved = true
 	}
-	// AMOs are full fences: all older stores must be visible first.
+	// AMOs are full fences: all older stores must be visible first — an
+	// earlier AMO's drain included, which is counted in drainsInFlight, so
+	// at most one AMO drain is ever in flight.
 	if c.storeBuf.len() > 0 || c.drainsInFlight > 0 {
 		return
 	}
@@ -453,36 +455,27 @@ func (c *Core) executeAmoAtHead(d *dynInst) {
 	d.phase = memAgenDone
 	r := isa.Exec(d.si.Inst, d.pc, d.v1, d.v2)
 	d.effAddr = r.EffAddr
-	d.pins++
-	c.port.Translate(mem.VAddr(d.effAddr), false, false, func(pa mem.Addr, walked, fault bool) {
-		c.wake()
-		if d.squashed {
-			c.unpin(d)
-			return
-		}
-		if fault {
-			d.faulted = true
-			c.complete(d)
-			c.unpin(d)
-			return
-		}
-		d.paddr = pa
-		// Atomic read-modify-write at a single event point, with store-
-		// drain timing for the coherence work.
-		old := c.phys.Read64(pa)
-		if old == d.v2 {
-			c.phys.Write64(pa, uint64(d.si.Inst.Imm))
-		}
-		d.result = old
-		c.port.StoreDrain(d.pc, mem.VAddr(d.effAddr), pa, func() {
-			c.wake()
-			if !d.squashed {
-				c.complete(d)
-				d.phase = memDone
-			}
-			c.unpin(d)
-		})
-	})
+	c.port.TranslateC(mem.VAddr(d.effAddr), false, false, d.idx, d.seq)
+}
+
+// amoAccess finishes a translated AMO: the atomic read-modify-write at
+// this single event point, then the store-drain path for the coherence
+// timing. amoDone completes the AMO when the drain lands.
+func (c *Core) amoAccess(d *dynInst, pa mem.Addr, fault bool) {
+	if fault {
+		d.faulted = true
+		c.complete(d)
+		return
+	}
+	d.paddr = pa
+	old := c.phys.Read64(pa)
+	if old == d.v2 {
+		c.phys.Write64(pa, uint64(d.si.Inst.Imm))
+	}
+	d.result = old
+	c.amoIdx, c.amoSeq = d.idx, d.seq
+	c.drainsInFlight++
+	c.port.StoreDrain(d.pc, mem.VAddr(d.effAddr), pa, c.amoDone)
 }
 
 // --- Defense maintenance (exposures of invisible loads) ---
@@ -513,9 +506,9 @@ func (c *Core) defenseMaintenance() {
 }
 
 // exposeLoad replays an invisible load as a normal access, installing the
-// line. The closure pins the dynInst: under the expose action an exposure
-// can outlive the load's commit, and the pin keeps the pool slot alive until it
-// lands.
+// line. The access completes through LoadDone, seq-checked like the
+// load's own: under the expose action an exposure can outlive the load's
+// commit, and then it lands on a freed slot and is dropped.
 func (c *Core) exposeLoad(d *dynInst) {
 	if d.exposing || d.exposeDone {
 		return
@@ -523,11 +516,5 @@ func (c *Core) exposeLoad(d *dynInst) {
 	c.moved = true
 	d.exposing = true
 	c.ctr[Exposures]++
-	d.pins++
-	c.port.LoadExpose(d.pc, mem.VAddr(d.effAddr), d.paddr, func(memsys.AccessResult) {
-		c.wake()
-		d.exposing = false
-		d.exposeDone = true
-		c.unpin(d)
-	})
+	c.port.LoadExpose(d.pc, mem.VAddr(d.effAddr), d.paddr, d.idx, d.seq)
 }

@@ -323,7 +323,7 @@ type coreImage struct {
 // state: funcs (which never compare equal) and the two host-side counters.
 func maskedCore(c *Core) Core {
 	m := *c
-	m.drainDone, m.OnSyscall = nil, nil
+	m.drainDone, m.amoDone, m.OnSyscall = nil, nil, nil
 	m.ticksRun, m.retriesParked = 0, 0
 	return m
 }
@@ -449,6 +449,17 @@ func (c *Core) ParkedKinds() (onStore, onAmo int) {
 		}
 	}
 	return
+}
+
+// HeadAmo reports whether the ROB head is an AMO and, if so, whether it
+// has started (its translation or its drain is in flight) and not yet
+// completed.
+func (c *Core) HeadAmo() (amo, inFlight bool) {
+	if c.rob.len() == 0 {
+		return false, false
+	}
+	d := c.rob.at(0)
+	return d.isAmo(), d.isAmo() && d.phase != memIdle && !d.done
 }
 
 // RetryListLen is the number of loads memMaintenance will retry next cycle.

@@ -149,6 +149,7 @@ func TestIssueQueueMatchesPolledDefinition(t *testing.T) {
 	if simtest.RaceEnabled || testing.Short() {
 		schemes = schemes[1:3] // the detector adds nothing to a one-goroutine run
 	}
+	mcf, canneal := simtest.MustSpec(t, "mcf"), simtest.MustSpec(t, "canneal")
 	kernels := []struct {
 		name    string
 		build   func(defense.Scheme) *sim.System
@@ -164,16 +165,16 @@ func TestIssueQueueMatchesPolledDefinition(t *testing.T) {
 		}, 4000},
 		{"contending", simtest.ContendingSystem, 10_000},
 		{"mcf", func(sch defense.Scheme) *sim.System {
-			return figures.BuildSystem(simtest.MustSpec(t, "mcf"), sch, 0.02)
+			return figures.BuildSystem(mcf, sch, 0.02)
 		}, 2000},
 		{"canneal", func(sch defense.Scheme) *sim.System {
-			return figures.BuildSystem(simtest.MustSpec(t, "canneal"), sch, 0.02)
+			return figures.BuildSystem(canneal, sch, 0.02)
 		}, 5000},
 	}
 	for _, k := range kernels {
 		for _, sch := range schemes {
-			k, sch := k, sch
 			t.Run(k.name+"/"+sch.Name, func(t *testing.T) {
+				t.Parallel()
 				s := k.build(sch)
 				peaks := runWithOracle(t, s, k.drainAt, 2_000_000)
 				t.Logf("%d cycles, %d squashed on core 0; at most %d stale waiter references "+

@@ -9,6 +9,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/figures"
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/simtest"
 )
@@ -136,8 +137,9 @@ type oracleKernel struct {
 }
 
 func workloadKernel(t *testing.T, name string, scale float64, drainAt int) oracleKernel {
+	spec := simtest.MustSpec(t, name)
 	return oracleKernel{name, func(sch defense.Scheme) *sim.System {
-		return figures.BuildSystem(simtest.MustSpec(t, name), sch, scale)
+		return figures.BuildSystem(spec, sch, scale)
 	}, drainAt}
 }
 
@@ -163,6 +165,7 @@ func TestParkedLoadsOracle(t *testing.T) {
 				continue
 			}
 			t.Run(k.name+"/"+sch.Name, func(t *testing.T) {
+				t.Parallel()
 				s := k.build(sch)
 				peaks := runWithOracle(t, s, k.drainAt, 2_000_000)
 				t.Logf("%d cycles; load-cycles parked on a store %d, on an AMO %d", s.Sched.Now(), peaks.onStore, peaks.onAmo)
@@ -205,6 +208,56 @@ func switchedKernel() *isa.Program {
 	return b.MustBuild()
 }
 
+// lockKernel is an endless loop of AMOs, each behind a store it has to
+// wait for (an AMO is a full fence), so that a context switch often finds
+// one in flight: translated, or with its drain under way. The first AMO
+// takes the lock (0 → 1); the others find it taken. It also returns the
+// lock's virtual address.
+func lockKernel() (*isa.Program, uint64) {
+	b := isa.NewBuilder("locks")
+	lock := b.Alloc("lock", 128, 64)
+	b.Label("loop")
+	b.Li(isa.X(20), lock)
+	b.Store(isa.X(20), isa.X(20), 64)
+	b.AmoCas(isa.X(18), isa.X(20), isa.Zero, 1)
+	b.Jmp("loop")
+	return b.MustBuild(), lock
+}
+
+// switchCount is what a run of switchEvery found at its switches.
+type switchCount struct {
+	retrying, amos int // switches that found loads on the retry list, an AMO in flight
+	peaks          waiterPeaks
+}
+
+// switchEvery switches a one-core machine under sch between two processes
+// running prog every few hundred cycles, wherever the pipeline happens to
+// be, and holds the three oracles after every cycle.
+func switchEvery(t *testing.T, sch defense.Scheme, prog *isa.Program, switches int) (*sim.System, *switchCount) {
+	cfg := sim.DefaultConfig(1)
+	cfg.CPU.Defense = sch.CPU
+	cfg.Mem.Mode = sch.Mode
+	cfg.ContextSwitchCost = 20
+	s := sim.New(cfg)
+	procs := []*sim.Process{s.NewProcess(prog), s.NewProcess(prog)}
+	n := &switchCount{}
+	for sw := 0; sw < switches; sw++ {
+		if s.Cores[0].RetryListLen() > 0 {
+			n.retrying++
+		}
+		if _, inFlight := s.Cores[0].HeadAmo(); inFlight {
+			n.amos++
+		}
+		s.RunOn(0, procs[sw%2], 0)
+		checkOracles(t, s, "just switched", &n.peaks)
+		for i := 0; i < 400+sw%131; i++ { // long enough for a cold fetch to land under MuonTrap, whose domain switch empties the filter
+			s.Step(1)
+			checkOracles(t, s, "switching", &n.peaks)
+		}
+	}
+	return s, n
+}
+
 // TestContextSwitchOracle switches a core between two processes every few
 // hundred cycles, wherever the pipeline happens to be — loads parked,
 // loads on the retry list, frontiers mid-ROB, the core asleep — and holds
@@ -216,32 +269,87 @@ func TestContextSwitchOracle(t *testing.T) {
 	}
 	for _, sch := range []defense.Scheme{defense.MuonTrap(), defense.InvisiSpecSpectre(), defense.STTFuture(), defense.SafeBet()} {
 		t.Run(sch.Name, func(t *testing.T) {
-			cfg := sim.DefaultConfig(1)
-			cfg.CPU.Defense = sch.CPU
-			cfg.Mem.Mode = sch.Mode
-			cfg.ContextSwitchCost = 20
-			s := sim.New(cfg)
-			procs := []*sim.Process{s.NewProcess(switchedKernel()), s.NewProcess(switchedKernel())}
-			var peaks waiterPeaks
-			retrying := 0
-			for sw := 0; sw < 200; sw++ {
-				if s.Cores[0].RetryListLen() > 0 {
-					retrying++
-				}
-				s.RunOn(0, procs[sw%2], 0)
-				checkOracles(t, s, "just switched", &peaks)
-				for i := 0; i < 400+sw%131; i++ { // long enough for a cold fetch to land under MuonTrap, whose domain switch empties the filter
-					s.Step(1)
-					checkOracles(t, s, "switching", &peaks)
-				}
-			}
+			t.Parallel()
+			s, n := switchEvery(t, sch, switchedKernel(), 200)
 			t.Logf("%d committed; %d load-cycles parked; %d switches found loads on the retry list",
-				s.Cores[0].CommittedInsts(), peaks.onStore, retrying)
-			if s.Cores[0].CommittedInsts() < 1000 || peaks.onStore == 0 || retrying == 0 {
+				s.Cores[0].CommittedInsts(), n.peaks.onStore, n.retrying)
+			if s.Cores[0].CommittedInsts() < 1000 || n.peaks.onStore == 0 || n.retrying == 0 {
 				t.Fatal("test premise broken: the switched processes must make progress, park loads, and be switched out with loads waiting to be retried")
 			}
 		})
 	}
+}
+
+// TestContextSwitchKillsAmosOracle switches a core between two lock loops
+// the same way: a switch that kills an AMO mid-flight leaves its
+// translation or drain to complete for a freed slot, which must be
+// dropped without disturbing whatever the slot holds by then.
+func TestContextSwitchKillsAmosOracle(t *testing.T) {
+	if simtest.RaceEnabled {
+		t.Skip("per-cycle parked-load and sleeper oracles are skipped under the race detector")
+	}
+	for _, sch := range []defense.Scheme{defense.Insecure(), defense.MuonTrap(), defense.InvisiSpecFuture()} {
+		t.Run(sch.Name, func(t *testing.T) {
+			t.Parallel()
+			prog, _ := lockKernel()
+			s, n := switchEvery(t, sch, prog, 100)
+			t.Logf("%d committed; %d switches found an AMO in flight", s.Cores[0].CommittedInsts(), n.amos)
+			if s.Cores[0].CommittedInsts() < 1000 || n.amos == 0 {
+				t.Fatal("test premise broken: the lock loops must make progress and be switched out with an AMO in flight")
+			}
+		})
+	}
+}
+
+// TestKilledAmoDrainFencesTheNextAmo: an AMO killed by a context switch
+// while its drain is in flight leaves that drain counted until it lands,
+// so the next AMO — a full fence — does not start before it has. That is
+// what lets one (idx, seq) name the AMO whose drain completes. Process B
+// runs first, so that its AMO finds everything warm; A's first AMO takes
+// a lock no cache holds, and the switch back to B comes after its
+// read-modify-write, while its drain is on the way to the L1D.
+func TestKilledAmoDrainFencesTheNextAmo(t *testing.T) {
+	cfg := sim.DefaultConfig(1)
+	cfg.ContextSwitchCost = 0
+	s := sim.New(cfg)
+	c := s.Cores[0]
+	prog, lock := lockKernel()
+	a, b := s.NewProcess(prog), s.NewProcess(prog)
+	pfn, _ := a.PT.Translate(mem.PageNum(mem.VAddr(lock)))
+	pa := mem.Addr(pfn<<mem.PageShift | lock%mem.PageBytes)
+	landed := func() bool { return s.Hier.Port(0).L1DPeek(pa) != nil }
+	s.RunOn(0, b, 0)
+	s.Step(2000)
+	s.RunOn(0, a, 0)
+	for i := 0; s.Phys.Read64(pa) == 0; i++ {
+		if i == 5000 {
+			t.Fatal("test premise broken: A's first AMO never took its lock")
+		}
+		s.Step(1)
+	}
+	if landed() {
+		t.Fatal("test premise broken: A's AMO drained in the cycle it took the lock")
+	}
+	s.RunOn(0, b, 0)
+	waited := 0
+	for !landed() {
+		switch amo, inFlight := c.HeadAmo(); {
+		case inFlight:
+			t.Fatalf("cycle %d: an AMO started while the killed AMO's drain was in flight", s.Sched.Now())
+		case amo:
+			waited++
+		}
+		s.Step(1)
+	}
+	if waited == 0 {
+		t.Fatal("test premise broken: B's AMO never reached the ROB head during the killed AMO's drain")
+	}
+	committed := c.CommittedInsts()
+	s.Step(200)
+	if c.CommittedInsts() == committed {
+		t.Fatal("B made no progress once the drain had landed")
+	}
+	t.Logf("B's AMO waited %d cycles at the ROB head for the killed AMO's drain", waited)
 }
 
 // TestTestOnlyPolicyRowsOracle runs the policy rows no scheme uses — a
@@ -315,6 +423,7 @@ func TestSleepersOracle(t *testing.T) {
 	for _, k := range kernels {
 		for _, sch := range oracleSchemes(t) {
 			t.Run(k.name+"/"+sch.Name, func(t *testing.T) {
+				t.Parallel()
 				s := k.build(sch)
 				peaks := runWithOracle(t, s, k.drainAt, 2_000_000)
 				cycles := uint64(s.Sched.Now()) * uint64(len(s.Cores))

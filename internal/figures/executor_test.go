@@ -3,11 +3,14 @@ package figures
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/defense"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -70,6 +73,38 @@ func TestCachedRunWaiterHonorsOwnContext(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("waiter err = %v, want context.Canceled", err)
+	}
+}
+
+// TestMemoryCacheHitsAreCounted: executing the same two cells three times
+// misses the in-process memo twice and hits it four times, and the
+// profiler's memory-layer series say so.
+func TestMemoryCacheHitsAreCounted(t *testing.T) {
+	defer ResetRunCache()
+	ResetRunCache()
+	reg := telemetry.NewRegistry()
+	telemetry.EnableSimProfiling(reg)
+	defer telemetry.DisableSimProfiling()
+	jobs := make([]Job, 2)
+	for i := range jobs {
+		jobs[i] = Job{Series: "s", Work: "cell", Opt: Options{MaxCycles: i + 1},
+			Custom: func(context.Context) (sim.RunResult, error) { return sim.RunResult{Cycles: 7}, nil }}
+	}
+	ex := Executor{Workers: 1}
+	for range 3 {
+		if _, err := ex.Execute(context.Background(), jobs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	reg.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		`muontrap_sim_cache_hits_total{layer="memory"} 4`,
+		`muontrap_sim_cache_misses_total{layer="memory"} 2`,
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("scrape lacks %q:\n%s", want, rec.Body.String())
+		}
 	}
 }
 

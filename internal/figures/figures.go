@@ -206,6 +206,7 @@ func cachedRun(ctx context.Context, opt Options, key runKey, run func(context.Co
 			if e.err != nil && ctxErr(e.err) {
 				continue // owner's run was cancelled; retry under our ctx
 			}
+			prof.RecordCacheEvent(telemetry.CacheMemory, true)
 			return e.res, e.err
 		case <-ctx.Done():
 			return sim.RunResult{}, ctx.Err()

@@ -157,7 +157,7 @@ func (c oracleCell) runFresh(tb testing.TB) sim.RunResult {
 // released. The pairs cover a scheme change, a workload change, a
 // filter-cache geometry change in both directions and a warm fork, and
 // A cells that release a dirty pipeline: one cancelled mid-run with
-// events pending and an InvisiSpec exposure pinning a window slot, one
+// events pending and an InvisiSpec exposure in flight, one
 // cancelled mid-run on the shared program B then runs (the same row),
 // and attack trials, whose victim is still running when the trial ends.
 var oraclePairs = [][2]oracleCell{
@@ -168,8 +168,8 @@ var oraclePairs = [][2]oracleCell{
 	{{Work: "canneal", L0DSize: 256}, {Work: "swaptions", Scheme: "muontrap"}},
 	{{Work: "mcf", Scheme: "muontrap", Warmup: 3000}, {Work: "hmmer", Scheme: "muontrap", Warmup: 3000}},
 	{{Work: "canneal", L0DSize: 4096, Warmup: 3000}, {Work: "swaptions", L0DSize: 1024, Warmup: 3000}},
-	// At cycle 7 000 gcc's window holds 112 instructions, one of them
-	// pinned by an exposure in flight (counted when the pair was chosen).
+	// At cycle 7 000 gcc's window holds 112 instructions, and an exposure
+	// is in flight (counted when the pair was chosen).
 	{{Work: "gcc", Scheme: "invisispec-future", CancelAt: 7000}, {Work: "hmmer", Scheme: "invisispec-future"}},
 	{{Work: "gcc", Scheme: "muontrap", CancelAt: 7000}, {Work: "gcc", Scheme: "invisispec-future"}},
 	{{Attack: "spectre", Scheme: "invisispec-spectre"}, {Work: "bzip2", Scheme: "muontrap"}},

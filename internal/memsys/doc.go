@@ -38,7 +38,9 @@
 //     checkpoint row and RenderCounters walk it.
 //   - Mode: the per-mechanism protection switches (filter protection,
 //     coherence protection, commit-time prefetch, filter TLB, …).
-//   - Client: the typed completion receiver the core implements.
+//   - Client: the typed completion receiver the core implements; every
+//     access the core issues completes through it or, for a store drain,
+//     through a completion the core builds once.
 //
 // Invariants (enforced by CheckInvariants, used by the property tests):
 //

@@ -9,9 +9,9 @@ import (
 // fetchClient counts typed instruction-fetch deliveries.
 type fetchClient struct{ fetched int }
 
-func (c *fetchClient) TranslateDone(int32, uint64, mem.Addr, bool, bool) {}
-func (c *fetchClient) LoadDone(int32, uint64, AccessResult)              {}
-func (c *fetchClient) IfetchDone(uint64, AccessResult)                   { c.fetched++ }
+func (c *fetchClient) TranslateDone(int32, uint64, mem.Addr, bool) {}
+func (c *fetchClient) LoadDone(int32, uint64, AccessResult)        {}
+func (c *fetchClient) IfetchDone(uint64, AccessResult)             { c.fetched++ }
 
 // TestIfetchReloadPrefetchSteadyStateZeroAlloc pins that the memory
 // system's pending actions are typed events, not closures: once the slot

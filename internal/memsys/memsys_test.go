@@ -350,9 +350,13 @@ func TestStorePrefetchSpeedsDrain(t *testing.T) {
 	latCold := rCold.store(t, 0, 0x5000, 0x500000)
 
 	rWarm := newRig(1, muontrap)
-	done := false
-	rWarm.h.Port(0).StorePrefetch(0x400100, 0x5000, 0x500000, func() { done = true })
-	rWarm.run(t, &done, 5000)
+	rWarm.h.Port(0).StorePrefetch(0x400100, 0x5000, 0x500000)
+	for i := 0; i < 5000 && !rWarm.h.Quiet(); i++ {
+		rWarm.sched.Tick()
+	}
+	if !rWarm.h.Quiet() {
+		t.Fatal("store prefetch did not complete")
+	}
 	latWarm := rWarm.store(t, 0, 0x5000, 0x500000)
 	if latWarm >= latCold {
 		t.Fatalf("prefetched store drain (%d) not faster than cold (%d)", latWarm, latCold)
@@ -528,16 +532,17 @@ func TestInvisiSpecNoFillLeavesNoTrace(t *testing.T) {
 	r := newRig(1, insecure)
 	p := r.h.Port(0)
 	pa := mem.Addr(0x100000)
-	done := false
-	p.LoadNoFill(pa, func(AccessResult) { done = true })
-	r.run(t, &done, 5000)
+	cl := &walkClient{}
+	p.SetClient(cl)
+	p.LoadNoFill(pa, 0, 1)
+	r.run(t, &cl.loaded, 5000)
 	if p.L1DPeek(pa) != nil || p.L2Peek(pa) != nil {
 		t.Fatal("LoadNoFill must not install anywhere")
 	}
 	// Exposure installs normally.
-	done = false
-	p.LoadExpose(0x400100, 0x1000, pa, func(AccessResult) { done = true })
-	r.run(t, &done, 5000)
+	cl.loaded = false
+	p.LoadExpose(0x400100, 0x1000, pa, 0, 1)
+	r.run(t, &cl.loaded, 5000)
 	if p.L1DPeek(pa) == nil {
 		t.Fatal("LoadExpose should fill L1D")
 	}

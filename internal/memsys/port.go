@@ -9,11 +9,12 @@ import (
 )
 
 // Client receives typed completions for the allocation-free request paths
-// (TranslateC/LoadC/LoadNoFillC/IfetchC). The out-of-order core implements
-// it; requests carry a (pool index, seq) pair — or (fetch sentinel, epoch)
-// for instruction fetches — that the client validates against recycling.
+// (TranslateC, LoadC, LoadNoFill, LoadExpose, IfetchC). The out-of-order
+// core implements it and issues every access through it; requests carry a
+// (pool index, seq) pair — or (fetch sentinel, epoch) for instruction
+// fetches — that the client validates against recycling.
 type Client interface {
-	TranslateDone(idx int32, seq uint64, paddr mem.Addr, walked, fault bool)
+	TranslateDone(idx int32, seq uint64, paddr mem.Addr, fault bool)
 	LoadDone(idx int32, seq uint64, res AccessResult)
 	IfetchDone(epoch uint64, res AccessResult)
 }
@@ -307,7 +308,7 @@ type tcomp struct {
 
 func (p *Port) translateDone(cm tcomp, pa mem.Addr, walked, fault bool) {
 	if cm.typed {
-		p.client.TranslateDone(cm.idx, cm.seq, pa, walked, fault)
+		p.client.TranslateDone(cm.idx, cm.seq, pa, fault)
 		return
 	}
 	cm.fn(pa, walked, fault)
@@ -615,21 +616,13 @@ func (p *Port) l1InstallData(line uint64, st cache.State) {
 
 // StorePrefetch lets a speculative store bring its line into the filter
 // cache in Shared state (never exclusive, §4.5), hiding fill latency from
-// the post-commit write. Only meaningful under FilterProtect with a data
-// L0; otherwise a no-op.
-func (p *Port) StorePrefetch(pc uint64, vaddr mem.VAddr, paddr mem.Addr, done func()) {
-	m := p.h.cfg.Mode
-	if p.l0d == nil || !m.FilterProtect {
-		if done != nil {
-			done()
-		}
+// the post-commit write. Fire-and-forget; only meaningful under
+// FilterProtect with a data L0, otherwise a no-op.
+func (p *Port) StorePrefetch(pc uint64, vaddr mem.VAddr, paddr mem.Addr) {
+	if p.l0d == nil || !p.h.cfg.Mode.FilterProtect {
 		return
 	}
-	cb := noopAccessResult
-	if done != nil {
-		cb = func(AccessResult) { done() }
-	}
-	p.dataRead(pc, vaddr, paddr, true, false, compOf(cb))
+	p.dataRead(pc, vaddr, paddr, true, false, compOf(noopAccessResult))
 }
 
 // noopAccessResult discards a completion (fire-and-forget accesses).
@@ -930,19 +923,10 @@ func (p *Port) flushFilters(why PortCounter) {
 
 // LoadNoFill performs an InvisiSpec-style invisible load: the data's
 // location determines latency, but no cache or filter state changes
-// anywhere. (DRAM open-row state does change — InvisiSpec does not
-// claim to hide DRAM timing.)
-func (p *Port) LoadNoFill(paddr mem.Addr, done func(AccessResult)) {
-	p.loadNoFill(paddr, compOf(done))
-}
-
-// LoadNoFillC is the allocation-free LoadNoFill, delivered to the client's
-// LoadDone.
-func (p *Port) LoadNoFillC(paddr mem.Addr, idx int32, seq uint64) {
-	p.loadNoFill(paddr, comp{idx: idx, seq: seq})
-}
-
-func (p *Port) loadNoFill(paddr mem.Addr, cm comp) {
+// anywhere. (DRAM open-row state does change — InvisiSpec does not claim
+// to hide DRAM timing.) The completion goes to the client's LoadDone.
+func (p *Port) LoadNoFill(paddr mem.Addr, idx int32, seq uint64) {
+	cm := comp{idx: idx, seq: seq}
 	p.ctr[PCLoads]++
 	lat := p.h.cfg.Lat
 	line := uint64(mem.LineAddr(paddr))
@@ -962,8 +946,10 @@ func (p *Port) loadNoFill(paddr mem.Addr, cm comp) {
 	p.complete(lat.L1DHit+lat.L2Hit+lat.DRAMCtrl+p.h.dramWait(line)+extra, cm, AccessResult{Level: FromMem})
 }
 
-// LoadExpose performs the InvisiSpec exposure/validation access: a normal
-// non-speculative load that installs the line in the caches.
-func (p *Port) LoadExpose(pc uint64, vaddr mem.VAddr, paddr mem.Addr, done func(AccessResult)) {
-	p.dataRead(pc, vaddr, paddr, false, true, compOf(done))
+// LoadExpose performs the InvisiSpec exposure/validation access for the
+// invisible load (idx, seq): a normal non-speculative load that installs
+// the line in the caches. It never NACKs; the completion goes to the
+// client's LoadDone like the load's own access did.
+func (p *Port) LoadExpose(pc uint64, vaddr mem.VAddr, paddr mem.Addr, idx int32, seq uint64) {
+	p.dataRead(pc, vaddr, paddr, false, true, comp{idx: idx, seq: seq})
 }

@@ -6,18 +6,19 @@ import (
 	"repro/internal/mem"
 )
 
-// walkClient is a minimal typed-completion receiver for translation tests.
+// walkClient is a minimal typed-completion receiver for translation and
+// load tests.
 type walkClient struct {
 	done   bool
 	paddr  mem.Addr
-	walked bool
 	fault  bool
+	loaded bool
 }
 
-func (c *walkClient) TranslateDone(idx int32, seq uint64, paddr mem.Addr, walked, fault bool) {
-	c.done, c.paddr, c.walked, c.fault = true, paddr, walked, fault
+func (c *walkClient) TranslateDone(idx int32, seq uint64, paddr mem.Addr, fault bool) {
+	c.done, c.paddr, c.fault = true, paddr, fault
 }
-func (c *walkClient) LoadDone(idx int32, seq uint64, res AccessResult) {}
+func (c *walkClient) LoadDone(idx int32, seq uint64, res AccessResult) { c.loaded = true }
 func (c *walkClient) IfetchDone(epoch uint64, res AccessResult)        {}
 
 // TestPTWalkSteadyStateZeroAlloc pins the pooled page-table-walk path:
@@ -35,7 +36,9 @@ func TestPTWalkSteadyStateZeroAlloc(t *testing.T) {
 	const va = mem.VAddr(0x3000)
 	vpn := mem.PageNum(va)
 
-	translate := func() {
+	// translate runs one translation and reports whether it walked.
+	translate := func() (walked bool) {
+		walks := p.Stat(PCPTWalks)
 		cl.done = false
 		p.TranslateC(va, false, true, 0, 1)
 		for i := 0; i < 5000 && !cl.done; i++ {
@@ -47,12 +50,12 @@ func TestPTWalkSteadyStateZeroAlloc(t *testing.T) {
 		if cl.fault {
 			t.Fatal("unexpected fault")
 		}
+		return p.Stat(PCPTWalks) != walks
 	}
 
 	// Cold: the first walk misses to DRAM and fills the walk lines into
 	// the L1D (run setup may allocate).
-	translate()
-	if !cl.walked {
+	if !translate() {
 		t.Fatal("first translation should walk")
 	}
 	// Warm the pools (walk slots, event ring) before measuring.
@@ -60,8 +63,7 @@ func TestPTWalkSteadyStateZeroAlloc(t *testing.T) {
 		if !p.dtlb.Remove(p.asid, vpn) {
 			t.Fatal("translation missing from the main TLB")
 		}
-		translate()
-		if !cl.walked {
+		if !translate() {
 			t.Fatal("re-walk expected after TLB eviction")
 		}
 	}
