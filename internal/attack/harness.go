@@ -171,7 +171,7 @@ func (t *trial) timedIfetch(p *sim.Process, va uint64) event.Cycle {
 func (t *trial) timedStore(p *sim.Process, va uint64) event.Cycle {
 	pa := translate(p, va)
 	return t.timed(func(port *memsys.Port, done func()) {
-		port.StoreDrain(0x400040, mem.VAddr(va), pa, done)
+		port.StoreDrain(0x400040, mem.VAddr(va), pa, func(memsys.AccessResult) { done() })
 	})
 }
 

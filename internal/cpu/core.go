@@ -80,15 +80,15 @@ type Core struct {
 
 	// Post-commit store buffer.
 	storeBuf       instRing
-	drainsInFlight int    // store-buffer drains plus an AMO's drain
-	drainDone      func() // prebuilt StoreDrain completion (allocated once)
+	drainsInFlight int                       // store-buffer drains plus an AMO's drain
+	drainDone      func(memsys.AccessResult) // prebuilt StoreDrain completion (allocated once)
 
 	// The AMO whose drain is in flight, and that drain's prebuilt
 	// completion (allocated once). At most one AMO drain is in flight (see
 	// executeAmoAtHead), so one (idx, seq) names it.
 	amoIdx  int32
 	amoSeq  uint64
-	amoDone func()
+	amoDone func(memsys.AccessResult)
 
 	seq              uint64
 	fetchPC          uint64
@@ -159,11 +159,11 @@ func NewCore(id int, cfg Config, sched *event.Scheduler, port *memsys.Port, phys
 	if int(cfg.Defense) < len(defenses) {
 		c.pol = defenses[cfg.Defense].pol
 	}
-	c.drainDone = func() {
+	c.drainDone = func(memsys.AccessResult) {
 		c.wake()
 		c.drainsInFlight--
 	}
-	c.amoDone = func() {
+	c.amoDone = func(memsys.AccessResult) {
 		c.wake()
 		c.drainsInFlight--
 		if d := c.inst(uint64(uint32(c.amoIdx)), c.amoSeq); d != nil {
@@ -773,9 +773,6 @@ func (c *Core) dispatch(si *isa.StaticInst, pc uint64) *dynInst {
 
 // --- Typed memory-port completions (memsys.Client) ---
 
-// noopAccess is the completion for fire-and-forget prefetch accesses.
-var noopAccess = func(memsys.AccessResult) {}
-
 // TranslateDone receives a TranslateC completion: either the fetch engine's
 // line translation (idx == fetchHandle, seq == fetch epoch) or a load,
 // store or AMO address translation.
@@ -798,10 +795,10 @@ func (c *Core) TranslateDone(idx int32, seq uint64, pa mem.Addr, fault bool) {
 		c.port.IfetchC(mem.VAddr(line), pa, c.fetchEpoch)
 		// Next-line instruction prefetch: sequential fetch engines run a
 		// line ahead, so straight-line code does not pay the per-line
-		// lookup latency serially. Fire-and-forget; same page only.
+		// lookup latency serially. Same page only; nobody waits for it.
 		next := line + mem.LineBytes
 		if mem.PageNum(mem.VAddr(next)) == mem.PageNum(mem.VAddr(line)) {
-			c.port.Ifetch(mem.VAddr(next), pa+mem.LineBytes, noopAccess)
+			c.port.Ifetch(mem.VAddr(next), pa+mem.LineBytes, nil)
 		}
 		return
 	}

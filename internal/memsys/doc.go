@@ -18,20 +18,20 @@
 //     §4.5 invalidation is a broadcast to every filter cache.
 //   - Port: one core's window onto the memory system (its L0s, L1s and
 //     TLBs plus every operation the pipeline invokes). Nothing blocks:
-//     completions arrive through scheduled events, either as parked
-//     callbacks or as typed Client notifications identified by
-//     (pool index, seq) pairs the core validates against recycling.
-//     Every pending action is a typed event (the scheduler has no
-//     other kind). Everything a port parks under an event argument —
-//     callbacks, MSHR-coalesced waiters, page-table walks, L1D and L1I
-//     misses (retry, NACK or fill) — lives in a slots[T] registry, and
-//     the slot number is the event argument; an action whose state fits
-//     the two arguments carries it there instead (a commit-time reload
-//     or write-through carries its line, a prefetch fill its line as
-//     the hierarchy's one event). Data and instruction accesses share
-//     one completion record, so no miss allocates. Quiet and Quiesced
-//     are two readings of one predicate over those registries and the
-//     MSHR files.
+//     completions arrive through scheduled events, either as typed
+//     Client notifications identified by (pool index, seq) pairs the
+//     core validates against recycling, or as callbacks. Every pending
+//     action is a typed event (the scheduler has no other kind). Loads,
+//     fetches, store drains and page-walk reads share one completion
+//     record (comp); a nil callback means nobody waits (a prefetch), and
+//     nothing is scheduled, parked or delivered. Everything a port parks
+//     under an event argument — completions, page-table walks, L1D and
+//     L1I misses (retry, NACK or fill) — lives in a slots[T] registry,
+//     and the slot number is the event argument; an action whose state
+//     fits the two arguments carries it there instead (a commit-time
+//     reload or write-through carries its line, a prefetch fill its line
+//     as the hierarchy's one event). Quiet and Quiesced are two readings
+//     of one predicate over those registries and the MSHR files.
 //   - PortCounter, hierCounter: the port's and the shared level's counter
 //     tables, the only record of every count (the filter caches, TLBs and
 //     DRAM keep none). The hot path bumps ctr[counter]; each table's
@@ -39,8 +39,9 @@
 //   - Mode: the per-mechanism protection switches (filter protection,
 //     coherence protection, commit-time prefetch, filter TLB, …).
 //   - Client: the typed completion receiver the core implements; every
-//     access the core issues completes through it or, for a store drain,
-//     through a completion the core builds once.
+//     access the core waits for completes through it or, for a store
+//     drain, through a callback the core builds once. The core passes no
+//     completion for an access it does not wait for.
 //
 // Invariants (enforced by CheckInvariants, used by the property tests):
 //

@@ -61,11 +61,32 @@ func (r *testRig) load(t *testing.T, c int, va mem.VAddr, pa mem.Addr, spec bool
 	return lat, res
 }
 
+// store drains a store and returns its latency; the drain must report the
+// line landed in the L1.
 func (r *testRig) store(t *testing.T, c int, va mem.VAddr, pa mem.Addr) event.Cycle {
 	t.Helper()
+	var res AccessResult
 	done := false
-	r.h.Port(c).StoreDrain(0x400200, va, pa, func() { done = true })
-	return r.run(t, &done, 5000)
+	r.h.Port(c).StoreDrain(0x400200, va, pa, func(ar AccessResult) {
+		res = ar
+		done = true
+	})
+	lat := r.run(t, &done, 5000)
+	if res.Level != FromL1 {
+		t.Fatalf("store drain level = %v, want FromL1", res.Level)
+	}
+	return lat
+}
+
+// settle runs the clock until no event is pending (bounded).
+func (r *testRig) settle(t *testing.T) {
+	t.Helper()
+	for i := 0; i < 5000 && r.sched.Pending() > 0; i++ {
+		r.sched.Tick()
+	}
+	if n := r.sched.Pending(); n != 0 {
+		t.Fatalf("%d events still pending after 5000 cycles", n)
+	}
 }
 
 var insecure = Mode{}
@@ -471,6 +492,69 @@ func TestInsecureIfetchFillsL1I(t *testing.T) {
 	if p.L1IPeek(pa) == nil {
 		t.Fatal("insecure ifetch should fill L1I")
 	}
+}
+
+// TestUnwaitedAccessParksNothing: an access nobody waits for — a fetch
+// with a nil done (the next-line prefetch) or a speculative store's
+// prefetch — moves the caches but schedules no delivery on a hit, and
+// parks no waiter when it coalesces onto a live MSHR.
+func TestUnwaitedAccessParksNothing(t *testing.T) {
+	t.Run("ifetch hit", func(t *testing.T) {
+		r := newRig(1, insecure)
+		p := r.h.Port(0)
+		pa := mem.Addr(0x700000)
+		done := false
+		p.Ifetch(0x7000, pa, func(AccessResult) { done = true })
+		r.run(t, &done, 5000)
+		r.settle(t)
+		hits := p.Stat(PCL1IHits)
+		p.Ifetch(0x7000, pa, nil)
+		if p.Stat(PCL1IHits) != hits+1 {
+			t.Fatal("setup: the fetch did not hit the L1I")
+		}
+		if n := r.sched.Pending(); n != 0 {
+			t.Fatalf("an unwaited ifetch hit left %d events pending, want 0", n)
+		}
+	})
+	t.Run("store prefetch hit", func(t *testing.T) {
+		r := newRig(1, muontrap)
+		p := r.h.Port(0)
+		pa := mem.Addr(0x500000)
+		r.load(t, 0, 0x5000, pa, false) // non-speculative: installs in the L1D
+		p.FlushDomain()                 // so the prefetch misses the filter cache
+		r.settle(t)
+		hits := p.Stat(PCL1DHits)
+		p.StorePrefetch(0x400100, 0x5000, pa)
+		if p.Stat(PCL1DHits) != hits+1 {
+			t.Fatal("setup: the store prefetch did not hit the L1D")
+		}
+		if n := r.sched.Pending(); n != 0 {
+			t.Fatalf("a store prefetch hit left %d events pending, want 0", n)
+		}
+	})
+	t.Run("ifetch coalesced on a live MSHR", func(t *testing.T) {
+		r := newRig(1, insecure)
+		p := r.h.Port(0)
+		pa := mem.Addr(0x700000)
+		done := false
+		p.Ifetch(0x7000, pa, func(AccessResult) { done = true })
+		m := p.l1iMSHRs.Lookup(uint64(pa))
+		if m == nil {
+			t.Fatal("setup: the primary fetch holds no L1I MSHR")
+		}
+		parked := p.parked.live()
+		p.Ifetch(0x7000, pa, nil)
+		if n := p.parked.live(); n != parked {
+			t.Fatalf("an unwaited coalesced ifetch parked %d completions, want 0", n-parked)
+		}
+		if m.Waiters() != 0 {
+			t.Fatalf("the MSHR holds %d waiters, want 0", m.Waiters())
+		}
+		r.run(t, &done, 5000)
+		if err := r.h.Quiesced(); err != nil {
+			t.Fatalf("after the primary fill: %v", err)
+		}
+	})
 }
 
 func TestTranslateWalksAndFilterTLB(t *testing.T) {

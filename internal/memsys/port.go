@@ -20,10 +20,10 @@ type Client interface {
 }
 
 // Port is one core's window onto the memory system: its filter caches,
-// L1 caches and TLBs, plus the operations the pipeline invokes. All
-// operations complete through parked callbacks or typed client
-// notifications, delivered by typed events on the hierarchy's scheduler;
-// none block.
+// L1 caches and TLBs, plus the operations the pipeline invokes. None
+// blocks: an operation completes through a typed client notification or
+// a parked completion, delivered by a typed event on the hierarchy's
+// scheduler, and an access nobody waits for completes through nothing.
 type Port struct {
 	h  *Hierarchy
 	id int
@@ -50,17 +50,15 @@ type Port struct {
 	// What the port parks under an event argument, each kind in its own
 	// slot registry so a delivery carries a slot number, never a boxed
 	// value:
-	//   - cbs, vcbs: completion callbacks awaiting their delivery event;
-	//   - mwait: MSHR-coalesced waiters, data and instruction alike, the
-	//     slot handed to the MSHR file and retrieved by the wake-up at
-	//     fill time;
+	//   - parked: completions somebody waits for — a callback awaiting
+	//     its popDeliverAccess, a store drain's awaiting its popDrainFin,
+	//     and an MSHR-coalesced waiter of any route, the slot handed to
+	//     the MSHR file and retrieved by the wake-up at fill time;
 	//   - walks: hardware page-table walks, whose per-level reads complete
 	//     back into walkStep through a typed comp route;
 	//   - misses: what an L1D or L1I miss's scheduled retry, NACK or fill
 	//     needs when it fires.
-	cbs    slots[func(AccessResult)]
-	vcbs   slots[func()]
-	mwait  slots[comp]
+	parked slots[comp]
 	walks  slots[ptwalk]
 	misses slots[dmiss]
 }
@@ -99,7 +97,7 @@ type ptwalk struct {
 type mshrWaker struct{ p *Port }
 
 func (wk mshrWaker) MSHRWake(slot int32) {
-	wk.p.completeNow(wk.p.mwait.take(slot), AccessResult{Level: FromL2})
+	wk.p.completeNow(wk.p.parked.take(slot), AccessResult{Level: FromL2})
 }
 
 func newPort(h *Hierarchy, id int) *Port {
@@ -167,11 +165,10 @@ func (p *Port) L2Peek(paddr mem.Addr) *cache.Line { return p.h.l2.Peek(uint64(pa
 
 // Port event ops.
 const (
-	popDeliverAccess    int32 = iota // a1 = cb slot, a2 = encoded AccessResult
-	popDeliverVoid                   // a1 = vcb slot
+	popDeliverAccess    int32 = iota // a1 = parked slot, a2 = encoded AccessResult
 	popLoadDone                      // a1 = idx | res<<32, a2 = inst seq
 	popIfetchDone                    // a1 = encoded AccessResult, a2 = fetch epoch
-	popDrainFin                      // a1 = line, a2 = (vslot+1)<<1 | broadcast
+	popDrainFin                      // a1 = line, a2 = (parked slot+1)<<1 | broadcast
 	popCommitWT                      // a1 = line paddr, a2 = cache state
 	popWalkStep                      // a1 = walk slot
 	popMissRetry                     // a1 = miss slot
@@ -200,9 +197,7 @@ func decodeResult(v uint64) AccessResult {
 func (p *Port) HandleEvent(op int32, a1, a2 uint64) {
 	switch op {
 	case popDeliverAccess:
-		p.cbs.take(int32(a1))(decodeResult(a2))
-	case popDeliverVoid:
-		p.vcbs.take(int32(a1))()
+		p.completeNow(p.parked.take(int32(a1)), decodeResult(a2))
 	case popLoadDone:
 		p.client.LoadDone(int32(uint32(a1)), a2, decodeResult(a1>>32))
 	case popIfetchDone:
@@ -216,7 +211,7 @@ func (p *Port) HandleEvent(op int32, a1, a2 uint64) {
 		p.l1InstallData(line, cache.Modified)
 		p.h.dirtyL2(line)
 		if slot := a2 >> 1; slot != 0 {
-			p.vcbs.take(int32(slot - 1))()
+			p.completeNow(p.parked.take(int32(slot-1)), AccessResult{Level: FromL1})
 		}
 	case popCommitWT:
 		p.commitWTFin(uint64(a1), cache.State(a2))
@@ -249,7 +244,8 @@ func (p *Port) HandleEvent(op int32, a1, a2 uint64) {
 // comp is a pending access completion: a typed load delivery (idx ≥ 0,
 // validated by seq), a typed fetch delivery (idx = fetchIdx, the fetch
 // epoch in seq), a page-table-walk continuation (walk = slot+1), or a
-// stored callback.
+// callback. With none of these (idx -1, no walk, nil cb) nobody waits,
+// and nothing is scheduled, parked or delivered.
 type comp struct {
 	idx  int32
 	walk int32
@@ -262,13 +258,22 @@ const fetchIdx int32 = -2
 
 func compOf(cb func(AccessResult)) comp { return comp{idx: -1, cb: cb} }
 
+// park parks cm until its delivery and returns its slot, or
+// cache.NoWaiter when nobody waits.
+func (p *Port) park(cm comp) int32 {
+	if cm.idx == -1 && cm.walk == 0 && cm.cb == nil {
+		return cache.NoWaiter
+	}
+	return p.parked.put(cm)
+}
+
 // compOfWalk routes a completion to the parked page-table walk in the
 // given slot. idx must stay negative: complete/completeNow test idx
 // before walk, and a zero idx would misdeliver to the client.
 func compOfWalk(slot int32) comp { return comp{idx: -1, walk: slot + 1} }
 
 // complete schedules delivery of an access result after lat cycles
-// without allocating.
+// without allocating; a completion nobody waits for schedules nothing.
 func (p *Port) complete(lat event.Cycle, cm comp, res AccessResult) {
 	switch {
 	case cm.idx >= 0:
@@ -278,8 +283,8 @@ func (p *Port) complete(lat event.Cycle, cm comp, res AccessResult) {
 		p.h.sched.AfterEvent(lat, p, popIfetchDone, encodeResult(res), cm.seq)
 	case cm.walk != 0:
 		p.h.sched.AfterEvent(lat, p, popWalkStep, uint64(cm.walk-1), 0)
-	default:
-		p.h.sched.AfterEvent(lat, p, popDeliverAccess, uint64(p.cbs.put(cm.cb)), encodeResult(res))
+	case cm.cb != nil:
+		p.h.sched.AfterEvent(lat, p, popDeliverAccess, uint64(p.parked.put(cm)), encodeResult(res))
 	}
 }
 
@@ -293,7 +298,7 @@ func (p *Port) completeNow(cm comp, res AccessResult) {
 		p.client.IfetchDone(cm.seq, res)
 	case cm.walk != 0:
 		p.walkStep(cm.walk - 1)
-	default:
+	case cm.cb != nil:
 		cm.cb(res)
 	}
 }
@@ -498,7 +503,7 @@ func (p *Port) dataRead(pc uint64, vaddr mem.VAddr, paddr mem.Addr, spec, train 
 		mshrs = p.l0d.MSHRs
 	}
 	if existing := mshrs.Lookup(line); existing != nil {
-		mshrs.Allocate(line, p.mwait.put(cm))
+		mshrs.Allocate(line, p.park(cm))
 		return
 	}
 	if mshrs.Full() {
@@ -616,24 +621,22 @@ func (p *Port) l1InstallData(line uint64, st cache.State) {
 
 // StorePrefetch lets a speculative store bring its line into the filter
 // cache in Shared state (never exclusive, §4.5), hiding fill latency from
-// the post-commit write. Fire-and-forget; only meaningful under
+// the post-commit write. Nobody waits for it; only meaningful under
 // FilterProtect with a data L0, otherwise a no-op.
 func (p *Port) StorePrefetch(pc uint64, vaddr mem.VAddr, paddr mem.Addr) {
 	if p.l0d == nil || !p.h.cfg.Mode.FilterProtect {
 		return
 	}
-	p.dataRead(pc, vaddr, paddr, true, false, compOf(noopAccessResult))
+	p.dataRead(pc, vaddr, paddr, true, false, compOf(nil))
 }
-
-// noopAccessResult discards a completion (fire-and-forget accesses).
-var noopAccessResult = func(AccessResult) {}
 
 // StoreDrain performs a committed store's cache write: obtain the line in
 // Modified state in the L1 and write the data through the hierarchy's
 // functional memory. The §4.5 broadcast filter invalidation fires when the
 // line was not already held E/M by this core's own L1 — the event Figure 7
-// counts.
-func (p *Port) StoreDrain(pc uint64, vaddr mem.VAddr, paddr mem.Addr, done func()) {
+// counts. done receives FromL1 (the line is now M in the L1) when the
+// write lands; a nil done means nobody waits.
+func (p *Port) StoreDrain(pc uint64, vaddr mem.VAddr, paddr mem.Addr, done func(AccessResult)) {
 	p.ctr[PCStores]++
 	p.ctr[PCStoreDrains]++
 	m := p.h.cfg.Mode
@@ -642,7 +645,7 @@ func (p *Port) StoreDrain(pc uint64, vaddr mem.VAddr, paddr mem.Addr, done func(
 
 	if l := p.l1d.Peek(line); l != nil && l.State.Owned() {
 		l.State = cache.Modified
-		p.deliverVoid(lat.L1DHit, done)
+		p.complete(lat.L1DHit, compOf(done), AccessResult{Level: FromL1})
 		return
 	}
 
@@ -685,23 +688,11 @@ func (p *Port) StoreDrain(pc uint64, vaddr mem.VAddr, paddr mem.Addr, done func(
 	p.scheduleDrainFin(lat.L1DHit+extra, line, broadcast, done)
 }
 
-// deliverVoid schedules done() after lat cycles through the reusable-slot
-// registry (no per-event closure).
-func (p *Port) deliverVoid(lat event.Cycle, done func()) {
-	if done == nil {
-		return
-	}
-	p.h.sched.AfterEvent(lat, p, popDeliverVoid, uint64(p.vcbs.put(done)), 0)
-}
-
 // scheduleDrainFin schedules the store-drain completion work (sharer
 // invalidation, optional filter broadcast, Modified install) as a typed
-// event.
-func (p *Port) scheduleDrainFin(lat event.Cycle, line uint64, broadcast bool, done func()) {
-	var a2 uint64
-	if done != nil {
-		a2 = uint64(p.vcbs.put(done)+1) << 1
-	}
+// event, parking done until it fires (slot+1 = 0: nobody waits).
+func (p *Port) scheduleDrainFin(lat event.Cycle, line uint64, broadcast bool, done func(AccessResult)) {
+	a2 := uint64(p.park(compOf(done))+1) << 1
 	if broadcast {
 		a2 |= 1
 	}
@@ -782,7 +773,8 @@ func (p *Port) commitWTFin(line uint64, st cache.State) {
 // --- Instruction fetch ---
 
 // Ifetch performs an instruction-cache access for the line containing
-// paddr. All fetches are speculative until the instructions commit.
+// paddr. All fetches are speculative until the instructions commit. A nil
+// done means nobody waits (a prefetch).
 func (p *Port) Ifetch(vaddr mem.VAddr, paddr mem.Addr, done func(AccessResult)) {
 	p.ifetch(vaddr, paddr, compOf(done))
 }
@@ -833,7 +825,7 @@ func (p *Port) ifetch(vaddr mem.VAddr, paddr mem.Addr, cm comp) {
 		mshrs = p.l0i.MSHRs
 	}
 	if existing := mshrs.Lookup(line); existing != nil {
-		mshrs.Allocate(line, p.mwait.put(cm))
+		mshrs.Allocate(line, p.park(cm))
 		return
 	}
 	if mshrs.Full() {

@@ -48,7 +48,7 @@ func coherenceUnderRandomTraffic(t *testing.T, mode Mode) {
 				})
 			case 2:
 				pending++
-				r.h.Port(c).StoreDrain(0x400200, va, a, func() { pending-- })
+				r.h.Port(c).StoreDrain(0x400200, va, a, func(AccessResult) { pending-- })
 			case 3:
 				r.h.Port(c).FlushDomain()
 			case 4:
@@ -124,7 +124,7 @@ func TestNACKRetryUnderContention(t *testing.T) {
 	va := mem.VAddr(line)
 	// Owner (core 1) takes the line M.
 	st := false
-	r.h.Port(1).StoreDrain(0x400200, va, line, func() { st = true })
+	r.h.Port(1).StoreDrain(0x400200, va, line, func(AccessResult) { st = true })
 	for k := 0; k < 5000 && !st; k++ {
 		r.sched.Tick()
 	}

@@ -58,30 +58,30 @@ func TestHierarchyQuiescedNamesEachCondition(t *testing.T) {
 		{
 			name: "parked access callback",
 			mutate: func(h *Hierarchy) {
-				h.ports[0].cbs.put(func(AccessResult) {})
+				h.ports[0].parked.put(compOf(func(AccessResult) {}))
 			},
-			wantSub: "1 parked access callbacks",
+			wantSub: "1 parked completions",
 		},
 		{
-			name: "parked void callback",
+			name: "parked page-walk read",
 			mutate: func(h *Hierarchy) {
-				h.ports[0].vcbs.put(func() {})
+				h.ports[0].parked.put(compOfWalk(0))
 			},
-			wantSub: "1 parked void callbacks",
+			wantSub: "1 parked completions",
 		},
 		{
 			name: "parked mshr waiter",
 			mutate: func(h *Hierarchy) {
-				h.ports[0].mwait.put(comp{idx: -1})
+				h.ports[0].parked.put(comp{idx: 0, seq: 1})
 			},
-			wantSub: "1 parked MSHR waiters",
+			wantSub: "1 parked completions",
 		},
 		{
 			name: "parked ifetch waiter",
 			mutate: func(h *Hierarchy) {
-				h.ports[0].mwait.put(comp{idx: fetchIdx})
+				h.ports[0].parked.put(comp{idx: fetchIdx})
 			},
-			wantSub: "1 parked MSHR waiters",
+			wantSub: "1 parked completions",
 		},
 		{
 			name: "in-flight page walk",

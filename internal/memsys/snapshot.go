@@ -35,9 +35,7 @@ func (p *Port) busy() (format string, n int) {
 		{"%d live L1I MSHRs", p.l1iMSHRs.InUse()},
 		{"%d live L0D MSHRs", filterMSHRs(p.l0d)},
 		{"%d live L0I MSHRs", filterMSHRs(p.l0i)},
-		{"%d parked access callbacks", p.cbs.live()},
-		{"%d parked void callbacks", p.vcbs.live()},
-		{"%d parked MSHR waiters", p.mwait.live()},
+		{"%d parked completions", p.parked.live()},
 		{"%d in-flight page-table walks", p.walks.live()},
 		{"%d parked L1 misses", p.misses.live()},
 	} {
