@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -188,14 +189,25 @@ func TestCoordinatorKilledBeforeTerminalJournalWrite(t *testing.T) {
 	f.co.Close()
 
 	// Wind the on-disk state back to the crash window.
-	entry := filepath.Join(coDir, "service", "jobs", job.ID+".json")
-	b, err := os.ReadFile(entry)
+	// The journal's last record for the job wins, so appending a running
+	// record puts the job back where the crash left it.
+	journal := filepath.Join(coDir, "service", "journal.log")
+	b, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var e map[string]any
-	if err := json.Unmarshal(b, &e); err != nil {
-		t.Fatal(err)
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		var le map[string]any
+		if err := json.Unmarshal([]byte(line), &le); err != nil {
+			t.Fatal(err)
+		}
+		if le["job"].(map[string]any)["id"] == job.ID {
+			e = le
+		}
+	}
+	if e == nil {
+		t.Fatalf("no journal record for %s", job.ID)
 	}
 	rec := e["job"].(map[string]any)
 	rec["state"] = string(muontrap.JobRunning)
@@ -204,7 +216,15 @@ func TestCoordinatorKilledBeforeTerminalJournalWrite(t *testing.T) {
 	if b, err = json.Marshal(e); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(entry, b, 0o644); err != nil {
+	jf, err := os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = jf.Write(append(b, '\n'))
+	if cerr := jf.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(coDir, "service", "sweeps", job.CacheKey+".json")); err != nil {

@@ -58,8 +58,13 @@
 // resume with 409 rather than file a result under the wrong key.
 //
 // Durability composes with the PR 4 checkpoint machinery rather than
-// duplicating it. The server journals job lifecycle under Dir/service;
-// the runners persist mid-run checkpoints into the same Dir at the
+// duplicating it. The server journals job lifecycle to one append-only
+// log, Dir/service/journal.log: every transition appends one JSON record
+// on a line of its own, and a restart replays the log, the last record
+// per job winning (a line torn by a crash is skipped). Older builds kept
+// one file per job under Dir/service/jobs; that directory is not read,
+// since its jobs carry the old build's cache key and could not resume.
+// The runners persist mid-run checkpoints into the same Dir at the
 // configured cadence. Kill the daemon mid-sweep and restart it: the
 // journal surfaces the job as "interrupted", and resuming it re-enters
 // the queue with muontrap.WithResume, so each unfinished cell restores

@@ -225,7 +225,7 @@ func TestShutdownDrainTimeoutJournalsInterrupted(t *testing.T) {
 	}
 }
 
-// plantInterrupted writes a journal entry for job id under dir, recorded
+// plantInterrupted appends a journal record for job id under dir, recorded
 // with state "interrupted" (what an expired drain timeout writes), the
 // given sweep and cache key, stale progress, and the identity flags older
 // daemons journaled beside the record.
@@ -247,11 +247,21 @@ func plantInterrupted(t *testing.T, dir, id string, sw muontrap.Sweep, key strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobsDir := filepath.Join(dir, "service", "jobs")
-	if err := os.MkdirAll(jobsDir, 0o755); err != nil {
+	appendJournal(t, dir, append(b, '\n'))
+}
+
+// appendJournal appends raw bytes to the job journal under dir.
+func appendJournal(t *testing.T, dir string, b []byte) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(dir, "service"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(jobsDir, id+".json"), b, 0o644); err != nil {
+	f, err := os.OpenFile(filepath.Join(dir, "service", "journal.log"), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(b); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
@@ -146,6 +147,11 @@ const streamWriteTimeout = 30 * time.Second
 // results are versioned apart, by figures.SweepKind.)
 const journalVersion = 1
 
+// journalName is the job journal under Dir/service: an append-only log
+// of jobEntry records, one compact JSON object per line, one line per
+// lifecycle transition. The last line for a job ID is its state.
+const journalName = "journal.log"
+
 // jobEntry is the JSON layout of one journaled job. The record's cache
 // key is the job's whole run identity — resolved matrix, identity flags
 // and build — so nothing else needs journaling for a restarted daemon to
@@ -218,6 +224,14 @@ type Server struct {
 
 	shedQuota    uint64 // submissions shed 429 (per-tenant quota)
 	shedCapacity uint64 // submissions shed 503 (whole-daemon queue bound)
+
+	// jlog is the open journal, nil until the first append opens it (a
+	// daemon that journals nothing creates nothing) and again once
+	// Shutdown has drained. jmu serializes appends. Lock order: job.mu,
+	// then jmu — a job's records land in the order its states were
+	// reached.
+	jmu  sync.Mutex
+	jlog *os.File
 }
 
 // New builds a Server and, when cfg.Dir is set, loads the job journal:
@@ -277,11 +291,12 @@ func (s *Server) newJob(rec muontrap.Job) *job {
 func (s *Server) Close() { s.Shutdown(context.Background()) }
 
 // Shutdown cancels every in-flight job context and waits for the drain,
-// bounded by ctx. If ctx expires first, the jobs still holding runner
-// slots are journaled as interrupted — so the next daemon can resume
-// them even though this one is abandoning their goroutines — and their
-// IDs are returned (sorted) for the caller to log. A nil return means
-// the drain completed.
+// bounded by ctx. A completed drain closes the journal (an append after
+// it reopens the log). If ctx expires first, the jobs still holding
+// runner slots are journaled as interrupted — so the next daemon can
+// resume them even though this one is abandoning their goroutines — and
+// their IDs are returned (sorted) for the caller to log. A nil return
+// means the drain completed.
 func (s *Server) Shutdown(ctx context.Context) []string {
 	s.stop()
 	done := make(chan struct{})
@@ -291,6 +306,12 @@ func (s *Server) Shutdown(ctx context.Context) []string {
 	}()
 	select {
 	case <-done:
+		s.jmu.Lock()
+		if s.jlog != nil {
+			s.jlog.Close()
+			s.jlog = nil
+		}
+		s.jmu.Unlock()
 		return nil
 	case <-ctx.Done():
 	}
@@ -1014,10 +1035,6 @@ func newJobID() string {
 
 // ---- persistence: the job journal and the content-keyed result store --
 
-func (s *Server) jobPath(id string) string {
-	return filepath.Join(s.cfg.Dir, "service", "jobs", id+".json")
-}
-
 func (s *Server) resultStorePath(key string) string {
 	return filepath.Join(s.cfg.Dir, "service", "sweeps", key+".json")
 }
@@ -1042,34 +1059,52 @@ func validCacheKey(key string) bool {
 	return true
 }
 
-// persist journals a job's current record, best-effort but loud: losing
-// the journal degrades restart-resume, so failures are reported on
-// stderr rather than swallowed.
+// persist journals a job's current record. It holds j.mu across the
+// copy and the append, so no older state of the job can land after a
+// newer one.
 func (s *Server) persist(j *job) {
 	j.mu.Lock()
-	rec := j.rec
+	s.journal(j.rec)
 	j.mu.Unlock()
-	s.journal(rec)
 }
 
-// journal writes one job record to the journal (see persist).
+// journal appends one job record to the journal: a single write to the
+// O_APPEND log, which survives a process kill once it returns. Like the
+// result store it does not fsync. Best-effort but loud: losing the
+// journal degrades restart-resume, so failures are reported on stderr
+// rather than swallowed.
 func (s *Server) journal(rec muontrap.Job) {
 	if s.cfg.Dir == "" {
 		return
 	}
-	e := jobEntry{Version: journalVersion, Job: rec}
-	b, err := json.MarshalIndent(e, "", "\t")
+	b, err := json.Marshal(jobEntry{Version: journalVersion, Job: rec})
 	if err != nil {
 		return
 	}
-	path := s.jobPath(e.Job.ID)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "muontrapd: job journal unavailable: %v\n", err)
-		return
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
+	if err := s.appendJournalLocked(append(b, '\n')); err != nil {
+		fmt.Fprintf(os.Stderr, "muontrapd: journaling %s failed: %v\n", rec.ID, err)
 	}
-	if err := checkpoint.WriteAtomic(path, b); err != nil {
-		fmt.Fprintf(os.Stderr, "muontrapd: journaling %s failed: %v\n", e.Job.ID, err)
+}
+
+// appendJournalLocked writes b at the end of Dir/service/journal.log,
+// opening the log first (and creating it, the first time) unless it is
+// open. Callers hold s.jmu.
+func (s *Server) appendJournalLocked(b []byte) error {
+	if s.jlog == nil {
+		path := filepath.Join(s.cfg.Dir, "service", journalName)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return err
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		s.jlog = f
 	}
+	_, err := s.jlog.Write(b)
+	return err
 }
 
 // storeResult persists a completed sweep's result under its cache key,
@@ -1146,62 +1181,73 @@ func (s *Server) compatible(rec muontrap.Job) error {
 		"restart with the original flags and build to resume it, or resubmit the sweep", rec.ID, rec.CacheKey, key)}
 }
 
-// loadJournal restores the job table from Dir/service/jobs. Jobs the
-// dead process left queued or running become interrupted — the crash
-// window restart-resume exists for — and jobs an expired drain timeout
-// journaled as interrupted stay so. A resume of an entry whose cache key
-// is not the one this daemon computes is refused; see compatible.
+// loadJournal restores the job table from Dir/service/journal.log (see
+// replayJournal). A log that does not end in a newline ends in a record
+// torn by a crash: replay skips it, and a newline is appended at once so
+// that the next record starts a line of its own. A resume of an entry
+// whose cache key is not the one this daemon computes is refused; see
+// compatible. A Dir/service/jobs directory of per-job files, written by
+// older builds, is not read: its jobs carry that build's cache key, so
+// none of them could resume here, and their results stay fetchable by
+// key.
 func (s *Server) loadJournal() error {
 	if s.cfg.Dir == "" {
 		return nil
 	}
-	dir := filepath.Join(s.cfg.Dir, "service", "jobs")
-	ents, err := os.ReadDir(dir)
+	b, err := os.ReadFile(filepath.Join(s.cfg.Dir, "service", journalName))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
 		}
 		return fmt.Errorf("service journal: %w", err)
 	}
-	names := make([]string, 0, len(ents))
-	for _, ent := range ents {
-		if strings.HasSuffix(ent.Name(), ".json") {
-			names = append(names, ent.Name())
+	if len(b) > 0 && b[len(b)-1] != '\n' {
+		s.jmu.Lock()
+		err = s.appendJournalLocked([]byte{'\n'})
+		s.jmu.Unlock()
+		if err != nil {
+			return fmt.Errorf("service journal: %w", err)
 		}
 	}
-	sort.Strings(names)
+	recs, skipped := replayJournal(b)
+	for _, n := range skipped {
+		fmt.Fprintf(os.Stderr, "muontrapd: skipping malformed journal line %d\n", n)
+	}
+	for _, rec := range recs {
+		s.jobs[rec.ID] = s.newJob(rec)
+		s.order = append(s.order, rec.ID)
+	}
+	return nil
+}
 
-	var recs []jobEntry
-	for _, name := range names {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "muontrapd: skipping unreadable journal entry %s: %v\n", name, err)
+// replayJournal derives the job table a journal describes: the last
+// record per job ID, in submission order. Jobs the dead process left
+// queued or running become interrupted — the crash window restart-resume
+// exists for — and jobs an expired drain timeout journaled as interrupted
+// stay so. It also returns the (1-based) numbers of the non-empty lines
+// that are not a record of this version.
+func replayJournal(b []byte) (recs []muontrap.Job, skipped []int) {
+	last := make(map[string]muontrap.Job)
+	for n := 1; len(b) > 0; n++ {
+		var line []byte
+		line, b, _ = bytes.Cut(b, []byte{'\n'})
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		var e jobEntry
-		if err := json.Unmarshal(b, &e); err != nil || e.Version != journalVersion || e.Job.ID == "" {
-			fmt.Fprintf(os.Stderr, "muontrapd: skipping malformed journal entry %s\n", name)
+		if err := json.Unmarshal(line, &e); err != nil || e.Version != journalVersion || e.Job.ID == "" {
+			skipped = append(skipped, n)
 			continue
 		}
-		recs = append(recs, e)
+		last[e.Job.ID] = e.Job
 	}
-	// Recover submission order from the journaled timestamps: RFC 3339
-	// UTC strings sort chronologically; ties fall back to ID order,
-	// keeping the listing deterministic.
-	sort.SliceStable(recs, func(a, b int) bool {
-		if recs[a].Job.SubmittedAt != recs[b].Job.SubmittedAt {
-			return recs[a].Job.SubmittedAt < recs[b].Job.SubmittedAt
-		}
-		return recs[a].Job.ID < recs[b].Job.ID
-	})
-
-	for _, e := range recs {
-		rec := e.Job
+	recs = make([]muontrap.Job, 0, len(last))
+	for _, rec := range last {
 		switch rec.State {
 		case muontrap.JobQueued, muontrap.JobRunning:
-			// The interrupted state is normally derived, never journaled:
-			// the journal keeps saying queued/running (what death left
-			// behind), and every restart re-derives the same picture.
+			// The interrupted state is normally derived: the journal keeps
+			// saying queued/running (what death left behind), and every
+			// restart re-derives the same picture.
 			rec.State = muontrap.JobInterrupted
 			rec.Done = 0
 		case muontrap.JobInterrupted:
@@ -1210,8 +1256,16 @@ func (s *Server) loadJournal() error {
 			// way out. Same resumable picture.
 			rec.Done = 0
 		}
-		s.jobs[rec.ID] = s.newJob(rec)
-		s.order = append(s.order, rec.ID)
+		recs = append(recs, rec)
 	}
-	return nil
+	// Recover submission order from the journaled timestamps: RFC 3339
+	// UTC strings sort chronologically; ties fall back to ID order,
+	// keeping the listing deterministic.
+	sort.Slice(recs, func(a, b int) bool {
+		if recs[a].SubmittedAt != recs[b].SubmittedAt {
+			return recs[a].SubmittedAt < recs[b].SubmittedAt
+		}
+		return recs[a].ID < recs[b].ID
+	})
+	return recs, skipped
 }

@@ -444,17 +444,17 @@ func (c *Client) streamOnce(ctx context.Context, id string, lastID *string, onPr
 	var event, frameID string
 	var data bytes.Buffer
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024)
 	for sc.Scan() {
-		line := sc.Text()
+		line := sc.Bytes()
 		switch {
-		case strings.HasPrefix(line, "id:"):
-			frameID = strings.TrimSpace(strings.TrimPrefix(line, "id:"))
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "data:"):
-			data.WriteString(strings.TrimSpace(strings.TrimPrefix(line, "data:")))
-		case line == "":
+		case bytes.HasPrefix(line, []byte("id:")):
+			frameID = string(bytes.TrimSpace(line[len("id:"):]))
+		case bytes.HasPrefix(line, []byte("event:")):
+			event = string(bytes.TrimSpace(line[len("event:"):]))
+		case bytes.HasPrefix(line, []byte("data:")):
+			data.Write(bytes.TrimSpace(line[len("data:"):]))
+		case len(line) == 0:
 			if event == "" && data.Len() == 0 {
 				continue
 			}
@@ -463,6 +463,10 @@ func (c *Client) streamOnce(ctx context.Context, id string, lastID *string, onPr
 				return muontrap.Job{}, err
 			}
 			if terminal {
+				// The daemon ends the response after the terminal frame.
+				// Reading to EOF lets net/http keep the connection for
+				// the next request instead of dialling again.
+				_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64*1024))
 				return job, nil
 			}
 			if frameID != "" {

@@ -41,7 +41,8 @@ const (
 	// context cancellation inside its cycle loop. Resumable.
 	JobCancelled JobState = "cancelled"
 	// JobInterrupted: the daemon died (crash, kill, restart) while the job
-	// was queued or running. Assigned at journal load, never persisted.
+	// was queued or running. Assigned at journal load; persisted only when
+	// a shutdown's drain timeout abandons a running job.
 	// Resumable; with mid-run checkpointing configured, the resumed run
 	// restores the latest checkpoint instead of re-simulating.
 	JobInterrupted JobState = "interrupted"
